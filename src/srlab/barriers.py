@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel
+from .coefficients import CoefficientModel, apply_operator
 from .errors import EmptyInterval
 from .grids import ScalarField2D
 
@@ -111,22 +111,12 @@ def _barrier_jet(fn: BarrierFunction, x, y):
 
 def apply_L1(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     """Degenerate operator on a closed-form barrier, exact derivatives."""
-    v, vx, vy, vxx, vxy, vyy = _barrier_jet(fn, x, y)
-    O1, O2, O3, O4, O5 = coeffs.evaluate(np.asarray(x, dtype=float), y, v, vx, vy)
-    return (
-        (2.0 * np.asarray(x, dtype=float) - coeffs.a * vx + O1) * vxx
-        + O2 * vxy + (coeffs.b + O3) * vyy - (1.0 + O4) * vx + O5 * vy
-    )
+    return apply_operator(coeffs, x, y, _barrier_jet(fn, x, y))
 
 
 def apply_L2(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     """Companion operator acting on deviation profiles W."""
-    v, vx, vy, vxx, vxy, vyy = _barrier_jet(fn, x, y)
-    O1, O2, O3, O4, O5 = coeffs.evaluate(np.asarray(x, dtype=float), y, v, vx, vy)
-    return (
-        (np.asarray(x, dtype=float) + coeffs.a * vx + O1) * vxx
-        + O2 * vxy + (coeffs.b + O3) * vyy - (2.0 + O4) * vx + O5 * vy
-    )
+    return apply_operator(coeffs, x, y, _barrier_jet(fn, x, y), companion=True)
 
 
 def l2_rhs(fn: BarrierFunction, coeffs: CoefficientModel, x, y):

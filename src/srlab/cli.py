@@ -3,8 +3,8 @@
 Every command assembles a flat run-configuration record of its inputs; the
 sha256 digest of that record is embedded in all output files so any artifact
 can be traced to the exact invocation.  Outputs are deterministic: identical
-run configurations produce byte-identical files regardless of SRL_THREADS
-(sweeps are vectorized with a fixed update order, nothing is scheduled).
+run configurations produce byte-identical files (sweeps are vectorized with a
+fixed update order, and nothing is scheduled across workers).
 
 Exit codes: 0 ok, 2 configuration/input failure, 3 solver non-convergence,
 4 failed verification check.
@@ -13,7 +13,6 @@ Exit codes: 0 ok, 2 configuration/input failure, 3 solver non-convergence,
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -108,7 +107,7 @@ def cmd_sweep(args) -> int:
     lo, hi = detachment_angle(gas)
     with open(out / "sweep.csv", "w", encoding="ascii") as fh:
         fh.write(f"# runconfig_digest={digest}\n")
-        fh.write(f"# detachment_bracket_deg={np.degrees(lo)!r},{np.degrees(hi)!r}\n")
+        fh.write(f"# detachment_bracket_deg={float(np.degrees(lo))!r},{float(np.degrees(hi))!r}\n")
         fh.write("theta_deg,u2,v2,rho2,c2,supersonic_at_P0,rh_residual\n")
         for r in rows:
             fh.write(",".join(repr(float(v)) for v in r) + "\n")
@@ -360,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    os.environ.setdefault("SRL_THREADS", "1")  # accepted; results never depend on it
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -20,6 +20,7 @@ __all__ = [
     "model_coefficients",
     "linear_coefficients",
     "reflection_coefficients",
+    "apply_operator",
     "zeta",
     "o_bound_audit",
 ]
@@ -99,6 +100,23 @@ def _nominal_reflection_bound(gam, c2, eps):
     n4 = (1.0 + (gam - 1.0) * (1.5 * eps + c2 + 2.0 * eps / c2**2) / c2) * 2.0 / c2
     n5 = 8.0 * (eps + 2.0 * c2) / c2**4
     return float(max(n1, n2, n3, n4, n5))
+
+
+def apply_operator(coeffs: CoefficientModel, x, y, jet, companion: bool = False):
+    """The degenerate operator L1 on a jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy).
+
+    companion=True gives L2, the operator acting on deviation profiles W,
+    whose leading coefficient is x + a psi_x and whose first-order x
+    coefficient is 2 + O4.
+    """
+    psi, px, py, pxx, pxy, pyy = jet
+    x = np.asarray(x, dtype=float)
+    O1, O2, O3, O4, O5 = coeffs.evaluate(x, y, psi, px, py)
+    if companion:
+        lead, k = x + coeffs.a * px, 2.0
+    else:
+        lead, k = 2.0 * x - coeffs.a * px, 1.0
+    return (lead + O1) * pxx + O2 * pxy + (coeffs.b + O3) * pyy - (k + O4) * px + O5 * py
 
 
 def zeta(s, a: float, beta: float, M: float):

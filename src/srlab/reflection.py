@@ -177,6 +177,8 @@ def _state2_of_u2(gas, xi0, tanw, u2):
     bern = k2 + 0.5 * (u2 * u2 + v2 * v2)
     if gas.isothermal:
         rho2 = gas.rho0 * np.exp(-bern)
+        if not 0.0 < rho2 < np.inf:
+            return None  # under- or overflowed: past the vacuum bound in floating point
     else:
         g = gas.gamma
         arg = gas.rho0 ** (g - 1.0) - (g - 1.0) * bern
@@ -272,16 +274,19 @@ def solve_state2(gas: GasParameters, theta_w: float, n_scan: int = 1000) -> dict
             ]
         )
     )
-    vals = [f(u) for u in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va is None or vb is None:
-            continue
-        if va == 0.0:
-            roots.append(grid[i])
-        elif va * vb < 0.0:
-            roots.append(_bisect_then_newton(f, grid[i], grid[i + 1], va, vb))
+    # isothermal densities under- or overflow far along the scan at steep
+    # wedges; one errstate for the whole scan keeps the per-point cost low
+    with np.errstate(over="ignore", under="ignore"):
+        vals = [f(u) for u in grid]
+        roots = []
+        for i in range(len(grid) - 1):
+            va, vb = vals[i], vals[i + 1]
+            if va is None or vb is None:
+                continue
+            if va == 0.0:
+                roots.append(grid[i])
+            elif va * vb < 0.0:
+                roots.append(_bisect_then_newton(f, grid[i], grid[i + 1], va, vb))
     # collapse near-duplicates from the overlapping grids
     dedup = []
     for r in sorted(roots):

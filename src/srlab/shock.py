@@ -5,6 +5,7 @@ one scalar function of the solution perturbation; F eliminates the ordinate
 using continuity with the upstream potential; Psi rewrites F in the sonic
 chart.  The b-hat coefficients are the exact first-order expansion of Psi
 along a boundary trace, computed by quadrature of finite-difference partials.
+Boundary traces round-trip through CSV.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,6 @@ import numpy as np
 
 from .errors import OutsideDomain, VacuumState
 from .reflection import ReflectionConfiguration
-from .shocktrace import read_trace_csv, write_trace_csv  # noqa: F401  (re-export)
 
 __all__ = [
     "ShockBoundaryFns",
@@ -28,6 +28,7 @@ __all__ = [
 
 _SIMPSON_POINTS = 33  # composite Simpson on t in [0,1]; integrand is smooth
 _FD_STEP = 1e-6  # relative step for the Psi partials
+_TRACE_COLUMNS = ("x", "y", "psi", "psi_x", "psi_y", "b1", "b2", "b3")
 
 
 def _simpson_weights(n):
@@ -146,14 +147,19 @@ class ShockBoundaryFns:
 
     # -- first-order expansion coefficients -----------------------------------
 
-    def _psi_partial(self, k, p1, p2, p3, x, y):
-        h = _FD_STEP * np.maximum(1.0, np.abs((p1, p2, p3)[k - 1]))
-        args = [np.asarray(p1, dtype=float), np.asarray(p2, dtype=float), np.asarray(p3, dtype=float)]
-        hi = [a.copy() for a in args]
-        lo = [a.copy() for a in args]
-        hi[k - 1] = hi[k - 1] + h
-        lo[k - 1] = lo[k - 1] - h
-        return (self.Psi(hi[0], hi[1], hi[2], x, y) - self.Psi(lo[0], lo[1], lo[2], x, y)) / (2.0 * h)
+    def psi_gradient(self, p1, p2, p3, x, y, rel_step=_FD_STEP):
+        """Partials of Psi in its three slots by central differences.
+
+        The step in slot k is rel_step * max(1, |p_k|).
+        """
+        args = [np.asarray(p, dtype=float) for p in (p1, p2, p3)]
+        out = []
+        for k, p in enumerate(args):
+            h = rel_step * np.maximum(1.0, np.abs(p))
+            hi, lo = list(args), list(args)
+            hi[k], lo[k] = p + h, p - h
+            out.append((self.Psi(*hi, x, y) - self.Psi(*lo, x, y)) / (2.0 * h))
+        return tuple(out)
 
     def bhat(self, x, y, psi, psi_x, psi_y):
         """Expansion coefficients (b1, b2, b3) along a boundary trace.
@@ -171,13 +177,10 @@ class ShockBoundaryFns:
                 )
         t = np.linspace(0.0, 1.0, _SIMPSON_POINTS)[:, None]
         w = _simpson_weights(_SIMPSON_POINTS)[:, None]
-        out = []
-        for k in (1, 2, 3):
-            vals = self._psi_partial(k, t * psi_x[None, :], t * psi_y[None, :], t * psi[None, :],
+        partials = self.psi_gradient(t * psi_x[None, :], t * psi_y[None, :], t * psi[None, :],
                                      np.broadcast_to(x, (t.size, x.size)),
                                      np.broadcast_to(y, (t.size, y.size)))
-            out.append(np.sum(w * vals, axis=0))
-        return tuple(out)
+        return tuple(np.sum(w * vals, axis=0) for vals in partials)
 
     def bhat_report(self, x, y, psi, psi_x, psi_y) -> dict:
         b1, b2, b3 = self.bhat(x, y, psi, psi_x, psi_y)
@@ -254,3 +257,27 @@ def largest_valid_eps(config: ReflectionConfiguration, eps_candidates, n: int = 
         else:
             break
     return best
+
+
+def write_trace_csv(path, x, y, psi, psi_x, psi_y, b1, b2, b3, digest: str | None = None):
+    """Write a boundary trace (x, y, psi, psi_x, psi_y, b1, b2, b3) as CSV."""
+    cols = [np.asarray(c, dtype=float) for c in (x, y, psi, psi_x, psi_y, b1, b2, b3)]
+    n = cols[0].size
+    with open(path, "w", encoding="ascii") as fh:
+        if digest is not None:
+            fh.write(f"# runconfig_digest={digest}\n")
+        fh.write(",".join(_TRACE_COLUMNS) + "\n")
+        for i in range(n):
+            fh.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+
+
+def read_trace_csv(path):
+    rows = []
+    with open(path, encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("x,"):
+                continue
+            rows.append([float(v) for v in line.split(",")])
+    data = np.asarray(rows, dtype=float)
+    return {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientModel, o_bound_audit, reflection_coefficients, zeta
+from .coefficients import CoefficientModel, apply_operator, o_bound_audit, reflection_coefficients, zeta
 from .errors import EllipticityLoss, NoConvergence, ShockConditionDiverged, VacuumState
 from .grids import ScalarField2D, geometric_axis, uniform_axis
 from .reflection import ReflectionConfiguration, shock_chart_table, shock_depth_max
@@ -65,6 +65,9 @@ class BoundaryConditions:
         return {"x0": "dirichlet:0", "outer": "dirichlet", "y_lo": side(self.y_lo), "y_hi": side(self.y_hi)}
 
 
+_N_INNER = 2  # line-relaxation passes per frozen operator
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tolerance: float = 1e-9
@@ -73,9 +76,7 @@ class SolverOptions:
     beta: float = 0.5
     M: float = 2.0
     eps_ell: float = 0.1
-    n_inner: int = 2
     omega_sor: float = 1.0  # over-relaxation of the frozen-problem line solves
-    parallel: bool = True  # sweeps are vectorized per color; kept for interface parity
     clamp_fail_fraction: float = 0.2
     verbose: bool = False
 
@@ -99,7 +100,6 @@ class SolverOptions:
             "beta": self.beta,
             "M": self.M,
             "eps_ell": self.eps_ell,
-            "n_inner": self.n_inner,
             "omega_sor": self.omega_sor,
         }
 
@@ -154,6 +154,21 @@ def _d2_axis(vals, xs, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def _strip_geometry(field):
+    """fhat, g = fhat'/fhat and g' as columns, and s = y/fhat as a row, of a strip field."""
+    geo = field.geometry
+    fh, g, gp = (np.asarray(geo[key])[:, None] for key in ("fhat", "g", "gp"))
+    return fh, g, gp, field.ys[None, :]
+
+
+def _ordinates(field):
+    """Physical ordinate y at every node (s*fhat on the strip)."""
+    if field.kind == "rect":
+        return np.broadcast_to(field.ys[None, :], field.values.shape)
+    fh, _, _, s = _strip_geometry(field)
+    return s * fh
+
+
 def derivative_fields(field: ScalarField2D) -> dict:
     """Physical-coordinate derivative arrays psi_x..psi_yy at all nodes.
 
@@ -170,11 +185,7 @@ def derivative_fields(field: ScalarField2D) -> dict:
     uxy = _d1_axis(uy, xs, 0)
     if field.kind == "rect":
         return {"psi": u, "px": ux, "py": uy, "pxx": uxx, "pxy": uxy, "pyy": uyy}
-    geo = field.geometry
-    fh = np.asarray(geo["fhat"])[:, None]
-    g = np.asarray(geo["g"])[:, None]
-    gp = np.asarray(geo["gp"])[:, None]
-    s = ys[None, :]
+    fh, g, gp, s = _strip_geometry(field)
     px = ux - s * g * uy
     py = uy / fh
     pyy = uyy / fh**2
@@ -184,20 +195,8 @@ def derivative_fields(field: ScalarField2D) -> dict:
 
 
 def _operator_value(field, coeffs, d):
-    x2d = field.xs[:, None]
-    if field.kind == "rect":
-        y2d = np.broadcast_to(field.ys[None, :], field.values.shape)
-    else:
-        fh = np.asarray(field.geometry["fhat"])[:, None]
-        y2d = field.ys[None, :] * fh
-    O1, O2, O3, O4, O5 = coeffs.evaluate(x2d, y2d, d["psi"], d["px"], d["py"])
-    return (
-        (2.0 * x2d - coeffs.a * d["px"] + O1) * d["pxx"]
-        + O2 * d["pxy"]
-        + (coeffs.b + O3) * d["pyy"]
-        - (1.0 + O4) * d["px"]
-        + O5 * d["py"]
-    )
+    jet = tuple(d[key] for key in ("psi", "px", "py", "pxx", "pxy", "pyy"))
+    return apply_operator(coeffs, field.xs[:, None], _ordinates(field), jet)
 
 
 def residual(field: ScalarField2D, coeffs: CoefficientModel):
@@ -213,7 +212,7 @@ def residual(field: ScalarField2D, coeffs: CoefficientModel):
 # -- batched tridiagonal solve ------------------------------------------------
 
 
-def _thomas_numpy(sub, dia, sup, rhs):
+def _thomas(sub, dia, sup, rhs):
     """Solve independent tridiagonal systems stacked along axis 1."""
     n = dia.shape[0]
     cp = np.empty_like(dia)
@@ -232,60 +231,15 @@ def _thomas_numpy(sub, dia, sup, rhs):
     return x
 
 
-try:  # compiled kernel; per-system arithmetic is identical to the numpy path
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _thomas_numba(sub, dia, sup, rhs):  # pragma: no cover - exercised via _thomas
-        n, m = dia.shape
-        cp = np.empty((n, m))
-        x = np.empty((n, m))
-        for j in range(m):
-            inv = 1.0 / dia[0, j]
-            cp[0, j] = sup[0, j] * inv
-            x[0, j] = rhs[0, j] * inv
-            for k in range(1, n):
-                denom = dia[k, j] - sub[k, j] * cp[k - 1, j]
-                inv = 1.0 / denom
-                cp[k, j] = sup[k, j] * inv
-                x[k, j] = (rhs[k, j] - sub[k, j] * x[k - 1, j]) * inv
-            for k in range(n - 2, -1, -1):
-                x[k, j] -= cp[k, j] * x[k + 1, j]
-        return x
-
-    def _thomas(sub, dia, sup, rhs):
-        return _thomas_numba(
-            np.ascontiguousarray(sub), np.ascontiguousarray(dia),
-            np.ascontiguousarray(sup), np.ascontiguousarray(rhs),
-        )
-
-except ImportError:  # pragma: no cover
-    _thomas = _thomas_numpy
-
-
 # -- frozen-coefficient assembly ----------------------------------------------
 
 
 class _FrozenOperator:
     """Coefficient arrays of the frozen linear problem on the current iterate."""
 
-    def __init__(self, field, coeffs, opts, mapped, d=None):
-        self.mapped = mapped
-        if d is None:
-            d = derivative_fields(field)
-        self.d = d
-        xs = field.xs
-        x2d = xs[:, None]
-        if mapped:
-            geo = field.geometry
-            fh = np.asarray(geo["fhat"])[:, None]
-            g = np.asarray(geo["g"])[:, None]
-            gp = np.asarray(geo["gp"])[:, None]
-            s = field.ys[None, :]
-            y2d = s * fh
-        else:
-            y2d = np.broadcast_to(field.ys[None, :], field.values.shape)
-        O1, O2, O3, O4, O5 = coeffs.evaluate(x2d, y2d, d["psi"], d["px"], d["py"])
+    def __init__(self, field, coeffs, opts, d):
+        x2d = field.xs[:, None]
+        O1, O2, O3, O4, O5 = coeffs.evaluate(x2d, _ordinates(field), d["psi"], d["px"], d["py"])
         a = coeffs.a
         if a > 0.0:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -304,23 +258,16 @@ class _FrozenOperator:
         Ayy = np.broadcast_to(coeffs.b + O3, field.values.shape)
         Ax = np.broadcast_to(1.0 + O4, field.values.shape)
         Ay = np.broadcast_to(O5, field.values.shape)
-        if mapped:
-            geo = field.geometry
-            fh = np.asarray(geo["fhat"])[:, None]
-            g = np.asarray(geo["g"])[:, None]
-            gp = np.asarray(geo["gp"])[:, None]
-            s = field.ys[None, :]
-            self.Bxx = Axx
+        self.Bxx = Axx
+        self.Cx = -Ax
+        if field.kind == "rect":
+            self.Bxs, self.Bss, self.Cs = Axy, Ayy, Ay
+        else:
+            # transpose of the strip chain rule in derivative_fields
+            fh, g, gp, s = _strip_geometry(field)
             self.Bxs = -2.0 * s * g * Axx + Axy / fh
             self.Bss = (s * g) ** 2 * Axx - s * g * Axy / fh + Ayy / fh**2
-            self.Cx = -Ax
             self.Cs = (s * g * g - s * gp) * Axx - g * Axy / fh + s * g * Ax + Ay / fh
-        else:
-            self.Bxx = Axx
-            self.Bxs = Axy
-            self.Bss = Ayy
-            self.Cx = -Ax
-            self.Cs = Ay
 
     @property
     def clamp_fraction(self):
@@ -506,10 +453,10 @@ def solve(
             break
         if it == opts.max_iterations:
             break
-        op = _FrozenOperator(field, coeffs, opts, mapped=False, d=d)
+        op = _FrozenOperator(field, coeffs, opts, d)
         clamp_fraction = op.clamp_fraction
         prev = field.values.copy()
-        for _ in range(opts.n_inner):
+        for _ in range(_N_INNER):
             _sweep(field, op, (y_lo_neumann, y_hi_neumann), omega=opts.omega_sor)
         if opts.damping < 1.0:
             field.values[:] = prev + opts.damping * (field.values - prev)
@@ -525,11 +472,7 @@ def solve(
 def _finalize_meta(field, coeffs, opts, bc, history, clamp_fraction):
     d = derivative_fields(field)
     x2d = field.xs[:, None]
-    if field.kind == "rect":
-        y2d = np.broadcast_to(field.ys[None, :], field.values.shape)
-    else:
-        fh = np.asarray(field.geometry["fhat"])[:, None]
-        y2d = field.ys[None, :] * fh
+    y2d = _ordinates(field)
     audit = o_bound_audit(coeffs, np.broadcast_to(x2d, field.values.shape)[1:-1, 1:-1],
                           y2d[1:-1, 1:-1], d["psi"][1:-1, 1:-1],
                           d["px"][1:-1, 1:-1], d["py"][1:-1, 1:-1])
@@ -618,12 +561,7 @@ def solve_reflection_near_sonic(
     def _psi_jet(px, py, uJ):
         try:
             G = fns.Psi(px, py, uJ, x_i, y_i)
-            hq = 1e-7 * np.maximum(1.0, np.abs(px))
-            L1 = (fns.Psi(px + hq, py, uJ, x_i, y_i) - fns.Psi(px - hq, py, uJ, x_i, y_i)) / (2 * hq)
-            hq = 1e-7 * np.maximum(1.0, np.abs(py))
-            L2 = (fns.Psi(px, py + hq, uJ, x_i, y_i) - fns.Psi(px, py - hq, uJ, x_i, y_i)) / (2 * hq)
-            hq = 1e-7 * np.maximum(1.0, np.abs(uJ))
-            L3 = (fns.Psi(px, py, uJ + hq, x_i, y_i) - fns.Psi(px, py, uJ - hq, x_i, y_i)) / (2 * hq)
+            L1, L2, L3 = fns.psi_gradient(px, py, uJ, x_i, y_i, rel_step=1e-7)
         except VacuumState as exc:
             raise ShockConditionDiverged(f"shock-row iterate left the admissible ball: {exc}") from exc
         if not np.all(np.isfinite(G)):
@@ -679,10 +617,10 @@ def solve_reflection_near_sonic(
             break
         if it == opts.max_iterations:
             break
-        op = _FrozenOperator(field, coeffs, opts, mapped=True, d=d)
+        op = _FrozenOperator(field, coeffs, opts, d)
         clamp_fraction = op.clamp_fraction
         prev = field.values.copy()
-        for _ in range(opts.n_inner):
+        for _ in range(_N_INNER):
             _sweep(field, op, (True, False), omega=opts.omega_sor)
             shock_res = shock_row_solve()
         if opts.damping < 1.0:

@@ -78,6 +78,32 @@ def test_apply_L2_zero_function(model_ab):
     coeffs = srlab.model_coefficients(a, b)
     assert apply_L2(zero, coeffs, 0.1, 0.3) == 0.0
     assert l2_rhs(zero, coeffs, 0.1, 0.3) == 0.0
+    # W = c x^2: (x + 2acx) 2c - 2 (2cx) = 2cx(2ac - 1)
+    c = 0.7
+    x = np.linspace(0.01, 0.4, 7)[:, None]
+    vals = apply_L2(general_u(c, 2.0, c, 2.0), coeffs, x, np.linspace(-0.9, 0.9, 5)[None, :])
+    assert np.allclose(vals, 2.0 * c * x * (2.0 * a * c - 1.0), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("closure", ["model", "reflection"])
+@pytest.mark.parametrize("q", [1.0, 0.95])
+def test_residual_matches_apply_L1_on_quadratic_barrier(closure, q, model_ab, weak60):
+    # the 3-point stencils are exact on this barrier (quadratic in x and in
+    # y), so the solver's residual and the closed-form operator agree to
+    # round-off: both go through one definition of L1
+    a, b = model_ab
+    if closure == "model":
+        coeffs = srlab.model_coefficients(a, b)
+    else:
+        coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
+    fn = general_u(0.3, 2.0, 0.5, 2.0)
+    xs = srlab.geometric_axis(0.5, 41, q)
+    ys = srlab.uniform_axis(-1.0, 1.0, 33)
+    field = srlab.ScalarField2D(xs, ys, fn.value(xs[:, None], ys[None, :]))
+    _, res = srlab.residual(field, coeffs)
+    exact = apply_L1(fn, coeffs, xs[:, None], ys[None, :])
+    assert np.max(np.abs(exact[1:-1, 1:-1])) > 1e-3
+    assert np.max(np.abs(res - exact)[1:-1, 1:-1]) <= 1e-13
 
 
 def test_deviation_identity_on_fixture(model_field, model_ab):

@@ -107,6 +107,8 @@ def test_sweep(tmp_path):
     lines = text.splitlines()
     assert lines[0].startswith("# runconfig_digest=")
     assert lines[1].startswith("# detachment_bracket_deg=")
+    lo, hi = (float(v) for v in lines[1].split("=", 1)[1].split(","))
+    assert 48.5 < lo <= hi < 49.5
     assert len(lines) == 6  # two comments, header, three angles
 
 

@@ -208,6 +208,20 @@ def test_detachment_bracket(gas):
     assert 48.5 < np.degrees(lo) < 49.5  # oracle bisection gives ~48.93
 
 
+def test_isothermal_steep_wedge_and_detachment():
+    # rho0*exp(-bern) underflows along the u2 scan at steep wedges; those
+    # scan points lie past the vacuum bound and must not abort the root search
+    gas1 = srlab.GasParameters(1.0, 1.0, 2.0)
+    for deg in (84.5, 89.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotSupersonicAtP0)
+            weak = srlab.solve_state2(gas1, np.radians(deg))["weak"]
+        assert weak.residuals()["rh"] < 1e-12
+    lo, hi = srlab.detachment_angle(gas1)
+    assert 0.0 < np.degrees(hi) - np.degrees(lo) <= 1.1e-4
+    assert 44.0 < np.degrees(lo) < 45.0
+
+
 def test_config_json_roundtrip(weak60):
     text = weak60.to_json()
     back = srlab.ReflectionConfiguration.from_json(text)

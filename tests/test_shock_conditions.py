@@ -123,7 +123,7 @@ def test_bhat_on_zero_trace_equals_partials(fns, weak60):
     b1, b2, b3 = fns.bhat(xs, ys, z, z, z)
     # constant-in-t integrand: b_k = Psi_pk(0,0,0,x,y)
     for arr, k in ((b1, 1), (b2, 2), (b3, 3)):
-        direct = fns._psi_partial(k, z, z, z, xs, ys)
+        direct = fns.psi_gradient(z, z, z, xs, ys)[k - 1]
         assert np.allclose(arr, direct, rtol=1e-10, atol=1e-12)
     # at the corner, b1 equals the explicit gradient coefficient
     b1c, _, _ = fns.bhat([0.0], [weak60.y1], [0.0], [0.0], [0.0])
