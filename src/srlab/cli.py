@@ -3,8 +3,8 @@
 Every command assembles a flat run-configuration record of its inputs; the
 sha256 digest of that record is embedded in all output files so any artifact
 can be traced to the exact invocation.  Outputs are deterministic: identical
-run configurations produce byte-identical files (sweeps are vectorized with a
-fixed update order, and nothing is scheduled across workers).
+run configurations produce byte-identical files (nothing is scheduled across
+workers).
 
 Exit codes: 0 ok, 2 configuration/input failure, 3 solver non-convergence,
 4 failed verification check.

@@ -1,10 +1,10 @@
-"""Damped-Picard line-relaxation solver for the degenerate near-boundary equation.
+"""Damped-Picard solver for the degenerate near-boundary equation.
 
 The nonlinear diffusion coefficient is frozen each outer iteration (with the
 slope cutoff and an x-proportional ellipticity floor), and the frozen linear
-problem is swept by alternating x/y tridiagonal line solves in red-black line
-order.  Sweeps are vectorized across the lines of one color, so results are
-independent of any worker count by construction.
+problem is assembled as one sparse 9-point operator and solved exactly by a
+sparse LU factorisation under a fixed column ordering, so every outer step is
+deterministic.
 
 Two domains are supported: a rectangle (0, rhat) x (y_lo, y_hi), and the
 shock-fitted strip {0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s) with
@@ -65,9 +65,6 @@ class BoundaryConditions:
         return {"x0": "dirichlet:0", "outer": "dirichlet", "y_lo": side(self.y_lo), "y_hi": side(self.y_hi)}
 
 
-_N_INNER = 2  # line-relaxation passes per frozen operator
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     tolerance: float = 1e-9
@@ -76,7 +73,7 @@ class SolverOptions:
     beta: float = 0.5
     M: float = 2.0
     eps_ell: float = 0.1
-    omega_sor: float = 1.0  # over-relaxation of the frozen-problem line solves
+    omega_sor: float = 1.0  # no effect: the frozen problem is solved directly
     clamp_fail_fraction: float = 0.2
     verbose: bool = False
 
@@ -100,7 +97,6 @@ class SolverOptions:
             "beta": self.beta,
             "M": self.M,
             "eps_ell": self.eps_ell,
-            "omega_sor": self.omega_sor,
         }
 
 
@@ -209,28 +205,6 @@ def residual(field: ScalarField2D, coeffs: CoefficientModel):
     return float(np.max(np.abs(interior))), res
 
 
-# -- batched tridiagonal solve ------------------------------------------------
-
-
-def _thomas(sub, dia, sup, rhs):
-    """Solve independent tridiagonal systems stacked along axis 1."""
-    n = dia.shape[0]
-    cp = np.empty_like(dia)
-    dp = np.empty_like(rhs)
-    inv = 1.0 / dia[0]
-    cp[0] = sup[0] * inv
-    dp[0] = rhs[0] * inv
-    for k in range(1, n):
-        denom = dia[k] - sub[k] * cp[k - 1]
-        inv = 1.0 / denom
-        cp[k] = sup[k] * inv
-        dp[k] = (rhs[k] - sub[k] * dp[k - 1]) * inv
-    x = dp
-    for k in range(n - 2, -1, -1):
-        x[k] -= cp[k] * x[k + 1]
-    return x
-
-
 # -- frozen-coefficient assembly ----------------------------------------------
 
 
@@ -276,118 +250,50 @@ class _FrozenOperator:
         return float(np.mean(inner)) if inner.size else 0.0
 
 
-def _sweep(field, op, unknown_rows, omega=1.0):
-    """One alternating x/y line-relaxation pass in red-black line order.
+def _frozen_solve(field, op, neumann):
+    """Solve the frozen linear problem in place with one sparse LU.
 
-    Rows/columns of one parity are solved simultaneously (batched tridiagonal
-    systems), then the other parity, so the update order is fixed and results
-    cannot depend on how the batch is scheduled.
+    The unknowns are the interior columns of the interior rows and of each
+    row flagged in neumann = (y_lo, y_hi); every other node is Dirichlet data.
+    Matrix rows are numbered over the unknowns and columns over all nodes, so
+    the known columns move to the right-hand side.  A Neumann row mirrors its
+    ghost neighbour onto the first interior row, where its psi_y and psi_xy
+    entries cancel.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import spsolve
+
     u = field.values
-    xs, ys = field.xs, field.ys
     nx, ny = u.shape
-    wm, w0, wp = _first_weights(xs)
-    vm, v0, vp = _second_weights(xs)
-    hy = ys[1] - ys[0]
-
-    # per-row y-stencil with Neumann mirroring where applicable
-    cyym = np.full(ny, 1.0 / hy**2)
-    cyyp = np.full(ny, 1.0 / hy**2)
-    cyy0 = np.full(ny, -2.0 / hy**2)
-    cym = np.full(ny, -0.5 / hy)
-    cyp = np.full(ny, 0.5 / hy)
-    jm = np.arange(ny) - 1
-    jp = np.arange(ny) + 1
-    y_lo_neumann, y_hi_neumann = unknown_rows
-    if y_lo_neumann:
-        cyym[0], cyyp[0], cym[0], cyp[0] = 0.0, 2.0 / hy**2, 0.0, 0.0
+    j0, j1 = (0 if neumann[0] else 1), (ny if neumann[1] else ny - 1)
+    J = np.arange(j0, j1)
+    jm, jp = J - 1, J + 1
+    if neumann[0]:
         jm[0] = 1
-    if y_hi_neumann:
-        cyyp[-1], cyym[-1], cym[-1], cyp[-1] = 0.0, 2.0 / hy**2, 0.0, 0.0
+    if neumann[1]:
         jp[-1] = ny - 2
-    jp[-1] = min(jp[-1], ny - 1)
-    jm[0] = max(jm[0], 0)
-
-    # lagged mixed derivative and first y-derivative; skipped when the
-    # closure carries no mixed or first-order y terms (model/linear)
-    needs_lag = bool(np.any(op.Bxs)) or bool(np.any(op.Cs))
-
-    def lagged():
-        if not needs_lag:
-            z = np.zeros_like(u)
-            return z, z
-        uy = _d1_axis(u, ys, 1)
-        if y_lo_neumann:
-            uy[:, 0] = 0.0
-        if y_hi_neumann:
-            uy[:, -1] = 0.0
-        return uy, _d1_axis(uy, xs, 0)
-
-    uy, uxy = lagged()
-
-    rows = [j for j in range(ny) if (0 < j < ny - 1)
-            or (j == 0 and y_lo_neumann)
-            or (j == ny - 1 and y_hi_neumann)]
-    rows = np.asarray(rows)
-
-    # x-direction line solves (tridiagonal along i), red-black in j
-    for parity in (0, 1):
-        J = rows[rows % 2 == parity]
-        if J.size == 0:
-            continue
-        Axx = op.Bxx[1:-1, J]
-        Ax = -op.Cx[1:-1, J]
-        Ayy = op.Bss[1:-1, J]
-        sub = Axx * vm[:, None] - Ax * wm[:, None]
-        dia = Axx * v0[:, None] - Ax * w0[:, None] + Ayy * cyy0[J][None, :]
-        sup = Axx * vp[:, None] - Ax * wp[:, None]
-        off = (
-            Ayy * (cyym[J][None, :] * u[1:-1, jm[J]] + cyyp[J][None, :] * u[1:-1, jp[J]])
-            + op.Bxs[1:-1, J] * uxy[1:-1, J]
-            + op.Cs[1:-1, J] * uy[1:-1, J]
-        )
-        rhs = -off
-        rhs[0, :] -= sub[0, :] * u[0, J]
-        rhs[-1, :] -= sup[-1, :] * u[-1, J]
-        sol = _thomas(sub, dia, sup, rhs)
-        u[1:-1, J] += omega * (sol - u[1:-1, J])
-
-    uy, uxy = lagged()
-
-    j0 = 0 if y_lo_neumann else 1
-    j1 = (ny - 1) if y_hi_neumann else (ny - 2)
-    js = np.arange(j0, j1 + 1)
-    cols = np.arange(1, nx - 1)
-    for parity in (0, 1):
-        I = cols[cols % 2 == parity]
-        if I.size == 0:
-            continue
-        Ayy = op.Bss[np.ix_(I, js)].T
-        Ay = op.Cs[np.ix_(I, js)].T
-        Axx = op.Bxx[np.ix_(I, js)].T
-        Ax = -op.Cx[np.ix_(I, js)].T
-        sub = Ayy * cyym[js][:, None] + Ay * cym[js][:, None]
-        dia = (
-            Ayy * cyy0[js][:, None]
-            + Axx * v0[I - 1][None, :] - Ax * w0[I - 1][None, :]
-        )
-        sup = Ayy * cyyp[js][:, None] + Ay * cyp[js][:, None]
-        off = (
-            Axx * (vm[I - 1][None, :] * u[np.ix_(I - 1, js)].T + vp[I - 1][None, :] * u[np.ix_(I + 1, js)].T)
-            - Ax * (wm[I - 1][None, :] * u[np.ix_(I - 1, js)].T + wp[I - 1][None, :] * u[np.ix_(I + 1, js)].T)
-            + op.Bxs[np.ix_(I, js)].T * uxy[np.ix_(I, js)].T
-        )
-        rhs = -off
-        if j0 == 1:
-            rhs[0, :] -= sub[0, :] * u[I, 0]
-        if j1 == ny - 2:
-            rhs[-1, :] -= sup[-1, :] * u[I, ny - 1]
-        if y_lo_neumann:
-            sub[0, :] = 0.0
-        if y_hi_neumann:
-            sup[-1, :] = 0.0
-        sol = _thomas(sub, dia, sup, rhs).T
-        u[np.ix_(I, js)] += omega * (sol - u[np.ix_(I, js)])
+    I = np.arange(1, nx - 1)[:, None]
+    hy = field.ys[1] - field.ys[0]
+    Bxx, Cx, Bss, Bxs, Cs = (c[1:-1, j0:j1] for c in (op.Bxx, op.Cx, op.Bss, op.Bxs, op.Cs))
+    # (node column, coefficient) per stencil point; psi_xy = d1_x(d1_y psi)
+    terms = [(I * ny + jm, Bss / hy**2 - Cs / (2.0 * hy)),
+             (I * ny + J, -2.0 * Bss / hy**2),
+             (I * ny + jp, Bss / hy**2 + Cs / (2.0 * hy))]
+    for k, (w, v) in enumerate(zip(_first_weights(field.xs), _second_weights(field.xs))):
+        w, v, col = w[:, None], v[:, None], (I + k - 1) * ny
+        terms += [(col + J, Bxx * v + Cx * w),
+                  (col + jm, -Bxs * w / (2.0 * hy)),
+                  (col + jp, Bxs * w / (2.0 * hy))]
+    n = Bxx.size
+    cols = np.concatenate([c.ravel() for c, _ in terms])
+    vals = np.concatenate([v.ravel() for _, v in terms])
+    A = csc_matrix((vals, (np.tile(np.arange(n), len(terms)), cols)), shape=(n, u.size))
+    A.eliminate_zeros()  # closures without mixed or first-order y terms
+    known = u.copy()
+    known[1:-1, j0:j1] = 0.0
+    sol = spsolve(A[:, (I * ny + J).ravel()], -(A @ known.ravel()), permc_spec="MMD_AT_PLUS_A")
+    # written through the 2-D view: field.values need not be C-contiguous
+    u[1:-1, j0:j1] = sol.reshape(Bxx.shape)
 
 
 # -- rectangle solve -----------------------------------------------------------
@@ -404,12 +310,15 @@ def solve(
     """Solve the near-boundary equation on a rectangle.
 
     Dirichlet psi = 0 on x = 0; bc.outer on x = rhat; each y-side either
-    reflective (psi_y = 0) or Dirichlet.  init_field seeds the iteration from
+    reflective (psi_y = 0) or Dirichlet.  Each damped Picard step freezes the
+    coefficients on the current iterate and solves the frozen linear problem
+    exactly (_frozen_solve), so a linear closure converges in one step.
+    init_field seeds the iteration from
     a coarser converged solve (nested iteration), carried over by a direct
     not-a-knot cubic spline fit along x and then y (bilinear below 4 nodes);
     being exact on polynomials up to cubic in each variable, it keeps an
     exact coarse solution exact, where SciPy's iterative tensor-spline fit
-    would leave an error for the fine solve to relax away.  Otherwise the
+    would leave an error for the fine solve to remove.  Otherwise the
     start is the outer data times a power profile.  Raises NoConvergence past
     the iteration budget and EllipticityLoss if the cutoff/floor is active on
     more than the configured fraction of nodes at convergence.
@@ -442,7 +351,7 @@ def solve(
     converged = False
     for it in range(opts.max_iterations + 1):
         # one derivative pass serves both the residual of the current iterate
-        # and the frozen coefficients of the next sweep
+        # and the frozen coefficients of the next solve
         d = derivative_fields(field)
         res = float(np.max(np.abs(_operator_value(field, coeffs, d)[1:-1, 1:-1])))
         history.append(res)
@@ -456,8 +365,7 @@ def solve(
         op = _FrozenOperator(field, coeffs, opts, d)
         clamp_fraction = op.clamp_fraction
         prev = field.values.copy()
-        for _ in range(_N_INNER):
-            _sweep(field, op, (y_lo_neumann, y_hi_neumann), omega=opts.omega_sor)
+        _frozen_solve(field, op, (y_lo_neumann, y_hi_neumann))
         if opts.damping < 1.0:
             field.values[:] = prev + opts.damping * (field.values - prev)
     if not converged:
@@ -517,8 +425,13 @@ def solve_reflection_near_sonic(
     Boundary data: psi = 0 on the sonic segment x = 0, reflective wedge side,
     the combined jump condition enforced pointwise on the shock image by a
     scalar Newton update per column, and the synthetic truncation surrogate
-    psi = eps^2/(2(gamma+1)) on the outer cut (flagged in metadata).
+    psi = eps^2/(2(gamma+1)) on the outer cut (flagged in metadata).  Each
+    outer step solves the frozen interior problem exactly with the shock row
+    held fixed, then takes one Newton step of the shock row with the interior
+    held fixed.
     """
+    from scipy.linalg import solve_banded
+
     xmax = shock_depth_max(config)
     if eps >= xmax:
         raise ValueError(f"eps={eps:.6g} exceeds the shock chart depth {xmax:.6g}")
@@ -581,16 +494,20 @@ def solve_reflection_near_sonic(
         vals = field.values
         uJ, r_lag, us, ux, py, px = _row_state()
         G, L1, L2, L3 = _psi_jet(px, py, uJ)
-        sub = (L1 * wx_m)[:, None]
-        dia = (L1 * (wx_0 - g_i * c3) + L2 * c3 / fh_i + L3)[:, None]
-        sup = (L1 * wx_p)[:, None]
+        sub = L1 * wx_m
+        dia = L1 * (wx_0 - g_i * c3) + L2 * c3 / fh_i + L3
+        sup = L1 * wx_p
         gc = G - L1 * px - L2 * py - L3 * uJ
-        rhs = (-gc + (L1 * g_i - L2 / fh_i) * r_lag)[:, None]
+        rhs = -gc + (L1 * g_i - L2 / fh_i) * r_lag
         rhs[0] -= sub[0] * vals[0, -1]
         rhs[-1] -= sup[-1] * vals[-1, -1]
-        if np.any(np.abs(dia) < 1e-12) or not np.all(np.isfinite(rhs)):
+        ab = np.stack([np.r_[0.0, sup[:-1]], dia, np.r_[sub[1:], 0.0]])  # LAPACK band storage
+        if np.any(np.abs(dia) < 1e-12) or not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
             raise ShockConditionDiverged("degenerate linearized jump-condition row")
-        vals[i_int, -1] = _thomas(sub, dia, sup, rhs)[:, 0]
+        try:
+            vals[i_int, -1] = solve_banded((1, 1), ab, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ShockConditionDiverged(f"singular linearized jump-condition row: {exc}") from exc
         return float(np.max(np.abs(G))) / lam_scale
 
     history = []
@@ -620,9 +537,8 @@ def solve_reflection_near_sonic(
         op = _FrozenOperator(field, coeffs, opts, d)
         clamp_fraction = op.clamp_fraction
         prev = field.values.copy()
-        for _ in range(_N_INNER):
-            _sweep(field, op, (True, False), omega=opts.omega_sor)
-            shock_res = shock_row_solve()
+        _frozen_solve(field, op, (True, False))
+        shock_res = shock_row_solve()
         if opts.damping < 1.0:
             field.values[:] = prev + opts.damping * (field.values - prev)
     if not converged:

@@ -55,10 +55,10 @@ def test_criterion_1_exact_solution_fixed_point():
     bc = srlab.BoundaryConditions(outer=lambda y: exact(RHAT) * np.ones_like(y), y_lo=exact, y_hi=exact)
     t0 = time.perf_counter()
     errs, prev = [], None
-    for n, om in ((65, 1.7), (129, 1.8), (257, 1.9)):
+    for n in (65, 129, 257):
         grid = srlab.GridSpec(rhat=RHAT, nx=n, ny=n, y_lo=-1.0, y_hi=1.0, grade_q=1.0)
         f = srlab.solve(coeffs, bc, grid,
-                        srlab.SolverOptions(tolerance=1e-9, max_iterations=8000, omega_sor=om),
+                        srlab.SolverOptions(tolerance=1e-9, max_iterations=8000),
                         init_power=1.5, init_field=prev)
         errs.append(float(np.max(np.abs(f.values - exact(f.xs)[:, None]))))
         prev = f
@@ -96,7 +96,7 @@ def test_criterion_2_sonic_second_derivative_constant():
         q = 0.90 ** (48.0 / (nx - 1))
         grid = srlab.GridSpec(rhat=RHAT, nx=nx, ny=65, y_lo=-1.0, y_hi=1.0, grade_q=q)
         f = srlab.solve(coeffs, bc, grid,
-                        srlab.SolverOptions(tolerance=1e-10, max_iterations=9000, omega_sor=1.7),
+                        srlab.SolverOptions(tolerance=1e-10, max_iterations=9000),
                         init_field=prev)
         fields.append(f)
         prev = f
@@ -132,7 +132,7 @@ def test_criterion_3_linear_nonlinear_dichotomy():
     p_lin = None
     for nx in (65, 129):
         grid = srlab.GridSpec(rhat=RHAT, nx=nx, ny=49, y_lo=-1.0, y_hi=1.0, grade_q=0.95)
-        f = srlab.solve(lin, bc, grid, srlab.SolverOptions(tolerance=1e-10, max_iterations=9000, omega_sor=1.7))
+        f = srlab.solve(lin, bc, grid, srlab.SolverOptions(tolerance=1e-10, max_iterations=9000))
         _, br = dg.parabolic_norm(f)
         pxx_channel.append(br["pxx"])
         p_lin, _, _ = dg.fit_power_law(f, 0.0)
@@ -143,7 +143,7 @@ def test_criterion_3_linear_nonlinear_dichotomy():
         f_nl = srlab.solve(srlab.model_coefficients(A_MODEL, B_MODEL),
                            srlab.BoundaryConditions(outer=outer),
                            srlab.GridSpec(rhat=RHAT, nx=97, ny=65, y_lo=-1.0, y_hi=1.0, grade_q=0.95 ** 0.5),
-                           srlab.SolverOptions(tolerance=1e-10, max_iterations=9000, omega_sor=1.7))
+                           srlab.SolverOptions(tolerance=1e-10, max_iterations=9000))
     p_nl, _, _ = dg.fit_power_law(f_nl, 0.0)
     elapsed = time.perf_counter() - t0
     grows = pxx_channel[1] > pxx_channel[0]
@@ -165,7 +165,7 @@ def test_criterion_4_barrier_suite():
     outer = lambda y: (RHAT**2 / (2 * A_MODEL)) * (1.0 + 0.2 * np.cos(np.pi * y))
     grid = srlab.GridSpec(rhat=RHAT, nx=65, ny=65, y_lo=-1.0, y_hi=1.0, grade_q=0.95)
     field = srlab.solve(coeffs, srlab.BoundaryConditions(outer=outer), grid,
-                        srlab.SolverOptions(tolerance=1e-10, max_iterations=9000, omega_sor=1.7))
+                        srlab.SolverOptions(tolerance=1e-10, max_iterations=9000))
 
     def sigma(r):
         mask = field.xs >= r

@@ -162,3 +162,10 @@ def test_solve_json_format(tmp_path):
     assert rc == 0
     d = read_json(out / "grid.full.json")
     assert len(d["xs"]) == 33 and len(d["psi"]) == 33
+
+
+def test_import_srlab_loads_no_scipy():
+    # scipy is imported inside the solvers, so `sweep` and `config` start without it
+    code = "import srlab, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

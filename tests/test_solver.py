@@ -91,7 +91,7 @@ def test_exact_solution_reproduced(model_ab):
     grid = srlab.GridSpec(rhat=rhat, nx=65, ny=65, y_lo=-1, y_hi=1, grade_q=1.0)
     bc = srlab.BoundaryConditions(outer=lambda y: exact(rhat) * np.ones_like(y), y_lo=exact, y_hi=exact)
     f = srlab.solve(srlab.model_coefficients(a, b), bc, grid,
-                    srlab.SolverOptions(tolerance=1e-10, max_iterations=4000, omega_sor=1.7),
+                    srlab.SolverOptions(tolerance=1e-10, max_iterations=4000),
                     init_power=1.5)
     err = np.max(np.abs(f.values - exact(f.xs)[:, None]))
     h = rhat / 64
@@ -107,7 +107,10 @@ def test_linear_mode_three_halves(model_ab):
     grid = srlab.GridSpec(rhat=rhat, nx=65, ny=65, y_lo=-1, y_hi=1, grade_q=1.0)
     bc = srlab.BoundaryConditions(outer=lambda y: rhat**1.5 * np.ones_like(y))
     f = srlab.solve(srlab.linear_coefficients(b), bc, grid,
-                    srlab.SolverOptions(tolerance=1e-10, max_iterations=6000, omega_sor=1.7))
+                    srlab.SolverOptions(tolerance=1e-10, max_iterations=6000))
+    # the linear closure's frozen operator is the operator itself, so one
+    # exact frozen solve converges
+    assert f.meta["iterations"] == 2
     err = np.max(np.abs(f.values - (f.xs**1.5)[:, None]))
     h = rhat / 64
     assert err <= 10 * h**1.5
@@ -138,7 +141,8 @@ def test_monotone_residual_with_half_damping(model_ab):
                     srlab.SolverOptions(tolerance=1e-9, max_iterations=6000, damping=0.5))
     # nonincreasing after the startup transient of the artificial profile
     hist = np.asarray(f.meta["residual_history"])[3:]
-    assert hist.size > 100
+    # the checked stretch spans at least seven decades of residual
+    assert hist[0] >= 1e7 * hist[-1]
     assert np.all(np.diff(hist) <= 1e-13)
 
 
