@@ -171,21 +171,22 @@ class ReflectionConfiguration:
 
 
 def _state2_of_u2(gas, xi0, tanw, u2):
-    """Uniform state (2) forced by the wedge slip condition and the shared Bernoulli constant."""
+    """(v2, k2, rho2) of the uniform state (2) forced by the wedge slip condition
+    and the shared Bernoulli constant, elementwise in u2; rho2 is NaN past the
+    vacuum bound."""
     v2 = u2 * tanw
     k2 = -xi0 * u2 * (1.0 + tanw * tanw)
     bern = k2 + 0.5 * (u2 * u2 + v2 * v2)
     if gas.isothermal:
         rho2 = gas.rho0 * np.exp(-bern)
-        if not 0.0 < rho2 < np.inf:
-            return None  # under- or overflowed: past the vacuum bound in floating point
+        # under- or overflowed: past the vacuum bound in floating point
+        rho2 = np.where((0.0 < rho2) & (rho2 < np.inf), rho2, np.nan)
     else:
         g = gas.gamma
         arg = gas.rho0 ** (g - 1.0) - (g - 1.0) * bern
-        if arg <= 0.0:
-            return None
-        rho2 = arg ** (1.0 / (g - 1.0))
-    return UniformState(u=float(u2), v=float(v2), k=float(k2), rho=float(rho2))
+        # abs keeps the discarded branch free of invalid-power warnings
+        rho2 = np.where(arg > 0.0, np.abs(arg) ** (1.0 / (g - 1.0)), np.nan)
+    return v2, k2, rho2
 
 
 def _u_vacuum(gas, xi0, tanw):
@@ -205,27 +206,23 @@ def _flux_residual(gas, xi0, u1, tanw, u2):
 
     The line's normal is proportional to (u1-u2, -v2) because both potentials
     share the quadratic part, and the mismatch is constant along the line, so
-    one point decides.  Returns None past the vacuum bound.
+    one point decides.  Elementwise in u2 > 0; NaN past the vacuum bound.
     """
-    st2 = _state2_of_u2(gas, xi0, tanw, u2)
-    if st2 is None:
-        return None
-    v2 = st2.v
-    w = np.array([u1 - u2, -v2])
-    nw = np.hypot(w[0], w[1])
-    if nw == 0.0:
-        return None
-    P0 = np.array([xi0, xi0 * tanw])
-    d1 = np.array([u1 - P0[0], -P0[1]])
-    d2 = np.array([st2.u - P0[0], st2.v - P0[1]])
-    return (gas.rho1 * (d1 @ w) - st2.rho * (d2 @ w)) / nw
+    v2, _, rho2 = _state2_of_u2(gas, xi0, tanw, u2)
+    w = np.stack([u1 - u2, -v2], axis=-1)[..., :, None]
+    nw = np.hypot(u1 - u2, -v2)
+    d1 = np.array([u1 - xi0, -xi0 * tanw])
+    d2 = np.stack([u2 - xi0, v2 - xi0 * tanw], axis=-1)[..., None, :]
+    # both dot products go through matmul (BLAS dot), which rounds them
+    # differently from a written-out sum; roots keep their last bits
+    return (gas.rho1 * (d1 @ w)[..., 0] - rho2 * (d2 @ w)[..., 0, 0]) / nw
 
 
 def _bisect_then_newton(f, a, b, fa, fb):
     for _ in range(90):
         m = 0.5 * (a + b)
         fm = f(m)
-        if fm is None or fa * fm <= 0.0:
+        if np.isnan(fm) or fa * fm <= 0.0:
             b, fb = m, fm
         else:
             a, fa = m, fm
@@ -234,13 +231,13 @@ def _bisect_then_newton(f, a, b, fa, fb):
     for _ in range(6):
         h = 1e-7 * max(abs(root), 1e-8)
         fp, fmn = f(root + h), f(root - h)
-        if fp is None or fmn is None:
+        if np.isnan(fp) or np.isnan(fmn):
             break
         deriv = (fp - fmn) / (2.0 * h)
         if deriv == 0.0:
             break
         val = f(root)
-        if val is None:
+        if np.isnan(val):
             break
         step = val / deriv
         if not np.isfinite(step):
@@ -277,16 +274,10 @@ def solve_state2(gas: GasParameters, theta_w: float, n_scan: int = 1000) -> dict
     # isothermal densities under- or overflow far along the scan at steep
     # wedges; one errstate for the whole scan keeps the per-point cost low
     with np.errstate(over="ignore", under="ignore"):
-        vals = [f(u) for u in grid]
-        roots = []
-        for i in range(len(grid) - 1):
-            va, vb = vals[i], vals[i + 1]
-            if va is None or vb is None:
-                continue
-            if va == 0.0:
-                roots.append(grid[i])
-            elif va * vb < 0.0:
-                roots.append(_bisect_then_newton(f, grid[i], grid[i + 1], va, vb))
+        vals = f(grid)
+        va, vb = vals[:-1], vals[1:]  # NaN (past the vacuum bound) compares false
+        roots = [grid[i] if va[i] == 0.0 else _bisect_then_newton(f, grid[i], grid[i + 1], va[i], vb[i])
+                 for i in np.flatnonzero(((va == 0.0) & ~np.isnan(vb)) | (va * vb < 0.0))]
     # collapse near-duplicates from the overlapping grids
     dedup = []
     for r in sorted(roots):
@@ -301,7 +292,8 @@ def solve_state2(gas: GasParameters, theta_w: float, n_scan: int = 1000) -> dict
 
     configs = []
     for u2 in dedup:
-        st2 = _state2_of_u2(gas, xi0, tanw, u2)
+        v2, k2, rho2 = _state2_of_u2(gas, xi0, tanw, u2)
+        st2 = UniformState(u=float(u2), v=float(v2), k=float(k2), rho=float(rho2))
         configs.append(_build_configuration(gas, theta_w, xi0, u1, st2))
     configs.sort(key=lambda c: c.rho2)
     weak = replace(configs[0], branch="weak")

@@ -4,8 +4,8 @@ E combines mass flux and potential continuity across the reflected shock into
 one scalar function of the solution perturbation; F eliminates the ordinate
 using continuity with the upstream potential; Psi rewrites F in the sonic
 chart.  The b-hat coefficients are the exact first-order expansion of Psi
-along a boundary trace, computed by quadrature of finite-difference partials.
-Boundary traces round-trip through CSV.
+along a boundary trace, computed by quadrature of complex-step partials,
+which are exact to rounding.  Boundary traces round-trip through CSV.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 _SIMPSON_POINTS = 33  # composite Simpson on t in [0,1]; integrand is smooth
-_FD_STEP = 1e-6  # relative step for the Psi partials
+_CS_STEP = 1e-30  # complex step for the Psi partials
 _TRACE_COLUMNS = ("x", "y", "psi", "psi_x", "psi_y", "b1", "b2", "b3")
 
 
@@ -59,9 +59,9 @@ class ShockBoundaryFns:
             return cfg.rho2 * np.exp(lin)
         g = gas.gamma
         arg = cfg.rho2 ** (g - 1.0) + (g - 1.0) * lin
-        if np.any(arg <= 0.0):
+        if np.any(arg.real <= 0.0):
             raise VacuumState(
-                f"perturbed Bernoulli argument nonpositive (min {np.min(arg):.6g})"
+                f"perturbed Bernoulli argument nonpositive (min {np.min(arg.real):.6g})"
             )
         return arg ** (1.0 / (g - 1.0))
 
@@ -77,7 +77,7 @@ class ShockBoundaryFns:
         term1 = rho1 * ((u1 - xi) * (u1 - u2 - p1) + eta * (v2 + p2))
         term2 = rho * ((u2 - xi + p1) * (u1 - u2 - p1) - (v2 - eta + p2) * (v2 + p2))
         out = term1 - term2
-        return float(out) if out.ndim == 0 else out
+        return out.item() if out.ndim == 0 else out
 
     def F(self, p1, p2, p3, xi):
         """E with the ordinate eliminated through potential continuity on the shock."""
@@ -95,8 +95,7 @@ class ShockBoundaryFns:
         q1 = -p1 * cos - p2 * sin / r
         q2 = -p1 * sin + p2 * cos / r
         xi = cfg.u2 + r * cos
-        out = self.F(q1, q2, p3, xi)
-        return float(out) if np.ndim(out) == 0 else out
+        return self.F(q1, q2, p3, xi)
 
     # -- closed forms at P1 ---------------------------------------------------
 
@@ -147,18 +146,18 @@ class ShockBoundaryFns:
 
     # -- first-order expansion coefficients -----------------------------------
 
-    def psi_gradient(self, p1, p2, p3, x, y, rel_step=_FD_STEP):
-        """Partials of Psi in its three slots by central differences.
+    def psi_gradient(self, p1, p2, p3, x, y):
+        """Partials of Psi in its three slots by complex step, Im Psi(p + ih e_k)/h.
 
-        The step in slot k is rel_step * max(1, |p_k|).
+        Psi is analytic in p and the step takes no difference, so the partials
+        are exact to rounding (Squire & Trapp, SIAM Review 40, 1998).
         """
         args = [np.asarray(p, dtype=float) for p in (p1, p2, p3)]
         out = []
-        for k, p in enumerate(args):
-            h = rel_step * np.maximum(1.0, np.abs(p))
-            hi, lo = list(args), list(args)
-            hi[k], lo[k] = p + h, p - h
-            out.append((self.Psi(*hi, x, y) - self.Psi(*lo, x, y)) / (2.0 * h))
+        for k in range(3):
+            z = list(args)
+            z[k] = args[k] + 1j * _CS_STEP
+            out.append(np.imag(self.Psi(*z, x, y)) / _CS_STEP)
         return tuple(out)
 
     def bhat(self, x, y, psi, psi_x, psi_y):
@@ -166,7 +165,7 @@ class ShockBoundaryFns:
 
         b_k at each sample is the t-integral over [0,1] of the k-th partial of
         Psi evaluated on the ray t*(psi_x, psi_y, psi); Simpson quadrature,
-        partials by central differences.
+        partials by complex step.
         """
         x, y, psi, psi_x, psi_y = map(lambda a: np.atleast_1d(np.asarray(a, dtype=float)),
                                       (x, y, psi, psi_x, psi_y))

@@ -273,3 +273,23 @@ def test_root_scan_across_parameter_regimes():
                     assert abs(np.linalg.norm(np.asarray(cfg.P1) - cfg.center) - cfg.c2) < 1e-10
                     validated += 1
     assert validated >= 30
+
+
+@pytest.mark.parametrize("gamma,theta_deg", [(1.4, 60.0), (1.0, 87.0), (3.0, 75.0)])
+def test_flux_residual_scan_matches_pointwise(gamma, theta_deg):
+    # the root scan brackets on the array evaluation and bisects on scalar
+    # ones, so both must agree, NaN past the vacuum bound included
+    from srlab.reflection import _flux_residual, _u_vacuum
+    from srlab.states import incident_shock
+
+    gas = srlab.GasParameters(gamma, 1.0, 2.0)
+    tanw = np.tan(np.radians(theta_deg))
+    xi0, u1 = incident_shock(gas)
+    grid = np.linspace(1e-6, 1.2 * _u_vacuum(gas, xi0, tanw), 301)
+    with np.errstate(over="ignore", under="ignore"):
+        scan = _flux_residual(gas, xi0, u1, tanw, grid)
+        pointwise = np.array([_flux_residual(gas, xi0, u1, tanw, u) for u in grid])
+    assert np.isnan(scan).any() and not np.isnan(scan).all()
+    assert np.array_equal(np.isnan(scan), np.isnan(pointwise))
+    ok = ~np.isnan(scan)
+    assert np.allclose(scan[ok], pointwise[ok], rtol=1e-14, atol=1e-15 * np.max(np.abs(scan[ok])))

@@ -105,6 +105,15 @@ def test_psi_p1_matches_finite_difference(fns, weak60):
     assert fd == pytest.approx(fns.psi_p1_at_P1(), rel=1e-6)
 
 
+@pytest.mark.parametrize("gamma,theta_deg", [(1.0, 60.0), (1.4, 60.0), (2.0, 60.0), (3.0, 75.0)])
+def test_psi_gradient_exact_at_P1(gamma, theta_deg):
+    # complex-step partials carry no truncation error: the first slot at the
+    # corner matches the closed form to rounding (gamma = 3 detaches at 61 deg)
+    cfg = srlab.solve_state2(srlab.GasParameters(gamma, 1.0, 2.0), np.radians(theta_deg))["weak"]
+    fns = ShockBoundaryFns(cfg)
+    assert fns.psi_gradient(0.0, 0.0, 0.0, 0.0, cfg.y1)[0] == pytest.approx(fns.psi_p1_at_P1(), rel=1e-13)
+
+
 def test_psi_p1_vanishes_as_densities_merge(fns, weak60):
     # synthetic state with rho2 -> rho1: the tangential form has an explicit
     # (rho2 - rho1) factor

@@ -3,7 +3,7 @@ import pytest
 
 import srlab
 from srlab.coefficients import o_bound_audit, zeta
-from srlab.errors import NoConvergence
+from srlab.errors import NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
 from srlab.solver import derivative_fields, residual
 
@@ -196,6 +196,12 @@ def test_reflection_field_basics(reflection_field, weak60):
     assert aud["ok_over_x"] <= aud["nominal_N"]
 
 
+def test_reflection_field_converges_in_few_iterations(reflection_field):
+    # the jump-condition rows are solved with the interior, so the outer
+    # count is set by the nonlinearity, not by an interior/shock-row alternation
+    assert reflection_field.meta["iterations"] <= 40
+
+
 def test_reflection_field_shock_condition_pointwise(reflection_field, weak60):
     # the converged boundary row satisfies the nonlinear jump condition
     from srlab.shock import ShockBoundaryFns
@@ -214,6 +220,17 @@ def test_reflection_field_shock_condition_pointwise(reflection_field, weak60):
     ux = wm * vals[i - 1, -1] + w0 * uJ + wp * vals[i + 1, -1]
     G = fns.Psi(ux - g[i] * us, us / fh[i], uJ, f.xs[i], fh[i])
     assert np.max(np.abs(G)) <= 1e-8 * abs(fns.psi_p1_at_P1())
+
+
+def test_reflection_divergence_stops_early_and_typed():
+    # 161x81 lies beyond the validated strip envelope and diverges there; the
+    # isothermal closure has no vacuum bound to trip, so the scaled jump
+    # residual must stop the run before the LU fill of the diverging iterates
+    # grows without bound
+    cfg = srlab.solve_state2(srlab.GasParameters(1.0, 1.0, 2.0), np.radians(60.0))["weak"]
+    with pytest.raises(ShockConditionDiverged, match="gradient scale"):
+        srlab.solve_reflection_near_sonic(cfg, cfg.c2 / 20.0, grid_nx=161, grid_ny=81,
+                                          opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=40))
 
 
 def test_reflection_solve_deterministic(weak60):
