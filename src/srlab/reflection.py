@@ -219,8 +219,17 @@ def _flux_residual(gas, xi0, u1, tanw, u2):
 
 
 def _bisect_then_newton(f, a, b, fa, fb):
+    """Root of f in [a, b] (fa*fb < 0, fb may be NaN): bisection, then a Newton polish.
+
+    Both loops stop at their fixed point, which is where the fixed 90
+    bisection steps and 6 polish passes would end anyway: the midpoint of
+    adjacent floats is one of them, and a rejected or null Newton step would
+    be repeated exactly.
+    """
     for _ in range(90):
         m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
         fm = f(m)
         if np.isnan(fm) or fa * fm <= 0.0:
             b, fb = m, fm
@@ -243,8 +252,9 @@ def _bisect_then_newton(f, a, b, fa, fb):
         if not np.isfinite(step):
             break
         new = root - step
-        if a <= new <= b or abs(new - root) < 0.25 * (b - a):
-            root = new
+        if new == root or not (a <= new <= b or abs(new - root) < 0.25 * (b - a)):
+            break
+        root = new
     return root
 
 

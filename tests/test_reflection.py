@@ -293,3 +293,53 @@ def test_flux_residual_scan_matches_pointwise(gamma, theta_deg):
     assert np.array_equal(np.isnan(scan), np.isnan(pointwise))
     ok = ~np.isnan(scan)
     assert np.allclose(scan[ok], pointwise[ok], rtol=1e-14, atol=1e-15 * np.max(np.abs(scan[ok])))
+
+
+def test_bisection_stops_at_its_fixed_point():
+    # the bisection leaves once the bracket is two adjacent floats and the
+    # polish once a step is null or rejected; both are fixed points, so the
+    # root is the one a fixed 90-step bisection and 6-pass polish would give
+    from srlab.reflection import _bisect_then_newton, _flux_residual, _u_vacuum
+    from srlab.states import incident_shock
+
+    gas = srlab.GasParameters(1.4, 1.0, 2.0)
+    tanw = np.tan(np.radians(60.0))
+    xi0, u1 = incident_shock(gas)
+    calls = []
+
+    def f(u2):
+        calls.append(u2)
+        return _flux_residual(gas, xi0, u1, tanw, u2)
+
+    grid = np.linspace(1e-3, _u_vacuum(gas, xi0, tanw) * (1.0 - 1e-12), 200)
+    vals = _flux_residual(gas, xi0, u1, tanw, grid)
+    k = int(np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[0])
+    a, b, fa, fb = grid[k], grid[k + 1], vals[k], vals[k + 1]
+
+    ra, rb, rfa = a, b, fa
+    for _ in range(90):
+        m = 0.5 * (ra + rb)
+        fm = f(m)
+        if np.isnan(fm) or rfa * fm <= 0.0:
+            rb = m
+        else:
+            ra, rfa = m, fm
+    ref = 0.5 * (ra + rb)
+    for _ in range(6):
+        h = 1e-7 * max(abs(ref), 1e-8)
+        fp, fmn = f(ref + h), f(ref - h)
+        if np.isnan(fp) or np.isnan(fmn) or fp == fmn:
+            break
+        val = f(ref)
+        step = val / ((fp - fmn) / (2.0 * h))
+        if np.isnan(val) or not np.isfinite(step):
+            break
+        new = ref - step
+        if ra <= new <= rb or abs(new - ref) < 0.25 * (rb - ra):
+            ref = new
+
+    calls.clear()
+    root = _bisect_then_newton(f, a, b, fa, fb)
+    assert root == ref  # bit-equal
+    assert abs(_flux_residual(gas, xi0, u1, tanw, root)) < 1e-12
+    assert len(calls) < 90

@@ -111,6 +111,7 @@ def test_linear_mode_three_halves(model_ab):
     # the linear closure's frozen operator is the operator itself, so one
     # exact frozen solve converges
     assert f.meta["iterations"] == 2
+    assert f.meta["factorizations"] == 1
     err = np.max(np.abs(f.values - (f.xs**1.5)[:, None]))
     h = rhat / 64
     assert err <= 10 * h**1.5
@@ -202,6 +203,12 @@ def test_reflection_field_converges_in_few_iterations(reflection_field):
     assert reflection_field.meta["iterations"] <= 40
 
 
+def test_reflection_field_reuses_its_factorizations(reflection_field):
+    # chord steps keep the last LU while the residual contracts
+    meta = reflection_field.meta
+    assert 1 <= meta["factorizations"] <= meta["iterations"] // 2
+
+
 def test_reflection_field_shock_condition_pointwise(reflection_field, weak60):
     # the converged boundary row satisfies the nonlinear jump condition
     from srlab.shock import ShockBoundaryFns
@@ -223,13 +230,14 @@ def test_reflection_field_shock_condition_pointwise(reflection_field, weak60):
 
 
 def test_reflection_divergence_stops_early_and_typed():
-    # 161x81 lies beyond the validated strip envelope and diverges there; the
-    # isothermal closure has no vacuum bound to trip, so the scaled jump
-    # residual must stop the run before the LU fill of the diverging iterates
-    # grows without bound
+    # 241x121 lies beyond the validated strip envelope and diverges there from
+    # the kink of the outer-cut data at the shock corner; the isothermal
+    # closure has no vacuum bound to trip, so the scaled jump residual must
+    # stop the run before the LU fill of the diverging iterates grows without
+    # bound
     cfg = srlab.solve_state2(srlab.GasParameters(1.0, 1.0, 2.0), np.radians(60.0))["weak"]
     with pytest.raises(ShockConditionDiverged, match="gradient scale"):
-        srlab.solve_reflection_near_sonic(cfg, cfg.c2 / 20.0, grid_nx=161, grid_ny=81,
+        srlab.solve_reflection_near_sonic(cfg, cfg.c2 / 20.0, grid_nx=241, grid_ny=121,
                                           opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=40))
 
 
