@@ -128,38 +128,29 @@ _PAR_TERMS = (
 )
 
 
-def _interior_slice(field, exclude_outer):
-    if exclude_outer is None:
-        exclude_outer = int(field.meta.get("outer_guard_columns", 0))
-    return slice(1, -1 - exclude_outer)
-
-
-def parabolic_norm(field: ScalarField2D, exclude_outer: int | None = None):
+def parabolic_norm(field: ScalarField2D):
     """Sum over derivative orders of sup x^(k+l/2-2) |D^(k,l) psi| on the interior.
 
-    Columns inside the truncation-cut guard band (flagged in solver metadata)
-    are excluded by default: the synthetic outer data puts a local kink there
-    that is not part of the field under measurement.
+    Every interior node counts; on the strip the cut column carries the
+    surrogate's slope, so no boundary kink needs excluding.
     """
-    sl = _interior_slice(field, exclude_outer)
     d = derivative_fields(field)
-    x = field.xs[sl, None]
+    x = field.xs[1:-1, None]
     breakdown = {}
     for name, kk, ll in _PAR_TERMS:
         w = x ** (kk + ll / 2.0 - 2.0)
-        breakdown[name] = float(np.max(w * np.abs(d[name][sl, 1:-1])))
+        breakdown[name] = float(np.max(w * np.abs(d[name][1:-1, 1:-1])))
     return float(sum(breakdown.values())), breakdown
 
 
-def decay_bound_check(wfield: ScalarField2D, alpha: float, exclude_outer: int | None = None):
+def decay_bound_check(wfield: ScalarField2D, alpha: float):
     """Smallest ladder constants C with |D^(i,j) W| <= C x^(2+alpha-i-j/2)."""
-    sl = _interior_slice(wfield, exclude_outer)
     d = derivative_fields(wfield)
-    x = wfield.xs[sl, None]
+    x = wfield.xs[1:-1, None]
     out = {}
     for name, i, j in _PAR_TERMS:
         w = x ** -(2.0 + alpha - i - j / 2.0)
-        out[f"C{i}{j}"] = float(np.max(w * np.abs(d[name][sl, 1:-1])))
+        out[f"C{i}{j}"] = float(np.max(w * np.abs(d[name][1:-1, 1:-1])))
     return out
 
 

@@ -8,7 +8,7 @@ along a boundary trace, computed by quadrature of complex-step partials,
 which are exact to rounding.  Boundary traces round-trip through CSV.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class ShockBoundaryFns:
     """Evaluators for the combined shock condition of one configuration."""
 
     config: ReflectionConfiguration
-    _cache: dict = field(default_factory=dict, repr=False)
 
     # -- raw state quantities -------------------------------------------------
 

@@ -233,7 +233,7 @@ class _FrozenOperator:
             self.cutoff_active = np.abs(zs - slope) > 0.0
             Axx_raw = x2d * (1.0 + a * zs) + O1
         else:
-            self.cutoff_active = np.zeros_like(x2d, dtype=bool) & np.zeros_like(d["psi"], dtype=bool)
+            self.cutoff_active = np.zeros(field.values.shape, dtype=bool)
             Axx_raw = 2.0 * x2d + O1
         floor = opts.eps_ell * x2d
         self.floor_active = Axx_raw < floor
@@ -271,12 +271,14 @@ def _frozen_system(field, op, neumann, shock=None):
     the Dirichlet data included.  A Neumann row mirrors its ghost neighbour
     onto the first interior row, where its psi_y and psi_xy entries cancel.
 
-    shock = (L1, L2, L3, rhs) makes the strip's top row unknown too, with the
-    linearised jump condition L1 psi_x + L2 psi_y + L3 psi = rhs as its rows:
-    psi_x = u_x - g u_s and psi_y = u_s/fhat, u_x from the tangential
-    3-point weights and u_s = (3u_J - 4u_{J-1} + u_{J-2})/(2 ds).  These are
-    the stencils of the jump residual G, so on the shock rows
-    rhs - A(u) u = -G(u).
+    shock = (L1, L2, L3, rhs, dcut) makes the strip's top row and its cut
+    column x = eps unknown too.  The top row takes the linearised jump
+    condition L1 psi_x + L2 psi_y + L3 psi = rhs as its rows: psi_x = u_x -
+    g u_s and psi_y = u_s/fhat, u_x from the tangential 3-point weights and
+    u_s = (3u_J - 4u_{J-1} + u_{J-2})/(2 ds).  These are the stencils of the
+    jump residual G, so on the shock rows rhs - A(u) u = -G(u).  The cut
+    column, the shock corner included, takes the slope rows
+    u[nx-1, j] - u[nx-2, j] = dcut.
 
     Returns A, rhs and the block of field.values that holds the unknowns.
     """
@@ -294,6 +296,7 @@ def _frozen_system(field, op, neumann, shock=None):
     hy = field.ys[1] - field.ys[0]
     Bxx, Cx, Bss, Bxs, Cs = (c[1:-1, j0:j1] for c in (op.Bxx, op.Cx, op.Bss, op.Bxs, op.Cs))
     ju = j1 + (shock is not None)  # the shock row is unknown too
+    ni = nx - 2 + (shock is not None)  # and so is the cut column
     nu = ju - j0  # unknowns per interior column
     row = (I - 1) * nu + (J - j0)
     # (matrix row, node column, coefficient) per stencil point; psi_xy = d1_x(d1_y psi)
@@ -306,9 +309,9 @@ def _frozen_system(field, op, neumann, shock=None):
         terms += [(row, col + J, Bxx * v + Cx * w),
                   (row, col + jm, -Bxs * w / (2.0 * hy)),
                   (row, col + jp, Bxs * w / (2.0 * hy))]
-    rhs = np.zeros(nu * (nx - 2))
+    rhs = np.zeros(nu * ni)
     if shock is not None:
-        L1, L2, L3, shock_rhs = (c[:, None] for c in shock)
+        L1, L2, L3, shock_rhs = (c[:, None] for c in shock[:4])
         fh, g, _, _ = _strip_geometry(field)
         # u_s enters psi_x with weight -g and psi_y with 1/fhat
         cs = (L2 / fh[1:-1] - L1 * g[1:-1]) / (2.0 * hy)
@@ -316,10 +319,13 @@ def _frozen_system(field, op, neumann, shock=None):
         terms += [(srow, top + (k - 1) * ny, L1 * w) for k, w in enumerate(wx)]
         terms += [(srow, top, 3.0 * cs + L3), (srow, top - 1, -4.0 * cs), (srow, top - 2, cs)]
         rhs[srow.ravel()] = shock_rhs.ravel()
+        crow, cut = (nx - 2) * nu + np.arange(nu), (nx - 1) * ny + np.arange(j0, ju)
+        terms += [(crow, cut, np.ones(nu)), (crow, cut - ny, -np.ones(nu))]
+        rhs[crow] = shock[4]
     rows, cols, vals = (np.concatenate([t[k].ravel() for t in terms]) for k in range(3))
-    A = csc_matrix((vals, (rows, cols)), shape=(nu * (nx - 2), nx * ny))
+    A = csc_matrix((vals, (rows, cols)), shape=(nu * ni, nx * ny))
     A.eliminate_zeros()  # closures without mixed or first-order y terms
-    return A, rhs, (slice(1, nx - 1), slice(j0, ju))
+    return A, rhs, (slice(1, 1 + ni), slice(j0, ju))
 
 
 def _factor(A, shape, block, coupled):
@@ -380,7 +386,6 @@ def solve(
         if init_power is None:
             init_power = 2.0 if coeffs.a > 0.0 else 1.5
         u = outer[None, :] * (xs[:, None] / grid.rhat) ** init_power
-    u[0, :] = 0.0
     u[-1, :] = outer
     y_lo_neumann = bc.y_lo == "neumann"
     y_hi_neumann = bc.y_hi == "neumann"
@@ -394,7 +399,7 @@ def solve(
     return _picard(field, coeffs, opts, (y_lo_neumann, y_hi_neumann), bc)
 
 
-def _picard(field, coeffs, opts, neumann, bc, n_guard=0, shock_row=None):
+def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
     """Damped chord iteration on field in place; returns field with its metadata.
 
     Each step freezes the coefficients on the current iterate, assembles the
@@ -404,9 +409,9 @@ def _picard(field, coeffs, opts, neumann, bc, n_guard=0, shock_row=None):
     contracted the residual by less than _REFACTOR_RATIO; a refactored step
     is the exact frozen solve, and every fixed point has rhs = A(u) u, so the
     chord steps change the cost, not the solution.  Convergence is judged on
-    the interior residual away from the last n_guard columns and, on the
+    the operator residual max |L psi| over all interior nodes and, on the
     strip, on the scaled jump-condition residual that shock_row(values)
-    returns together with the Newton rows of the next step.
+    returns together with the Newton and cut rows of the next step.
     """
     history = []
     clamp_fraction = 0.0
@@ -417,13 +422,12 @@ def _picard(field, coeffs, opts, neumann, bc, n_guard=0, shock_row=None):
         # and the frozen coefficients of the next step
         d = derivative_fields(field)
         res_field = _operator_value(field, coeffs, d)
-        full_res = float(np.max(np.abs(res_field[1:-1, 1:-1])))
-        bulk_res = float(np.max(np.abs(res_field[1 : -1 - n_guard, 1:-1])))
+        res = float(np.max(np.abs(res_field[1:-1, 1:-1])))
         if shock_row is not None:
             shock_res, shock = shock_row(field.values)
-        history.append(max(bulk_res, shock_res))
+        history.append(max(res, shock_res))
         refactor = lu is None or history[-1] > _REFACTOR_RATIO * history[-2]
-        _log.debug("iteration %d: residual %.3e, shock %.3e, refactor %s", it, bulk_res, shock_res, refactor)
+        _log.debug("iteration %d: residual %.3e, shock %.3e, refactor %s", it, res, shock_res, refactor)
         if history[-1] <= opts.tolerance:
             break
         if it == opts.max_iterations:
@@ -436,15 +440,12 @@ def _picard(field, coeffs, opts, neumann, bc, n_guard=0, shock_row=None):
             factorizations += 1
         # written through the 2-D view: field.values need not be C-contiguous
         step = lu.solve(rhs - A @ field.values.ravel())
-        field.values[block] += opts.damping * step.reshape(field.nx - 2, -1)
+        field.values[block] += opts.damping * step.reshape(field.values[block].shape)
 
     _finalize_meta(field, coeffs, opts, bc, history, factorizations, clamp_fraction, d)
     if shock_row is not None:
-        field.meta["outer_data"] = "synthetic quadratic truncation surrogate at x=eps"
+        field.meta["outer_data"] = "synthetic slope surrogate psi_x = x/a at x=eps"
         field.meta["shock_residual"] = shock_res
-        field.meta["full_residual"] = full_res
-        field.meta["bulk_residual"] = bulk_res
-        field.meta["outer_guard_columns"] = n_guard
     if clamp_fraction > opts.clamp_fail_fraction:
         raise EllipticityLoss(clamp_fraction, field)
     return field
@@ -492,22 +493,21 @@ def solve_reflection_near_sonic(
     grid_ny: int = 49,
     grade_q: float = 0.95,
     opts: SolverOptions = SolverOptions(tolerance=1e-8),
-    n_guard: int = 3,
 ) -> ScalarField2D:
     """Solve the reflection closure on the strip between wedge, shock, and cut.
 
     Boundary data: psi = 0 on the sonic segment x = 0, reflective wedge side,
     the combined jump condition enforced pointwise on the shock image, and
-    the synthetic truncation surrogate psi = eps^2/(2(gamma+1)) on the outer
-    cut (flagged in metadata).  The shock-row values are unknowns of the
-    same sparse system as the interior: each outer step is a chord step on
-    the frozen interior problem together with one Newton linearisation of the
+    the slope of the synthetic surrogate x^2/(2a) on the outer cut (flagged
+    in metadata), taken in increment form u[nx-1] - u[nx-2] = (x_{nx-1}^2 -
+    x_{nx-2}^2)/(2a).  The shock-row and cut values are unknowns of the same
+    sparse system as the interior: each outer step is a chord step on the
+    frozen interior problem together with one Newton linearisation of the
     jump condition, whose tangential derivative couples neighbouring row values
     (a column-by-column explicit Newton amplifies row roughness through the
-    1/h tangential weights and diverges).  The synthetic data on the cut is
-    incompatible with the jump condition at the corner (eps, fhat(eps)); the
-    kink stays within a few cells there, so convergence is judged away from
-    the last n_guard columns while the full residual stays reported.
+    1/h tangential weights and diverges).  The shock corner (eps, fhat(eps))
+    takes the cut row, so no boundary datum contradicts the jump condition
+    there and convergence is judged on every interior node.
     """
     xmax = shock_depth_max(config)
     if eps >= xmax:
@@ -536,10 +536,11 @@ def solve_reflection_near_sonic(
     ds = ss[1] - ss[0]
     wx_m, wx_0, wx_p = _first_weights(xs)
     i = np.arange(1, grid_nx - 1)
+    dcut = (xs[-1] ** 2 - xs[-2] ** 2) / (2.0 * a)
     x_i, fh_i, g_i = xs[i], fh[i], g[i]  # fh_i is also the shock ordinate y
 
     def shock_row(vals):
-        """Scaled jump-condition residual and the Newton rows (L1, L2, L3, rhs)."""
+        """Scaled jump-condition residual, the Newton rows (L1, L2, L3, rhs) and the cut increment."""
         uJ = vals[i, -1]
         us = (3.0 * uJ - 4.0 * vals[i, -2] + vals[i, -3]) / (2.0 * ds)
         ux = wx_m * vals[i - 1, -1] + wx_0 * uJ + wx_p * vals[i + 1, -1]
@@ -557,6 +558,6 @@ def solve_reflection_near_sonic(
             # stay below 0.03); the isothermal closure has no vacuum bound to
             # stop a divergence, and the LU fill of its iterates grows without bound
             raise ShockConditionDiverged(f"jump-condition residual {res:.3g} exceeds its gradient scale")
-        return res, (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G)
+        return res, (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G, dcut)
 
-    return _picard(field, coeffs, opts, (True, False), None, n_guard, shock_row)
+    return _picard(field, coeffs, opts, (True, False), None, shock_row)
