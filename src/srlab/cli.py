@@ -33,7 +33,8 @@ from .errors import (
 from .grids import ScalarField2D
 from .reflection import ReflectionConfiguration, detachment_angle, solve_state2
 from .shock import ShockBoundaryFns, check_g_unique, largest_valid_eps, synthetic_quadratic_trace, write_trace_csv
-from .solver import BoundaryConditions, GridSpec, SolverOptions, solve, solve_reflection_near_sonic
+from .solver import (BoundaryConditions, GridSpec, SolverOptions, derivative_fields, solve,
+                     solve_reflection_near_sonic)
 from .states import GasParameters
 
 # reference model-closure constants: a = gamma+1 and b = 1/c2 of the
@@ -84,6 +85,9 @@ def cmd_config(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not args.theta_step > 0.0:
+        print(f"sweep needs --theta-step > 0, got {args.theta_step}", file=sys.stderr)
+        return 2
     record = _record(args, ("gamma", "rho0", "rho1", "theta_min", "theta_max", "theta_step"))
     digest = _digest(record)
     out = Path(args.out)
@@ -115,7 +119,10 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_grid(text: str):
-    nx, ny = (int(v) for v in text.split(","))
+    try:
+        nx, ny = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--grid takes nx,ny, got {text!r}") from None
     return nx, ny
 
 
@@ -126,9 +133,9 @@ def cmd_solve(args) -> int:
     digest = _digest(record)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    nx, ny = _parse_grid(args.grid)
-    opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
     try:
+        nx, ny = _parse_grid(args.grid)
+        opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
         if args.mode == "reflection":
             gas = _gas(args)
             cfg = solve_state2(gas, np.radians(args.theta_w))["weak"]
@@ -254,7 +261,8 @@ def _verify_rh(args, out, record, digest):
 
 def _verify_regularity(args, out, record, digest):
     field = ScalarField2D.load(args.grid)
-    rep = diagnostics.full_report(field)
+    d = derivative_fields(field)  # one derivative pass serves the report and the station trace
+    rep = diagnostics.full_report(field, d=d)
     cm = field.meta.get("coefficients", {})
     a = cm.get("a", _DEFAULT_A)
     checks = {}
@@ -282,11 +290,15 @@ def _verify_regularity(args, out, record, digest):
         "warnings": warnings_list,
     }
     _write_json(out / "verify_regularity.json", payload)
-    diagnostics.write_station_trace_csv(field, out / "station_trace.csv", digest=digest)
+    diagnostics.write_station_trace_csv(field, out / "station_trace.csv", digest=digest, d=d)
     return checks
 
 
 def cmd_verify(args) -> int:
+    need = "config" if args.what == "rh" else "grid"
+    if not getattr(args, need):
+        print(f"verify --what {args.what} needs --{need}", file=sys.stderr)
+        return 2
     record = _record(args, ("what", "grid", "config"))
     digest = _digest(record)
     out = Path(args.out)
@@ -294,7 +306,7 @@ def cmd_verify(args) -> int:
     runner = {"barriers": _verify_barriers, "rh": _verify_rh, "regularity": _verify_regularity}[args.what]
     try:
         checks = runner(args, out, record, digest)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing file, or a directory given as a file
         print(f"missing input: {exc}", file=sys.stderr)
         return 2
     if isinstance(checks, int):

@@ -94,15 +94,16 @@ def _resolution_check(field):
         )
 
 
-def sonic_limit_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1) -> dict:
+def sonic_limit_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1, d=None) -> dict:
     """Edge limits of psi_xx, psi_xy, psi_yy per y-station, plus 2*psi/x^2.
 
     Second differences are taken at decreasing x and extrapolated to x = 0
     station by station; the direct ratio 2*psi/x^2 is reported as an
-    independent consistency channel.
+    independent consistency channel.  d is the field's derivative pass
+    (derivative_fields), computed here when not given.
     """
     _resolution_check(field)
-    d = derivative_fields(field)
+    d = derivative_fields(field) if d is None else d
     ny = field.ny
     if stations is None:
         stations = np.arange(1, ny - 1)
@@ -122,19 +123,30 @@ def sonic_limit_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: 
     return out
 
 
+def _station_rows(table, stations, k, skip):
+    """The rows of a sonic_limit_estimate table at the given stations, or None without a table."""
+    if table is None:
+        return None
+    if (table["k"], table["skip"]) != (k, skip):
+        raise ValueError("the edge-limit table was fitted with another k or skip")
+    row = {j: n for n, j in enumerate(table["stations_index"])}
+    return {key: [table[key][row[j]] for j in stations] for key in ("stations_y", "psi_xx", "ratio_2psi_x2")}
+
+
 _PAR_TERMS = (
     ("psi", 0, 0), ("px", 1, 0), ("py", 0, 1),
     ("pxx", 2, 0), ("pxy", 1, 1), ("pyy", 0, 2),
 )
 
 
-def parabolic_norm(field: ScalarField2D):
+def parabolic_norm(field: ScalarField2D, d=None):
     """Sum over derivative orders of sup x^(k+l/2-2) |D^(k,l) psi| on the interior.
 
     Every interior node counts; on the strip the cut column carries the
-    surrogate's slope, so no boundary kink needs excluding.
+    surrogate's slope, so no boundary kink needs excluding.  d is the
+    field's derivative pass, computed here when not given.
     """
-    d = derivative_fields(field)
+    d = derivative_fields(field) if d is None else d
     x = field.xs[1:-1, None]
     breakdown = {}
     for name, kk, ll in _PAR_TERMS:
@@ -154,17 +166,18 @@ def decay_bound_check(wfield: ScalarField2D, alpha: float):
     return out
 
 
-def jump_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1):
+def jump_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1, table=None):
     """Jump of the radial second derivative across the degenerate edge.
 
     The outer side is the uniform state (radial second derivative exactly -1),
-    so the jump equals the extrapolated edge limit of psi_xx.  Returns
-    (jump, details).
+    so the jump equals the extrapolated edge limit of psi_xx.  table, a
+    sonic_limit_estimate of the field covering the stations, saves refitting
+    them.  Returns (jump, details).
     """
     if stations is None:
         lo, hi = int(0.15 * field.ny), int(0.85 * field.ny)
         stations = np.arange(max(1, lo), max(2, hi))
-    est = sonic_limit_estimate(field, stations, k, skip)
+    est = _station_rows(table, stations, k, skip) or sonic_limit_estimate(field, stations, k, skip)
     vals = np.asarray(est["psi_xx"])
     return float(np.mean(vals)), {
         "per_station": est["psi_xx"],
@@ -187,18 +200,21 @@ def _bilinear(field_vals, xs, ys, xq, yq):
     )
 
 
-def two_sequence_probe(field: ScalarField2D, omega: float | None = None, k: int = 6, skip: int = 1) -> dict:
+def two_sequence_probe(field: ScalarField2D, omega: float | None = None, k: int = 6, skip: int = 1,
+                       d=None, table=None) -> dict:
     """Second-derivative limits along two families approaching the shock/sonic corner.
 
     Family 1 stays near the degenerate edge at stations close to the corner
     ordinate; family 2 follows the shock image at offset (omega/10)x.  The
     shock-adjacent channel rides the straight-shock surrogate and is labeled
-    accordingly; it is informational, not a gate.
+    accordingly; it is informational, not a gate.  d (the derivative pass)
+    and table (a sonic_limit_estimate covering the corner stations) are
+    computed here when not given.
     """
     if field.kind != "sonic_strip":
         raise ValueError("two-sequence probe requires a shock-fitted strip field")
     _resolution_check(field)
-    d = derivative_fields(field)
+    d = derivative_fields(field) if d is None else d
     fh = np.asarray(field.geometry["fhat"])
     g = np.asarray(field.geometry["g"])
     fhp = g * fh
@@ -209,7 +225,7 @@ def two_sequence_probe(field: ScalarField2D, omega: float | None = None, k: int 
 
     ny = field.ny
     corners = np.arange(int(0.70 * ny), int(0.93 * ny))
-    est = sonic_limit_estimate(field, corners, k, skip)
+    est = _station_rows(table, corners, k, skip) or sonic_limit_estimate(field, corners, k, skip, d)
     sonic_vals = np.asarray(est["psi_xx"])
     sonic_limit = float(np.mean(sonic_vals))
 
@@ -260,9 +276,9 @@ class RegularityReport:
 
 
 def write_station_trace_csv(field: ScalarField2D, path, y_station: float | None = None,
-                            digest: str | None = None) -> None:
-    """Export (x, y, psi, psi_x, psi_xx, fitted) along one y-station."""
-    d = derivative_fields(field)
+                            digest: str | None = None, d=None) -> None:
+    """Export (x, y, psi, psi_x, psi_xx, fitted) along one y-station; d is the derivative pass if known."""
+    d = derivative_fields(field) if d is None else d
     j = field.ny // 2 if y_station is None else int(np.argmin(np.abs(field.ys - y_station)))
     try:
         p, c, _ = fit_power_law(field, field.ys[j])
@@ -282,7 +298,14 @@ def write_station_trace_csv(field: ScalarField2D, path, y_station: float | None 
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def full_report(field: ScalarField2D, fit_stations=None) -> RegularityReport:
+def full_report(field: ScalarField2D, fit_stations=None, d=None) -> RegularityReport:
+    """Every regularity diagnostic of a field, on one derivative pass.
+
+    d is the field's derivative pass, computed here when not given.  The
+    jump and the sonic-adjacent limit are read from the one per-station
+    edge-limit table of sonic_limit_estimate.
+    """
+    d = derivative_fields(field) if d is None else d
     rep = RegularityReport(
         grid={"nx": field.nx, "ny": field.ny, "kind": field.kind,
               "xmax": float(field.xs[-1])}
@@ -296,13 +319,13 @@ def full_report(field: ScalarField2D, fit_stations=None) -> RegularityReport:
         except (NonpositiveSamples, InsufficientResolution) as exc:
             rep.power_fits.append({"station": float(st), "error": str(exc)})
     try:
-        rep.sonic_limits = sonic_limit_estimate(field)
-        rep.jump, rep.jump_details = jump_estimate(field)
+        rep.sonic_limits = sonic_limit_estimate(field, d=d)
+        rep.jump, rep.jump_details = jump_estimate(field, table=rep.sonic_limits)
     except InsufficientResolution as exc:
         rep.sonic_limits = {"error": str(exc)}
-    val, br = parabolic_norm(field)
+    val, br = parabolic_norm(field, d)
     rep.parabolic_norm_value = val
     rep.parabolic_breakdown = br
-    if field.kind == "sonic_strip":
-        rep.two_sequence = two_sequence_probe(field)
+    if field.kind == "sonic_strip" and "error" not in rep.sonic_limits:  # same resolution check
+        rep.two_sequence = two_sequence_probe(field, d=d, table=rep.sonic_limits)
     return rep

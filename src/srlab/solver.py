@@ -1,8 +1,12 @@
 """Damped-Picard solver for the degenerate near-boundary equation.
 
-The nonlinear diffusion coefficient is frozen each outer iteration (with the
-slope cutoff and an x-proportional ellipticity floor), and the frozen linear
-problem is assembled as one sparse 9-point operator.  Each outer step is a
+The finite differences are defined once, as per-node 3-point stencil
+tables along each axis, and the strip's chain rule once, as a linear map on
+a jet; the derivative pass applies both to values.  The nonlinear diffusion
+coefficient is frozen each outer iteration (with the slope cutoff and an
+x-proportional ellipticity floor), and the frozen linear problem is one
+sparse 9-point operator whose rows combine the same stencils' weights, built
+once per solve, with the frozen coefficients.  Each outer step is a
 chord step: the residual of the frozen problem is solved with the last
 sparse LU factorisation (fixed column ordering), which is refactored only
 when the residual stops contracting by a fixed ratio.  The refactoring
@@ -97,21 +101,21 @@ class SolverOptions:
             raise ValueError("need 0 < eps_ell < beta < 1")
         if self.M < 0.0:
             raise ValueError("M must be nonnegative")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
         if not 0.0 < self.omega_sor < 2.0:
             raise ValueError("omega_sor must lie in (0, 2)")
 
     def describe(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "damping": self.damping,
-            "beta": self.beta,
-            "M": self.M,
-            "eps_ell": self.eps_ell,
-        }
+        keys = ("tolerance", "max_iterations", "damping", "beta", "M", "eps_ell")
+        return {key: getattr(self, key) for key in keys}
 
 
-# -- finite-difference weights ----------------------------------------------
+# -- stencils and the strip chain rule ------------------------------------------
+
+# the jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy) and its (x, y) derivative orders
+_JET = ("psi", "px", "py", "pxx", "pxy", "pyy")
+_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _first_weights(xs):
@@ -133,32 +137,38 @@ def _second_weights(xs):
     return vm, v0, vp
 
 
-def _d1_axis(vals, xs, axis):
-    vals = np.moveaxis(vals, axis, 0)
-    out = np.empty_like(vals)
-    wm, w0, wp = _first_weights(xs)
-    sh = (-1,) + (1,) * (vals.ndim - 1)
-    out[1:-1] = wm.reshape(sh) * vals[:-2] + w0.reshape(sh) * vals[1:-1] + wp.reshape(sh) * vals[2:]
-    # one-sided second-order ends
-    for idx, (i0, i1, i2) in ((0, (0, 1, 2)), (-1, (-1, -2, -3))):
-        x0, x1, x2 = xs[i0], xs[i1], xs[i2]
-        c0 = (2 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2))
-        c1 = (x0 - x2) / ((x1 - x0) * (x1 - x2))
-        c2 = (x0 - x1) / ((x2 - x0) * (x2 - x1))
-        out[idx] = c0 * vals[i0] + c1 * vals[i1] + c2 * vals[i2]
-    return np.moveaxis(out, 0, axis)
+def _stencil_table(xs, reflect=(False, False)):
+    """Each node's 3-node block and its value, first- and second-difference weights.
+
+    Returns cols (n, 3), the ascending node indices of each block, and
+    w (3, n, 3), the value/first/second weights on them.  An interior node
+    takes its centred block; an end takes its neighbour's block, with the
+    slope of the neighbour's quadratic at the end and its second difference.
+    A reflective end (reflect = (lo, hi)) mirrors its ghost node onto the
+    neighbour: no first difference, and the second difference 2(u_n - u_e)/h^2.
+    """
+    n = xs.size
+    cols = np.arange(n)[:, None] + np.arange(-1, 2)
+    w = np.zeros((3, n, 3))
+    w[0, :, 1] = 1.0
+    w[1, 1:-1] = np.transpose(_first_weights(xs))
+    w[2, 1:-1] = np.transpose(_second_weights(xs))
+    for side, (e, s) in enumerate(((0, 1), (n - 1, -1))):
+        h = xs[e] - xs[e + s]
+        cols[e], w[0, e] = cols[e + s], np.eye(3)[1 - s]
+        if reflect[side]:
+            w[2, e] = np.array([-2.0, 2.0, 0.0])[::s] / h**2
+        else:
+            w[1:, e] = w[1, e + s] + h * w[2, e + s], w[2, e + s]
+    return cols, w
 
 
-def _d2_axis(vals, xs, axis):
-    vals = np.moveaxis(vals, axis, 0)
-    out = np.empty_like(vals)
-    vm, v0, vp = _second_weights(xs)
-    sh = (-1,) + (1,) * (vals.ndim - 1)
-    out[1:-1] = vm.reshape(sh) * vals[:-2] + v0.reshape(sh) * vals[1:-1] + vp.reshape(sh) * vals[2:]
-    # a 3-point second difference is constant over its triple
-    out[0] = out[1]
-    out[-1] = out[-2]
-    return np.moveaxis(out, 0, axis)
+def _along(table, vals, axis, orders=(1, 2)):
+    """Differences of the given orders of vals along axis, from a stencil table."""
+    cols, w = table
+    sh = (-1,) + (1,) * (vals.ndim - 1 - axis)
+    nb = [np.take(vals, cols[:, c], axis=axis) for c in range(3)]
+    return [sum(w[k, :, c].reshape(sh) * nb[c] for c in range(3)) for k in orders]
 
 
 def _strip_geometry(field):
@@ -166,6 +176,21 @@ def _strip_geometry(field):
     geo = field.geometry
     fh, g, gp = (np.asarray(geo[key])[:, None] for key in ("fhat", "g", "gp"))
     return fh, g, gp, field.ys[None, :]
+
+
+def _chain(field, jet):
+    """The strip chain rule through y = s*fhat(x), as a linear map on a jet.
+
+    Maps the computational jet (u, u_x, u_s, u_xx, u_xs, u_ss) to the
+    physical jet (psi, psi_x, ..., psi_yy) at every node.  Being linear, it
+    maps derivative values and stencil weights alike: the entries end in the
+    two node axes, and any leading axes broadcast.
+    """
+    fh, g, gp, s = _strip_geometry(field)
+    sg = s * g
+    u, ux, us, uxx, uxs, uss = jet
+    return (u, ux - sg * us, us / fh, uxx - 2.0 * sg * uxs + sg**2 * uss + (sg * g - s * gp) * us,
+            (uxs - g * us - sg * uss) / fh, uss / fh**2)
 
 
 def _ordinates(field):
@@ -179,30 +204,21 @@ def _ordinates(field):
 def derivative_fields(field: ScalarField2D) -> dict:
     """Physical-coordinate derivative arrays psi_x..psi_yy at all nodes.
 
-    Interior values use the 3-point interior stencils; edge values use
-    one-sided differences and are only display-grade.  For sonic-strip fields
-    the chain rule through y = s*fhat(x) is applied.
+    The stencil tables of each axis are applied along it, psi_xy as the
+    x-difference of the y-difference; edge values come from the end blocks
+    and are only display-grade.  For sonic-strip fields the chain rule
+    through y = s*fhat(x) follows.
     """
     u = field.values
-    xs, ys = field.xs, field.ys
-    ux = _d1_axis(u, xs, 0)
-    uy = _d1_axis(u, ys, 1)
-    uxx = _d2_axis(u, xs, 0)
-    uyy = _d2_axis(u, ys, 1)
-    uxy = _d1_axis(uy, xs, 0)
-    if field.kind == "rect":
-        return {"psi": u, "px": ux, "py": uy, "pxx": uxx, "pxy": uxy, "pyy": uyy}
-    fh, g, gp, s = _strip_geometry(field)
-    px = ux - s * g * uy
-    py = uy / fh
-    pyy = uyy / fh**2
-    pxy = (uxy - g * uy - s * g * uyy) / fh
-    pxx = uxx - 2.0 * s * g * uxy + (s * g) ** 2 * uyy + (s * g * g - s * gp) * uy
-    return {"psi": u, "px": px, "py": py, "pxx": pxx, "pxy": pxy, "pyy": pyy}
+    tx = _stencil_table(field.xs)
+    (ux, uxx), (uy, uyy) = _along(tx, u, 0), _along(_stencil_table(field.ys), u, 1)
+    (uxy,) = _along(tx, uy, 0, (1,))
+    jet = (u, ux, uy, uxx, uxy, uyy)
+    return dict(zip(_JET, jet if field.kind == "rect" else _chain(field, jet)))
 
 
 def _operator_value(field, coeffs, d):
-    jet = tuple(d[key] for key in ("psi", "px", "py", "pxx", "pxy", "pyy"))
+    jet = tuple(d[key] for key in _JET)
     return apply_operator(coeffs, field.xs[:, None], _ordinates(field), jet)
 
 
@@ -210,122 +226,89 @@ def residual(field: ScalarField2D, coeffs: CoefficientModel):
     """Max |L1 psi| over interior nodes, plus the residual field."""
     if field.nx < 3 or field.ny < 3:
         raise ValueError("need at least 3 nodes per axis")
-    d = derivative_fields(field)
-    res = _operator_value(field, coeffs, d)
-    interior = res[1:-1, 1:-1]
-    return float(np.max(np.abs(interior))), res
+    res = _operator_value(field, coeffs, derivative_fields(field))
+    return float(np.max(np.abs(res[1:-1, 1:-1]))), res
 
 
 # -- frozen-coefficient assembly ----------------------------------------------
 
 
-class _FrozenOperator:
-    """Coefficient arrays of the frozen linear problem on the current iterate."""
+def _frozen_coefficients(field, coeffs, opts, d):
+    """Frozen coefficients of psi_x, psi_y, psi_xx, psi_xy, psi_yy on the current iterate.
 
-    def __init__(self, field, coeffs, opts, d):
-        x2d = field.xs[:, None]
-        O1, O2, O3, O4, O5 = coeffs.evaluate(x2d, _ordinates(field), d["psi"], d["px"], d["py"])
-        a = coeffs.a
-        if a > 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = np.where(x2d > 0.0, (x2d / a - d["px"]) / np.where(x2d > 0.0, x2d, 1.0), 0.0)
-            zs = zeta(slope, a, opts.beta, opts.M)
-            self.cutoff_active = np.abs(zs - slope) > 0.0
-            Axx_raw = x2d * (1.0 + a * zs) + O1
-        else:
-            self.cutoff_active = np.zeros(field.values.shape, dtype=bool)
-            Axx_raw = 2.0 * x2d + O1
-        floor = opts.eps_ell * x2d
-        self.floor_active = Axx_raw < floor
-        Axx = np.maximum(Axx_raw, floor)
-        Axx = np.broadcast_to(Axx, field.values.shape).copy()
-        Axy = np.broadcast_to(O2, field.values.shape)
-        Ayy = np.broadcast_to(coeffs.b + O3, field.values.shape)
-        Ax = np.broadcast_to(1.0 + O4, field.values.shape)
-        Ay = np.broadcast_to(O5, field.values.shape)
-        self.Bxx = Axx
-        self.Cx = -Ax
-        if field.kind == "rect":
-            self.Bxs, self.Bss, self.Cs = Axy, Ayy, Ay
-        else:
-            # transpose of the strip chain rule in derivative_fields
-            fh, g, gp, s = _strip_geometry(field)
-            self.Bxs = -2.0 * s * g * Axx + Axy / fh
-            self.Bss = (s * g) ** 2 * Axx - s * g * Axy / fh + Ayy / fh**2
-            self.Cs = (s * g * g - s * gp) * Axx - g * Axy / fh + s * g * Ax + Ay / fh
-
-    @property
-    def clamp_fraction(self):
-        act = self.cutoff_active | self.floor_active
-        inner = act[1:-1, 1:-1]
-        return float(np.mean(inner)) if inner.size else 0.0
+    Also returns the fraction of interior nodes where the slope cutoff or
+    the ellipticity floor acts.
+    """
+    x2d = field.xs[:, None]
+    O1, O2, O3, O4, O5 = coeffs.evaluate(x2d, _ordinates(field), d["psi"], d["px"], d["py"])
+    a = coeffs.a
+    if a > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(x2d > 0.0, (x2d / a - d["px"]) / np.where(x2d > 0.0, x2d, 1.0), 0.0)
+        zs = zeta(slope, a, opts.beta, opts.M)
+        clamped = np.abs(zs - slope) > 0.0
+        Axx = x2d * (1.0 + a * zs) + O1
+    else:
+        clamped = False
+        Axx = 2.0 * x2d + O1
+    floor = opts.eps_ell * x2d
+    jet = (-1.0 - O4, O5, np.maximum(Axx, floor), O2, coeffs.b + O3)
+    fraction = float(np.mean(np.broadcast_to(clamped | (Axx < floor), field.values.shape)[1:-1, 1:-1]))
+    return tuple(np.broadcast_to(c, field.values.shape) for c in jet), fraction
 
 
-def _frozen_system(field, op, neumann, shock=None):
-    """Assemble the frozen linear problem A(u) psi = rhs on the current iterate.
+def _stencil_blocks(field, neumann, coupled):
+    """The unknown block of field.values, each unknown node's 3x3 block of nodes and the jet weights on it.
 
     The unknowns are the interior columns of the interior rows and of each
-    row flagged in neumann = (y_lo, y_hi); every other node is Dirichlet data.
-    Matrix rows are numbered over the unknowns and columns over all nodes in
-    C order, so rhs - A(u) u is the step's residual over the unknowns with
-    the Dirichlet data included.  A Neumann row mirrors its ghost neighbour
-    onto the first interior row, where its psi_y and psi_xy entries cancel.
-
-    shock = (L1, L2, L3, rhs, dcut) makes the strip's top row and its cut
-    column x = eps unknown too.  The top row takes the linearised jump
-    condition L1 psi_x + L2 psi_y + L3 psi = rhs as its rows: psi_x = u_x -
-    g u_s and psi_y = u_s/fhat, u_x from the tangential 3-point weights and
-    u_s = (3u_J - 4u_{J-1} + u_{J-2})/(2 ds).  These are the stencils of the
-    jump residual G, so on the shock rows rhs - A(u) u = -G(u).  The cut
-    column, the shock corner included, takes the slope rows
-    u[nx-1, j] - u[nx-2, j] = dcut.
-
-    Returns A, rhs and the block of field.values that holds the unknowns.
+    row flagged in neumann = (y_lo, y_hi) and, when coupled, the strip's
+    shock row and its cut column x = eps.  A node's block is the outer
+    product of the two axes' stencil tables (the y-table reflective at the
+    Neumann rows); on the strip the chain rule maps its weights to physical
+    ones.  The weights are (3, 3) + block-shaped, node axes last as in a
+    derivative pass; the node indices are flat in C order, nine per unknown
+    in the C order of the unknowns, ascending within each block.
     """
-    from scipy.sparse import csc_matrix
-
     nx, ny = field.values.shape
-    j0, j1 = (0 if neumann[0] else 1), (ny if neumann[1] else ny - 1)
-    J = np.arange(j0, j1)
-    jm, jp = J - 1, J + 1
-    if neumann[0]:
-        jm[0] = 1
-    if neumann[1]:
-        jp[-1] = ny - 2
-    I = np.arange(1, nx - 1)[:, None]
-    hy = field.ys[1] - field.ys[0]
-    Bxx, Cx, Bss, Bxs, Cs = (c[1:-1, j0:j1] for c in (op.Bxx, op.Cx, op.Bss, op.Bxs, op.Cs))
-    ju = j1 + (shock is not None)  # the shock row is unknown too
-    ni = nx - 2 + (shock is not None)  # and so is the cut column
-    nu = ju - j0  # unknowns per interior column
-    row = (I - 1) * nu + (J - j0)
-    # (matrix row, node column, coefficient) per stencil point; psi_xy = d1_x(d1_y psi)
-    terms = [(row, I * ny + jm, Bss / hy**2 - Cs / (2.0 * hy)),
-             (row, I * ny + J, -2.0 * Bss / hy**2),
-             (row, I * ny + jp, Bss / hy**2 + Cs / (2.0 * hy))]
-    wx = [w[:, None] for w in _first_weights(field.xs)]
-    for k, (w, v) in enumerate(zip(wx, _second_weights(field.xs))):
-        v, col = v[:, None], (I + k - 1) * ny
-        terms += [(row, col + J, Bxx * v + Cx * w),
-                  (row, col + jm, -Bxs * w / (2.0 * hy)),
-                  (row, col + jp, Bxs * w / (2.0 * hy))]
-    rhs = np.zeros(nu * ni)
+    j0, ju = (0 if neumann[0] else 1), (ny if neumann[1] else ny - 1) + coupled
+    block = (slice(1, nx - 1 + coupled), slice(j0, ju))
+    (cx, wx), (cy, wy) = _stencil_table(field.xs), _stencil_table(field.ys, neumann)
+    jet = tuple(wx[kx].T[:, None, :, None] * wy[ky].T[None, :, None, :] for kx, ky in _ORDERS)
+    jet = jet if field.kind == "rect" else _chain(field, jet)
+    nodes = (cx[block[0], None, :, None] * ny + cy[None, block[1], None, :]).ravel()
+    return block, nodes, tuple(np.ascontiguousarray(w[..., block[0], block[1]]) for w in jet)
+
+
+def _frozen_system(blocks, coefficients, shock=None):
+    """Assemble the frozen linear problem A(u) psi = rhs on the current iterate.
+
+    Each unknown node's row combines the jet weights of its block
+    (_stencil_blocks): with the frozen coefficients on interior and Neumann
+    rows, so those rows apply the operator whose residual the derivative pass
+    measures.  shock = (L1, L2, L3, rhs, dcut) gives the strip's top row the
+    linearised jump condition L1 psi_x + L2 psi_y + L3 psi = rhs on the same
+    weights, so there rhs - A(u) u = -G(u), and gives the cut column, the
+    shock corner included, the slope rows psi[nx-1, j] - psi[nx-2, j] = dcut.
+
+    Returns A as CSR with rows over the unknowns and columns over all nodes,
+    both in C order, so rhs - A(u) u is the step's residual with the
+    Dirichlet data included, and rhs.
+    """
+    from scipy.sparse import csr_matrix
+
+    block, nodes, W = blocks
+    vals = sum(c[block] * w for c, w in zip(coefficients, W[1:]))
+    rhs = np.zeros(vals.shape[2:])
     if shock is not None:
-        L1, L2, L3, shock_rhs = (c[:, None] for c in shock[:4])
-        fh, g, _, _ = _strip_geometry(field)
-        # u_s enters psi_x with weight -g and psi_y with 1/fhat
-        cs = (L2 / fh[1:-1] - L1 * g[1:-1]) / (2.0 * hy)
-        srow, top = (I - 1) * nu + nu - 1, I * ny + ny - 1
-        terms += [(srow, top + (k - 1) * ny, L1 * w) for k, w in enumerate(wx)]
-        terms += [(srow, top, 3.0 * cs + L3), (srow, top - 1, -4.0 * cs), (srow, top - 2, cs)]
-        rhs[srow.ravel()] = shock_rhs.ravel()
-        crow, cut = (nx - 2) * nu + np.arange(nu), (nx - 1) * ny + np.arange(j0, ju)
-        terms += [(crow, cut, np.ones(nu)), (crow, cut - ny, -np.ones(nu))]
-        rhs[crow] = shock[4]
-    rows, cols, vals = (np.concatenate([t[k].ravel() for t in terms]) for k in range(3))
-    A = csc_matrix((vals, (rows, cols)), shape=(nu * ni, nx * ny))
-    A.eliminate_zeros()  # closures without mixed or first-order y terms
-    return A, rhs, (slice(1, 1 + ni), slice(j0, ju))
+        L1, L2, L3, rhs[:-1, -1], rhs[-1] = shock
+        vals[..., :-1, -1] = sum(L * w[..., :-1, -1] for L, w in zip((L3, L1, L2), W))
+        vals[..., -1, :] = W[0][..., -1, :] - W[0][..., -2, :]  # nodes nx-1 and nx-2 share their x-block
+    data = np.moveaxis(vals, (0, 1), (2, 3)).ravel()  # nine entries per row
+    shape = (rhs.size, coefficients[0].size)  # the coefficient arrays cover every node
+    # eliminate_zeros compacts the indices in place, so it gets a copy of the cached ones
+    A = csr_matrix((data, nodes.copy(), np.arange(0, data.size + 1, 9)), shape=shape)
+    A.eliminate_zeros()  # reflective rows, closures without mixed or first-order y terms
+    return A, rhs.ravel()
 
 
 def _factor(A, shape, block, coupled):
@@ -339,7 +322,7 @@ def _factor(A, shape, block, coupled):
 
     unknown = np.arange(A.shape[1]).reshape(shape)[block].ravel()
     try:
-        return splu(A[:, unknown], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
+        return splu(A[:, unknown].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
     except RuntimeError as exc:  # exactly singular
         if not coupled:
             raise
@@ -403,20 +386,21 @@ def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
     """Damped chord iteration on field in place; returns field with its metadata.
 
     Each step freezes the coefficients on the current iterate, assembles the
-    frozen problem A(u) psi = rhs (_frozen_system) and steps
-    u += damping * LU^-1 (rhs - A(u) u) with the last sparse LU.  The LU is
-    refactored on A(u) at the first step and whenever the previous step
-    contracted the residual by less than _REFACTOR_RATIO; a refactored step
-    is the exact frozen solve, and every fixed point has rhs = A(u) u, so the
-    chord steps change the cost, not the solution.  Convergence is judged on
-    the operator residual max |L psi| over all interior nodes and, on the
-    strip, on the scaled jump-condition residual that shock_row(values)
-    returns together with the Newton and cut rows of the next step.
+    frozen problem A(u) psi = rhs (_frozen_system, on stencil blocks built
+    at the first step) and steps u += damping * LU^-1 (rhs - A(u) u) with the
+    last sparse LU.  The LU is refactored on A(u) at the first step and
+    whenever the previous step contracted the residual by less than
+    _REFACTOR_RATIO; a refactored step is the exact frozen solve, and every
+    fixed point has rhs = A(u) u, so the chord steps change the cost, not the
+    solution.  Convergence is judged on the operator residual max |L psi|
+    over all interior nodes and, on the strip, on the scaled jump-condition
+    residual that shock_row(d) returns from the step's derivative pass d,
+    together with the Newton and cut rows of the next step.
     """
     history = []
     clamp_fraction = 0.0
     shock_res, shock = 0.0, None
-    lu, factorizations = None, 0
+    lu, factorizations, blocks = None, 0, None
     for it in range(opts.max_iterations + 1):
         # one derivative pass serves both the residual of the current iterate
         # and the frozen coefficients of the next step
@@ -424,7 +408,7 @@ def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
         res_field = _operator_value(field, coeffs, d)
         res = float(np.max(np.abs(res_field[1:-1, 1:-1])))
         if shock_row is not None:
-            shock_res, shock = shock_row(field.values)
+            shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
         refactor = lu is None or history[-1] > _REFACTOR_RATIO * history[-2]
         _log.debug("iteration %d: residual %.3e, shock %.3e, refactor %s", it, res, shock_res, refactor)
@@ -432,9 +416,10 @@ def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
             break
         if it == opts.max_iterations:
             raise NoConvergence(opts.max_iterations, history[-1])
-        op = _FrozenOperator(field, coeffs, opts, d)
-        clamp_fraction = op.clamp_fraction
-        A, rhs, block = _frozen_system(field, op, neumann, shock)
+        coefficients, clamp_fraction = _frozen_coefficients(field, coeffs, opts, d)
+        blocks = blocks or _stencil_blocks(field, neumann, shock is not None)
+        A, rhs = _frozen_system(blocks, coefficients, shock)
+        block = blocks[0]
         if refactor:
             lu = _factor(A, field.values.shape, block, shock is not None)
             factorizations += 1
@@ -519,32 +504,21 @@ def solve_reflection_near_sonic(
     fh, fhp, fhpp = shock_chart_table(config, xs)
     g = fhp / fh
     gp = fhpp / fh - (fhp / fh) ** 2
-    geometry = {
-        "kind": "sonic_strip",
-        "eps": eps,
-        "fhat": [float(v) for v in fh],
-        "g": [float(v) for v in g],
-        "gp": [float(v) for v in gp],
-        "config_json": config.to_json(),
-    }
+    geometry = {"kind": "sonic_strip", "eps": eps, "fhat": fh.tolist(), "g": g.tolist(), "gp": gp.tolist(),
+                "config_json": config.to_json()}
 
     u = (xs[:, None] ** 2 / (2.0 * a)) * np.ones_like(ss)[None, :]
     u[0, :] = 0.0
     field = ScalarField2D(xs, ss, u, geometry, {})
     fns = ShockBoundaryFns(config)
     lam_scale = abs(fns.psi_p1_at_P1())
-    ds = ss[1] - ss[0]
-    wx_m, wx_0, wx_p = _first_weights(xs)
     i = np.arange(1, grid_nx - 1)
     dcut = (xs[-1] ** 2 - xs[-2] ** 2) / (2.0 * a)
-    x_i, fh_i, g_i = xs[i], fh[i], g[i]  # fh_i is also the shock ordinate y
+    x_i, fh_i = xs[i], fh[i]  # fh_i is also the shock ordinate y
 
-    def shock_row(vals):
+    def shock_row(d):
         """Scaled jump-condition residual, the Newton rows (L1, L2, L3, rhs) and the cut increment."""
-        uJ = vals[i, -1]
-        us = (3.0 * uJ - 4.0 * vals[i, -2] + vals[i, -3]) / (2.0 * ds)
-        ux = wx_m * vals[i - 1, -1] + wx_0 * uJ + wx_p * vals[i + 1, -1]
-        px, py = ux - g_i * us, us / fh_i
+        uJ, px, py = (d[key][i, -1] for key in ("psi", "px", "py"))
         try:
             G = fns.Psi(px, py, uJ, x_i, fh_i)
             L1, L2, L3 = fns.psi_gradient(px, py, uJ, x_i, fh_i)

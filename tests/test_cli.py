@@ -169,3 +169,55 @@ def test_import_srlab_loads_no_scipy():
     code = "import srlab, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("bad", [["--grid", "97"], ["--grid", "a,b"], ["--tol", "0"], ["--max-iter", "-1"]])
+def test_solve_bad_input_exit_2(tmp_path, capsys, bad):
+    assert run(["solve", "--mode", "model", *bad, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration failed:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("what", ["barriers", "rh", "regularity"])
+def test_verify_without_input_exit_2(tmp_path, capsys, what):
+    assert run(["verify", "--what", what, "--out", str(tmp_path / "v")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    # a directory where a file is expected is an input error too
+    flag = "--config" if what == "rh" else "--grid"
+    assert run(["verify", "--what", what, flag, str(tmp_path), "--out", str(tmp_path / "v")]) == 2
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_sweep_nonpositive_step_exit_2(tmp_path, step):
+    # a step that never advances theta would loop without end
+    assert run(["sweep", "--theta-step", step, "--out", str(tmp_path / "sw")]) == 2
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "49,49", "--perturb", "0.2"],
+                                        ["--mode", "reflection", "--grid", "81,41"]])
+def test_verify_regularity_takes_one_derivative_pass(tmp_path, monkeypatch, solve_args):
+    # the report, its edge-limit table, the two-family probe and the station
+    # trace all read one derivative pass
+    import srlab.cli
+    import srlab.diagnostics
+
+    out = tmp_path / "m"
+    assert run(["solve", *solve_args, "--out", str(out)]) == 0
+    calls = []
+    counted = lambda f: (calls.append(1), srlab.solver.derivative_fields(f))[1]
+    monkeypatch.setattr(srlab.cli, "derivative_fields", counted)
+    monkeypatch.setattr(srlab.diagnostics, "derivative_fields", counted)
+    assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_regularity_on_an_unresolved_strip_reports_the_error(tmp_path):
+    # too few graded columns for edge extrapolation: the report says so for
+    # the sonic limits and skips the two-family probe instead of raising
+    out = tmp_path / "coarse"
+    assert run(["solve", "--mode", "reflection", "--grid", "21,11", "--grade", "1.0", "--out", str(out)]) == 0
+    assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) in (0, 4)
+    rep = read_json(out / "verify_regularity.json")["report"]
+    assert "error" in rep["sonic_limits"]
+    assert rep["two_sequence"] == {}

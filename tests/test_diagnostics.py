@@ -201,3 +201,13 @@ def test_full_report_json_roundtrip(reflection_field):
     assert d["grid"]["kind"] == "sonic_strip"
     assert "sonic_adjacent_limit" in d["two_sequence"]
     assert d["jump"] is not None
+
+
+def test_edge_limit_table_gives_the_same_numbers(reflection_field):
+    # the jump and the sonic-adjacent limit read from one edge-limit table
+    # are the same fits on the same arrays as when each refits its stations
+    table = dg.sonic_limit_estimate(reflection_field)
+    assert dg.jump_estimate(reflection_field, table=table) == dg.jump_estimate(reflection_field)
+    assert dg.two_sequence_probe(reflection_field, table=table) == dg.two_sequence_probe(reflection_field)
+    with pytest.raises(ValueError):
+        dg.jump_estimate(reflection_field, k=5, table=table)

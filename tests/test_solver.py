@@ -82,6 +82,8 @@ def test_solver_options_validation():
         srlab.SolverOptions(eps_ell=0.7, beta=0.5)
     with pytest.raises(ValueError):
         srlab.SolverOptions(omega_sor=2.5)
+    with pytest.raises(ValueError):
+        srlab.SolverOptions(max_iterations=-1)
 
 
 def test_exact_solution_reproduced(model_ab):
@@ -280,3 +282,53 @@ def test_o_bound_audit_model_is_zero(model_field, model_ab):
                           d["psi"][1:-1, 1:-1], d["px"][1:-1, 1:-1], d["py"][1:-1, 1:-1])
     assert audit["o1_over_x2"] == 0.0
     assert audit["ok_over_x"] == 0.0
+
+
+def _step_residual(field, coeffs, neumann, shock=None):
+    """rhs - A(u) u of the frozen system on field, over the unknown block, and the clamp fraction."""
+    from srlab.solver import _frozen_coefficients, _frozen_system, _stencil_blocks
+
+    coefficients, clamp = _frozen_coefficients(field, coeffs, srlab.SolverOptions(), derivative_fields(field))
+    blocks = _stencil_blocks(field, neumann, shock is not None)
+    A, rhs = _frozen_system(blocks, coefficients, shock)
+    return (rhs - A @ field.values.ravel()).reshape(field.values[blocks[0]].shape), clamp
+
+
+def test_frozen_system_is_the_residual_operator_on_a_rectangle(model_field, model_ab):
+    # the matrix the solver inverts applies the operator whose residual is
+    # measured: on a perturbed iterate with the cutoff and floor inactive,
+    # rhs - A(u) u = -L(u) on every interior row
+    f = model_field
+    x, y = f.xs[:, None], f.ys[None, :]
+    f = ScalarField2D(f.xs, f.ys, f.values + 1e-3 * x**2 * np.cos(2.0 * y + 0.3), {"kind": "rect"})
+    coeffs = srlab.model_coefficients(*model_ab)
+    r, clamp = _step_residual(f, coeffs, (True, True))
+    _, L = residual(f, coeffs)
+    assert clamp == 0.0
+    scale = np.max(np.abs(L[1:-1, 1:-1]))
+    assert scale > 1e-6
+    assert np.max(np.abs(r[:, 1:-1] + L[1:-1, 1:-1])) <= 1e-10 * scale
+
+
+def test_frozen_system_is_the_residual_operator_on_the_strip(reflection_field, weak60):
+    # on the strip the same holds through the chain rule, and the shock rows
+    # give -G(u), the jump condition on the stencils of the derivative pass
+    from srlab.shock import ShockBoundaryFns
+
+    f = reflection_field
+    x, s = f.xs[:, None], f.ys[None, :]
+    f = ScalarField2D(f.xs, f.ys, f.values + 1e-3 * x**2 * np.cos(2.0 * s + 0.3), f.geometry)
+    coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
+    d = derivative_fields(f)
+    fns, i = ShockBoundaryFns(weak60), np.arange(1, f.nx - 1)
+    uJ, px, py = (d[key][i, -1] for key in ("psi", "px", "py"))
+    y = np.asarray(f.geometry["fhat"])[i]
+    G = fns.Psi(px, py, uJ, f.xs[i], y)
+    L1, L2, L3 = fns.psi_gradient(px, py, uJ, f.xs[i], y)
+    r, clamp = _step_residual(f, coeffs, (True, False), (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G, 0.0))
+    _, L = residual(f, coeffs)
+    assert clamp == 0.0
+    scale, gscale = np.max(np.abs(L[1:-1, 1:-1])), np.max(np.abs(G))
+    assert scale > 1e-6 and gscale > 1e-6
+    assert np.max(np.abs(r[:-1, 1:-1] + L[1:-1, 1:-1])) <= 1e-10 * scale
+    assert np.max(np.abs(r[:-1, -1] + G)) <= 1e-10 * gscale
