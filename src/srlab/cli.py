@@ -311,6 +311,9 @@ def cmd_verify(args) -> int:
         return 2
     if isinstance(checks, int):
         return checks
+    if not checks:  # the report is written, but it assessed nothing
+        print(f"verify --what {args.what}: no check could run on this input", file=sys.stderr)
+        return 2
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     return 0 if all(checks.values()) else 4

@@ -20,6 +20,8 @@ __all__ = [
     "model_coefficients",
     "linear_coefficients",
     "reflection_coefficients",
+    "operator_coefficients",
+    "apply_coefficients",
     "apply_operator",
     "zeta",
     "o_bound_audit",
@@ -102,21 +104,31 @@ def _nominal_reflection_bound(gam, c2, eps):
     return float(max(n1, n2, n3, n4, n5))
 
 
-def apply_operator(coeffs: CoefficientModel, x, y, jet, companion: bool = False):
-    """The degenerate operator L1 on a jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy).
+def operator_coefficients(coeffs: CoefficientModel, x, y, psi, px, py, companion: bool = False):
+    """Coefficients of (psi_x, psi_y, psi_xx, psi_xy, psi_yy) in L1, the one spelling of the operator.
 
-    companion=True gives L2, the operator acting on deviation profiles W,
-    whose leading coefficient is x + a psi_x and whose first-order x
-    coefficient is 2 + O4.
+    companion=True gives L2, the operator on deviation profiles W, with the
+    leading coefficient x + a psi_x and the first-order x coefficient 2 + O4.
     """
-    psi, px, py, pxx, pxy, pyy = jet
     x = np.asarray(x, dtype=float)
     O1, O2, O3, O4, O5 = coeffs.evaluate(x, y, psi, px, py)
     if companion:
         lead, k = x + coeffs.a * px, 2.0
     else:
         lead, k = 2.0 * x - coeffs.a * px, 1.0
-    return (lead + O1) * pxx + O2 * pxy + (coeffs.b + O3) * pyy - (k + O4) * px + O5 * py
+    return (-k - O4, O5, lead + O1, O2, coeffs.b + O3)
+
+
+def apply_coefficients(coefficients, jet):
+    """The operator of operator_coefficients on a jet, summed in the order the operator is written."""
+    cx, cy, cxx, cxy, cyy = coefficients
+    _, px, py, pxx, pxy, pyy = jet
+    return cxx * pxx + cxy * pxy + cyy * pyy + cx * px + cy * py
+
+
+def apply_operator(coeffs: CoefficientModel, x, y, jet, companion: bool = False):
+    """The degenerate operator L1 (L2 if companion) on a jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy)."""
+    return apply_coefficients(operator_coefficients(coeffs, x, y, *jet[:3], companion=companion), jet)
 
 
 def zeta(s, a: float, beta: float, M: float):

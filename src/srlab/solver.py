@@ -1,15 +1,15 @@
-"""Damped-Picard solver for the degenerate near-boundary equation.
+"""Picard solver for the degenerate near-boundary equation.
 
 The finite differences are defined once, as per-node 3-point stencil
 tables along each axis, and the strip's chain rule once, as a linear map on
-a jet; the derivative pass applies both to values.  The nonlinear diffusion
-coefficient is frozen each outer iteration (with the slope cutoff and an
-x-proportional ellipticity floor), and the frozen linear problem is one
-sparse 9-point operator whose rows combine the same stencils' weights, built
-once per solve, with the frozen coefficients.  Each outer step is a
-chord step: the residual of the frozen problem is solved with the last
-sparse LU factorisation (fixed column ordering), which is refactored only
-when the residual stops contracting by a fixed ratio.  The refactoring
+a jet; the derivative pass applies both to values.  Each outer iteration
+evaluates the operator's coefficients once: they give the residual, and,
+with the leading one frozen (slope cutoff and x-proportional ellipticity
+floor, fixed constants), the rows of the frozen linear problem, one sparse
+9-point operator on the same stencils' weights, built once per solve.  Each
+outer step is a chord step: the residual of the frozen problem is solved
+with the last sparse LU factorisation (fixed column ordering), which is
+refactored only when the residual stops contracting by a fixed ratio.  The refactoring
 policy reads only the residual history, so every run is deterministic.
 
 Two domains share that one outer loop and that one factorisation: a
@@ -25,7 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientModel, apply_operator, o_bound_audit, reflection_coefficients, zeta
+from .coefficients import (CoefficientModel, apply_coefficients, apply_operator, o_bound_audit,
+                           operator_coefficients, reflection_coefficients, zeta)
 from .errors import EllipticityLoss, NoConvergence, ShockConditionDiverged, VacuumState
 from .grids import ScalarField2D, geometric_axis, uniform_axis
 from .reflection import ReflectionConfiguration, shock_chart_table, shock_depth_max
@@ -47,6 +48,10 @@ _log = logging.getLogger(__name__)
 # this ratio; on the criterion-6 strips 0.5 refactors about twice as often,
 # and 0.9 doubles the outer steps without saving factorisations
 _REFACTOR_RATIO = 0.7
+
+# slope window (-(1 - beta)/a, M + 1/a), floor eps_ell * x, and the share of
+# interior nodes they may act on at convergence before EllipticityLoss
+_BETA, _M, _EPS_ELL, _CLAMP_FAIL_FRACTION = 0.5, 2.0, 0.1, 0.2
 
 
 @dataclass(frozen=True)
@@ -83,32 +88,22 @@ class BoundaryConditions:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The outer iteration's stopping rule; cutoff, floor and loss share are module constants."""
+
     tolerance: float = 1e-9
     max_iterations: int = 3000
-    damping: float = 1.0
-    beta: float = 0.5
-    M: float = 2.0
-    eps_ell: float = 0.1
     omega_sor: float = 1.0  # no effect: the frozen problem is solved directly
-    clamp_fail_fraction: float = 0.2
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if not 0.0 < self.eps_ell < self.beta < 1.0:
-            raise ValueError("need 0 < eps_ell < beta < 1")
-        if self.M < 0.0:
-            raise ValueError("M must be nonnegative")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         if not 0.0 < self.omega_sor < 2.0:
             raise ValueError("omega_sor must lie in (0, 2)")
 
     def describe(self) -> dict:
-        keys = ("tolerance", "max_iterations", "damping", "beta", "M", "eps_ell")
-        return {key: getattr(self, key) for key in keys}
+        return {"tolerance": self.tolerance, "max_iterations": self.max_iterations}
 
 
 # -- stencils and the strip chain rule ------------------------------------------
@@ -217,44 +212,35 @@ def derivative_fields(field: ScalarField2D) -> dict:
     return dict(zip(_JET, jet if field.kind == "rect" else _chain(field, jet)))
 
 
-def _operator_value(field, coeffs, d):
-    jet = tuple(d[key] for key in _JET)
-    return apply_operator(coeffs, field.xs[:, None], _ordinates(field), jet)
-
-
 def residual(field: ScalarField2D, coeffs: CoefficientModel):
     """Max |L1 psi| over interior nodes, plus the residual field."""
     if field.nx < 3 or field.ny < 3:
         raise ValueError("need at least 3 nodes per axis")
-    res = _operator_value(field, coeffs, derivative_fields(field))
+    d = derivative_fields(field)
+    res = apply_operator(coeffs, field.xs[:, None], _ordinates(field), [d[key] for key in _JET])
     return float(np.max(np.abs(res[1:-1, 1:-1]))), res
 
 
 # -- frozen-coefficient assembly ----------------------------------------------
 
 
-def _frozen_coefficients(field, coeffs, opts, d):
-    """Frozen coefficients of psi_x, psi_y, psi_xx, psi_xy, psi_yy on the current iterate.
+def _frozen_coefficients(field, a, coefficients, px):
+    """The operator's coefficients with the leading one frozen, and the share of interior nodes it is altered on.
 
-    Also returns the fraction of interior nodes where the slope cutoff or
-    the ellipticity floor acts.
+    The lead 2x - a psi_x + O1 = x(1 + a*slope) + O1, slope = (x/a - psi_x)/x,
+    gets the slope cutoff as a*x*(zeta(slope) - slope), exactly 0 where the
+    cutoff is inactive, and the floor _EPS_ELL * x.
     """
-    x2d = field.xs[:, None]
-    O1, O2, O3, O4, O5 = coeffs.evaluate(x2d, _ordinates(field), d["psi"], d["px"], d["py"])
-    a = coeffs.a
+    x = field.xs[:, None]
+    lead, clamped = coefficients[2], False
     if a > 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(x2d > 0.0, (x2d / a - d["px"]) / np.where(x2d > 0.0, x2d, 1.0), 0.0)
-        zs = zeta(slope, a, opts.beta, opts.M)
-        clamped = np.abs(zs - slope) > 0.0
-        Axx = x2d * (1.0 + a * zs) + O1
-    else:
-        clamped = False
-        Axx = 2.0 * x2d + O1
-    floor = opts.eps_ell * x2d
-    jet = (-1.0 - O4, O5, np.maximum(Axx, floor), O2, coeffs.b + O3)
-    fraction = float(np.mean(np.broadcast_to(clamped | (Axx < floor), field.values.shape)[1:-1, 1:-1]))
-    return tuple(np.broadcast_to(c, field.values.shape) for c in jet), fraction
+        slope = (x / a - px) / np.where(x > 0.0, x, 1.0)  # the x = 0 column is Dirichlet data
+        cut = zeta(slope, a, _BETA, _M) - slope
+        clamped = cut != 0.0
+        lead = lead + a * x * cut
+    floor = _EPS_ELL * x
+    fraction = float(np.mean((clamped | (lead < floor))[1:-1, 1:-1]))
+    return coefficients[:2] + (np.maximum(lead, floor),) + coefficients[3:], fraction
 
 
 def _stencil_blocks(field, neumann, coupled):
@@ -343,7 +329,7 @@ def solve(
     """Solve the near-boundary equation on a rectangle.
 
     Dirichlet psi = 0 on x = 0; bc.outer on x = rhat; each y-side either
-    reflective (psi_y = 0) or Dirichlet.  Each damped Picard step freezes the
+    reflective (psi_y = 0) or Dirichlet.  Each Picard step freezes the
     coefficients on the current iterate and takes a chord step on the frozen
     linear problem (_picard); the first step is an exact frozen solve, so a
     linear closure converges in one step.
@@ -355,7 +341,8 @@ def solve(
     would leave an error for the fine solve to remove.  Otherwise the
     start is the outer data times a power profile.  Raises NoConvergence past
     the iteration budget and EllipticityLoss if the cutoff/floor is active on
-    more than the configured fraction of nodes at convergence.
+    more than _CLAMP_FAIL_FRACTION of the interior nodes of the converged
+    iterate.
     """
     xs, ys = grid.axes()
     outer = np.asarray(bc.outer(ys), dtype=float) * np.ones_like(ys)
@@ -383,30 +370,31 @@ def solve(
 
 
 def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
-    """Damped chord iteration on field in place; returns field with its metadata.
+    """Chord iteration on field in place; returns field with its metadata.
 
-    Each step freezes the coefficients on the current iterate, assembles the
-    frozen problem A(u) psi = rhs (_frozen_system, on stencil blocks built
-    at the first step) and steps u += damping * LU^-1 (rhs - A(u) u) with the
-    last sparse LU.  The LU is refactored on A(u) at the first step and
-    whenever the previous step contracted the residual by less than
-    _REFACTOR_RATIO; a refactored step is the exact frozen solve, and every
-    fixed point has rhs = A(u) u, so the chord steps change the cost, not the
-    solution.  Convergence is judged on the operator residual max |L psi|
-    over all interior nodes and, on the strip, on the scaled jump-condition
-    residual that shock_row(d) returns from the step's derivative pass d,
-    together with the Newton and cut rows of the next step.
+    Each step evaluates the operator's coefficients once on the current
+    iterate, for its residual and for the frozen problem A(u) psi = rhs
+    (_frozen_system, on stencil blocks built at the first step), and steps
+    u += LU^-1 (rhs - A(u) u) with the last sparse LU.  The LU is refactored
+    on A(u) at the first step and whenever the previous step contracted the
+    residual by less than _REFACTOR_RATIO; a refactored step is the exact
+    frozen solve, and every fixed point has rhs = A(u) u, so the chord steps
+    change the cost, not the solution.  Convergence is judged on the operator
+    residual max |L psi| over all interior nodes and, on the strip, on the
+    scaled jump-condition residual that shock_row(d) returns from the step's
+    derivative pass d, together with the Newton and cut rows of the next step.
     """
     history = []
-    clamp_fraction = 0.0
     shock_res, shock = 0.0, None
     lu, factorizations, blocks = None, 0, None
     for it in range(opts.max_iterations + 1):
-        # one derivative pass serves both the residual of the current iterate
-        # and the frozen coefficients of the next step
+        # one derivative pass and one evaluation of the coefficients serve both
+        # the residual of the current iterate and the frozen system of the next step
         d = derivative_fields(field)
-        res_field = _operator_value(field, coeffs, d)
-        res = float(np.max(np.abs(res_field[1:-1, 1:-1])))
+        jet = [d[key] for key in _JET]
+        coefficients = operator_coefficients(coeffs, field.xs[:, None], _ordinates(field), *jet[:3])
+        res = float(np.max(np.abs(apply_coefficients(coefficients, jet)[1:-1, 1:-1])))
+        frozen, clamp_fraction = _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
         if shock_row is not None:
             shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
@@ -416,38 +404,34 @@ def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
             break
         if it == opts.max_iterations:
             raise NoConvergence(opts.max_iterations, history[-1])
-        coefficients, clamp_fraction = _frozen_coefficients(field, coeffs, opts, d)
         blocks = blocks or _stencil_blocks(field, neumann, shock is not None)
-        A, rhs = _frozen_system(blocks, coefficients, shock)
+        A, rhs = _frozen_system(blocks, frozen, shock)
         block = blocks[0]
         if refactor:
             lu = _factor(A, field.values.shape, block, shock is not None)
             factorizations += 1
         # written through the 2-D view: field.values need not be C-contiguous
         step = lu.solve(rhs - A @ field.values.ravel())
-        field.values[block] += opts.damping * step.reshape(field.values[block].shape)
+        field.values[block] += step.reshape(field.values[block].shape)
 
     _finalize_meta(field, coeffs, opts, bc, history, factorizations, clamp_fraction, d)
     if shock_row is not None:
         field.meta["outer_data"] = "synthetic slope surrogate psi_x = x/a at x=eps"
         field.meta["shock_residual"] = shock_res
-    if clamp_fraction > opts.clamp_fail_fraction:
+    if clamp_fraction > _CLAMP_FAIL_FRACTION:
         raise EllipticityLoss(clamp_fraction, field)
     return field
 
 
 def _finalize_meta(field, coeffs, opts, bc, history, factorizations, clamp_fraction, d):
     """Sidecar metadata of a converged field; d is its derivative pass."""
-    x2d = field.xs[:, None]
-    y2d = _ordinates(field)
-    audit = o_bound_audit(coeffs, np.broadcast_to(x2d, field.values.shape)[1:-1, 1:-1],
-                          y2d[1:-1, 1:-1], d["psi"][1:-1, 1:-1],
-                          d["px"][1:-1, 1:-1], d["py"][1:-1, 1:-1])
-    interior = field.values[1:-1, 1:-1]
-    xin = np.broadcast_to(x2d, field.values.shape)[1:-1, 1:-1]
+    inner = np.s_[1:-1, 1:-1]
+    xin = np.broadcast_to(field.xs[:, None], field.values.shape)[inner]
+    audit = o_bound_audit(coeffs, xin, _ordinates(field)[inner], *(d[key][inner] for key in _JET[:3]))
+    interior = field.values[inner]
     positivity = bool(np.all(interior > 0.0))
     if coeffs.a > 0.0:
-        bound = (2.0 - opts.beta) / (2.0 * coeffs.a) * xin**2
+        bound = (2.0 - _BETA) / (2.0 * coeffs.a) * xin**2
         quad_ok = bool(np.all(interior <= bound * (1.0 + 1e-12) + 1e-30))
     else:
         quad_ok = None

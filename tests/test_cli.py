@@ -217,7 +217,19 @@ def test_verify_regularity_on_an_unresolved_strip_reports_the_error(tmp_path):
     # the sonic limits and skips the two-family probe instead of raising
     out = tmp_path / "coarse"
     assert run(["solve", "--mode", "reflection", "--grid", "21,11", "--grade", "1.0", "--out", str(out)]) == 0
-    assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) in (0, 4)
+    # nor can the power fit run, so no check runs: exit 2, with the report written
+    assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 2
     rep = read_json(out / "verify_regularity.json")["report"]
     assert "error" in rep["sonic_limits"]
     assert rep["two_sequence"] == {}
+
+
+def test_verify_regularity_without_a_check_exit_2(tmp_path, capsys):
+    # too coarse for the power fit and the edge extrapolation: no check runs,
+    # which is no pass
+    out = tmp_path / "m"
+    assert run(["solve", "--mode", "model", "--grid", "21,11", "--grade", "1.0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert read_json(out / "verify_regularity.json")["checks"] == {}

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import srlab
-from srlab.coefficients import o_bound_audit, zeta
-from srlab.errors import NoConvergence, ShockConditionDiverged
+from srlab.coefficients import o_bound_audit, operator_coefficients, zeta
+from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
-from srlab.solver import derivative_fields, residual
+from srlab.solver import _ordinates, derivative_fields, residual
 
 
 def make_field(fn, rhat=0.5, n=49, q=1.0, ylim=1.0):
@@ -77,10 +77,6 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         srlab.SolverOptions(tolerance=-1.0)
     with pytest.raises(ValueError):
-        srlab.SolverOptions(damping=1.5)
-    with pytest.raises(ValueError):
-        srlab.SolverOptions(eps_ell=0.7, beta=0.5)
-    with pytest.raises(ValueError):
         srlab.SolverOptions(omega_sor=2.5)
     with pytest.raises(ValueError):
         srlab.SolverOptions(max_iterations=-1)
@@ -135,15 +131,15 @@ def test_perturbed_fixture_properties(model_field, model_ab):
     assert np.allclose(model_field.values[0, :], 0.0)
 
 
-def test_monotone_residual_with_half_damping(model_ab):
+def test_monotone_residual(model_ab):
     a, b = model_ab
     rhat = 0.5
     outer = lambda y: (rhat**2 / (2 * a)) * (1.0 + 0.2 * np.cos(np.pi * y))
     grid = srlab.GridSpec(rhat=rhat, nx=49, ny=49, y_lo=-1, y_hi=1, grade_q=0.95)
     f = srlab.solve(srlab.model_coefficients(a, b), srlab.BoundaryConditions(outer=outer), grid,
-                    srlab.SolverOptions(tolerance=1e-9, max_iterations=6000, damping=0.5))
+                    srlab.SolverOptions(tolerance=1e-9, max_iterations=6000))
     # nonincreasing after the startup transient of the artificial profile
-    hist = np.asarray(f.meta["residual_history"])[3:]
+    hist = np.asarray(f.meta["residual_history"])[2:]
     # the checked stretch spans at least seven decades of residual
     assert hist[0] >= 1e7 * hist[-1]
     assert np.all(np.diff(hist) <= 1e-13)
@@ -158,6 +154,21 @@ def test_no_convergence_raises(model_ab):
                     srlab.SolverOptions(tolerance=1e-12, max_iterations=3))
     assert exc.value.iterations == 3
     assert exc.value.residual > 0.0
+
+
+def test_ellipticity_loss_reads_the_converged_iterate(model_ab):
+    # u = 2x^2/a has the slope (x/a - psi_x)/x = -3/a, below the cutoff's
+    # window -(1 - 0.5)/a on every node; a start that converges at once
+    # must report that, not the fraction of an earlier iterate
+    a, b = model_ab
+    rhat = 0.5
+    grid = srlab.GridSpec(rhat=rhat, nx=33, ny=17, grade_q=1.0)
+    bc = srlab.BoundaryConditions(outer=lambda y: 2.0 * rhat**2 / a * np.ones_like(y))
+    with pytest.raises(EllipticityLoss) as exc:
+        srlab.solve(srlab.model_coefficients(a, b), bc, grid,
+                    srlab.SolverOptions(tolerance=1e3, max_iterations=0), init_power=2.0)
+    assert exc.value.fraction == 1.0
+    assert exc.value.field.meta["clamp_fraction"] == 1.0
 
 
 def test_nested_start_exact_on_quadratic(model_ab):
@@ -284,13 +295,22 @@ def test_o_bound_audit_model_is_zero(model_field, model_ab):
     assert audit["ok_over_x"] == 0.0
 
 
+def _frozen(field, coeffs):
+    """The operator's coefficients and the frozen ones on field, with the clamp fraction."""
+    from srlab.solver import _frozen_coefficients
+
+    d = derivative_fields(field)
+    coefficients = operator_coefficients(coeffs, field.xs[:, None], _ordinates(field), d["psi"], d["px"], d["py"])
+    return (coefficients,) + _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
+
+
 def _step_residual(field, coeffs, neumann, shock=None):
     """rhs - A(u) u of the frozen system on field, over the unknown block, and the clamp fraction."""
-    from srlab.solver import _frozen_coefficients, _frozen_system, _stencil_blocks
+    from srlab.solver import _frozen_system, _stencil_blocks
 
-    coefficients, clamp = _frozen_coefficients(field, coeffs, srlab.SolverOptions(), derivative_fields(field))
+    _, frozen, clamp = _frozen(field, coeffs)
     blocks = _stencil_blocks(field, neumann, shock is not None)
-    A, rhs = _frozen_system(blocks, coefficients, shock)
+    A, rhs = _frozen_system(blocks, frozen, shock)
     return (rhs - A @ field.values.ravel()).reshape(field.values[blocks[0]].shape), clamp
 
 
@@ -332,3 +352,30 @@ def test_frozen_system_is_the_residual_operator_on_the_strip(reflection_field, w
     assert scale > 1e-6 and gscale > 1e-6
     assert np.max(np.abs(r[:-1, 1:-1] + L[1:-1, 1:-1])) <= 1e-10 * scale
     assert np.max(np.abs(r[:-1, -1] + G)) <= 1e-10 * gscale
+
+
+def test_frozen_lead_takes_the_cutoff_where_it_acts(reflection_field, weak60):
+    # psi = (1 + s) x^2/(2a) has the slope (x/a - psi_x)/x ~ -s/a, so the
+    # cutoff's lower end -(1 - 0.5)/a acts on the half of the strip s > 1/2.
+    # There the frozen lead is x(1 + a zeta(slope)) + O1 (floored at 0.1x);
+    # elsewhere it is the operator's own lead, bit for bit
+    f = reflection_field
+    coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
+    a = coeffs.a
+    x, s = f.xs[:, None], f.ys[None, :]
+    f = ScalarField2D(f.xs, f.ys, (1.0 + s) * x**2 / (2.0 * a), f.geometry)
+    coefficients, frozen, clamp = _frozen(f, coeffs)
+    inner = np.s_[1:-1, 1:-1]  # x > 0
+    d = {key: val[inner] for key, val in derivative_fields(f).items()}
+    x, y = x[1:-1], _ordinates(f)[inner]
+    slope = (x / a - d["px"]) / x
+    acts = zeta(slope, a, 0.5, 2.0) != slope
+    assert 0.3 < np.mean(acts) < 0.7
+    assert clamp == np.mean(acts)
+    O1 = coeffs.evaluate(x, y, d["psi"], d["px"], d["py"])[0]
+    want = np.maximum(x * (1.0 + a * zeta(slope, a, 0.5, 2.0)) + O1, 0.1 * x)
+    lead = frozen[2][inner]
+    assert np.all(np.abs(lead - want)[acts] <= 1e-13 * np.abs(want[acts]))
+    assert np.array_equal(lead[~acts], coefficients[2][inner][~acts])
+    for k in (0, 1, 3, 4):
+        assert np.array_equal(frozen[k], np.broadcast_to(coefficients[k], f.values.shape))

@@ -1,8 +1,11 @@
+import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def test_bench_span_targets_resolve():
@@ -21,3 +24,20 @@ def test_bench_span_targets_resolve():
             missing.append(f"{modname}.{attr}")
     assert not missing
     assert spans.TARGETS
+
+
+def test_bench_solver_options_are_fields():
+    # the benchmark builds SolverOptions by keyword; a keyword that is no
+    # longer a field fails its solves at run time, so it is caught here
+    from srlab import SolverOptions
+
+    fields = {f.name for f in dataclasses.fields(SolverOptions)}
+    used = []
+    for name in ("workloads.py", "warmup.py"):
+        for node in ast.walk(ast.parse((BENCH / name).read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "SolverOptions":
+                    used += [(name, kw.arg) for kw in node.keywords]
+    assert used
+    assert [u for u in used if u[1] not in fields] == []
