@@ -15,6 +15,7 @@ from .reflection import (
     ReflectionConfiguration,
     WedgeGeometry,
     solve_state2,
+    solve_state2_many,
     sonic_circle,
     locate_points,
     to_sonic_coords,

@@ -27,11 +27,12 @@ from .errors import (
     InvalidShock,
     NoConvergence,
     NoRegularReflection,
+    NotSupersonicAtP0,
     ShockConditionDiverged,
     SrlabError,
 )
 from .grids import ScalarField2D
-from .reflection import ReflectionConfiguration, detachment_angle, solve_state2
+from .reflection import ReflectionConfiguration, detachment_angle, solve_state2, solve_state2_many
 from .shock import ShockBoundaryFns, check_g_unique, largest_valid_eps, synthetic_quadratic_trace, write_trace_csv
 from .solver import (BoundaryConditions, GridSpec, SolverOptions, derivative_fields, solve,
                      solve_reflection_near_sonic)
@@ -85,29 +86,43 @@ def cmd_config(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Weak reflected state at each wedge angle of a range, and the detachment bracket.
+
+    The angles run from --theta-min by repeated `theta += step` up to
+    --theta-max, and one solve_state2_many call solves them all.  An angle
+    without a reflected state writes a NaN row; an input error (bad gas,
+    angle outside (0, 90) degrees, no root below 89.9 degrees) exits 2 and
+    writes nothing.
+    """
     if not args.theta_step > 0.0:
         print(f"sweep needs --theta-step > 0, got {args.theta_step}", file=sys.stderr)
         return 2
     record = _record(args, ("gamma", "rho0", "rho1", "theta_min", "theta_max", "theta_step"))
     digest = _digest(record)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    gas = _gas(args)
-    rows = []
+    thetas = []
     theta = args.theta_min
     while theta <= args.theta_max + 1e-12:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                cfg = solve_state2(gas, np.radians(theta))["weak"]
-            res = cfg.residuals()
-            rows.append(
-                (theta, cfg.u2, cfg.v2, cfg.rho2, cfg.c2, int(cfg.supersonic_at_P0), res["rh"])
-            )
-        except SrlabError:
-            rows.append((theta, np.nan, np.nan, np.nan, np.nan, 0, np.nan))
+        thetas.append(theta)
         theta += args.theta_step
-    lo, hi = detachment_angle(gas)
+    try:
+        gas = _gas(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotSupersonicAtP0)
+            solved = solve_state2_many(gas, np.radians(thetas))
+        lo, hi = detachment_angle(gas)
+    except (NoRegularReflection, InvalidShock, ValueError) as exc:
+        print(f"configuration failed: {exc}", file=sys.stderr)
+        return 2
+    rows = []
+    for theta, both in zip(thetas, solved):
+        if isinstance(both, SrlabError):
+            rows.append((theta, np.nan, np.nan, np.nan, np.nan, 0, np.nan))
+            continue
+        cfg = both["weak"]
+        rows.append((theta, cfg.u2, cfg.v2, cfg.rho2, cfg.c2, int(cfg.supersonic_at_P0),
+                     cfg.residuals()["rh"]))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", encoding="ascii") as fh:
         fh.write(f"# runconfig_digest={digest}\n")
         fh.write(f"# detachment_bracket_deg={float(np.degrees(lo))!r},{float(np.degrees(hi))!r}\n")

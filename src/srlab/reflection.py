@@ -18,7 +18,7 @@ from .errors import (
     NoSonicIntersection,
     NotSupersonicAtP0,
     OutOfRange,
-    VacuumState,
+    SrlabError,
 )
 from .states import GasParameters, UniformState, incident_shock, sound_speed, state1
 
@@ -26,6 +26,7 @@ __all__ = [
     "WedgeGeometry",
     "ReflectionConfiguration",
     "solve_state2",
+    "solve_state2_many",
     "sonic_circle",
     "locate_points",
     "to_sonic_coords",
@@ -172,8 +173,8 @@ class ReflectionConfiguration:
 
 def _state2_of_u2(gas, xi0, tanw, u2):
     """(v2, k2, rho2) of the uniform state (2) forced by the wedge slip condition
-    and the shared Bernoulli constant, elementwise in u2; rho2 is NaN past the
-    vacuum bound."""
+    and the shared Bernoulli constant, elementwise in tanw and u2; rho2 is NaN
+    past the vacuum bound."""
     v2 = u2 * tanw
     k2 = -xi0 * u2 * (1.0 + tanw * tanw)
     bern = k2 + 0.5 * (u2 * u2 + v2 * v2)
@@ -190,9 +191,12 @@ def _state2_of_u2(gas, xi0, tanw, u2):
 
 
 def _u_vacuum(gas, xi0, tanw):
-    """Largest u2 with a positive Bernoulli argument (inf for isothermal)."""
+    """Largest u2 with a positive Bernoulli argument, elementwise in tanw.
+
+    Isothermal densities stay positive; their scan stops at a fixed 4*xi0.
+    """
     if gas.isothermal:
-        return 4.0 * xi0
+        return np.full(np.shape(tanw), 4.0 * xi0)
     g = gas.gamma
     s = 1.0 + tanw * tanw
     a = 0.5 * (g - 1.0) * s
@@ -206,117 +210,188 @@ def _flux_residual(gas, xi0, u1, tanw, u2):
 
     The line's normal is proportional to (u1-u2, -v2) because both potentials
     share the quadratic part, and the mismatch is constant along the line, so
-    one point decides.  Elementwise in u2 > 0; NaN past the vacuum bound.
+    one point decides.  Elementwise in the wedge slope tanw and in u2 > 0,
+    which broadcast together; NaN past the vacuum bound.
     """
     v2, _, rho2 = _state2_of_u2(gas, xi0, tanw, u2)
-    w = np.stack([u1 - u2, -v2], axis=-1)[..., :, None]
-    nw = np.hypot(u1 - u2, -v2)
-    d1 = np.array([u1 - xi0, -xi0 * tanw])
-    d2 = np.stack([u2 - xi0, v2 - xi0 * tanw], axis=-1)[..., None, :]
+    shape = np.shape(v2)
+    w = np.empty(shape + (2, 1))
+    w[..., 0, 0] = u1 - u2
+    w[..., 1, 0] = -v2
+    # the (state-1, state-2) offsets from P0, as row vectors
+    d = np.empty((2,) + shape + (1, 2))
+    d[0, ..., 0, 0] = u1 - xi0
+    d[0, ..., 0, 1] = -xi0 * tanw
+    d[1, ..., 0, 0] = u2 - xi0
+    d[1, ..., 0, 1] = v2 - xi0 * tanw
     # both dot products go through matmul (BLAS dot), which rounds them
     # differently from a written-out sum; roots keep their last bits
-    return (gas.rho1 * (d1 @ w)[..., 0] - rho2 * (d2 @ w)[..., 0, 0]) / nw
+    dots = (d @ w)[..., 0, 0]
+    return (gas.rho1 * dots[0] - rho2 * dots[1]) / np.hypot(w[..., 0, 0], w[..., 1, 0])
 
 
-def _bisect_then_newton(f, a, b, fa, fb):
-    """Root of f in [a, b] (fa*fb < 0, fb may be NaN): bisection, then a Newton polish.
+def _brackets(gas, xi0, u1, tanw, n_scan):
+    """Sign-change brackets of the flux residual in u2, for each wedge slope in tanw.
 
-    Both loops stop at their fixed point, which is where the fixed 90
-    bisection steps and 6 polish passes would end anyway: the midpoint of
+    Each slope's u2 grid is n_scan points linear between 0 and u_hi, just
+    below the vacuum bound, plus a geometric tail toward 0 that captures the
+    weak root for near-normal wedges.  Returns (u_hi, lane, a, b, fa):
+    bracket k lies on slope lane[k], and the brackets of one slope come in
+    ascending u2.  fa == 0 marks a grid point that is itself a root.
+    """
+    u_hi = _u_vacuum(gas, xi0, tanw) * (1.0 - 1e-12)
+    # sorted, not deduplicated: a repeated point holds no sign change, and a
+    # repeated zero collapses with the other near-duplicate roots
+    grid = np.sort(
+        np.concatenate(
+            [
+                np.linspace(u_hi / n_scan, u_hi, n_scan, axis=-1),
+                u_hi[:, None] * np.logspace(-14, -3, 45),
+            ],
+            axis=1,
+        ),
+        axis=1,
+    )
+    # isothermal densities under- or overflow far along the scan at steep
+    # wedges; those points lie past the vacuum bound and read NaN
+    with np.errstate(over="ignore", under="ignore"):
+        vals = _flux_residual(gas, xi0, u1, tanw[:, None], grid)
+        va, vb = vals[:, :-1], vals[:, 1:]  # NaN (past the vacuum bound) compares false
+        lane, i = np.nonzero(((va == 0.0) & ~np.isnan(vb)) | (va * vb < 0.0))
+    return u_hi, lane, grid[lane, i], grid[lane, i + 1], va[lane, i]
+
+
+def _bisect_then_newton(f, a, b, fa):
+    """Roots of f in the brackets [a, b] (fa*f(b) < 0, f(b) may be NaN), one per lane.
+
+    f is elementwise and broadcasts against the lanes.  Every lane takes the
+    steps of a scalar bisection then Newton polish on its own bracket, in
+    lockstep: a lane freezes at its own exit, and each loop ends once every
+    lane has frozen.  Both exits are fixed points, which is where the fixed
+    90 bisection steps and 6 polish passes would end anyway: the midpoint of
     adjacent floats is one of them, and a rejected or null Newton step would
     be repeated exactly.
     """
+    live = np.ones(np.shape(a), dtype=bool)
     for _ in range(90):
         m = 0.5 * (a + b)
-        if m == a or m == b:
+        live &= (m != a) & (m != b)
+        if not live.any():
             break
         fm = f(m)
-        if np.isnan(fm) or fa * fm <= 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
+        right = np.isnan(fm) | (fa * fm <= 0.0)
+        b = np.where(live & right, m, b)
+        a = np.where(live & ~right, m, a)
+        fa = np.where(live & ~right, fm, fa)
     root = 0.5 * (a + b)
     # Newton polish with a relative finite-difference slope
+    live = np.ones(np.shape(a), dtype=bool)
     for _ in range(6):
-        h = 1e-7 * max(abs(root), 1e-8)
-        fp, fmn = f(root + h), f(root - h)
-        if np.isnan(fp) or np.isnan(fmn):
+        if not live.any():
             break
+        h = 1e-7 * np.maximum(np.abs(root), 1e-8)
+        fp, fmn, val = f(np.stack([root + h, root - h, root]))
         deriv = (fp - fmn) / (2.0 * h)
-        if deriv == 0.0:
-            break
-        val = f(root)
-        if np.isnan(val):
-            break
-        step = val / deriv
-        if not np.isfinite(step):
-            break
+        live &= ~np.isnan(fp) & ~np.isnan(fmn) & (deriv != 0.0) & ~np.isnan(val)
+        step = np.divide(val, deriv, out=np.full_like(root, np.nan), where=live)
         new = root - step
-        if new == root or not (a <= new <= b or abs(new - root) < 0.25 * (b - a)):
-            break
-        root = new
+        live &= np.isfinite(step) & (new != root)
+        live &= ((a <= new) & (new <= b)) | (np.abs(new - root) < 0.25 * (b - a))
+        root = np.where(live, new, root)
     return root
 
 
-def solve_state2(gas: GasParameters, theta_w: float, n_scan: int = 1000) -> dict:
+# linear scan points per wedge angle when solving for state (2)
+_N_SCAN = 1000
+
+
+def _solve_lanes(gas, theta_ws):
+    """solve_state2 for each angle, as its {"weak", "strong"} dict or its SrlabError."""
+    theta_ws = [float(t) for t in np.atleast_1d(theta_ws)]
+    for theta_w in theta_ws:
+        if not 0.0 < theta_w < np.pi / 2:
+            raise ValueError(f"theta_w must lie in (0, pi/2), got {theta_w}")
+    tanw = np.tan(np.asarray(theta_ws))
+    xi0, u1 = incident_shock(gas)
+
+    u_hi, lane, a, b, fa = _brackets(gas, xi0, u1, tanw, _N_SCAN)
+    f = lambda u2: _flux_residual(gas, xi0, u1, tanw[lane], u2)
+    with np.errstate(over="ignore", under="ignore"):
+        roots = np.where(fa == 0.0, a, _bisect_then_newton(f, a, b, fa))
+
+    results = []
+    for k, theta_w in enumerate(theta_ws):
+        # collapse near-duplicates from the overlapping grids
+        dedup = []
+        for r in sorted(roots[lane == k]):
+            if not dedup or abs(r - dedup[-1]) > 1e-9 * u_hi[k]:
+                dedup.append(r)
+        if not dedup:
+            results.append(NoRegularReflection(
+                f"no reflected-state root for theta_w={np.degrees(theta_w):.4f} deg "
+                f"(below the detachment angle for gamma={gas.gamma}, "
+                f"rho0={gas.rho0}, rho1={gas.rho1})"
+            ))
+            continue
+        try:
+            configs = []
+            for u2 in dedup:
+                v2, k2, rho2 = _state2_of_u2(gas, xi0, tanw[k], u2)
+                st2 = UniformState(u=float(u2), v=float(v2), k=float(k2), rho=float(rho2))
+                configs.append(_build_configuration(gas, theta_w, xi0, u1, st2))
+        except SrlabError as exc:
+            results.append(exc)
+            continue
+        configs.sort(key=lambda c: c.rho2)
+        results.append({"weak": replace(configs[0], branch="weak"),
+                        "strong": replace(configs[-1], branch="strong")})
+    return results
+
+
+def _warn_if_subsonic(weak, stacklevel):
+    if not weak.supersonic_at_P0:
+        warnings.warn(
+            f"weak branch at theta_w={np.degrees(weak.theta_w):.4f} deg is subsonic at P0 "
+            f"(margin {np.linalg.norm(np.asarray(weak.P0) - weak.center) - weak.c2:.3e}); "
+            "outside the supersonic regular-reflection regime",
+            NotSupersonicAtP0,
+            stacklevel=stacklevel + 1,
+        )
+
+
+def solve_state2_many(gas: GasParameters, theta_ws) -> list:
+    """solve_state2 at every wedge angle in theta_ws, in one pass.
+
+    Returns, per angle, the {"weak", "strong"} dict or the SrlabError that
+    solve_state2 would raise there, and warns NotSupersonicAtP0 for each
+    angle whose weak branch is subsonic at P0.  Input errors (an angle
+    outside (0, pi/2), an inadmissible incident shock) raise.  One scan
+    evaluates every angle's u2 grid in one array, and one lockstep
+    refinement polishes every bracket; a root is bit-equal to the one its
+    bracket gives when refined alone.
+    """
+    results = _solve_lanes(gas, theta_ws)
+    for both in results:
+        if isinstance(both, dict):
+            _warn_if_subsonic(both["weak"], stacklevel=2)
+    return results
+
+
+def solve_state2(gas: GasParameters, theta_w: float) -> dict:
     """Both branches of the reflected-state algebra for a wedge angle.
 
     Scans u2 between 0 and the vacuum bound (linear grid plus a geometric
     tail toward 0 that captures the weak root for near-normal wedges), then
-    refines each bracketed root by bisection and Newton.  Branches are
-    labeled weak/strong by ascending rho2.
+    refines each bracketed root by bisection and Newton, the brackets as
+    lanes of one array.  Branches are labeled weak/strong by ascending rho2.
+    The one-angle case of solve_state2_many: raises what that returns, and
+    warns NotSupersonicAtP0 when the weak branch is subsonic at P0.
     """
-    if not 0.0 < theta_w < np.pi / 2:
-        raise ValueError(f"theta_w must lie in (0, pi/2), got {theta_w}")
-    tanw = np.tan(theta_w)
-    xi0, u1 = incident_shock(gas)
-    u_hi = _u_vacuum(gas, xi0, tanw) * (1.0 - 1e-12)
-
-    f = lambda u2: _flux_residual(gas, xi0, u1, tanw, u2)
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.linspace(u_hi / n_scan, u_hi, n_scan),
-                u_hi * np.logspace(-14, -3, 45),
-            ]
-        )
-    )
-    # isothermal densities under- or overflow far along the scan at steep
-    # wedges; one errstate for the whole scan keeps the per-point cost low
-    with np.errstate(over="ignore", under="ignore"):
-        vals = f(grid)
-        va, vb = vals[:-1], vals[1:]  # NaN (past the vacuum bound) compares false
-        roots = [grid[i] if va[i] == 0.0 else _bisect_then_newton(f, grid[i], grid[i + 1], va[i], vb[i])
-                 for i in np.flatnonzero(((va == 0.0) & ~np.isnan(vb)) | (va * vb < 0.0))]
-    # collapse near-duplicates from the overlapping grids
-    dedup = []
-    for r in sorted(roots):
-        if not dedup or abs(r - dedup[-1]) > 1e-9 * u_hi:
-            dedup.append(r)
-    if not dedup:
-        raise NoRegularReflection(
-            f"no reflected-state root for theta_w={np.degrees(theta_w):.4f} deg "
-            f"(below the detachment angle for gamma={gas.gamma}, "
-            f"rho0={gas.rho0}, rho1={gas.rho1})"
-        )
-
-    configs = []
-    for u2 in dedup:
-        v2, k2, rho2 = _state2_of_u2(gas, xi0, tanw, u2)
-        st2 = UniformState(u=float(u2), v=float(v2), k=float(k2), rho=float(rho2))
-        configs.append(_build_configuration(gas, theta_w, xi0, u1, st2))
-    configs.sort(key=lambda c: c.rho2)
-    weak = replace(configs[0], branch="weak")
-    strong = replace(configs[-1], branch="strong")
-    if not weak.supersonic_at_P0:
-        warnings.warn(
-            f"weak branch at theta_w={np.degrees(theta_w):.4f} deg is subsonic at P0 "
-            f"(margin {np.linalg.norm(np.asarray(weak.P0) - weak.center) - weak.c2:.3e}); "
-            "outside the supersonic regular-reflection regime",
-            NotSupersonicAtP0,
-            stacklevel=2,
-        )
-    return {"weak": weak, "strong": strong}
+    (both,) = _solve_lanes(gas, [theta_w])
+    if isinstance(both, SrlabError):
+        raise both
+    _warn_if_subsonic(both["weak"], stacklevel=2)
+    return both
 
 
 def _build_configuration(gas, theta_w, xi0, u1, st2) -> ReflectionConfiguration:
@@ -484,17 +559,14 @@ def detachment_angle(gas: GasParameters, lo_deg: float = 5.0, hi_deg: float = 89
     """Bracket [lo, hi] (radians) for the smallest wedge angle with a reflected-state root.
 
     Purely empirical bisection on root existence; reported, not asserted
-    against any closed form.
+    against any closed form.  An angle has a root exactly when solve_state2's
+    u2 scan brackets one, so each test is that scan alone, at 400 linear
+    points: no refinement, no configuration.
     """
+    xi0, u1 = incident_shock(gas)
 
     def exists(deg):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NotSupersonicAtP0)
-                solve_state2(gas, np.radians(deg), n_scan=400)
-            return True
-        except (NoRegularReflection, VacuumState):
-            return False
+        return _brackets(gas, xi0, u1, np.tan(np.radians([deg])), 400)[1].size > 0
 
     lo, hi = lo_deg, hi_deg
     if exists(lo):

@@ -194,6 +194,56 @@ def test_sweep_nonpositive_step_exit_2(tmp_path, step):
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("bad", [["--rho1", "0.5"], ["--gamma", "0.5"],
+                                 ["--theta-min", "95", "--theta-max", "96"]])
+def test_sweep_bad_input_exit_2(tmp_path, capsys, bad):
+    # an inadmissible shock, a bad exponent and angles past 90 degrees are
+    # input errors: one line on stderr, and no output written
+    assert run(["sweep", *bad, "--out", str(tmp_path / "sw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration failed:") and err.count("\n") == 1
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_sweep_rows_equal_the_config_path(tmp_path, gamma):
+    # the sweep refines every angle's brackets in one lockstep pass; each row
+    # is still bit for bit the weak branch solve_state2 gives at its angle
+    import warnings
+
+    from srlab import GasParameters, solve_state2
+    from srlab.errors import NoRegularReflection, NotSupersonicAtP0
+
+    out = tmp_path / "sw"
+    assert run(["sweep", "--gamma", repr(gamma), "--out", str(out)]) == 0
+    rows = np.genfromtxt(out / "sweep.csv", delimiter=",", comments="#", skip_header=3)
+    assert len(rows) == 40
+    gas = GasParameters(gamma, 1.0, 2.0)
+    for theta, u2, v2, rho2, c2, *_ in rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotSupersonicAtP0)
+            if np.isnan(u2):
+                with pytest.raises(NoRegularReflection):
+                    solve_state2(gas, np.radians(theta))
+                continue
+            weak = solve_state2(gas, np.radians(theta))["weak"]
+        assert (weak.u2, weak.v2, weak.rho2, weak.c2) == (u2, v2, rho2, c2)
+    assert np.isfinite(rows[:, 1]).sum() >= 28  # gamma = 3 detaches at 61.09 deg
+
+
+def test_sweep_makes_few_residual_evaluations(tmp_path, monkeypatch):
+    # one scan and one lockstep refinement serve all 40 angles, and the
+    # detachment bisection runs on scans alone (5,393 evaluations when each
+    # bracket and each detachment probe was refined on its own)
+    import srlab.reflection
+
+    calls = []
+    residual = srlab.reflection._flux_residual
+    monkeypatch.setattr(srlab.reflection, "_flux_residual", lambda *a: (calls.append(1), residual(*a))[1])
+    assert run(["sweep", "--gamma", "1.4", "--out", str(tmp_path / "sw")]) == 0
+    assert len(calls) <= 200
+
+
 @pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "49,49", "--perturb", "0.2"],
                                         ["--mode", "reflection", "--grid", "81,41"]])
 def test_verify_regularity_takes_one_derivative_pass(tmp_path, monkeypatch, solve_args):

@@ -277,8 +277,9 @@ def test_root_scan_across_parameter_regimes():
 
 @pytest.mark.parametrize("gamma,theta_deg", [(1.4, 60.0), (1.0, 87.0), (3.0, 75.0)])
 def test_flux_residual_scan_matches_pointwise(gamma, theta_deg):
-    # the root scan brackets on the array evaluation and bisects on scalar
-    # ones, so both must agree, NaN past the vacuum bound included
+    # the residual is elementwise: a scan over a grid agrees with one
+    # evaluation per point, NaN past the vacuum bound included, to round-off
+    # only, since numpy's array and 0-d powers may round differently
     from srlab.reflection import _flux_residual, _u_vacuum
     from srlab.states import incident_shock
 
@@ -296,9 +297,10 @@ def test_flux_residual_scan_matches_pointwise(gamma, theta_deg):
 
 
 def test_bisection_stops_at_its_fixed_point():
-    # the bisection leaves once the bracket is two adjacent floats and the
-    # polish once a step is null or rejected; both are fixed points, so the
-    # root is the one a fixed 90-step bisection and 6-pass polish would give
+    # a lane leaves the bisection once its bracket is two adjacent floats and
+    # the polish once a step is null or rejected; both are fixed points, so
+    # each root is the one a fixed 90-step bisection and 6-pass polish would
+    # give, for one lane alone and for two lanes in lockstep
     from srlab.reflection import _bisect_then_newton, _flux_residual, _u_vacuum
     from srlab.states import incident_shock
 
@@ -311,35 +313,59 @@ def test_bisection_stops_at_its_fixed_point():
         calls.append(u2)
         return _flux_residual(gas, xi0, u1, tanw, u2)
 
+    def reference(ra, rb, rfa):
+        # one-lane arrays: a 0-d power may round differently from an array one
+        g = lambda u: _flux_residual(gas, xi0, u1, tanw, np.array([u]))[0]
+        for _ in range(90):
+            m = 0.5 * (ra + rb)
+            fm = g(m)
+            if np.isnan(fm) or rfa * fm <= 0.0:
+                rb = m
+            else:
+                ra, rfa = m, fm
+        ref = 0.5 * (ra + rb)
+        for _ in range(6):
+            h = 1e-7 * max(abs(ref), 1e-8)
+            fp, fmn = g(ref + h), g(ref - h)
+            if np.isnan(fp) or np.isnan(fmn) or fp == fmn:
+                break
+            val = g(ref)
+            step = val / ((fp - fmn) / (2.0 * h))
+            if np.isnan(val) or not np.isfinite(step):
+                break
+            new = ref - step
+            if ra <= new <= rb or abs(new - ref) < 0.25 * (rb - ra):
+                ref = new
+        return ref
+
     grid = np.linspace(1e-3, _u_vacuum(gas, xi0, tanw) * (1.0 - 1e-12), 200)
     vals = _flux_residual(gas, xi0, u1, tanw, grid)
-    k = int(np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[0])
-    a, b, fa, fb = grid[k], grid[k + 1], vals[k], vals[k + 1]
+    ks = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    assert len(ks) == 2  # the weak and the strong root
 
-    ra, rb, rfa = a, b, fa
-    for _ in range(90):
-        m = 0.5 * (ra + rb)
-        fm = f(m)
-        if np.isnan(fm) or rfa * fm <= 0.0:
-            rb = m
-        else:
-            ra, rfa = m, fm
-    ref = 0.5 * (ra + rb)
-    for _ in range(6):
-        h = 1e-7 * max(abs(ref), 1e-8)
-        fp, fmn = f(ref + h), f(ref - h)
-        if np.isnan(fp) or np.isnan(fmn) or fp == fmn:
-            break
-        val = f(ref)
-        step = val / ((fp - fmn) / (2.0 * h))
-        if np.isnan(val) or not np.isfinite(step):
-            break
-        new = ref - step
-        if ra <= new <= rb or abs(new - ref) < 0.25 * (rb - ra):
-            ref = new
+    for lanes in (ks[:1], ks):
+        calls.clear()
+        roots = _bisect_then_newton(f, grid[lanes], grid[lanes + 1], vals[lanes])
+        assert list(roots) == [reference(grid[k], grid[k + 1], vals[k]) for k in lanes]  # bit-equal
+        assert np.all(np.abs(_flux_residual(gas, xi0, u1, tanw, roots)) < 1e-12)
+        assert len(calls) < 90
 
-    calls.clear()
-    root = _bisect_then_newton(f, a, b, fa, fb)
-    assert root == ref  # bit-equal
-    assert abs(_flux_residual(gas, xi0, u1, tanw, root)) < 1e-12
-    assert len(calls) < 90
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_lanes_do_not_interact(gamma):
+    # every bracket of a 40-angle scan, refined alone, gives the root it
+    # gives among all the others, bit for bit
+    from srlab.reflection import _bisect_then_newton, _brackets, _flux_residual
+    from srlab.states import incident_shock
+
+    gas = srlab.GasParameters(gamma, 1.0, 2.0)
+    xi0, u1 = incident_shock(gas)
+    tanw = np.tan(np.radians(np.arange(50.0, 90.0)))
+    _, lane, a, b, fa = _brackets(gas, xi0, u1, tanw, 1000)
+    assert len(np.unique(lane)) >= 28  # gamma = 3 detaches at 61.09 deg
+    with np.errstate(over="ignore", under="ignore"):
+        together = _bisect_then_newton(lambda u: _flux_residual(gas, xi0, u1, tanw[lane], u), a, b, fa)
+        for k, t in enumerate(tanw[lane]):
+            one = slice(k, k + 1)
+            alone = _bisect_then_newton(lambda u: _flux_residual(gas, xi0, u1, t, u), a[one], b[one], fa[one])
+            assert alone[0] == together[k]
