@@ -31,7 +31,7 @@ from .errors import (
     ShockConditionDiverged,
     SrlabError,
 )
-from .grids import ScalarField2D
+from .grids import ScalarField2D, _write_csv
 from .reflection import ReflectionConfiguration, detachment_angle, solve_state2, solve_state2_many
 from .shock import ShockBoundaryFns, check_g_unique, largest_valid_eps, synthetic_quadratic_trace, write_trace_csv
 from .solver import (BoundaryConditions, GridSpec, SolverOptions, derivative_fields, solve,
@@ -123,12 +123,8 @@ def cmd_sweep(args) -> int:
                      cfg.residuals()["rh"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", encoding="ascii") as fh:
-        fh.write(f"# runconfig_digest={digest}\n")
-        fh.write(f"# detachment_bracket_deg={float(np.degrees(lo))!r},{float(np.degrees(hi))!r}\n")
-        fh.write("theta_deg,u2,v2,rho2,c2,supersonic_at_P0,rh_residual\n")
-        for r in rows:
-            fh.write(",".join(repr(float(v)) for v in r) + "\n")
+    _write_csv(out / "sweep.csv", ("theta_deg", "u2", "v2", "rho2", "c2", "supersonic_at_P0", "rh_residual"),
+               zip(*rows), digest, [f"detachment_bracket_deg={float(np.degrees(lo))!r},{float(np.degrees(hi))!r}"])
     print(f"wrote {out}/sweep.csv (digest {digest})")
     return 0
 
@@ -194,8 +190,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _verify_barriers(args, out, record, digest):
-    field = ScalarField2D.load(args.grid)
+def _verify_barriers(field, out, record, digest):
     cm = field.meta.get("coefficients", {})
     a, b, N = cm.get("a", _DEFAULT_A), cm.get("b", _DEFAULT_B), cm.get("N", 0.0)
     coeffs = model_coefficients(a, b) if cm.get("label", "model") == "model" else None
@@ -241,8 +236,7 @@ def _verify_barriers(args, out, record, digest):
     return checks
 
 
-def _verify_rh(args, out, record, digest):
-    cfg = ReflectionConfiguration.from_json(Path(args.config).read_text())
+def _verify_rh(cfg, out, record, digest):
     fns = ShockBoundaryFns(cfg)
     xi_samples = np.linspace(cfg.xi1 - 1.0, cfg.xi1 + 1.0, 20)
     scale = cfg.gas.rho1 * (1.0 + abs(cfg.u1)) + cfg.rho2 * (1.0 + abs(cfg.u2) + cfg.c2 + abs(cfg.xi1))
@@ -274,8 +268,7 @@ def _verify_rh(args, out, record, digest):
     return checks
 
 
-def _verify_regularity(args, out, record, digest):
-    field = ScalarField2D.load(args.grid)
+def _verify_regularity(field, out, record, digest):
     d = derivative_fields(field)  # one derivative pass serves the report and the station trace
     rep = diagnostics.full_report(field, d=d)
     cm = field.meta.get("coefficients", {})
@@ -311,19 +304,27 @@ def _verify_regularity(args, out, record, digest):
 
 def cmd_verify(args) -> int:
     need = "config" if args.what == "rh" else "grid"
-    if not getattr(args, need):
+    path = getattr(args, need)
+    if not path:
         print(f"verify --what {args.what} needs --{need}", file=sys.stderr)
+        return 2
+    try:
+        if need == "grid":
+            data = ScalarField2D.load(path)
+        else:
+            data = ReflectionConfiguration.from_json(Path(path).read_text())
+    except OSError as exc:  # missing file, or a directory given as a file
+        print(f"missing input: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, InvalidShock) as exc:  # does not parse (JSONDecodeError is a ValueError)
+        print(f"malformed input {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     record = _record(args, ("what", "grid", "config"))
     digest = _digest(record)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runner = {"barriers": _verify_barriers, "rh": _verify_rh, "regularity": _verify_regularity}[args.what]
-    try:
-        checks = runner(args, out, record, digest)
-    except OSError as exc:  # missing file, or a directory given as a file
-        print(f"missing input: {exc}", file=sys.stderr)
-        return 2
+    checks = runner(data, out, record, digest)
     if isinstance(checks, int):
         return checks
     if not checks:  # the report is written, but it assessed nothing

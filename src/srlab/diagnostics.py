@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InsufficientResolution, NonpositiveSamples
-from .grids import ScalarField2D
+from .grids import ScalarField2D, _write_csv
 from .solver import derivative_fields
 
 __all__ = [
@@ -289,13 +289,8 @@ def write_station_trace_csv(field: ScalarField2D, path, y_station: float | None 
         yval = np.full_like(field.xs, field.ys[j])
     else:
         yval = field.ys[j] * np.asarray(field.geometry["fhat"])
-    with open(path, "w", encoding="ascii") as fh:
-        if digest is not None:
-            fh.write(f"# runconfig_digest={digest}\n")
-        fh.write("x,y,psi,psi_x,psi_xx,fitted\n")
-        for i in range(field.nx):
-            row = (field.xs[i], yval[i], field.values[i, j], d["px"][i, j], d["pxx"][i, j], fitted[i])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    cols = (field.xs, yval, field.values[:, j], d["px"][:, j], d["pxx"][:, j], fitted)
+    _write_csv(path, ("x", "y", "psi", "psi_x", "psi_xx", "fitted"), cols, digest)
 
 
 def full_report(field: ScalarField2D, fit_stations=None, d=None) -> RegularityReport:

@@ -18,6 +18,16 @@ __all__ = ["ScalarField2D", "geometric_axis", "uniform_axis"]
 _MAGIC = b"SRLGRID1"
 
 
+def _write_csv(path, names, columns, digest: str | None = None, notes=()) -> None:
+    """srlab's one CSV format: "# runconfig_digest=" and "# <note>" lines, a header, rows of repr(float)."""
+    comments = ([f"runconfig_digest={digest}"] if digest is not None else []) + list(notes)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(",".join(names) + "\n")
+        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
     if n < 3:
         raise ValueError("need at least 3 nodes per axis")
@@ -119,7 +129,7 @@ class ScalarField2D:
             magic = fh.read(8)
             if magic != _MAGIC:
                 raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-            nx, ny = struct.unpack("<QQ", fh.read(16))
+            nx, ny = map(int, np.frombuffer(fh.read(16), dtype="<u8"))  # ValueError when truncated
             xs = np.frombuffer(fh.read(8 * nx), dtype="<f8").copy()
             ys = np.frombuffer(fh.read(8 * ny), dtype="<f8").copy()
             vals = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").copy().reshape(nx, ny)
@@ -134,12 +144,8 @@ class ScalarField2D:
 
     def export_csv(self, path, digest: str | None = None, x_index=None, y_index=None) -> None:
         """Write (x, y, psi) rows; restrict to one grid line with x_index/y_index."""
-        ii = range(self.nx) if x_index is None else [x_index]
-        jj = range(self.ny) if y_index is None else [y_index]
-        with open(path, "w", encoding="ascii") as fh:
-            if digest is not None:
-                fh.write(f"# runconfig_digest={digest}\n")
-            fh.write("x,y,psi\n")
-            for i in ii:
-                for j in jj:
-                    fh.write(f"{float(self.xs[i])!r},{float(self.ys[j])!r},{float(self.values[i, j])!r}\n")
+        ii = np.arange(self.nx) if x_index is None else [x_index]
+        jj = np.arange(self.ny) if y_index is None else [y_index]
+        cols = (np.repeat(self.xs[ii], len(jj)), np.tile(self.ys[jj], len(ii)),
+                self.values[np.ix_(ii, jj)].ravel())
+        _write_csv(path, ("x", "y", "psi"), cols, digest)

@@ -106,23 +106,19 @@ class ReflectionConfiguration:
         st1 = state1(self.gas)
         st2 = self.state2
         tau = np.asarray(self.s1_direction)
-        nu = np.array([tau[1], -tau[0]])
-        scale = 0.0
-        worst_rh = 0.0
-        worst_cont = 0.0
-        for t in np.linspace(-1.0, 1.0, n_samples):
-            p = np.asarray(self.P0) + t * tau
-            d1 = np.array([st1.u - p[0], st1.v - p[1]])
-            d2 = np.array([st2.u - p[0], st2.v - p[1]])
-            rh = st1.rho * (d1 @ nu) - st2.rho * (d2 @ nu)
-            scale = max(
-                scale,
-                st1.rho * (1.0 + np.linalg.norm(d1)) + st2.rho * (1.0 + np.linalg.norm(d2)),
-            )
-            worst_rh = max(worst_rh, abs(rh))
-            cont = st1.phi(*p) - st2.phi(*p)
-            worst_cont = max(worst_cont, abs(cont) / max(1.0, abs(st1.phi(*p))))
-        return {"rh": worst_rh / scale, "continuity": worst_cont}
+        nu = np.array([[tau[1]], [-tau[0]]])
+        p = np.asarray(self.P0) + np.linspace(-1.0, 1.0, n_samples)[:, None] * tau
+        # the offsets of both states as (1, 2) rows: every dot product and norm
+        # goes through matmul (BLAS dot), which rounds them as the 1-D dot does
+        d1 = (np.array([st1.u, st1.v]) - p)[:, None, :]
+        d2 = (np.array([st2.u, st2.v]) - p)[:, None, :]
+        rh = st1.rho * (d1 @ nu)[:, 0, 0] - st2.rho * (d2 @ nu)[:, 0, 0]
+        n1 = np.sqrt(d1 @ d1.transpose(0, 2, 1))[:, 0, 0]
+        n2 = np.sqrt(d2 @ d2.transpose(0, 2, 1))[:, 0, 0]
+        scale = np.max(st1.rho * (1.0 + n1) + st2.rho * (1.0 + n2))
+        phi1 = st1.phi(p[:, 0], p[:, 1])
+        cont = np.abs(phi1 - st2.phi(p[:, 0], p[:, 1])) / np.maximum(1.0, np.abs(phi1))
+        return {"rh": float(np.max(np.abs(rh)) / scale), "continuity": float(np.max(cont))}
 
     def to_json(self) -> str:
         d = {
@@ -502,8 +498,10 @@ def shock_depth_max(config: ReflectionConfiguration) -> float:
 def shock_chart_table(config: ReflectionConfiguration, xs):
     """Chart image of the straight reflected shock: y, dy/dx, d2y/dx2 at depths xs.
 
-    The line is parametrized by arclength t from P1; t(x) is recovered per
-    node by a Newton iteration on the strictly monotone depth function.
+    The line is parametrized by arclength t from P1.  Because |P1 - C| = c2,
+    the depth x = c2 - |P1 + t tau - C| solves t^2 + 2 beta0 t + x(2 c2 - x) = 0,
+    whose root in [0, -beta0] is taken in the form free of cancellation
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 1.8).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     center, P1, tau, beta0 = _chart_params(config)
@@ -514,15 +512,10 @@ def shock_chart_table(config: ReflectionConfiguration, xs):
             f"shock-chart depth outside [0, {xmax:.6g}] "
             f"(requested up to {np.max(xs):.6g})"
         )
-    t = np.clip(xs * c2 / (-beta0), 0.0, -beta0)
-    for _ in range(60):
-        r = np.sqrt(c2 * c2 + 2.0 * t * beta0 + t * t)
-        fval = (c2 - r) - xs
-        dfdt = -(beta0 + t) / r
-        step = fval / dfdt
-        t = np.clip(t - step, 0.0, -beta0 * (1.0 - 1e-15))
-        if np.max(np.abs(step)) < 1e-16 * max(1.0, c2):
-            break
+    q = xs * (2.0 * c2 - xs)
+    t = q / (-beta0 + np.sqrt(np.maximum(beta0 * beta0 - q, 0.0)))
+    # dx/dt vanishes at the chord midpoint t = -beta0, where y' and y'' blow up
+    t = np.clip(t, 0.0, -beta0 * (1.0 - 1e-15))
     r = np.sqrt(c2 * c2 + 2.0 * t * beta0 + t * t)
     p = P1[None, :] + t[:, None] * tau[None, :]
     d = p - center[None, :]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideDomain, VacuumState
+from .grids import _write_csv
 from .reflection import ReflectionConfiguration
 
 __all__ = [
@@ -38,6 +39,28 @@ def _simpson_weights(n):
     return w / (3.0 * (n - 1))
 
 
+def _chart(cfg, p1, p2, x, y):
+    """Physical gradient offset (q1, q2) and point (xi, eta) of chart data."""
+    ang = y + cfg.theta_w
+    r = cfg.c2 - x
+    cos, sin = np.cos(ang), np.sin(ang)
+    return -p1 * cos - p2 * sin / r, -p1 * sin + p2 * cos / r, cfg.u2 + r * cos, cfg.v2 + r * sin
+
+
+def _bernoulli(cfg, q1, q2, q3, xi, eta):
+    """Bernoulli linearisation lin at the state perturbed by (q1, q2, q3) at (xi, eta).
+
+    The density is rho2 exp(lin) for isothermal gas, else arg^(1/(gamma-1))
+    with arg = rho2^(gamma-1) + (gamma-1) lin; returns (lin, arg), arg None
+    for isothermal gas.
+    """
+    lin = (xi - cfg.u2) * q1 + (eta - cfg.v2) * q2 - 0.5 * (q1 * q1 + q2 * q2) - q3
+    if cfg.gas.isothermal:
+        return lin, None
+    g = cfg.gas.gamma
+    return lin, cfg.rho2 ** (g - 1.0) + (g - 1.0) * lin
+
+
 @dataclass
 class ShockBoundaryFns:
     """Evaluators for the combined shock condition of one configuration."""
@@ -48,21 +71,17 @@ class ShockBoundaryFns:
 
     def rho_perturbed(self, p1, p2, p3, xi, eta):
         """Density closure at a perturbed state (gradient offset p, potential offset p3)."""
-        cfg = self.config
-        gas = cfg.gas
         p1, p2, p3, xi, eta = np.broadcast_arrays(
             *map(np.asarray, (p1, p2, p3, xi, eta))
         )
-        lin = (xi - cfg.u2) * p1 + (eta - cfg.v2) * p2 - 0.5 * (p1 * p1 + p2 * p2) - p3
-        if gas.isothermal:
-            return cfg.rho2 * np.exp(lin)
-        g = gas.gamma
-        arg = cfg.rho2 ** (g - 1.0) + (g - 1.0) * lin
+        lin, arg = _bernoulli(self.config, p1, p2, p3, xi, eta)
+        if arg is None:
+            return self.config.rho2 * np.exp(lin)
         if np.any(arg.real <= 0.0):
             raise VacuumState(
                 f"perturbed Bernoulli argument nonpositive (min {np.min(arg.real):.6g})"
             )
-        return arg ** (1.0 / (g - 1.0))
+        return arg ** (1.0 / (self.config.gas.gamma - 1.0))
 
     def E(self, p1, p2, p3, xi, eta):
         """Combined mass-flux/continuity condition in physical coordinates."""
@@ -86,14 +105,8 @@ class ShockBoundaryFns:
 
     def Psi(self, p1, p2, p3, x, y):
         """F composed with the sonic chart; p1, p2 are the chart-gradient components."""
-        cfg = self.config
         p1, p2, p3, x, y = np.broadcast_arrays(*map(np.asarray, (p1, p2, p3, x, y)))
-        ang = y + cfg.theta_w
-        r = cfg.c2 - x
-        cos, sin = np.cos(ang), np.sin(ang)
-        q1 = -p1 * cos - p2 * sin / r
-        q2 = -p1 * sin + p2 * cos / r
-        xi = cfg.u2 + r * cos
+        q1, q2, xi, _ = _chart(self.config, p1, p2, x, y)
         return self.F(q1, q2, p3, xi)
 
     # -- closed forms at P1 ---------------------------------------------------
@@ -118,30 +131,21 @@ class ShockBoundaryFns:
 
     # -- admissible ball ------------------------------------------------------
 
-    def in_domain(self, p1, p2, p3, x, y) -> bool:
-        """Evaluation point lies within half the vacuum distance along its p-ray.
+    def in_domain(self, p1, p2, p3, x, y):
+        """Whether each evaluation point lies within half the vacuum distance along its p-ray.
 
-        The Bernoulli argument is sampled along t*(p1,p2,p3) for t in [0,2];
-        the factor 2 implements the half-distance margin.
+        Elementwise over the broadcast samples.  The Bernoulli argument is
+        sampled along t*(p1,p2,p3) for t in [0,2]; the factor 2 implements the
+        half-distance margin.  A point at or past the circle center (x >= c2)
+        is outside.
         """
         cfg = self.config
-        ang = float(y) + cfg.theta_w
-        r = cfg.c2 - float(x)
-        if r <= 0.0:
-            return False
-        cos, sin = np.cos(ang), np.sin(ang)
-        xi = cfg.u2 + r * cos
-        eta = cfg.v2 + r * sin
-        t = np.linspace(0.0, 2.0, 65)
-        q1 = (-p1 * cos - p2 * sin / r) * t
-        q2 = (-p1 * sin + p2 * cos / r) * t
-        q3 = p3 * t
-        lin = (xi - cfg.u2) * q1 + (eta - cfg.v2) * q2 - 0.5 * (q1 * q1 + q2 * q2) - q3
-        if cfg.gas.isothermal:
-            return True
-        g = cfg.gas.gamma
-        arg = cfg.rho2 ** (g - 1.0) + (g - 1.0) * lin
-        return bool(np.all(arg > 0.0))
+        p1, p2, p3, x, y = np.broadcast_arrays(*map(np.asarray, (p1, p2, p3, x, y)))
+        inside = x < cfg.c2  # exactly where r = c2 - x > 0
+        q1, q2, xi, eta = _chart(cfg, p1, p2, np.where(inside, x, 0.0), y)
+        t = np.linspace(0.0, 2.0, 65).reshape((65,) + (1,) * x.ndim)
+        _, arg = _bernoulli(cfg, q1 * t, q2 * t, p3 * t, xi, eta)
+        return inside if arg is None else inside & np.all(arg > 0.0, axis=0)
 
     # -- first-order expansion coefficients -----------------------------------
 
@@ -168,11 +172,10 @@ class ShockBoundaryFns:
         """
         x, y, psi, psi_x, psi_y = map(lambda a: np.atleast_1d(np.asarray(a, dtype=float)),
                                       (x, y, psi, psi_x, psi_y))
-        for i in range(x.size):
-            if not self.in_domain(psi_x[i], psi_y[i], psi[i], x[i], y[i]):
-                raise OutsideDomain(
-                    f"trace sample {i} (x={x[i]:.6g}) leaves the admissible ball"
-                )
+        bad = ~self.in_domain(psi_x, psi_y, psi, x, y)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise OutsideDomain(f"trace sample {i} (x={x[i]:.6g}) leaves the admissible ball")
         t = np.linspace(0.0, 1.0, _SIMPSON_POINTS)[:, None]
         w = _simpson_weights(_SIMPSON_POINTS)[:, None]
         partials = self.psi_gradient(t * psi_x[None, :], t * psi_y[None, :], t * psi[None, :],
@@ -259,14 +262,7 @@ def largest_valid_eps(config: ReflectionConfiguration, eps_candidates, n: int = 
 
 def write_trace_csv(path, x, y, psi, psi_x, psi_y, b1, b2, b3, digest: str | None = None):
     """Write a boundary trace (x, y, psi, psi_x, psi_y, b1, b2, b3) as CSV."""
-    cols = [np.asarray(c, dtype=float) for c in (x, y, psi, psi_x, psi_y, b1, b2, b3)]
-    n = cols[0].size
-    with open(path, "w", encoding="ascii") as fh:
-        if digest is not None:
-            fh.write(f"# runconfig_digest={digest}\n")
-        fh.write(",".join(_TRACE_COLUMNS) + "\n")
-        for i in range(n):
-            fh.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+    _write_csv(path, _TRACE_COLUMNS, (x, y, psi, psi_x, psi_y, b1, b2, b3), digest)
 
 
 def read_trace_csv(path):

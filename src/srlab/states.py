@@ -70,11 +70,6 @@ class UniformState:
         """Pseudo-velocity (u - xi, v - eta)."""
         return np.stack(np.broadcast_arrays(self.u - np.asarray(xi), self.v - np.asarray(eta)), axis=-1)
 
-    @property
-    def bernoulli_argument(self) -> float:
-        """phi + |Dphi|^2/2, constant for a uniform state."""
-        return self.k + 0.5 * (self.u**2 + self.v**2)
-
 
 def density_from_bernoulli(grad_sq, phi, gas: GasParameters):
     """Density from squared pseudo-speed and pseudo-potential.

@@ -187,6 +187,33 @@ def test_verify_without_input_exit_2(tmp_path, capsys, what):
     assert run(["verify", "--what", what, flag, str(tmp_path), "--out", str(tmp_path / "v")]) == 2
 
 
+def _malformed(tmp_path, case):
+    """(what, flag, path) of a verify input file that exists but does not parse."""
+    grid = tmp_path / "grid.srl"
+    ScalarField2D([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], np.zeros((3, 3))).save(grid)
+    if case == "bad_magic":
+        grid.write_bytes(b"NOTAGRID" + grid.read_bytes()[8:])
+    elif case == "truncated_grid":
+        grid.write_bytes(grid.read_bytes()[:-16])
+    elif case == "truncated_header":
+        grid.write_bytes(grid.read_bytes()[:12])
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json" if case == "config_not_json" else '{"gamma": 1.4}')
+        return "rh", "--config", cfg
+    return "regularity", "--grid", grid
+
+
+@pytest.mark.parametrize("case", ["bad_magic", "truncated_grid", "truncated_header",
+                                  "config_not_json", "config_missing_key"])
+def test_verify_malformed_input_exit_2(tmp_path, capsys, case):
+    what, flag, path = _malformed(tmp_path, case)
+    assert run(["verify", "--what", what, flag, str(path), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed input {path}:") and err.count("\n") == 1
+    assert not (tmp_path / "v" / f"verify_{what}.json").exists()
+
+
 @pytest.mark.parametrize("step", ["0", "-1"])
 def test_sweep_nonpositive_step_exit_2(tmp_path, step):
     # a step that never advances theta would loop without end

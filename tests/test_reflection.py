@@ -369,3 +369,61 @@ def test_lanes_do_not_interact(gamma):
             one = slice(k, k + 1)
             alone = _bisect_then_newton(lambda u: _flux_residual(gas, xi0, u1, t, u), a[one], b[one], fa[one])
             assert alone[0] == together[k]
+
+
+def _residuals_per_sample(cfg, n_samples=7):
+    # the per-sample loop that ReflectionConfiguration.residuals computes as arrays
+    st1 = srlab.state1(cfg.gas)
+    st2 = cfg.state2
+    tau = np.asarray(cfg.s1_direction)
+    nu = np.array([tau[1], -tau[0]])
+    scale = worst_rh = worst_cont = 0.0
+    for t in np.linspace(-1.0, 1.0, n_samples):
+        p = np.asarray(cfg.P0) + t * tau
+        d1 = np.array([st1.u - p[0], st1.v - p[1]])
+        d2 = np.array([st2.u - p[0], st2.v - p[1]])
+        rh = st1.rho * (d1 @ nu) - st2.rho * (d2 @ nu)
+        scale = max(scale, st1.rho * (1.0 + np.linalg.norm(d1)) + st2.rho * (1.0 + np.linalg.norm(d2)))
+        worst_rh = max(worst_rh, abs(rh))
+        cont = st1.phi(*p) - st2.phi(*p)
+        worst_cont = max(worst_cont, abs(cont) / max(1.0, abs(st1.phi(*p))))
+    return {"rh": worst_rh / scale, "continuity": worst_cont}
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_residuals_equal_the_per_sample_loop(gamma):
+    # bit for bit on both branches of a 0.5-degree sweep: the array form
+    # takes its dot products and norms as the loop's BLAS dots
+    gas = srlab.GasParameters(gamma, 1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSupersonicAtP0)
+        solved = srlab.solve_state2_many(gas, np.radians(np.arange(50.0, 89.01, 0.5)))
+    configs = [cfg for both in solved if isinstance(both, dict) for cfg in both.values()]
+    assert len(configs) >= 56  # gamma = 3 detaches at 61.09 deg
+    for cfg in configs:
+        res, ref = cfg.residuals(), _residuals_per_sample(cfg)
+        assert (res["rh"], res["continuity"]) == (ref["rh"], ref["continuity"])
+
+
+@pytest.mark.parametrize("gamma,theta_deg", [(1.4, 60.0), (2.0, 60.0), (1.0, 75.0)])
+def test_shock_chart_table_closed_form(gamma, theta_deg):
+    # y on a criterion-6 grid against the exact root of the same quadratic,
+    # t^2 + 2 beta0 t + x(2 c2 - x) = 0, at 40 digits on the float data
+    mp = pytest.importorskip("mpmath")
+    cfg = srlab.solve_state2(srlab.GasParameters(gamma, 1.0, 2.0), np.radians(theta_deg))["weak"]
+    xs = srlab.geometric_axis(cfg.c2 / 20.0, 121, 0.95)
+    y, _, _ = shock_chart_table(cfg, xs)
+    with mp.workdps(40):
+        d0 = [mp.mpf(p) - mp.mpf(c) for p, c in zip(cfg.P1, (cfg.u2, cfg.v2))]
+        tau = [mp.mpf(v) for v in cfg.s1_direction]
+        c2 = mp.mpf(cfg.c2)
+        beta0 = d0[0] * tau[0] + d0[1] * tau[1]
+        ref = []
+        for x in map(mp.mpf, xs):
+            t = -beta0 - mp.sqrt(beta0 * beta0 - x * (2 * c2 - x))
+            ref.append(float(mp.atan2(d0[1] + t * tau[1], d0[0] + t * tau[0]) - mp.mpf(cfg.theta_w)))
+    ref = np.array(ref)
+    assert np.max(np.abs(y - ref) / np.abs(ref)) <= 2e-15
+    assert y[0] == cfg.y1
+    # the chord midpoint, where dx/dt = 0: finite, and no warning (warnings fail the suite)
+    assert np.all(np.isfinite(shock_chart_table(cfg, [shock_depth_max(cfg)])))

@@ -197,3 +197,48 @@ def test_trace_csv_roundtrip(tmp_path, fns, weak60):
     assert np.array_equal(back["x"], x)
     assert np.array_equal(back["b1"], b1)
     assert "deadbeef" in path.read_text().splitlines()[0]
+
+
+def _in_domain_per_sample(cfg, p1, p2, p3, x, y):
+    # the scalar admissibility test that ShockBoundaryFns.in_domain applies elementwise
+    ang = float(y) + cfg.theta_w
+    r = cfg.c2 - float(x)
+    if r <= 0.0:
+        return False
+    cos, sin = np.cos(ang), np.sin(ang)
+    xi = cfg.u2 + r * cos
+    eta = cfg.v2 + r * sin
+    t = np.linspace(0.0, 2.0, 65)
+    q1 = (-p1 * cos - p2 * sin / r) * t
+    q2 = (-p1 * sin + p2 * cos / r) * t
+    q3 = p3 * t
+    lin = (xi - cfg.u2) * q1 + (eta - cfg.v2) * q2 - 0.5 * (q1 * q1 + q2 * q2) - q3
+    if cfg.gas.isothermal:
+        return True
+    g = cfg.gas.gamma
+    return bool(np.all(cfg.rho2 ** (g - 1.0) + (g - 1.0) * lin > 0.0))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+def test_in_domain_matches_the_per_sample_test(gamma):
+    # random samples spanning admissible and inadmissible rays, with depths
+    # past the circle center (x >= c2) that the elementwise test must not divide by
+    cfg = srlab.solve_state2(srlab.GasParameters(gamma, 1.0, 2.0), np.radians(60.0))["weak"]
+    fns = ShockBoundaryFns(cfg)
+    rng = np.random.default_rng(7)
+    n = 400
+    x = np.concatenate([rng.uniform(0.0, 1.2 * cfg.c2, n - 2), [cfg.c2, 0.0]])
+    y = rng.uniform(-0.5, 1.0, n)
+    p1, p2, p3 = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1, n) for _ in range(3))
+    ok = fns.in_domain(p1, p2, p3, x, y)
+    ref = [_in_domain_per_sample(cfg, *s) for s in zip(p1, p2, p3, x, y)]
+    assert ok.tolist() == ref
+    assert not ok.all() and ok.any()
+
+
+def test_bhat_names_the_first_inadmissible_sample(fns, weak60):
+    x, y, psi, px, py = synthetic_quadratic_trace(weak60, weak60.c2 / 20.0, 16)
+    px[[5, 9]] = 50.0
+    assert fns.in_domain(px, py, psi, x, y).tolist() == [i not in (5, 9) for i in range(16)]
+    with pytest.raises(OutsideDomain, match=r"trace sample 5 \(x="):
+        fns.bhat(x, y, psi, px, py)

@@ -4,7 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
 
 
@@ -41,3 +42,16 @@ def test_bench_solver_options_are_fields():
                     used += [(name, kw.arg) for kw in node.keywords]
     assert used
     assert [u for u in used if u[1] not in fields] == []
+
+
+def test_only_the_cli_prints():
+    # the library reports through logging and return values; the command
+    # line alone writes to stdout and stderr
+    printing = []
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                printing.append(f"{path.name}:{node.lineno}")
+    assert printing == []
