@@ -27,12 +27,14 @@ from .errors import (
     InvalidShock,
     NoConvergence,
     NoRegularReflection,
+    NoSonicIntersection,
     NotSupersonicAtP0,
     ShockConditionDiverged,
     SrlabError,
 )
 from .grids import ScalarField2D, _write_csv
-from .reflection import ReflectionConfiguration, detachment_angle, solve_state2, solve_state2_many
+from .reflection import (ReflectionConfiguration, detachment_angle, shock_depth_max, solve_state2,
+                         solve_state2_many)
 from .shock import ShockBoundaryFns, check_g_unique, largest_valid_eps, synthetic_quadratic_trace, write_trace_csv
 from .solver import (BoundaryConditions, GridSpec, SolverOptions, derivative_fields, solve,
                      solve_reflection_near_sonic)
@@ -313,11 +315,15 @@ def cmd_verify(args) -> int:
             data = ScalarField2D.load(path)
         else:
             data = ReflectionConfiguration.from_json(Path(path).read_text())
+            shock_depth_max(data)  # the rh checks read the shock's sonic chart
     except OSError as exc:  # missing file, or a directory given as a file
         print(f"missing input: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, InvalidShock) as exc:  # does not parse (JSONDecodeError is a ValueError)
         print(f"malformed input {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except NoSonicIntersection as exc:  # a strong-branch shock, say
+        print(f"no shock chart for {path}: {exc}", file=sys.stderr)
         return 2
     record = _record(args, ("what", "grid", "config"))
     digest = _digest(record)

@@ -1,22 +1,21 @@
-"""Picard solver for the degenerate near-boundary equation.
+"""Newton solver for the degenerate near-boundary equation.
 
 The finite differences are defined once, as per-node 3-point stencil
 tables along each axis, and the strip's chain rule once, as a linear map on
 a jet; the derivative pass applies both to values.  Each outer iteration
 evaluates the operator's coefficients once: they give the residual, and,
 with the leading one frozen (slope cutoff and x-proportional ellipticity
-floor, fixed constants), the rows of the frozen linear problem, one sparse
-9-point operator on the same stencils' weights, built once per solve.  Each
-outer step is a chord step: the residual of the frozen problem is solved
-with the last sparse LU factorisation (fixed column ordering), which is
-refactored only when the residual stops contracting by a fixed ratio.  The refactoring
-policy reads only the residual history, so every run is deterministic.
+floor, fixed constants), the rows of the frozen linear problem A(u), one
+sparse 9-point operator on the same stencils' weights, built once per solve.
+Each outer step is a Newton step on the residual A(u) u - rhs: its Jacobian
+adds the coefficients' partials in (psi, psi_x, psi_y), by complex step, on
+the same nine entries per row, and is factored afresh by one sparse LU
+(fixed column ordering), so every run is deterministic.
 
-Two domains share that one outer loop and that one factorisation: a
-rectangle (0, rhat) x (y_lo, y_hi), and the shock-fitted strip
-{0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s) with s = y/fhat(x), whose
-shock row carries the Newton linearisation of the jump condition in the
-same sparse system.
+Two domains share that one outer loop: a rectangle (0, rhat) x (y_lo, y_hi),
+and the shock-fitted strip {0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s)
+with s = y/fhat(x), whose shock row carries the Newton linearisation of the
+jump condition in the same sparse system.
 """
 
 import logging
@@ -26,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import (CoefficientModel, apply_coefficients, apply_operator, o_bound_audit,
-                           operator_coefficients, reflection_coefficients, zeta)
+                           coefficient_partials, operator_coefficients, reflection_coefficients, zeta)
 from .errors import EllipticityLoss, NoConvergence, ShockConditionDiverged, VacuumState
 from .grids import ScalarField2D, geometric_axis, uniform_axis
 from .reflection import ReflectionConfiguration, shock_chart_table, shock_depth_max
@@ -43,11 +42,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-# a chord step keeps the last LU while it contracts the residual by at least
-# this ratio; on the criterion-6 strips 0.5 refactors about twice as often,
-# and 0.9 doubles the outer steps without saving factorisations
-_REFACTOR_RATIO = 0.7
 
 # slope window (-(1 - beta)/a, M + 1/a), floor eps_ell * x, and the share of
 # interior nodes they may act on at convergence before EllipticityLoss
@@ -265,36 +259,50 @@ def _stencil_blocks(field, neumann, coupled):
     return block, nodes, tuple(np.ascontiguousarray(w[..., block[0], block[1]]) for w in jet)
 
 
-def _frozen_system(blocks, coefficients, shock=None):
-    """Assemble the frozen linear problem A(u) psi = rhs on the current iterate.
+def _newton_system(blocks, coefficients, partials, u, shock=None):
+    """Assemble the Newton step J du = rhs - A(u) u on the iterate u.
 
-    Each unknown node's row combines the jet weights of its block
-    (_stencil_blocks): with the frozen coefficients on interior and Neumann
-    rows, so those rows apply the operator whose residual the derivative pass
-    measures.  shock = (L1, L2, L3, rhs, dcut) gives the strip's top row the
-    linearised jump condition L1 psi_x + L2 psi_y + L3 psi = rhs on the same
-    weights, so there rhs - A(u) u = -G(u), and gives the cut column, the
-    shock corner included, the slope rows psi[nx-1, j] - psi[nx-2, j] = dcut.
+    A(u) psi = rhs is the frozen linear problem: each unknown node's row
+    combines the jet weights of its block (_stencil_blocks) with the frozen
+    coefficients on interior and Neumann rows, so those rows apply the
+    operator whose residual the derivative pass measures.  shock = (L1, L2,
+    L3, rhs, dcut) gives the strip's top row the linearised jump condition
+    L1 psi_x + L2 psi_y + L3 psi = rhs on the same weights, so there
+    rhs - A(u) u = -G(u), and gives the cut column, the shock corner
+    included, the slope rows psi[nx-1, j] - psi[nx-2, j] = dcut.  J adds to
+    the interior and Neumann rows the partials of their operator in
+    (psi, psi_x, psi_y), the coefficients' partials (coefficient_partials)
+    applied to the row's own jet, on the weights of those three, so J is the
+    Jacobian of A(u) u - rhs wherever the cutoff and floor are inactive; the
+    shock rows are Newton rows and the cut rows linear already.  A Neumann
+    row's coefficients read psi_y from the derivative pass's one-sided slope,
+    which its reflective stencil does not weight: J drops that dependence,
+    of the size of that slope, which vanishes with the mesh at convergence.
 
-    Returns A as CSR with rows over the unknowns and columns over all nodes,
-    both in C order, so rhs - A(u) u is the step's residual with the
-    Dirichlet data included, and rhs.
+    Returns J as CSR with rows over the unknowns and columns over all nodes,
+    both in C order, and rhs - A(u) u over the unknowns, Dirichlet data
+    included, from the same nine entries per row.
     """
     from scipy.sparse import csr_matrix
 
     block, nodes, W = blocks
     vals = sum(c[block] * w for c, w in zip(coefficients, W[1:]))
+    ub = np.moveaxis(u.ravel()[nodes].reshape(vals.shape[2:] + (3, 3)), (2, 3), (0, 1))  # each row's nine values
+    dL = apply_coefficients([p[(slice(None),) + block] for p in partials],
+                            [np.sum(w * ub, axis=(0, 1)) for w in W])
+    newton = sum(p * w for p, w in zip(dL, W))
     rhs = np.zeros(vals.shape[2:])
     if shock is not None:
         L1, L2, L3, rhs[:-1, -1], rhs[-1] = shock
         vals[..., :-1, -1] = sum(L * w[..., :-1, -1] for L, w in zip((L3, L1, L2), W))
         vals[..., -1, :] = W[0][..., -1, :] - W[0][..., -2, :]  # nodes nx-1 and nx-2 share their x-block
-    data = np.moveaxis(vals, (0, 1), (2, 3)).ravel()  # nine entries per row
-    shape = (rhs.size, coefficients[0].size)  # the coefficient arrays cover every node
+        newton[..., -1] = newton[..., -1, :] = 0.0
+    step_rhs = (rhs - np.sum(vals * ub, axis=(0, 1))).ravel()
+    data = np.moveaxis(vals + newton, (0, 1), (2, 3)).ravel()  # nine entries per row
     # eliminate_zeros compacts the indices in place, so it gets a copy of the cached ones
-    A = csr_matrix((data, nodes.copy(), np.arange(0, data.size + 1, 9)), shape=shape)
-    A.eliminate_zeros()  # reflective rows, closures without mixed or first-order y terms
-    return A, rhs.ravel()
+    J = csr_matrix((data, nodes.copy(), np.arange(0, data.size + 1, 9)), shape=(rhs.size, u.size))
+    J.eliminate_zeros()  # reflective rows, closures without mixed or first-order y terms
+    return J, step_rhs
 
 
 def _factor(A, shape, block, coupled):
@@ -329,10 +337,9 @@ def solve(
     """Solve the near-boundary equation on a rectangle.
 
     Dirichlet psi = 0 on x = 0; bc.outer on x = rhat; each y-side either
-    reflective (psi_y = 0) or Dirichlet.  Each Picard step freezes the
-    coefficients on the current iterate and takes a chord step on the frozen
-    linear problem (_picard); the first step is an exact frozen solve, so a
-    linear closure converges in one step.
+    reflective (psi_y = 0) or Dirichlet.  Each outer step is a Newton step
+    on the residual of the frozen linear problem (_picard); the Jacobian of
+    a linear closure is its frozen operator, so it converges in one step.
     init_field seeds the iteration from
     a coarser converged solve (nested iteration), carried over by a direct
     not-a-knot cubic spline fit along x and then y (bilinear below 4 nodes);
@@ -370,51 +377,48 @@ def solve(
 
 
 def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
-    """Chord iteration on field in place; returns field with its metadata.
+    """Newton iteration on field in place; returns field with its metadata.
 
     Each step evaluates the operator's coefficients once on the current
-    iterate, for its residual and for the frozen problem A(u) psi = rhs
-    (_frozen_system, on stencil blocks built at the first step), and steps
-    u += LU^-1 (rhs - A(u) u) with the last sparse LU.  The LU is refactored
-    on A(u) at the first step and whenever the previous step contracted the
-    residual by less than _REFACTOR_RATIO; a refactored step is the exact
-    frozen solve, and every fixed point has rhs = A(u) u, so the chord steps
-    change the cost, not the solution.  Convergence is judged on the operator
-    residual max |L psi| over all interior nodes and, on the strip, on the
-    scaled jump-condition residual that shock_row(d) returns from the step's
-    derivative pass d, together with the Newton and cut rows of the next step.
+    iterate, for its residual and for the frozen problem A(u) psi = rhs, and
+    their partials once, for the Jacobian J (_newton_system, on stencil
+    blocks built at the first step), and steps u += J^-1 (rhs - A(u) u)
+    with a fresh sparse LU of J.  Every fixed point has rhs = A(u) u, the
+    fixed point of the frozen (Picard) iteration.  Convergence is judged on
+    the operator residual max |L psi| over all interior nodes and, on the
+    strip, on the scaled jump-condition residual that shock_row(d) returns
+    from the step's derivative pass d, together with the Newton and cut rows
+    of the next step.  Each iteration logs its residuals and the norm
+    max |du| of the step that led to it at DEBUG.
     """
-    history = []
-    shock_res, shock = 0.0, None
-    lu, factorizations, blocks = None, 0, None
+    history, du = [], 0.0
+    shock_res, shock, blocks = 0.0, None, None
+    x, y = field.xs[:, None], _ordinates(field)
     for it in range(opts.max_iterations + 1):
         # one derivative pass and one evaluation of the coefficients serve both
-        # the residual of the current iterate and the frozen system of the next step
+        # the residual of the current iterate and the system of the next step
         d = derivative_fields(field)
         jet = [d[key] for key in _JET]
-        coefficients = operator_coefficients(coeffs, field.xs[:, None], _ordinates(field), *jet[:3])
+        coefficients = operator_coefficients(coeffs, x, y, *jet[:3])
         res = float(np.max(np.abs(apply_coefficients(coefficients, jet)[1:-1, 1:-1])))
         frozen, clamp_fraction = _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
         if shock_row is not None:
             shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
-        refactor = lu is None or history[-1] > _REFACTOR_RATIO * history[-2]
-        _log.debug("iteration %d: residual %.3e, shock %.3e, refactor %s", it, res, shock_res, refactor)
+        _log.debug("iteration %d: residual %.3e, shock %.3e, step max|du| %.3e", it, res, shock_res, du)
         if history[-1] <= opts.tolerance:
             break
         if it == opts.max_iterations:
             raise NoConvergence(opts.max_iterations, history[-1])
         blocks = blocks or _stencil_blocks(field, neumann, shock is not None)
-        A, rhs = _frozen_system(blocks, frozen, shock)
-        block = blocks[0]
-        if refactor:
-            lu = _factor(A, field.values.shape, block, shock is not None)
-            factorizations += 1
+        partials = coefficient_partials(coeffs, x, y, *jet[:3])
+        J, rhs = _newton_system(blocks, frozen, partials, field.values, shock)
+        step = _factor(J, field.values.shape, blocks[0], shock is not None).solve(rhs)
+        du = float(np.max(np.abs(step)))
         # written through the 2-D view: field.values need not be C-contiguous
-        step = lu.solve(rhs - A @ field.values.ravel())
-        field.values[block] += step.reshape(field.values[block].shape)
+        field.values[blocks[0]] += step.reshape(field.values[blocks[0]].shape)
 
-    _finalize_meta(field, coeffs, opts, bc, history, factorizations, clamp_fraction, d)
+    _finalize_meta(field, coeffs, opts, bc, history, clamp_fraction, d)
     if shock_row is not None:
         field.meta["outer_data"] = "synthetic slope surrogate psi_x = x/a at x=eps"
         field.meta["shock_residual"] = shock_res
@@ -423,8 +427,8 @@ def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
     return field
 
 
-def _finalize_meta(field, coeffs, opts, bc, history, factorizations, clamp_fraction, d):
-    """Sidecar metadata of a converged field; d is its derivative pass."""
+def _finalize_meta(field, coeffs, opts, bc, history, clamp_fraction, d):
+    """Sidecar metadata of a converged field; d is its derivative pass.  Every step factors its Jacobian once."""
     inner = np.s_[1:-1, 1:-1]
     xin = np.broadcast_to(field.xs[:, None], field.values.shape)[inner]
     audit = o_bound_audit(coeffs, xin, _ordinates(field)[inner], *(d[key][inner] for key in _JET[:3]))
@@ -441,7 +445,7 @@ def _finalize_meta(field, coeffs, opts, bc, history, factorizations, clamp_fract
             "options": opts.describe(),
             "bc": bc.describe() if bc is not None else {"kind": "sonic_strip"},
             "iterations": len(history),
-            "factorizations": factorizations,
+            "factorizations": len(history) - 1,
             "residual_history": [float(r) for r in history],
             "final_residual": float(history[-1]),
             "clamp_fraction": clamp_fraction,
@@ -470,9 +474,9 @@ def solve_reflection_near_sonic(
     the slope of the synthetic surrogate x^2/(2a) on the outer cut (flagged
     in metadata), taken in increment form u[nx-1] - u[nx-2] = (x_{nx-1}^2 -
     x_{nx-2}^2)/(2a).  The shock-row and cut values are unknowns of the same
-    sparse system as the interior: each outer step is a chord step on the
-    frozen interior problem together with one Newton linearisation of the
-    jump condition, whose tangential derivative couples neighbouring row values
+    sparse system as the interior: each outer step is one Newton step on the
+    interior operator and the jump condition together, whose tangential
+    derivative couples neighbouring row values
     (a column-by-column explicit Newton amplifies row roughness through the
     1/h tangential weights and diverges).  The shock corner (eps, fhat(eps))
     takes the cut row, so no boundary datum contradicts the jump condition

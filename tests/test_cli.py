@@ -214,6 +214,18 @@ def test_verify_malformed_input_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "v" / f"verify_{what}.json").exists()
 
 
+def test_verify_rh_without_shock_chart_exit_2(tmp_path, capsys):
+    # the strong branch's shock at 60 degrees does not enter the sonic circle
+    # at P1, so it has no sonic chart for the rh checks: an input refusal
+    assert run(["config", "--theta-w", "60", "--out", str(tmp_path / "cfg")]) == 0
+    capsys.readouterr()
+    path = tmp_path / "cfg" / "config_strong.json"
+    assert run(["verify", "--what", "rh", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"no shock chart for {path}:") and err.count("\n") == 1
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("step", ["0", "-1"])
 def test_sweep_nonpositive_step_exit_2(tmp_path, step):
     # a step that never advances theta would loop without end

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import srlab
-from srlab.coefficients import o_bound_audit, operator_coefficients, zeta
+from srlab.coefficients import coefficient_partials, o_bound_audit, operator_coefficients, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
 from srlab.solver import _ordinates, derivative_fields, residual
@@ -216,10 +216,36 @@ def test_reflection_field_converges_in_few_iterations(reflection_field):
     assert reflection_field.meta["iterations"] <= 40
 
 
-def test_reflection_field_reuses_its_factorizations(reflection_field):
-    # chord steps keep the last LU while the residual contracts
+def test_reflection_field_takes_newton_steps(reflection_field):
+    # every step factors the exact Jacobian afresh, and converges in a few
     meta = reflection_field.meta
-    assert 1 <= meta["factorizations"] <= meta["iterations"] // 2
+    assert meta["iterations"] <= 8
+    assert meta["factorizations"] == meta["iterations"] - 1
+
+
+def test_debug_log_gives_each_step_norm(model_ab, caplog):
+    # one DEBUG line per iteration, with the norm of the step that led to it
+    import logging
+
+    a, b = model_ab
+    outer = lambda y: (0.25 / (2 * a)) * (1.0 + 0.2 * np.cos(np.pi * y))
+    with caplog.at_level(logging.DEBUG, logger="srlab.solver"):
+        f = srlab.solve(srlab.model_coefficients(a, b), srlab.BoundaryConditions(outer=outer),
+                        srlab.GridSpec(rhat=0.5, nx=33, ny=33, grade_q=0.95), srlab.SolverOptions(tolerance=1e-9))
+    steps = [float(r.getMessage().rsplit(" ", 1)[1]) for r in caplog.records if "step max|du|" in r.getMessage()]
+    assert len(steps) == f.meta["iterations"]
+    assert steps[0] == 0.0 and steps[1] > 0.0
+    assert steps[-1] < 1e-3 * steps[1]
+
+
+def test_reflection_strip_steps_do_not_depend_on_the_mesh(weak60):
+    # Newton's step count stays put when the strip is refined twice over
+    opts = srlab.SolverOptions(tolerance=1e-9, max_iterations=40)
+    steps = [srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=nx, grid_ny=ny,
+                                               grade_q=0.95, opts=opts).meta["iterations"]
+             for nx, ny in ((121, 61), (241, 121))]
+    assert max(steps) <= 8
+    assert abs(steps[0] - steps[1]) <= 1
 
 
 def test_reflection_field_shock_condition_pointwise(reflection_field, weak60):
@@ -304,25 +330,46 @@ def _frozen(field, coeffs):
     return (coefficients,) + _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
 
 
-def _step_residual(field, coeffs, neumann, shock=None):
-    """rhs - A(u) u of the frozen system on field, over the unknown block, and the clamp fraction."""
-    from srlab.solver import _frozen_system, _stencil_blocks
+def _shock_row(field, fns):
+    """The jump residual G on the strip's shock row and its linearisation (L1, L2, L3, rhs, dcut = 0)."""
+    d = derivative_fields(field)
+    i = np.arange(1, field.nx - 1)
+    uJ, px, py = (d[key][i, -1] for key in ("psi", "px", "py"))
+    y = np.asarray(field.geometry["fhat"])[i]
+    G = fns.Psi(px, py, uJ, field.xs[i], y)
+    L1, L2, L3 = fns.psi_gradient(px, py, uJ, field.xs[i], y)
+    return G, (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G, 0.0)
+
+
+def _system(field, coeffs, neumann, fns=None):
+    """The solver's Newton system on field: J, rhs - A(u) u over the unknown block, and the clamp fraction.
+
+    fns gives the strip its shock row.
+    """
+    from srlab.solver import _newton_system, _stencil_blocks
 
     _, frozen, clamp = _frozen(field, coeffs)
+    d = derivative_fields(field)
+    partials = coefficient_partials(coeffs, field.xs[:, None], _ordinates(field), d["psi"], d["px"], d["py"])
+    shock = None if fns is None else _shock_row(field, fns)[1]
     blocks = _stencil_blocks(field, neumann, shock is not None)
-    A, rhs = _frozen_system(blocks, frozen, shock)
-    return (rhs - A @ field.values.ravel()).reshape(field.values[blocks[0]].shape), clamp
+    J, r = _newton_system(blocks, frozen, partials, field.values, shock)
+    return J, r.reshape(field.values[blocks[0]].shape), clamp
+
+
+def _perturbed(field):
+    """A non-converged iterate near a converged field, on which the cutoff and floor stay inactive."""
+    x, y = field.xs[:, None], field.ys[None, :]
+    return ScalarField2D(field.xs, field.ys, field.values + 1e-3 * x**2 * np.cos(2.0 * y + 0.3), field.geometry)
 
 
 def test_frozen_system_is_the_residual_operator_on_a_rectangle(model_field, model_ab):
     # the matrix the solver inverts applies the operator whose residual is
     # measured: on a perturbed iterate with the cutoff and floor inactive,
     # rhs - A(u) u = -L(u) on every interior row
-    f = model_field
-    x, y = f.xs[:, None], f.ys[None, :]
-    f = ScalarField2D(f.xs, f.ys, f.values + 1e-3 * x**2 * np.cos(2.0 * y + 0.3), {"kind": "rect"})
+    f = _perturbed(model_field)
     coeffs = srlab.model_coefficients(*model_ab)
-    r, clamp = _step_residual(f, coeffs, (True, True))
+    _, r, clamp = _system(f, coeffs, (True, True))
     _, L = residual(f, coeffs)
     assert clamp == 0.0
     scale = np.max(np.abs(L[1:-1, 1:-1]))
@@ -335,23 +382,56 @@ def test_frozen_system_is_the_residual_operator_on_the_strip(reflection_field, w
     # give -G(u), the jump condition on the stencils of the derivative pass
     from srlab.shock import ShockBoundaryFns
 
-    f = reflection_field
-    x, s = f.xs[:, None], f.ys[None, :]
-    f = ScalarField2D(f.xs, f.ys, f.values + 1e-3 * x**2 * np.cos(2.0 * s + 0.3), f.geometry)
+    f = _perturbed(reflection_field)
     coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
-    d = derivative_fields(f)
-    fns, i = ShockBoundaryFns(weak60), np.arange(1, f.nx - 1)
-    uJ, px, py = (d[key][i, -1] for key in ("psi", "px", "py"))
-    y = np.asarray(f.geometry["fhat"])[i]
-    G = fns.Psi(px, py, uJ, f.xs[i], y)
-    L1, L2, L3 = fns.psi_gradient(px, py, uJ, f.xs[i], y)
-    r, clamp = _step_residual(f, coeffs, (True, False), (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G, 0.0))
+    fns = ShockBoundaryFns(weak60)
+    G, _ = _shock_row(f, fns)
+    _, r, clamp = _system(f, coeffs, (True, False), fns)
     _, L = residual(f, coeffs)
     assert clamp == 0.0
     scale, gscale = np.max(np.abs(L[1:-1, 1:-1])), np.max(np.abs(G))
     assert scale > 1e-6 and gscale > 1e-6
     assert np.max(np.abs(r[:-1, 1:-1] + L[1:-1, 1:-1])) <= 1e-10 * scale
     assert np.max(np.abs(r[:-1, -1] + G)) <= 1e-10 * gscale
+
+
+def _check_jacobian(field, coeffs, neumann, rows, fns=None):
+    """J v against the central difference of A(u) u - rhs along v, on each group of rows."""
+    J, r, clamp = _system(field, coeffs, neumann, fns)
+    # a direction that scales like the field at the degenerate edge keeps the slope in its window
+    v = field.xs[:, None] ** 2 * np.random.default_rng(7).standard_normal(field.values.shape)
+    t = 1e-5
+    Jv = (J @ v.ravel()).reshape(r.shape)
+    sides = []
+    for sign in (1.0, -1.0):
+        g = ScalarField2D(field.xs, field.ys, field.values + sign * t * v, field.geometry)
+        _, r_g, clamp_g = _system(g, coeffs, neumann, fns)
+        sides.append(-r_g)
+        assert clamp_g == 0.0
+    fd = (sides[0] - sides[1]) / (2.0 * t)
+    assert clamp == 0.0
+    for name, row in rows.items():
+        scale = np.max(np.abs(Jv[row]))
+        assert scale > 0.0, name
+        assert np.max(np.abs(Jv[row] - fd[row])) <= 1e-6 * scale, name
+
+
+def test_jacobian_on_a_rectangle(model_field, model_ab):
+    # the Newton rows are the exact derivative of the step residual, Neumann rows included
+    coeffs = srlab.model_coefficients(*model_ab)
+    _check_jacobian(_perturbed(model_field), coeffs, (True, True),
+                    {"interior": np.s_[:, 1:-1], "neumann": np.s_[:, [0, -1]]})
+
+
+def test_jacobian_on_the_strip(reflection_field, weak60):
+    # on the strip through the chain rule, the shock rows included
+    from srlab.shock import ShockBoundaryFns
+
+    f = _perturbed(reflection_field)
+    coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
+    _check_jacobian(f, coeffs, (True, False),
+                    {"interior": np.s_[:-1, 1:-1], "neumann": np.s_[:-1, 0], "shock": np.s_[:-1, -1],
+                     "cut": np.s_[-1, :]}, ShockBoundaryFns(weak60))
 
 
 def test_frozen_lead_takes_the_cutoff_where_it_acts(reflection_field, weak60):
