@@ -89,8 +89,8 @@ class SolverOptions:
     omega_sor: float = 1.0  # no effect: the frozen problem is solved directly
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:  # NaN fails too
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         if not 0.0 < self.omega_sor < 2.0:
@@ -326,6 +326,24 @@ def _factor(A, shape, block, coupled):
 # -- rectangle solve -----------------------------------------------------------
 
 
+def _prolong(x, v, t, points):
+    """Values at t of the Lagrange interpolant of v along axis 0, on nodes x.
+
+    Each target takes the `points` nodes around the interval of x that holds
+    it, the end ones past either end of x.  Exact on polynomials of degree
+    below `points`; at a target equal to a node it returns that node's data
+    bit for bit, since the other weights are exact zeros.
+    """
+    start = np.clip(np.searchsorted(x, t, side="right") - points // 2, 0, x.size - points)
+    nodes = start[:, None] + np.arange(points)
+    xn = x[nodes]
+    eye = np.eye(points, dtype=bool)
+    num = np.where(eye, 1.0, t[:, None, None] - xn[:, None, :])
+    den = np.where(eye, 1.0, xn[:, :, None] - xn[:, None, :])
+    w = np.prod(num / den, axis=2)
+    return np.einsum("mp,mp...->m...", w, v[nodes])
+
+
 def solve(
     coeffs: CoefficientModel,
     bc: BoundaryConditions,
@@ -340,25 +358,21 @@ def solve(
     reflective (psi_y = 0) or Dirichlet.  Each outer step is a Newton step
     on the residual of the frozen linear problem (_picard); the Jacobian of
     a linear closure is its frozen operator, so it converges in one step.
-    init_field seeds the iteration from
-    a coarser converged solve (nested iteration), carried over by a direct
-    not-a-knot cubic spline fit along x and then y (bilinear below 4 nodes);
-    being exact on polynomials up to cubic in each variable, it keeps an
-    exact coarse solution exact, where SciPy's iterative tensor-spline fit
-    would leave an error for the fine solve to remove.  Otherwise the
-    start is the outer data times a power profile.  Raises NoConvergence past
-    the iteration budget and EllipticityLoss if the cutoff/floor is active on
-    more than _CLAMP_FAIL_FRACTION of the interior nodes of the converged
-    iterate.
+    init_field seeds the iteration from a coarser converged solve (nested
+    iteration), carried over by local Lagrange interpolation along x and then
+    y (_prolong: cubic, linear below 4 nodes); exact on polynomials up to
+    cubic in each variable, it keeps an exact coarse solution exact, and it
+    solves no system.  Otherwise the start is the outer data times a power
+    profile.  Raises NoConvergence past the iteration budget and
+    EllipticityLoss if the cutoff/floor is active on more than
+    _CLAMP_FAIL_FRACTION of the interior nodes of the converged iterate.
     """
     xs, ys = grid.axes()
     outer = np.asarray(bc.outer(ys), dtype=float) * np.ones_like(ys)
     if init_field is not None:
-        from scipy.interpolate import make_interp_spline
-
-        k = 3 if min(init_field.nx, init_field.ny) >= 4 else 1
-        u = make_interp_spline(init_field.xs, init_field.values, k=k, axis=0)(xs)
-        u = make_interp_spline(init_field.ys, u, k=k, axis=1)(ys)
+        points = 4 if min(init_field.nx, init_field.ny) >= 4 else 2
+        u = _prolong(init_field.xs, init_field.values, xs, points)
+        u = np.ascontiguousarray(_prolong(init_field.ys, u.T, ys, points).T)
     else:
         if init_power is None:
             init_power = 2.0 if coeffs.a > 0.0 else 1.5
@@ -391,7 +405,7 @@ def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
     of the next step.  Each iteration logs its residuals and the norm
     max |du| of the step that led to it at DEBUG.
     """
-    history, du = [], 0.0
+    history, lu_nnz, du = [], [], 0.0
     shock_res, shock, blocks = 0.0, None, None
     x, y = field.xs[:, None], _ordinates(field)
     for it in range(opts.max_iterations + 1):
@@ -413,12 +427,14 @@ def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
         blocks = blocks or _stencil_blocks(field, neumann, shock is not None)
         partials = coefficient_partials(coeffs, x, y, *jet[:3])
         J, rhs = _newton_system(blocks, frozen, partials, field.values, shock)
-        step = _factor(J, field.values.shape, blocks[0], shock is not None).solve(rhs)
+        lu = _factor(J, field.values.shape, blocks[0], shock is not None)
+        lu_nnz.append(int(lu.nnz))
+        step = lu.solve(rhs)
         du = float(np.max(np.abs(step)))
         # written through the 2-D view: field.values need not be C-contiguous
         field.values[blocks[0]] += step.reshape(field.values[blocks[0]].shape)
 
-    _finalize_meta(field, coeffs, opts, bc, history, clamp_fraction, d)
+    _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, clamp_fraction, d)
     if shock_row is not None:
         field.meta["outer_data"] = "synthetic slope surrogate psi_x = x/a at x=eps"
         field.meta["shock_residual"] = shock_res
@@ -427,8 +443,8 @@ def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
     return field
 
 
-def _finalize_meta(field, coeffs, opts, bc, history, clamp_fraction, d):
-    """Sidecar metadata of a converged field; d is its derivative pass.  Every step factors its Jacobian once."""
+def _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, clamp_fraction, d):
+    """Sidecar metadata of a converged field; d is its derivative pass, lu_nnz the L+U fill of each step's LU."""
     inner = np.s_[1:-1, 1:-1]
     xin = np.broadcast_to(field.xs[:, None], field.values.shape)[inner]
     audit = o_bound_audit(coeffs, xin, _ordinates(field)[inner], *(d[key][inner] for key in _JET[:3]))
@@ -445,7 +461,7 @@ def _finalize_meta(field, coeffs, opts, bc, history, clamp_fraction, d):
             "options": opts.describe(),
             "bc": bc.describe() if bc is not None else {"kind": "sonic_strip"},
             "iterations": len(history),
-            "factorizations": len(history) - 1,
+            "lu_nnz": lu_nnz,
             "residual_history": [float(r) for r in history],
             "final_residual": float(history[-1]),
             "clamp_fraction": clamp_fraction,
@@ -483,8 +499,8 @@ def solve_reflection_near_sonic(
     there and convergence is judged on every interior node.
     """
     xmax = shock_depth_max(config)
-    if eps >= xmax:
-        raise ValueError(f"eps={eps:.6g} exceeds the shock chart depth {xmax:.6g}")
+    if not 0.0 < eps < xmax:  # NaN fails too
+        raise ValueError(f"eps={eps:.6g} must lie in (0, {xmax:.6g}), the shock chart depth")
     coeffs = reflection_coefficients(config, eps)
     a = coeffs.a
     xs = geometric_axis(eps, grid_nx, grade_q)

@@ -169,13 +169,33 @@ def test_import_srlab_loads_no_scipy():
     code = "import srlab, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    # a nested solve that factors needs scipy.sparse only: the prolongation is numpy
+    code = ("import sys, numpy as np, srlab\n"
+            "bc = srlab.BoundaryConditions(outer=lambda y: 0.05 * (1.0 + 0.2 * np.cos(np.pi * y)))\n"
+            "prev = None\n"
+            "for n in (9, 17):\n"
+            "    prev = srlab.solve(srlab.model_coefficients(2.4, 0.78), bc, srlab.GridSpec(0.5, n, n),\n"
+            "                       init_field=prev)\n"
+            "assert prev.meta['lu_nnz'], 'the fine solve did not factor'\n"
+            "heavy = ('scipy.interpolate', 'scipy.special', 'scipy.optimize')\n"
+            "assert not [m for m in sys.modules if m.startswith(heavy)], sorted(sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("bad", [["--grid", "97"], ["--grid", "a,b"], ["--tol", "0"], ["--max-iter", "-1"]])
+@pytest.mark.parametrize("bad", [["--grid", "97"], ["--grid", "a,b"], ["--tol", "0"], ["--max-iter", "-1"],
+                                 ["--tol", "nan"]])
 def test_solve_bad_input_exit_2(tmp_path, capsys, bad):
     assert run(["solve", "--mode", "model", *bad, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration failed:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps_frac", ["-0.1", "nan", "0"])
+def test_solve_bad_strip_depth_exit_2(tmp_path, capsys, eps_frac):
+    assert run(["solve", "--mode", "reflection", "--eps-frac", eps_frac, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration failed: eps=") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("what", ["barriers", "rh", "regularity"])

@@ -5,7 +5,7 @@ import srlab
 from srlab.coefficients import coefficient_partials, o_bound_audit, operator_coefficients, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
-from srlab.solver import _ordinates, derivative_fields, residual
+from srlab.solver import _ordinates, _prolong, derivative_fields, residual
 
 
 def make_field(fn, rhat=0.5, n=49, q=1.0, ylim=1.0):
@@ -74,8 +74,9 @@ def test_zeta_identity_window_and_clamp():
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        srlab.SolverOptions(tolerance=-1.0)
+    for tol in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            srlab.SolverOptions(tolerance=tol)
     with pytest.raises(ValueError):
         srlab.SolverOptions(omega_sor=2.5)
     with pytest.raises(ValueError):
@@ -109,7 +110,7 @@ def test_linear_mode_three_halves(model_ab):
     # the linear closure's frozen operator is the operator itself, so one
     # exact frozen solve converges
     assert f.meta["iterations"] == 2
-    assert f.meta["factorizations"] == 1
+    assert len(f.meta["lu_nnz"]) == f.meta["iterations"] - 1
     err = np.max(np.abs(f.values - (f.xs**1.5)[:, None]))
     h = rhat / 64
     assert err <= 10 * h**1.5
@@ -187,6 +188,29 @@ def test_nested_start_exact_on_quadratic(model_ab):
         assert f.meta["final_residual"] <= 1e-9
 
 
+def test_prolong_exact_on_cubics_along_each_axis():
+    # graded, non-nested axes: the 65 fine nodes are not a refinement of the 33
+    xc, yc = geometric_axis(0.5, 33, 0.95), uniform_axis(-1.0, 1.0, 33)
+    xf, yf = geometric_axis(0.5, 65, 0.95), uniform_axis(-1.0, 1.0, 65) ** 3
+    cubic = lambda x, y: (1.0 - 2.0 * x + 3.0 * x**2 - 5.0 * x**3) * (0.5 + y - y**2 + 2.0 * y**3)
+    u = _prolong(xc, cubic(xc[:, None], yc[None, :]), xf, 4)
+    assert np.max(np.abs(u - cubic(xf[:, None], yc[None, :]))) <= 1e-13
+    u = _prolong(yc, u.T, yf, 4).T
+    assert np.max(np.abs(u - cubic(xf[:, None], yf[None, :]))) <= 1e-13
+
+
+def test_prolong_keeps_coincident_data_and_is_linear_on_two_points():
+    rng = np.random.default_rng(7)
+    x = geometric_axis(0.5, 33, 0.95)
+    t = np.sort(np.concatenate([x, 0.5 * (x[1:] + x[:-1])]))
+    v = rng.standard_normal((33, 5))
+    for points in (2, 4):
+        assert np.array_equal(_prolong(x, v, t, points)[::2], v)  # bit for bit
+    # two points: the piecewise-linear interpolant, as on an axis of fewer than 4 nodes
+    x3, t3 = np.array([0.0, 1.0, 2.0]), np.linspace(0.0, 2.0, 9)
+    assert np.allclose(_prolong(x3, x3**2, t3, 2), np.interp(t3, x3, x3**2), rtol=0.0, atol=1e-15)
+
+
 def test_solve_deterministic(model_ab):
     a, b = model_ab
     grid = srlab.GridSpec(rhat=0.5, nx=33, ny=33, grade_q=0.95)
@@ -220,7 +244,7 @@ def test_reflection_field_takes_newton_steps(reflection_field):
     # every step factors the exact Jacobian afresh, and converges in a few
     meta = reflection_field.meta
     assert meta["iterations"] <= 8
-    assert meta["factorizations"] == meta["iterations"] - 1
+    assert len(meta["lu_nnz"]) == meta["iterations"] - 1
 
 
 def test_debug_log_gives_each_step_norm(model_ab, caplog):
@@ -307,8 +331,9 @@ def test_reflection_solve_deterministic(weak60):
 def test_reflection_eps_bound(weak60):
     from srlab.reflection import shock_depth_max
 
-    with pytest.raises(ValueError):
-        srlab.solve_reflection_near_sonic(weak60, shock_depth_max(weak60) * 1.01)
+    for eps in (shock_depth_max(weak60) * 1.01, 0.0, -0.1 * weak60.c2, np.nan):
+        with pytest.raises(ValueError):
+            srlab.solve_reflection_near_sonic(weak60, eps)
 
 
 def test_o_bound_audit_model_is_zero(model_field, model_ab):
