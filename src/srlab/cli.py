@@ -67,14 +67,14 @@ def _record(args, keys) -> dict:
 def cmd_config(args) -> int:
     record = _record(args, ("gamma", "rho0", "rho1", "theta_w", "branch"))
     digest = _digest(record)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         gas = _gas(args)
         both = solve_state2(gas, np.radians(args.theta_w))
     except (NoRegularReflection, InvalidShock, ValueError) as exc:
         print(f"configuration failed: {exc}", file=sys.stderr)
         return 2
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     payload = {"runconfig": record, "runconfig_digest": digest}
     for name, cfg in both.items():
         payload[name] = json.loads(cfg.to_json())
@@ -92,12 +92,16 @@ def cmd_sweep(args) -> int:
 
     The angles run from --theta-min by repeated `theta += step` up to
     --theta-max, and one solve_state2_many call solves them all.  An angle
-    without a reflected state writes a NaN row; an input error (bad gas,
-    angle outside (0, 90) degrees, no root below 89.9 degrees) exits 2 and
-    writes nothing.
+    without a reflected state writes a NaN row; an input error (bad gas, a
+    range outside 0 < min <= max < 90 degrees, no root below 89.9 degrees)
+    exits 2 and writes nothing.
     """
     if not args.theta_step > 0.0:
         print(f"sweep needs --theta-step > 0, got {args.theta_step}", file=sys.stderr)
+        return 2
+    if not 0.0 < args.theta_min <= args.theta_max < 90.0:  # NaN fails too
+        print(f"configuration failed: sweep needs 0 < --theta-min <= --theta-max < 90, "
+              f"got {args.theta_min}, {args.theta_max}", file=sys.stderr)
         return 2
     record = _record(args, ("gamma", "rho0", "rho1", "theta_min", "theta_max", "theta_step"))
     digest = _digest(record)
@@ -144,8 +148,6 @@ def cmd_solve(args) -> int:
             "perturb", "a", "b", "gamma", "rho0", "rho1", "theta_w", "eps_frac", "out_name")
     record = _record(args, keys)
     digest = _digest(record)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         nx, ny = _parse_grid(args.grid)
         opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
@@ -176,6 +178,8 @@ def cmd_solve(args) -> int:
         return 2
     field.meta["runconfig"] = record
     field.meta["runconfig_digest"] = digest
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     stem = out / args.out_name
     field.save(stem)
     if args.format == "csv":

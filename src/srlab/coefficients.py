@@ -53,14 +53,14 @@ class CoefficientModel:
 
 def model_coefficients(a: float, b: float) -> CoefficientModel:
     """Leading-term closure with vanishing lower-order terms."""
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):  # NaN fails too
         raise ValueError("model closure needs a > 0 and b > 0")
     return CoefficientModel(a=a, b=b, N=0.0, label="model")
 
 
 def linear_coefficients(b: float) -> CoefficientModel:
     """Linear contrast closure (no gradient nonlinearity): a = 0."""
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError("linear closure needs b > 0")
     return CoefficientModel(a=0.0, b=b, N=0.0, label="linear")
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InsufficientResolution, NonpositiveSamples
 from .grids import ScalarField2D, _write_csv
-from .solver import derivative_fields
+from .solver import _JET, _ORDERS, _ordinates, derivative_fields
 
 __all__ = [
     "fit_power_law",
@@ -55,10 +55,12 @@ def fit_power_law(field: ScalarField2D, y_station: float, window=None):
 
 
 def limit_at_zero(xs, vals, k: int = 6, skip: int = 1):
-    """Extrapolate a column-sampled quantity to x = 0 by a linear fit in x.
+    """Extrapolate column-sampled quantities to x = 0 by a linear fit in x.
 
     Uses the k smallest-x samples after dropping `skip` noisiest first
-    columns.  Returns (limit, slope, rms).
+    columns.  vals is (n,) or (n, m); the m columns share one design matrix,
+    so one least-squares solve fits them all.  Returns (limit, slope, rms):
+    floats for 1-D vals, (m,) arrays otherwise.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals, dtype=float)
@@ -67,8 +69,10 @@ def limit_at_zero(xs, vals, k: int = 6, skip: int = 1):
     sl = slice(skip, skip + k)
     A = np.stack([np.ones(k), xs[sl]], axis=1)
     sol, *_ = np.linalg.lstsq(A, vals[sl], rcond=None)
-    rms = float(np.sqrt(np.mean((A @ sol - vals[sl]) ** 2)))
-    return float(sol[0]), float(sol[1]), rms
+    rms = np.sqrt(np.mean((A @ sol - vals[sl]) ** 2, axis=0))
+    if vals.ndim == 1:
+        return float(sol[0]), float(sol[1]), float(rms)
+    return sol[0], sol[1], rms
 
 
 def richardson_triplet(coarse, mid, fine, ratio: float = 2.0):
@@ -97,46 +101,29 @@ def _resolution_check(field):
 def sonic_limit_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1, d=None) -> dict:
     """Edge limits of psi_xx, psi_xy, psi_yy per y-station, plus 2*psi/x^2.
 
-    Second differences are taken at decreasing x and extrapolated to x = 0
-    station by station; the direct ratio 2*psi/x^2 is reported as an
-    independent consistency channel.  d is the field's derivative pass
-    (derivative_fields), computed here when not given.
+    Second differences are taken at decreasing x and extrapolated to x = 0,
+    every station in one fit per quantity; the direct ratio 2*psi/x^2 is
+    reported as an independent consistency channel.  d is the field's
+    derivative pass (derivative_fields), computed here when not given.
     """
     _resolution_check(field)
     d = derivative_fields(field) if d is None else d
-    ny = field.ny
-    if stations is None:
-        stations = np.arange(1, ny - 1)
-    stations = np.asarray(stations, dtype=int)
+    stations = np.arange(1, field.ny - 1) if stations is None else np.asarray(stations, dtype=int)
     xs = field.xs[1:-1]
-    out = {"stations_index": stations.tolist(), "k": k, "skip": skip}
-    if field.kind == "rect":
-        out["stations_y"] = [float(field.ys[j]) for j in stations]
-    else:
-        f0 = field.geometry["fhat"][0]
-        out["stations_y"] = [float(field.ys[j] * f0) for j in stations]
-    for name, arr in (("psi_xx", d["pxx"]), ("psi_xy", d["pxy"]), ("psi_yy", d["pyy"])):
-        lims = [limit_at_zero(xs, arr[1:-1, j], k, skip)[0] for j in stations]
-        out[name] = lims
-    ratio = 2.0 * field.values[1:-1, :] / field.xs[1:-1, None] ** 2
-    out["ratio_2psi_x2"] = [limit_at_zero(xs, ratio[:, j], k, skip)[0] for j in stations]
+    ratio = 2.0 * field.values[1:-1, stations] / xs[:, None] ** 2
+    out = {"stations_index": stations.tolist(), "k": k, "skip": skip,
+           "stations_y": _ordinates(field)[0, stations].tolist()}
+    for name, arr in (("psi_xx", d["pxx"][1:-1, stations]), ("psi_xy", d["pxy"][1:-1, stations]),
+                      ("psi_yy", d["pyy"][1:-1, stations]), ("ratio_2psi_x2", ratio)):
+        out[name] = limit_at_zero(xs, arr, k, skip)[0].tolist()
     return out
 
 
-def _station_rows(table, stations, k, skip):
-    """The rows of a sonic_limit_estimate table at the given stations, or None without a table."""
-    if table is None:
-        return None
-    if (table["k"], table["skip"]) != (k, skip):
-        raise ValueError("the edge-limit table was fitted with another k or skip")
-    row = {j: n for n, j in enumerate(table["stations_index"])}
-    return {key: [table[key][row[j]] for j in stations] for key in ("stations_y", "psi_xx", "ratio_2psi_x2")}
-
-
-_PAR_TERMS = (
-    ("psi", 0, 0), ("px", 1, 0), ("py", 0, 1),
-    ("pxx", 2, 0), ("pxy", 1, 1), ("pyy", 0, 2),
-)
+def _weighted_sups(field, d, alpha):
+    """sup over the interior of x^-(2 + alpha - k - l/2) |D^(k,l) psi|, per jet entry of d."""
+    x = field.xs[1:-1, None]
+    return [float(np.max(x ** -(2.0 + alpha - kk - ll / 2.0) * np.abs(d[name][1:-1, 1:-1])))
+            for name, (kk, ll) in zip(_JET, _ORDERS)]
 
 
 def parabolic_norm(field: ScalarField2D, d=None):
@@ -147,37 +134,28 @@ def parabolic_norm(field: ScalarField2D, d=None):
     field's derivative pass, computed here when not given.
     """
     d = derivative_fields(field) if d is None else d
-    x = field.xs[1:-1, None]
-    breakdown = {}
-    for name, kk, ll in _PAR_TERMS:
-        w = x ** (kk + ll / 2.0 - 2.0)
-        breakdown[name] = float(np.max(w * np.abs(d[name][1:-1, 1:-1])))
+    breakdown = dict(zip(_JET, _weighted_sups(field, d, 0.0)))
     return float(sum(breakdown.values())), breakdown
 
 
 def decay_bound_check(wfield: ScalarField2D, alpha: float):
     """Smallest ladder constants C with |D^(i,j) W| <= C x^(2+alpha-i-j/2)."""
-    d = derivative_fields(wfield)
-    x = wfield.xs[1:-1, None]
-    out = {}
-    for name, i, j in _PAR_TERMS:
-        w = x ** -(2.0 + alpha - i - j / 2.0)
-        out[f"C{i}{j}"] = float(np.max(w * np.abs(d[name][1:-1, 1:-1])))
-    return out
+    sups = _weighted_sups(wfield, derivative_fields(wfield), alpha)
+    return {f"C{i}{j}": c for (i, j), c in zip(_ORDERS, sups)}
 
 
-def jump_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1, table=None):
+def jump_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1, d=None):
     """Jump of the radial second derivative across the degenerate edge.
 
     The outer side is the uniform state (radial second derivative exactly -1),
-    so the jump equals the extrapolated edge limit of psi_xx.  table, a
-    sonic_limit_estimate of the field covering the stations, saves refitting
-    them.  Returns (jump, details).
+    so the jump equals the extrapolated edge limit of psi_xx.  d is the
+    field's derivative pass, computed here when not given.  Returns (jump,
+    details).
     """
     if stations is None:
         lo, hi = int(0.15 * field.ny), int(0.85 * field.ny)
         stations = np.arange(max(1, lo), max(2, hi))
-    est = _station_rows(table, stations, k, skip) or sonic_limit_estimate(field, stations, k, skip)
+    est = sonic_limit_estimate(field, stations, k, skip, d)
     vals = np.asarray(est["psi_xx"])
     return float(np.mean(vals)), {
         "per_station": est["psi_xx"],
@@ -201,15 +179,14 @@ def _bilinear(field_vals, xs, ys, xq, yq):
 
 
 def two_sequence_probe(field: ScalarField2D, omega: float | None = None, k: int = 6, skip: int = 1,
-                       d=None, table=None) -> dict:
+                       d=None) -> dict:
     """Second-derivative limits along two families approaching the shock/sonic corner.
 
     Family 1 stays near the degenerate edge at stations close to the corner
     ordinate; family 2 follows the shock image at offset (omega/10)x.  The
     shock-adjacent channel rides the straight-shock surrogate and is labeled
-    accordingly; it is informational, not a gate.  d (the derivative pass)
-    and table (a sonic_limit_estimate covering the corner stations) are
-    computed here when not given.
+    accordingly; it is informational, not a gate.  d is the field's
+    derivative pass, computed here when not given.
     """
     if field.kind != "sonic_strip":
         raise ValueError("two-sequence probe requires a shock-fitted strip field")
@@ -225,7 +202,7 @@ def two_sequence_probe(field: ScalarField2D, omega: float | None = None, k: int 
 
     ny = field.ny
     corners = np.arange(int(0.70 * ny), int(0.93 * ny))
-    est = _station_rows(table, corners, k, skip) or sonic_limit_estimate(field, corners, k, skip, d)
+    est = sonic_limit_estimate(field, corners, k, skip, d)
     sonic_vals = np.asarray(est["psi_xx"])
     sonic_limit = float(np.mean(sonic_vals))
 
@@ -285,20 +262,16 @@ def write_station_trace_csv(field: ScalarField2D, path, y_station: float | None 
         fitted = c * field.xs**p
     except (NonpositiveSamples, InsufficientResolution):
         fitted = np.full_like(field.xs, np.nan)
-    if field.kind == "rect":
-        yval = np.full_like(field.xs, field.ys[j])
-    else:
-        yval = field.ys[j] * np.asarray(field.geometry["fhat"])
-    cols = (field.xs, yval, field.values[:, j], d["px"][:, j], d["pxx"][:, j], fitted)
+    cols = (field.xs, _ordinates(field)[:, j], field.values[:, j], d["px"][:, j], d["pxx"][:, j], fitted)
     _write_csv(path, ("x", "y", "psi", "psi_x", "psi_xx", "fitted"), cols, digest)
 
 
 def full_report(field: ScalarField2D, fit_stations=None, d=None) -> RegularityReport:
     """Every regularity diagnostic of a field, on one derivative pass.
 
-    d is the field's derivative pass, computed here when not given.  The
-    jump and the sonic-adjacent limit are read from the one per-station
-    edge-limit table of sonic_limit_estimate.
+    d is the field's derivative pass, computed here when not given; the
+    edge limits, the jump and the two-family probe each fit their own
+    stations from it.
     """
     d = derivative_fields(field) if d is None else d
     rep = RegularityReport(
@@ -315,12 +288,12 @@ def full_report(field: ScalarField2D, fit_stations=None, d=None) -> RegularityRe
             rep.power_fits.append({"station": float(st), "error": str(exc)})
     try:
         rep.sonic_limits = sonic_limit_estimate(field, d=d)
-        rep.jump, rep.jump_details = jump_estimate(field, table=rep.sonic_limits)
+        rep.jump, rep.jump_details = jump_estimate(field, d=d)
     except InsufficientResolution as exc:
         rep.sonic_limits = {"error": str(exc)}
     val, br = parabolic_norm(field, d)
     rep.parabolic_norm_value = val
     rep.parabolic_breakdown = br
     if field.kind == "sonic_strip" and "error" not in rep.sonic_limits:  # same resolution check
-        rep.two_sequence = two_sequence_probe(field, d=d, table=rep.sonic_limits)
+        rep.two_sequence = two_sequence_probe(field, d=d)
     return rep

@@ -79,7 +79,7 @@ class ScalarField2D:
                 f"values shape {self.values.shape} does not match axes "
                 f"({self.xs.size}, {self.ys.size})"
             )
-        if np.any(np.diff(self.xs) <= 0.0) or np.any(np.diff(self.ys) <= 0.0):
+        if not (np.all(np.diff(self.xs) > 0.0) and np.all(np.diff(self.ys) > 0.0)):  # NaN fails too
             raise ValueError("axis coordinates must be strictly increasing")
 
     @property
@@ -130,6 +130,10 @@ class ScalarField2D:
             if magic != _MAGIC:
                 raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
             nx, ny = map(int, np.frombuffer(fh.read(16), dtype="<u8"))  # ValueError when truncated
+            size, have = 24 + 8 * (nx + ny + nx * ny), path.stat().st_size
+            if min(nx, ny) < 3 or have != size:
+                raise ValueError(f"header nx={nx}, ny={ny} needs at least 3 nodes per axis and "
+                                 f"{size} bytes, file has {have}")
             xs = np.frombuffer(fh.read(8 * nx), dtype="<f8").copy()
             ys = np.frombuffer(fh.read(8 * ny), dtype="<f8").copy()
             vals = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").copy().reshape(nx, ny)

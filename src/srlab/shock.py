@@ -134,18 +134,19 @@ class ShockBoundaryFns:
     def in_domain(self, p1, p2, p3, x, y):
         """Whether each evaluation point lies within half the vacuum distance along its p-ray.
 
-        Elementwise over the broadcast samples.  The Bernoulli argument is
-        sampled along t*(p1,p2,p3) for t in [0,2]; the factor 2 implements the
-        half-distance margin.  A point at or past the circle center (x >= c2)
-        is outside.
+        Elementwise over the broadcast samples.  Along t*(p1,p2,p3) the
+        Bernoulli argument is concave in t (its t^2 coefficient is
+        -(gamma-1)|q|^2/2) and positive at t = 0, so it stays positive on
+        [0,2] exactly when it is positive at t = 2; the factor 2 implements
+        the half-distance margin.  A point at or past the circle center
+        (x >= c2) is outside.
         """
         cfg = self.config
         p1, p2, p3, x, y = np.broadcast_arrays(*map(np.asarray, (p1, p2, p3, x, y)))
         inside = x < cfg.c2  # exactly where r = c2 - x > 0
         q1, q2, xi, eta = _chart(cfg, p1, p2, np.where(inside, x, 0.0), y)
-        t = np.linspace(0.0, 2.0, 65).reshape((65,) + (1,) * x.ndim)
-        _, arg = _bernoulli(cfg, q1 * t, q2 * t, p3 * t, xi, eta)
-        return inside if arg is None else inside & np.all(arg > 0.0, axis=0)
+        _, arg = _bernoulli(cfg, 2.0 * q1, 2.0 * q2, 2.0 * p3, xi, eta)
+        return inside if arg is None else inside & (arg > 0.0)
 
     # -- first-order expansion coefficients -----------------------------------
 

@@ -363,7 +363,8 @@ def solve(
     y (_prolong: cubic, linear below 4 nodes); exact on polynomials up to
     cubic in each variable, it keeps an exact coarse solution exact, and it
     solves no system.  Otherwise the start is the outer data times a power
-    profile.  Raises NoConvergence past the iteration budget and
+    profile.  Raises ValueError on boundary data that is not finite,
+    NoConvergence past the iteration budget and
     EllipticityLoss if the cutoff/floor is active on more than
     _CLAMP_FAIL_FRACTION of the interior nodes of the converged iterate.
     """
@@ -385,6 +386,8 @@ def solve(
     if not y_hi_neumann:
         u[:, -1] = np.asarray(bc.y_hi(xs), dtype=float)
     u[0, :] = 0.0
+    if not (np.all(np.isfinite(u[-1])) and np.all(np.isfinite(u[:, [0, -1]]))):
+        raise ValueError("boundary data must be finite")
 
     field = ScalarField2D(xs, ys, u, {"kind": "rect"}, {})
     return _picard(field, coeffs, opts, (y_lo_neumann, y_hi_neumann), bc)

@@ -35,6 +35,9 @@ class GasParameters:
     rho1: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.gamma, self.rho0, self.rho1))):
+            raise ValueError(f"gas parameters must be finite, got gamma={self.gamma}, "
+                             f"rho0={self.rho0}, rho1={self.rho1}")
         if self.gamma < 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if self.rho0 <= 0.0:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -35,8 +36,15 @@ def test_config_command(tmp_path):
     assert cfg.branch == "weak"
 
 
-def test_config_rejects_bad_gas(tmp_path):
-    assert run(["config", "--theta-w", "60", "--rho1", "0.5", "--out", str(tmp_path)]) == 2
+def test_config_rejects_bad_gas(tmp_path, capsys):
+    # an inadmissible shock, and gas data that is not finite (which used to
+    # pass as "below the detachment angle")
+    for bad in (["--rho1", "0.5"], ["--gamma", "nan"], ["--rho0", "nan"], ["--rho1", "nan"], ["--gamma", "inf"]):
+        assert run(["config", "--theta-w", "60", *bad, "--out", str(tmp_path / "cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration failed:") and err.count("\n") == 1
+        assert "detachment" not in err
+        assert not (tmp_path / "cfg").exists()
 
 
 def test_config_below_detachment_exit_2(tmp_path):
@@ -184,11 +192,13 @@ def test_import_srlab_loads_no_scipy():
 
 
 @pytest.mark.parametrize("bad", [["--grid", "97"], ["--grid", "a,b"], ["--tol", "0"], ["--max-iter", "-1"],
-                                 ["--tol", "nan"]])
+                                 ["--tol", "nan"], ["--a", "nan"], ["--b", "nan"], ["--rhat", "nan"],
+                                 ["--perturb", "nan"]])
 def test_solve_bad_input_exit_2(tmp_path, capsys, bad):
-    assert run(["solve", "--mode", "model", *bad, "--out", str(tmp_path)]) == 2
+    assert run(["solve", "--mode", "model", *bad, "--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration failed:") and err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("eps_frac", ["-0.1", "nan", "0"])
@@ -217,6 +227,10 @@ def _malformed(tmp_path, case):
         grid.write_bytes(grid.read_bytes()[:-16])
     elif case == "truncated_header":
         grid.write_bytes(grid.read_bytes()[:12])
+    elif case in ("huge_header", "empty_header"):
+        nx, ny = (2**62, 3) if case == "huge_header" else (0, 0)
+        data = grid.read_bytes()
+        grid.write_bytes(data[:8] + struct.pack("<QQ", nx, ny) + data[24:])
     else:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json" if case == "config_not_json" else '{"gamma": 1.4}')
@@ -224,8 +238,8 @@ def _malformed(tmp_path, case):
     return "regularity", "--grid", grid
 
 
-@pytest.mark.parametrize("case", ["bad_magic", "truncated_grid", "truncated_header",
-                                  "config_not_json", "config_missing_key"])
+@pytest.mark.parametrize("case", ["bad_magic", "truncated_grid", "truncated_header", "huge_header",
+                                  "empty_header", "config_not_json", "config_missing_key"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, case):
     what, flag, path = _malformed(tmp_path, case)
     assert run(["verify", "--what", what, flag, str(path), "--out", str(tmp_path / "v")]) == 2
@@ -254,9 +268,11 @@ def test_sweep_nonpositive_step_exit_2(tmp_path, step):
 
 
 @pytest.mark.parametrize("bad", [["--rho1", "0.5"], ["--gamma", "0.5"],
-                                 ["--theta-min", "95", "--theta-max", "96"]])
+                                 ["--theta-min", "95", "--theta-max", "96"], ["--theta-max", "inf"],
+                                 ["--theta-min", "nan"], ["--theta-min", "80", "--theta-max", "70"]])
 def test_sweep_bad_input_exit_2(tmp_path, capsys, bad):
-    # an inadmissible shock, a bad exponent and angles past 90 degrees are
+    # an inadmissible shock, a bad exponent and angle ranges outside
+    # 0 < min <= max < 90 degrees (an unbounded one would never end) are
     # input errors: one line on stderr, and no output written
     assert run(["sweep", *bad, "--out", str(tmp_path / "sw")]) == 2
     err = capsys.readouterr().err

@@ -203,11 +203,30 @@ def test_full_report_json_roundtrip(reflection_field):
     assert d["jump"] is not None
 
 
-def test_edge_limit_table_gives_the_same_numbers(reflection_field):
-    # the jump and the sonic-adjacent limit read from one edge-limit table
-    # are the same fits on the same arrays as when each refits its stations
-    table = dg.sonic_limit_estimate(reflection_field)
-    assert dg.jump_estimate(reflection_field, table=table) == dg.jump_estimate(reflection_field)
-    assert dg.two_sequence_probe(reflection_field, table=table) == dg.two_sequence_probe(reflection_field)
-    with pytest.raises(ValueError):
-        dg.jump_estimate(reflection_field, k=5, table=table)
+def test_sonic_limits_equal_the_per_station_fits(reflection_field, model_field):
+    # one least-squares solve over every station gives each station's own
+    # scalar fit bit for bit, on the strip and on the rectangle
+    from srlab.solver import _ordinates, derivative_fields
+
+    for f in (reflection_field, model_field):
+        d = derivative_fields(f)
+        est = dg.sonic_limit_estimate(f, d=d)
+        xs = f.xs[1:-1]
+        ratio = 2.0 * f.values[1:-1, :] / xs[:, None] ** 2
+        for n, j in enumerate(est["stations_index"]):
+            for name, arr in (("psi_xx", d["pxx"]), ("psi_xy", d["pxy"]), ("psi_yy", d["pyy"])):
+                assert est[name][n] == dg.limit_at_zero(xs, arr[1:-1, j])[0]
+            assert est["ratio_2psi_x2"][n] == dg.limit_at_zero(xs, ratio[:, j])[0]
+            assert est["stations_y"][n] == _ordinates(f)[0, j]
+    lim, slope, rms = dg.limit_at_zero(xs, ratio[:, :3])
+    assert lim.shape == slope.shape == rms.shape == (3,)
+    assert all(isinstance(v, float) for v in dg.limit_at_zero(xs, ratio[:, 0]))
+
+
+def test_parabolic_norm_is_the_decay_ladder_at_alpha_zero(reflection_field, model_field):
+    # both weight the same jet sups; the exponents agree in floating point at alpha = 0
+    for f in (reflection_field, model_field):
+        _, breakdown = dg.parabolic_norm(f)
+        ladder = dg.decay_bound_check(f, 0.0)
+        assert list(breakdown.values()) == list(ladder.values())
+        assert list(ladder) == ["C00", "C10", "C01", "C20", "C11", "C02"]

@@ -236,6 +236,29 @@ def test_in_domain_matches_the_per_sample_test(gamma):
     assert not ok.all() and ok.any()
 
 
+@pytest.mark.parametrize("gamma, theta_w", [(1.4, 60.0), (2.0, 60.0), (3.0, 75.0)])
+def test_in_domain_endpoint_test_matches_the_ray_scan(gamma, theta_w):
+    # the Bernoulli argument is concave along each ray and positive at its
+    # start, so its sign at t = 2 decides the ray; the reference is the scan
+    # of 65 samples on t in [0, 2] that in_domain used to take
+    cfg = srlab.solve_state2(srlab.GasParameters(gamma, 1.0, 2.0), np.radians(theta_w))["weak"]
+    rng = np.random.default_rng(11)
+    n = 20000
+    x = rng.uniform(0.0, 0.99 * cfg.c2, n)
+    y = rng.uniform(-0.5, 1.0, n)
+    p1, p2, p3 = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1, n) for _ in range(3))
+    r = cfg.c2 - x
+    cos, sin = np.cos(y + cfg.theta_w), np.sin(y + cfg.theta_w)
+    t = np.linspace(0.0, 2.0, 65)[:, None]
+    q1, q2 = (-p1 * cos - p2 * sin / r) * t, (-p1 * sin + p2 * cos / r) * t
+    xi, eta = cfg.u2 + r * cos, cfg.v2 + r * sin
+    lin = (xi - cfg.u2) * q1 + (eta - cfg.v2) * q2 - 0.5 * (q1 * q1 + q2 * q2) - p3 * t
+    ref = np.all(cfg.rho2 ** (gamma - 1.0) + (gamma - 1.0) * lin > 0.0, axis=0)
+    ok = ShockBoundaryFns(cfg).in_domain(p1, p2, p3, x, y)
+    assert np.array_equal(ok, ref)
+    assert 0.05 < ref.mean() < 0.95
+
+
 def test_bhat_names_the_first_inadmissible_sample(fns, weak60):
     x, y, psi, px, py = synthetic_quadratic_trace(weak60, weak60.c2 / 20.0, 16)
     px[[5, 9]] = 50.0
