@@ -119,13 +119,24 @@ def apply_L2(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     return apply_operator(coeffs, x, y, _barrier_jet(fn, x, y), companion=True)
 
 
-def l2_rhs(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
-    """(O1 - x O4)/a, evaluated on the barrier's own jet."""
+def _rhs_on_jet(coeffs: CoefficientModel, x, y, jet):
+    """(O1 - x O4)/a on a jet (psi, psi_x, psi_y, ...), the one spelling of L2's right side."""
     if coeffs.a == 0.0:
         raise ValueError("the deviation operator needs a > 0")
-    v, vx, vy, *_ = _barrier_jet(fn, x, y)
-    O1, _, _, O4, _ = coeffs.evaluate(np.asarray(x, dtype=float), y, v, vx, vy)
-    return (O1 - np.asarray(x, dtype=float) * O4) / coeffs.a
+    x = np.asarray(x, dtype=float)
+    O1, _, _, O4, _ = coeffs.evaluate(x, y, *jet[:3])
+    return (O1 - x * O4) / coeffs.a
+
+
+def l2_rhs(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
+    """(O1 - x O4)/a, evaluated on the barrier's own jet."""
+    return _rhs_on_jet(coeffs, x, y, _barrier_jet(fn, x, y))
+
+
+def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
+    """L2(fn) - l2_rhs(fn), both on one evaluation of the barrier's jet."""
+    jet = _barrier_jet(fn, x, y)
+    return apply_operator(coeffs, x, y, jet, companion=True) - _rhs_on_jet(coeffs, x, y, jet)
 
 
 # -- recipes ------------------------------------------------------------------
@@ -265,10 +276,18 @@ def choose_subsolution_params(
 # -- sign scans ---------------------------------------------------------------
 
 
+# x-rows per block of a scan: a 32 x 512 block keeps each jet entry and
+# operator term at 128 kB, inside a 2 MB L2 cache, where the whole
+# 512 x 512 grid makes 2 MB ones (64 rows: ~15% slower, 96 rows: ~80%)
+_SCAN_ROWS = 32
+
+
 def _scan(valfun, r, n, minimize):
     xs = np.linspace(r / n, r, n)
     ys = np.linspace(-1.0, 1.0, n)
-    vals = valfun(xs[:, None], ys[None, :])
+    vals = np.empty((n, n))
+    for k in range(0, n, _SCAN_ROWS):
+        vals[k:k + _SCAN_ROWS] = valfun(xs[k:k + _SCAN_ROWS, None], ys[None, :])
     pick = np.argmin(vals) if minimize else np.argmax(vals)
     i, j = np.unravel_index(pick, vals.shape)
     best = float(vals[i, j])
@@ -298,7 +317,7 @@ def scan_L2_defect_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: f
     want="negative" checks a supersolution (max < 0), want="positive" a
     subsolution (min > 0).
     """
-    fun = lambda x, y: apply_L2(barrier, coeffs, x, y) - l2_rhs(barrier, coeffs, x, y)
+    fun = lambda x, y: _l2_defect(barrier, coeffs, x, y)
     if want == "negative":
         best, arg = _scan(fun, r, n, minimize=False)
         return {"max": best, "argmax": arg, "n": n, "negative": best < 0.0}

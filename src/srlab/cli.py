@@ -45,6 +45,9 @@ from .states import GasParameters
 _DEFAULT_A = 2.4
 _DEFAULT_B = 0.7765781059372254
 
+# most wedge angles one sweep may ask for
+_MAX_SWEEP_ANGLES = 10_000
+
 
 def _digest(record: dict) -> str:
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
@@ -93,15 +96,24 @@ def cmd_sweep(args) -> int:
     The angles run from --theta-min by repeated `theta += step` up to
     --theta-max, and one solve_state2_many call solves them all.  An angle
     without a reflected state writes a NaN row; an input error (bad gas, a
-    range outside 0 < min <= max < 90 degrees, no root below 89.9 degrees)
-    exits 2 and writes nothing.
+    range outside 0 < min <= max < 90 degrees, a step below one ulp of the
+    range's top or one asking for more than _MAX_SWEEP_ANGLES angles, no root
+    below 89.9 degrees) exits 2 and writes nothing.
     """
-    if not args.theta_step > 0.0:
-        print(f"sweep needs --theta-step > 0, got {args.theta_step}", file=sys.stderr)
-        return 2
     if not 0.0 < args.theta_min <= args.theta_max < 90.0:  # NaN fails too
         print(f"configuration failed: sweep needs 0 < --theta-min <= --theta-max < 90, "
               f"got {args.theta_min}, {args.theta_max}", file=sys.stderr)
+        return 2
+    # a step of at least one ulp advances every theta up to the loop's end;
+    # a smaller one (or one <= 0, or NaN) may leave `theta += step` in place
+    if not args.theta_step >= np.spacing(args.theta_max + 1e-12):
+        print(f"configuration failed: sweep needs a --theta-step that advances theta, "
+              f"got {args.theta_step}", file=sys.stderr)
+        return 2
+    count = (args.theta_max - args.theta_min) / args.theta_step + 1.0
+    if count > _MAX_SWEEP_ANGLES:
+        print(f"configuration failed: sweep needs at most {_MAX_SWEEP_ANGLES} angles, "
+              f"--theta-step {args.theta_step} asks for {count:.3g}", file=sys.stderr)
         return 2
     record = _record(args, ("gamma", "rho0", "rho1", "theta_min", "theta_max", "theta_step"))
     digest = _digest(record)

@@ -244,3 +244,58 @@ def test_comparison_inapplicable_when_boundary_fails(model_field, recipe):
 def test_comparison_direction_validation(model_field, recipe):
     with pytest.raises(ValueError):
         verify_comparison(model_field, recipe.w_barrier(), "sideways", recipe.r0)
+
+
+def _three_scans(recipe, coeffs, n):
+    return (
+        scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0, n=n),
+        scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, n=n, want="negative"),
+        scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), coeffs, recipe.r2, n=n, want="positive"),
+    )
+
+
+@pytest.mark.parametrize("n", [512, 100])
+@pytest.mark.parametrize("closure", ["model", "reflection"])
+def test_scans_do_not_depend_on_the_row_block(recipe, model_ab, weak60, monkeypatch, n, closure):
+    # every value is elementwise, so the scans return the same dicts, bit for
+    # bit, for any number of x-rows per block (512: the whole grid at once)
+    a, b = model_ab
+    if closure == "model":
+        coeffs = srlab.model_coefficients(a, b)
+    else:
+        coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
+    ref = _three_scans(recipe, coeffs, n)
+    for rows in (1, 7, 512):
+        monkeypatch.setattr(srlab.barriers, "_SCAN_ROWS", rows)
+        assert _three_scans(recipe, coeffs, n) == ref
+
+
+@pytest.mark.parametrize("want", ["negative", "positive"])
+def test_defect_scan_is_apply_L2_minus_l2_rhs(recipe, model_ab, weak60, want):
+    # the scan's one-jet defect gives the extremum of apply_L2 - l2_rhs over
+    # the full grid and the 96 x 96 refinement around it, exactly
+    coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
+    fn, r, n = recipe.v_barrier(), recipe.r1, 200
+    defect = lambda x, y: apply_L2(fn, coeffs, x, y) - l2_rhs(fn, coeffs, x, y)
+    pick = np.argmax if want == "negative" else np.argmin
+    xs, ys = np.linspace(r / n, r, n), np.linspace(-1.0, 1.0, n)
+    grid = defect(xs[:, None], ys[None, :])
+    i, j = np.unravel_index(pick(grid), grid.shape)
+    xf = np.linspace(max(xs[max(i - 2, 0)], r / (8 * n)), xs[min(i + 2, n - 1)], 96)
+    yf = np.linspace(ys[max(j - 2, 0)], ys[min(j + 2, n - 1)], 96)
+    fine = defect(xf[:, None], yf[None, :])
+    both = np.array([grid[i, j], fine.flat[pick(fine)]])
+    rep = scan_L2_defect_sign(fn, coeffs, r, n=n, want=want)
+    key = "max" if want == "negative" else "min"
+    assert rep[key] == both[pick(both)]
+    assert rep["arg" + key] == (xs[i], ys[j])
+
+
+@pytest.mark.parametrize("want", ["negative", "positive"])
+def test_defect_scan_rejects_the_linear_closure(recipe, model_ab, want):
+    # L2's right side divides by a; the linear closure has a = 0
+    coeffs = srlab.linear_coefficients(model_ab[1])
+    with pytest.raises(ValueError, match="a > 0"):
+        scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, n=64, want=want)
+    with pytest.raises(ValueError, match="a > 0"):
+        l2_rhs(recipe.v_barrier(), coeffs, 0.1, 0.3)

@@ -260,7 +260,7 @@ def test_verify_rh_without_shock_chart_exit_2(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
-@pytest.mark.parametrize("step", ["0", "-1"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan"])
 def test_sweep_nonpositive_step_exit_2(tmp_path, step):
     # a step that never advances theta would loop without end
     assert run(["sweep", "--theta-step", step, "--out", str(tmp_path / "sw")]) == 2
@@ -269,11 +269,14 @@ def test_sweep_nonpositive_step_exit_2(tmp_path, step):
 
 @pytest.mark.parametrize("bad", [["--rho1", "0.5"], ["--gamma", "0.5"],
                                  ["--theta-min", "95", "--theta-max", "96"], ["--theta-max", "inf"],
-                                 ["--theta-min", "nan"], ["--theta-min", "80", "--theta-max", "70"]])
+                                 ["--theta-min", "nan"], ["--theta-min", "80", "--theta-max", "70"],
+                                 ["--theta-step", "1e-20"], ["--theta-step", "1e-9"]])
 def test_sweep_bad_input_exit_2(tmp_path, capsys, bad):
-    # an inadmissible shock, a bad exponent and angle ranges outside
-    # 0 < min <= max < 90 degrees (an unbounded one would never end) are
-    # input errors: one line on stderr, and no output written
+    # an inadmissible shock, a bad exponent, angle ranges outside
+    # 0 < min <= max < 90 degrees (an unbounded one would never end), a step
+    # that does not advance theta (50.0 + 1e-20 == 50.0) and one asking for
+    # more than 10,000 angles (1e-9 over 50..89 degrees: ~3.9e10) are input
+    # errors: one line on stderr, and no output written
     assert run(["sweep", *bad, "--out", str(tmp_path / "sw")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration failed:") and err.count("\n") == 1
@@ -322,8 +325,8 @@ def test_sweep_makes_few_residual_evaluations(tmp_path, monkeypatch):
 @pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "49,49", "--perturb", "0.2"],
                                         ["--mode", "reflection", "--grid", "81,41"]])
 def test_verify_regularity_takes_one_derivative_pass(tmp_path, monkeypatch, solve_args):
-    # the report, its edge-limit table, the two-family probe and the station
-    # trace all read one derivative pass
+    # the report's sonic limits, jump and parabolic norm, the two-family
+    # probe and the station trace all read one derivative pass
     import srlab.cli
     import srlab.diagnostics
 
