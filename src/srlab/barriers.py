@@ -191,11 +191,11 @@ class BarrierRecipe:
             "r0", "mu0", "A0", "k", "mu1", "alpha1", "r1", "alpha2", "r2")}
 
 
-def choose_growth_params(a: float, mu1: float, tol: float = 1e-8):
+def choose_growth_params(mu1: float):
     """Largest alpha with (1+alpha)(1 + (2+alpha)(1-mu1)/2) - 2 <= -mu1/4.
 
     The left side is increasing in alpha and strictly feasible at alpha = 0,
-    so bisection applies.  Returns (alpha1, r1_bound) where
+    so bisection applies, to a bracket of 1e-8.  Returns (alpha1, r1_bound) where
     r1_bound(C, r0) = min((mu1/(4C))^(1/(1-alpha1)), r0).
     """
     if not 0.0 < mu1 <= 0.5:
@@ -209,7 +209,7 @@ def choose_growth_params(a: float, mu1: float, tol: float = 1e-8):
     if lhs(hi) <= target:
         lo = hi
     else:
-        while hi - lo > tol:
+        while hi - lo > 1e-8:
             mid = 0.5 * (lo + hi)
             if lhs(mid) <= target:
                 lo = mid
@@ -230,15 +230,14 @@ def choose_subsolution_params(
     rhat: float,
     sigma,
     C0: float | None = None,
-    beta: float = 0.5,
-    max_halvings: int = 60,
 ) -> BarrierRecipe:
     """Constructive parameters for the quadratic lower barrier and its companions.
 
     sigma is the measured interior lower bound of the solution past depth r:
     a callable r -> sigma(r), or a number taken as sigma(r0).  The admissible
     window for A0 is guaranteed nonempty by the r0 choice; if a caller-supplied
-    C0 breaks it, r0 is halved before giving up.
+    C0 breaks it, r0 is halved up to 60 times before giving up.  The lower
+    decay barrier's growth exponent alpha2 is taken at beta = 1/2.
     """
     if min(a, b, rhat) <= 0.0 or N < 0.0:
         raise ValueError("need a, b, rhat > 0 and N >= 0")
@@ -248,7 +247,7 @@ def choose_subsolution_params(
     lo = 4.0 * C0 * r0**2
     hi = 1.0 / (8.0 * (b + N))
     halvings = 0
-    while lo >= hi and halvings < max_halvings:
+    while lo >= hi and halvings < 60:
         r0 *= 0.5
         lo = 4.0 * C0 * r0**2
         halvings += 1
@@ -262,9 +261,9 @@ def choose_subsolution_params(
     k = mu0 * A0
     mu1 = min(2.0 * a * mu0, 0.5)
     Cg = default_growth_C(b, N)
-    alpha1, r1_of = choose_growth_params(a, mu1)
+    alpha1, r1_of = choose_growth_params(mu1)
     r1 = r1_of(Cg, r0)
-    alpha2, r2_of = choose_growth_params(a, min(beta, 0.5))
+    alpha2, r2_of = choose_growth_params(0.5)
     r2 = r2_of(Cg, r0)
     return BarrierRecipe(
         a=a, b=b, N=N, rhat=rhat, sigma_at_r0=sig, C0=C0, C_growth=Cg,
@@ -347,15 +346,9 @@ class ComparisonReport:
         return d
 
 
-def verify_comparison(
-    field: ScalarField2D,
-    barrier: BarrierFunction,
-    direction: str,
-    r: float,
-    y0: float = 0.0,
-    halfwidth: float = 1.0,
-) -> ComparisonReport:
-    """Node-wise comparison of field against barrier(x, y - y0) on a window.
+def verify_comparison(field: ScalarField2D, barrier: BarrierFunction, direction: str,
+                      r: float) -> ComparisonReport:
+    """Node-wise comparison of field against barrier on the window x <= r, |y| <= 1.
 
     direction="below" asserts barrier <= field, "above" the reverse.  The
     boundary inequality is checked first; when it fails the comparison
@@ -365,12 +358,10 @@ def verify_comparison(
         raise ValueError("direction must be 'below' or 'above'")
     xs, ys = field.xs, field.ys
     isel = np.where(xs <= r * (1.0 + 1e-12))[0]
-    jsel = np.where(np.abs(ys - y0) <= halfwidth * (1.0 + 1e-12))[0]
+    jsel = np.where(np.abs(ys) <= 1.0 + 1e-12)[0]
     if isel.size < 3 or jsel.size < 3:
-        return ComparisonReport(False, False, 0, np.nan, 0, (r, y0, halfwidth))
-    bx = xs[isel][:, None]
-    by = (ys[jsel] - y0)[None, :]
-    bvals = barrier.value(bx, by)
+        return ComparisonReport(False, False, 0, np.nan, 0, (r, 0.0, 1.0))
+    bvals = barrier.value(xs[isel][:, None], ys[jsel][None, :])
     fvals = field.values[np.ix_(isel, jsel)]
     margin = fvals - bvals if direction == "below" else bvals - fvals
     boundary = np.zeros_like(margin, dtype=bool)
@@ -387,6 +378,6 @@ def verify_comparison(
         violations=int(bad.shape[0]),
         worst_margin=float(np.min(margin)),
         n_nodes=int(margin.size),
-        window=(float(xs[isel][-1]), float(y0), float(halfwidth)),
+        window=(float(xs[isel][-1]), 0.0, 1.0),
         violation_nodes=nodes,
     )

@@ -211,10 +211,7 @@ def cmd_solve(args) -> int:
 def _verify_barriers(field, out, record, digest):
     cm = field.meta.get("coefficients", {})
     a, b, N = cm.get("a", _DEFAULT_A), cm.get("b", _DEFAULT_B), cm.get("N", 0.0)
-    coeffs = model_coefficients(a, b) if cm.get("label", "model") == "model" else None
-    if coeffs is None:
-        print("barrier verification expects a model-closure grid", file=sys.stderr)
-        return 2
+    coeffs = model_coefficients(a, b)
 
     def sigma(r):
         mask = field.xs >= r
@@ -265,11 +262,12 @@ def _verify_rh(cfg, out, record, digest):
     trace = synthetic_quadratic_trace(cfg, cfg.c2 / 20.0, 48)
     b1, b2, b3 = fns.bhat(*trace)
     write_trace_csv(out / "shock_trace.csv", *trace, b1, b2, b3, digest=digest)
+    summary = fns.bhat_report(b1, b2, b3)
     checks = {
         "shock_condition_anchor_zero": bool(anchor < 1e-12),
         "gradient_coefficient_positive": bool(p1a > 0.0),
         "gradient_coefficient_forms_agree": bool(abs(p1a - p1b) < 1e-10 * max(1.0, abs(p1a))),
-        "b1_above_lambda_on_quadratic_trace": bool(np.min(b1) >= 0.5 * p1a),
+        "b1_above_lambda_on_quadratic_trace": summary["min_b1"] >= summary["lambda"],
     }
     if cfg.gas.gamma > 1.0:
         checks["sonic_flux_function_unique_root"] = check_g_unique(cfg.gas.gamma)
@@ -278,8 +276,7 @@ def _verify_rh(cfg, out, record, digest):
         "anchor_residual": anchor,
         "psi_p1": {"explicit": p1a, "tangential_form": p1b},
         "largest_eps_with_b1_margin": eps_ok,
-        "bhat_summary": {"min_b1": float(np.min(b1)), "max_abs_b2": float(np.max(np.abs(b2))),
-                         "max_abs_b3": float(np.max(np.abs(b3))), "lambda": 0.5 * p1a},
+        "bhat_summary": summary,
         "checks": checks,
     }
     _write_json(out / "verify_rh.json", payload)
@@ -341,14 +338,15 @@ def cmd_verify(args) -> int:
     except NoSonicIntersection as exc:  # a strong-branch shock, say
         print(f"no shock chart for {path}: {exc}", file=sys.stderr)
         return 2
+    if args.what == "barriers" and data.meta.get("coefficients", {}).get("label", "model") != "model":
+        print("barrier verification expects a model-closure grid", file=sys.stderr)
+        return 2
     record = _record(args, ("what", "grid", "config"))
     digest = _digest(record)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runner = {"barriers": _verify_barriers, "rh": _verify_rh, "regularity": _verify_regularity}[args.what]
     checks = runner(data, out, record, digest)
-    if isinstance(checks, int):
-        return checks
     if not checks:  # the report is written, but it assessed nothing
         print(f"verify --what {args.what}: no check could run on this input", file=sys.stderr)
         return 2

@@ -160,11 +160,11 @@ def zeta(s, a: float, beta: float, M: float):
     return np.clip(s, -(1.0 - beta) / a, M + 1.0 / a)
 
 
-def o_bound_audit(coeffs: CoefficientModel, x, y, psi, psi_x, psi_y, x_floor: float = 0.0) -> dict:
-    """Measured sup of |O1|/x^2 and |Ok|/x over nodes with x > x_floor."""
+def o_bound_audit(coeffs: CoefficientModel, x, y, psi, psi_x, psi_y) -> dict:
+    """Measured sup of |O1|/x^2 and |Ok|/x over nodes with x > 0."""
     O = coeffs.evaluate(x, y, psi, psi_x, psi_y)
     x = np.asarray(x, dtype=float)
-    mask = x > x_floor
+    mask = x > 0.0
     if not np.any(mask):
         return {"o1_over_x2": 0.0, "ok_over_x": 0.0, "nominal_N": coeffs.N}
     xm = x[mask]

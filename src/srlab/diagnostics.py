@@ -54,7 +54,12 @@ def fit_power_law(field: ScalarField2D, y_station: float, window=None):
     return float(p), float(np.exp(logc)), rms
 
 
-def limit_at_zero(xs, vals, k: int = 6, skip: int = 1):
+# edge fits: the _EDGE_SAMPLES smallest-x samples after skipping the
+# _EDGE_SKIP noisiest first columns
+_EDGE_SAMPLES, _EDGE_SKIP = 6, 1
+
+
+def limit_at_zero(xs, vals, k: int = _EDGE_SAMPLES, skip: int = _EDGE_SKIP):
     """Extrapolate column-sampled quantities to x = 0 by a linear fit in x.
 
     Uses the k smallest-x samples after dropping `skip` noisiest first
@@ -75,8 +80,8 @@ def limit_at_zero(xs, vals, k: int = 6, skip: int = 1):
     return sol[0], sol[1], rms
 
 
-def richardson_triplet(coarse, mid, fine, ratio: float = 2.0):
-    """Extrapolate a grid triplet; the order is measured, not assumed.
+def richardson_triplet(coarse, mid, fine):
+    """Extrapolate a grid triplet refined by a ratio of 2; the order is measured, not assumed.
 
     Returns (extrapolated, measured_order).  Falls back to the finest value
     (order inf) when the differences sit at round-off.
@@ -85,8 +90,8 @@ def richardson_triplet(coarse, mid, fine, ratio: float = 2.0):
     scale = max(abs(coarse), abs(mid), abs(fine), 1e-300)
     if abs(d2) < 1e-12 * scale or abs(d1) <= abs(d2):
         return float(fine), float("inf")
-    p = np.log(abs(d1 / d2)) / np.log(ratio)
-    extrap = fine + d2 / (ratio**p - 1.0)
+    p = np.log(abs(d1 / d2)) / np.log(2.0)
+    extrap = fine + d2 / (2.0**p - 1.0)
     return float(extrap), float(p)
 
 
@@ -98,7 +103,7 @@ def _resolution_check(field):
         )
 
 
-def sonic_limit_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1, d=None) -> dict:
+def sonic_limit_estimate(field: ScalarField2D, stations=None, d=None) -> dict:
     """Edge limits of psi_xx, psi_xy, psi_yy per y-station, plus 2*psi/x^2.
 
     Second differences are taken at decreasing x and extrapolated to x = 0,
@@ -111,11 +116,11 @@ def sonic_limit_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: 
     stations = np.arange(1, field.ny - 1) if stations is None else np.asarray(stations, dtype=int)
     xs = field.xs[1:-1]
     ratio = 2.0 * field.values[1:-1, stations] / xs[:, None] ** 2
-    out = {"stations_index": stations.tolist(), "k": k, "skip": skip,
+    out = {"stations_index": stations.tolist(), "k": _EDGE_SAMPLES, "skip": _EDGE_SKIP,
            "stations_y": _ordinates(field)[0, stations].tolist()}
     for name, arr in (("psi_xx", d["pxx"][1:-1, stations]), ("psi_xy", d["pxy"][1:-1, stations]),
                       ("psi_yy", d["pyy"][1:-1, stations]), ("ratio_2psi_x2", ratio)):
-        out[name] = limit_at_zero(xs, arr, k, skip)[0].tolist()
+        out[name] = limit_at_zero(xs, arr)[0].tolist()
     return out
 
 
@@ -144,18 +149,16 @@ def decay_bound_check(wfield: ScalarField2D, alpha: float):
     return {f"C{i}{j}": c for (i, j), c in zip(_ORDERS, sups)}
 
 
-def jump_estimate(field: ScalarField2D, stations=None, k: int = 6, skip: int = 1, d=None):
+def jump_estimate(field: ScalarField2D, d=None):
     """Jump of the radial second derivative across the degenerate edge.
 
     The outer side is the uniform state (radial second derivative exactly -1),
-    so the jump equals the extrapolated edge limit of psi_xx.  d is the
-    field's derivative pass, computed here when not given.  Returns (jump,
-    details).
+    so the jump equals the extrapolated edge limit of psi_xx, averaged over
+    the stations at 15-85% of ny.  d is the field's derivative pass,
+    computed here when not given.  Returns (jump, details).
     """
-    if stations is None:
-        lo, hi = int(0.15 * field.ny), int(0.85 * field.ny)
-        stations = np.arange(max(1, lo), max(2, hi))
-    est = sonic_limit_estimate(field, stations, k, skip, d)
+    lo, hi = int(0.15 * field.ny), int(0.85 * field.ny)
+    est = sonic_limit_estimate(field, np.arange(max(1, lo), max(2, hi)), d)
     vals = np.asarray(est["psi_xx"])
     return float(np.mean(vals)), {
         "per_station": est["psi_xx"],
@@ -178,12 +181,12 @@ def _bilinear(field_vals, xs, ys, xq, yq):
     )
 
 
-def two_sequence_probe(field: ScalarField2D, omega: float | None = None, k: int = 6, skip: int = 1,
-                       d=None) -> dict:
+def two_sequence_probe(field: ScalarField2D, d=None) -> dict:
     """Second-derivative limits along two families approaching the shock/sonic corner.
 
     Family 1 stays near the degenerate edge at stations close to the corner
-    ordinate; family 2 follows the shock image at offset (omega/10)x.  The
+    ordinate; family 2 follows the shock image at offset (omega/10)x, omega
+    the least slope of the shock image.  The
     shock-adjacent channel rides the straight-shock surrogate and is labeled
     accordingly; it is informational, not a gate.  d is the field's
     derivative pass, computed here when not given.
@@ -194,15 +197,13 @@ def two_sequence_probe(field: ScalarField2D, omega: float | None = None, k: int 
     d = derivative_fields(field) if d is None else d
     fh = np.asarray(field.geometry["fhat"])
     g = np.asarray(field.geometry["g"])
-    fhp = g * fh
-    if omega is None:
-        omega = float(np.min(fhp))
-        if omega <= 0.0:
-            raise ValueError("measured shock-image slope is not positive")
+    omega = float(np.min(g * fh))
+    if omega <= 0.0:
+        raise ValueError("measured shock-image slope is not positive")
 
     ny = field.ny
     corners = np.arange(int(0.70 * ny), int(0.93 * ny))
-    est = sonic_limit_estimate(field, corners, k, skip, d)
+    est = sonic_limit_estimate(field, corners, d)
     sonic_vals = np.asarray(est["psi_xx"])
     sonic_limit = float(np.mean(sonic_vals))
 
@@ -214,13 +215,13 @@ def two_sequence_probe(field: ScalarField2D, omega: float | None = None, k: int 
     pxx_q = _bilinear(d["pxx"], xs, field.ys, xq, sq)
     order = np.argsort(xq)
     xq, pxx_q = xq[order], pxx_q[order]
-    kk = min(k, xq.size - 1)
+    kk = min(_EDGE_SAMPLES, xq.size - 1)
     shock_limit, slope, rms = limit_at_zero(xq, pxx_q, k=kk, skip=0)
 
     # psi_x / x along the shock row
     px_row = d["px"][1:-1, -1]
     ratio = px_row / xs[1:-1]
-    ratio_limit, _, _ = limit_at_zero(xs[1:-1], ratio, k, skip=skip)
+    ratio_limit, _, _ = limit_at_zero(xs[1:-1], ratio)
 
     return {
         "sonic_adjacent_limit": sonic_limit,
@@ -252,11 +253,10 @@ class RegularityReport:
         return json.dumps(self.__dict__, sort_keys=True, indent=1, default=float)
 
 
-def write_station_trace_csv(field: ScalarField2D, path, y_station: float | None = None,
-                            digest: str | None = None, d=None) -> None:
-    """Export (x, y, psi, psi_x, psi_xx, fitted) along one y-station; d is the derivative pass if known."""
+def write_station_trace_csv(field: ScalarField2D, path, digest: str | None = None, d=None) -> None:
+    """Export (x, y, psi, psi_x, psi_xx, fitted) along the middle y-station; d is the derivative pass if known."""
     d = derivative_fields(field) if d is None else d
-    j = field.ny // 2 if y_station is None else int(np.argmin(np.abs(field.ys - y_station)))
+    j = field.ny // 2
     try:
         p, c, _ = fit_power_law(field, field.ys[j])
         fitted = c * field.xs**p
@@ -266,26 +266,24 @@ def write_station_trace_csv(field: ScalarField2D, path, y_station: float | None 
     _write_csv(path, ("x", "y", "psi", "psi_x", "psi_xx", "fitted"), cols, digest)
 
 
-def full_report(field: ScalarField2D, fit_stations=None, d=None) -> RegularityReport:
+def full_report(field: ScalarField2D, d=None) -> RegularityReport:
     """Every regularity diagnostic of a field, on one derivative pass.
 
-    d is the field's derivative pass, computed here when not given; the
-    edge limits, the jump and the two-family probe each fit their own
-    stations from it.
+    The power law is fitted at the middle y-station.  d is the field's
+    derivative pass, computed here when not given; the edge limits, the jump
+    and the two-family probe each fit their own stations from it.
     """
     d = derivative_fields(field) if d is None else d
     rep = RegularityReport(
         grid={"nx": field.nx, "ny": field.ny, "kind": field.kind,
               "xmax": float(field.xs[-1])}
     )
-    if fit_stations is None:
-        fit_stations = [field.ys[field.ny // 2]]
-    for st in fit_stations:
-        try:
-            p, c, rms = fit_power_law(field, st)
-            rep.power_fits.append({"station": float(st), "p": p, "c": c, "rms": rms})
-        except (NonpositiveSamples, InsufficientResolution) as exc:
-            rep.power_fits.append({"station": float(st), "error": str(exc)})
+    st = float(field.ys[field.ny // 2])
+    try:
+        p, c, rms = fit_power_law(field, st)
+        rep.power_fits.append({"station": st, "p": p, "c": c, "rms": rms})
+    except (NonpositiveSamples, InsufficientResolution) as exc:
+        rep.power_fits.append({"station": st, "error": str(exc)})
     try:
         rep.sonic_limits = sonic_limit_estimate(field, d=d)
         rep.jump, rep.jump_details = jump_estimate(field, d=d)

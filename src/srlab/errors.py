@@ -36,13 +36,10 @@ class OutsideDomain(SrlabError):
 class NoConvergence(SrlabError):
     """Iteration budget exhausted before the residual target."""
 
-    def __init__(self, iterations, residual, message=None):
+    def __init__(self, iterations, residual):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(
-            message
-            or f"no convergence after {iterations} iterations (residual {residual:.3e})"
-        )
+        super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3e})")
 
 
 class EllipticityLoss(SrlabError):

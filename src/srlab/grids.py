@@ -81,6 +81,11 @@ class ScalarField2D:
             )
         if not (np.all(np.diff(self.xs) > 0.0) and np.all(np.diff(self.ys) > 0.0)):  # NaN fails too
             raise ValueError("axis coordinates must be strictly increasing")
+        if self.kind == "sonic_strip":  # the strip's chain rule reads these per x-node
+            for key in ("fhat", "g", "gp"):
+                col = np.asarray(self.geometry.get(key, ()), dtype=float)
+                if col.shape != self.xs.shape or not np.all(np.isfinite(col)):
+                    raise ValueError(f"sonic_strip geometry needs {self.nx} finite {key!r} entries")
 
     @property
     def nx(self) -> int:
@@ -146,10 +151,7 @@ class ScalarField2D:
             meta = d.get("meta", meta)
         return cls(xs, ys, vals, geometry, meta)
 
-    def export_csv(self, path, digest: str | None = None, x_index=None, y_index=None) -> None:
-        """Write (x, y, psi) rows; restrict to one grid line with x_index/y_index."""
-        ii = np.arange(self.nx) if x_index is None else [x_index]
-        jj = np.arange(self.ny) if y_index is None else [y_index]
-        cols = (np.repeat(self.xs[ii], len(jj)), np.tile(self.ys[jj], len(ii)),
-                self.values[np.ix_(ii, jj)].ravel())
+    def export_csv(self, path, digest: str | None = None) -> None:
+        """Write one (x, y, psi) row per node, x-major."""
+        cols = (np.repeat(self.xs, self.ny), np.tile(self.ys, self.nx), self.values.ravel())
         _write_csv(path, ("x", "y", "psi"), cols, digest)

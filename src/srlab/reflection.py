@@ -101,13 +101,13 @@ class ReflectionConfiguration:
         """Angular offset of P1 in the sonic chart."""
         return to_sonic_coords(self, self.P1)[1]
 
-    def residuals(self, n_samples: int = 7) -> dict:
-        """Normalized mass-flux and potential-continuity residuals on the shock line."""
+    def residuals(self) -> dict:
+        """Normalized mass-flux and potential-continuity residuals at 7 points of the shock line."""
         st1 = state1(self.gas)
         st2 = self.state2
         tau = np.asarray(self.s1_direction)
         nu = np.array([[tau[1]], [-tau[0]]])
-        p = np.asarray(self.P0) + np.linspace(-1.0, 1.0, n_samples)[:, None] * tau
+        p = np.asarray(self.P0) + np.linspace(-1.0, 1.0, 7)[:, None] * tau
         # the offsets of both states as (1, 2) rows: every dot product and norm
         # goes through matmul (BLAS dot), which rounds them as the 1-D dot does
         d1 = (np.array([st1.u, st1.v]) - p)[:, None, :]

@@ -5,7 +5,7 @@ one scalar function of the solution perturbation; F eliminates the ordinate
 using continuity with the upstream potential; Psi rewrites F in the sonic
 chart.  The b-hat coefficients are the exact first-order expansion of Psi
 along a boundary trace, computed by quadrature of complex-step partials,
-which are exact to rounding.  Boundary traces round-trip through CSV.
+which are exact to rounding.  Boundary traces are written as CSV.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,6 @@ __all__ = [
     "synthetic_quadratic_trace",
     "largest_valid_eps",
     "write_trace_csv",
-    "read_trace_csv",
 ]
 
 _SIMPSON_POINTS = 33  # composite Simpson on t in [0,1]; integrand is smooth
@@ -184,15 +183,13 @@ class ShockBoundaryFns:
                                      np.broadcast_to(y, (t.size, y.size)))
         return tuple(np.sum(w * vals, axis=0) for vals in partials)
 
-    def bhat_report(self, x, y, psi, psi_x, psi_y) -> dict:
-        b1, b2, b3 = self.bhat(x, y, psi, psi_x, psi_y)
-        lam = 0.5 * self.psi_p1_at_P1()
+    def bhat_report(self, b1, b2, b3) -> dict:
+        """min b1, max |b2| and max |b3| of bhat's coefficients, with the margin lambda = psi_p1_at_P1/2 for b1."""
         return {
             "min_b1": float(np.min(b1)),
             "max_abs_b2": float(np.max(np.abs(b2))),
             "max_abs_b3": float(np.max(np.abs(b3))),
-            "lambda": lam,
-            "b1_ge_lambda": bool(np.min(b1) >= lam),
+            "lambda": 0.5 * self.psi_p1_at_P1(),
         }
 
 
@@ -215,8 +212,9 @@ def g_prime(s, gamma):
     return float(out) if out.ndim == 0 else out
 
 
-def check_g_unique(gamma, n: int = 100_000) -> bool:
-    """Confirm on a log grid that g(s) = 1 only at s = 1, with a V-shaped profile."""
+def check_g_unique(gamma) -> bool:
+    """Confirm on a log grid of 100,000 points that g(s) = 1 only at s = 1, with a V-shaped profile."""
+    n = 100_000
     s = np.logspace(-3.0, 3.0, n)
     vals = g_function(s, gamma)
     i1 = int(np.searchsorted(s, 1.0))
@@ -245,16 +243,16 @@ def synthetic_quadratic_trace(config: ReflectionConfiguration, eps: float, n: in
     return x, y, psi, psi_x, psi_y
 
 
-def largest_valid_eps(config: ReflectionConfiguration, eps_candidates, n: int = 64):
+def largest_valid_eps(config: ReflectionConfiguration, eps_candidates):
     """Largest sampled truncation for which min b1 >= lambda on the quadratic trace."""
     fns = ShockBoundaryFns(config)
     best = None
     for eps in sorted(eps_candidates):
         try:
-            rep = fns.bhat_report(*synthetic_quadratic_trace(config, eps, n))
+            rep = fns.bhat_report(*fns.bhat(*synthetic_quadratic_trace(config, eps)))
         except (OutsideDomain, VacuumState):
             break
-        if rep["b1_ge_lambda"]:
+        if rep["min_b1"] >= rep["lambda"]:
             best = eps
         else:
             break
@@ -265,14 +263,3 @@ def write_trace_csv(path, x, y, psi, psi_x, psi_y, b1, b2, b3, digest: str | Non
     """Write a boundary trace (x, y, psi, psi_x, psi_y, b1, b2, b3) as CSV."""
     _write_csv(path, _TRACE_COLUMNS, (x, y, psi, psi_x, psi_y, b1, b2, b3), digest)
 
-
-def read_trace_csv(path):
-    rows = []
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("x,"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows, dtype=float)
-    return {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}

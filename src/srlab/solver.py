@@ -86,7 +86,7 @@ class SolverOptions:
 
     tolerance: float = 1e-9
     max_iterations: int = 3000
-    omega_sor: float = 1.0  # no effect: the frozen problem is solved directly
+    omega_sor: float = 1.0  # no effect: each Newton step is solved directly
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:  # NaN fails too
@@ -356,8 +356,8 @@ def solve(
 
     Dirichlet psi = 0 on x = 0; bc.outer on x = rhat; each y-side either
     reflective (psi_y = 0) or Dirichlet.  Each outer step is a Newton step
-    on the residual of the frozen linear problem (_picard); the Jacobian of
-    a linear closure is its frozen operator, so it converges in one step.
+    (_newton) on the residual A(u) u - rhs; the Jacobian of a linear closure
+    is its own operator, so it converges in one step.
     init_field seeds the iteration from a coarser converged solve (nested
     iteration), carried over by local Lagrange interpolation along x and then
     y (_prolong: cubic, linear below 4 nodes); exact on polynomials up to
@@ -390,23 +390,23 @@ def solve(
         raise ValueError("boundary data must be finite")
 
     field = ScalarField2D(xs, ys, u, {"kind": "rect"}, {})
-    return _picard(field, coeffs, opts, (y_lo_neumann, y_hi_neumann), bc)
+    return _newton(field, coeffs, opts, (y_lo_neumann, y_hi_neumann), bc)
 
 
-def _picard(field, coeffs, opts, neumann, bc, shock_row=None):
+def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     """Newton iteration on field in place; returns field with its metadata.
 
     Each step evaluates the operator's coefficients once on the current
-    iterate, for its residual and for the frozen problem A(u) psi = rhs, and
-    their partials once, for the Jacobian J (_newton_system, on stencil
-    blocks built at the first step), and steps u += J^-1 (rhs - A(u) u)
-    with a fresh sparse LU of J.  Every fixed point has rhs = A(u) u, the
-    fixed point of the frozen (Picard) iteration.  Convergence is judged on
-    the operator residual max |L psi| over all interior nodes and, on the
-    strip, on the scaled jump-condition residual that shock_row(d) returns
-    from the step's derivative pass d, together with the Newton and cut rows
-    of the next step.  Each iteration logs its residuals and the norm
-    max |du| of the step that led to it at DEBUG.
+    iterate, for its residual and for the linear problem A(u) psi = rhs
+    with the frozen coefficients, and their partials once, for the Jacobian
+    J (_newton_system, on stencil blocks built at the first step), and steps
+    u += J^-1 (rhs - A(u) u) with a fresh sparse LU of J.  Every fixed point
+    solves A(u) u = rhs, the equation with the cutoff and floor applied.
+    Convergence is judged on the operator residual max |L psi| over all
+    interior nodes and, on the strip, on the scaled jump-condition residual
+    that shock_row(d) returns from the step's derivative pass d, together
+    with the Newton and cut rows of the next step.  Each iteration logs its
+    residuals and the norm max |du| of the step that led to it at DEBUG.
     """
     history, lu_nnz, du = [], [], 0.0
     shock_res, shock, blocks = 0.0, None, None
@@ -541,4 +541,4 @@ def solve_reflection_near_sonic(
             raise ShockConditionDiverged(f"jump-condition residual {res:.3g} exceeds its gradient scale")
         return res, (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G, dcut)
 
-    return _picard(field, coeffs, opts, (True, False), None, shock_row)
+    return _newton(field, coeffs, opts, (True, False), None, shock_row)

@@ -179,7 +179,7 @@ def test_growth_params_base_case_feasible():
 
 def test_growth_params_bisection_against_closed_form():
     # mu1 = 1/2: (1+al)(1 + (2+al)/4) - 2 = -1/8 has root (sqrt(55)-7)/2
-    alpha1, r1_of = choose_growth_params(2.4, 0.5)
+    alpha1, r1_of = choose_growth_params(0.5)
     exact = (np.sqrt(55.0) - 7.0) / 2.0
     assert alpha1 == pytest.approx(exact, abs=1e-7)
     lhs = lambda al: (1 + al) * (1 + 0.5 * (2 + al) * 0.5) - 2
@@ -190,9 +190,9 @@ def test_growth_params_bisection_against_closed_form():
 
 def test_growth_params_validation():
     with pytest.raises(ValueError):
-        choose_growth_params(2.4, 0.0)
+        choose_growth_params(0.0)
     with pytest.raises(ValueError):
-        choose_growth_params(2.4, 0.9)
+        choose_growth_params(0.9)
 
 
 def test_w_sign_scan_positive(recipe, model_ab):

@@ -231,6 +231,15 @@ def _malformed(tmp_path, case):
         nx, ny = (2**62, 3) if case == "huge_header" else (0, 0)
         data = grid.read_bytes()
         grid.write_bytes(data[:8] + struct.pack("<QQ", nx, ny) + data[24:])
+    elif case in ("strip_without_g", "strip_short_fhat"):
+        # a strip sidecar whose chain-rule data is missing or shorter than nx
+        geometry = {"kind": "sonic_strip", "fhat": [1.0, 1.0, 1.0], "g": [0.0] * 3, "gp": [0.0] * 3}
+        if case == "strip_without_g":
+            del geometry["g"]
+        else:
+            geometry["fhat"] = [1.0, 1.0]
+        sidecar = tmp_path / "grid.srl.json"
+        sidecar.write_text(json.dumps({**read_json(sidecar), "geometry": geometry}))
     else:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json" if case == "config_not_json" else '{"gamma": 1.4}')
@@ -239,13 +248,25 @@ def _malformed(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["bad_magic", "truncated_grid", "truncated_header", "huge_header",
-                                  "empty_header", "config_not_json", "config_missing_key"])
+                                  "empty_header", "strip_without_g", "strip_short_fhat",
+                                  "config_not_json", "config_missing_key"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, case):
     what, flag, path = _malformed(tmp_path, case)
     assert run(["verify", "--what", what, flag, str(path), "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"malformed input {path}:") and err.count("\n") == 1
     assert not (tmp_path / "v" / f"verify_{what}.json").exists()
+
+
+def test_verify_barriers_on_reflection_grid_exit_2(tmp_path, capsys):
+    # the barrier recipes are built for the model closure only: an input refusal
+    grid = tmp_path / "refl" / "grid.srl"
+    assert run(["solve", "--mode", "reflection", "--grid", "25,13", "--out", str(grid.parent)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--what", "barriers", "--grid", str(grid), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("barrier verification expects a model-closure grid") and err.count("\n") == 1
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_rh_without_shock_chart_exit_2(tmp_path, capsys):

@@ -93,12 +93,15 @@ def test_csv_export(tmp_path):
     xs = np.linspace(0, 1, 3)
     f = ScalarField2D(xs, xs, np.arange(9.0).reshape(3, 3))
     path = tmp_path / "f.csv"
-    f.export_csv(path, digest="abc123", y_index=1)
+    f.export_csv(path, digest="abc123")
     lines = path.read_text().splitlines()
     assert lines[0] == "# runconfig_digest=abc123"
     assert lines[1] == "x,y,psi"
-    assert len(lines) == 5  # header lines + one row per x
-    assert float(lines[2].split(",")[2]) == 1.0
+    assert len(lines) == 11  # header lines + one row per node
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert np.array_equal(rows[:, 0], np.repeat(xs, 3))  # x-major
+    assert np.array_equal(rows[:, 1], np.tile(xs, 3))
+    assert np.array_equal(rows[:, 2], np.arange(9.0))
 
 
 def test_save_is_deterministic(tmp_path):

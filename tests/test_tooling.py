@@ -55,3 +55,50 @@ def test_only_the_cli_prints():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
                 printing.append(f"{path.name}:{node.lineno}")
     assert printing == []
+
+
+def _calls_by_name():
+    """Every call in src, bench and tests, keyed by the called name (a function, method or class)."""
+    calls = {}
+    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(BENCH.glob("*.py")) + sorted(ROOT.glob("tests/*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, index, name):
+    """Whether call may set the parameter at positional index (None: keyword-only) or by name."""
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: a **kwargs
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant spelled as a knob; the
+    # match is by name, so a call to any same-named function counts
+    calls = _calls_by_name()
+    unused = []
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, 0)] + [(n, 1) for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for scope, bound in scopes:
+            for fn in scope.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                name = scope.name if fn.name == "__init__" else fn.name
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                shift = 0 if static else bound  # a call on an instance or class passes self or cls itself
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                optional = [(i - shift, a.arg) for i, a in enumerate(args) if i >= first]
+                optional += [(None, a.arg) for a, dflt in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                             if dflt is not None]
+                unused += [f"{path.name}:{fn.lineno} {name}({arg})" for index, arg in optional
+                           if not any(_passes(c, index, arg) for c in calls.get(name, []))]
+    assert unused == []
