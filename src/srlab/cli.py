@@ -338,9 +338,16 @@ def cmd_verify(args) -> int:
     except NoSonicIntersection as exc:  # a strong-branch shock, say
         print(f"no shock chart for {path}: {exc}", file=sys.stderr)
         return 2
-    if args.what == "barriers" and data.meta.get("coefficients", {}).get("label", "model") != "model":
-        print("barrier verification expects a model-closure grid", file=sys.stderr)
-        return 2
+    if args.what == "barriers":
+        cm = data.meta.get("coefficients", {})
+        if cm.get("label", "model") != "model":
+            print("barrier verification expects a model-closure grid", file=sys.stderr)
+            return 2
+        try:  # the barrier recipes need the closure's a > 0 and b > 0
+            model_coefficients(cm.get("a", _DEFAULT_A), cm.get("b", _DEFAULT_B))
+        except (ValueError, TypeError) as exc:
+            print(f"malformed input {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
     record = _record(args, ("what", "grid", "config"))
     digest = _digest(record)
     out = Path(args.out)

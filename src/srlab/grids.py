@@ -74,6 +74,8 @@ class ScalarField2D:
         self.xs = np.asarray(self.xs, dtype=float)
         self.ys = np.asarray(self.ys, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        if not (isinstance(self.geometry, dict) and isinstance(self.meta, dict)):
+            raise ValueError("geometry and meta must be JSON objects")
         if self.values.shape != (self.xs.size, self.ys.size):
             raise ValueError(
                 f"values shape {self.values.shape} does not match axes "
@@ -147,6 +149,8 @@ class ScalarField2D:
         if sidecar.exists():
             with open(sidecar, encoding="ascii") as fh:
                 d = json.load(fh)
+            if not isinstance(d, dict):
+                raise ValueError(f"sidecar {sidecar} is not a JSON object")
             geometry = d.get("geometry", geometry)
             meta = d.get("meta", meta)
         return cls(xs, ys, vals, geometry, meta)

@@ -9,8 +9,11 @@ floor, fixed constants), the rows of the frozen linear problem A(u), one
 sparse 9-point operator on the same stencils' weights, built once per solve.
 Each outer step is a Newton step on the residual A(u) u - rhs: its Jacobian
 adds the coefficients' partials in (psi, psi_x, psi_y), by complex step, on
-the same nine entries per row, and is factored afresh by one sparse LU
-(fixed column ordering), so every run is deterministic.
+the same nine entries per row.  The first step factors its Jacobian by one
+sparse LU (fixed column ordering); every later step solves its own Jacobian
+by one restarted-GMRES cycle preconditioned by that factor, and only a cycle
+that misses its target factors again (an inexact Newton method), so a solve
+usually factors once and every run is deterministic.
 
 Two domains share that one outer loop: a rectangle (0, rhat) x (y_lo, y_hi),
 and the shock-fitted strip {0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s)
@@ -46,6 +49,10 @@ _log = logging.getLogger(__name__)
 # slope window (-(1 - beta)/a, M + 1/a), floor eps_ell * x, and the share of
 # interior nodes they may act on at convergence before EllipticityLoss
 _BETA, _M, _EPS_ELL, _CLAMP_FAIL_FRACTION = 0.5, 2.0, 0.1, 0.2
+# a Newton step on an earlier factor is one GMRES cycle of at most _RESTART
+# iterations, accepted once its preconditioned residual is _KRYLOV_TOL of the
+# preconditioned right side
+_RESTART, _KRYLOV_TOL = 25, 1e-8
 
 
 @dataclass(frozen=True)
@@ -305,8 +312,8 @@ def _newton_system(blocks, coefficients, partials, u, shock=None):
     return J, step_rhs
 
 
-def _factor(A, shape, block, coupled):
-    """Sparse LU of A restricted to the columns of the unknown block.
+def _factor(A, coupled):
+    """Sparse LU of A, a Newton Jacobian restricted to the columns of the unknown block.
 
     The shock row's central tangential difference leaves a near-zero
     diagonal; a small pivot threshold keeps the fill-reducing order's pivots.
@@ -314,13 +321,29 @@ def _factor(A, shape, block, coupled):
     """
     from scipy.sparse.linalg import splu
 
-    unknown = np.arange(A.shape[1]).reshape(shape)[block].ravel()
     try:
-        return splu(A[:, unknown].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
     except RuntimeError as exc:  # exactly singular
         if not coupled:
             raise
         raise ShockConditionDiverged(f"singular linearized jump-condition system: {exc}") from exc
+
+
+def _krylov_step(A, rhs, lu):
+    """Solve A du = rhs by one GMRES cycle preconditioned by lu, the LU of an earlier Jacobian.
+
+    The cycle stops once its (left-)preconditioned residual, the one GMRES
+    minimises, falls to _KRYLOV_TOL of the preconditioned right side, or
+    after _RESTART iterations.  Returns (du, iterations), du None when the
+    cycle took all _RESTART iterations: a miss.  Scipy's own flag tests the
+    unpreconditioned residual, which the graded rows scale badly.
+    """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    norms = []  # one entry per inner iteration
+    du, _ = gmres(A, rhs, rtol=_KRYLOV_TOL, restart=_RESTART, maxiter=1,
+                  M=LinearOperator(A.shape, lu.solve, dtype=float), callback=norms.append, callback_type="pr_norm")
+    return (du if len(norms) < _RESTART else None), len(norms)
 
 
 # -- rectangle solve -----------------------------------------------------------
@@ -400,16 +423,21 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     iterate, for its residual and for the linear problem A(u) psi = rhs
     with the frozen coefficients, and their partials once, for the Jacobian
     J (_newton_system, on stencil blocks built at the first step), and steps
-    u += J^-1 (rhs - A(u) u) with a fresh sparse LU of J.  Every fixed point
-    solves A(u) u = rhs, the equation with the cutoff and floor applied.
+    u += du with J du = rhs - A(u) u.  The first step solves it on a sparse
+    LU of its J; each later step by one GMRES cycle preconditioned by that
+    LU (_krylov_step), and a cycle that misses its target factors the
+    current J and solves on that LU, which the next steps then reuse.  Every
+    fixed point solves A(u) u = rhs, the equation with the cutoff and floor
+    applied.
     Convergence is judged on the operator residual max |L psi| over all
     interior nodes and, on the strip, on the scaled jump-condition residual
     that shock_row(d) returns from the step's derivative pass d, together
     with the Newton and cut rows of the next step.  Each iteration logs its
-    residuals and the norm max |du| of the step that led to it at DEBUG.
+    residuals, and the GMRES iterations (0 on a fresh LU) and norm max |du|
+    of the step that led to it, at DEBUG.
     """
-    history, lu_nnz, du = [], [], 0.0
-    shock_res, shock, blocks = 0.0, None, None
+    history, lu_nnz, krylov, du, inner = [], [], [], 0.0, 0
+    shock_res, shock, blocks, lu = 0.0, None, None, None
     x, y = field.xs[:, None], _ordinates(field)
     for it in range(opts.max_iterations + 1):
         # one derivative pass and one evaluation of the coefficients serve both
@@ -422,22 +450,29 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         if shock_row is not None:
             shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
-        _log.debug("iteration %d: residual %.3e, shock %.3e, step max|du| %.3e", it, res, shock_res, du)
+        _log.debug("iteration %d: residual %.3e, shock %.3e, krylov %d, step max|du| %.3e",
+                   it, res, shock_res, inner, du)
         if history[-1] <= opts.tolerance:
             break
         if it == opts.max_iterations:
             raise NoConvergence(opts.max_iterations, history[-1])
-        blocks = blocks or _stencil_blocks(field, neumann, shock is not None)
+        if blocks is None:
+            blocks = _stencil_blocks(field, neumann, shock is not None)
+            unknown = np.arange(field.values.size).reshape(field.values.shape)[blocks[0]].ravel()
         partials = coefficient_partials(coeffs, x, y, *jet[:3])
         J, rhs = _newton_system(blocks, frozen, partials, field.values, shock)
-        lu = _factor(J, field.values.shape, blocks[0], shock is not None)
-        lu_nnz.append(int(lu.nnz))
-        step = lu.solve(rhs)
+        J = J[:, unknown]
+        step, inner = (None, 0) if lu is None else _krylov_step(J, rhs, lu)
+        if step is None:  # the first step, or a cycle that missed its target
+            lu, inner = _factor(J, shock is not None), 0
+            lu_nnz.append(int(lu.nnz))
+            step = lu.solve(rhs)
+        krylov.append(inner)
         du = float(np.max(np.abs(step)))
         # written through the 2-D view: field.values need not be C-contiguous
         field.values[blocks[0]] += step.reshape(field.values[blocks[0]].shape)
 
-    _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, clamp_fraction, d)
+    _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, d)
     if shock_row is not None:
         field.meta["outer_data"] = "synthetic slope surrogate psi_x = x/a at x=eps"
         field.meta["shock_residual"] = shock_res
@@ -446,8 +481,13 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     return field
 
 
-def _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, clamp_fraction, d):
-    """Sidecar metadata of a converged field; d is its derivative pass, lu_nnz the L+U fill of each step's LU."""
+def _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, d):
+    """Sidecar metadata of a converged field.
+
+    d is its derivative pass, lu_nnz the L+U fill of each LU in the order
+    factored, and krylov each step's GMRES iterations, 0 for a step solved
+    on a fresh LU.
+    """
     inner = np.s_[1:-1, 1:-1]
     xin = np.broadcast_to(field.xs[:, None], field.values.shape)[inner]
     audit = o_bound_audit(coeffs, xin, _ordinates(field)[inner], *(d[key][inner] for key in _JET[:3]))
@@ -465,6 +505,7 @@ def _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, clamp_fraction, d):
             "bc": bc.describe() if bc is not None else {"kind": "sonic_strip"},
             "iterations": len(history),
             "lu_nnz": lu_nnz,
+            "krylov_iterations": krylov,
             "residual_history": [float(r) for r in history],
             "final_residual": float(history[-1]),
             "clamp_fraction": clamp_fraction,

@@ -177,7 +177,8 @@ def test_import_srlab_loads_no_scipy():
     code = "import srlab, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # a nested solve that factors needs scipy.sparse only: the prolongation is numpy
+    # a nested solve that factors and takes GMRES steps needs scipy.sparse
+    # only: the prolongation is numpy
     code = ("import sys, numpy as np, srlab\n"
             "bc = srlab.BoundaryConditions(outer=lambda y: 0.05 * (1.0 + 0.2 * np.cos(np.pi * y)))\n"
             "prev = None\n"
@@ -185,6 +186,7 @@ def test_import_srlab_loads_no_scipy():
             "    prev = srlab.solve(srlab.model_coefficients(2.4, 0.78), bc, srlab.GridSpec(0.5, n, n),\n"
             "                       init_field=prev)\n"
             "assert prev.meta['lu_nnz'], 'the fine solve did not factor'\n"
+            "assert any(prev.meta['krylov_iterations']), 'the fine solve took no GMRES step'\n"
             "heavy = ('scipy.interpolate', 'scipy.special', 'scipy.optimize')\n"
             "assert not [m for m in sys.modules if m.startswith(heavy)], sorted(sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -217,6 +219,10 @@ def test_verify_without_input_exit_2(tmp_path, capsys, what):
     assert run(["verify", "--what", what, flag, str(tmp_path), "--out", str(tmp_path / "v")]) == 2
 
 
+_BAD_MODEL = {"model_a_negative": {"a": -1.0}, "model_b_zero": {"b": 0.0}, "model_a_nan": {"a": float("nan")},
+              "model_a_string": {"a": "2.4"}}
+
+
 def _malformed(tmp_path, case):
     """(what, flag, path) of a verify input file that exists but does not parse."""
     grid = tmp_path / "grid.srl"
@@ -231,6 +237,15 @@ def _malformed(tmp_path, case):
         nx, ny = (2**62, 3) if case == "huge_header" else (0, 0)
         data = grid.read_bytes()
         grid.write_bytes(data[:8] + struct.pack("<QQ", nx, ny) + data[24:])
+    elif case in _BAD_MODEL:
+        # the barrier recipes need the model closure's a > 0 and b > 0
+        sidecar = tmp_path / "grid.srl.json"
+        sidecar.write_text(json.dumps({**read_json(sidecar), "meta": {"coefficients": _BAD_MODEL[case]}}))
+        return "barriers", "--grid", grid
+    elif case in ("geometry_not_object", "meta_not_object", "sidecar_not_object"):
+        sidecar = tmp_path / "grid.srl.json"
+        d, key = read_json(sidecar), case.split("_")[0]
+        sidecar.write_text(json.dumps([d] if key == "sidecar" else {**d, key: [d[key]]}))
     elif case in ("strip_without_g", "strip_short_fhat"):
         # a strip sidecar whose chain-rule data is missing or shorter than nx
         geometry = {"kind": "sonic_strip", "fhat": [1.0, 1.0, 1.0], "g": [0.0] * 3, "gp": [0.0] * 3}
@@ -248,14 +263,15 @@ def _malformed(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["bad_magic", "truncated_grid", "truncated_header", "huge_header",
-                                  "empty_header", "strip_without_g", "strip_short_fhat",
-                                  "config_not_json", "config_missing_key"])
+                                  "empty_header", "geometry_not_object", "meta_not_object",
+                                  "sidecar_not_object", "strip_without_g", "strip_short_fhat",
+                                  *_BAD_MODEL, "config_not_json", "config_missing_key"])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, case):
     what, flag, path = _malformed(tmp_path, case)
     assert run(["verify", "--what", what, flag, str(path), "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"malformed input {path}:") and err.count("\n") == 1
-    assert not (tmp_path / "v" / f"verify_{what}.json").exists()
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_barriers_on_reflection_grid_exit_2(tmp_path, capsys):

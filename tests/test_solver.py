@@ -241,10 +241,40 @@ def test_reflection_field_converges_in_few_iterations(reflection_field):
 
 
 def test_reflection_field_takes_newton_steps(reflection_field):
-    # every step factors the exact Jacobian afresh, and converges in a few
+    # the first step factors the exact Jacobian, every later step solves its
+    # own by GMRES on that factor, and a few steps converge
     meta = reflection_field.meta
     assert meta["iterations"] <= 8
-    assert len(meta["lu_nnz"]) == meta["iterations"] - 1
+    assert len(meta["lu_nnz"]) == 1
+    krylov = meta["krylov_iterations"]
+    assert len(krylov) == meta["iterations"] - 1
+    assert krylov[0] == 0 and all(k > 0 for k in krylov[1:])
+
+
+def test_near_supersonic_strip_factors_once():
+    # at 50.5 deg the Jacobian's fill doubles; Newton still converges in a
+    # few steps on the first step's factor
+    cfg = srlab.solve_state2(srlab.GasParameters(1.4, 1.0, 2.0), np.radians(50.5))["weak"]
+    f = srlab.solve_reflection_near_sonic(cfg, cfg.c2 / 20.0, grid_nx=121, grid_ny=49, grade_q=0.95,
+                                          opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=40))
+    assert f.meta["iterations"] <= 8
+    assert len(f.meta["lu_nnz"]) == 1
+
+
+def test_missed_krylov_cycle_refactors(reflection_field, weak60, monkeypatch):
+    # a GMRES cycle that cannot reach its target refactors at the current
+    # Jacobian and solves on that factor: same steps, same field
+    from srlab import solver
+
+    monkeypatch.setattr(solver, "_KRYLOV_TOL", 1e-30)
+    f = srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=97, grid_ny=49,
+                                          opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=6000))
+    steps = reflection_field.meta["iterations"] - 1
+    assert f.meta["iterations"] == steps + 1
+    assert len(f.meta["lu_nnz"]) == steps
+    assert f.meta["krylov_iterations"] == [0] * steps
+    ref = reflection_field.values
+    assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_debug_log_gives_each_step_norm(model_ab, caplog):
@@ -256,8 +286,12 @@ def test_debug_log_gives_each_step_norm(model_ab, caplog):
     with caplog.at_level(logging.DEBUG, logger="srlab.solver"):
         f = srlab.solve(srlab.model_coefficients(a, b), srlab.BoundaryConditions(outer=outer),
                         srlab.GridSpec(rhat=0.5, nx=33, ny=33, grade_q=0.95), srlab.SolverOptions(tolerance=1e-9))
-    steps = [float(r.getMessage().rsplit(" ", 1)[1]) for r in caplog.records if "step max|du|" in r.getMessage()]
+    lines = [r.getMessage() for r in caplog.records if "step max|du|" in r.getMessage()]
+    steps = [float(m.rsplit(" ", 1)[1]) for m in lines]
     assert len(steps) == f.meta["iterations"]
+    # and the GMRES iterations of that step, as in the sidecar
+    krylov = [int(m.split("krylov ", 1)[1].split(",", 1)[0]) for m in lines]
+    assert krylov == [0] + f.meta["krylov_iterations"]
     assert steps[0] == 0.0 and steps[1] > 0.0
     assert steps[-1] < 1e-3 * steps[1]
 
