@@ -54,33 +54,19 @@ class BarrierFunction:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return _term(self.c1, self.p1, x) * (1.0 - y * y) + _term(self.c2, self.p2, x) * y * y
 
-    def dx(self, x, y):
+    def jet(self, x, y):
+        """The jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy) at (x, y), psi as value() gives it."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        c1, p1, c2, p2 = self.c1, self.p1, self.c2, self.p2
         return (
-            _term(self.c1 * self.p1, self.p1 - 1.0, x) * (1.0 - y * y)
-            + _term(self.c2 * self.p2, self.p2 - 1.0, x) * y * y
+            self.value(x, y),
+            _term(c1 * p1, p1 - 1.0, x) * (1.0 - y * y) + _term(c2 * p2, p2 - 1.0, x) * y * y,
+            2.0 * y * (_term(c2, p2, x) - _term(c1, p1, x)),
+            _term(c1 * p1 * (p1 - 1.0), p1 - 2.0, x) * (1.0 - y * y)
+            + _term(c2 * p2 * (p2 - 1.0), p2 - 2.0, x) * y * y,
+            2.0 * y * (_term(c2 * p2, p2 - 1.0, x) - _term(c1 * p1, p1 - 1.0, x)),
+            2.0 * (_term(c2, p2, x) - _term(c1, p1, x)),
         )
-
-    def dy(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return 2.0 * y * (_term(self.c2, self.p2, x) - _term(self.c1, self.p1, x))
-
-    def dxx(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return (
-            _term(self.c1 * self.p1 * (self.p1 - 1.0), self.p1 - 2.0, x) * (1.0 - y * y)
-            + _term(self.c2 * self.p2 * (self.p2 - 1.0), self.p2 - 2.0, x) * y * y
-        )
-
-    def dxy(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return 2.0 * y * (
-            _term(self.c2 * self.p2, self.p2 - 1.0, x) - _term(self.c1 * self.p1, self.p1 - 1.0, x)
-        )
-
-    def dyy(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return 2.0 * (_term(self.c2, self.p2, x) - _term(self.c1, self.p1, x))
 
 
 def subsolution_w(mu: float, k: float) -> BarrierFunction:
@@ -105,18 +91,14 @@ def general_u(c1: float, p1: float, c2: float, p2: float) -> BarrierFunction:
 # -- operators ----------------------------------------------------------------
 
 
-def _barrier_jet(fn: BarrierFunction, x, y):
-    return fn.value(x, y), fn.dx(x, y), fn.dy(x, y), fn.dxx(x, y), fn.dxy(x, y), fn.dyy(x, y)
-
-
 def apply_L1(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     """Degenerate operator on a closed-form barrier, exact derivatives."""
-    return apply_operator(coeffs, x, y, _barrier_jet(fn, x, y))
+    return apply_operator(coeffs, x, y, fn.jet(x, y))
 
 
 def apply_L2(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     """Companion operator acting on deviation profiles W."""
-    return apply_operator(coeffs, x, y, _barrier_jet(fn, x, y), companion=True)
+    return apply_operator(coeffs, x, y, fn.jet(x, y), companion=True)
 
 
 def _rhs_on_jet(coeffs: CoefficientModel, x, y, jet):
@@ -130,12 +112,12 @@ def _rhs_on_jet(coeffs: CoefficientModel, x, y, jet):
 
 def l2_rhs(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     """(O1 - x O4)/a, evaluated on the barrier's own jet."""
-    return _rhs_on_jet(coeffs, x, y, _barrier_jet(fn, x, y))
+    return _rhs_on_jet(coeffs, x, y, fn.jet(x, y))
 
 
 def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     """L2(fn) - l2_rhs(fn), both on one evaluation of the barrier's jet."""
-    jet = _barrier_jet(fn, x, y)
+    jet = fn.jet(x, y)
     return apply_operator(coeffs, x, y, jet, companion=True) - _rhs_on_jet(coeffs, x, y, jet)
 
 

@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid", default="97,49", help="nx,ny")
     q.add_argument("--grade", type=float, default=0.95, help="grading ratio toward x=0 (1 = uniform)")
     q.add_argument("--tol", type=float, default=1e-9)
-    q.add_argument("--max-iter", dest="max_iter", type=int, default=6000)
+    q.add_argument("--max-iter", dest="max_iter", type=int, default=SolverOptions.max_iterations)
     q.add_argument("--rhat", type=float, default=0.5)
     q.add_argument("--y-halfwidth", dest="y_halfwidth", type=float, default=1.0)
     q.add_argument("--perturb", type=float, default=0.0, help="cosine amplitude on the outer data")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .reflection import ReflectionConfiguration
 
-_CS_STEP = 1e-30  # complex step for the operator's partials
+_CS_STEP = 1e-30  # complex step of complex_step_partials
 
 __all__ = [
     "CoefficientModel",
@@ -26,6 +26,7 @@ __all__ = [
     "apply_coefficients",
     "apply_operator",
     "coefficient_partials",
+    "complex_step_partials",
     "zeta",
     "o_bound_audit",
 ]
@@ -134,18 +135,27 @@ def apply_operator(coeffs: CoefficientModel, x, y, jet, companion: bool = False)
     return apply_coefficients(operator_coefficients(coeffs, x, y, *jet[:3], companion=companion), jet)
 
 
+def complex_step_partials(f, *args):
+    """Partials of f in each of its arguments, stacked over them on a leading axis, by one evaluation.
+
+    Im f(m + ih e_k)/h with the perturbations stacked takes no difference, so
+    for f analytic in its arguments the partials are exact to rounding
+    (Squire & Trapp, SIAM Review 40, 1998).  f returns an array or a tuple of them.
+    """
+    m = np.asarray(np.broadcast_arrays(*args), dtype=complex)
+    m = m + 1j * _CS_STEP * np.eye(len(args)).reshape((len(args),) * 2 + (1,) * (m.ndim - 1))
+    out = f(*np.swapaxes(m, 0, 1))
+    return tuple(np.imag(c) / _CS_STEP for c in out) if isinstance(out, tuple) else np.imag(out) / _CS_STEP
+
+
 def coefficient_partials(coeffs: CoefficientModel, x, y, psi, px, py):
     """Partials of the operator_coefficients tuple in (psi, psi_x, psi_y), stacked over the three on a leading axis.
 
-    One complex-step evaluation, Im c(m + ih e_m)/h, with the three
-    perturbations stacked: the coefficients are polynomial in
-    (psi, psi_x, psi_y) and the step takes no difference, so the partials are
-    exact to rounding (Squire & Trapp, SIAM Review 40, 1998).  Applied to a
-    jet (apply_coefficients), they give the operator's partials there.
+    The coefficients are polynomial in (psi, psi_x, psi_y), so their complex
+    step (complex_step_partials) is exact to rounding.  Applied to a jet
+    (apply_coefficients), they give the operator's partials there.
     """
-    m = np.asarray(np.broadcast_arrays(psi, px, py), dtype=complex)
-    m = m + 1j * _CS_STEP * np.eye(3).reshape((3, 3) + (1,) * (m.ndim - 1))
-    return tuple(np.imag(c) / _CS_STEP for c in operator_coefficients(coeffs, x, y, *np.swapaxes(m, 0, 1)))
+    return complex_step_partials(lambda *m: operator_coefficients(coeffs, x, y, *m), psi, px, py)
 
 
 def zeta(s, a: float, beta: float, M: float):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import complex_step_partials
 from .errors import OutsideDomain, VacuumState
 from .grids import _write_csv
 from .reflection import ReflectionConfiguration
@@ -27,7 +28,6 @@ __all__ = [
 ]
 
 _SIMPSON_POINTS = 33  # composite Simpson on t in [0,1]; integrand is smooth
-_CS_STEP = 1e-30  # complex step for the Psi partials
 _TRACE_COLUMNS = ("x", "y", "psi", "psi_x", "psi_y", "b1", "b2", "b3")
 
 
@@ -150,18 +150,9 @@ class ShockBoundaryFns:
     # -- first-order expansion coefficients -----------------------------------
 
     def psi_gradient(self, p1, p2, p3, x, y):
-        """Partials of Psi in its three slots by complex step, Im Psi(p + ih e_k)/h.
-
-        Psi is analytic in p and the step takes no difference, so the partials
-        are exact to rounding (Squire & Trapp, SIAM Review 40, 1998).
-        """
-        args = [np.asarray(p, dtype=float) for p in (p1, p2, p3)]
-        out = []
-        for k in range(3):
-            z = list(args)
-            z[k] = args[k] + 1j * _CS_STEP
-            out.append(np.imag(self.Psi(*z, x, y)) / _CS_STEP)
-        return tuple(out)
+        """Partials of Psi in its three slots, analytic in them, by complex step (complex_step_partials)."""
+        p = np.broadcast_arrays(p1, p2, p3, x, y)[:3]  # the stacked slots broadcast against x and y
+        return tuple(complex_step_partials(lambda *q: self.Psi(*q, x, y), *p))
 
     def bhat(self, x, y, psi, psi_x, psi_y):
         """Expansion coefficients (b1, b2, b3) along a boundary trace.

@@ -92,7 +92,7 @@ class SolverOptions:
     """The outer iteration's stopping rule; cutoff, floor and loss share are module constants."""
 
     tolerance: float = 1e-9
-    max_iterations: int = 3000
+    max_iterations: int = 50
     omega_sor: float = 1.0  # no effect: each Newton step is solved directly
 
     def __post_init__(self):
@@ -197,20 +197,24 @@ def _ordinates(field):
     return s * fh
 
 
-def derivative_fields(field: ScalarField2D) -> dict:
-    """Physical-coordinate derivative arrays psi_x..psi_yy at all nodes.
+def _derivative_pass(field, reflect):
+    """The physical jet at all nodes, keyed by _JET; the y-table reflects at the ends flagged in reflect = (lo, hi).
 
     The stencil tables of each axis are applied along it, psi_xy as the
-    x-difference of the y-difference; edge values come from the end blocks
-    and are only display-grade.  For sonic-strip fields the chain rule
-    through y = s*fhat(x) follows.
+    x-difference of the y-difference (psi_y is 0 on a reflective end); on a
+    sonic strip the chain rule through y = s*fhat(x) follows.
     """
     u = field.values
     tx = _stencil_table(field.xs)
-    (ux, uxx), (uy, uyy) = _along(tx, u, 0), _along(_stencil_table(field.ys), u, 1)
+    (ux, uxx), (uy, uyy) = _along(tx, u, 0), _along(_stencil_table(field.ys, reflect), u, 1)
     (uxy,) = _along(tx, uy, 0, (1,))
     jet = (u, ux, uy, uxx, uxy, uyy)
     return dict(zip(_JET, jet if field.kind == "rect" else _chain(field, jet)))
+
+
+def derivative_fields(field: ScalarField2D) -> dict:
+    """Physical-coordinate derivative arrays psi_x..psi_yy at all nodes; edge values are only display-grade."""
+    return _derivative_pass(field, (False, False))
 
 
 def residual(field: ScalarField2D, coeffs: CoefficientModel):
@@ -266,8 +270,8 @@ def _stencil_blocks(field, neumann, coupled):
     return block, nodes, tuple(np.ascontiguousarray(w[..., block[0], block[1]]) for w in jet)
 
 
-def _newton_system(blocks, coefficients, partials, u, shock=None):
-    """Assemble the Newton step J du = rhs - A(u) u on the iterate u.
+def _newton_system(blocks, coefficients, partials, jet, u, shock=None):
+    """Assemble the Newton step J du = rhs - A(u) u on the iterate u, whose derivative pass is jet.
 
     A(u) psi = rhs is the frozen linear problem: each unknown node's row
     combines the jet weights of its block (_stencil_blocks) with the frozen
@@ -281,10 +285,9 @@ def _newton_system(blocks, coefficients, partials, u, shock=None):
     (psi, psi_x, psi_y), the coefficients' partials (coefficient_partials)
     applied to the row's own jet, on the weights of those three, so J is the
     Jacobian of A(u) u - rhs wherever the cutoff and floor are inactive; the
-    shock rows are Newton rows and the cut rows linear already.  A Neumann
-    row's coefficients read psi_y from the derivative pass's one-sided slope,
-    which its reflective stencil does not weight: J drops that dependence,
-    of the size of that slope, which vanishes with the mesh at convergence.
+    shock rows are Newton rows and the cut rows linear already.  The jet
+    must come from the pass with the solve's Neumann flags, whose rows then
+    read psi_y = 0 as their reflective stencil does.
 
     Returns J as CSR with rows over the unknowns and columns over all nodes,
     both in C order, and rhs - A(u) u over the unknowns, Dirichlet data
@@ -295,8 +298,7 @@ def _newton_system(blocks, coefficients, partials, u, shock=None):
     block, nodes, W = blocks
     vals = sum(c[block] * w for c, w in zip(coefficients, W[1:]))
     ub = np.moveaxis(u.ravel()[nodes].reshape(vals.shape[2:] + (3, 3)), (2, 3), (0, 1))  # each row's nine values
-    dL = apply_coefficients([p[(slice(None),) + block] for p in partials],
-                            [np.sum(w * ub, axis=(0, 1)) for w in W])
+    dL = apply_coefficients([p[(slice(None),) + block] for p in partials], [j[block] for j in jet])
     newton = sum(p * w for p, w in zip(dL, W))
     rhs = np.zeros(vals.shape[2:])
     if shock is not None:
@@ -419,15 +421,17 @@ def solve(
 def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     """Newton iteration on field in place; returns field with its metadata.
 
-    Each step evaluates the operator's coefficients once on the current
-    iterate, for its residual and for the linear problem A(u) psi = rhs
-    with the frozen coefficients, and their partials once, for the Jacobian
-    J (_newton_system, on stencil blocks built at the first step), and steps
-    u += du with J du = rhs - A(u) u.  The first step solves it on a sparse
-    LU of its J; each later step by one GMRES cycle preconditioned by that
-    LU (_krylov_step), and a cycle that misses its target factors the
-    current J and solves on that LU, which the next steps then reuse.  Every
-    fixed point solves A(u) u = rhs, the equation with the cutoff and floor
+    Each step makes one derivative pass on the current iterate
+    (_derivative_pass, reflective at the Neumann rows) and evaluates the
+    operator's coefficients once on it, for its residual and for the linear
+    problem A(u) psi = rhs with the frozen coefficients, and their partials
+    once, for the Jacobian J (_newton_system, on that pass's jet and on
+    stencil blocks built at the first step), and steps u += du with
+    J du = rhs - A(u) u.  The first step solves it on a sparse LU of its J;
+    each later step by one GMRES cycle preconditioned by that LU
+    (_krylov_step), and a cycle that misses its target factors the current
+    J and solves on that LU, which the next steps then reuse.  Every fixed
+    point solves A(u) u = rhs, the equation with the cutoff and floor
     applied.
     Convergence is judged on the operator residual max |L psi| over all
     interior nodes and, on the strip, on the scaled jump-condition residual
@@ -440,9 +444,9 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     shock_res, shock, blocks, lu = 0.0, None, None, None
     x, y = field.xs[:, None], _ordinates(field)
     for it in range(opts.max_iterations + 1):
-        # one derivative pass and one evaluation of the coefficients serve both
-        # the residual of the current iterate and the system of the next step
-        d = derivative_fields(field)
+        # one derivative pass and one evaluation of the coefficients serve the
+        # residual of the current iterate and the system and Jacobian of the next step
+        d = _derivative_pass(field, neumann)
         jet = [d[key] for key in _JET]
         coefficients = operator_coefficients(coeffs, x, y, *jet[:3])
         res = float(np.max(np.abs(apply_coefficients(coefficients, jet)[1:-1, 1:-1])))
@@ -460,7 +464,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
             blocks = _stencil_blocks(field, neumann, shock is not None)
             unknown = np.arange(field.values.size).reshape(field.values.shape)[blocks[0]].ravel()
         partials = coefficient_partials(coeffs, x, y, *jet[:3])
-        J, rhs = _newton_system(blocks, frozen, partials, field.values, shock)
+        J, rhs = _newton_system(blocks, frozen, partials, jet, field.values, shock)
         J = J[:, unknown]
         step, inner = (None, 0) if lu is None else _krylov_step(J, rhs, lu)
         if step is None:  # the first step, or a cycle that missed its target

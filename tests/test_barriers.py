@@ -53,11 +53,16 @@ def test_barrier_derivatives_match_finite_differences():
             fd_yy = (fn.value(x, y + h) - 2 * fn.value(x, y) + fn.value(x, y - h)) / h**2
             fd_xy = (fn.value(x + h, y + h) - fn.value(x + h, y - h)
                      - fn.value(x - h, y + h) + fn.value(x - h, y - h)) / (4 * h * h)
-            assert fn.dx(x, y) == pytest.approx(fd_x, rel=1e-6, abs=1e-9)
-            assert fn.dy(x, y) == pytest.approx(fd_y, rel=1e-6, abs=1e-9)
-            assert fn.dxx(x, y) == pytest.approx(fd_xx, rel=1e-4, abs=1e-6)
-            assert fn.dyy(x, y) == pytest.approx(fd_yy, rel=1e-4, abs=1e-6)
-            assert fn.dxy(x, y) == pytest.approx(fd_xy, rel=1e-4, abs=1e-6)
+            v, dx, dy, dxx, dxy, dyy = fn.jet(x, y)
+            assert v == fn.value(x, y)
+            assert dx == pytest.approx(fd_x, rel=1e-6, abs=1e-9)
+            assert dy == pytest.approx(fd_y, rel=1e-6, abs=1e-9)
+            assert dxx == pytest.approx(fd_xx, rel=1e-4, abs=1e-6)
+            assert dyy == pytest.approx(fd_yy, rel=1e-4, abs=1e-6)
+            assert dxy == pytest.approx(fd_xy, rel=1e-4, abs=1e-6)
+        # the jet's value is value() bit for bit on the arrays a scan evaluates too
+        xs, ys = np.linspace(0.01, 0.8, 32)[:, None], np.linspace(-1.0, 1.0, 64)[None, :]
+        assert np.array_equal(fn.jet(xs, ys)[0], fn.value(xs, ys))
 
 
 def test_apply_L1_exact_solutions(model_ab):

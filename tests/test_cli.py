@@ -3,10 +3,12 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srlab
 from srlab.cli import main
 from srlab.grids import ScalarField2D
 
@@ -121,16 +123,20 @@ def test_sweep(tmp_path):
 
 
 def test_outputs_deterministic_and_thread_invariant(tmp_path):
+    # fresh processes with one and two BLAS threads; the 49x49 model solve has
+    # 2,303 unknowns, below the 10,000 entries past which OpenBLAS splits a
+    # dot product across its threads
     args = ["solve", "--mode", "model", "--grid", "49,49", "--grade", "0.95",
             "--perturb", "0.2", "--tol", "1e-9"]
+    src = str(Path(srlab.__file__).resolve().parents[1])
     outs = []
-    for name, threads in (("r1", "1"), ("r2", "4")):
-        out = tmp_path / name
-        os.environ["SRL_THREADS"] = threads
-        try:
-            assert run(args + ["--out", str(out)]) == 0
-        finally:
-            os.environ.pop("SRL_THREADS", None)
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "srlab.cli", *args, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
         outs.append(out)
     b1 = (outs[0] / "grid.srl").read_bytes()
     b2 = (outs[1] / "grid.srl").read_bytes()

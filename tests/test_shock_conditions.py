@@ -113,6 +113,21 @@ def test_psi_gradient_exact_at_P1(gamma, theta_deg):
     assert fns.psi_gradient(0.0, 0.0, 0.0, 0.0, cfg.y1)[0] == pytest.approx(fns.psi_p1_at_P1(), rel=1e-13)
 
 
+def test_psi_gradient_matches_per_slot_complex_steps(fns, weak60):
+    # the stacked evaluation gives each slot's own complex step, Im Psi(p + ih e_k)/h
+    rng = np.random.default_rng(3)
+    x = np.linspace(1e-4, weak60.c2 / 20.0, 40)
+    y = srlab.shock_curve_fhat(weak60, x)
+    p = [0.1 * x * rng.standard_normal(x.size) for _ in range(3)]
+    h = 1e-30
+    grad = fns.psi_gradient(*p, x, y)
+    for k in range(3):
+        z = list(p)
+        z[k] = p[k] + 1j * h
+        want = np.imag(fns.Psi(*z, x, y)) / h
+        assert np.max(np.abs(grad[k] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_psi_p1_vanishes_as_densities_merge(fns, weak60):
     # synthetic state with rho2 -> rho1: the tangential form has an explicit
     # (rho2 - rho1) factor

@@ -2,11 +2,17 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def test_bench_span_targets_resolve():
@@ -25,6 +31,17 @@ def test_bench_span_targets_resolve():
             missing.append(f"{modname}.{attr}")
     assert not missing
     assert spans.TARGETS
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_traced_pass_is_correct(workload):
+    # a traced pass must reproduce the untraced one (outputs, iteration counts)
+    # and enter every span the workload requires, or the benchmark rejects it
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report, result = proc.stdout.splitlines()[-2:]
+    assert json.loads(result)["correct"], report
 
 
 def test_bench_solver_options_are_fields():
