@@ -38,7 +38,9 @@ def geometric_axis(length: float, n: int, q: float = 0.95) -> np.ndarray:
     """Nodes on [0, length], geometrically graded toward 0 with spacing ratio q.
 
     Adjacent spacings satisfy h_{k} = h_{k+1} * q moving toward 0, so the
-    finest cell touches x = 0.  q = 1 reduces to the uniform axis.
+    finest cell touches x = 0.  q = 1 reduces to the uniform axis.  Raises
+    ValueError, before allocating the axis, when the grade is too steep for
+    n nodes: (1/q)^(n-1) overflows or the finest cell underflows.
     """
     if n < 3:
         raise ValueError("need at least 3 nodes per axis")
@@ -48,7 +50,13 @@ def geometric_axis(length: float, n: int, q: float = 0.95) -> np.ndarray:
     if q == 1.0:
         return np.linspace(0.0, length, n)
     ratio = 1.0 / q
-    h0 = length * (ratio - 1.0) / (ratio**m - 1.0)
+    try:
+        h0 = length * (ratio - 1.0) / (ratio**m - 1.0)
+    except OverflowError:
+        h0 = 0.0
+    if not np.finfo(float).tiny <= h0 < np.inf:
+        raise ValueError(f"grading ratio {q} is too steep for {n} nodes: the finest cell {h0:.3g} "
+                         f"is not a positive normal float")
     steps = h0 * ratio ** np.arange(m)
     xs = np.concatenate([[0.0], np.cumsum(steps)])
     xs[-1] = length

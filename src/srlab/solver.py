@@ -11,9 +11,11 @@ Each outer step is a Newton step on the residual A(u) u - rhs: its Jacobian
 adds the coefficients' partials in (psi, psi_x, psi_y), by complex step, on
 the same nine entries per row.  The first step factors its Jacobian by one
 sparse LU (fixed column ordering); every later step solves its own Jacobian
-by one restarted-GMRES cycle preconditioned by that factor, and only a cycle
-that misses its target factors again (an inexact Newton method), so a solve
-usually factors once and every run is deterministic.
+by one restarted-GMRES cycle preconditioned by that factor, solved only as
+accurately as Newton can use (a forcing term from the last step's
+contraction), and only a cycle that misses its target factors again (an
+inexact Newton method), so a solve usually factors once and every run is
+deterministic.
 
 Two domains share that one outer loop: a rectangle (0, rhat) x (y_lo, y_hi),
 and the shock-fitted strip {0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s)
@@ -50,9 +52,13 @@ _log = logging.getLogger(__name__)
 # interior nodes they may act on at convergence before EllipticityLoss
 _BETA, _M, _EPS_ELL, _CLAMP_FAIL_FRACTION = 0.5, 2.0, 0.1, 0.2
 # a Newton step on an earlier factor is one GMRES cycle of at most _RESTART
-# iterations, accepted once its preconditioned residual is _KRYLOV_TOL of the
-# preconditioned right side
-_RESTART, _KRYLOV_TOL = 25, 1e-8
+# iterations, accepted once its preconditioned residual falls to the step's
+# relative target, the inexact-Newton forcing term (Dembo, Eisenstat and
+# Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat and Walker, SIAM J. Sci.
+# Comput. 17, 1996): _FORCING times the last contraction r_k / r_{k-1},
+# capped at _KRYLOV_CAP while the residual falls slowly or rises, and never
+# below the floor _KRYLOV_TOL
+_RESTART, _KRYLOV_TOL, _KRYLOV_CAP, _FORCING = 25, 1e-8, 1e-4, 1e-3
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,12 @@ class GridSpec:
     y_lo: float = -1.0
     y_hi: float = 1.0
     grade_q: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.rhat < np.inf:  # NaN fails too
+            raise ValueError(f"rhat must be finite and positive, got {self.rhat}")
+        if not -np.inf < self.y_lo < self.y_hi < np.inf:
+            raise ValueError(f"y_lo and y_hi must be finite with y_lo < y_hi, got {self.y_lo} and {self.y_hi}")
 
     def axes(self):
         return geometric_axis(self.rhat, self.nx, self.grade_q), uniform_axis(self.y_lo, self.y_hi, self.ny)
@@ -331,19 +343,19 @@ def _factor(A, coupled):
         raise ShockConditionDiverged(f"singular linearized jump-condition system: {exc}") from exc
 
 
-def _krylov_step(A, rhs, lu):
+def _krylov_step(A, rhs, lu, rtol):
     """Solve A du = rhs by one GMRES cycle preconditioned by lu, the LU of an earlier Jacobian.
 
     The cycle stops once its (left-)preconditioned residual, the one GMRES
-    minimises, falls to _KRYLOV_TOL of the preconditioned right side, or
-    after _RESTART iterations.  Returns (du, iterations), du None when the
-    cycle took all _RESTART iterations: a miss.  Scipy's own flag tests the
+    minimises, falls to rtol of the preconditioned right side, or after
+    _RESTART iterations.  Returns (du, iterations), du None when the cycle
+    took all _RESTART iterations: a miss.  Scipy's own flag tests the
     unpreconditioned residual, which the graded rows scale badly.
     """
     from scipy.sparse.linalg import LinearOperator, gmres
 
     norms = []  # one entry per inner iteration
-    du, _ = gmres(A, rhs, rtol=_KRYLOV_TOL, restart=_RESTART, maxiter=1,
+    du, _ = gmres(A, rhs, rtol=rtol, restart=_RESTART, maxiter=1,
                   M=LinearOperator(A.shape, lu.solve, dtype=float), callback=norms.append, callback_type="pr_norm")
     return (du if len(norms) < _RESTART else None), len(norms)
 
@@ -430,17 +442,21 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     J du = rhs - A(u) u.  The first step solves it on a sparse LU of its J;
     each later step by one GMRES cycle preconditioned by that LU
     (_krylov_step), and a cycle that misses its target factors the current
-    J and solves on that LU, which the next steps then reuse.  Every fixed
+    J and solves on that LU, which the next steps then reuse.  Each cycle
+    is solved only as accurately as Newton can use: its relative target
+    follows the contraction of the last step, read from the residual history
+    alone, so a traced run takes the same targets.  Every fixed
     point solves A(u) u = rhs, the equation with the cutoff and floor
     applied.
     Convergence is judged on the operator residual max |L psi| over all
     interior nodes and, on the strip, on the scaled jump-condition residual
     that shock_row(d) returns from the step's derivative pass d, together
-    with the Newton and cut rows of the next step.  Each iteration logs its
-    residuals, and the GMRES iterations (0 on a fresh LU) and norm max |du|
-    of the step that led to it, at DEBUG.
+    with the Newton and cut rows of the next step; the larger of the two is
+    the history entry r_k.  Each iteration logs its residuals, and the GMRES
+    iterations and target (both 0 on a fresh LU) and norm max |du| of the
+    step that led to it, at DEBUG.
     """
-    history, lu_nnz, krylov, du, inner = [], [], [], 0.0, 0
+    history, lu_nnz, krylov, du, inner, rtol = [], [], [], 0.0, 0, 0.0
     shock_res, shock, blocks, lu = 0.0, None, None, None
     x, y = field.xs[:, None], _ordinates(field)
     for it in range(opts.max_iterations + 1):
@@ -454,8 +470,8 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         if shock_row is not None:
             shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
-        _log.debug("iteration %d: residual %.3e, shock %.3e, krylov %d, step max|du| %.3e",
-                   it, res, shock_res, inner, du)
+        _log.debug("iteration %d: residual %.3e, shock %.3e, krylov %d, rtol %.3e, step max|du| %.3e",
+                   it, res, shock_res, inner, rtol, du)
         if history[-1] <= opts.tolerance:
             break
         if it == opts.max_iterations:
@@ -466,9 +482,13 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         partials = coefficient_partials(coeffs, x, y, *jet[:3])
         J, rhs = _newton_system(blocks, frozen, partials, jet, field.values, shock)
         J = J[:, unknown]
-        step, inner = (None, 0) if lu is None else _krylov_step(J, rhs, lu)
+        if lu is None:
+            step, inner = None, 0
+        else:
+            rtol = min(_KRYLOV_CAP, max(_KRYLOV_TOL, _FORCING * history[-1] / history[-2]))
+            step, inner = _krylov_step(J, rhs, lu, rtol)
         if step is None:  # the first step, or a cycle that missed its target
-            lu, inner = _factor(J, shock is not None), 0
+            lu, inner, rtol = _factor(J, shock is not None), 0, 0.0
             lu_nnz.append(int(lu.nnz))
             step = lu.solve(rhs)
         krylov.append(inner)

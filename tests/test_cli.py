@@ -201,11 +201,17 @@ def test_import_srlab_loads_no_scipy():
 
 @pytest.mark.parametrize("bad", [["--grid", "97"], ["--grid", "a,b"], ["--tol", "0"], ["--max-iter", "-1"],
                                  ["--tol", "nan"], ["--a", "nan"], ["--b", "nan"], ["--rhat", "nan"],
-                                 ["--perturb", "nan"]])
+                                 ["--perturb", "nan"], ["--grid", "20000,3"],
+                                 ["--mode", "reflection", "--grid", "1000000,3"], ["--rhat", "0"],
+                                 ["--rhat", "inf"], ["--rhat", "-0.5"], ["--y-halfwidth", "0"],
+                                 ["--y-halfwidth", "-1"], ["--y-halfwidth", "inf"]])
 def test_solve_bad_input_exit_2(tmp_path, capsys, bad):
+    # a grid too fine for its grade is refused before the axis is built, and a
+    # bad rectangle extent by name, not as bad boundary data or axis order
     assert run(["solve", "--mode", "model", *bad, "--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration failed:") and err.count("\n") == 1
+    field = {"--rhat": "rhat", "--y-halfwidth": "y_lo"}.get(bad[0], "")
+    assert err.startswith(f"configuration failed: {field}") and err.count("\n") == 1
     assert not (tmp_path / "s").exists()
 
 

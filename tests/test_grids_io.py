@@ -31,6 +31,18 @@ def test_axis_validation():
         uniform_axis(0.0, 1.0, 2)
 
 
+def test_geometric_axis_too_steep_for_its_nodes():
+    # (1/q)^(n-1) past the float range, or a finest cell below the smallest
+    # normal float, is a ValueError rather than an OverflowError or a zero cell
+    for n in (1025, 1024):  # 2^1024 overflows; 1/(2^1023 - 1) is subnormal
+        with pytest.raises(ValueError, match="too steep"):
+            geometric_axis(1.0, n, 0.5)
+    with pytest.raises(ValueError, match="too steep"):
+        geometric_axis(0.5, 10**9, 0.95)
+    xs = geometric_axis(1.0, 1022, 0.5)  # finest cell 1/(2^1021 - 1), still normal
+    assert xs[1] >= np.finfo(float).tiny and xs[-1] == 1.0
+
+
 def test_field_shape_validation():
     with pytest.raises(ValueError):
         ScalarField2D(np.linspace(0, 1, 5), np.linspace(0, 1, 4), np.zeros((4, 5)))

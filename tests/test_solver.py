@@ -263,10 +263,12 @@ def test_near_supersonic_strip_factors_once():
 
 def test_missed_krylov_cycle_refactors(reflection_field, weak60, monkeypatch):
     # a GMRES cycle that cannot reach its target refactors at the current
-    # Jacobian and solves on that factor: same steps, same field
+    # Jacobian and solves on that factor: same steps, same field.  The target
+    # lies between the floor and the cap, so both go to 1e-30 to force a miss
     from srlab import solver
 
     monkeypatch.setattr(solver, "_KRYLOV_TOL", 1e-30)
+    monkeypatch.setattr(solver, "_KRYLOV_CAP", 1e-30)
     f = srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=97, grid_ny=49,
                                           opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=6000))
     steps = reflection_field.meta["iterations"] - 1
@@ -277,9 +279,35 @@ def test_missed_krylov_cycle_refactors(reflection_field, weak60, monkeypatch):
     assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_forcing_term_saves_krylov_iterations(weak60, model_ab, monkeypatch):
+    # each GMRES cycle stops at the target the last Newton contraction asks
+    # for: the same steps on one LU, at most 7 iterations per cycle (a fixed
+    # 1e-8 target takes 8-10), and the field of the solve held to 1e-8.
+    # Cases: the gamma=1.4 criterion-6 strip and the CLI's 97x49 model solve
+    from srlab import solver
+
+    a, b = model_ab
+    outer = lambda y: (0.25 / (2 * a)) * (1.0 + 0.2 * np.cos(np.pi * y))
+    model = (srlab.model_coefficients(a, b), srlab.BoundaryConditions(outer=outer),
+             srlab.GridSpec(rhat=0.5, nx=97, ny=49, grade_q=0.95))
+    opts = srlab.SolverOptions(tolerance=1e-9, max_iterations=40)
+    runs = (lambda: srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=121, grid_ny=49, opts=opts),
+            lambda: srlab.solve(*model, opts))
+    for run in runs:
+        f = run()
+        assert f.meta["iterations"] == 5 and len(f.meta["lu_nnz"]) == 1
+        assert f.meta["krylov_iterations"][0] == 0 and 0 < max(f.meta["krylov_iterations"]) <= 7
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_KRYLOV_CAP", 1e-8)
+            ref = run().values
+        assert np.max(np.abs(f.values - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 def test_debug_log_gives_each_step_norm(model_ab, caplog):
     # one DEBUG line per iteration, with the norm of the step that led to it
     import logging
+
+    from srlab.solver import _FORCING, _KRYLOV_CAP, _KRYLOV_TOL
 
     a, b = model_ab
     outer = lambda y: (0.25 / (2 * a)) * (1.0 + 0.2 * np.cos(np.pi * y))
@@ -292,6 +320,15 @@ def test_debug_log_gives_each_step_norm(model_ab, caplog):
     # and the GMRES iterations of that step, as in the sidecar
     krylov = [int(m.split("krylov ", 1)[1].split(",", 1)[0]) for m in lines]
     assert krylov == [0] + f.meta["krylov_iterations"]
+    # and its GMRES target, 0 on a fresh LU, else the forcing term of the
+    # residuals logged before it (to their printed digits)
+    rtol = [float(m.split("rtol ", 1)[1].split(",", 1)[0]) for m in lines]
+    r = [max(float(m.split("residual ", 1)[1].split(",", 1)[0]), float(m.split("shock ", 1)[1].split(",", 1)[0]))
+         for m in lines]
+    assert rtol[:2] == [0.0, 0.0] and len(rtol) > 2
+    for k in range(2, len(lines)):
+        expected = min(_KRYLOV_CAP, max(_KRYLOV_TOL, _FORCING * r[k - 1] / r[k - 2])) if krylov[k] else 0.0
+        assert rtol[k] == pytest.approx(expected, rel=2e-3)
     assert steps[0] == 0.0 and steps[1] > 0.0
     assert steps[-1] < 1e-3 * steps[1]
 
