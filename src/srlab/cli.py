@@ -332,7 +332,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:  # missing file, or a directory given as a file
         print(f"missing input: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, InvalidShock) as exc:  # does not parse (JSONDecodeError is a ValueError)
+    except (ValueError, KeyError, TypeError, InvalidShock) as exc:  # does not parse, or a value is bad or of the wrong type
         print(f"malformed input {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NoSonicIntersection as exc:  # a strong-branch shock, say

@@ -20,7 +20,7 @@ from .errors import (
     OutOfRange,
     SrlabError,
 )
-from .states import GasParameters, UniformState, incident_shock, sound_speed, state1
+from .states import GasParameters, UniformState, bernoulli_density, incident_shock, sound_speed, state1
 
 __all__ = [
     "WedgeGeometry",
@@ -148,23 +148,18 @@ class ReflectionConfiguration:
 
     @classmethod
     def from_json(cls, text: str) -> "ReflectionConfiguration":
+        """The configuration of a to_json text, rebuilt from its gas, theta_w, state (2) and branch.
+
+        The other keys (u1, xi0, c2, the points, ...) are derived, written for
+        readers of the file; they are recomputed here, not read.
+        """
         d = json.loads(text)
         gas = GasParameters(d["gamma"], d["rho0"], d["rho1"])
+        theta_w = WedgeGeometry(d["theta_w"]).theta_w
         st2 = UniformState(d["u2"], d["v2"], d["k2"], d["rho2"])
-        return cls(
-            gas=gas,
-            theta_w=d["theta_w"],
-            u1=d["u1"],
-            xi0=d["xi0"],
-            state2=st2,
-            c2=d["c2"],
-            P0=(d["P0_xi"], d["P0_eta"]),
-            P1=(d["P1_xi"], d["P1_eta"]),
-            P4=(d["P4_xi"], d["P4_eta"]),
-            s1_direction=(d["s1_dir_xi"], d["s1_dir_eta"]),
-            branch=d["branch"],
-            supersonic_at_P0=d["supersonic_at_P0"],
-        )
+        if d["branch"] not in ("weak", "strong", "unlabeled"):
+            raise ValueError(f"branch must be weak, strong or unlabeled, got {d['branch']!r}")
+        return replace(_build_configuration(gas, theta_w, *incident_shock(gas), st2), branch=d["branch"])
 
 
 def _state2_of_u2(gas, xi0, tanw, u2):
@@ -173,17 +168,9 @@ def _state2_of_u2(gas, xi0, tanw, u2):
     past the vacuum bound."""
     v2 = u2 * tanw
     k2 = -xi0 * u2 * (1.0 + tanw * tanw)
-    bern = k2 + 0.5 * (u2 * u2 + v2 * v2)
-    if gas.isothermal:
-        rho2 = gas.rho0 * np.exp(-bern)
-        # under- or overflowed: past the vacuum bound in floating point
-        rho2 = np.where((0.0 < rho2) & (rho2 < np.inf), rho2, np.nan)
-    else:
-        g = gas.gamma
-        arg = gas.rho0 ** (g - 1.0) - (g - 1.0) * bern
-        # abs keeps the discarded branch free of invalid-power warnings
-        rho2 = np.where(arg > 0.0, np.abs(arg) ** (1.0 / (g - 1.0)), np.nan)
-    return v2, k2, rho2
+    rho2 = bernoulli_density(gas, gas.rho0, k2 + 0.5 * (u2 * u2 + v2 * v2))
+    # under- or overflowed: past the vacuum bound in floating point
+    return v2, k2, np.where((0.0 < rho2) & (rho2 < np.inf), rho2, np.nan)
 
 
 def _u_vacuum(gas, xi0, tanw):
@@ -303,10 +290,7 @@ _N_SCAN = 1000
 
 def _solve_lanes(gas, theta_ws):
     """solve_state2 for each angle, as its {"weak", "strong"} dict or its SrlabError."""
-    theta_ws = [float(t) for t in np.atleast_1d(theta_ws)]
-    for theta_w in theta_ws:
-        if not 0.0 < theta_w < np.pi / 2:
-            raise ValueError(f"theta_w must lie in (0, pi/2), got {theta_w}")
+    theta_ws = [WedgeGeometry(float(t)).theta_w for t in np.atleast_1d(theta_ws)]
     tanw = np.tan(np.asarray(theta_ws))
     xi0, u1 = incident_shock(gas)
 

@@ -16,6 +16,7 @@ from .coefficients import complex_step_partials
 from .errors import OutsideDomain, VacuumState
 from .grids import _write_csv
 from .reflection import ReflectionConfiguration
+from .states import bernoulli_density
 
 __all__ = [
     "ShockBoundaryFns",
@@ -49,15 +50,10 @@ def _chart(cfg, p1, p2, x, y):
 def _bernoulli(cfg, q1, q2, q3, xi, eta):
     """Bernoulli linearisation lin at the state perturbed by (q1, q2, q3) at (xi, eta).
 
-    The density is rho2 exp(lin) for isothermal gas, else arg^(1/(gamma-1))
-    with arg = rho2^(gamma-1) + (gamma-1) lin; returns (lin, arg), arg None
-    for isothermal gas.
+    The state lies -lin above state (2) on the Bernoulli scale, so its density
+    is bernoulli_density(gas, rho2, -lin).
     """
-    lin = (xi - cfg.u2) * q1 + (eta - cfg.v2) * q2 - 0.5 * (q1 * q1 + q2 * q2) - q3
-    if cfg.gas.isothermal:
-        return lin, None
-    g = cfg.gas.gamma
-    return lin, cfg.rho2 ** (g - 1.0) + (g - 1.0) * lin
+    return (xi - cfg.u2) * q1 + (eta - cfg.v2) * q2 - 0.5 * (q1 * q1 + q2 * q2) - q3
 
 
 @dataclass
@@ -73,14 +69,11 @@ class ShockBoundaryFns:
         p1, p2, p3, xi, eta = np.broadcast_arrays(
             *map(np.asarray, (p1, p2, p3, xi, eta))
         )
-        lin, arg = _bernoulli(self.config, p1, p2, p3, xi, eta)
-        if arg is None:
-            return self.config.rho2 * np.exp(lin)
-        if np.any(arg.real <= 0.0):
-            raise VacuumState(
-                f"perturbed Bernoulli argument nonpositive (min {np.min(arg.real):.6g})"
-            )
-        return arg ** (1.0 / (self.config.gas.gamma - 1.0))
+        cfg = self.config
+        rho = bernoulli_density(cfg.gas, cfg.rho2, -_bernoulli(cfg, p1, p2, p3, xi, eta))
+        if np.any(np.isnan(rho)):
+            raise VacuumState("perturbed state past the vacuum bound")
+        return rho
 
     def E(self, p1, p2, p3, xi, eta):
         """Combined mass-flux/continuity condition in physical coordinates."""
@@ -136,16 +129,17 @@ class ShockBoundaryFns:
         Elementwise over the broadcast samples.  Along t*(p1,p2,p3) the
         Bernoulli argument is concave in t (its t^2 coefficient is
         -(gamma-1)|q|^2/2) and positive at t = 0, so it stays positive on
-        [0,2] exactly when it is positive at t = 2; the factor 2 implements
-        the half-distance margin.  A point at or past the circle center
-        (x >= c2) is outside.
+        [0,2] exactly when it is positive at t = 2, where the density is not
+        NaN; the factor 2 implements the half-distance margin.  Isothermal gas
+        has no vacuum.  A point at or past the circle center (x >= c2) is
+        outside.
         """
         cfg = self.config
         p1, p2, p3, x, y = np.broadcast_arrays(*map(np.asarray, (p1, p2, p3, x, y)))
         inside = x < cfg.c2  # exactly where r = c2 - x > 0
         q1, q2, xi, eta = _chart(cfg, p1, p2, np.where(inside, x, 0.0), y)
-        _, arg = _bernoulli(cfg, 2.0 * q1, 2.0 * q2, 2.0 * p3, xi, eta)
-        return inside if arg is None else inside & (arg > 0.0)
+        lin = _bernoulli(cfg, 2.0 * q1, 2.0 * q2, 2.0 * p3, xi, eta)
+        return inside & ~np.isnan(bernoulli_density(cfg.gas, cfg.rho2, -lin))
 
     # -- first-order expansion coefficients -----------------------------------
 

@@ -6,6 +6,7 @@ takes the bare pseudo-potential value phi.  gamma = 1 selects the isothermal
 closure (logarithmic enthalpy, unit sound speed) in closed form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from .errors import InvalidShock, VacuumState
 __all__ = [
     "GasParameters",
     "UniformState",
+    "bernoulli_density",
     "density_from_bernoulli",
     "sound_speed",
     "critical_speed",
@@ -63,6 +65,8 @@ class UniformState:
     rho: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u, self.v, self.k, self.rho))):
+            raise ValueError(f"state must be finite, got u={self.u}, v={self.v}, k={self.k}, rho={self.rho}")
         if self.rho <= 0.0:
             raise ValueError(f"density must be positive, got {self.rho}")
 
@@ -74,33 +78,36 @@ class UniformState:
         return np.stack(np.broadcast_arrays(self.u - np.asarray(xi), self.v - np.asarray(eta)), axis=-1)
 
 
-def density_from_bernoulli(grad_sq, phi, gas: GasParameters):
-    """Density from squared pseudo-speed and pseudo-potential.
+def bernoulli_density(gas: GasParameters, rho_ref, dB):
+    """Density dB above a reference state of density rho_ref on the Bernoulli scale, elementwise.
 
-    Polytropic: (rho0^(g-1) - (g-1)(phi + grad_sq/2))^(1/(g-1)).
-    Isothermal: rho0 * exp(-(phi + grad_sq/2)).
+    Isothermal: rho_ref * exp(-dB), which has no vacuum.
+    Polytropic: arg^(1/(g-1)) with arg = rho_ref^(g-1) - (g-1) dB, NaN where
+    real(arg) <= 0 (past the vacuum bound).  dB may carry complex steps.
     """
-    grad_sq = np.asarray(grad_sq, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    bern = phi + 0.5 * grad_sq
     if gas.isothermal:
-        out = gas.rho0 * np.exp(-bern)
-        return float(out) if out.ndim == 0 else out
+        return rho_ref * np.exp(-dB)
     g = gas.gamma
-    arg = gas.rho0 ** (g - 1.0) - (g - 1.0) * bern
-    if np.any(arg <= 0.0):
-        raise VacuumState(f"Bernoulli argument nonpositive (min {np.min(arg):.6g})")
-    out = arg ** (1.0 / (g - 1.0))
+    arg = rho_ref ** (g - 1.0) - (g - 1.0) * dB
+    # NaN before the power keeps it free of invalid-value warnings; [()] keeps
+    # a scalar a scalar, whose power may round unlike a 0-d array's
+    return np.where(arg.real > 0.0, arg, np.nan)[()] ** (1.0 / (g - 1.0))
+
+
+def density_from_bernoulli(grad_sq, phi, gas: GasParameters):
+    """Density from squared pseudo-speed and pseudo-potential: bernoulli_density
+    above the rest state rho0 at dB = phi + grad_sq/2; raises VacuumState past
+    the vacuum bound."""
+    bern = np.asarray(phi, dtype=float) + 0.5 * np.asarray(grad_sq, dtype=float)
+    out = bernoulli_density(gas, gas.rho0, bern)
+    if np.any(np.isnan(out)):
+        raise VacuumState(f"Bernoulli density past the vacuum bound (max phi + |Dphi|^2/2 {np.max(bern):.6g})")
     return float(out) if out.ndim == 0 else out
 
 
 def sound_speed(rho, gas: GasParameters):
-    """c(rho): rho^((gamma-1)/2) for polytropic gas, 1 for isothermal."""
-    rho = np.asarray(rho, dtype=float)
-    if gas.isothermal:
-        out = np.ones_like(rho)
-    else:
-        out = rho ** ((gas.gamma - 1.0) / 2.0)
+    """c(rho) = rho^((gamma-1)/2); 1 for isothermal gas."""
+    out = np.asarray(rho, dtype=float) ** ((gas.gamma - 1.0) / 2.0)
     return float(out) if out.ndim == 0 else out
 
 

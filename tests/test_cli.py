@@ -234,6 +234,13 @@ def test_verify_without_input_exit_2(tmp_path, capsys, what):
 _BAD_MODEL = {"model_a_negative": {"a": -1.0}, "model_b_zero": {"b": 0.0}, "model_a_nan": {"a": float("nan")},
               "model_a_string": {"a": "2.4"}}
 
+# one key of a weak 60-degree configuration file, edited: an angle that is NaN
+# or in radians past pi/2, an unknown branch, a non-numeric gas, a state (2)
+# that is not finite
+_BAD_CONFIG = {"config_theta_w_nan": {"theta_w": float("nan")}, "config_theta_w_3": {"theta_w": 3.0},
+               "config_branch_3": {"branch": 3}, "config_gamma_string": {"gamma": "x"},
+               "config_k2_nan": {"k2": float("nan")}, "config_rho2_nan": {"rho2": float("nan")}}
+
 
 def _malformed(tmp_path, case):
     """(what, flag, path) of a verify input file that exists but does not parse."""
@@ -269,7 +276,11 @@ def _malformed(tmp_path, case):
         sidecar.write_text(json.dumps({**read_json(sidecar), "geometry": geometry}))
     else:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json" if case == "config_not_json" else '{"gamma": 1.4}')
+        if case in _BAD_CONFIG:
+            weak = srlab.solve_state2(srlab.GasParameters(1.4, 1.0, 2.0), np.radians(60.0))["weak"]
+            cfg.write_text(json.dumps({**json.loads(weak.to_json()), **_BAD_CONFIG[case]}))
+        else:
+            cfg.write_text("{not json" if case == "config_not_json" else '{"gamma": 1.4}')
         return "rh", "--config", cfg
     return "regularity", "--grid", grid
 
@@ -277,7 +288,7 @@ def _malformed(tmp_path, case):
 @pytest.mark.parametrize("case", ["bad_magic", "truncated_grid", "truncated_header", "huge_header",
                                   "empty_header", "geometry_not_object", "meta_not_object",
                                   "sidecar_not_object", "strip_without_g", "strip_short_fhat",
-                                  *_BAD_MODEL, "config_not_json", "config_missing_key"])
+                                  *_BAD_MODEL, "config_not_json", "config_missing_key", *_BAD_CONFIG])
 def test_verify_malformed_input_exit_2(tmp_path, capsys, case):
     what, flag, path = _malformed(tmp_path, case)
     assert run(["verify", "--what", what, flag, str(path), "--out", str(tmp_path / "v")]) == 2

@@ -230,6 +230,23 @@ def test_config_json_roundtrip(weak60):
     assert back.P1 == weak60.P1
     d = json.loads(text)
     assert d["branch"] == "weak"
+    # the derived keys are written for readers of the file; loading rebuilds them
+    edited = json.dumps({**d, "c2": float("nan"), "P1_xi": float("nan")})
+    assert srlab.ReflectionConfiguration.from_json(edited).to_json() == text
+    # both branches at every quarter degree of 50..89 for four gammas
+    thetas = np.radians(np.arange(50.0, 89.0 + 1e-9, 0.25))
+    count = 0
+    for gamma in (1.0, 1.4, 2.0, 3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotSupersonicAtP0)
+            solved = srlab.solve_state2_many(srlab.GasParameters(gamma, 1.0, 2.0), thetas)
+        for both in solved:
+            if isinstance(both, dict):
+                for cfg in both.values():
+                    text = cfg.to_json()
+                    assert srlab.ReflectionConfiguration.from_json(text).to_json() == text
+                    count += 1
+    assert count == 1130
 
 
 def test_wedge_geometry_contains():
@@ -249,6 +266,19 @@ def test_strong_branch_subsonic_with_warning_suppressed(gas):
     assert strong.rho2 > gas.rho1
     res = strong.residuals()
     assert res["rh"] < 1e-12
+
+
+def test_overflowed_density_is_no_root():
+    # at gamma = 1.001 the density's power 1/(gamma-1) = 1000 overflows along
+    # the u2 scan at near-normal wedges; as for isothermal gas, those points
+    # read NaN, so no branch is a root whose rho2 is infinite
+    gas = srlab.GasParameters(1.001, 1.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSupersonicAtP0)
+        both = srlab.solve_state2(gas, np.radians(89.0))
+    for cfg in both.values():
+        assert np.isfinite(cfg.rho2) and np.all(np.isfinite(cfg.P1))
+        assert cfg.residuals()["rh"] < 1e-12
 
 
 def test_root_scan_across_parameter_regimes():

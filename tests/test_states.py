@@ -3,7 +3,7 @@ import pytest
 
 import srlab
 from srlab.errors import InvalidShock, VacuumState
-from srlab.states import state0, state1, density_from_bernoulli, sound_speed
+from srlab.states import bernoulli_density, state0, state1, density_from_bernoulli, sound_speed
 
 from oracles import incident as oracle_incident
 
@@ -26,6 +26,59 @@ def test_density_closed_form_value(gas):
 def test_density_vacuum_raises(gas):
     with pytest.raises(VacuumState):
         srlab.density_from_bernoulli(0.0, 10.0, gas)
+
+
+GAMMAS = (1.0, 1.4, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_bernoulli_density_closed_forms(gamma):
+    gas = srlab.GasParameters(gamma, 1.0, 2.0)
+    rho_ref, dB = 1.7, np.linspace(-0.5, 0.3, 17)
+    closed = {1.0: rho_ref * np.exp(-dB), 1.4: (rho_ref**0.4 - 0.4 * dB) ** 2.5,
+              2.0: rho_ref - dB, 3.0: np.sqrt(rho_ref**2 - 2.0 * dB)}[gamma]
+    np.testing.assert_allclose(bernoulli_density(gas, rho_ref, dB), closed, rtol=1e-15)
+    # a scalar stays a scalar, and the reference state is a fixed point
+    out = bernoulli_density(gas, rho_ref, 0.0)
+    assert not isinstance(out, np.ndarray) and out == pytest.approx(rho_ref, rel=1e-15)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS[1:])
+def test_bernoulli_density_nan_exactly_past_the_vacuum_bound(gamma):
+    gas = srlab.GasParameters(gamma, 1.0, 2.0)
+    g = gamma - 1.0
+    bound = 1.0 / g  # rho_ref = 1: the argument 1 - (gamma-1) dB vanishes here
+    dB = bound * (1.0 + np.linspace(-1e-12, 1e-12, 201))
+    rho = bernoulli_density(gas, 1.0, dB)
+    np.testing.assert_array_equal(np.isnan(rho), 1.0 - g * dB <= 0.0)
+    assert np.all(rho[~np.isnan(rho)] > 0.0)
+    assert np.isnan(bernoulli_density(gas, 1.0, 2.0 * bound))
+    if gamma in (2.0, 3.0):  # (gamma-1) dB is exact: the bound itself is the first NaN
+        assert np.isnan(bernoulli_density(gas, 1.0, bound))
+        assert bernoulli_density(gas, 1.0, np.nextafter(bound, 0.0)) > 0.0
+
+
+def test_bernoulli_density_isothermal_never_nan():
+    g1 = srlab.GasParameters(1.0, 1.0, 2.0)
+    rho = bernoulli_density(g1, 1.0, np.concatenate([np.linspace(-700.0, 700.0, 1001), [1e4, 1e300]]))
+    assert not np.any(np.isnan(rho)) and np.all(rho >= 0.0)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_bernoulli_density_complex_step(gamma):
+    # d rho / dB = -rho^(2-gamma), from the closure's complex step
+    gas = srlab.GasParameters(gamma, 1.0, 2.0)
+    h, rho_ref, dB = 1e-30, 1.3, np.linspace(-0.4, 0.2, 13)
+    rho = bernoulli_density(gas, rho_ref, dB)
+    slope = bernoulli_density(gas, rho_ref, dB + 1j * h).imag / h
+    np.testing.assert_allclose(slope, -rho ** (2.0 - gamma), rtol=1e-14)
+
+
+@pytest.mark.parametrize("field, bad", [(f, b) for f in "uvk" for b in (np.nan, np.inf, -np.inf)]
+                         + [("rho", b) for b in (np.nan, np.inf, 0.0, -1.0)])
+def test_uniform_state_rejects_nonfinite_fields(field, bad):
+    with pytest.raises(ValueError):
+        srlab.UniformState(**{"u": 0.3, "v": 0.5, "k": -0.2, "rho": 2.0, field: bad})
 
 
 def test_critical_speed_value(gas):

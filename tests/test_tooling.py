@@ -119,3 +119,21 @@ def test_every_optional_parameter_is_passed_somewhere():
                 unused += [f"{path.name}:{fn.lineno} {name}({arg})" for index, arg in optional
                            if not any(_passes(c, index, arg) for c in calls.get(name, []))]
     assert unused == []
+
+
+def test_no_unused_top_level_imports():
+    # a module-level import that the module never names is dead weight that
+    # hides which modules really depend on which; __init__ imports to re-export
+    unused = []
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []
