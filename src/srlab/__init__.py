@@ -17,7 +17,6 @@ from .reflection import (
     solve_state2,
     solve_state2_many,
     sonic_circle,
-    locate_points,
     to_sonic_coords,
     from_sonic_coords,
     shock_curve_fhat,

@@ -255,7 +255,7 @@ def _verify_rh(cfg, out, record, digest):
     fns = ShockBoundaryFns(cfg)
     xi_samples = np.linspace(cfg.xi1 - 1.0, cfg.xi1 + 1.0, 20)
     scale = cfg.gas.rho1 * (1.0 + abs(cfg.u1)) + cfg.rho2 * (1.0 + abs(cfg.u2) + cfg.c2 + abs(cfg.xi1))
-    anchor = max(abs(fns.F(0.0, 0.0, 0.0, xi)) for xi in xi_samples) / scale
+    anchor = float(np.max(np.abs(fns.F(0.0, 0.0, 0.0, xi_samples)))) / scale
     p1a, p1b = fns.psi_p1_at_P1(), fns.psi_p1_tau_form()
     eps_grid = [cfg.c2 * fr for fr in (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)]
     eps_ok = largest_valid_eps(cfg, eps_grid)

@@ -28,7 +28,6 @@ __all__ = [
     "solve_state2",
     "solve_state2_many",
     "sonic_circle",
-    "locate_points",
     "to_sonic_coords",
     "from_sonic_coords",
     "shock_curve_fhat",
@@ -105,19 +104,19 @@ class ReflectionConfiguration:
         """Normalized mass-flux and potential-continuity residuals at 7 points of the shock line."""
         st1 = state1(self.gas)
         st2 = self.state2
-        tau = np.asarray(self.s1_direction)
-        nu = np.array([[tau[1]], [-tau[0]]])
-        p = np.asarray(self.P0) + np.linspace(-1.0, 1.0, 7)[:, None] * tau
-        # the offsets of both states as (1, 2) rows: every dot product and norm
-        # goes through matmul (BLAS dot), which rounds them as the 1-D dot does
-        d1 = (np.array([st1.u, st1.v]) - p)[:, None, :]
-        d2 = (np.array([st2.u, st2.v]) - p)[:, None, :]
-        rh = st1.rho * (d1 @ nu)[:, 0, 0] - st2.rho * (d2 @ nu)[:, 0, 0]
-        n1 = np.sqrt(d1 @ d1.transpose(0, 2, 1))[:, 0, 0]
-        n2 = np.sqrt(d2 @ d2.transpose(0, 2, 1))[:, 0, 0]
+        t0, t1 = self.s1_direction
+        s = np.linspace(-1.0, 1.0, 7)
+        px, py = self.P0[0] + s * t0, self.P0[1] + s * t1
+        # the offsets of both states, (d1x, d1y) and (d2x, d2y): every dot product
+        # and norm is a written-out two-term sum, which rounds the same on every BLAS
+        d1x, d1y = st1.u - px, st1.v - py
+        d2x, d2y = st2.u - px, st2.v - py
+        rh = st1.rho * (d1x * t1 - d1y * t0) - st2.rho * (d2x * t1 - d2y * t0)
+        n1 = np.sqrt(d1x * d1x + d1y * d1y)
+        n2 = np.sqrt(d2x * d2x + d2y * d2y)
         scale = np.max(st1.rho * (1.0 + n1) + st2.rho * (1.0 + n2))
-        phi1 = st1.phi(p[:, 0], p[:, 1])
-        cont = np.abs(phi1 - st2.phi(p[:, 0], p[:, 1])) / np.maximum(1.0, np.abs(phi1))
+        phi1 = st1.phi(px, py)
+        cont = np.abs(phi1 - st2.phi(px, py)) / np.maximum(1.0, np.abs(phi1))
         return {"rh": float(np.max(np.abs(rh)) / scale), "continuity": float(np.max(cont))}
 
     def to_json(self) -> str:
@@ -197,20 +196,12 @@ def _flux_residual(gas, xi0, u1, tanw, u2):
     which broadcast together; NaN past the vacuum bound.
     """
     v2, _, rho2 = _state2_of_u2(gas, xi0, tanw, u2)
-    shape = np.shape(v2)
-    w = np.empty(shape + (2, 1))
-    w[..., 0, 0] = u1 - u2
-    w[..., 1, 0] = -v2
-    # the (state-1, state-2) offsets from P0, as row vectors
-    d = np.empty((2,) + shape + (1, 2))
-    d[0, ..., 0, 0] = u1 - xi0
-    d[0, ..., 0, 1] = -xi0 * tanw
-    d[1, ..., 0, 0] = u2 - xi0
-    d[1, ..., 0, 1] = v2 - xi0 * tanw
-    # both dot products go through matmul (BLAS dot), which rounds them
-    # differently from a written-out sum; roots keep their last bits
-    dots = (d @ w)[..., 0, 0]
-    return (gas.rho1 * dots[0] - rho2 * dots[1]) / np.hypot(w[..., 0, 0], w[..., 1, 0])
+    w0, w1 = u1 - u2, -v2
+    # the (state-1, state-2) offsets from P0 dotted with w, each a written-out
+    # two-term sum: it rounds the same on every BLAS build
+    dot1 = (u1 - xi0) * w0 + (-xi0 * tanw) * w1
+    dot2 = (u2 - xi0) * w0 + (v2 - xi0 * tanw) * w1
+    return (gas.rho1 * dot1 - rho2 * dot2) / np.hypot(w0, w1)
 
 
 def _brackets(gas, xi0, u1, tanw, n_scan):
@@ -432,15 +423,6 @@ def _sonic_intersection(P0, tau, center, c2, theta_w):
 def sonic_circle(config: ReflectionConfiguration):
     """Center (u2, v2) and radius c2."""
     return np.array([config.u2, config.v2]), config.c2
-
-
-def locate_points(config: ReflectionConfiguration):
-    """(P0, P1, P4) recomputed from the configuration fields."""
-    center, c2 = sonic_circle(config)
-    tau = np.asarray(config.s1_direction)
-    P1 = _sonic_intersection(config.P0, tau, center, c2, config.theta_w)
-    P4 = (center[0] + c2 * np.cos(config.theta_w), center[1] + c2 * np.sin(config.theta_w))
-    return tuple(config.P0), (float(P1[0]), float(P1[1])), (float(P4[0]), float(P4[1]))
 
 
 def to_sonic_coords(config: ReflectionConfiguration, point):

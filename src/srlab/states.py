@@ -140,10 +140,15 @@ def incident_shock(gas: GasParameters):
     with potential continuity across {xi = xi0}.
     """
     g, r0, r1 = gas.gamma, gas.rho0, gas.rho1
-    if gas.isothermal:
-        bracket = 2.0 * np.log(r1 / r0) / (r1**2 - r0**2)
-    else:
-        bracket = 2.0 * (r1 ** (g - 1.0) - r0 ** (g - 1.0)) / ((g - 1.0) * (r1**2 - r0**2))
+    try:  # Python floats: an overflowed power raises, as does a division by an underflowed r1^2 - r0^2
+        if gas.isothermal:
+            bracket = 2.0 * float(np.log(r1 / r0)) / (r1**2 - r0**2)
+        else:
+            bracket = 2.0 * (r1 ** (g - 1.0) - r0 ** (g - 1.0)) / ((g - 1.0) * (r1**2 - r0**2))
+    except (OverflowError, ZeroDivisionError):
+        bracket = 0.0
+    if not 0.0 < bracket < math.inf:
+        raise InvalidShock(f"incident shock out of floating-point range for gamma={g}, rho0={r0}, rho1={r1}")
     xi0 = r1 * np.sqrt(bracket)
     u1 = xi0 * (r1 - r0) / r1
     return float(xi0), float(u1)

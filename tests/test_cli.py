@@ -242,6 +242,14 @@ _BAD_CONFIG = {"config_theta_w_nan": {"theta_w": float("nan")}, "config_theta_w_
                "config_k2_nan": {"k2": float("nan")}, "config_rho2_nan": {"rho2": float("nan")}}
 
 
+def _weak60_file(tmp_path, **edits):
+    """A weak 60-degree configuration file at gamma 1.4, with some keys edited."""
+    weak = srlab.solve_state2(srlab.GasParameters(1.4, 1.0, 2.0), np.radians(60.0))["weak"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**json.loads(weak.to_json()), **edits}))
+    return path
+
+
 def _malformed(tmp_path, case):
     """(what, flag, path) of a verify input file that exists but does not parse."""
     grid = tmp_path / "grid.srl"
@@ -274,13 +282,11 @@ def _malformed(tmp_path, case):
             geometry["fhat"] = [1.0, 1.0]
         sidecar = tmp_path / "grid.srl.json"
         sidecar.write_text(json.dumps({**read_json(sidecar), "geometry": geometry}))
+    elif case in _BAD_CONFIG:
+        return "rh", "--config", _weak60_file(tmp_path, **_BAD_CONFIG[case])
     else:
         cfg = tmp_path / "cfg.json"
-        if case in _BAD_CONFIG:
-            weak = srlab.solve_state2(srlab.GasParameters(1.4, 1.0, 2.0), np.radians(60.0))["weak"]
-            cfg.write_text(json.dumps({**json.loads(weak.to_json()), **_BAD_CONFIG[case]}))
-        else:
-            cfg.write_text("{not json" if case == "config_not_json" else '{"gamma": 1.4}')
+        cfg.write_text("{not json" if case == "config_not_json" else '{"gamma": 1.4}')
         return "rh", "--config", cfg
     return "regularity", "--grid", grid
 
@@ -369,17 +375,66 @@ def test_sweep_rows_equal_the_config_path(tmp_path, gamma):
     assert np.isfinite(rows[:, 1]).sum() >= 28  # gamma = 3 detaches at 61.09 deg
 
 
-def test_sweep_makes_few_residual_evaluations(tmp_path, monkeypatch):
+@pytest.mark.parametrize("gamma,count", [(1.0, 81), (1.4, 82), (2.0, 81), (3.0, 81)])
+def test_sweep_makes_few_residual_evaluations(tmp_path, monkeypatch, gamma, count):
     # one scan and one lockstep refinement serve all 40 angles, and the
-    # detachment bisection runs on scans alone (5,393 evaluations when each
-    # bracket and each detachment probe was refined on its own)
+    # detachment bisection runs on scans alone (5,393 evaluations at gamma 1.4
+    # when each bracket and each detachment probe was refined on its own);
+    # the exact count pins the algorithm
     import srlab.reflection
 
     calls = []
     residual = srlab.reflection._flux_residual
     monkeypatch.setattr(srlab.reflection, "_flux_residual", lambda *a: (calls.append(1), residual(*a))[1])
-    assert run(["sweep", "--gamma", "1.4", "--out", str(tmp_path / "sw")]) == 0
-    assert len(calls) <= 200
+    assert run(["sweep", "--gamma", repr(gamma), "--out", str(tmp_path / "sw")]) == 0
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("case", ["config_gamma", "config_rho1", "sweep", "solve", "verify_rh"])
+def test_incident_shock_overflow_exit_2(tmp_path, capsys, case):
+    # an incident shock whose powers overflow a float is an input refusal
+    # that names the gas, with no traceback and no warning
+    import warnings
+
+    out = str(tmp_path / "o")
+    argv = {"config_gamma": ["config", "--gamma", "1e6", "--theta-w", "60"],
+            "config_rho1": ["config", "--rho1", "1e300", "--theta-w", "60"],
+            "sweep": ["sweep", "--gamma", "1e6"],
+            "solve": ["solve", "--mode", "reflection", "--gamma", "1e6"],
+            "verify_rh": ["verify", "--what", "rh", "--config", str(_weak60_file(tmp_path, gamma=1e6))]}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "incident shock out of floating-point range for gamma=" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_rh_anchor_is_one_array_call(tmp_path, monkeypatch):
+    # the anchor evaluates F at its 20 samples in one call; the other calls
+    # of F are Psi's, from the b-hat quadrature
+    from srlab.shock import ShockBoundaryFns
+
+    path = _weak60_file(tmp_path)
+    F, Psi = ShockBoundaryFns.F, ShockBoundaryFns.Psi
+    direct, in_psi = [], [0]
+
+    def psi(self, *a):
+        in_psi[0] += 1
+        try:
+            return Psi(self, *a)
+        finally:
+            in_psi[0] -= 1
+
+    def f(self, *a):
+        if not in_psi[0]:
+            direct.append(np.shape(a[3]))
+        return F(self, *a)
+
+    monkeypatch.setattr(ShockBoundaryFns, "Psi", psi)
+    monkeypatch.setattr(ShockBoundaryFns, "F", f)
+    assert run(["verify", "--what", "rh", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
+    assert direct == [(20,)]
 
 
 @pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "49,49", "--perturb", "0.2"],
