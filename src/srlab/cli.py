@@ -7,7 +7,8 @@ run configurations produce byte-identical files (nothing is scheduled across
 workers).
 
 Exit codes: 0 ok, 2 configuration/input failure, 3 solver non-convergence,
-4 failed verification check.
+4 failed verification check.  `main` alone maps a failure to its exit code
+and its one line on stderr.
 """
 
 import argparse
@@ -23,10 +24,10 @@ from . import diagnostics
 from .barriers import choose_subsolution_params, scan_L1_sign, scan_L2_defect_sign, verify_comparison
 from .coefficients import linear_coefficients, model_coefficients
 from .errors import (
+    CenterSingularity,
     EllipticityLoss,
     InvalidShock,
     NoConvergence,
-    NoRegularReflection,
     NoSonicIntersection,
     NotSupersonicAtP0,
     ShockConditionDiverged,
@@ -70,12 +71,7 @@ def _record(args, keys) -> dict:
 def cmd_config(args) -> int:
     record = _record(args, ("gamma", "rho0", "rho1", "theta_w", "branch"))
     digest = _digest(record)
-    try:
-        gas = _gas(args)
-        both = solve_state2(gas, np.radians(args.theta_w))
-    except (NoRegularReflection, InvalidShock, ValueError) as exc:
-        print(f"configuration failed: {exc}", file=sys.stderr)
-        return 2
+    both = solve_state2(_gas(args), np.radians(args.theta_w))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"runconfig": record, "runconfig_digest": digest}
@@ -101,20 +97,16 @@ def cmd_sweep(args) -> int:
     below 89.9 degrees) exits 2 and writes nothing.
     """
     if not 0.0 < args.theta_min <= args.theta_max < 90.0:  # NaN fails too
-        print(f"configuration failed: sweep needs 0 < --theta-min <= --theta-max < 90, "
-              f"got {args.theta_min}, {args.theta_max}", file=sys.stderr)
-        return 2
+        raise ValueError(f"sweep needs 0 < --theta-min <= --theta-max < 90, "
+                         f"got {args.theta_min}, {args.theta_max}")
     # a step of at least one ulp advances every theta up to the loop's end;
     # a smaller one (or one <= 0, or NaN) may leave `theta += step` in place
     if not args.theta_step >= np.spacing(args.theta_max + 1e-12):
-        print(f"configuration failed: sweep needs a --theta-step that advances theta, "
-              f"got {args.theta_step}", file=sys.stderr)
-        return 2
+        raise ValueError(f"sweep needs a --theta-step that advances theta, got {args.theta_step}")
     count = (args.theta_max - args.theta_min) / args.theta_step + 1.0
     if count > _MAX_SWEEP_ANGLES:
-        print(f"configuration failed: sweep needs at most {_MAX_SWEEP_ANGLES} angles, "
-              f"--theta-step {args.theta_step} asks for {count:.3g}", file=sys.stderr)
-        return 2
+        raise ValueError(f"sweep needs at most {_MAX_SWEEP_ANGLES} angles, "
+                         f"--theta-step {args.theta_step} asks for {count:.3g}")
     record = _record(args, ("gamma", "rho0", "rho1", "theta_min", "theta_max", "theta_step"))
     digest = _digest(record)
     thetas = []
@@ -122,15 +114,11 @@ def cmd_sweep(args) -> int:
     while theta <= args.theta_max + 1e-12:
         thetas.append(theta)
         theta += args.theta_step
-    try:
-        gas = _gas(args)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NotSupersonicAtP0)
-            solved = solve_state2_many(gas, np.radians(thetas))
-        lo, hi = detachment_angle(gas)
-    except (NoRegularReflection, InvalidShock, ValueError) as exc:
-        print(f"configuration failed: {exc}", file=sys.stderr)
-        return 2
+    gas = _gas(args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSupersonicAtP0)
+        solved = solve_state2_many(gas, np.radians(thetas))
+    lo, hi = detachment_angle(gas)
     rows = []
     for theta, both in zip(thetas, solved):
         if isinstance(both, SrlabError):
@@ -160,34 +148,24 @@ def cmd_solve(args) -> int:
             "perturb", "a", "b", "gamma", "rho0", "rho1", "theta_w", "eps_frac", "out_name")
     record = _record(args, keys)
     digest = _digest(record)
-    try:
-        nx, ny = _parse_grid(args.grid)
-        opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
-        if args.mode == "reflection":
-            gas = _gas(args)
-            cfg = solve_state2(gas, np.radians(args.theta_w))["weak"]
-            eps = cfg.c2 * args.eps_frac
-            field = solve_reflection_near_sonic(
-                cfg, eps, grid_nx=nx, grid_ny=ny, grade_q=args.grade, opts=opts
-            )
+    nx, ny = _parse_grid(args.grid)
+    opts = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
+    if args.mode == "reflection":
+        cfg = solve_state2(_gas(args), np.radians(args.theta_w))["weak"]
+        eps = cfg.c2 * args.eps_frac
+        field = solve_reflection_near_sonic(cfg, eps, grid_nx=nx, grid_ny=ny, grade_q=args.grade, opts=opts)
+    else:
+        a, b = args.a, args.b
+        coeffs = model_coefficients(a, b) if args.mode == "model" else linear_coefficients(b)
+        rhat, amp = args.rhat, args.perturb
+        if args.mode == "model":
+            outer = lambda y: (rhat**2 / (2 * a)) * (1.0 + amp * np.cos(np.pi * y / args.y_halfwidth))
         else:
-            a, b = args.a, args.b
-            coeffs = model_coefficients(a, b) if args.mode == "model" else linear_coefficients(b)
-            rhat, amp = args.rhat, args.perturb
-            if args.mode == "model":
-                outer = lambda y: (rhat**2 / (2 * a)) * (1.0 + amp * np.cos(np.pi * y / args.y_halfwidth))
-            else:
-                outer = lambda y: rhat**1.5 * np.ones_like(y)
-            bc = BoundaryConditions(outer=outer)
-            grid = GridSpec(rhat=rhat, nx=nx, ny=ny, y_lo=-args.y_halfwidth,
-                            y_hi=args.y_halfwidth, grade_q=args.grade)
-            field = solve(coeffs, bc, grid, opts)
-    except (NoConvergence, EllipticityLoss, ShockConditionDiverged) as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 3
-    except (NoRegularReflection, InvalidShock, ValueError) as exc:
-        print(f"configuration failed: {exc}", file=sys.stderr)
-        return 2
+            outer = lambda y: rhat**1.5 * np.ones_like(y)
+        bc = BoundaryConditions(outer=outer)
+        grid = GridSpec(rhat=rhat, nx=nx, ny=ny, y_lo=-args.y_halfwidth,
+                        y_hi=args.y_halfwidth, grade_q=args.grade)
+        field = solve(coeffs, bc, grid, opts)
     field.meta["runconfig"] = record
     field.meta["runconfig_digest"] = digest
     out = Path(args.out)
@@ -208,10 +186,8 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _verify_barriers(field, out, record, digest):
-    cm = field.meta.get("coefficients", {})
-    a, b, N = cm.get("a", _DEFAULT_A), cm.get("b", _DEFAULT_B), cm.get("N", 0.0)
-    coeffs = model_coefficients(a, b)
+def _verify_barriers(field, coeffs, out, record, digest):
+    a, b, N = coeffs.a, coeffs.b, field.meta.get("coefficients", {}).get("N", 0.0)
 
     def sigma(r):
         mask = field.xs >= r
@@ -251,7 +227,7 @@ def _verify_barriers(field, out, record, digest):
     return checks
 
 
-def _verify_rh(cfg, out, record, digest):
+def _verify_rh(cfg, eps, out, record, digest):
     fns = ShockBoundaryFns(cfg)
     xi_samples = np.linspace(cfg.xi1 - 1.0, cfg.xi1 + 1.0, 20)
     scale = cfg.gas.rho1 * (1.0 + abs(cfg.u1)) + cfg.rho2 * (1.0 + abs(cfg.u2) + cfg.c2 + abs(cfg.xi1))
@@ -259,7 +235,7 @@ def _verify_rh(cfg, out, record, digest):
     p1a, p1b = fns.psi_p1_at_P1(), fns.psi_p1_tau_form()
     eps_grid = [cfg.c2 * fr for fr in (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)]
     eps_ok = largest_valid_eps(cfg, eps_grid)
-    trace = synthetic_quadratic_trace(cfg, cfg.c2 / 20.0, 48)
+    trace = synthetic_quadratic_trace(cfg, eps, 48)
     b1, b2, b3 = fns.bhat(*trace)
     write_trace_csv(out / "shock_trace.csv", *trace, b1, b2, b3, digest=digest)
     summary = fns.bhat_report(b1, b2, b3)
@@ -317,43 +293,53 @@ def _verify_regularity(field, out, record, digest):
     return checks
 
 
+class _Refused(Exception):
+    """A verify input refused in its own words: `main` exits 2 with the message as it is."""
+
+
+def _verify_input(what, path):
+    """The leading arguments of the `verify --what` runner, from the file at path.
+
+    rh gets the config and its shock-trace depth, barriers the grid and its
+    model closure.  Parse errors are generic (OSError, KeyError, TypeError),
+    so they are caught here only, and refused with a message naming the file.
+    """
+    try:
+        if what == "rh":
+            cfg = ReflectionConfiguration.from_json(Path(path).read_text())
+            depth, eps = shock_depth_max(cfg), cfg.c2 / 20.0  # the depth of the rh checks' shock trace
+            if not eps <= depth:
+                raise _Refused(f"shock chart of {path} too shallow for the rh trace: "
+                               f"eps = c2/20 = {eps:.6g} exceeds the chart depth {depth:.6g}")
+            return cfg, eps
+        field = ScalarField2D.load(path)
+        if what != "barriers":
+            return (field,)
+        cm = field.meta.get("coefficients", {})
+        if cm.get("label", "model") != "model":
+            raise _Refused("barrier verification expects a model-closure grid")
+        # the barrier recipes need the closure's a > 0 and b > 0
+        return field, model_coefficients(cm.get("a", _DEFAULT_A), cm.get("b", _DEFAULT_B))
+    except OSError as exc:  # missing file, or a directory given as a file
+        raise _Refused(f"missing input: {exc}")
+    except (ValueError, KeyError, TypeError, InvalidShock) as exc:  # does not parse, or a value is bad or of the wrong type
+        raise _Refused(f"malformed input {path}: {type(exc).__name__}: {exc}")
+    except (NoSonicIntersection, CenterSingularity) as exc:  # a strong-branch shock, say
+        raise _Refused(f"no shock chart for {path}: {exc}")
+
+
 def cmd_verify(args) -> int:
     need = "config" if args.what == "rh" else "grid"
     path = getattr(args, need)
     if not path:
-        print(f"verify --what {args.what} needs --{need}", file=sys.stderr)
-        return 2
-    try:
-        if need == "grid":
-            data = ScalarField2D.load(path)
-        else:
-            data = ReflectionConfiguration.from_json(Path(path).read_text())
-            shock_depth_max(data)  # the rh checks read the shock's sonic chart
-    except OSError as exc:  # missing file, or a directory given as a file
-        print(f"missing input: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError, InvalidShock) as exc:  # does not parse, or a value is bad or of the wrong type
-        print(f"malformed input {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except NoSonicIntersection as exc:  # a strong-branch shock, say
-        print(f"no shock chart for {path}: {exc}", file=sys.stderr)
-        return 2
-    if args.what == "barriers":
-        cm = data.meta.get("coefficients", {})
-        if cm.get("label", "model") != "model":
-            print("barrier verification expects a model-closure grid", file=sys.stderr)
-            return 2
-        try:  # the barrier recipes need the closure's a > 0 and b > 0
-            model_coefficients(cm.get("a", _DEFAULT_A), cm.get("b", _DEFAULT_B))
-        except (ValueError, TypeError) as exc:
-            print(f"malformed input {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
+        raise ValueError(f"verify --what {args.what} needs --{need}")
+    inputs = _verify_input(args.what, path)
     record = _record(args, ("what", "grid", "config"))
     digest = _digest(record)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runner = {"barriers": _verify_barriers, "rh": _verify_rh, "regularity": _verify_regularity}[args.what]
-    checks = runner(data, out, record, digest)
+    checks = runner(*inputs, out, record, digest)
     if not checks:  # the report is written, but it assessed nothing
         print(f"verify --what {args.what}: no check could run on this input", file=sys.stderr)
         return 2
@@ -417,7 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as exc:
+        message, code = str(exc), 2
+    except (NoConvergence, EllipticityLoss, ShockConditionDiverged) as exc:
+        message, code = f"solver failed: {exc}", 3
+    except (SrlabError, ValueError) as exc:
+        message, code = f"configuration failed: {exc}", 2
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -452,6 +452,11 @@ def _chart_params(config):
     beta0 = (P1 - center) @ tau  # negative: moving along tau decreases r
     if beta0 >= 0.0:
         raise NoSonicIntersection("shock direction does not enter the sonic circle at P1")
+    # |P1 - C| = c2, so the line passes at distance sqrt(c2^2 - beta0^2) from the center
+    gap = config.c2**2 - beta0**2
+    if not gap > 0.0:
+        raise CenterSingularity(f"shock line reaches the sonic center (c2^2 - beta0^2 = {gap:.3e}), "
+                                f"so it has no sonic chart")
     return center, P1, tau, beta0
 
 

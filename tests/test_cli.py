@@ -476,3 +476,66 @@ def test_verify_regularity_without_a_check_exit_2(tmp_path, capsys):
     assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
     assert read_json(out / "verify_regularity.json")["checks"] == {}
+
+
+@pytest.mark.parametrize("gas", [["--rho1", "1.01", "--theta-w", "60"],
+                                 ["--gamma", "1.0", "--rho1", "1.1", "--theta-w", "60"],
+                                 ["--rho1", "1.0000001", "--theta-w", "80"]])
+def test_verify_rh_on_a_shallow_chart_exit_2(tmp_path, capsys, gas):
+    # the rh checks read a shock trace at eps = c2/20; a weak incident shock's
+    # chart is shallower (0.006 c2 at rho1 1.01): an input refusal that names
+    # both depths, with no output written
+    assert run(["config", *gas, "--out", str(tmp_path / "cfg")]) == 0
+    capsys.readouterr()
+    path = tmp_path / "cfg" / "config_weak.json"
+    assert run(["verify", "--what", "rh", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"shock chart of {path} too shallow") and err.count("\n") == 1
+    assert "exceeds the chart depth" in err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("command", ["verify_rh", "solve"])
+def test_shock_line_through_the_sonic_center_exit_2(tmp_path, capsys, command):
+    # at gamma 1, rho1 1e10, 80 degrees the weak shock line reaches the sonic
+    # center in floating point: no chart, refused without a NaN depth or a
+    # warning (warnings fail the suite)
+    gas = ["--gamma", "1.0", "--rho1", "1e10", "--theta-w", "80"]
+    if command == "solve":
+        argv = ["solve", "--mode", "reflection", *gas]
+    else:
+        assert run(["config", *gas, "--out", str(tmp_path / "cfg")]) == 0
+        capsys.readouterr()
+        argv = ["verify", "--what", "rh", "--config", str(tmp_path / "cfg" / "config_weak.json")]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "shock line reaches the sonic center" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["config", "solve"])
+def test_shock_line_missing_the_sonic_arc_exit_2(tmp_path, capsys, command):
+    # at gamma 1, rho1 1e100, 80 degrees the configuration builder finds no
+    # sonic intersection above the wedge: a typed refusal, not a traceback
+    argv = {"config": ["config"], "solve": ["solve", "--mode", "reflection"]}[command]
+    assert run([*argv, "--gamma", "1.0", "--rho1", "1e100", "--theta-w", "80", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration failed:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_no_traceback_on_the_probe_grid(tmp_path):
+    # weak to strong incident shocks at two angles: every command ends in an
+    # exit code, never in an exception (warnings fail the suite)
+    for gamma in ("1.0", "1.4", "3.0"):
+        for rho1 in ("1.01", "2", "1e10"):
+            for theta in ("60", "80"):
+                gas = ["--gamma", gamma, "--rho1", rho1, "--theta-w", theta]
+                out = tmp_path / f"{gamma}_{rho1}_{theta}"
+                codes = [run(["config", *gas, "--out", str(out)])]
+                if codes[0] == 0:
+                    codes += [run(["verify", "--what", "rh", "--config", str(out / f"config_{branch}.json"),
+                                   "--out", str(out / branch)]) for branch in ("weak", "strong")]
+                codes.append(run(["solve", "--mode", "reflection", *gas, "--grid", "25,13",
+                                  "--out", str(out / "solve")]))
+                assert set(codes) <= {0, 2, 3, 4}, (gas, codes)

@@ -125,6 +125,18 @@ def test_center_singularity(weak60):
         srlab.to_sonic_coords(weak60, weak60.center)
 
 
+def test_shock_line_through_the_center_has_no_chart():
+    # at gamma 1, rho1 1e10, 80 degrees beta0^2 rounds past c2^2, where the
+    # chart depth was sqrt of a negative number: NaN, and a RuntimeWarning
+    from srlab.errors import CenterSingularity
+
+    cfg = srlab.solve_state2(srlab.GasParameters(1.0, 1.0, 1e10), np.radians(80.0))["weak"]
+    with pytest.raises(CenterSingularity):
+        shock_depth_max(cfg)
+    with pytest.raises(CenterSingularity):
+        shock_chart_table(cfg, [0.0])
+
+
 def test_shock_curve_starts_at_P1(weak60):
     y0 = srlab.shock_curve_fhat(weak60, 0.0)
     assert y0 == pytest.approx(ORACLE_60["y1"], abs=1e-12)

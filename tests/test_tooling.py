@@ -74,6 +74,27 @@ def test_only_the_cli_prints():
     assert printing == []
 
 
+def test_only_cli_main_maps_failures_to_exit_codes():
+    # cli.main maps library errors and ValueError to exit codes; elsewhere in
+    # the command line a clause that catches one may only re-raise it (the
+    # verify input loader, in words that name its file)
+    import srlab.errors
+
+    def caught(node):  # the names an except clause catches; a bare one catches everything
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)} if node else {"Exception"}
+
+    broad = {"ValueError", "Exception", "BaseException"} | {
+        n for n, v in vars(srlab.errors).items() if isinstance(v, type) and issubclass(v, Exception)}
+    tree = ast.parse((ROOT / "src" / "srlab" / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    in_main = {id(n) for n in ast.walk(main)}
+    handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
+    swallowing = [f"cli.py:{h.lineno}" for h in handlers if id(h) not in in_main
+                  and caught(h.type) & broad and not isinstance(h.body[-1], ast.Raise)]
+    assert swallowing == []
+    assert any(id(h) in in_main for h in handlers)
+
+
 def _calls_by_name():
     """Every call in src, bench and tests, keyed by the called name (a function, method or class)."""
     calls = {}
