@@ -24,6 +24,7 @@ jump condition in the same sparse system.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -329,35 +330,74 @@ def _newton_system(blocks, coefficients, partials, jet, u, shock=None):
 def _factor(A, coupled):
     """Sparse LU of A, a Newton Jacobian restricted to the columns of the unknown block.
 
-    The shock row's central tangential difference leaves a near-zero
-    diagonal; a small pivot threshold keeps the fill-reducing order's pivots.
-    An exactly singular coupled system raises ShockConditionDiverged.
+    The pivot threshold 1e-4 keeps the fill-reducing order's diagonal pivots
+    (SuperLU's threshold pivoting, X. S. Li, ACM TOMS 31, 2005) and falls back
+    to partial pivoting only on a truly tiny diagonal, such as the shock row's
+    central tangential difference.  An exactly singular coupled system raises
+    ShockConditionDiverged.
     """
     from scipy.sparse.linalg import splu
 
     try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4)
     except RuntimeError as exc:  # exactly singular
         if not coupled:
             raise
         raise ShockConditionDiverged(f"singular linearized jump-condition system: {exc}") from exc
 
 
+def _dot(u, v):
+    """u . v by numpy's pairwise sum: no BLAS, so no dependence on its thread count."""
+    return float(np.add.reduce(u * v))
+
+
 def _krylov_step(A, rhs, lu, rtol):
     """Solve A du = rhs by one GMRES cycle preconditioned by lu, the LU of an earlier Jacobian.
 
-    The cycle stops once its (left-)preconditioned residual, the one GMRES
-    minimises, falls to rtol of the preconditioned right side, or after
-    _RESTART iterations.  Returns (du, iterations), du None when the cycle
-    took all _RESTART iterations: a miss.  Scipy's own flag tests the
-    unpreconditioned residual, which the graded rows scale badly.
+    GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) from du = 0
+    on the left-preconditioned system lu.solve(A du) = lu.solve(rhs): one
+    lu.solve per iteration, modified Gram-Schmidt, Givens rotations on Python
+    floats.  The cycle stops once the preconditioned residual, the one GMRES
+    minimises, falls to rtol of |lu.solve(rhs)|, or at a breakdown, where the
+    Krylov space holds the solution.  Returns (du, iterations), du None when
+    the cycle took all _RESTART iterations: a miss.  Every inner product is
+    a pairwise sum (_dot) and du sums the basis in a fixed order, so the step
+    is the same for any BLAS thread count.
     """
-    from scipy.sparse.linalg import LinearOperator, gmres
-
-    norms = []  # one entry per inner iteration
-    du, _ = gmres(A, rhs, rtol=rtol, restart=_RESTART, maxiter=1,
-                  M=LinearOperator(A.shape, lu.solve, dtype=float), callback=norms.append, callback_type="pr_norm")
-    return (du if len(norms) < _RESTART else None), len(norms)
+    r0 = lu.solve(rhs)
+    beta = math.sqrt(_dot(r0, r0))
+    basis, columns, rotations, g = [r0 / beta], [], [], [beta]
+    for k in range(1, _RESTART + 1):
+        w = lu.solve(A @ basis[-1])
+        h0 = math.sqrt(_dot(w, w))
+        h = []
+        for v in basis:
+            h.append(_dot(v, w))
+            w -= h[-1] * v
+        h1 = math.sqrt(_dot(w, w))
+        if h1 <= np.finfo(float).eps * h0:  # a breakdown: its rotation zeroes the residual
+            h1 = 0.0
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        r = math.hypot(h[-1], h1)
+        c, s = h[-1] / r, h1 / r
+        rotations.append((c, s))
+        h[-1] = r
+        columns.append(h)
+        g.append(-s * g[-1])
+        g[-2] *= c
+        if abs(g[-1]) <= rtol * beta:
+            break
+        basis.append(w / h1)
+    if k == _RESTART:
+        return None, k
+    y = g[:k]  # back substitution on the rotated Hessenberg matrix, column j = columns[j]
+    for i in reversed(range(k)):
+        y[i] = (y[i] - sum(columns[j][i] * y[j] for j in range(i + 1, k))) / columns[i][i]
+    du = y[0] * basis[0]
+    for yi, v in zip(y[1:], basis[1:]):
+        du += yi * v
+    return du, k
 
 
 # -- rectangle solve -----------------------------------------------------------

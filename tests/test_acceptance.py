@@ -332,8 +332,9 @@ def test_criterion_7_two_family_probe():
 
 def test_criterion_8_determinism_across_thread_settings(tmp_path):
     """Identical run configuration gives byte-identical outputs in fresh processes with 1 and 2 BLAS threads."""
-    # the 49x49 model solve has 2,303 unknowns, below the 10,000 entries past
-    # which OpenBLAS splits a dot product across its threads
+    # the solver's inner products are pairwise sums, not BLAS calls, so the
+    # thread count cannot reorder them; test_cli checks a strip solve past the
+    # 10,000 entries at which OpenBLAS splits a dot product across its threads
     args = ["solve", "--mode", "model", "--grid", "49,49", "--grade", "0.95",
             "--perturb", "0.2", "--tol", "1e-9"]
     src = str(Path(srlab.__file__).resolve().parents[1])

@@ -122,26 +122,36 @@ def test_sweep(tmp_path):
     assert len(lines) == 6  # two comments, header, three angles
 
 
-def test_outputs_deterministic_and_thread_invariant(tmp_path):
-    # fresh processes with one and two BLAS threads; the 49x49 model solve has
-    # 2,303 unknowns, below the 10,000 entries past which OpenBLAS splits a
-    # dot product across its threads
-    args = ["solve", "--mode", "model", "--grid", "49,49", "--grade", "0.95",
-            "--perturb", "0.2", "--tol", "1e-9"]
+def _solve_with_blas_threads(tmp_path, args):
+    """grid.srl and its sidecar from `srlab solve args` in fresh processes with one and two BLAS threads."""
     src = str(Path(srlab.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-m", "srlab.cli", *args, "--out", str(out)],
+        proc = subprocess.run([sys.executable, "-m", "srlab.cli", "solve", *args, "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    b1 = (outs[0] / "grid.srl").read_bytes()
-    b2 = (outs[1] / "grid.srl").read_bytes()
+        outs.append(((out / "grid.srl").read_bytes(), (out / "grid.srl.json").read_text()))
+    return outs
+
+
+def test_outputs_deterministic_and_thread_invariant(tmp_path):
+    # the 49x49 model solve has 2,303 unknowns; the GMRES cycles take their
+    # inner products as pairwise sums, so no BLAS thread count enters them
+    (b1, j1), (b2, j2) = _solve_with_blas_threads(
+        tmp_path, ["--mode", "model", "--grid", "49,49", "--grade", "0.95", "--perturb", "0.2", "--tol", "1e-9"])
     assert b1 == b2
-    assert (outs[0] / "grid.srl.json").read_text() == (outs[1] / "grid.srl.json").read_text()
+    assert j1 == j2
+
+
+def test_large_strip_solve_is_thread_invariant(tmp_path):
+    # 140x81 = 11,340 unknowns, past the 10,000 entries at which OpenBLAS
+    # splits a dot product across its threads
+    (b1, j1), (b2, j2) = _solve_with_blas_threads(tmp_path, ["--mode", "reflection", "--grid", "141,81"])
+    assert b1 == b2
+    assert j1 == j2
 
 
 def test_console_entry_point(tmp_path):

@@ -251,14 +251,65 @@ def test_reflection_field_takes_newton_steps(reflection_field):
     assert krylov[0] == 0 and all(k > 0 for k in krylov[1:])
 
 
-def test_near_supersonic_strip_factors_once():
-    # at 50.5 deg the Jacobian's fill doubles; Newton still converges in a
-    # few steps on the first step's factor
+def test_near_supersonic_strip_factors_once(weak60):
+    # at 50.5 deg Newton still converges in a few steps on the first step's
+    # factor, and the pivot threshold keeps the fill-reducing order's pivots:
+    # fill as at 60 deg (0.01 doubled it)
+    opts = srlab.SolverOptions(tolerance=1e-9, max_iterations=40)
     cfg = srlab.solve_state2(srlab.GasParameters(1.4, 1.0, 2.0), np.radians(50.5))["weak"]
-    f = srlab.solve_reflection_near_sonic(cfg, cfg.c2 / 20.0, grid_nx=121, grid_ny=49, grade_q=0.95,
-                                          opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=40))
+    f = srlab.solve_reflection_near_sonic(cfg, cfg.c2 / 20.0, grid_nx=121, grid_ny=49, grade_q=0.95, opts=opts)
     assert f.meta["iterations"] <= 8
     assert len(f.meta["lu_nnz"]) == 1
+    f60 = srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=121, grid_ny=49, grade_q=0.95, opts=opts)
+    assert f.meta["lu_nnz"][0] <= 1.1 * f60.meta["lu_nnz"][0]
+
+
+def _nonsymmetric_system():
+    # a convection-diffusion tridiagonal B plus a sparse random part; the LU
+    # of B preconditions A = B + R, which GMRES then needs 10-20 iterations for
+    from scipy.sparse import diags, random as sparse_random
+    from scipy.sparse.linalg import splu
+
+    rng = np.random.default_rng(0)
+    B = diags([-1.3, 2.2, -0.7], [-1, 0, 1], shape=(60, 60), format="csc")
+    A = (B + 0.3 * sparse_random(60, 60, density=0.05, random_state=rng, format="csc")).tocsr()
+    return A, rng.standard_normal(60), splu(B)
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-8])
+def test_krylov_cycle_takes_scipys_iterations(rtol):
+    # scipy's gmres is the oracle: one cycle of the same restart, the same
+    # left-preconditioned stopping rule, the same iteration count and solution
+    from scipy.sparse.linalg import LinearOperator, gmres
+    from srlab.solver import _RESTART, _krylov_step
+
+    A, rhs, lu = _nonsymmetric_system()
+    norms = []
+    x, _ = gmres(A, rhs, rtol=rtol, restart=_RESTART, maxiter=1, M=LinearOperator(A.shape, lu.solve, dtype=float),
+                 callback=norms.append, callback_type="pr_norm")
+    du, iterations = _krylov_step(A, rhs, lu, rtol)
+    assert 1 < iterations == len(norms) < _RESTART
+    assert np.max(np.abs(du - x)) <= 1e-12 * np.max(np.abs(x))
+    pre = lu.solve(rhs)
+    assert np.linalg.norm(lu.solve(rhs - A @ du)) <= rtol * np.linalg.norm(pre)
+
+
+def test_krylov_cycle_misses_an_unreachable_target():
+    from srlab.solver import _RESTART, _krylov_step
+
+    A, rhs, lu = _nonsymmetric_system()
+    assert _krylov_step(A, rhs, lu, 1e-30) == (None, _RESTART)
+
+
+def test_krylov_cycle_on_its_own_factor_takes_one_iteration():
+    from scipy.sparse.linalg import splu
+    from srlab.solver import _krylov_step
+
+    A, rhs, _ = _nonsymmetric_system()
+    du, iterations = _krylov_step(A, rhs, splu(A.tocsc()), 1e-8)
+    x = np.linalg.solve(A.toarray(), rhs)
+    assert iterations == 1
+    assert np.max(np.abs(du - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_missed_krylov_cycle_refactors(reflection_field, weak60, monkeypatch):

@@ -74,6 +74,21 @@ def test_only_the_cli_prints():
     assert printing == []
 
 
+def test_one_krylov_path():
+    # the solver's GMRES cycle is its own (solver._krylov_step); no module
+    # names scipy's iterative solvers or the LinearOperator they take
+    iterative = {"LinearOperator", "aslinearoperator", "bicg", "bicgstab", "cg", "cgs", "gcrotmk", "gmres",
+                 "lgmres", "lsmr", "lsqr", "minres", "qmr", "tfqmr"}
+    naming = []
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)} | {
+                a.name for a in getattr(node, "names", ()) if isinstance(a, ast.alias)}
+            if names & iterative:
+                naming.append(f"{path.name}:{node.lineno}")
+    assert naming == []
+
+
 def test_only_cli_main_maps_failures_to_exit_codes():
     # cli.main maps library errors and ValueError to exit codes; elsewhere in
     # the command line a clause that catches one may only re-raise it (the
