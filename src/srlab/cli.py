@@ -34,8 +34,8 @@ from .errors import (
     SrlabError,
 )
 from .grids import ScalarField2D, _write_csv
-from .reflection import (ReflectionConfiguration, detachment_angle, shock_depth_max, solve_state2,
-                         solve_state2_many)
+from .reflection import (ReflectionConfiguration, _shock_line_residuals, detachment_angle, shock_depth_max,
+                         solve_state2, solve_state2_many)
 from .shock import ShockBoundaryFns, check_g_unique, largest_valid_eps, synthetic_quadratic_trace, write_trace_csv
 from .solver import (BoundaryConditions, GridSpec, SolverOptions, derivative_fields, solve,
                      solve_reflection_near_sonic)
@@ -90,7 +90,8 @@ def cmd_sweep(args) -> int:
     """Weak reflected state at each wedge angle of a range, and the detachment bracket.
 
     The angles run from --theta-min by repeated `theta += step` up to
-    --theta-max, and one solve_state2_many call solves them all.  An angle
+    --theta-max, one solve_state2_many call solves them all, and one
+    residual call checks every weak branch.  An angle
     without a reflected state writes a NaN row; an input error (bad gas, a
     range outside 0 < min <= max < 90 degrees, a step below one ulp of the
     range's top or one asking for more than _MAX_SWEEP_ANGLES angles, no root
@@ -119,14 +120,15 @@ def cmd_sweep(args) -> int:
         warnings.simplefilter("ignore", NotSupersonicAtP0)
         solved = solve_state2_many(gas, np.radians(thetas))
     lo, hi = detachment_angle(gas)
+    weak = [both["weak"] for both in solved if isinstance(both, dict)]
+    rh = iter(_shock_line_residuals(weak)[0].tolist())
     rows = []
     for theta, both in zip(thetas, solved):
         if isinstance(both, SrlabError):
             rows.append((theta, np.nan, np.nan, np.nan, np.nan, 0, np.nan))
             continue
         cfg = both["weak"]
-        rows.append((theta, cfg.u2, cfg.v2, cfg.rho2, cfg.c2, int(cfg.supersonic_at_P0),
-                     cfg.residuals()["rh"]))
+        rows.append((theta, cfg.u2, cfg.v2, cfg.rho2, cfg.c2, int(cfg.supersonic_at_P0), next(rh)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", ("theta_deg", "u2", "v2", "rho2", "c2", "supersonic_at_P0", "rh_residual"),

@@ -7,8 +7,9 @@ the near-boundary solver and diagnostics.
 """
 
 import json
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import (
     OutOfRange,
     SrlabError,
 )
-from .states import GasParameters, UniformState, bernoulli_density, incident_shock, sound_speed, state1
+from .states import GasParameters, UniformState, bernoulli_density, incident_shock, sound_speed
 
 __all__ = [
     "WedgeGeometry",
@@ -102,22 +103,8 @@ class ReflectionConfiguration:
 
     def residuals(self) -> dict:
         """Normalized mass-flux and potential-continuity residuals at 7 points of the shock line."""
-        st1 = state1(self.gas)
-        st2 = self.state2
-        t0, t1 = self.s1_direction
-        s = np.linspace(-1.0, 1.0, 7)
-        px, py = self.P0[0] + s * t0, self.P0[1] + s * t1
-        # the offsets of both states, (d1x, d1y) and (d2x, d2y): every dot product
-        # and norm is a written-out two-term sum, which rounds the same on every BLAS
-        d1x, d1y = st1.u - px, st1.v - py
-        d2x, d2y = st2.u - px, st2.v - py
-        rh = st1.rho * (d1x * t1 - d1y * t0) - st2.rho * (d2x * t1 - d2y * t0)
-        n1 = np.sqrt(d1x * d1x + d1y * d1y)
-        n2 = np.sqrt(d2x * d2x + d2y * d2y)
-        scale = np.max(st1.rho * (1.0 + n1) + st2.rho * (1.0 + n2))
-        phi1 = st1.phi(px, py)
-        cont = np.abs(phi1 - st2.phi(px, py)) / np.maximum(1.0, np.abs(phi1))
-        return {"rh": float(np.max(np.abs(rh)) / scale), "continuity": float(np.max(cont))}
+        rh, cont = _shock_line_residuals([self])
+        return {"rh": float(rh[0]), "continuity": float(cont[0])}
 
     def to_json(self) -> str:
         d = {
@@ -158,7 +145,10 @@ class ReflectionConfiguration:
         st2 = UniformState(d["u2"], d["v2"], d["k2"], d["rho2"])
         if d["branch"] not in ("weak", "strong", "unlabeled"):
             raise ValueError(f"branch must be weak, strong or unlabeled, got {d['branch']!r}")
-        return replace(_build_configuration(gas, theta_w, *incident_shock(gas), st2), branch=d["branch"])
+        (cfg,) = _configurations(gas, *np.array([[theta_w], [st2.u], [st2.v], [st2.k], [st2.rho]]), [d["branch"]])
+        if isinstance(cfg, SrlabError):
+            raise cfg
+        return cfg
 
 
 def _state2_of_u2(gas, xi0, tanw, u2):
@@ -290,32 +280,51 @@ def _solve_lanes(gas, theta_ws):
     with np.errstate(over="ignore", under="ignore"):
         roots = np.where(fa == 0.0, a, _bisect_then_newton(f, a, b, fa))
 
+    # collapse near-duplicates from the overlapping grids, per angle in ascending u2
+    kept = [[] for _ in theta_ws]
+    tol = (1e-9 * u_hi).tolist()
+    order = np.lexsort((roots, lane))
+    for k, r in zip(lane[order].tolist(), roots[order].tolist()):
+        if not kept[k] or abs(r - kept[k][-1]) > tol[k]:
+            kept[k].append(r)
+    at = [k for k, rs in enumerate(kept) for _ in rs]
+    u2 = np.array([r for rs in kept for r in rs])
+    v2, k2, rho2 = _state2_of_u2(gas, xi0, tanw[at], u2)
+
+    # branches by ascending rho2, ties in u2 order: weak is the first least,
+    # strong the last largest; a lone root is both, so it takes two lanes,
+    # and a middle root is built only for its refusal
+    rhos = rho2.tolist()
+    lanes, labels, widths, start = [], [], [], 0
+    for rs in kept:
+        group = range(start, start + len(rs))
+        start += len(rs)
+        weak = min(group, key=rhos.__getitem__, default=None)
+        strong = max(reversed(group), key=rhos.__getitem__, default=None)
+        width = len(lanes)
+        for j in group:
+            tags = [t for t, hit in (("weak", j == weak), ("strong", j == strong)) if hit] or ["unlabeled"]
+            lanes += [j] * len(tags)
+            labels += tags
+        widths.append(len(lanes) - width)
+    built = iter(_configurations(gas, np.asarray(theta_ws)[at][lanes], u2[lanes], v2[lanes], k2[lanes],
+                                 rho2[lanes], labels))
+
     results = []
-    for k, theta_w in enumerate(theta_ws):
-        # collapse near-duplicates from the overlapping grids
-        dedup = []
-        for r in sorted(roots[lane == k]):
-            if not dedup or abs(r - dedup[-1]) > 1e-9 * u_hi[k]:
-                dedup.append(r)
-        if not dedup:
+    for theta_w, width in zip(theta_ws, widths):
+        if not width:
             results.append(NoRegularReflection(
                 f"no reflected-state root for theta_w={np.degrees(theta_w):.4f} deg "
                 f"(below the detachment angle for gamma={gas.gamma}, "
                 f"rho0={gas.rho0}, rho1={gas.rho1})"
             ))
             continue
-        try:
-            configs = []
-            for u2 in dedup:
-                v2, k2, rho2 = _state2_of_u2(gas, xi0, tanw[k], u2)
-                st2 = UniformState(u=float(u2), v=float(v2), k=float(k2), rho=float(rho2))
-                configs.append(_build_configuration(gas, theta_w, xi0, u1, st2))
-        except SrlabError as exc:
-            results.append(exc)
-            continue
-        configs.sort(key=lambda c: c.rho2)
-        results.append({"weak": replace(configs[0], branch="weak"),
-                        "strong": replace(configs[-1], branch="strong")})
+        # the angle's lanes run in ascending u2, so its first refusal is the one
+        # a root-by-root build would meet
+        mine = [next(built) for _ in range(width)]
+        refusal = next((c for c in mine if isinstance(c, SrlabError)), None)
+        results.append(refusal if refusal is not None else
+                       {c.branch: c for c in mine if c.branch != "unlabeled"})
     return results
 
 
@@ -323,7 +332,7 @@ def _warn_if_subsonic(weak, stacklevel):
     if not weak.supersonic_at_P0:
         warnings.warn(
             f"weak branch at theta_w={np.degrees(weak.theta_w):.4f} deg is subsonic at P0 "
-            f"(margin {np.linalg.norm(np.asarray(weak.P0) - weak.center) - weak.c2:.3e}); "
+            f"(margin {math.sqrt(_squared_distance(weak.P0, weak.center)) - weak.c2:.3e}); "
             "outside the supersonic regular-reflection regime",
             NotSupersonicAtP0,
             stacklevel=stacklevel + 1,
@@ -365,59 +374,112 @@ def solve_state2(gas: GasParameters, theta_w: float) -> dict:
     return both
 
 
-def _build_configuration(gas, theta_w, xi0, u1, st2) -> ReflectionConfiguration:
-    tanw = np.tan(theta_w)
-    c2 = sound_speed(st2.rho, gas)
-    P0 = (xi0, xi0 * tanw)
-    center = np.array([st2.u, st2.v])
-    dphi2_P0 = center - np.asarray(P0)
-    supersonic = bool(np.linalg.norm(dphi2_P0) > c2)
-
-    # shock-line direction, oriented from P0 toward the circle center
-    w = np.array([u1 - st2.u, -st2.v])
-    tau = np.array([w[1], -w[0]])
-    tau /= np.linalg.norm(tau)
-    if tau @ dphi2_P0 < 0.0:
-        tau = -tau
-
-    P1 = _sonic_intersection(P0, tau, center, c2, theta_w)
-    P4 = (center[0] + c2 * np.cos(theta_w), center[1] + c2 * np.sin(theta_w))
-    return ReflectionConfiguration(
-        gas=gas,
-        theta_w=theta_w,
-        u1=u1,
-        xi0=xi0,
-        state2=st2,
-        c2=c2,
-        P0=P0,
-        P1=(float(P1[0]), float(P1[1])),
-        P4=(float(P4[0]), float(P4[1])),
-        s1_direction=(float(tau[0]), float(tau[1])),
-        branch="unlabeled",
-        supersonic_at_P0=supersonic,
-    )
+# refusal margin of the intersection, in units of eps |P0 - C|^2 (see _configurations)
+_ROUNDING = 4.0 * np.finfo(float).eps
+# signs of sqrt(disc) in the near and far intersection parameters
+_NEAR_FAR = np.array([[-1.0], [1.0]])
 
 
-def _sonic_intersection(P0, tau, center, c2, theta_w):
-    """Intersection of the shock line with the sonic circle, on the P0 side, above the wedge."""
-    pm = np.asarray(P0) - center
-    b = pm @ tau
-    c = pm @ pm - c2 * c2
-    disc = b * b - c
-    if disc < 0.0:
-        raise NoSonicIntersection(
-            f"shock line misses the sonic circle (discriminant {disc:.3e})"
-        )
-    sq = np.sqrt(disc)
-    candidates = [-b - sq, -b + sq]
-    for t in candidates:
-        if t <= 0.0:
-            continue
-        p = np.asarray(P0) + t * tau
-        theta = np.arctan2(p[1] - center[1], p[0] - center[0])
-        if theta - theta_w > 0.0:
-            return p
-    raise NoSonicIntersection("no intersection of the shock line with the sonic arc above the wedge")
+def _squared_distance(p, q):
+    """|p - q|^2 of two points, as a written-out two-term sum."""
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return dx * dx + dy * dy
+
+
+def _configurations(gas, theta_w, u2, v2, k2, rho2, branch) -> list:
+    """The ReflectionConfiguration of each lane of state-(2) data, or the SrlabError that refuses it.
+
+    theta_w, u2, v2, k2 and rho2 are 1-D arrays over the lanes, branch a label
+    per lane.  c2, P0, the shock direction oriented from P0 toward the sonic
+    center C = (u2, v2), the supersonic flag, P1 and P4 are computed
+    elementwise, every dot product and norm a written-out two-term sum, so
+    they round the same on every BLAS build and for any number of lanes.
+
+    P1 is where the shock line P0 + t tau, t > 0, meets the sonic circle above
+    the wedge: t = -b -+ sqrt(disc), with b = (P0 - C).tau and
+    disc = b^2 - |P0 - C|^2 + c2^2 = c2^2 - d^2, d the line's distance from C.
+    Each of b^2 and |P0 - C|^2 is a rounded sum of size at most |P0 - C|^2
+    (|tau| = 1), so disc, and with it the chart gap c2^2 - beta0^2 = d^2 that
+    _chart_params reads at P1, carries an absolute error of about
+    eps |P0 - C|^2.  That error moves t by about eps |P0 - C|^2 / (2 sqrt(disc))
+    >= eps |P0 - C|^2 / (2 c2), and so P1's angle about C by about
+    eps |P0 - C|^2 / c2^2.  Inside that rounding the last bit of the data
+    picks the side, so a candidate no further above the wedge than
+    _ROUNDING |P0 - C|^2 / c2^2 counts as below it here (NoSonicIntersection),
+    and _chart_params refuses a gap no larger than _ROUNDING |P0 - C|^2
+    (CenterSingularity).
+    """
+    xi0, u1 = incident_shock(gas)
+    c2 = sound_speed(rho2, gas)
+    x0, y0 = xi0, xi0 * np.tan(theta_w)
+    m0, m1 = x0 - u2, y0 - v2  # P0 - C
+    m2 = m0 * m0 + m1 * m1
+    supersonic = np.sqrt(m2) > c2
+
+    # shock-line direction tau, normal to (u1 - u2, -v2) and oriented from P0
+    # toward C: of the unit normals +-e, e = (v2, u1 - u2) / |e|, the one with
+    # (P0 - C).tau <= 0; a sign flip is exact, so that product is -|(P0 - C).e|
+    w = u1 - u2
+    norm = np.sqrt(w * w + v2 * v2)
+    e0, e1 = v2 / norm, w / norm
+    b = m0 * e0 + m1 * e1
+    side = np.copysign(1.0, -b)  # -1 where b >= 0 (a -0.0 b, two -0.0 products, reads as negative)
+    t0, t1, nb = side * e0, side * e1, np.abs(b)
+
+    c2sq = c2 * c2
+    disc = b * b - (m2 - c2sq)
+    sq = np.sqrt(np.maximum(disc, 0.0))  # NaN stays NaN: a lane past the vacuum bound
+    t = _NEAR_FAR * sq + nb  # rows: the near candidate |b| - sqrt(disc), the far one |b| + sqrt(disc)
+    px, py = x0 + t * t0, y0 + t * t1
+    above = (t > 0.0) & (np.arctan2(py - v2, px - u2) - theta_w > _ROUNDING * m2 / c2sq)
+    P4x, P4y = u2 + c2 * np.cos(theta_w), v2 + c2 * np.sin(theta_w)
+
+    out = []
+    lanes = zip(branch, *(a.tolist() for a in (theta_w, u2, v2, k2, rho2, c2, y0, t0, t1, supersonic, disc, P4x, P4y)),
+                *px.tolist(), *py.tolist(), *above.tolist())
+    for label, theta, u, v, k, rho, c, eta0, s0, s1, sup, d, *P4, x_near, x_far, y_near, y_far, near, far in lanes:
+        st2 = UniformState(u=u, v=v, k=k, rho=rho)
+        if d < 0.0:
+            out.append(NoSonicIntersection(f"shock line misses the sonic circle (discriminant {d:.3e})"))
+        elif not (near or far):
+            out.append(NoSonicIntersection("no intersection of the shock line with the sonic arc above the wedge"))
+        else:
+            out.append(ReflectionConfiguration(
+                gas=gas, theta_w=theta, u1=u1, xi0=xi0, state2=st2, c2=c, P0=(xi0, eta0),
+                P1=(x_near, y_near) if near else (x_far, y_far), P4=tuple(P4), s1_direction=(s0, s1),
+                branch=label, supersonic_at_P0=sup,
+            ))
+    return out
+
+
+# arclength offsets from P0 of the shock-line samples that residuals() checks
+_SHOCK_SAMPLES = np.linspace(-1.0, 1.0, 7)
+
+
+def _shock_line_residuals(configs):
+    """(rh, continuity) arrays of ReflectionConfiguration.residuals over the configurations.
+
+    Each configuration is one lane of 7 samples of its shock line through P0;
+    every dot product and norm is a written-out two-term sum, so the residuals
+    round the same on every BLAS build and for any number of lanes.
+    """
+    lanes = np.array([(c.gas.rho1, c.u1, -c.u1 * c.xi0, c.rho2, c.u2, c.v2, c.state2.k, *c.P0, *c.s1_direction)
+                      for c in configs], dtype=float).reshape(-1, 11)
+    rho1, u1, k1, rho2, u2, v2, k2, x0, y0, t0, t1 = lanes.T[:, :, None]
+    px, py = x0 + _SHOCK_SAMPLES * t0, y0 + _SHOCK_SAMPLES * t1
+    # the offsets of state (1), (u1, 0), and of state (2), (d1x, d1y) and (d2x, d2y)
+    d1x, d1y = u1 - px, -py
+    d2x, d2y = u2 - px, v2 - py
+    rh = rho1 * (d1x * t1 - d1y * t0) - rho2 * (d2x * t1 - d2y * t0)
+    n1 = np.sqrt(d1x * d1x + d1y * d1y)
+    n2 = np.sqrt(d2x * d2x + d2y * d2y)
+    scale = (rho1 * (1.0 + n1) + rho2 * (1.0 + n2)).max(axis=1)
+    # UniformState.phi of both states, term for term (state 1's v-term is a zero)
+    quad = -0.5 * (px * px + py * py)
+    phi1 = quad + u1 * px + k1
+    phi2 = quad + u2 * px + v2 * py + k2
+    cont = np.abs(phi1 - phi2) / np.maximum(1.0, np.abs(phi1))
+    return np.abs(rh).max(axis=1) / scale, cont.max(axis=1)
 
 
 def sonic_circle(config: ReflectionConfiguration):
@@ -449,12 +511,14 @@ def _chart_params(config):
     center = config.center
     P1 = np.asarray(config.P1)
     tau = np.asarray(config.s1_direction)
-    beta0 = (P1 - center) @ tau  # negative: moving along tau decreases r
+    beta0 = (P1[0] - center[0]) * tau[0] + (P1[1] - center[1]) * tau[1]  # negative: moving along tau decreases r
     if beta0 >= 0.0:
         raise NoSonicIntersection("shock direction does not enter the sonic circle at P1")
-    # |P1 - C| = c2, so the line passes at distance sqrt(c2^2 - beta0^2) from the center
+    # |P1 - C| = c2, so the line passes at distance sqrt(c2^2 - beta0^2) from the
+    # center; a gap inside the intersection's rounding (see _configurations) has
+    # no sign the data decide
     gap = config.c2**2 - beta0**2
-    if not gap > 0.0:
+    if not gap > _ROUNDING * _squared_distance(config.P0, center):
         raise CenterSingularity(f"shock line reaches the sonic center (c2^2 - beta0^2 = {gap:.3e}), "
                                 f"so it has no sonic chart")
     return center, P1, tau, beta0

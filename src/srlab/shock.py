@@ -117,9 +117,9 @@ class ShockBoundaryFns:
     def psi_p1_tau_form(self) -> float:
         """Same quantity via the tangential-velocity reduction (rho2-rho1)(Dphi2.tau)^2/c2."""
         cfg = self.config
-        tau = np.asarray(cfg.s1_direction)
-        dphi2 = np.array([cfg.u2 - cfg.P1[0], cfg.v2 - cfg.P1[1]])
-        return (cfg.rho2 - cfg.gas.rho1) / cfg.c2 * float(dphi2 @ tau) ** 2
+        t0, t1 = cfg.s1_direction
+        tangential = (cfg.u2 - cfg.P1[0]) * t0 + (cfg.v2 - cfg.P1[1]) * t1
+        return (cfg.rho2 - cfg.gas.rho1) / cfg.c2 * tangential**2
 
     # -- admissible ball ------------------------------------------------------
 

@@ -37,7 +37,7 @@ class GasParameters:
     rho1: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.gamma, self.rho0, self.rho1))):
+        if not all(map(math.isfinite, (self.gamma, self.rho0, self.rho1))):
             raise ValueError(f"gas parameters must be finite, got gamma={self.gamma}, "
                              f"rho0={self.rho0}, rho1={self.rho1}")
         if self.gamma < 1.0:
@@ -173,10 +173,11 @@ def rh_residual(left: UniformState, right: UniformState, point, normal, gas: Gas
     state whose stored density disagrees with its potential.
     """
     xi, eta = float(point[0]), float(point[1])
-    nu = np.asarray(normal, dtype=float)
+    nu0, nu1 = float(normal[0]), float(normal[1])
     flux = []
     for st in (left, right):
-        d = np.array([st.u - xi, st.v - eta])
-        rho = density_from_bernoulli(float(d @ d), st.phi(xi, eta), gas)
-        flux.append(rho * float(d @ nu))
+        # the offset (dx, dy) dotted as a written-out two-term sum, off BLAS
+        dx, dy = st.u - xi, st.v - eta
+        rho = density_from_bernoulli(dx * dx + dy * dy, st.phi(xi, eta), gas)
+        flux.append(rho * (dx * nu0 + dy * nu1))
     return flux[0] - flux[1]

@@ -361,8 +361,10 @@ def test_sweep_bad_input_exit_2(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
 def test_sweep_rows_equal_the_config_path(tmp_path, gamma):
-    # the sweep refines every angle's brackets in one lockstep pass; each row
-    # is still bit for bit the weak branch solve_state2 gives at its angle
+    # the sweep refines every angle's brackets in one lockstep pass, builds
+    # every root in one lane pass and takes one residual call; each row is
+    # still bit for bit the weak branch solve_state2 gives at its angle, in
+    # every column
     import warnings
 
     from srlab import GasParameters, solve_state2
@@ -373,15 +375,18 @@ def test_sweep_rows_equal_the_config_path(tmp_path, gamma):
     rows = np.genfromtxt(out / "sweep.csv", delimiter=",", comments="#", skip_header=3)
     assert len(rows) == 40
     gas = GasParameters(gamma, 1.0, 2.0)
-    for theta, u2, v2, rho2, c2, *_ in rows:
+    for theta, u2, v2, rho2, c2, supersonic, rh in rows:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotSupersonicAtP0)
             if np.isnan(u2):
                 with pytest.raises(NoRegularReflection):
                     solve_state2(gas, np.radians(theta))
+                assert np.isnan([v2, rho2, c2, rh]).all() and supersonic == 0
                 continue
             weak = solve_state2(gas, np.radians(theta))["weak"]
         assert (weak.u2, weak.v2, weak.rho2, weak.c2) == (u2, v2, rho2, c2)
+        assert int(weak.supersonic_at_P0) == supersonic
+        assert weak.residuals()["rh"] == rh
     assert np.isfinite(rows[:, 1]).sum() >= 28  # gamma = 3 detaches at 61.09 deg
 
 
@@ -398,6 +403,29 @@ def test_sweep_makes_few_residual_evaluations(tmp_path, monkeypatch, gamma, coun
     monkeypatch.setattr(srlab.reflection, "_flux_residual", lambda *a: (calls.append(1), residual(*a))[1])
     assert run(["sweep", "--gamma", repr(gamma), "--out", str(tmp_path / "sw")]) == 0
     assert len(calls) == count
+
+
+def test_sweep_builds_and_checks_every_root_in_one_call(tmp_path, monkeypatch):
+    # the configurations of all roots of all angles come from one lane-builder
+    # call, and the rh_residual column from one residual call on the weak
+    # branches: per-angle building or checking would show as more calls
+    import srlab.cli
+    import srlab.reflection
+
+    calls = {"build": 0, "residual": 0}
+
+    def counting(name, fn):
+        def wrapped(*a):
+            calls[name] += 1
+            return fn(*a)
+        return wrapped
+
+    monkeypatch.setattr(srlab.reflection, "_configurations", counting("build", srlab.reflection._configurations))
+    residual = counting("residual", srlab.reflection._shock_line_residuals)
+    monkeypatch.setattr(srlab.reflection, "_shock_line_residuals", residual)
+    monkeypatch.setattr(srlab.cli, "_shock_line_residuals", residual)
+    assert run(["sweep", "--out", str(tmp_path / "sw")]) == 0
+    assert calls == {"build": 1, "residual": 1}
 
 
 @pytest.mark.parametrize("case", ["config_gamma", "config_rho1", "sweep", "solve", "verify_rh"])

@@ -89,6 +89,18 @@ def test_one_krylov_path():
     assert naming == []
 
 
+def test_the_algebra_takes_no_blas_products():
+    # the reflected-state algebra, the shock condition and the gas law write
+    # every dot product and norm as a two-term sum; `@`, np.dot and np.linalg
+    # go through BLAS, whose products may round differently on another build
+    using = []
+    for name in ("reflection.py", "shock.py", "states.py"):
+        for node in ast.walk(ast.parse((ROOT / "src" / "srlab" / name).read_text())):
+            if isinstance(getattr(node, "op", None), ast.MatMult) or getattr(node, "attr", None) in ("dot", "linalg"):
+                using.append(f"{name}:{node.lineno}")
+    assert using == []
+
+
 def test_only_cli_main_maps_failures_to_exit_codes():
     # cli.main maps library errors and ValueError to exit codes; elsewhere in
     # the command line a clause that catches one may only re-raise it (the
