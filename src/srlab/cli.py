@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--theta-w", dest="theta_w", type=float, required=True, help="wedge angle in degrees")
     q.add_argument("--branch", choices=("weak", "strong"), default="weak")
     q.add_argument("--out", default="out")
-    q.set_defaults(func=cmd_config)
 
     q = sub.add_parser("sweep", help="sweep wedge angles and bracket the detachment angle")
     add_gas(q)
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--theta-max", dest="theta_max", type=float, default=89.0)
     q.add_argument("--theta-step", dest="theta_step", type=float, default=1.0)
     q.add_argument("--out", default="out")
-    q.set_defaults(func=cmd_sweep)
 
     q = sub.add_parser("solve", help="run the degenerate-boundary solver")
     q.add_argument("--mode", choices=("model", "linear", "reflection"), default="model")
@@ -392,21 +390,32 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default="out")
     q.add_argument("--out-name", dest="out_name", default="grid.srl")
     q.add_argument("--format", choices=("bin", "csv", "json"), default="bin")
-    q.set_defaults(func=cmd_solve)
 
     q = sub.add_parser("verify", help="run verification checks against grids/configs")
     q.add_argument("--what", choices=("barriers", "rh", "regularity"), required=True)
     q.add_argument("--grid", default="")
     q.add_argument("--config", default="")
     q.add_argument("--out", default="out")
-    q.set_defaults(func=cmd_verify)
     return p
 
 
+# main's parser, built on its first call: it is static, and building it
+# takes about 1 ms, a tenth of a 40-angle sweep
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the parser is built once per process.
+
+    The command runs as cmd_<command>, looked up in this module at call time,
+    so a wrapper installed over it after the first call is the one reached.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _Refused as exc:
         message, code = str(exc), 2
     except (NoConvergence, EllipticityLoss, ShockConditionDiverged) as exc:

@@ -194,6 +194,16 @@ def _flux_residual(gas, xi0, u1, tanw, u2):
     return (gas.rho1 * dot1 - rho2 * dot2) / np.hypot(w0, w1)
 
 
+# the geometric tail of every u2 scan, as fractions of its u_hi
+_TAIL = np.logspace(-14, -3, 45)
+
+# wedge angles per block of a u2 scan: an 8 x 1045 block keeps each of the
+# scan's ~20 temporaries at 67 kB, inside a 2 MB L2 cache, where 79 angles
+# at once make 660 kB ones (a 79-angle scan on a 2-core Xeon: 7.0 ms whole,
+# 5.3 ms in blocks of 4, 4.1 ms in blocks of 8 or 16, 4.3 ms in blocks of 32)
+_SCAN_LANES = 8
+
+
 def _brackets(gas, xi0, u1, tanw, n_scan):
     """Sign-change brackets of the flux residual in u2, for each wedge slope in tanw.
 
@@ -201,28 +211,27 @@ def _brackets(gas, xi0, u1, tanw, n_scan):
     below the vacuum bound, plus a geometric tail toward 0 that captures the
     weak root for near-normal wedges.  Returns (u_hi, lane, a, b, fa):
     bracket k lies on slope lane[k], and the brackets of one slope come in
-    ascending u2.  fa == 0 marks a grid point that is itself a root.
+    ascending u2.  fa == 0 marks a grid point that is itself a root.  The
+    slopes are scanned _SCAN_LANES at a time; the scan is elementwise per
+    slope, so the blocks change no bracket.
     """
     u_hi = _u_vacuum(gas, xi0, tanw) * (1.0 - 1e-12)
-    # sorted, not deduplicated: a repeated point holds no sign change, and a
-    # repeated zero collapses with the other near-duplicate roots
-    grid = np.sort(
-        np.concatenate(
-            [
-                np.linspace(u_hi / n_scan, u_hi, n_scan, axis=-1),
-                u_hi[:, None] * np.logspace(-14, -3, 45),
-            ],
-            axis=1,
-        ),
-        axis=1,
-    )
-    # isothermal densities under- or overflow far along the scan at steep
-    # wedges; those points lie past the vacuum bound and read NaN
-    with np.errstate(over="ignore", under="ignore"):
-        vals = _flux_residual(gas, xi0, u1, tanw[:, None], grid)
-        va, vb = vals[:, :-1], vals[:, 1:]  # NaN (past the vacuum bound) compares false
-        lane, i = np.nonzero(((va == 0.0) & ~np.isnan(vb)) | (va * vb < 0.0))
-    return u_hi, lane, grid[lane, i], grid[lane, i + 1], va[lane, i]
+    found = []
+    for k in range(0, max(len(tanw), 1), _SCAN_LANES):  # no slope still makes one (empty) block
+        top = u_hi[k:k + _SCAN_LANES]
+        # sorted, not deduplicated: a repeated point holds no sign change, and
+        # a repeated zero collapses with the other near-duplicate roots
+        grid = np.sort(np.concatenate([np.linspace(top / n_scan, top, n_scan, axis=-1), top[:, None] * _TAIL],
+                                      axis=1), axis=1)
+        # isothermal densities under- or overflow far along the scan at steep
+        # wedges; those points lie past the vacuum bound and read NaN
+        with np.errstate(over="ignore", under="ignore"):
+            vals = _flux_residual(gas, xi0, u1, tanw[k:k + _SCAN_LANES, None], grid)
+            va, vb = vals[:, :-1], vals[:, 1:]  # NaN (past the vacuum bound) compares false
+            lane, i = np.nonzero(((va == 0.0) & ~np.isnan(vb)) | (va * vb < 0.0))
+        found.append((lane + k, grid[lane, i], grid[lane, i + 1], va[lane, i]))
+    lane, a, b, fa = (np.concatenate(part) for part in zip(*found))
+    return u_hi, lane, a, b, fa
 
 
 def _bisect_then_newton(f, a, b, fa):
@@ -346,9 +355,9 @@ def solve_state2_many(gas: GasParameters, theta_ws) -> list:
     solve_state2 would raise there, and warns NotSupersonicAtP0 for each
     angle whose weak branch is subsonic at P0.  Input errors (an angle
     outside (0, pi/2), an inadmissible incident shock) raise.  One scan
-    evaluates every angle's u2 grid in one array, and one lockstep
-    refinement polishes every bracket; a root is bit-equal to the one its
-    bracket gives when refined alone.
+    evaluates every angle's u2 grid, _SCAN_LANES angles at a time, and one
+    lockstep refinement polishes every bracket; a root is bit-equal to the
+    one its bracket gives when refined alone.
     """
     results = _solve_lanes(gas, theta_ws)
     for both in results:

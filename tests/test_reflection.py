@@ -408,6 +408,64 @@ def test_lanes_do_not_interact(gamma):
             assert alone[0] == together[k]
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_lane_blocks_do_not_change_the_scan(gamma):
+    # the scan runs _SCAN_LANES angles at a time and is elementwise per angle,
+    # so 79 angles (a partial last block) equal 79 one-angle scans bit for
+    # bit in all five outputs; at gamma 3 the blocks below 61.09 deg hold no
+    # bracket
+    from srlab.reflection import _SCAN_LANES, _brackets
+    from srlab.states import incident_shock
+
+    gas = srlab.GasParameters(gamma, 1.0, 2.0)
+    xi0, u1 = incident_shock(gas)
+    tanw = np.tan(np.radians(np.arange(50.0, 89.01, 0.5)))
+    assert len(tanw) == 79 and len(tanw) % _SCAN_LANES
+    blocked = _brackets(gas, xi0, u1, tanw, 1000)
+    alone = [_brackets(gas, xi0, u1, tanw[k:k + 1], 1000) for k in range(len(tanw))]
+    joined = [np.concatenate(part) for part in zip(*alone)]
+    joined[1] = np.concatenate([o[1] + k for k, o in enumerate(alone)])  # each one-angle scan is lane 0
+    for got, want in zip(blocked, joined):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if gamma == 3.0:
+        assert blocked[1].min() >= 2 * _SCAN_LANES  # the first two blocks are empty
+
+
+@pytest.mark.parametrize("gamma,lo,hi", [
+    (1.0, "0x1.8d42afd439e8bp-1", "0x1.8d42df3f014f6p-1"),
+    (1.4, "0x1.b53b26625824bp-1", "0x1.b53b55cd1f8b6p-1"),
+    (2.0, "0x1.e63a74be25919p-1", "0x1.e63aa428ecf83p-1"),
+    (3.0, "0x1.10f63c3575469p+0", "0x1.10f653ead8f9ep+0"),
+])
+def test_detachment_bracket_is_pinned(gamma, lo, hi):
+    # the default bracket bit for bit, as the whole-array scan gave it: each
+    # probe is a one-angle scan, so the lane blocks move no probe's verdict
+    got = srlab.detachment_angle(srlab.GasParameters(gamma, 1.0, 2.0))
+    assert [float(v).hex() for v in got] == [lo, hi]
+
+
+def test_scan_working_set_is_bounded():
+    # a 2,000-angle scan holds one block's temporaries at a time: 8 angles x
+    # 1045 points make 67 kB arrays and a ~1.1 MB peak, where the whole-array
+    # scan peaked at 160 MB; 8 MB leaves room for blocks of ~50 angles
+    import tracemalloc
+
+    from srlab.reflection import _brackets
+    from srlab.states import incident_shock
+
+    gas = srlab.GasParameters(1.4, 1.0, 2.0)
+    xi0, u1 = incident_shock(gas)
+    tanw = np.tan(np.radians(np.linspace(50.0, 89.0, 2000)))
+    tracemalloc.start()
+    try:
+        _, lane, _, _, _ = _brackets(gas, xi0, u1, tanw, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(lane)) == 2000
+    assert peak < 8e6
+
+
 def _residuals_per_sample(cfg, n_samples=7):
     # the per-sample loop that ReflectionConfiguration.residuals computes as
     # arrays, in float arithmetic: each dot product and norm a two-term sum
