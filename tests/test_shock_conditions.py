@@ -279,3 +279,121 @@ def test_bhat_names_the_first_inadmissible_sample(fns, weak60):
     assert fns.in_domain(px, py, psi, x, y).tolist() == [i not in (5, 9) for i in range(16)]
     with pytest.raises(OutsideDomain, match=r"trace sample 5 \(x="):
         fns.bhat(x, y, psi, px, py)
+
+
+# -- the b-hat quadrature and the chart it evaluates -----------------------------
+
+# the wedge angles of the per-gamma configurations (gamma = 3 detaches at 61 deg)
+RULE_CASES = [(1.0, 60.0), (1.4, 60.0), (2.0, 60.0), (3.0, 75.0)]
+# the truncation depths, as fractions of c2, that verify --what rh tries
+RH_EPS_FRACS = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
+
+
+def _weak(gamma, theta_deg):
+    return srlab.solve_state2(srlab.GasParameters(gamma, 1.0, 2.0), np.radians(theta_deg))["weak"]
+
+
+def _leggauss01(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (1.0 + x) / 2.0, w / 2.0
+
+
+def test_gauss_legendre_literals_match_leggauss():
+    from srlab.shock import _GL_NODES, _GL_WEIGHTS
+
+    t, w = _leggauss01(_GL_NODES.size)
+    assert np.all(np.abs(_GL_NODES - t) <= 2 * np.spacing(t))
+    assert np.all(np.abs(_GL_WEIGHTS - w) <= 2 * np.spacing(w))
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1():
+    from srlab.shock import _GL_NODES, _GL_WEIGHTS
+
+    assert abs(np.sum(_GL_WEIGHTS) - 1.0) <= 1e-15
+    for k in range(2 * _GL_NODES.size):
+        assert abs(np.sum(_GL_WEIGHTS * _GL_NODES**k) - 1.0 / (k + 1)) <= 1e-15, k
+
+
+@pytest.mark.parametrize("gamma,theta_deg", RULE_CASES)
+def test_bhat_matches_a_40_node_rule(gamma, theta_deg):
+    # the integrand is analytic on the admissible ray, so the 8-node rule is
+    # at rounding; 33-point Simpson erred by up to 2.7e-13 at c2/20
+    cfg = _weak(gamma, theta_deg)
+    fns = ShockBoundaryFns(cfg)
+    t, w = (a[:, None] for a in _leggauss01(40))
+    best = largest_valid_eps(cfg, [cfg.c2 * f for f in RH_EPS_FRACS])
+    traces = [synthetic_quadratic_trace(cfg, cfg.c2 / 20.0, 48)]
+    traces += [synthetic_quadratic_trace(cfg, cfg.c2 * f) for f in RH_EPS_FRACS if cfg.c2 * f <= best]
+    assert len(traces) >= 3
+    for x, y, psi, px, py in traces:
+        ref = [np.sum(w * v, axis=0) for v in fns.psi_gradient(t * px, t * py, t * psi, x[None, :], y[None, :])]
+        for b, r in zip(fns.bhat(x, y, psi, px, py), ref):
+            assert np.max(np.abs(b - r)) <= 1e-14 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("gamma,theta_deg", RULE_CASES)
+@pytest.mark.parametrize("frac", [0.05, 0.2])
+def test_bhat_expansion_identity_to_rounding(gamma, theta_deg, frac):
+    # b1 psi_x + b2 psi_y + b3 psi = Psi to rounding: the 8-node rule reads at
+    # most 6.7e-14 here, 33-point Simpson 1.7e-11 to 5.0e-11 at 0.2 c2 (gamma != 2)
+    cfg = _weak(gamma, theta_deg)
+    fns = ShockBoundaryFns(cfg)
+    x, y, psi, px, py = synthetic_quadratic_trace(cfg, frac * cfg.c2, 24)
+    py = py + 0.1 * px
+    b1, b2, b3 = fns.bhat(x, y, psi, px, py)
+    rhs = fns.Psi(px, py, psi, x, y)
+    assert np.max(np.abs(b1 * px + b2 * py + b3 * psi - rhs)) <= 2e-13 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("gamma,theta_deg", RULE_CASES)
+def test_chart_on_unbroadcast_rows_is_bit_for_bit(gamma, theta_deg):
+    # Psi takes the chart of x and y before they meet the slots; every step
+    # is elementwise, so (1, n) rows give the values of fully broadcast ones
+    cfg = _weak(gamma, theta_deg)
+    fns = ShockBoundaryFns(cfg)
+    rng = np.random.default_rng(17)
+    m, n = 8, 48
+    x = rng.uniform(0.0, cfg.c2 / 10.0, (1, n))
+    y = srlab.shock_curve_fhat(cfg, x[0])[None, :] + rng.normal(0.0, 1e-3, (1, n))
+    slots = [rng.normal(0.0, 1e-2, (3, m, n)) + 1j * rng.normal(0.0, 1e-20, (3, m, n)) for _ in range(3)]
+    assert np.array_equal(fns.Psi(*slots, x, y), fns.Psi(*np.broadcast_arrays(*slots, x, y)))
+    real = [s.real for s in slots]
+    rows = fns.psi_gradient(*real, x, y)
+    full = fns.psi_gradient(*np.broadcast_arrays(*real, x, y))
+    assert all(np.array_equal(a, b) for a, b in zip(rows, full))
+
+
+def test_strip_grid_payload_is_pinned(tmp_path):
+    # the Newton shock row evaluates Psi and psi_gradient; this digest of the
+    # gamma 1.4, 60 degree 121x49 strip's grid file holds them bit for bit
+    import hashlib
+
+    from srlab.cli import main
+
+    assert main(["solve", "--mode", "reflection", "--gamma", "1.4", "--theta-w", "60", "--grid", "121,49",
+                 "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "grid.srl").read_bytes()).hexdigest()
+    assert digest == "c3762320d64ad8b2b842380e60b74fd1c682e5f123195e958b9607caa260c2bf"
+
+
+def test_bhat_evaluation_shape_is_pinned(fns, weak60, monkeypatch):
+    # one stacked F call over 3 slots x 8 nodes x 48 samples, and the chart's
+    # trigonometry taken once per sample, not once per node and slot
+    import srlab.shock
+
+    F, chart = ShockBoundaryFns.F, srlab.shock._chart
+    f_shapes, angles = [], []
+
+    def f(self, *a):
+        f_shapes.append(np.broadcast_shapes(*map(np.shape, a)))
+        return F(self, *a)
+
+    def counted_chart(cfg, p1, p2, x, y):
+        angles.append(np.size(y))
+        return chart(cfg, p1, p2, x, y)
+
+    monkeypatch.setattr(ShockBoundaryFns, "F", f)
+    monkeypatch.setattr(srlab.shock, "_chart", counted_chart)
+    fns.bhat(*synthetic_quadratic_trace(weak60, weak60.c2 / 20.0, 48))
+    assert f_shapes == [(3, 8, 48)]
+    assert angles and set(angles) == {48}

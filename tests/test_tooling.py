@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,18 @@ def test_the_algebra_takes_no_blas_products():
             if isinstance(getattr(node, "op", None), ast.MatMult) or getattr(node, "attr", None) in ("dot", "linalg"):
                 using.append(f"{name}:{node.lineno}")
     assert using == []
+
+
+def test_import_takes_no_polynomial_or_scipy_modules():
+    # numpy.polynomial costs milliseconds of set-up on every command, so the
+    # shock quadrature's Gauss-Legendre nodes are literals; scipy is imported
+    # by the sparse solve itself, not by importing the package
+    probe = ("import sys, srlab, srlab.cli; print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_only_cli_main_maps_failures_to_exit_codes():
