@@ -7,12 +7,11 @@ bound); the sign properties are then verified by dense grid scans with local
 refinement, which is reported as sampling evidence, not proof.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientModel, apply_operator
-from .errors import EmptyInterval
 from .grids import ScalarField2D
 
 __all__ = [
@@ -79,9 +78,9 @@ def supersolution_v(A1: float, B1: float, alpha: float) -> BarrierFunction:
     return BarrierFunction("supersolution_v", A1, 2.0 + alpha, B1, 2.0)
 
 
-def subsolution_u_minus(L: float, K: float, alpha: float, alpha2: float = 0.0) -> BarrierFunction:
-    """Lower decay barrier -L x^(2+alpha)(1-y^2) - K x^(2+alpha2) y^2 for W below."""
-    return BarrierFunction("subsolution_u_minus", -L, 2.0 + alpha, -K, 2.0 + alpha2)
+def subsolution_u_minus(L: float, K: float, alpha: float) -> BarrierFunction:
+    """Lower decay barrier -L x^(2+alpha)(1-y^2) - K x^2 y^2 for W below."""
+    return BarrierFunction("subsolution_u_minus", -L, 2.0 + alpha, -K, 2.0)
 
 
 def general_u(c1: float, p1: float, c2: float, p2: float) -> BarrierFunction:
@@ -168,9 +167,7 @@ class BarrierRecipe:
         return subsolution_u_minus(L, K, self.alpha2)
 
     def describe(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "a", "b", "N", "rhat", "sigma_at_r0", "C0", "C_growth",
-            "r0", "mu0", "A0", "k", "mu1", "alpha1", "r1", "alpha2", "r2")}
+        return asdict(self)
 
 
 def choose_growth_params(mu1: float):
@@ -205,37 +202,21 @@ def choose_growth_params(mu1: float):
     return alpha1, r1_bound
 
 
-def choose_subsolution_params(
-    a: float,
-    b: float,
-    N: float,
-    rhat: float,
-    sigma,
-    C0: float | None = None,
-) -> BarrierRecipe:
+def choose_subsolution_params(a: float, b: float, N: float, rhat: float, sigma) -> BarrierRecipe:
     """Constructive parameters for the quadratic lower barrier and its companions.
 
     sigma is the measured interior lower bound of the solution past depth r:
-    a callable r -> sigma(r), or a number taken as sigma(r0).  The admissible
-    window for A0 is guaranteed nonempty by the r0 choice; if a caller-supplied
-    C0 breaks it, r0 is halved up to 60 times before giving up.  The lower
-    decay barrier's growth exponent alpha2 is taken at beta = 1/2.
+    a callable r -> sigma(r), or a number taken as sigma(r0).  C0 is
+    default_C0(b, N).  The admissible window (4 C0 r0^2, 1/(8(b+N))) for A0
+    is nonempty by the r0 choice: r0 <= 1/(8 sqrt(C0(b+N))) caps its bottom
+    at half its top.  The lower decay barrier's growth exponent alpha2 is
+    taken at beta = 1/2.
     """
     if min(a, b, rhat) <= 0.0 or N < 0.0:
         raise ValueError("need a, b, rhat > 0 and N >= 0")
-    if C0 is None:
-        C0 = default_C0(b, N)
+    C0 = default_C0(b, N)
     r0 = min(1.0 / (4.0 * C0), (b + N) / C0, 1.0 / (8.0 * np.sqrt(C0 * (b + N))), rhat / 2.0, 1.0)
-    lo = 4.0 * C0 * r0**2
-    hi = 1.0 / (8.0 * (b + N))
-    halvings = 0
-    while lo >= hi and halvings < 60:
-        r0 *= 0.5
-        lo = 4.0 * C0 * r0**2
-        halvings += 1
-    if lo >= hi:
-        raise EmptyInterval(f"no admissible A0 window: 4*C0*r0^2 = {lo:.3g} >= {hi:.3g}")
-    A0 = 0.5 * (lo + hi)
+    A0 = 0.5 * (4.0 * C0 * r0**2 + 1.0 / (8.0 * (b + N)))
     sig = float(sigma(r0)) if callable(sigma) else float(sigma)
     if sig <= 0.0:
         raise ValueError(f"interior lower bound sigma must be positive, got {sig}")
@@ -261,9 +242,12 @@ def choose_subsolution_params(
 # operator term at 128 kB, inside a 2 MB L2 cache, where the whole
 # 512 x 512 grid makes 2 MB ones (64 rows: ~15% slower, 96 rows: ~80%)
 _SCAN_ROWS = 32
+# grid points per axis of a scan
+_SCAN_N = 512
 
 
-def _scan(valfun, r, n, minimize):
+def _scan(valfun, r, minimize):
+    n = _SCAN_N
     xs = np.linspace(r / n, r, n)
     ys = np.linspace(-1.0, 1.0, n)
     vals = np.empty((n, n))
@@ -285,14 +269,14 @@ def _scan(valfun, r, n, minimize):
     return best, (float(xs[i]), float(ys[j]))
 
 
-def scan_L1_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: float, n: int = 512) -> dict:
+def scan_L1_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: float) -> dict:
     """min of L1(barrier) over (0, r] x [-1, 1]; positive means strict subsolution."""
-    best, arg = _scan(lambda x, y: apply_L1(barrier, coeffs, x, y), r, n, minimize=True)
-    return {"min": best, "argmin": arg, "n": n, "positive": best > 0.0}
+    best, arg = _scan(lambda x, y: apply_L1(barrier, coeffs, x, y), r, minimize=True)
+    return {"min": best, "argmin": arg, "n": _SCAN_N, "positive": best > 0.0}
 
 
 def scan_L2_defect_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: float,
-                        n: int = 512, want: str = "negative") -> dict:
+                        want: str = "negative") -> dict:
     """Extremum of L2(barrier) - rhs over (0, r] x [-1, 1].
 
     want="negative" checks a supersolution (max < 0), want="positive" a
@@ -300,10 +284,10 @@ def scan_L2_defect_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: f
     """
     fun = lambda x, y: _l2_defect(barrier, coeffs, x, y)
     if want == "negative":
-        best, arg = _scan(fun, r, n, minimize=False)
-        return {"max": best, "argmax": arg, "n": n, "negative": best < 0.0}
-    best, arg = _scan(fun, r, n, minimize=True)
-    return {"min": best, "argmin": arg, "n": n, "positive": best > 0.0}
+        best, arg = _scan(fun, r, minimize=False)
+        return {"max": best, "argmax": arg, "n": _SCAN_N, "negative": best < 0.0}
+    best, arg = _scan(fun, r, minimize=True)
+    return {"min": best, "argmin": arg, "n": _SCAN_N, "positive": best > 0.0}
 
 
 # -- discrete comparison ------------------------------------------------------

@@ -27,16 +27,16 @@ __all__ = [
 ]
 
 
-def fit_power_law(field: ScalarField2D, y_station: float, window=None):
+def fit_power_law(field: ScalarField2D, y_station: float):
     """Least-squares exponent of psi ~ c x^p along one y-station.
 
-    window defaults to [4*x_min, rhat/4], clipping both graded extremes.
+    The fit window is [4*x_1, rhat/4], x_1 the first node past the edge and
+    rhat the last, clipping both graded extremes.
     Returns (p, c, rms of the log-log fit).
     """
     xs = field.xs
     j = int(np.argmin(np.abs(field.ys - y_station)))
-    if window is None:
-        window = (4.0 * xs[1], xs[-1] / 4.0)
+    window = (4.0 * xs[1], xs[-1] / 4.0)
     mask = (xs >= window[0]) & (xs <= window[1]) & (xs > 0.0)
     if np.count_nonzero(mask) < 8:
         raise InsufficientResolution(

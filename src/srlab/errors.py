@@ -63,9 +63,5 @@ class InsufficientResolution(SrlabError):
     """Field lacks the near-boundary columns needed for extrapolation."""
 
 
-class EmptyInterval(SrlabError):
-    """Barrier-recipe admissible interval is empty for the given inputs."""
-
-
 class NotSupersonicAtP0(UserWarning):
     """Configuration root has state (2) subsonic at the reflection point."""

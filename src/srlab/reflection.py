@@ -578,10 +578,8 @@ def shock_chart_table(config: ReflectionConfiguration, xs):
     return y, yp, ypp
 
 
-def shock_curve_fhat(config: ReflectionConfiguration, x, eps: float | None = None):
+def shock_curve_fhat(config: ReflectionConfiguration, x):
     """Chart ordinate y of the straight reflected shock at depth x."""
-    if eps is not None and np.any(np.asarray(x) > eps * (1.0 + 1e-12)):
-        raise OutOfRange(f"depth beyond the configured truncation eps={eps}")
     y, _, _ = shock_chart_table(config, x)
     return float(y[0]) if np.isscalar(x) else y
 
@@ -592,25 +590,29 @@ def shock_curve_slope(config: ReflectionConfiguration, x):
     return float(yp[0]) if np.isscalar(x) else yp
 
 
-def detachment_angle(gas: GasParameters, lo_deg: float = 5.0, hi_deg: float = 89.9, tol_deg: float = 1e-4):
+_DETACH_LO_DEG, _DETACH_HI_DEG, _DETACH_TOL_DEG = 5.0, 89.9, 1e-4
+
+
+def detachment_angle(gas: GasParameters):
     """Bracket [lo, hi] (radians) for the smallest wedge angle with a reflected-state root.
 
-    Purely empirical bisection on root existence; reported, not asserted
-    against any closed form.  An angle has a root exactly when solve_state2's
-    u2 scan brackets one, so each test is that scan alone, at 400 linear
-    points: no refinement, no configuration.
+    Purely empirical bisection on root existence over 5 to 89.9 degrees, to a
+    bracket of 1e-4 degrees; reported, not asserted against any closed form.
+    An angle has a root exactly when solve_state2's u2 scan brackets one, so
+    each test is that scan alone, at 400 linear points: no refinement, no
+    configuration.
     """
     xi0, u1 = incident_shock(gas)
 
     def exists(deg):
         return _brackets(gas, xi0, u1, np.tan(np.radians([deg])), 400)[1].size > 0
 
-    lo, hi = lo_deg, hi_deg
+    lo, hi = _DETACH_LO_DEG, _DETACH_HI_DEG
     if exists(lo):
         return np.radians(lo), np.radians(lo)
     if not exists(hi):
-        raise NoRegularReflection(f"no root up to {hi_deg} degrees")
-    while hi - lo > tol_deg:
+        raise NoRegularReflection(f"no root up to {hi} degrees")
+    while hi - lo > _DETACH_TOL_DEG:
         mid = 0.5 * (lo + hi)
         if exists(mid):
             hi = mid

@@ -174,9 +174,9 @@ def test_criterion_4_barrier_suite():
         return float(np.min(field.values[mask, :]))
 
     recipe = choose_subsolution_params(A_MODEL, B_MODEL, N=0.0, rhat=RHAT, sigma=sigma)
-    s_w = scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0, n=512)
-    s_v = scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, n=512, want="negative")
-    s_u = scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), coeffs, recipe.r2, n=512, want="positive")
+    s_w = scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0)
+    s_v = scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want="negative")
+    s_u = scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), coeffs, recipe.r2, want="positive")
     rep_w = verify_comparison(field, recipe.w_barrier(), "below", recipe.r0)
     wfield = field.copy()
     wfield.values = field.xs[:, None] ** 2 / (2 * A_MODEL) - field.values

@@ -39,7 +39,7 @@ def test_barrier_derivatives_match_finite_differences():
     fns = [
         subsolution_w(0.05, 0.006),
         supersolution_v(0.8, 0.15, 0.3),
-        subsolution_u_minus(0.4, 0.1, 0.25, 0.1),
+        subsolution_u_minus(0.4, 0.1, 0.25),
         general_u(0.3, 2.7, -0.2, 2.2),
     ]
     h = 1e-5
@@ -146,9 +146,16 @@ def test_recipe_invariants(recipe, model_ab):
     assert 0 < r.alpha1 < 1 and 0 < r.r1 <= r.r0
 
 
+def test_u_minus_barrier_shape(recipe):
+    # the recipe's alpha2 is the growth of the (1 - y^2) term; the y^2 term is x^2
+    um = recipe.u_minus_barrier(beta=0.5)
+    assert um.p1 == 2.0 + recipe.alpha2
+    assert um.p2 == 2.0
+
+
 def test_recipe_mu_cap_example():
     # with a = 2.4 the curvature cap is 1/19.2 regardless of sigma slack
-    rec = choose_subsolution_params(2.4, 0.8, N=1.0, rhat=1.0, sigma=lambda r: 10.0, C0=1.0)
+    rec = choose_subsolution_params(2.4, 0.8, N=1.0, rhat=1.0, sigma=lambda r: 10.0)
     assert rec.mu0 == pytest.approx(1.0 / 19.2)
 
 
@@ -166,13 +173,14 @@ def test_recipe_invariants_random_inputs():
         assert rec.r1 <= rec.r0 and rec.r2 <= rec.r0
 
 
-def test_recipe_window_never_empty():
+def test_recipe_window_never_empty(monkeypatch):
     # the r0 choice caps 4*C0*r0^2 at 1/(16(b+N)), half the window top, so
-    # the admissible interval is nonempty even for absurd C0; EmptyInterval
-    # stays as an API guard but is unreachable through this constructor
+    # the admissible interval is nonempty even for absurd C0
     for C0 in (1e-6, 1.0, 1e12, 1e30):
-        rec = choose_subsolution_params(2.4, 0.8, N=0.5, rhat=1.0, sigma=1.0, C0=C0)
-        assert 4 * C0 * rec.r0**2 < 1.0 / (8 * (0.8 + 0.5))
+        monkeypatch.setattr(srlab.barriers, "default_C0", lambda b, N: C0)
+        rec = choose_subsolution_params(2.4, 0.8, N=0.5, rhat=1.0, sigma=1.0)
+        assert rec.C0 == C0
+        assert 4 * C0 * rec.r0**2 <= 1.0 / (16 * (0.8 + 0.5))
 
 
 def test_growth_params_base_case_feasible():
@@ -202,7 +210,7 @@ def test_growth_params_validation():
 
 def test_w_sign_scan_positive(recipe, model_ab):
     a, b = model_ab
-    rep = scan_L1_sign(recipe.w_barrier(), srlab.model_coefficients(a, b), recipe.r0, n=512)
+    rep = scan_L1_sign(recipe.w_barrier(), srlab.model_coefficients(a, b), recipe.r0)
     assert rep["positive"], rep
     assert rep["min"] > 0.0
 
@@ -210,14 +218,14 @@ def test_w_sign_scan_positive(recipe, model_ab):
 def test_v_defect_scan_negative(recipe, model_ab):
     a, b = model_ab
     rep = scan_L2_defect_sign(recipe.v_barrier(), srlab.model_coefficients(a, b),
-                              recipe.r1, n=512, want="negative")
+                              recipe.r1, want="negative")
     assert rep["negative"], rep
 
 
 def test_u_minus_defect_scan_positive(recipe, model_ab):
     a, b = model_ab
     rep = scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), srlab.model_coefficients(a, b),
-                              recipe.r2, n=512, want="positive")
+                              recipe.r2, want="positive")
     assert rep["positive"], rep
 
 
@@ -251,11 +259,11 @@ def test_comparison_direction_validation(model_field, recipe):
         verify_comparison(model_field, recipe.w_barrier(), "sideways", recipe.r0)
 
 
-def _three_scans(recipe, coeffs, n):
+def _three_scans(recipe, coeffs):
     return (
-        scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0, n=n),
-        scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, n=n, want="negative"),
-        scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), coeffs, recipe.r2, n=n, want="positive"),
+        scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0),
+        scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want="negative"),
+        scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), coeffs, recipe.r2, want="positive"),
     )
 
 
@@ -269,14 +277,16 @@ def test_scans_do_not_depend_on_the_row_block(recipe, model_ab, weak60, monkeypa
         coeffs = srlab.model_coefficients(a, b)
     else:
         coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
-    ref = _three_scans(recipe, coeffs, n)
+    monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
+    ref = _three_scans(recipe, coeffs)
+    assert all(rep["n"] == n for rep in ref)
     for rows in (1, 7, 512):
         monkeypatch.setattr(srlab.barriers, "_SCAN_ROWS", rows)
-        assert _three_scans(recipe, coeffs, n) == ref
+        assert _three_scans(recipe, coeffs) == ref
 
 
 @pytest.mark.parametrize("want", ["negative", "positive"])
-def test_defect_scan_is_apply_L2_minus_l2_rhs(recipe, model_ab, weak60, want):
+def test_defect_scan_is_apply_L2_minus_l2_rhs(recipe, model_ab, weak60, monkeypatch, want):
     # the scan's one-jet defect gives the extremum of apply_L2 - l2_rhs over
     # the full grid and the 96 x 96 refinement around it, exactly
     coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
@@ -290,7 +300,8 @@ def test_defect_scan_is_apply_L2_minus_l2_rhs(recipe, model_ab, weak60, want):
     yf = np.linspace(ys[max(j - 2, 0)], ys[min(j + 2, n - 1)], 96)
     fine = defect(xf[:, None], yf[None, :])
     both = np.array([grid[i, j], fine.flat[pick(fine)]])
-    rep = scan_L2_defect_sign(fn, coeffs, r, n=n, want=want)
+    monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
+    rep = scan_L2_defect_sign(fn, coeffs, r, want=want)
     key = "max" if want == "negative" else "min"
     assert rep[key] == both[pick(both)]
     assert rep["arg" + key] == (xs[i], ys[j])
@@ -301,6 +312,6 @@ def test_defect_scan_rejects_the_linear_closure(recipe, model_ab, want):
     # L2's right side divides by a; the linear closure has a = 0
     coeffs = srlab.linear_coefficients(model_ab[1])
     with pytest.raises(ValueError, match="a > 0"):
-        scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, n=64, want=want)
+        scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want=want)
     with pytest.raises(ValueError, match="a > 0"):
         l2_rhs(recipe.v_barrier(), coeffs, 0.1, 0.3)

@@ -36,9 +36,12 @@ def test_fit_power_law_nonpositive():
 
 
 def test_fit_power_law_window_too_small():
-    f = synth_field(lambda x, y: x**2 + 0.0 * y, n=97)
-    with pytest.raises(InsufficientResolution):
-        dg.fit_power_law(f, 0.0, window=(0.4, 0.41))
+    # on 33 uniform nodes the window [4*x_1, rhat/4] is x_4..x_8
+    xs = uniform_axis(0.0, 0.5, 33)
+    ys = uniform_axis(-1.0, 1.0, 49)
+    f = ScalarField2D(xs, ys, xs[:, None] ** 2 + 0.0 * ys[None, :])
+    with pytest.raises(InsufficientResolution, match="holds 5 nodes"):
+        dg.fit_power_law(f, 0.0)
 
 
 def test_fit_on_solver_fixtures(model_field):

@@ -170,8 +170,6 @@ def test_shock_curve_against_line_composition(weak60):
 def test_shock_curve_out_of_range(weak60):
     with pytest.raises(OutOfRange):
         srlab.shock_curve_fhat(weak60, shock_depth_max(weak60) * 1.5)
-    with pytest.raises(OutOfRange):
-        srlab.shock_curve_fhat(weak60, 0.05, eps=0.01)
 
 
 def test_chart_second_derivative_consistency(weak60):
@@ -210,8 +208,8 @@ def test_subsonic_warning_near_sonic_angle(gas):
 
 
 def test_detachment_bracket(gas):
-    lo, hi = srlab.detachment_angle(gas, 45.0, 55.0, tol_deg=1e-3)
-    assert np.degrees(hi) - np.degrees(lo) <= 1.1e-3
+    lo, hi = srlab.detachment_angle(gas)
+    assert np.degrees(hi) - np.degrees(lo) <= 1.1e-4
     assert 48.5 < np.degrees(lo) < 49.5  # oracle bisection gives ~48.93
 
 

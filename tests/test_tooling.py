@@ -135,10 +135,34 @@ def test_only_cli_main_maps_failures_to_exit_codes():
     assert any(id(h) in in_main for h in handlers)
 
 
+def test_every_error_class_is_raised_somewhere():
+    # an error class is raised, returned or warned when the library builds it
+    # or passes it to warnings.warn; a base class is raised with its subclasses
+    import srlab.errors
+
+    built = set()
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                built.add(name)
+                if name == "warn":
+                    built |= {getattr(a, "id", getattr(a, "attr", None)) for a in node.args}
+    classes = [v for v in vars(srlab.errors).values()
+               if isinstance(v, type) and v.__module__ == srlab.errors.__name__]
+    unraised = [c.__name__ for c in classes if not any(
+        issubclass(d, c) and d.__name__ in built for d in classes)]
+    assert classes
+    assert unraised == []
+
+
 def _calls_by_name():
-    """Every call in src, bench and tests, keyed by the called name (a function, method or class)."""
+    """Every call in src and bench, keyed by the called name (a function, method or class)."""
     calls = {}
-    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(BENCH.glob("*.py")) + sorted(ROOT.glob("tests/*.py"))
+    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(BENCH.glob("*.py"))
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
