@@ -238,23 +238,42 @@ def choose_subsolution_params(a: float, b: float, N: float, rhat: float, sigma) 
 # -- sign scans ---------------------------------------------------------------
 
 
-# x-rows per block of a scan: a 32 x 512 block keeps each jet entry and
-# operator term at 128 kB, inside a 2 MB L2 cache, where the whole
-# 512 x 512 grid makes 2 MB ones (64 rows: ~15% slower, 96 rows: ~80%)
+# x-rows per block of a scan: a 32 x 256 half-grid block keeps each jet
+# entry and operator term at 64 kB, inside a 2 MB L2 cache (16 rows: ~30%
+# slower, 64 rows: ~7%, 128 rows: ~80%)
 _SCAN_ROWS = 32
 # grid points per axis of a scan
 _SCAN_N = 512
 
 
 def _scan(valfun, r, minimize):
+    """Extremum of valfun, an even function of y, over (0, r] x [-1, 1].
+
+    The y-nodes (2k + 1 - n)/(n - 1) are those of linspace(-1, 1, n) but
+    mirror exactly (ys[n-1-k] == -ys[k]), and negation, squaring and
+    products of two odd factors are exact, so an even defect is even bit
+    for bit on them.  Only the ceil(n/2) columns with y <= 0 are evaluated:
+    they hold each grid value at its first C-order occurrence, so the
+    extremum, its node and the refinement window are those of the full grid.
+    """
     n = _SCAN_N
+    h = (n + 1) // 2
     xs = np.linspace(r / n, r, n)
-    ys = np.linspace(-1.0, 1.0, n)
-    vals = np.empty((n, n))
+    ys = (2.0 * np.arange(n) + 1.0 - n) / (n - 1)
+    vals = np.empty((n, h))
     for k in range(0, n, _SCAN_ROWS):
-        vals[k:k + _SCAN_ROWS] = valfun(xs[k:k + _SCAN_ROWS, None], ys[None, :])
+        vals[k:k + _SCAN_ROWS] = valfun(xs[k:k + _SCAN_ROWS, None], ys[None, :h])
     pick = np.argmin(vals) if minimize else np.argmax(vals)
     i, j = np.unravel_index(pick, vals.shape)
+    # the half grid stands for the whole only if valfun is even in y: evaluate
+    # the extremum's row and column at their mirrored nodes, in one call (the
+    # row alone can miss an odd term, e.g. on the v barrier's outer row, where
+    # psi_y = 0)
+    gx = np.concatenate([np.full(h, xs[i]), xs])
+    gy = np.concatenate([ys[::-1][:h], np.full(n, ys[n - 1 - j])])
+    if not np.array_equal(valfun(gx, gy), np.concatenate([vals[i], vals[:, j]]), equal_nan=True):
+        raise ValueError(f"barrier scans need a defect even in y; on the row x = {xs[i]:.6g} "
+                         f"or the column y = {ys[j]:.6g} it differs at -y")
     best = float(vals[i, j])
     # local refinement around the detected extremum
     x_lo = max(xs[max(i - 2, 0)], r / (8 * n))

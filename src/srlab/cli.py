@@ -286,7 +286,7 @@ def _verify_regularity(field, out, record, digest):
         )
     payload = {
         "runconfig": record, "runconfig_digest": digest,
-        "report": json.loads(rep.to_json()),
+        "report": rep.__dict__,
         "checks": checks,
         "warnings": warnings_list,
     }

@@ -259,6 +259,35 @@ def test_comparison_direction_validation(model_field, recipe):
         verify_comparison(model_field, recipe.w_barrier(), "sideways", recipe.r0)
 
 
+def _symmetric_nodes(n):
+    # the nominal nodes of linspace(-1, 1, n), mirrored exactly: ys[n-1-k] == -ys[k]
+    return (2.0 * np.arange(n) + 1.0 - n) / (n - 1)
+
+
+def _closure(kind, model_ab, weak60):
+    a, b = model_ab
+    if kind == "model":
+        return srlab.model_coefficients(a, b)
+    if kind == "linear":
+        return srlab.linear_coefficients(b)
+    return srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
+
+
+def _full_scan(valfun, r, n, minimize):
+    # the scan evaluated on the whole symmetric n x n grid at once
+    xs, ys = np.linspace(r / n, r, n), _symmetric_nodes(n)
+    vals = valfun(xs[:, None], ys[None, :])
+    i, j = np.unravel_index(np.argmin(vals) if minimize else np.argmax(vals), vals.shape)
+    best = float(vals[i, j])
+    xf = np.linspace(max(xs[max(i - 2, 0)], r / (8 * n)), xs[min(i + 2, n - 1)], 96)
+    yf = np.linspace(ys[max(j - 2, 0)], ys[min(j + 2, n - 1)], 96)
+    vf = valfun(xf[:, None], yf[None, :])
+    refined = float(np.min(vf) if minimize else np.max(vf))
+    if (refined < best) == minimize:
+        best = refined
+    return best, (float(xs[i]), float(ys[j]))
+
+
 def _three_scans(recipe, coeffs):
     return (
         scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0),
@@ -271,12 +300,8 @@ def _three_scans(recipe, coeffs):
 @pytest.mark.parametrize("closure", ["model", "reflection"])
 def test_scans_do_not_depend_on_the_row_block(recipe, model_ab, weak60, monkeypatch, n, closure):
     # every value is elementwise, so the scans return the same dicts, bit for
-    # bit, for any number of x-rows per block (512: the whole grid at once)
-    a, b = model_ab
-    if closure == "model":
-        coeffs = srlab.model_coefficients(a, b)
-    else:
-        coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
+    # bit, for any number of x-rows per block (512: the whole half grid at once)
+    coeffs = _closure(closure, model_ab, weak60)
     monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
     ref = _three_scans(recipe, coeffs)
     assert all(rep["n"] == n for rep in ref)
@@ -285,26 +310,96 @@ def test_scans_do_not_depend_on_the_row_block(recipe, model_ab, weak60, monkeypa
         assert _three_scans(recipe, coeffs) == ref
 
 
+@pytest.mark.parametrize("sigma", [0.01, 0.05, 1e-4])
+@pytest.mark.parametrize("n", [512, 100, 9, 7])
+@pytest.mark.parametrize("closure", ["model", "reflection"])
+def test_half_scan_is_the_full_symmetric_scan(model_ab, weak60, monkeypatch, sigma, n, closure):
+    # the y <= 0 half holds every value of an even defect at its first
+    # C-order occurrence, so each scan reports what the full grid gives
+    a, b = model_ab
+    rec = choose_subsolution_params(a, b, N=0.0, rhat=0.5, sigma=sigma)
+    coeffs = _closure(closure, model_ab, weak60)
+    monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
+    w, v, u = rec.w_barrier(), rec.v_barrier(), rec.u_minus_barrier(beta=0.5)
+    L1 = lambda x, y: apply_L1(w, coeffs, x, y)
+    Lv = lambda x, y: apply_L2(v, coeffs, x, y) - l2_rhs(v, coeffs, x, y)
+    Lu = lambda x, y: apply_L2(u, coeffs, x, y) - l2_rhs(u, coeffs, x, y)
+    cases = [
+        (scan_L1_sign(w, coeffs, rec.r0), "min", _full_scan(L1, rec.r0, n, True)),
+        (scan_L2_defect_sign(v, coeffs, rec.r1, want="negative"), "max", _full_scan(Lv, rec.r1, n, False)),
+        (scan_L2_defect_sign(u, coeffs, rec.r2, want="positive"), "min", _full_scan(Lu, rec.r2, n, True)),
+    ]
+    for rep, key, (best, arg) in cases:
+        assert (rep[key], rep["arg" + key]) == (best, arg)
+        assert rep["arg" + key][1] <= 0.0
+
+
+@pytest.mark.parametrize("n", [512, 7])
+def test_scan_evaluates_the_half_grid(recipe, model_ab, monkeypatch, n):
+    # n * ceil(n/2) grid points, the 96 x 96 refinement and the mirrored guard
+    # row and column (the full grid took n * n)
+    counts = []
+
+    def counted(f):
+        def g(fn, coeffs, x, y):
+            counts.append(np.broadcast(x, y).size)
+            return f(fn, coeffs, x, y)
+        return g
+
+    monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
+    monkeypatch.setattr(srlab.barriers, "apply_L1", counted(srlab.barriers.apply_L1))
+    monkeypatch.setattr(srlab.barriers, "_l2_defect", counted(srlab.barriers._l2_defect))
+    _three_scans(recipe, srlab.model_coefficients(*model_ab))
+    h = (n + 1) // 2
+    assert sum(counts) == 3 * (n * h + 96 * 96 + h + n)
+
+
+@pytest.mark.parametrize("closure", ["model", "linear", "reflection"])
+def test_recipe_barrier_defects_are_even_bit_for_bit(recipe, model_ab, weak60, closure):
+    # psi_y and psi_xy enter every closure only through even products, so on
+    # exactly mirrored nodes each defect is even to the last bit
+    coeffs = _closure(closure, model_ab, weak60)
+    barriers = [(recipe.w_barrier(), recipe.r0), (recipe.v_barrier(), recipe.r1),
+                (recipe.u_minus_barrier(beta=0.5), recipe.r2)]
+    for n in (512, 101):
+        ys = _symmetric_nodes(n)[None, :]
+        assert np.array_equal(ys, -ys[:, ::-1])
+        for fn, r in barriers:
+            xs = np.linspace(r / 64, r, 64)[:, None]
+            defects = [apply_L1(fn, coeffs, xs, ys)]
+            if coeffs.a > 0.0:
+                defects.append(apply_L2(fn, coeffs, xs, ys) - l2_rhs(fn, coeffs, xs, ys))
+            for vals in defects:
+                assert vals.tobytes() == np.ascontiguousarray(vals[:, ::-1]).tobytes()
+
+
+def test_scans_refuse_an_odd_defect(recipe, model_ab):
+    # a constant O5 adds O5 * psi_y, odd in y, which a half-grid scan cannot see
+    def odd_terms(x, y, psi, px, py):
+        z = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(psi)))
+        return z, z, z, z, z + 0.5
+
+    a, b = model_ab
+    coeffs = srlab.CoefficientModel(a=a, b=b, N=0.0, label="odd", o_terms=odd_terms)
+    with pytest.raises(ValueError, match="even in y"):
+        scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0)
+    for want in ("negative", "positive"):
+        with pytest.raises(ValueError, match="even in y"):
+            scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want=want)
+
+
 @pytest.mark.parametrize("want", ["negative", "positive"])
 def test_defect_scan_is_apply_L2_minus_l2_rhs(recipe, model_ab, weak60, monkeypatch, want):
     # the scan's one-jet defect gives the extremum of apply_L2 - l2_rhs over
-    # the full grid and the 96 x 96 refinement around it, exactly
+    # the full symmetric grid and the 96 x 96 refinement around it, exactly
     coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
     fn, r, n = recipe.v_barrier(), recipe.r1, 200
     defect = lambda x, y: apply_L2(fn, coeffs, x, y) - l2_rhs(fn, coeffs, x, y)
-    pick = np.argmax if want == "negative" else np.argmin
-    xs, ys = np.linspace(r / n, r, n), np.linspace(-1.0, 1.0, n)
-    grid = defect(xs[:, None], ys[None, :])
-    i, j = np.unravel_index(pick(grid), grid.shape)
-    xf = np.linspace(max(xs[max(i - 2, 0)], r / (8 * n)), xs[min(i + 2, n - 1)], 96)
-    yf = np.linspace(ys[max(j - 2, 0)], ys[min(j + 2, n - 1)], 96)
-    fine = defect(xf[:, None], yf[None, :])
-    both = np.array([grid[i, j], fine.flat[pick(fine)]])
+    best, arg = _full_scan(defect, r, n, minimize=want == "positive")
     monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
     rep = scan_L2_defect_sign(fn, coeffs, r, want=want)
     key = "max" if want == "negative" else "min"
-    assert rep[key] == both[pick(both)]
-    assert rep["arg" + key] == (xs[i], ys[j])
+    assert (rep[key], rep["arg" + key]) == (best, arg)
 
 
 @pytest.mark.parametrize("want", ["negative", "positive"])
