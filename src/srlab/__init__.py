@@ -1,26 +1,12 @@
 """srlab: a numerical laboratory for regular shock reflection in self-similar potential flow."""
 
-from .states import (
-    GasParameters,
-    UniformState,
-    density_from_bernoulli,
-    critical_speed,
-    is_elliptic_at,
-    incident_shock,
-    rh_residual,
-    state0,
-    state1,
-)
+from .states import GasParameters, UniformState, incident_shock
 from .reflection import (
     ReflectionConfiguration,
     WedgeGeometry,
     solve_state2,
     solve_state2_many,
-    sonic_circle,
     to_sonic_coords,
-    from_sonic_coords,
-    shock_curve_fhat,
-    shock_curve_slope,
     detachment_angle,
 )
 from .shock import ShockBoundaryFns, g_function, check_g_unique
@@ -35,7 +21,6 @@ from .solver import (
     BoundaryConditions,
     GridSpec,
     SolverOptions,
-    residual,
     solve,
     solve_reflection_near_sonic,
     derivative_fields,

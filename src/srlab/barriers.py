@@ -19,15 +19,12 @@ __all__ = [
     "subsolution_w",
     "supersolution_v",
     "subsolution_u_minus",
-    "general_u",
     "BarrierRecipe",
     "default_C0",
     "default_growth_C",
     "choose_subsolution_params",
     "choose_growth_params",
     "apply_L1",
-    "apply_L2",
-    "l2_rhs",
     "scan_L1_sign",
     "scan_L2_defect_sign",
     "verify_comparison",
@@ -83,10 +80,6 @@ def subsolution_u_minus(L: float, K: float, alpha: float) -> BarrierFunction:
     return BarrierFunction("subsolution_u_minus", -L, 2.0 + alpha, -K, 2.0)
 
 
-def general_u(c1: float, p1: float, c2: float, p2: float) -> BarrierFunction:
-    return BarrierFunction("general_u", c1, p1, c2, p2)
-
-
 # -- operators ----------------------------------------------------------------
 
 
@@ -95,29 +88,14 @@ def apply_L1(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     return apply_operator(coeffs, x, y, fn.jet(x, y))
 
 
-def apply_L2(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
-    """Companion operator acting on deviation profiles W."""
-    return apply_operator(coeffs, x, y, fn.jet(x, y), companion=True)
-
-
-def _rhs_on_jet(coeffs: CoefficientModel, x, y, jet):
-    """(O1 - x O4)/a on a jet (psi, psi_x, psi_y, ...), the one spelling of L2's right side."""
+def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
+    """The companion operator L2 on fn less its right side (O1 - x O4)/a, both on one evaluation of the jet."""
     if coeffs.a == 0.0:
         raise ValueError("the deviation operator needs a > 0")
     x = np.asarray(x, dtype=float)
-    O1, _, _, O4, _ = coeffs.evaluate(x, y, *jet[:3])
-    return (O1 - x * O4) / coeffs.a
-
-
-def l2_rhs(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
-    """(O1 - x O4)/a, evaluated on the barrier's own jet."""
-    return _rhs_on_jet(coeffs, x, y, fn.jet(x, y))
-
-
-def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
-    """L2(fn) - l2_rhs(fn), both on one evaluation of the barrier's jet."""
     jet = fn.jet(x, y)
-    return apply_operator(coeffs, x, y, jet, companion=True) - _rhs_on_jet(coeffs, x, y, jet)
+    O1, _, _, O4, _ = coeffs.evaluate(x, y, *jet[:3])
+    return apply_operator(coeffs, x, y, jet, companion=True) - (O1 - x * O4) / coeffs.a
 
 
 # -- recipes ------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Regularity measurements on converged fields.
 
 Power-law fits of the boundary layer, extrapolation of second derivatives to
-the degenerate edge, the parabolic-scaling norm, decay-ladder constants, the
-sonic jump, and the two-family probe at the shock/sonic meeting point.
+the degenerate edge, the parabolic-scaling norm, the sonic jump, and the
+two-family probe at the shock/sonic meeting point.
 """
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -17,10 +16,8 @@ from .solver import _JET, _ORDERS, _ordinates, derivative_fields
 __all__ = [
     "fit_power_law",
     "limit_at_zero",
-    "richardson_triplet",
     "sonic_limit_estimate",
     "parabolic_norm",
-    "decay_bound_check",
     "jump_estimate",
     "two_sequence_probe",
     "RegularityReport",
@@ -80,21 +77,6 @@ def limit_at_zero(xs, vals, k: int = _EDGE_SAMPLES, skip: int = _EDGE_SKIP):
     return sol[0], sol[1], rms
 
 
-def richardson_triplet(coarse, mid, fine):
-    """Extrapolate a grid triplet refined by a ratio of 2; the order is measured, not assumed.
-
-    Returns (extrapolated, measured_order).  Falls back to the finest value
-    (order inf) when the differences sit at round-off.
-    """
-    d1, d2 = mid - coarse, fine - mid
-    scale = max(abs(coarse), abs(mid), abs(fine), 1e-300)
-    if abs(d2) < 1e-12 * scale or abs(d1) <= abs(d2):
-        return float(fine), float("inf")
-    p = np.log(abs(d1 / d2)) / np.log(2.0)
-    extrap = fine + d2 / (2.0**p - 1.0)
-    return float(extrap), float(p)
-
-
 def _resolution_check(field):
     xs = field.xs
     if np.count_nonzero((xs > 0.0) & (xs < xs[-1] / 100.0)) < 4:
@@ -124,13 +106,6 @@ def sonic_limit_estimate(field: ScalarField2D, stations=None, d=None) -> dict:
     return out
 
 
-def _weighted_sups(field, d, alpha):
-    """sup over the interior of x^-(2 + alpha - k - l/2) |D^(k,l) psi|, per jet entry of d."""
-    x = field.xs[1:-1, None]
-    return [float(np.max(x ** -(2.0 + alpha - kk - ll / 2.0) * np.abs(d[name][1:-1, 1:-1])))
-            for name, (kk, ll) in zip(_JET, _ORDERS)]
-
-
 def parabolic_norm(field: ScalarField2D, d=None):
     """Sum over derivative orders of sup x^(k+l/2-2) |D^(k,l) psi| on the interior.
 
@@ -139,14 +114,10 @@ def parabolic_norm(field: ScalarField2D, d=None):
     field's derivative pass, computed here when not given.
     """
     d = derivative_fields(field) if d is None else d
-    breakdown = dict(zip(_JET, _weighted_sups(field, d, 0.0)))
+    x = field.xs[1:-1, None]
+    breakdown = {name: float(np.max(x ** (kk + ll / 2.0 - 2.0) * np.abs(d[name][1:-1, 1:-1])))
+                 for name, (kk, ll) in zip(_JET, _ORDERS)}
     return float(sum(breakdown.values())), breakdown
-
-
-def decay_bound_check(wfield: ScalarField2D, alpha: float):
-    """Smallest ladder constants C with |D^(i,j) W| <= C x^(2+alpha-i-j/2)."""
-    sups = _weighted_sups(wfield, derivative_fields(wfield), alpha)
-    return {f"C{i}{j}": c for (i, j), c in zip(_ORDERS, sups)}
 
 
 def jump_estimate(field: ScalarField2D, d=None):
@@ -238,7 +209,7 @@ def two_sequence_probe(field: ScalarField2D, d=None) -> dict:
 
 @dataclass
 class RegularityReport:
-    """Aggregate of the diagnostics run on one field, JSON-serializable."""
+    """Aggregate of the diagnostics run on one field; verify writes its fields as JSON."""
 
     grid: dict
     power_fits: list = dc_field(default_factory=list)
@@ -248,9 +219,6 @@ class RegularityReport:
     jump: float | None = None
     jump_details: dict = dc_field(default_factory=dict)
     two_sequence: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, indent=1, default=float)
 
 
 def write_station_trace_csv(field: ScalarField2D, path, digest: str | None = None, d=None) -> None:

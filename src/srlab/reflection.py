@@ -28,11 +28,7 @@ __all__ = [
     "ReflectionConfiguration",
     "solve_state2",
     "solve_state2_many",
-    "sonic_circle",
     "to_sonic_coords",
-    "from_sonic_coords",
-    "shock_curve_fhat",
-    "shock_curve_slope",
     "shock_chart_table",
     "shock_depth_max",
     "detachment_angle",
@@ -48,11 +44,6 @@ class WedgeGeometry:
     def __post_init__(self):
         if not 0.0 < self.theta_w < np.pi / 2:
             raise ValueError(f"theta_w must lie in (0, pi/2), got {self.theta_w}")
-
-    def contains(self, xi, eta) -> bool:
-        if xi < 0.0:
-            return eta > 0.0
-        return eta > xi * np.tan(self.theta_w)
 
 
 @dataclass(frozen=True)
@@ -483,17 +474,12 @@ def _shock_line_residuals(configs):
     n1 = np.sqrt(d1x * d1x + d1y * d1y)
     n2 = np.sqrt(d2x * d2x + d2y * d2y)
     scale = (rho1 * (1.0 + n1) + rho2 * (1.0 + n2)).max(axis=1)
-    # UniformState.phi of both states, term for term (state 1's v-term is a zero)
+    # both states' potentials -(xi^2 + eta^2)/2 + u xi + v eta + k (state 1's v-term is a zero)
     quad = -0.5 * (px * px + py * py)
     phi1 = quad + u1 * px + k1
     phi2 = quad + u2 * px + v2 * py + k2
     cont = np.abs(phi1 - phi2) / np.maximum(1.0, np.abs(phi1))
     return np.abs(rh).max(axis=1) / scale, cont.max(axis=1)
-
-
-def sonic_circle(config: ReflectionConfiguration):
-    """Center (u2, v2) and radius c2."""
-    return np.array([config.u2, config.v2]), config.c2
 
 
 def to_sonic_coords(config: ReflectionConfiguration, point):
@@ -504,16 +490,6 @@ def to_sonic_coords(config: ReflectionConfiguration, point):
     if r == 0.0:
         raise CenterSingularity("sonic chart undefined at the circle center")
     return float(config.c2 - r), float(np.arctan2(d[1], d[0]) - config.theta_w)
-
-
-def from_sonic_coords(config: ReflectionConfiguration, xy):
-    x, y = float(xy[0]), float(xy[1])
-    r = config.c2 - x
-    ang = y + config.theta_w
-    return (
-        float(config.center[0] + r * np.cos(ang)),
-        float(config.center[1] + r * np.sin(ang)),
-    )
 
 
 def _chart_params(config):
@@ -576,18 +552,6 @@ def shock_chart_table(config: ReflectionConfiguration, xs):
     yp = dthdt / dxdt
     ypp = (d2thdt2 * dxdt - dthdt * d2xdt2) / dxdt**3
     return y, yp, ypp
-
-
-def shock_curve_fhat(config: ReflectionConfiguration, x):
-    """Chart ordinate y of the straight reflected shock at depth x."""
-    y, _, _ = shock_chart_table(config, x)
-    return float(y[0]) if np.isscalar(x) else y
-
-
-def shock_curve_slope(config: ReflectionConfiguration, x):
-    """dy/dx of the shock image; positive on the regular-reflection branch."""
-    _, yp, _ = shock_chart_table(config, x)
-    return float(yp[0]) if np.isscalar(x) else yp
 
 
 _DETACH_LO_DEG, _DETACH_HI_DEG, _DETACH_TOL_DEG = 5.0, 89.9, 1e-4

@@ -206,22 +206,27 @@ def g_prime(s, gamma):
     return float(out) if out.ndim == 0 else out
 
 
+# g(1) sums two quotients of at most three roundings each, so it lies within 2 ulps
+# of 1 (at most 1 ulp on 400,000 sampled gamma in (1, 1e300])
+_G_AT_ONE_ULPS = 2
+
+
 def check_g_unique(gamma) -> bool:
-    """Confirm on a log grid of 100,000 points that g(s) = 1 only at s = 1, with a V-shaped profile."""
-    n = 100_000
-    s = np.logspace(-3.0, 3.0, n)
-    vals = g_function(s, gamma)
-    i1 = int(np.searchsorted(s, 1.0))
-    near_one = np.zeros(n, dtype=bool)
-    near_one[max(0, i1 - 1) : min(n, i1 + 2)] = True
-    if not np.all(vals[~near_one] > 1.0):
-        return False
-    dv = g_prime(s, gamma)
-    if not np.all(dv[s < 1.0 - 1e-4] < 0.0):
-        return False
-    if not np.all(dv[s > 1.0 + 1e-4] > 0.0):
-        return False
-    return True
+    """Confirm that g(s) = 1 only at s = 1, from g's closed form rather than a scan.
+
+    g(1) = 2/(gamma+1) + (gamma-1)/(gamma+1) = 1, and
+    g'(s) = 2(gamma-1)/(gamma+1) s^-3 (s^(gamma+1) - 1) has the sign of s - 1
+    when gamma > 1.  So g falls on (0, 1) and rises on (1, inf), and g > 1 at
+    every s other than 1.  The check evaluates what that argument rests on:
+    g(1) within _G_AT_ONE_ULPS ulps of 1, g'(1) = 0, and g' < 0 < g' at
+    s = 2^(-1/(gamma+1)) and 2^(1/(gamma+1)), where s^(gamma+1) is 1/2 and 2,
+    so no power overflows at any gamma > 1.  Past gamma = 6.2e15 the two
+    points round to 1, where g' is 0, and the check reports False.
+    """
+    at_one = g_function(1.0, gamma)  # refuses gamma <= 1
+    below, above = g_prime(2.0 ** (np.array([-1.0, 1.0]) / (gamma + 1.0)), gamma)
+    return bool(abs(at_one - 1.0) <= _G_AT_ONE_ULPS * np.finfo(float).eps
+                and g_prime(1.0, gamma) == 0.0 and below < 0.0 < above)
 
 
 def synthetic_quadratic_trace(config: ReflectionConfiguration, eps: float, n: int = 64):

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, apply_coefficients, apply_operator, o_bound_audit,
+from .coefficients import (CoefficientModel, apply_coefficients, o_bound_audit,
                            coefficient_partials, operator_coefficients, reflection_coefficients, zeta)
 from .errors import EllipticityLoss, NoConvergence, ShockConditionDiverged, VacuumState
 from .grids import ScalarField2D, geometric_axis, uniform_axis
@@ -41,7 +41,6 @@ __all__ = [
     "GridSpec",
     "BoundaryConditions",
     "SolverOptions",
-    "residual",
     "solve",
     "solve_reflection_near_sonic",
     "derivative_fields",
@@ -228,15 +227,6 @@ def _derivative_pass(field, reflect):
 def derivative_fields(field: ScalarField2D) -> dict:
     """Physical-coordinate derivative arrays psi_x..psi_yy at all nodes; edge values are only display-grade."""
     return _derivative_pass(field, (False, False))
-
-
-def residual(field: ScalarField2D, coeffs: CoefficientModel):
-    """Max |L1 psi| over interior nodes, plus the residual field."""
-    if field.nx < 3 or field.ny < 3:
-        raise ValueError("need at least 3 nodes per axis")
-    d = derivative_fields(field)
-    res = apply_operator(coeffs, field.xs[:, None], _ordinates(field), [d[key] for key in _JET])
-    return float(np.max(np.abs(res[1:-1, 1:-1]))), res
 
 
 # -- frozen-coefficient assembly ----------------------------------------------

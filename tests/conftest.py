@@ -7,6 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import srlab
+from srlab.coefficients import apply_operator
+from srlab.solver import _JET, _ordinates
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +45,40 @@ def reflection_field(weak60):
         weak60, eps=weak60.c2 / 20.0, grid_nx=97, grid_ny=49,
         opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=6000),
     )
+
+
+# -- test-side spellings of quantities the library computes only inside its
+# own paths, for tests that check those paths against them
+
+
+def state1(gas):
+    """The uniform state behind the incident shock."""
+    xi0, u1 = srlab.incident_shock(gas)
+    return srlab.UniformState(u=u1, v=0.0, k=-u1 * xi0, rho=gas.rho1)
+
+
+def potential(state, xi, eta):
+    """A uniform state's pseudo-potential -(xi^2 + eta^2)/2 + u xi + v eta + k."""
+    return -0.5 * (xi * xi + eta * eta) + state.u * xi + state.v * eta + state.k
+
+
+def residual(field, coeffs):
+    """Max |L1 psi| over interior nodes, and the residual field: the operator on one derivative pass."""
+    d = srlab.derivative_fields(field)
+    res = apply_operator(coeffs, field.xs[:, None], _ordinates(field), [d[key] for key in _JET])
+    return float(np.max(np.abs(res[1:-1, 1:-1]))), res
+
+
+def richardson_triplet(coarse, mid, fine):
+    """Extrapolate a grid triplet refined by a ratio of 2; the order is measured, not assumed.
+
+    Returns (extrapolated, measured_order).  Falls back to the finest value
+    (order inf) when the differences sit at round-off.
+    """
+    d1, d2 = mid - coarse, fine - mid
+    scale = max(abs(coarse), abs(mid), abs(fine), 1e-300)
+    if abs(d2) < 1e-12 * scale or abs(d1) <= abs(d2):
+        return float(fine), float("inf")
+    p = np.log(abs(d1 / d2)) / np.log(2.0)
+    extrap = fine + d2 / (2.0**p - 1.0)
+    return float(extrap), float(p)

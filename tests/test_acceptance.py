@@ -27,6 +27,8 @@ from srlab.barriers import (
 from srlab.errors import NotSupersonicAtP0
 from srlab.shock import ShockBoundaryFns, check_g_unique
 
+from conftest import richardson_triplet
+
 _state = {}
 
 
@@ -106,7 +108,7 @@ def test_criterion_2_sonic_second_derivative_constant():
     stations = ests[0]["stations_index"]
     target = 1.0 / A_MODEL
     extrap = np.array([
-        dg.richardson_triplet(ests[0]["psi_xx"][k], ests[1]["psi_xx"][k], ests[2]["psi_xx"][k])[0]
+        richardson_triplet(ests[0]["psi_xx"][k], ests[1]["psi_xx"][k], ests[2]["psi_xx"][k])[0]
         for k in range(len(stations))
     ])
     elapsed = time.perf_counter() - t0
@@ -260,7 +262,7 @@ def test_criterion_5_supersonic_at_reflection_point(deg):
 @pytest.mark.parametrize("gamma", [1.1, 1.4, 2.0, 3.0])
 def test_criterion_5_flux_function_unique_root(gamma):
     ok = check_g_unique(gamma)
-    _report(f"5 sonic flux function unique root (gamma={gamma})", ok, "log-grid scan of 1e5 points")
+    _report(f"5 sonic flux function unique root (gamma={gamma})", ok, "closed form: g(1) = 1, g' has the sign of s - 1")
     assert ok
 
 

@@ -3,15 +3,13 @@ import pytest
 
 import srlab
 from srlab.barriers import (
+    BarrierFunction,
     BarrierRecipe,
     ComparisonReport,
     apply_L1,
-    apply_L2,
     choose_growth_params,
     choose_subsolution_params,
     default_C0,
-    general_u,
-    l2_rhs,
     scan_L1_sign,
     scan_L2_defect_sign,
     subsolution_u_minus,
@@ -19,7 +17,23 @@ from srlab.barriers import (
     supersolution_v,
     verify_comparison,
 )
+from srlab.coefficients import apply_operator
 from srlab.solver import derivative_fields
+
+from conftest import residual
+
+
+# the companion operator L2 and its right side (O1 - x O4)/a, each on its own
+# evaluation of the barrier's jet: the reference for the scans' one-jet defect
+
+
+def apply_L2(fn, coeffs, x, y):
+    return apply_operator(coeffs, x, y, fn.jet(x, y), companion=True)
+
+
+def l2_rhs(fn, coeffs, x, y):
+    O1, _, _, O4, _ = coeffs.evaluate(x, y, *fn.jet(x, y)[:3])
+    return (O1 - x * O4) / coeffs.a
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +54,7 @@ def test_barrier_derivatives_match_finite_differences():
         subsolution_w(0.05, 0.006),
         supersolution_v(0.8, 0.15, 0.3),
         subsolution_u_minus(0.4, 0.1, 0.25),
-        general_u(0.3, 2.7, -0.2, 2.2),
+        BarrierFunction("general", 0.3, 2.7, -0.2, 2.2),
     ]
     h = 1e-5
     for fn in fns:
@@ -67,26 +81,26 @@ def test_barrier_derivatives_match_finite_differences():
 
 def test_apply_L1_exact_solutions(model_ab):
     a, b = model_ab
-    quad = general_u(1.0 / (2 * a), 2.0, 1.0 / (2 * a), 2.0)  # x^2/(2a) at every y
+    quad = BarrierFunction("general", 1.0 / (2 * a), 2.0, 1.0 / (2 * a), 2.0)  # x^2/(2a) at every y
     xs = np.linspace(0.01, 0.4, 7)[:, None]
     ys = np.linspace(-0.9, 0.9, 5)[None, :]
     vals = apply_L1(quad, srlab.model_coefficients(a, b), xs, ys)
     assert np.max(np.abs(vals)) < 1e-14
-    three_halves = general_u(1.0, 1.5, 1.0, 1.5)
+    three_halves = BarrierFunction("general", 1.0, 1.5, 1.0, 1.5)
     vals = apply_L1(three_halves, srlab.linear_coefficients(b), xs, ys)
     assert np.max(np.abs(vals)) < 1e-13
 
 
 def test_apply_L2_zero_function(model_ab):
     a, b = model_ab
-    zero = general_u(0.0, 2.0, 0.0, 2.0)
+    zero = BarrierFunction("general", 0.0, 2.0, 0.0, 2.0)
     coeffs = srlab.model_coefficients(a, b)
     assert apply_L2(zero, coeffs, 0.1, 0.3) == 0.0
     assert l2_rhs(zero, coeffs, 0.1, 0.3) == 0.0
     # W = c x^2: (x + 2acx) 2c - 2 (2cx) = 2cx(2ac - 1)
     c = 0.7
     x = np.linspace(0.01, 0.4, 7)[:, None]
-    vals = apply_L2(general_u(c, 2.0, c, 2.0), coeffs, x, np.linspace(-0.9, 0.9, 5)[None, :])
+    vals = apply_L2(BarrierFunction("general", c, 2.0, c, 2.0), coeffs, x, np.linspace(-0.9, 0.9, 5)[None, :])
     assert np.allclose(vals, 2.0 * c * x * (2.0 * a * c - 1.0), rtol=1e-13, atol=0.0)
 
 
@@ -101,11 +115,11 @@ def test_residual_matches_apply_L1_on_quadratic_barrier(closure, q, model_ab, we
         coeffs = srlab.model_coefficients(a, b)
     else:
         coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
-    fn = general_u(0.3, 2.0, 0.5, 2.0)
+    fn = BarrierFunction("general", 0.3, 2.0, 0.5, 2.0)
     xs = srlab.geometric_axis(0.5, 41, q)
     ys = srlab.uniform_axis(-1.0, 1.0, 33)
     field = srlab.ScalarField2D(xs, ys, fn.value(xs[:, None], ys[None, :]))
-    _, res = srlab.residual(field, coeffs)
+    _, res = residual(field, coeffs)
     exact = apply_L1(fn, coeffs, xs[:, None], ys[None, :])
     assert np.max(np.abs(exact[1:-1, 1:-1])) > 1e-3
     assert np.max(np.abs(res - exact)[1:-1, 1:-1]) <= 1e-13
@@ -409,4 +423,4 @@ def test_defect_scan_rejects_the_linear_closure(recipe, model_ab, want):
     with pytest.raises(ValueError, match="a > 0"):
         scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want=want)
     with pytest.raises(ValueError, match="a > 0"):
-        l2_rhs(recipe.v_barrier(), coeffs, 0.1, 0.3)
+        srlab.barriers._l2_defect(recipe.v_barrier(), coeffs, 0.1, 0.3)

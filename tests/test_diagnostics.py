@@ -5,8 +5,23 @@ import pytest
 
 import srlab
 from srlab import diagnostics as dg
+from srlab.cli import main
 from srlab.errors import InsufficientResolution, NonpositiveSamples
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
+from srlab.solver import _JET, _ORDERS, derivative_fields
+
+from conftest import richardson_triplet
+
+
+def decay_bound_check(wfield, alpha):
+    """Smallest ladder constants C with |D^(i,j) W| <= C x^(2+alpha-i-j/2) over the interior.
+
+    The reference for parabolic_norm, whose weights are this ladder's at alpha = 0.
+    """
+    d = derivative_fields(wfield)
+    x = wfield.xs[1:-1, None]
+    return {f"C{i}{j}": float(np.max(x ** -(2.0 + alpha - i - j / 2.0) * np.abs(d[name][1:-1, 1:-1])))
+            for name, (i, j) in zip(_JET, _ORDERS)}
 
 
 def synth_field(fn, rhat=0.5, n=97, q=0.95):
@@ -52,13 +67,13 @@ def test_fit_on_solver_fixtures(model_field):
 def test_richardson_triplet_second_order():
     exact, C = 0.4, 1.7
     vals = [exact + C * h**2 for h in (0.04, 0.02, 0.01)]
-    extrap, order = dg.richardson_triplet(*vals)
+    extrap, order = richardson_triplet(*vals)
     assert order == pytest.approx(2.0, abs=1e-10)
     assert extrap == pytest.approx(exact, abs=1e-12)
 
 
 def test_richardson_triplet_roundoff_floor():
-    extrap, order = dg.richardson_triplet(0.4, 0.4, 0.4)
+    extrap, order = richardson_triplet(0.4, 0.4, 0.4)
     assert extrap == 0.4
     assert order == float("inf")
 
@@ -120,7 +135,7 @@ def test_parabolic_norm_reflection_fixture_finite(reflection_field):
 
 def test_decay_bound_zero_field():
     f = synth_field(lambda x, y: 0.0 * x * y)
-    out = dg.decay_bound_check(f, alpha=0.5)
+    out = decay_bound_check(f, alpha=0.5)
     assert all(v == 0.0 for v in out.values())
 
 
@@ -128,7 +143,7 @@ def test_decay_bound_model_fixture_stable(model_field, model_ab):
     a, _ = model_ab
     wf = model_field.copy()
     wf.values = model_field.xs[:, None] ** 2 / (2 * a) - model_field.values
-    out = dg.decay_bound_check(wf, alpha=0.5)
+    out = decay_bound_check(wf, alpha=0.5)
     assert all(np.isfinite(v) for v in out.values())
 
 
@@ -138,7 +153,7 @@ def test_decay_bound_flags_linear_mode():
     c_vals = []
     for n in (49, 97, 193):
         f = synth_field(lambda x, y: x**1.5 + 0.0 * y, n=n)
-        c_vals.append(dg.decay_bound_check(f, alpha=0.5)["C20"])
+        c_vals.append(decay_bound_check(f, alpha=0.5)["C20"])
     assert c_vals[0] < c_vals[1] < c_vals[2]
 
 
@@ -198,9 +213,12 @@ def test_two_sequence_probe_smooth_field(weak60, model_ab):
     assert abs(probe["gap"]) < 1e-4
 
 
-def test_full_report_json_roundtrip(reflection_field):
-    rep = dg.full_report(reflection_field)
-    d = json.loads(rep.to_json())
+def test_full_report_json_roundtrip(reflection_field, tmp_path):
+    # the report as `verify --what regularity` writes it
+    reflection_field.save(tmp_path / "grid.srl")
+    main(["verify", "--what", "regularity", "--grid", str(tmp_path / "grid.srl"), "--out", str(tmp_path)])
+    d = json.loads((tmp_path / "verify_regularity.json").read_text())["report"]
+    assert d == json.loads(json.dumps(dg.full_report(reflection_field).__dict__, default=float))
     assert d["grid"]["kind"] == "sonic_strip"
     assert "sonic_adjacent_limit" in d["two_sequence"]
     assert d["jump"] is not None
@@ -230,6 +248,6 @@ def test_parabolic_norm_is_the_decay_ladder_at_alpha_zero(reflection_field, mode
     # both weight the same jet sups; the exponents agree in floating point at alpha = 0
     for f in (reflection_field, model_field):
         _, breakdown = dg.parabolic_norm(f)
-        ladder = dg.decay_bound_check(f, 0.0)
+        ladder = decay_bound_check(f, 0.0)
         assert list(breakdown.values()) == list(ladder.values())
         assert list(ladder) == ["C00", "C10", "C01", "C20", "C11", "C02"]

@@ -9,6 +9,7 @@ import srlab
 from srlab.errors import NoRegularReflection, NotSupersonicAtP0, OutOfRange
 from srlab.reflection import shock_chart_table, shock_depth_max
 
+from conftest import potential, state1
 from oracles import normal_reflection, sonic_point_P1, state2_roots
 
 # frozen 40-digit oracle values, (gamma, rho0, rho1) = (1.4, 1, 2), theta_w = 60 deg
@@ -71,13 +72,12 @@ def test_p1_matches_exact_intersection_oracle(gas, weak60):
 
 
 def test_p1_is_sonic_for_state2(weak60):
-    d = weak60.state2.grad_phi(*weak60.P1)
+    d = (weak60.u2 - weak60.P1[0], weak60.v2 - weak60.P1[1])
     assert np.linalg.norm(d) == pytest.approx(weak60.c2, abs=1e-10)
 
 
 def test_p1_potential_continuity(weak60, gas):
-    st1 = srlab.state1(gas)
-    assert st1.phi(*weak60.P1) == pytest.approx(weak60.state2.phi(*weak60.P1), abs=1e-10)
+    assert potential(state1(gas), *weak60.P1) == pytest.approx(potential(weak60.state2, *weak60.P1), abs=1e-10)
 
 
 def test_p4_on_wedge_boundary(weak60):
@@ -89,9 +89,8 @@ def test_p4_on_wedge_boundary(weak60):
 
 
 def test_sonic_circle_definition(weak60, gas):
-    center, radius = srlab.sonic_circle(weak60)
-    assert radius**2 == pytest.approx(weak60.rho2 ** (gas.gamma - 1.0), rel=1e-14)
-    assert tuple(center) == (weak60.u2, weak60.v2)
+    assert weak60.c2**2 == pytest.approx(weak60.rho2 ** (gas.gamma - 1.0), rel=1e-14)
+    assert tuple(weak60.center) == (weak60.u2, weak60.v2)
 
 
 def test_sonic_circle_isothermal_radius_unity():
@@ -106,7 +105,8 @@ def test_sonic_coords_roundtrip(weak60):
     for _ in range(1000):
         x = rng.uniform(-0.5 * weak60.c2, 0.9 * weak60.c2)
         y = rng.uniform(-1.0, 1.0)
-        p = srlab.from_sonic_coords(weak60, (x, y))
+        r, ang = weak60.c2 - x, y + weak60.theta_w  # the chart's inverse
+        p = weak60.center + r * np.array([np.cos(ang), np.sin(ang)])
         x2, y2 = srlab.to_sonic_coords(weak60, p)
         worst = max(worst, abs(x - x2), abs(y - y2))
     assert worst < 1e-12
@@ -138,20 +138,21 @@ def test_shock_line_through_the_center_has_no_chart():
 
 
 def test_shock_curve_starts_at_P1(weak60):
-    y0 = srlab.shock_curve_fhat(weak60, 0.0)
+    y0 = float(shock_chart_table(weak60, 0.0)[0][0])
     assert y0 == pytest.approx(ORACLE_60["y1"], abs=1e-12)
     assert y0 == pytest.approx(weak60.y1, abs=1e-13)
 
 
 def test_shock_curve_slope_positive(weak60):
     xs = np.linspace(0.0, weak60.c2 / 20.0, 33)
-    slopes = srlab.shock_curve_slope(weak60, xs)
+    _, slopes, _ = shock_chart_table(weak60, xs)
     assert np.all(slopes > 0.0)
     # finite-difference agreement with the chart derivative
     h = 1e-4
-    fd = (srlab.shock_curve_fhat(weak60, h) - srlab.shock_curve_fhat(weak60, 0.0)) / h
+    y, slope, _ = shock_chart_table(weak60, [0.0, h, h / 2])
+    fd = (y[1] - y[0]) / h
     assert fd > 0.0
-    assert fd == pytest.approx(srlab.shock_curve_slope(weak60, h / 2), rel=1e-3)
+    assert fd == pytest.approx(slope[2], rel=1e-3)
 
 
 def test_shock_curve_against_line_composition(weak60):
@@ -164,12 +165,12 @@ def test_shock_curve_against_line_composition(weak60):
         x, y = srlab.to_sonic_coords(weak60, p)
         if x > eps:
             continue
-        assert y == pytest.approx(srlab.shock_curve_fhat(weak60, x), abs=1e-12)
+        assert y == pytest.approx(shock_chart_table(weak60, x)[0][0], abs=1e-12)
 
 
 def test_shock_curve_out_of_range(weak60):
     with pytest.raises(OutOfRange):
-        srlab.shock_curve_fhat(weak60, shock_depth_max(weak60) * 1.5)
+        shock_chart_table(weak60, shock_depth_max(weak60) * 1.5)
 
 
 def test_chart_second_derivative_consistency(weak60):
@@ -254,13 +255,11 @@ def test_config_json_roundtrip(weak60):
     assert count == 1130
 
 
-def test_wedge_geometry_contains():
-    w = srlab.WedgeGeometry(np.radians(60.0))
-    assert w.contains(-1.0, 0.5)
-    assert w.contains(0.5, 1.0)
-    assert not w.contains(0.5, 0.5)
-    with pytest.raises(ValueError):
-        srlab.WedgeGeometry(2.0)
+def test_wedge_geometry_rejects_angles_outside_the_open_quadrant():
+    srlab.WedgeGeometry(np.radians(60.0))
+    for theta in (0.0, np.pi / 2, 2.0, -0.3):
+        with pytest.raises(ValueError):
+            srlab.WedgeGeometry(theta)
 
 
 def test_strong_branch_subsonic_with_warning_suppressed(gas):
@@ -467,7 +466,7 @@ def test_scan_working_set_is_bounded():
 def _residuals_per_sample(cfg, n_samples=7):
     # the per-sample loop that ReflectionConfiguration.residuals computes as
     # arrays, in float arithmetic: each dot product and norm a two-term sum
-    st1 = srlab.state1(cfg.gas)
+    st1 = state1(cfg.gas)
     st2 = cfg.state2
     tau = np.asarray(cfg.s1_direction)
     nu = (float(tau[1]), -float(tau[0]))
@@ -481,8 +480,8 @@ def _residuals_per_sample(cfg, n_samples=7):
         n2 = math.sqrt(d2[0] * d2[0] + d2[1] * d2[1])
         scale = max(scale, st1.rho * (1.0 + n1) + st2.rho * (1.0 + n2))
         worst_rh = max(worst_rh, abs(rh))
-        cont = st1.phi(*p) - st2.phi(*p)
-        worst_cont = max(worst_cont, abs(cont) / max(1.0, abs(st1.phi(*p))))
+        cont = potential(st1, *p) - potential(st2, *p)
+        worst_cont = max(worst_cont, abs(cont) / max(1.0, abs(potential(st1, *p))))
     return {"rh": worst_rh / scale, "continuity": worst_cont}
 
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import srlab
 from srlab.errors import OutsideDomain, VacuumState
+from srlab.reflection import shock_chart_table
 from srlab.shock import (
     ShockBoundaryFns,
     check_g_unique,
@@ -12,6 +15,9 @@ from srlab.shock import (
     synthetic_quadratic_trace,
     write_trace_csv,
 )
+from srlab.states import bernoulli_density
+
+from conftest import potential, state1
 
 # frozen 40-digit values for the 60-degree weak configuration
 PSI_P1_60 = 1.034437802810313689957
@@ -35,7 +41,7 @@ def test_E_zero_at_origin_at_P1(fns, weak60):
 def test_E_matches_raw_state_combination(fns, weak60, gas):
     # recompute (rho1 Dphi1 - rho Dphi).(Dphi1 - Dphi) without the expansion:
     # phi = phi2 + psi with gradient offset p and potential offset p3
-    st1 = srlab.state1(gas)
+    st1 = state1(gas)
     st2 = weak60.state2
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -44,8 +50,8 @@ def test_E_matches_raw_state_combination(fns, weak60, gas):
         xi, eta = rng.uniform(0.2, 1.8), rng.uniform(0.8, 2.2)
         d1 = np.array([st1.u - xi, st1.v - eta])
         dphi = np.array([st2.u - xi + p1, st2.v - eta + p2])
-        phi_val = st2.phi(xi, eta) + p3
-        rho = srlab.density_from_bernoulli(float(dphi @ dphi), phi_val, gas)
+        phi_val = potential(st2, xi, eta) + p3
+        rho = bernoulli_density(gas, gas.rho0, phi_val + 0.5 * float(dphi @ dphi))
         raw = gas.rho1 * float(d1 @ (d1 - dphi)) - rho * float(dphi @ (d1 - dphi))
         assert fns.E(p1, p2, p3, xi, eta) == pytest.approx(raw, rel=1e-11, abs=1e-12)
 
@@ -79,7 +85,7 @@ def test_F_composition_oracle(fns, weak60):
 
 def test_Psi_zero_on_shock_samples(fns, weak60):
     xs = np.linspace(0.0, weak60.c2 / 20.0, 12)
-    ys = srlab.shock_curve_fhat(weak60, xs)
+    ys, _, _ = shock_chart_table(weak60, xs)
     vals = fns.Psi(np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs), xs, ys)
     assert np.max(np.abs(vals)) < 1e-12
 
@@ -117,7 +123,7 @@ def test_psi_gradient_matches_per_slot_complex_steps(fns, weak60):
     # the stacked evaluation gives each slot's own complex step, Im Psi(p + ih e_k)/h
     rng = np.random.default_rng(3)
     x = np.linspace(1e-4, weak60.c2 / 20.0, 40)
-    y = srlab.shock_curve_fhat(weak60, x)
+    y, _, _ = shock_chart_table(weak60, x)
     p = [0.1 * x * rng.standard_normal(x.size) for _ in range(3)]
     h = 1e-30
     grad = fns.psi_gradient(*p, x, y)
@@ -141,7 +147,7 @@ def test_psi_p1_vanishes_as_densities_merge(fns, weak60):
 
 def test_bhat_on_zero_trace_equals_partials(fns, weak60):
     xs = np.linspace(1e-4, weak60.c2 / 20.0, 9)
-    ys = srlab.shock_curve_fhat(weak60, xs)
+    ys, _, _ = shock_chart_table(weak60, xs)
     z = np.zeros_like(xs)
     b1, b2, b3 = fns.bhat(xs, ys, z, z, z)
     # constant-in-t integrand: b_k = Psi_pk(0,0,0,x,y)
@@ -189,9 +195,46 @@ def test_g_frozen_value():
     assert g_function(2.0, 1.4) == pytest.approx(G_2_14, rel=1e-14)
 
 
-@pytest.mark.parametrize("gamma", [1.1, 1.4, 2.0, 3.0])
+@pytest.mark.parametrize("gamma", [1.0001, 1.1, 1.4, 2.0, 3.0, 1e3, 1e6])
 def test_g_unique_root(gamma):
+    # with no warning: the scan this check replaced overflowed at 1e3 and 1e6,
+    # and the check's samples s = 2^(+-1/(gamma+1)) keep every power of s near 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_g_unique(gamma)
+
+
+def scan_g_unique(gamma):
+    """The scan the closed-form check replaced: on a 100,000-point log grid over
+    [1e-3, 1e3], g > 1 away from s = 1 and g' has the sign of s - 1.  Its powers
+    overflow above gamma = 103.7, where 1000^(gamma-1) leaves the float range."""
+    n = 100_000
+    s = np.logspace(-3.0, 3.0, n)
+    vals = g_function(s, gamma)
+    i1 = int(np.searchsorted(s, 1.0))
+    near_one = np.zeros(n, dtype=bool)
+    near_one[max(0, i1 - 1) : min(n, i1 + 2)] = True
+    dv = g_prime(s, gamma)
+    return bool(np.all(vals[~near_one] > 1.0) and np.all(dv[s < 1.0 - 1e-4] < 0.0)
+                and np.all(dv[s > 1.0 + 1e-4] > 0.0))
+
+
+def test_g_check_agrees_with_the_scan():
+    for gamma in np.geomspace(1.0001, 100.0, 41):
+        assert (check_g_unique(gamma), scan_g_unique(gamma)) == (True, True), gamma
+
+
+def test_g_check_allows_g_at_one_off_by_an_ulp():
+    # g(1) rounds to the float below 1 at the first of many such gamma; the
+    # check compares it with 1 in ulps
+    gamma = 1.0000000000011482
+    assert g_function(1.0, gamma) == np.nextafter(1.0, 0.0)
     assert check_g_unique(gamma)
+
+
+def test_g_check_refuses_gamma_one():
+    with pytest.raises(ValueError, match="gamma > 1"):
+        check_g_unique(1.0)
 
 
 def test_g_prime_sign_pattern():
@@ -354,7 +397,7 @@ def test_chart_on_unbroadcast_rows_is_bit_for_bit(gamma, theta_deg):
     rng = np.random.default_rng(17)
     m, n = 8, 48
     x = rng.uniform(0.0, cfg.c2 / 10.0, (1, n))
-    y = srlab.shock_curve_fhat(cfg, x[0])[None, :] + rng.normal(0.0, 1e-3, (1, n))
+    y = shock_chart_table(cfg, x[0])[0][None, :] + rng.normal(0.0, 1e-3, (1, n))
     slots = [rng.normal(0.0, 1e-2, (3, m, n)) + 1j * rng.normal(0.0, 1e-20, (3, m, n)) for _ in range(3)]
     assert np.array_equal(fns.Psi(*slots, x, y), fns.Psi(*np.broadcast_arrays(*slots, x, y)))
     real = [s.real for s in slots]

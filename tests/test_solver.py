@@ -5,7 +5,9 @@ import srlab
 from srlab.coefficients import coefficient_partials, o_bound_audit, operator_coefficients, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
-from srlab.solver import _JET, _derivative_pass, _ordinates, _prolong, derivative_fields, residual
+from srlab.solver import _JET, _derivative_pass, _ordinates, _prolong, derivative_fields
+
+from conftest import residual
 
 
 def make_field(fn, rhat=0.5, n=49, q=1.0, ylim=1.0):

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,17 @@ SPANS = BENCH / "spans.py"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def test_bench_span_targets_resolve():
-    # the benchmark traces srlab by name; every target it names must exist,
-    # defined on its module or class, as its tracer looks it up
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_bench_span_targets_resolve():
+    # the benchmark traces srlab by name; every target it names must exist,
+    # defined on its module or class, as its tracer looks it up
+    spans = _spans()
     missing = []
     for _, modname, attr in spans.TARGETS:
         holder = importlib.import_module(modname)
@@ -222,3 +228,119 @@ def test_no_unused_top_level_imports():
                     if bound not in used:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def _bindings(tree, module):
+    """The dotted path each name of a file stands for: its imports, and its own module-level functions."""
+    bound = {n.name: f"{module}.{n.name}" for n in tree.body if isinstance(n, ast.FunctionDef)} if module else {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name.partition(".")[0]: a.name if a.asname else a.name.partition(".")[0]
+                          for a in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("srlab" if node.level else None, node.module)))
+            bound.update({a.asname or a.name: f"{base}.{a.name}" for a in node.names})
+    return bound
+
+
+def _resolve(dotted):
+    """(module, qualified name) of the srlab object a dotted path reaches, or None."""
+    head, *rest = dotted.split(".")
+    if head != "srlab":
+        return None
+    obj = importlib.import_module(head)
+    for part in rest:
+        try:
+            obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(f"{obj.__name__}.{part}")
+        except (ImportError, AttributeError):
+            return None
+    return getattr(obj, "__module__", None), getattr(obj, "__qualname__", None)
+
+
+class _References(ast.NodeVisitor):
+    """The srlab objects a file's loaded names and attribute chains reach, and every attribute name it loads.
+
+    A name that a function binds (a parameter or an assignment anywhere in
+    it) is that function's own, so a local that shadows a module-level
+    function does not count as a reference to it.
+    """
+
+    def __init__(self, bound):
+        self.bound, self.local, self.objects, self.attrs = bound, frozenset(), set(), set()
+
+    def _dotted(self, node):
+        if isinstance(node, ast.Name):
+            return None if node.id in self.local else self.bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = self._dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    def _reach(self, node):
+        dotted = self._dotted(node)
+        if dotted:
+            self.objects.add(_resolve(dotted))
+
+    def visit_FunctionDef(self, node):
+        outer = self.local
+        self.local = outer | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} | {
+            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        self.generic_visit(node)
+        self.local = outer
+
+    visit_AsyncFunctionDef = visit_Lambda = visit_FunctionDef
+
+    visit_Name = _reach
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.attrs.add(node.attr)
+        self._reach(node)
+        self.generic_visit(node)
+
+
+def _library_api():
+    """The public names the README's Library API list keeps without a caller, as srlab.module[.Class].name."""
+    _, found, rest = (ROOT / "README.md").read_text().partition("\n## Library API\n")
+    assert found, "README.md has no Library API section"
+    return set(re.findall(r"^- `(srlab\.[\w.]+)`", rest.partition("\n## ")[0], re.M))
+
+
+def test_every_public_function_has_a_caller():
+    # a public function or method that only tests call is surface nothing
+    # uses; src and bench must reference it, other than by its own def,
+    # __all__ or the re-exports of srlab/__init__.py.  Module-level functions
+    # are resolved through each file's import bindings, so a same-named
+    # attribute (NoConvergence.residual) does not count for solver.residual;
+    # methods are matched by attribute name alone, as the options rule
+    # matches calls.  The benchmark's span targets are strings and count too.
+    objects, attrs = set(), set()
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")) + sorted(BENCH.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        refs = _References(_bindings(tree, f"srlab.{path.stem}" if path.parent.name == "srlab" else None))
+        refs.visit(tree)
+        objects |= refs.objects
+        attrs |= refs.attrs
+    for _, modname, attr in _spans().TARGETS:
+        objects.add(_resolve(f"{modname}.{attr}"))
+        attrs.add(attr.rpartition(".")[2])
+
+    public, unused = set(), []
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        module = f"srlab.{path.stem}"
+        tree = ast.parse(path.read_text())
+        defs = [(fn, None) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        defs += [(fn, cls.name) for cls in tree.body if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for fn, cls in defs:
+            if fn.name.startswith("_"):
+                continue
+            qualname = f"{cls}.{fn.name}" if cls else fn.name
+            public.add(f"{module}.{qualname}")
+            if not (fn.name in attrs if cls else (module, qualname) in objects):
+                unused.append(f"{module}.{qualname}")
+    allowed = _library_api()
+    assert sorted(allowed - public) == []
+    assert sorted(set(unused) - allowed) == []
