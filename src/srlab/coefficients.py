@@ -108,14 +108,16 @@ def _nominal_reflection_bound(gam, c2, eps):
     return float(max(n1, n2, n3, n4, n5))
 
 
-def operator_coefficients(coeffs: CoefficientModel, x, y, psi, px, py, companion: bool = False):
+def operator_coefficients(coeffs: CoefficientModel, x, y, psi, px, py, companion: bool = False, o_terms=None):
     """Coefficients of (psi_x, psi_y, psi_xx, psi_xy, psi_yy) in L1, the one spelling of the operator.
 
     companion=True gives L2, the operator on deviation profiles W, with the
     leading coefficient x + a psi_x and the first-order x coefficient 2 + O4.
+    o_terms are the closure's O1..O5 at these arguments when the caller has
+    evaluated them already (coeffs.evaluate); otherwise they are evaluated here.
     """
     x = np.asarray(x, dtype=float)
-    O1, O2, O3, O4, O5 = coeffs.evaluate(x, y, psi, px, py)
+    O1, O2, O3, O4, O5 = coeffs.evaluate(x, y, psi, px, py) if o_terms is None else o_terms
     if companion:
         lead, k = x + coeffs.a * px, 2.0
     else:
@@ -170,9 +172,8 @@ def zeta(s, a: float, beta: float, M: float):
     return np.clip(s, -(1.0 - beta) / a, M + 1.0 / a)
 
 
-def o_bound_audit(coeffs: CoefficientModel, x, y, psi, psi_x, psi_y) -> dict:
-    """Measured sup of |O1|/x^2 and |Ok|/x over nodes with x > 0."""
-    O = coeffs.evaluate(x, y, psi, psi_x, psi_y)
+def o_bound_audit(coeffs: CoefficientModel, x, O) -> dict:
+    """Measured sup of |O1|/x^2 and |Ok|/x over nodes with x > 0, from the O-terms O (coeffs.evaluate) there."""
     x = np.asarray(x, dtype=float)
     mask = x > 0.0
     if not np.any(mask):

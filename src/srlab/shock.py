@@ -32,16 +32,17 @@ __all__ = [
     "write_trace_csv",
 ]
 
-# 8-node Gauss-Legendre rule on t in [0, 1]: numpy.polynomial.legendre.leggauss(8)
-# mapped by t = (1 + x)/2, w/2, written out so that importing srlab does not
-# import numpy.polynomial or take the nodes from LAPACK
+# 8-node Gauss-Legendre rule on t in [0, 1]: the roots x of P8 and their
+# weights from a 50-digit Newton solve, mapped by t = (1 + x)/2, w/2 and
+# correctly rounded, written out so that importing srlab does not import
+# numpy.polynomial or take the nodes from LAPACK
 _GL_NODES = np.array([
-    0.019855071751231912, 0.10166676129318664, 0.2372337950418355, 0.40828267875217511,
-    0.59171732124782483, 0.7627662049581645, 0.89833323870681336, 0.98014492824876809,
+    0.019855071751231884, 0.10166676129318664, 0.2372337950418355, 0.4082826787521751,
+    0.591717321247825, 0.7627662049581645, 0.8983332387068134, 0.9801449282487681,
 ])
 _GL_WEIGHTS = np.array([
-    0.050614268145188532, 0.11119051722668721, 0.15685332293894344, 0.18134189168918083,
-    0.18134189168918083, 0.15685332293894344, 0.11119051722668721, 0.050614268145188532,
+    0.05061426814518813, 0.11119051722668724, 0.15685332293894363, 0.181341891689181,
+    0.181341891689181, 0.15685332293894363, 0.11119051722668724, 0.05061426814518813,
 ])
 _TRACE_COLUMNS = ("x", "y", "psi", "psi_x", "psi_y", "b1", "b2", "b3")
 

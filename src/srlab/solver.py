@@ -6,16 +6,16 @@ a jet; the derivative pass applies both to values.  Each outer iteration
 evaluates the operator's coefficients once: they give the residual, and,
 with the leading one frozen (slope cutoff and x-proportional ellipticity
 floor, fixed constants), the rows of the frozen linear problem A(u), one
-sparse 9-point operator on the same stencils' weights, built once per solve.
-Each outer step is a Newton step on the residual A(u) u - rhs: its Jacobian
-adds the coefficients' partials in (psi, psi_x, psi_y), by complex step, on
-the same nine entries per row.  The first step factors its Jacobian by one
-sparse LU (fixed column ordering); every later step solves its own Jacobian
-by one restarted-GMRES cycle preconditioned by that factor, solved only as
-accurately as Newton can use (a forcing term from the last step's
-contraction), and only a cycle that misses its target factors again (an
-inexact Newton method), so a solve usually factors once and every run is
-deterministic.
+sparse 9-point operator on the unknowns alone, whose weight table and CSR
+skeleton are built once per solve.  Each outer step is a Newton step on the
+residual A(u) u - rhs: its Jacobian adds the coefficients' partials in (psi,
+psi_x, psi_y), by complex step, to the same entries.  The first step factors
+its Jacobian by one sparse LU (fixed column ordering); every later step
+solves its own Jacobian by one restarted-GMRES cycle preconditioned by that
+factor, solved only as accurately as Newton can use (a forcing term from the
+last step's contraction), and only a cycle that misses its target factors
+again (an inexact Newton method), so a solve usually factors once and every
+run is deterministic.
 
 Two domains share that one outer loop: a rectangle (0, rhat) x (y_lo, y_hi),
 and the shock-fitted strip {0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s)
@@ -149,7 +149,7 @@ def _stencil_table(xs, reflect=(False, False)):
     """Each node's 3-node block and its value, first- and second-difference weights.
 
     Returns cols (n, 3), the ascending node indices of each block, and
-    w (3, n, 3), the value/first/second weights on them.  An interior node
+    w (3, 3, n), the value/first/second weights on them.  An interior node
     takes its centred block; an end takes its neighbour's block, with the
     slope of the neighbour's quadratic at the end and its second difference.
     A reflective end (reflect = (lo, hi)) mirrors its ghost node onto the
@@ -157,17 +157,17 @@ def _stencil_table(xs, reflect=(False, False)):
     """
     n = xs.size
     cols = np.arange(n)[:, None] + np.arange(-1, 2)
-    w = np.zeros((3, n, 3))
-    w[0, :, 1] = 1.0
-    w[1, 1:-1] = np.transpose(_first_weights(xs))
-    w[2, 1:-1] = np.transpose(_second_weights(xs))
+    w = np.zeros((3, 3, n))
+    w[0, 1] = 1.0
+    w[1, :, 1:-1] = _first_weights(xs)
+    w[2, :, 1:-1] = _second_weights(xs)
     for side, (e, s) in enumerate(((0, 1), (n - 1, -1))):
         h = xs[e] - xs[e + s]
-        cols[e], w[0, e] = cols[e + s], np.eye(3)[1 - s]
+        cols[e], w[0, :, e] = cols[e + s], np.eye(3)[1 - s]
         if reflect[side]:
-            w[2, e] = np.array([-2.0, 2.0, 0.0])[::s] / h**2
+            w[2, :, e] = np.array([-2.0, 2.0, 0.0])[::s] / h**2
         else:
-            w[1:, e] = w[1, e + s] + h * w[2, e + s], w[2, e + s]
+            w[1:, :, e] = w[1, :, e + s] + h * w[2, :, e + s], w[2, :, e + s]
     return cols, w
 
 
@@ -176,25 +176,26 @@ def _along(table, vals, axis, orders=(1, 2)):
     cols, w = table
     sh = (-1,) + (1,) * (vals.ndim - 1 - axis)
     nb = [np.take(vals, cols[:, c], axis=axis) for c in range(3)]
-    return [sum(w[k, :, c].reshape(sh) * nb[c] for c in range(3)) for k in orders]
+    return [sum(w[k, c].reshape(sh) * nb[c] for c in range(3)) for k in orders]
 
 
-def _strip_geometry(field):
-    """fhat, g = fhat'/fhat and g' as columns, and s = y/fhat as a row, of a strip field."""
+def _strip_geometry(field, block=np.s_[:, :]):
+    """fhat, g = fhat'/fhat and g' as columns, and s = y/fhat as a row, of a strip field on a block of its nodes."""
     geo = field.geometry
-    fh, g, gp = (np.asarray(geo[key])[:, None] for key in ("fhat", "g", "gp"))
-    return fh, g, gp, field.ys[None, :]
+    fh, g, gp = (np.asarray(geo[key])[block[0], None] for key in ("fhat", "g", "gp"))
+    return fh, g, gp, field.ys[None, block[1]]
 
 
-def _chain(field, jet):
+def _chain(field, jet, block=np.s_[:, :]):
     """The strip chain rule through y = s*fhat(x), as a linear map on a jet.
 
     Maps the computational jet (u, u_x, u_s, u_xx, u_xs, u_ss) to the
-    physical jet (psi, psi_x, ..., psi_yy) at every node.  Being linear, it
-    maps derivative values and stencil weights alike: the entries end in the
-    two node axes, and any leading axes broadcast.
+    physical jet (psi, psi_x, ..., psi_yy) at every node of block (slices of
+    the two node axes).  Being linear, it maps derivative values and stencil
+    weights alike: the entries end in the two node axes, and any leading
+    axes broadcast.
     """
-    fh, g, gp, s = _strip_geometry(field)
+    fh, g, gp, s = _strip_geometry(field, block)
     sg = s * g
     u, ux, us, uxx, uxs, uss = jet
     return (u, ux - sg * us, us / fh, uxx - 2.0 * sg * uxs + sg**2 * uss + (sg * g - s * gp) * us,
@@ -252,73 +253,74 @@ def _frozen_coefficients(field, a, coefficients, px):
 
 
 def _stencil_blocks(field, neumann, coupled):
-    """The unknown block of field.values, each unknown node's 3x3 block of nodes and the jet weights on it.
+    """The unknown block of field.values, the jet weights of each unknown's row and J's CSR skeleton, once per solve.
 
     The unknowns are the interior columns of the interior rows and of each
     row flagged in neumann = (y_lo, y_hi) and, when coupled, the strip's
-    shock row and its cut column x = eps.  A node's block is the outer
-    product of the two axes' stencil tables (the y-table reflective at the
-    Neumann rows); on the strip the chain rule maps its weights to physical
-    ones.  The weights are (3, 3) + block-shaped, node axes last as in a
-    derivative pass; the node indices are flat in C order, nine per unknown
-    in the C order of the unknowns, ascending within each block.
+    shock row and its cut column x = eps.  A row sits on its node's 3x3
+    block, the outer product of the two axes' stencil tables (the y-table
+    reflective at the Neumann rows), mapped by the chain rule on the strip.
+    The weights are one table, six (9,) + block-shaped arrays, one per jet
+    entry, on the block's nine nodes ascending in C order.  The skeleton is
+    J's pattern over the unknowns in C order: the column of each entry whose
+    node is an unknown, that mask over (rows, 9), and indptr.
     """
     nx, ny = field.values.shape
     j0, ju = (0 if neumann[0] else 1), (ny if neumann[1] else ny - 1) + coupled
     block = (slice(1, nx - 1 + coupled), slice(j0, ju))
     (cx, wx), (cy, wy) = _stencil_table(field.xs), _stencil_table(field.ys, neumann)
-    jet = tuple(wx[kx].T[:, None, :, None] * wy[ky].T[None, :, None, :] for kx, ky in _ORDERS)
-    jet = jet if field.kind == "rect" else _chain(field, jet)
-    nodes = (cx[block[0], None, :, None] * ny + cy[None, block[1], None, :]).ravel()
-    return block, nodes, tuple(np.ascontiguousarray(w[..., block[0], block[1]]) for w in jet)
+    W = tuple(wx[kx][:, None, block[0], None] * wy[ky][None, :, None, block[1]] for kx, ky in _ORDERS)
+    W = W if field.kind == "rect" else _chain(field, W, block)
+    index = np.full(field.values.shape, -1, dtype=np.int32)  # the index type scipy takes for J
+    index[block] = np.arange(index[block].size).reshape(index[block].shape)
+    cols = index.ravel()[cx[block[0], None, :, None] * ny + cy[None, block[1], None, :]].reshape(-1, 9)
+    known = cols >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(known, axis=1)))).astype(np.int32)
+    return block, tuple(w.reshape((9,) + w.shape[2:]) for w in W), (cols[known], known, indptr)
 
 
-def _newton_system(blocks, coefficients, partials, jet, u, shock=None):
-    """Assemble the Newton step J du = rhs - A(u) u on the iterate u, whose derivative pass is jet.
+def _newton_system(blocks, coefficients, partials, jet, shock=None):
+    """Assemble the Newton step J du = rhs - A(u) u on the iterate whose derivative pass is jet.
 
-    A(u) psi = rhs is the frozen linear problem: each unknown node's row
-    combines the jet weights of its block (_stencil_blocks) with the frozen
-    coefficients on interior and Neumann rows, so those rows apply the
-    operator whose residual the derivative pass measures.  shock = (L1, L2,
-    L3, rhs, dcut) gives the strip's top row the linearised jump condition
-    L1 psi_x + L2 psi_y + L3 psi = rhs on the same weights, so there
-    rhs - A(u) u = -G(u), and gives the cut column, the shock corner
-    included, the slope rows psi[nx-1, j] - psi[nx-2, j] = dcut.  J adds to
-    the interior and Neumann rows the partials of their operator in
-    (psi, psi_x, psi_y), the coefficients' partials (coefficient_partials)
-    applied to the row's own jet, on the weights of those three, so J is the
-    Jacobian of A(u) u - rhs wherever the cutoff and floor are inactive; the
-    shock rows are Newton rows and the cut rows linear already.  The jet
-    must come from the pass with the solve's Neumann flags, whose rows then
-    read psi_y = 0 as their reflective stencil does.
+    A(u) psi = rhs is the frozen linear problem, whose interior and Neumann
+    rows apply the frozen coefficients, the operator whose residual the pass
+    measures.  J adds the operator's partials in (psi, psi_x, psi_y), the
+    coefficients' partials (coefficient_partials) on the row's own jet, so
+    such a row of J sums its jet weights (_stencil_blocks) in a fixed order
+    times (dL_psi, c_x + dL_px, c_y + dL_py, c_xx, c_xy, c_yy), and J is the
+    Jacobian of A(u) u - rhs wherever the cutoff and floor are inactive.
+    shock = (L1, L2, L3, rhs, dcut) gives the strip's top row the linearised
+    jump condition L1 psi_x + L2 psi_y + L3 psi = rhs, weights (L3, L1, L2,
+    0, 0, 0), and the cut column, the shock corner included, the slope rows
+    psi[nx-1, j] - psi[nx-2, j] = dcut.  The jet must come from the pass with
+    the solve's Neumann flags, whose rows then read psi_y = 0 as their
+    reflective stencil does.
 
-    Returns J as CSR with rows over the unknowns and columns over all nodes,
-    both in C order, and rhs - A(u) u over the unknowns, Dirichlet data
-    included, from the same nine entries per row.
+    Returns J as square CSR over the unknowns in C order, and rhs - A(u) u
+    from the pass: -L_frozen(u), rhs - (L3 psi + L1 psi_x + L2 psi_y) = -G(u)
+    on the shock rows and dcut - (psi[nx-1, j] - psi[nx-2, j]) on the cut rows.
     """
     from scipy.sparse import csr_matrix
 
-    block, nodes, W = blocks
-    vals = sum(c[block] * w for c, w in zip(coefficients, W[1:]))
-    ub = np.moveaxis(u.ravel()[nodes].reshape(vals.shape[2:] + (3, 3)), (2, 3), (0, 1))  # each row's nine values
-    dL = apply_coefficients([p[(slice(None),) + block] for p in partials], [j[block] for j in jet])
-    newton = sum(p * w for p, w in zip(dL, W))
-    rhs = np.zeros(vals.shape[2:])
+    block, W, (cols, known, indptr) = blocks
+    c, j = [f[block] for f in coefficients], [v[block] for v in jet]
+    dL = apply_coefficients([p[(slice(None),) + block] for p in partials], j)
+    data = sum(r * w for r, w in zip((dL[0], c[0] + dL[1], c[1] + dL[2], *c[2:]), W))
+    step_rhs = -apply_coefficients(c, j)
     if shock is not None:
-        L1, L2, L3, rhs[:-1, -1], rhs[-1] = shock
-        vals[..., :-1, -1] = sum(L * w[..., :-1, -1] for L, w in zip((L3, L1, L2), W))
-        vals[..., -1, :] = W[0][..., -1, :] - W[0][..., -2, :]  # nodes nx-1 and nx-2 share their x-block
-        newton[..., -1] = newton[..., -1, :] = 0.0
-    step_rhs = (rhs - np.sum(vals * ub, axis=(0, 1))).ravel()
-    data = np.moveaxis(vals + newton, (0, 1), (2, 3)).ravel()  # nine entries per row
-    # eliminate_zeros compacts the indices in place, so it gets a copy of the cached ones
-    J = csr_matrix((data, nodes.copy(), np.arange(0, data.size + 1, 9)), shape=(rhs.size, u.size))
+        L1, L2, L3, rhs, dcut = shock
+        data[:, :-1, -1] = sum(L * w[:, :-1, -1] for L, w in zip((L3, L1, L2), W))
+        data[:, -1] = W[0][:, -1] - W[0][:, -2]  # nodes nx-1 and nx-2 share their x-block
+        step_rhs[:-1, -1] = rhs - (L3 * j[0][:-1, -1] + L1 * j[1][:-1, -1] + L2 * j[2][:-1, -1])
+        step_rhs[-1] = dcut - (j[0][-1] - j[0][-2])
+    # eliminate_zeros compacts the skeleton in place, so it gets a copy of the cached one
+    J = csr_matrix((data.reshape(9, -1).T[known], cols.copy(), indptr.copy()), shape=(indptr.size - 1,) * 2)
     J.eliminate_zeros()  # reflective rows, closures without mixed or first-order y terms
-    return J, step_rhs
+    return J, step_rhs.ravel()
 
 
 def _factor(A, coupled):
-    """Sparse LU of A, a Newton Jacobian restricted to the columns of the unknown block.
+    """Sparse LU of A, a Newton Jacobian on the unknowns.
 
     The pivot threshold 1e-4 keeps the fill-reducing order's diagonal pivots
     (SuperLU's threshold pivoting, X. S. Li, ACM TOMS 31, 2005) and falls back
@@ -465,19 +467,18 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
 
     Each step makes one derivative pass on the current iterate
     (_derivative_pass, reflective at the Neumann rows) and evaluates the
-    operator's coefficients once on it, for its residual and for the linear
-    problem A(u) psi = rhs with the frozen coefficients, and their partials
-    once, for the Jacobian J (_newton_system, on that pass's jet and on
-    stencil blocks built at the first step), and steps u += du with
-    J du = rhs - A(u) u.  The first step solves it on a sparse LU of its J;
-    each later step by one GMRES cycle preconditioned by that LU
-    (_krylov_step), and a cycle that misses its target factors the current
-    J and solves on that LU, which the next steps then reuse.  Each cycle
-    is solved only as accurately as Newton can use: its relative target
-    follows the contraction of the last step, read from the residual history
-    alone, so a traced run takes the same targets.  Every fixed
-    point solves A(u) u = rhs, the equation with the cutoff and floor
-    applied.
+    closure's O-terms once on it, for the operator's coefficients (its
+    residual, the frozen problem A(u) psi = rhs, and the converged field's
+    audit) and their partials, for J (_newton_system, on that pass's jet and
+    the weight table and skeleton of the first step), and steps u += du with
+    J du = rhs - A(u) u over the unknowns.  The first step solves it on a
+    sparse LU of its J; each later step by one GMRES cycle preconditioned by
+    that LU (_krylov_step), and a cycle that misses its target factors the
+    current J, which the next steps then reuse.  Each cycle is solved only
+    as accurately as Newton can use: its relative target follows the last
+    step's contraction, read from the residual history alone, so a traced
+    run takes the same targets.  Every fixed point solves A(u) u = rhs, the
+    equation with the cutoff and floor applied.
     Convergence is judged on the operator residual max |L psi| over all
     interior nodes and, on the strip, on the scaled jump-condition residual
     that shock_row(d) returns from the step's derivative pass d, together
@@ -490,11 +491,12 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     shock_res, shock, blocks, lu = 0.0, None, None, None
     x, y = field.xs[:, None], _ordinates(field)
     for it in range(opts.max_iterations + 1):
-        # one derivative pass and one evaluation of the coefficients serve the
-        # residual of the current iterate and the system and Jacobian of the next step
+        # one derivative pass and one evaluation of the O-terms serve the residual
+        # of the current iterate, the system and Jacobian of the next step and the audit
         d = _derivative_pass(field, neumann)
         jet = [d[key] for key in _JET]
-        coefficients = operator_coefficients(coeffs, x, y, *jet[:3])
+        o_terms = coeffs.evaluate(x, y, *jet[:3])
+        coefficients = operator_coefficients(coeffs, x, y, *jet[:3], o_terms=o_terms)
         res = float(np.max(np.abs(apply_coefficients(coefficients, jet)[1:-1, 1:-1])))
         frozen, clamp_fraction = _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
         if shock_row is not None:
@@ -508,10 +510,8 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
             raise NoConvergence(opts.max_iterations, history[-1])
         if blocks is None:
             blocks = _stencil_blocks(field, neumann, shock is not None)
-            unknown = np.arange(field.values.size).reshape(field.values.shape)[blocks[0]].ravel()
         partials = coefficient_partials(coeffs, x, y, *jet[:3])
-        J, rhs = _newton_system(blocks, frozen, partials, jet, field.values, shock)
-        J = J[:, unknown]
+        J, rhs = _newton_system(blocks, frozen, partials, jet, shock)
         if lu is None:
             step, inner = None, 0
         else:
@@ -526,7 +526,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         # written through the 2-D view: field.values need not be C-contiguous
         field.values[blocks[0]] += step.reshape(field.values[blocks[0]].shape)
 
-    _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, d)
+    _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, o_terms)
     if shock_row is not None:
         field.meta["outer_data"] = "synthetic slope surrogate psi_x = x/a at x=eps"
         field.meta["shock_residual"] = shock_res
@@ -535,16 +535,16 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     return field
 
 
-def _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, d):
+def _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, o_terms):
     """Sidecar metadata of a converged field.
 
-    d is its derivative pass, lu_nnz the L+U fill of each LU in the order
-    factored, and krylov each step's GMRES iterations, 0 for a step solved
-    on a fresh LU.
+    o_terms are the closure's O-terms on it, from the last iteration's one
+    evaluation, lu_nnz the L+U fill of each LU in the order factored, and
+    krylov each step's GMRES iterations, 0 for a step solved on a fresh LU.
     """
     inner = np.s_[1:-1, 1:-1]
     xin = np.broadcast_to(field.xs[:, None], field.values.shape)[inner]
-    audit = o_bound_audit(coeffs, xin, _ordinates(field)[inner], *(d[key][inner] for key in _JET[:3]))
+    audit = o_bound_audit(coeffs, xin, [np.broadcast_to(o, field.values.shape)[inner] for o in o_terms])
     interior = field.values[inner]
     positivity = bool(np.all(interior > 0.0))
     if coeffs.a > 0.0:

@@ -144,3 +144,30 @@ def sonic_point_P1(gamma, rho0, rho1, theta_deg, u2):
         if mp.atan2(P[1] - C[1], P[0] - C[0]) - th > 0:
             return P, c2, v2, rho2
     raise AssertionError("no admissible sonic intersection")
+
+
+def gauss_legendre01(n, dps=50):
+    """The n-point Gauss-Legendre rule mapped to [0, 1], nodes ascending, as dps-digit mpf lists.
+
+    Each root x of P_n is polished by Newton's method from Tricomi's estimate
+    cos(pi (i - 1/4)/(n + 1/2)); its weight is 2/((1 - x^2) P_n'(x)^2).  The
+    map is t = (1 + x)/2 with weight w/2.
+    """
+    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
+        p0, p1 = mp.mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    with mp.workdps(dps):
+        rule = []
+        for i in range(n, 0, -1):
+            x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (n + mp.mpf(1) / 2))
+            for _ in range(100):
+                p, dp = legendre(x)
+                x -= p / dp
+                if abs(p / dp) < mp.mpf(10) ** (2 - dps):
+                    break
+            dp = legendre(x)[1]
+            rule.append(((1 + x) / 2, 1 / ((1 - x * x) * dp * dp)))
+        return [t for t, _ in rule], [w for _, w in rule]

@@ -464,10 +464,37 @@ def test_o_bound_audit_model_is_zero(model_field, model_ab):
     a, b = model_ab
     d = derivative_fields(model_field)
     x2d = np.broadcast_to(model_field.xs[:, None], model_field.values.shape)
-    audit = o_bound_audit(srlab.model_coefficients(a, b), x2d[1:-1, 1:-1], 0.0,
-                          d["psi"][1:-1, 1:-1], d["px"][1:-1, 1:-1], d["py"][1:-1, 1:-1])
+    coeffs = srlab.model_coefficients(a, b)
+    x = x2d[1:-1, 1:-1]
+    audit = o_bound_audit(coeffs, x, coeffs.evaluate(x, 0.0, *(d[key][1:-1, 1:-1] for key in ("psi", "px", "py"))))
     assert audit["o1_over_x2"] == 0.0
     assert audit["ok_over_x"] == 0.0
+
+
+def test_audit_takes_the_last_iterations_o_terms(reflection_field, weak60, monkeypatch):
+    # each Newton iteration evaluates the O-terms once on real data (the
+    # complex-stepped partials aside), and the sidecar's audit reuses the last
+    # iteration's: no evaluation after the loop, and the audit of a fresh
+    # evaluation on the interior nodes of the converged field
+    from srlab.coefficients import CoefficientModel
+
+    real, evaluate = [], CoefficientModel.evaluate
+
+    def spy(self, x, y, psi, px, py):
+        if not np.iscomplexobj(psi):
+            real.append(1)
+        return evaluate(self, x, y, psi, px, py)
+
+    monkeypatch.setattr(CoefficientModel, "evaluate", spy)
+    f = srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=97, grid_ny=49,
+                                          opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=6000))
+    assert len(real) == f.meta["iterations"] == reflection_field.meta["iterations"]
+    monkeypatch.undo()
+    coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
+    d, inner = derivative_fields(f), np.s_[1:-1, 1:-1]
+    x = np.broadcast_to(f.xs[:, None], f.values.shape)[inner]
+    o_terms = coeffs.evaluate(x, _ordinates(f)[inner], *(d[key][inner] for key in ("psi", "px", "py")))
+    assert f.meta["o_bound_audit"] == o_bound_audit(coeffs, x, o_terms) == reflection_field.meta["o_bound_audit"]
 
 
 def _frozen(field, coeffs, neumann):
@@ -494,7 +521,7 @@ def _shock_row(field, fns):
 
 
 def _system(field, coeffs, neumann, fns=None):
-    """The solver's Newton system on field: J, rhs - A(u) u over the unknown block, and the clamp fraction.
+    """The solver's Newton system on field: J and rhs - A(u) u over the unknown block, the clamp fraction and the block.
 
     fns gives the strip its shock row.
     """
@@ -505,8 +532,8 @@ def _system(field, coeffs, neumann, fns=None):
     partials = coefficient_partials(coeffs, field.xs[:, None], _ordinates(field), *jet[:3])
     shock = None if fns is None else _shock_row(field, fns)[1]
     blocks = _stencil_blocks(field, neumann, shock is not None)
-    J, r = _newton_system(blocks, frozen, partials, jet, field.values, shock)
-    return J, r.reshape(field.values[blocks[0]].shape), clamp
+    J, r = _newton_system(blocks, frozen, partials, jet, shock)
+    return J, r.reshape(field.values[blocks[0]].shape), clamp, blocks[0]
 
 
 def _perturbed(field):
@@ -521,7 +548,7 @@ def test_frozen_system_is_the_residual_operator_on_a_rectangle(model_field, mode
     # rhs - A(u) u = -L(u) on every interior row
     f = _perturbed(model_field)
     coeffs = srlab.model_coefficients(*model_ab)
-    _, r, clamp = _system(f, coeffs, (True, True))
+    _, r, clamp, _ = _system(f, coeffs, (True, True))
     _, L = residual(f, coeffs)
     assert clamp == 0.0
     scale = np.max(np.abs(L[1:-1, 1:-1]))
@@ -538,7 +565,7 @@ def test_frozen_system_is_the_residual_operator_on_the_strip(reflection_field, w
     coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
     fns = ShockBoundaryFns(weak60)
     G, _ = _shock_row(f, fns)
-    _, r, clamp = _system(f, coeffs, (True, False), fns)
+    _, r, clamp, _ = _system(f, coeffs, (True, False), fns)
     _, L = residual(f, coeffs)
     assert clamp == 0.0
     scale, gscale = np.max(np.abs(L[1:-1, 1:-1])), np.max(np.abs(G))
@@ -552,15 +579,18 @@ def _check_jacobian(field, coeffs, neumann, rows, fns=None):
 
     rows maps a group's name to its rows and its bound, relative to the group's max |J v|.
     """
-    J, r, clamp = _system(field, coeffs, neumann, fns)
-    # a direction that scales like the field at the degenerate edge keeps the slope in its window
-    v = field.xs[:, None] ** 2 * np.random.default_rng(7).standard_normal(field.values.shape)
+    J, r, clamp, block = _system(field, coeffs, neumann, fns)
+    assert J.shape == (r.size, r.size)
+    # a direction that scales like the field at the degenerate edge keeps the
+    # slope in its window; it moves only the unknowns, the columns of J
+    v = np.zeros(field.values.shape)
+    v[block] = (field.xs[:, None] ** 2 * np.random.default_rng(7).standard_normal(field.values.shape))[block]
     t = 1e-5
-    Jv = (J @ v.ravel()).reshape(r.shape)
+    Jv = (J @ v[block].ravel()).reshape(r.shape)
     sides = []
     for sign in (1.0, -1.0):
         g = ScalarField2D(field.xs, field.ys, field.values + sign * t * v, field.geometry)
-        _, r_g, clamp_g = _system(g, coeffs, neumann, fns)
+        _, r_g, clamp_g, _ = _system(g, coeffs, neumann, fns)
         sides.append(-r_g)
         assert clamp_g == 0.0
     fd = (sides[0] - sides[1]) / (2.0 * t)
@@ -595,6 +625,35 @@ def test_jacobian_on_the_strip(reflection_field, weak60):
     x, s = f.xs[:, None], f.ys[None, :]
     f = ScalarField2D(f.xs, f.ys, reflection_field.values + 0.03 * x**2 * np.sin(s), f.geometry)
     _check_jacobian(f, coeffs, (True, False), {"neumann": (np.s_[:-1, 0], 1e-8)}, fns)
+
+
+def test_newton_system_is_square_on_the_unknowns(weak60, tmp_path, monkeypatch):
+    # each Newton system is built on the unknowns alone, with no Dirichlet
+    # column to slice away: the nine-point pattern less the Dirichlet nodes and
+    # the exact zeros, on the criterion-1 ladder's first rung, the CLI's 97x49
+    # model solve and a criterion-6 strip
+    from srlab import solver
+    from srlab.cli import main
+
+    systems, newton_system = [], solver._newton_system
+
+    def spy(*args):
+        J, rhs = newton_system(*args)
+        systems.append((J.shape, J.nnz))
+        return J, rhs
+
+    monkeypatch.setattr(solver, "_newton_system", spy)
+    a = 2.4
+    exact = lambda x: x * x / (2 * a)
+    bc = srlab.BoundaryConditions(outer=lambda y: exact(0.5) * np.ones_like(y), y_lo=exact, y_hi=exact)
+    srlab.solve(srlab.model_coefficients(a, 0.7765781059372254), bc, srlab.GridSpec(rhat=0.5, nx=65, ny=65),
+                srlab.SolverOptions(tolerance=1e-9), init_power=1.5)
+    assert main(["solve", "--mode", "model", "--grid", "97,49", "--grade", "0.95", "--perturb", "0.2",
+                 "--out", str(tmp_path)]) == 0
+    srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=121, grid_ny=49)
+    n = [63 * 63, 95 * 49, 120 * 49]  # interior x; all y on Neumann sides, and the strip's cut column x = eps
+    steps = [7, 4, 4]
+    assert systems == [((k, k), nnz) for k, nnz, m in zip(n, (19_593, 22_987, 51_363), steps) for _ in range(m)]
 
 
 def test_frozen_lead_takes_the_cutoff_where_it_acts(reflection_field, weak60):

@@ -231,8 +231,9 @@ def test_no_unused_top_level_imports():
 
 
 def _bindings(tree, module):
-    """The dotted path each name of a file stands for: its imports, and its own module-level functions."""
-    bound = {n.name: f"{module}.{n.name}" for n in tree.body if isinstance(n, ast.FunctionDef)} if module else {}
+    """The dotted path each name of a file stands for: its imports, and its own module-level functions and classes."""
+    bound = {n.name: f"{module}.{n.name}" for n in tree.body
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef))} if module else {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound.update({a.asname or a.name.partition(".")[0]: a.name if a.asname else a.name.partition(".")[0]
@@ -243,8 +244,8 @@ def _bindings(tree, module):
     return bound
 
 
-def _resolve(dotted):
-    """(module, qualified name) of the srlab object a dotted path reaches, or None."""
+def _lookup(dotted):
+    """The srlab object a dotted path reaches, or None."""
     head, *rest = dotted.split(".")
     if head != "srlab":
         return None
@@ -254,19 +255,32 @@ def _resolve(dotted):
             obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(f"{obj.__name__}.{part}")
         except (ImportError, AttributeError):
             return None
+    return obj
+
+
+def _resolve(dotted):
+    """(module, qualified name) of the srlab object a dotted path reaches, a property's getter for a property."""
+    obj = _lookup(dotted)
+    obj = obj.fget if isinstance(obj, property) else obj
     return getattr(obj, "__module__", None), getattr(obj, "__qualname__", None)
 
 
 class _References(ast.NodeVisitor):
-    """The srlab objects a file's loaded names and attribute chains reach, and every attribute name it loads.
+    """The srlab objects a file's loaded names and attribute chains reach, and the attributes it loads by name alone.
 
     A name that a function binds (a parameter or an assignment anywhere in
     it) is that function's own, so a local that shadows a module-level
-    function does not count as a reference to it.
+    function does not count as a reference to it.  A local's class is known
+    where the file binds it: self (or cls) inside its class, x = Class(...)
+    on every assignment to x, or an annotation naming one srlab class; an
+    attribute of such a receiver reaches that class's member; an attribute
+    of a receiver with no binding (no import, class or typed local) is
+    recorded by name alone.
     """
 
     def __init__(self, bound):
-        self.bound, self.local, self.objects, self.attrs = bound, frozenset(), set(), set()
+        self.bound, self.local, self.types, self.methods = bound, frozenset(), {}, {}
+        self.objects, self.attrs = set(), set()
 
     def _dotted(self, node):
         if isinstance(node, ast.Name):
@@ -276,17 +290,52 @@ class _References(ast.NodeVisitor):
             return base and f"{base}.{node.attr}"
         return None
 
+    def _class(self, node):
+        """The dotted path of the srlab class that node names, alone or optional (an annotation), or None."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):  # a forward reference
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.Subscript) and self._dotted(node.value) == "typing.Optional":
+            node = node.slice
+        elif isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant) and node.right.value is None:
+            node = node.left  # X | None
+        dotted = self._dotted(node)
+        return dotted if isinstance(_lookup(dotted or ""), type) else None
+
     def _reach(self, node):
         dotted = self._dotted(node)
         if dotted:
             self.objects.add(_resolve(dotted))
 
-    def visit_FunctionDef(self, node):
-        outer = self.local
-        self.local = outer | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} | {
-            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    def visit_ClassDef(self, node):
+        owner = self.bound.get(node.name)  # a module-level class of srlab
+        self.methods.update({id(fn): owner for fn in node.body if isinstance(fn, ast.FunctionDef)
+                             and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)})
         self.generic_visit(node)
-        self.local = outer
+
+    def visit_FunctionDef(self, node):
+        outer, outer_types = self.local, self.types
+        params = [a for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+        stores = [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        own = {a.arg for a in params} | set(stores)
+        self.local = outer | own
+        # every binding of a name in this function, as the class it binds or None
+        binds = {}
+        for a in params:
+            binds.setdefault(a.arg, []).append(a.annotation and self._class(a.annotation))
+        if params and self.methods.get(id(node)):
+            binds[params[0].arg] = [self.methods[id(node)]]
+        typed = [(n.targets[0].id, n.value.func) for n in ast.walk(node) if isinstance(n, ast.Assign)
+                 and len(n.targets) == 1 and isinstance(n.targets[0], ast.Name) and isinstance(n.value, ast.Call)]
+        typed += [(n.target.id, n.annotation) for n in ast.walk(node)
+                  if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        for name, cls in typed:
+            binds.setdefault(name, []).append(self._class(cls))
+        for name in set(stores):
+            binds.setdefault(name, []).extend([None] * (stores.count(name) - sum(n == name for n, _ in typed)))
+        self.types = {k: v for k, v in outer_types.items() if k not in own}
+        self.types.update({k: v[0] for k, v in binds.items() if v[0] and v.count(v[0]) == len(v)})
+        self.generic_visit(node)
+        self.local, self.types = outer, outer_types
 
     visit_AsyncFunctionDef = visit_Lambda = visit_FunctionDef
 
@@ -294,7 +343,11 @@ class _References(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load):
-            self.attrs.add(node.attr)
+            owner = self.types.get(node.value.id) if isinstance(node.value, ast.Name) else None
+            if owner:
+                self.objects.add(_resolve(f"{owner}.{node.attr}"))
+            elif self._dotted(node.value) is None:  # no module, class or import: matched by name
+                self.attrs.add(node.attr)
         self._reach(node)
         self.generic_visit(node)
 
@@ -312,8 +365,9 @@ def test_every_public_function_has_a_caller():
     # __all__ or the re-exports of srlab/__init__.py.  Module-level functions
     # are resolved through each file's import bindings, so a same-named
     # attribute (NoConvergence.residual) does not count for solver.residual;
-    # methods are matched by attribute name alone, as the options rule
-    # matches calls.  The benchmark's span targets are strings and count too.
+    # a method through its receiver's class where the file binds it
+    # (_References), and by attribute name alone only where it does not.
+    # The benchmark's span targets are strings and count too.
     objects, attrs = set(), set()
     for path in sorted((ROOT / "src" / "srlab").glob("*.py")) + sorted(BENCH.glob("*.py")):
         if path.name == "__init__.py":
@@ -325,7 +379,6 @@ def test_every_public_function_has_a_caller():
         attrs |= refs.attrs
     for _, modname, attr in _spans().TARGETS:
         objects.add(_resolve(f"{modname}.{attr}"))
-        attrs.add(attr.rpartition(".")[2])
 
     public, unused = set(), []
     for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
@@ -339,7 +392,7 @@ def test_every_public_function_has_a_caller():
                 continue
             qualname = f"{cls}.{fn.name}" if cls else fn.name
             public.add(f"{module}.{qualname}")
-            if not (fn.name in attrs if cls else (module, qualname) in objects):
+            if not ((module, qualname) in objects or cls and fn.name in attrs):
                 unused.append(f"{module}.{qualname}")
     allowed = _library_api()
     assert sorted(allowed - public) == []
