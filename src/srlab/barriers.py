@@ -7,6 +7,7 @@ bound); the sign properties are then verified by dense grid scans with local
 refinement, which is reported as sampling evidence, not proof.
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -16,15 +17,8 @@ from .grids import ScalarField2D
 
 __all__ = [
     "BarrierFunction",
-    "subsolution_w",
-    "supersolution_v",
-    "subsolution_u_minus",
     "BarrierRecipe",
-    "default_C0",
-    "default_growth_C",
     "choose_subsolution_params",
-    "choose_growth_params",
-    "apply_L1",
     "scan_L1_sign",
     "scan_L2_defect_sign",
     "verify_comparison",
@@ -40,7 +34,6 @@ def _term(c, p, x):
 class BarrierFunction:
     """c1 * x^p1 * (1 - y^2) + c2 * x^p2 * y^2 with exact derivatives."""
 
-    kind: str
     c1: float
     p1: float
     c2: float
@@ -65,29 +58,6 @@ class BarrierFunction:
         )
 
 
-def subsolution_w(mu: float, k: float) -> BarrierFunction:
-    """Quadratic lower barrier mu x^2 (1-y^2) - k x y^2."""
-    return BarrierFunction("subsolution_w", mu, 2.0, -k, 1.0)
-
-
-def supersolution_v(A1: float, B1: float, alpha: float) -> BarrierFunction:
-    """Growth barrier A1 x^(2+alpha) (1-y^2) + B1 x^2 y^2 for W above."""
-    return BarrierFunction("supersolution_v", A1, 2.0 + alpha, B1, 2.0)
-
-
-def subsolution_u_minus(L: float, K: float, alpha: float) -> BarrierFunction:
-    """Lower decay barrier -L x^(2+alpha)(1-y^2) - K x^2 y^2 for W below."""
-    return BarrierFunction("subsolution_u_minus", -L, 2.0 + alpha, -K, 2.0)
-
-
-# -- operators ----------------------------------------------------------------
-
-
-def apply_L1(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
-    """Degenerate operator on a closed-form barrier, exact derivatives."""
-    return apply_operator(coeffs, x, y, fn.jet(x, y))
-
-
 def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
     """The companion operator L2 on fn less its right side (O1 - x O4)/a, both on one evaluation of the jet."""
     if coeffs.a == 0.0:
@@ -99,17 +69,6 @@ def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
 
 
 # -- recipes ------------------------------------------------------------------
-
-
-def default_C0(b: float, N: float) -> float:
-    """Termwise bound for the lower-order contributions in the w-sign estimate."""
-    extra = N / (8.0 * (b + N)) if N > 0.0 else 0.0
-    return 2.0 * b + 8.0 * N + extra
-
-
-def default_growth_C(b: float, N: float) -> float:
-    """Termwise bound for the correction terms in the growth-barrier estimate."""
-    return 1.5 * b + 20.0 * N + 1.0
 
 
 @dataclass(frozen=True)
@@ -132,80 +91,67 @@ class BarrierRecipe:
     r2: float
 
     def w_barrier(self) -> BarrierFunction:
-        return subsolution_w(self.mu0, self.k)
+        """Quadratic lower barrier mu0 x^2 (1-y^2) - k x y^2."""
+        return BarrierFunction(self.mu0, 2.0, -self.k, 1.0)
 
     def v_barrier(self) -> BarrierFunction:
+        """Growth barrier A1 x^(2+alpha1) (1-y^2) + B1 x^2 y^2 for W above."""
         A1 = (1.0 - self.mu1) / (2.0 * self.a * self.r1**self.alpha1)
         B1 = (1.0 - self.mu1) / (2.0 * self.a)
-        return supersolution_v(A1, B1, self.alpha1)
+        return BarrierFunction(A1, 2.0 + self.alpha1, B1, 2.0)
 
-    def u_minus_barrier(self, beta: float) -> BarrierFunction:
-        K = (1.0 - beta) / (2.0 * self.a)
+    def u_minus_barrier(self) -> BarrierFunction:
+        """Lower decay barrier -L x^(2+alpha2)(1-y^2) - K x^2 y^2 for W below.
+
+        K = (1 - beta)/(2a) at beta = 1/2, the one beta that alpha2 and r2 hold for.
+        """
+        K = 0.25 / self.a
         L = K / self.r2**self.alpha2
-        return subsolution_u_minus(L, K, self.alpha2)
+        return BarrierFunction(-L, 2.0 + self.alpha2, -K, 2.0)
 
     def describe(self) -> dict:
         return asdict(self)
 
 
-def choose_growth_params(mu1: float):
-    """Largest alpha with (1+alpha)(1 + (2+alpha)(1-mu1)/2) - 2 <= -mu1/4.
+def _growth_exponent(mu: float) -> float:
+    """Largest alpha with (1+alpha)(1 + (2+alpha)(1-mu)/2) - 2 <= -mu/4.
 
-    The left side is increasing in alpha and strictly feasible at alpha = 0,
-    so bisection applies, to a bracket of 1e-8.  Returns (alpha1, r1_bound) where
-    r1_bound(C, r0) = min((mu1/(4C))^(1/(1-alpha1)), r0).
+    With m = (1-mu)/2 the inequality is m alpha^2 + (1+3m) alpha - 3mu/4 <= 0,
+    whose positive root is taken in the form free of cancellation.  The
+    recipe's mu lies in (0, 1/2], where the root is at most (sqrt(55)-7)/2.
     """
-    if not 0.0 < mu1 <= 0.5:
-        raise ValueError(f"mu1 must lie in (0, 1/2], got {mu1}")
-
-    def lhs(al):
-        return (1.0 + al) * (1.0 + 0.5 * (2.0 + al) * (1.0 - mu1)) - 2.0
-
-    target = -mu1 / 4.0
-    lo, hi = 0.0, 1.0
-    if lhs(hi) <= target:
-        lo = hi
-    else:
-        while hi - lo > 1e-8:
-            mid = 0.5 * (lo + hi)
-            if lhs(mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-    alpha1 = lo
-
-    def r1_bound(C: float, r0: float) -> float:
-        return min((mu1 / (4.0 * C)) ** (1.0 / (1.0 - alpha1)), r0)
-
-    return alpha1, r1_bound
+    m = 0.5 * (1.0 - mu)
+    B = 1.0 + 3.0 * m
+    return 1.5 * mu / (B + math.sqrt(B * B + 3.0 * m * mu))
 
 
 def choose_subsolution_params(a: float, b: float, N: float, rhat: float, sigma) -> BarrierRecipe:
     """Constructive parameters for the quadratic lower barrier and its companions.
 
-    sigma is the measured interior lower bound of the solution past depth r:
-    a callable r -> sigma(r), or a number taken as sigma(r0).  C0 is
-    default_C0(b, N).  The admissible window (4 C0 r0^2, 1/(8(b+N))) for A0
-    is nonempty by the r0 choice: r0 <= 1/(8 sqrt(C0(b+N))) caps its bottom
-    at half its top.  The lower decay barrier's growth exponent alpha2 is
-    taken at beta = 1/2.
+    sigma(r) is the measured interior lower bound of the solution past depth
+    r.  C0 = 2b + 8N + N/(8(b+N)) bounds the lower-order contributions in the
+    w-sign estimate termwise, C_growth = 1.5b + 20N + 1 the correction terms
+    in the growth-barrier estimate.  The admissible window
+    (4 C0 r0^2, 1/(8(b+N))) for A0 is nonempty by the r0 choice:
+    r0 <= 1/(8 sqrt(C0(b+N))) caps its bottom at half its top.  The growth
+    exponents alpha1 (at mu1) and alpha2 (at beta = 1/2, i.e. mu = 1/2) each
+    reach depth min((mu/(4 C_growth))^(1/(1-alpha)), r0).
     """
     if min(a, b, rhat) <= 0.0 or N < 0.0:
         raise ValueError("need a, b, rhat > 0 and N >= 0")
-    C0 = default_C0(b, N)
+    C0 = 2.0 * b + 8.0 * N + (N / (8.0 * (b + N)) if N > 0.0 else 0.0)
     r0 = min(1.0 / (4.0 * C0), (b + N) / C0, 1.0 / (8.0 * np.sqrt(C0 * (b + N))), rhat / 2.0, 1.0)
     A0 = 0.5 * (4.0 * C0 * r0**2 + 1.0 / (8.0 * (b + N)))
-    sig = float(sigma(r0)) if callable(sigma) else float(sigma)
+    sig = float(sigma(r0))
     if sig <= 0.0:
         raise ValueError(f"interior lower bound sigma must be positive, got {sig}")
     mu0 = min(1.0 / (8.0 * a), sig / r0**2)
     k = mu0 * A0
     mu1 = min(2.0 * a * mu0, 0.5)
-    Cg = default_growth_C(b, N)
-    alpha1, r1_of = choose_growth_params(mu1)
-    r1 = r1_of(Cg, r0)
-    alpha2, r2_of = choose_growth_params(0.5)
-    r2 = r2_of(Cg, r0)
+    Cg = 1.5 * b + 20.0 * N + 1.0
+    alpha1, alpha2 = _growth_exponent(mu1), _growth_exponent(0.5)
+    r1 = min((mu1 / (4.0 * Cg)) ** (1.0 / (1.0 - alpha1)), r0)
+    r2 = min((0.5 / (4.0 * Cg)) ** (1.0 / (1.0 - alpha2)), r0)
     return BarrierRecipe(
         a=a, b=b, N=N, rhat=rhat, sigma_at_r0=sig, C0=C0, C_growth=Cg,
         r0=r0, mu0=mu0, A0=A0, k=k, mu1=mu1,
@@ -268,7 +214,7 @@ def _scan(valfun, r, minimize):
 
 def scan_L1_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: float) -> dict:
     """min of L1(barrier) over (0, r] x [-1, 1]; positive means strict subsolution."""
-    best, arg = _scan(lambda x, y: apply_L1(barrier, coeffs, x, y), r, minimize=True)
+    best, arg = _scan(lambda x, y: apply_operator(coeffs, x, y, barrier.jet(x, y)), r, minimize=True)
     return {"min": best, "argmin": arg, "n": _SCAN_N, "positive": best > 0.0}
 
 
@@ -292,7 +238,6 @@ def scan_L2_defect_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: f
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    applicable: bool
     boundary_ok: bool
     violations: int
     worst_margin: float
@@ -301,7 +246,7 @@ class ComparisonReport:
     violation_nodes: tuple = ()  # first few offending (x, y, margin) triples
 
     def ok(self) -> bool:
-        return self.applicable and self.violations == 0
+        return self.boundary_ok and self.violations == 0
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -323,7 +268,7 @@ def verify_comparison(field: ScalarField2D, barrier: BarrierFunction, direction:
     isel = np.where(xs <= r * (1.0 + 1e-12))[0]
     jsel = np.where(np.abs(ys) <= 1.0 + 1e-12)[0]
     if isel.size < 3 or jsel.size < 3:
-        return ComparisonReport(False, False, 0, np.nan, 0, (r, 0.0, 1.0))
+        return ComparisonReport(False, 0, np.nan, 0, (r, 0.0, 1.0))
     bvals = barrier.value(xs[isel][:, None], ys[jsel][None, :])
     fvals = field.values[np.ix_(isel, jsel)]
     margin = fvals - bvals if direction == "below" else bvals - fvals
@@ -336,7 +281,6 @@ def verify_comparison(field: ScalarField2D, barrier: BarrierFunction, direction:
         (float(xs[isel][i]), float(ys[jsel][j]), float(margin[i, j])) for i, j in bad[:20]
     )
     return ComparisonReport(
-        applicable=boundary_ok,
         boundary_ok=boundary_ok,
         violations=int(bad.shape[0]),
         worst_margin=float(np.min(margin)),

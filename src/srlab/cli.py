@@ -199,13 +199,12 @@ def _verify_barriers(field, coeffs, out, record, digest):
     recipe = choose_subsolution_params(a, b, N, rhat=float(field.xs[-1]), sigma=sigma)
     w = recipe.w_barrier()
     v = recipe.v_barrier()
-    um = recipe.u_minus_barrier(beta=0.5)
+    um = recipe.u_minus_barrier()
     s1 = scan_L1_sign(w, coeffs, recipe.r0)
     s2 = scan_L2_defect_sign(v, coeffs, recipe.r1, want="negative")
     s3 = scan_L2_defect_sign(um, coeffs, recipe.r2, want="positive")
     cmp_w = verify_comparison(field, w, "below", recipe.r0)
-    wfield = field.copy()
-    wfield.values = field.xs[:, None] ** 2 / (2 * a) - field.values
+    wfield = ScalarField2D(field.xs, field.ys, field.xs[:, None] ** 2 / (2 * a) - field.values)
     cmp_v = verify_comparison(wfield, v, "above", recipe.r1)
     cmp_u = verify_comparison(wfield, um, "below", recipe.r2)
     checks = {

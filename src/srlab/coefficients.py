@@ -66,7 +66,7 @@ def linear_coefficients(b: float) -> CoefficientModel:
     return CoefficientModel(a=0.0, b=b, N=0.0, label="linear")
 
 
-def reflection_coefficients(config: ReflectionConfiguration, eps: float | None = None) -> CoefficientModel:
+def reflection_coefficients(config: ReflectionConfiguration, eps: float) -> CoefficientModel:
     """Shock-reflection closure in the sonic chart of a configuration.
 
     The nominal bound N assumes the quadratic regime |psi| <= x^2,
@@ -75,8 +75,6 @@ def reflection_coefficients(config: ReflectionConfiguration, eps: float | None =
     """
     gam = config.gas.gamma
     c2 = config.c2
-    if eps is None:
-        eps = c2 / 2.0
 
     def o_terms(x, y, psi, px, py):
         x = np.asarray(x, dtype=float)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InsufficientResolution, NonpositiveSamples
 from .grids import ScalarField2D, _write_csv
-from .solver import _JET, _ORDERS, _ordinates, derivative_fields
+from .solver import _JET, _ORDERS, _ordinates
 
 __all__ = [
     "fit_power_law",
@@ -21,6 +21,8 @@ __all__ = [
     "jump_estimate",
     "two_sequence_probe",
     "RegularityReport",
+    "write_station_trace_csv",
+    "full_report",
 ]
 
 
@@ -85,16 +87,15 @@ def _resolution_check(field):
         )
 
 
-def sonic_limit_estimate(field: ScalarField2D, stations=None, d=None) -> dict:
+def sonic_limit_estimate(field: ScalarField2D, d, stations=None) -> dict:
     """Edge limits of psi_xx, psi_xy, psi_yy per y-station, plus 2*psi/x^2.
 
     Second differences are taken at decreasing x and extrapolated to x = 0,
     every station in one fit per quantity; the direct ratio 2*psi/x^2 is
     reported as an independent consistency channel.  d is the field's
-    derivative pass (derivative_fields), computed here when not given.
+    derivative pass (derivative_fields).
     """
     _resolution_check(field)
-    d = derivative_fields(field) if d is None else d
     stations = np.arange(1, field.ny - 1) if stations is None else np.asarray(stations, dtype=int)
     xs = field.xs[1:-1]
     ratio = 2.0 * field.values[1:-1, stations] / xs[:, None] ** 2
@@ -106,30 +107,29 @@ def sonic_limit_estimate(field: ScalarField2D, stations=None, d=None) -> dict:
     return out
 
 
-def parabolic_norm(field: ScalarField2D, d=None):
+def parabolic_norm(field: ScalarField2D, d):
     """Sum over derivative orders of sup x^(k+l/2-2) |D^(k,l) psi| on the interior.
 
     Every interior node counts; on the strip the cut column carries the
     surrogate's slope, so no boundary kink needs excluding.  d is the
-    field's derivative pass, computed here when not given.
+    field's derivative pass.
     """
-    d = derivative_fields(field) if d is None else d
     x = field.xs[1:-1, None]
     breakdown = {name: float(np.max(x ** (kk + ll / 2.0 - 2.0) * np.abs(d[name][1:-1, 1:-1])))
                  for name, (kk, ll) in zip(_JET, _ORDERS)}
     return float(sum(breakdown.values())), breakdown
 
 
-def jump_estimate(field: ScalarField2D, d=None):
+def jump_estimate(field: ScalarField2D, d):
     """Jump of the radial second derivative across the degenerate edge.
 
     The outer side is the uniform state (radial second derivative exactly -1),
     so the jump equals the extrapolated edge limit of psi_xx, averaged over
-    the stations at 15-85% of ny.  d is the field's derivative pass,
-    computed here when not given.  Returns (jump, details).
+    the stations at 15-85% of ny.  d is the field's derivative pass.
+    Returns (jump, details).
     """
     lo, hi = int(0.15 * field.ny), int(0.85 * field.ny)
-    est = sonic_limit_estimate(field, np.arange(max(1, lo), max(2, hi)), d)
+    est = sonic_limit_estimate(field, d, np.arange(max(1, lo), max(2, hi)))
     vals = np.asarray(est["psi_xx"])
     return float(np.mean(vals)), {
         "per_station": est["psi_xx"],
@@ -152,7 +152,7 @@ def _bilinear(field_vals, xs, ys, xq, yq):
     )
 
 
-def two_sequence_probe(field: ScalarField2D, d=None) -> dict:
+def two_sequence_probe(field: ScalarField2D, d) -> dict:
     """Second-derivative limits along two families approaching the shock/sonic corner.
 
     Family 1 stays near the degenerate edge at stations close to the corner
@@ -160,12 +160,11 @@ def two_sequence_probe(field: ScalarField2D, d=None) -> dict:
     the least slope of the shock image.  The
     shock-adjacent channel rides the straight-shock surrogate and is labeled
     accordingly; it is informational, not a gate.  d is the field's
-    derivative pass, computed here when not given.
+    derivative pass.
     """
     if field.kind != "sonic_strip":
         raise ValueError("two-sequence probe requires a shock-fitted strip field")
     _resolution_check(field)
-    d = derivative_fields(field) if d is None else d
     fh = np.asarray(field.geometry["fhat"])
     g = np.asarray(field.geometry["g"])
     omega = float(np.min(g * fh))
@@ -174,7 +173,7 @@ def two_sequence_probe(field: ScalarField2D, d=None) -> dict:
 
     ny = field.ny
     corners = np.arange(int(0.70 * ny), int(0.93 * ny))
-    est = sonic_limit_estimate(field, corners, d)
+    est = sonic_limit_estimate(field, d, corners)
     sonic_vals = np.asarray(est["psi_xx"])
     sonic_limit = float(np.mean(sonic_vals))
 
@@ -221,9 +220,8 @@ class RegularityReport:
     two_sequence: dict = dc_field(default_factory=dict)
 
 
-def write_station_trace_csv(field: ScalarField2D, path, digest: str | None = None, d=None) -> None:
-    """Export (x, y, psi, psi_x, psi_xx, fitted) along the middle y-station; d is the derivative pass if known."""
-    d = derivative_fields(field) if d is None else d
+def write_station_trace_csv(field: ScalarField2D, path, digest: str, d) -> None:
+    """Export (x, y, psi, psi_x, psi_xx, fitted) along the middle y-station; d is the field's derivative pass."""
     j = field.ny // 2
     try:
         p, c, _ = fit_power_law(field, field.ys[j])
@@ -234,14 +232,13 @@ def write_station_trace_csv(field: ScalarField2D, path, digest: str | None = Non
     _write_csv(path, ("x", "y", "psi", "psi_x", "psi_xx", "fitted"), cols, digest)
 
 
-def full_report(field: ScalarField2D, d=None) -> RegularityReport:
+def full_report(field: ScalarField2D, d) -> RegularityReport:
     """Every regularity diagnostic of a field, on one derivative pass.
 
     The power law is fitted at the middle y-station.  d is the field's
-    derivative pass, computed here when not given; the edge limits, the jump
-    and the two-family probe each fit their own stations from it.
+    derivative pass; the edge limits, the jump and the two-family probe each
+    fit their own stations from it.
     """
-    d = derivative_fields(field) if d is None else d
     rep = RegularityReport(
         grid={"nx": field.nx, "ny": field.ny, "kind": field.kind,
               "xmax": float(field.xs[-1])}
@@ -253,7 +250,7 @@ def full_report(field: ScalarField2D, d=None) -> RegularityReport:
     except (NonpositiveSamples, InsufficientResolution) as exc:
         rep.power_fits.append({"station": st, "error": str(exc)})
     try:
-        rep.sonic_limits = sonic_limit_estimate(field, d=d)
+        rep.sonic_limits = sonic_limit_estimate(field, d)
         rep.jump, rep.jump_details = jump_estimate(field, d=d)
     except InsufficientResolution as exc:
         rep.sonic_limits = {"error": str(exc)}

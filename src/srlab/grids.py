@@ -18,9 +18,9 @@ __all__ = ["ScalarField2D", "geometric_axis", "uniform_axis"]
 _MAGIC = b"SRLGRID1"
 
 
-def _write_csv(path, names, columns, digest: str | None = None, notes=()) -> None:
+def _write_csv(path, names, columns, digest: str, notes=()) -> None:
     """srlab's one CSV format: "# runconfig_digest=" and "# <note>" lines, a header, rows of repr(float)."""
-    comments = ([f"runconfig_digest={digest}"] if digest is not None else []) + list(notes)
+    comments = [f"runconfig_digest={digest}", *notes]
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(names) + "\n")
@@ -109,12 +109,6 @@ class ScalarField2D:
     def kind(self) -> str:
         return self.geometry.get("kind", "rect")
 
-    def copy(self) -> "ScalarField2D":
-        return ScalarField2D(
-            self.xs.copy(), self.ys.copy(), self.values.copy(),
-            json.loads(json.dumps(self.geometry)), json.loads(json.dumps(self.meta)),
-        )
-
     # -- I/O -------------------------------------------------------------
 
     def save(self, path) -> None:
@@ -163,7 +157,7 @@ class ScalarField2D:
             meta = d.get("meta", meta)
         return cls(xs, ys, vals, geometry, meta)
 
-    def export_csv(self, path, digest: str | None = None) -> None:
+    def export_csv(self, path, digest: str) -> None:
         """Write one (x, y, psi) row per node, x-major."""
         cols = (np.repeat(self.xs, self.ny), np.tile(self.ys, self.nx), self.values.ravel())
         _write_csv(path, ("x", "y", "psi"), cols, digest)

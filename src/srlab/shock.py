@@ -8,7 +8,7 @@ along a boundary trace, computed by quadrature of complex-step partials,
 which are exact to rounding.  The quadrature is an 8-node Gauss-Legendre
 rule: the integrand is analytic on the admissible ray, and for gamma in
 {1, 1.4, 2, 3} at depths up to 0.2 c2 the rule is within 1.6e-15 relative
-of a 40-node rule (33-point Simpson, used before, erred by up to 3.4e-11).
+of a 40-node rule.
 Boundary traces are written as CSV.
 """
 
@@ -259,7 +259,7 @@ def largest_valid_eps(config: ReflectionConfiguration, eps_candidates):
     return best
 
 
-def write_trace_csv(path, x, y, psi, psi_x, psi_y, b1, b2, b3, digest: str | None = None):
+def write_trace_csv(path, x, y, psi, psi_x, psi_y, b1, b2, b3, digest: str):
     """Write a boundary trace (x, y, psi, psi_x, psi_y, b1, b2, b3) as CSV."""
     _write_csv(path, _TRACE_COLUMNS, (x, y, psi, psi_x, psi_y, b1, b2, b3), digest)
 

@@ -104,7 +104,7 @@ def test_criterion_2_sonic_second_derivative_constant():
                         init_field=prev)
         fields.append(f)
         prev = f
-    ests = [dg.sonic_limit_estimate(f) for f in fields]
+    ests = [dg.sonic_limit_estimate(f, srlab.derivative_fields(f)) for f in fields]
     stations = ests[0]["stations_index"]
     target = 1.0 / A_MODEL
     extrap = np.array([
@@ -137,7 +137,7 @@ def test_criterion_3_linear_nonlinear_dichotomy():
     for nx in (65, 129):
         grid = srlab.GridSpec(rhat=RHAT, nx=nx, ny=49, y_lo=-1.0, y_hi=1.0, grade_q=0.95)
         f = srlab.solve(lin, bc, grid, srlab.SolverOptions(tolerance=1e-10, max_iterations=9000))
-        _, br = dg.parabolic_norm(f)
+        _, br = dg.parabolic_norm(f, srlab.derivative_fields(f))
         pxx_channel.append(br["pxx"])
         p_lin, _, _ = dg.fit_power_law(f, 0.0)
     if "model_97" in _state:
@@ -178,13 +178,12 @@ def test_criterion_4_barrier_suite():
     recipe = choose_subsolution_params(A_MODEL, B_MODEL, N=0.0, rhat=RHAT, sigma=sigma)
     s_w = scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0)
     s_v = scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want="negative")
-    s_u = scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), coeffs, recipe.r2, want="positive")
+    s_u = scan_L2_defect_sign(recipe.u_minus_barrier(), coeffs, recipe.r2, want="positive")
     rep_w = verify_comparison(field, recipe.w_barrier(), "below", recipe.r0)
-    wfield = field.copy()
-    wfield.values = field.xs[:, None] ** 2 / (2 * A_MODEL) - field.values
-    rep_u = verify_comparison(wfield, recipe.u_minus_barrier(beta=0.5), "below", recipe.r2)
+    wfield = srlab.ScalarField2D(field.xs, field.ys, field.xs[:, None] ** 2 / (2 * A_MODEL) - field.values)
+    rep_u = verify_comparison(wfield, recipe.u_minus_barrier(), "below", recipe.r2)
     # literal two-sided bracket w <= psi <= x^2/(2a) + |u_minus| on the window
-    um = recipe.u_minus_barrier(beta=0.5)
+    um = recipe.u_minus_barrier()
     isel = field.xs <= recipe.r2
     bx = field.xs[isel][:, None]
     upper = bx**2 / (2 * A_MODEL) + np.abs(um.value(bx, field.ys[None, :]))
@@ -277,7 +276,7 @@ def test_criterion_6_sonic_jump(gamma, deg):
         cfg, eps=cfg.c2 / 20.0, grid_nx=121, grid_ny=49,
         opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=9000),
     )
-    jump, det = dg.jump_estimate(field)
+    jump, det = dg.jump_estimate(field, srlab.derivative_fields(field))
     target = 1.0 / (gamma + 1.0)
     rel = abs(jump - target) / target
     elapsed = time.perf_counter() - t0
@@ -306,8 +305,8 @@ def test_criterion_7_two_family_probe():
             cfg, eps=cfg.c2 / 20.0, grid_nx=121, grid_ny=49,
             opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=9000),
         )
-    probe_c = dg.two_sequence_probe(coarse)
-    probe = dg.two_sequence_probe(field)
+    probe_c = dg.two_sequence_probe(coarse, srlab.derivative_fields(coarse))
+    probe = dg.two_sequence_probe(field, srlab.derivative_fields(field))
     target = 1.0 / 2.4
     rel = abs(probe["sonic_adjacent_limit"] - target) / target
     lower = probe["shock_adjacent_limit"] < probe["sonic_adjacent_limit"]

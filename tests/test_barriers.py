@@ -6,18 +6,14 @@ from srlab.barriers import (
     BarrierFunction,
     BarrierRecipe,
     ComparisonReport,
-    apply_L1,
-    choose_growth_params,
+    _growth_exponent,
     choose_subsolution_params,
-    default_C0,
     scan_L1_sign,
     scan_L2_defect_sign,
-    subsolution_u_minus,
-    subsolution_w,
-    supersolution_v,
     verify_comparison,
 )
 from srlab.coefficients import apply_operator
+from srlab.grids import ScalarField2D
 from srlab.solver import derivative_fields
 
 from conftest import residual
@@ -51,10 +47,10 @@ def recipe(model_field, model_ab):
 def test_barrier_derivatives_match_finite_differences():
     rng = np.random.default_rng(19)
     fns = [
-        subsolution_w(0.05, 0.006),
-        supersolution_v(0.8, 0.15, 0.3),
-        subsolution_u_minus(0.4, 0.1, 0.25),
-        BarrierFunction("general", 0.3, 2.7, -0.2, 2.2),
+        BarrierFunction(0.05, 2.0, -0.006, 1.0),  # the w barrier's shape
+        BarrierFunction(0.8, 2.3, 0.15, 2.0),  # the v barrier's
+        BarrierFunction(-0.4, 2.25, -0.1, 2.0),  # the u_minus barrier's
+        BarrierFunction(0.3, 2.7, -0.2, 2.2),
     ]
     h = 1e-5
     for fn in fns:
@@ -81,26 +77,26 @@ def test_barrier_derivatives_match_finite_differences():
 
 def test_apply_L1_exact_solutions(model_ab):
     a, b = model_ab
-    quad = BarrierFunction("general", 1.0 / (2 * a), 2.0, 1.0 / (2 * a), 2.0)  # x^2/(2a) at every y
+    quad = BarrierFunction(1.0 / (2 * a), 2.0, 1.0 / (2 * a), 2.0)  # x^2/(2a) at every y
     xs = np.linspace(0.01, 0.4, 7)[:, None]
     ys = np.linspace(-0.9, 0.9, 5)[None, :]
-    vals = apply_L1(quad, srlab.model_coefficients(a, b), xs, ys)
+    vals = apply_operator(srlab.model_coefficients(a, b), xs, ys, quad.jet(xs, ys))
     assert np.max(np.abs(vals)) < 1e-14
-    three_halves = BarrierFunction("general", 1.0, 1.5, 1.0, 1.5)
-    vals = apply_L1(three_halves, srlab.linear_coefficients(b), xs, ys)
+    three_halves = BarrierFunction(1.0, 1.5, 1.0, 1.5)
+    vals = apply_operator(srlab.linear_coefficients(b), xs, ys, three_halves.jet(xs, ys))
     assert np.max(np.abs(vals)) < 1e-13
 
 
 def test_apply_L2_zero_function(model_ab):
     a, b = model_ab
-    zero = BarrierFunction("general", 0.0, 2.0, 0.0, 2.0)
+    zero = BarrierFunction(0.0, 2.0, 0.0, 2.0)
     coeffs = srlab.model_coefficients(a, b)
     assert apply_L2(zero, coeffs, 0.1, 0.3) == 0.0
     assert l2_rhs(zero, coeffs, 0.1, 0.3) == 0.0
     # W = c x^2: (x + 2acx) 2c - 2 (2cx) = 2cx(2ac - 1)
     c = 0.7
     x = np.linspace(0.01, 0.4, 7)[:, None]
-    vals = apply_L2(BarrierFunction("general", c, 2.0, c, 2.0), coeffs, x, np.linspace(-0.9, 0.9, 5)[None, :])
+    vals = apply_L2(BarrierFunction(c, 2.0, c, 2.0), coeffs, x, np.linspace(-0.9, 0.9, 5)[None, :])
     assert np.allclose(vals, 2.0 * c * x * (2.0 * a * c - 1.0), rtol=1e-13, atol=0.0)
 
 
@@ -115,12 +111,12 @@ def test_residual_matches_apply_L1_on_quadratic_barrier(closure, q, model_ab, we
         coeffs = srlab.model_coefficients(a, b)
     else:
         coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
-    fn = BarrierFunction("general", 0.3, 2.0, 0.5, 2.0)
+    fn = BarrierFunction(0.3, 2.0, 0.5, 2.0)
     xs = srlab.geometric_axis(0.5, 41, q)
     ys = srlab.uniform_axis(-1.0, 1.0, 33)
     field = srlab.ScalarField2D(xs, ys, fn.value(xs[:, None], ys[None, :]))
     _, res = residual(field, coeffs)
-    exact = apply_L1(fn, coeffs, xs[:, None], ys[None, :])
+    exact = apply_operator(coeffs, xs[:, None], ys[None, :], fn.jet(xs[:, None], ys[None, :]))
     assert np.max(np.abs(exact[1:-1, 1:-1])) > 1e-3
     assert np.max(np.abs(res - exact)[1:-1, 1:-1]) <= 1e-13
 
@@ -130,9 +126,7 @@ def test_deviation_identity_on_fixture(model_field, model_ab):
     # for the model closure, up to the solve's discretization level
     a, b = model_ab
     f = model_field
-    W = f.xs[:, None] ** 2 / (2 * a) - f.values
-    wf = f.copy()
-    wf.values = W
+    wf = ScalarField2D(f.xs, f.ys, f.xs[:, None] ** 2 / (2 * a) - f.values)
     d = derivative_fields(wf)
     x2 = f.xs[1:-1, None]
     val = (
@@ -141,11 +135,6 @@ def test_deviation_identity_on_fixture(model_field, model_ab):
         - 2.0 * d["px"][1:-1, 1:-1]
     )
     assert np.max(np.abs(val)) < 5e-5  # truncation-level, not solver-level
-
-
-def test_default_C0_formula():
-    assert default_C0(0.8, 0.0) == pytest.approx(1.6)
-    assert default_C0(0.8, 1.0) == pytest.approx(1.6 + 8.0 + 1.0 / (8.0 * 1.8))
 
 
 def test_recipe_invariants(recipe, model_ab):
@@ -158,19 +147,36 @@ def test_recipe_invariants(recipe, model_ab):
     assert 4 * r.C0 * r.r0**2 < r.A0 < 1.0 / (8 * (b + r.N))
     assert r.k == pytest.approx(r.mu0 * r.A0)
     assert 0 < r.alpha1 < 1 and 0 < r.r1 <= r.r0
+    # each growth exponent reaches depth min((mu/(4 C_growth))^(1/(1-alpha)), r0)
+    assert r.alpha1 == _growth_exponent(r.mu1) and r.alpha2 == _growth_exponent(0.5)
+    assert r.r1 == min((r.mu1 / (4 * r.C_growth)) ** (1 / (1 - r.alpha1)), r.r0)
+    assert r.r2 == min((0.5 / (4 * r.C_growth)) ** (1 / (1 - r.alpha2)), r.r0)
 
 
 def test_u_minus_barrier_shape(recipe):
-    # the recipe's alpha2 is the growth of the (1 - y^2) term; the y^2 term is x^2
-    um = recipe.u_minus_barrier(beta=0.5)
-    assert um.p1 == 2.0 + recipe.alpha2
+    # the recipe's alpha2 is the growth of the (1 - y^2) term; the y^2 term is
+    # -x^2/(4a), the decay barrier at beta = 1/2, where alpha2 is taken
+    um = recipe.u_minus_barrier()
+    assert um.p1 == 2 + recipe.alpha2
+    assert um.c2 == -1 / (4 * recipe.a)
     assert um.p2 == 2.0
 
 
+def test_w_and_v_barrier_shapes(recipe):
+    # mu0 x^2 (1-y^2) - k x y^2, and (1-mu1)/(2a) (x^(2+alpha1)/r1^alpha1 (1-y^2) + x^2 y^2)
+    w, v = recipe.w_barrier(), recipe.v_barrier()
+    assert (w.c1, w.p1, w.c2, w.p2) == (recipe.mu0, 2.0, -recipe.k, 1.0)
+    assert (v.p1, v.c2, v.p2) == (2 + recipe.alpha1, (1 - recipe.mu1) / (2 * recipe.a), 2.0)
+    assert v.c1 == pytest.approx(v.c2 / recipe.r1**recipe.alpha1, rel=1e-15)
+
+
 def test_recipe_mu_cap_example():
-    # with a = 2.4 the curvature cap is 1/19.2 regardless of sigma slack
+    # with a = 2.4 the curvature cap is 1/19.2 regardless of sigma slack; the
+    # termwise bounds are C0 = 2b + 8N + N/(8(b+N)) and C_growth = 1.5b + 20N + 1
     rec = choose_subsolution_params(2.4, 0.8, N=1.0, rhat=1.0, sigma=lambda r: 10.0)
     assert rec.mu0 == pytest.approx(1.0 / 19.2)
+    assert rec.C0 == pytest.approx(1.6 + 8.0 + 1.0 / (8.0 * 1.8))
+    assert rec.C_growth == pytest.approx(1.2 + 20.0 + 1.0)
 
 
 def test_recipe_invariants_random_inputs():
@@ -181,20 +187,25 @@ def test_recipe_invariants_random_inputs():
         N = rng.uniform(0.0, 2.0)
         rhat = rng.uniform(0.2, 1.0)
         sig = rng.uniform(1e-4, 1e-1)
-        rec = choose_subsolution_params(a, b, N, rhat, sigma=sig)
+        rec = choose_subsolution_params(a, b, N, rhat, sigma=lambda r: sig)
         assert 4 * rec.C0 * rec.r0**2 < rec.A0 < 1.0 / (8 * (b + N))
         assert rec.mu0 <= min(1.0 / (8 * a), sig / rec.r0**2) + 1e-15
         assert rec.r1 <= rec.r0 and rec.r2 <= rec.r0
+        # the growth exponent's mu lies where its inequality was solved
+        assert 0.0 < rec.mu1 <= 0.5
 
 
-def test_recipe_window_never_empty(monkeypatch):
+def test_recipe_window_never_empty():
     # the r0 choice caps 4*C0*r0^2 at 1/(16(b+N)), half the window top, so
-    # the admissible interval is nonempty even for absurd C0
-    for C0 in (1e-6, 1.0, 1e12, 1e30):
-        monkeypatch.setattr(srlab.barriers, "default_C0", lambda b, N: C0)
-        rec = choose_subsolution_params(2.4, 0.8, N=0.5, rhat=1.0, sigma=1.0)
-        assert rec.C0 == C0
-        assert 4 * C0 * rec.r0**2 <= 1.0 / (16 * (0.8 + 0.5))
+    # the admissible interval is nonempty even for absurd C0 (with N = 0,
+    # C0 = 2b runs over 1e-6 ... 1e30); where the 1/(8 sqrt(C0(b+N))) term
+    # of r0 binds, the cap is an equality, which holds to rounding
+    eps = np.finfo(float).eps
+    for b in (5e-7, 0.5, 5e11, 5e29):
+        rec = choose_subsolution_params(2.4, b, N=0.0, rhat=1.0, sigma=lambda r: 1.0)
+        assert rec.C0 == 2 * b
+        assert 4 * rec.C0 * rec.r0**2 <= (1.0 + 4 * eps) / (16 * b)
+        assert 4 * rec.C0 * rec.r0**2 < rec.A0 < 1.0 / (8 * b)
 
 
 def test_growth_params_base_case_feasible():
@@ -204,22 +215,37 @@ def test_growth_params_base_case_feasible():
         assert lhs0 <= -mu1 / 4.0
 
 
+def _growth_lhs(al, mu):
+    return (1.0 + al) * (1.0 + 0.5 * (2.0 + al) * (1.0 - mu)) - 2.0
+
+
+def _bisected_growth_exponent(mu):
+    # largest alpha with _growth_lhs(alpha, mu) <= -mu/4, to a bracket of
+    # 1e-8: the left side increases in alpha and is feasible at alpha = 0
+    lo, hi = 0.0, 1.0
+    if _growth_lhs(hi, mu) <= -mu / 4.0:
+        return hi
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if _growth_lhs(mid, mu) <= -mu / 4.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def test_growth_params_bisection_against_closed_form():
-    # mu1 = 1/2: (1+al)(1 + (2+al)/4) - 2 = -1/8 has root (sqrt(55)-7)/2
-    alpha1, r1_of = choose_growth_params(0.5)
-    exact = (np.sqrt(55.0) - 7.0) / 2.0
-    assert alpha1 == pytest.approx(exact, abs=1e-7)
-    lhs = lambda al: (1 + al) * (1 + 0.5 * (2 + al) * 0.5) - 2
-    assert lhs(alpha1) <= -0.125 + 1e-9
-    assert lhs(alpha1 * 1.01) > -0.125
-    assert r1_of(2.0, 0.5) == pytest.approx(min((0.5 / 8.0) ** (1 / (1 - alpha1)), 0.5))
-
-
-def test_growth_params_validation():
-    with pytest.raises(ValueError):
-        choose_growth_params(0.0)
-    with pytest.raises(ValueError):
-        choose_growth_params(0.9)
+    # mu = 1/2: (1+al)(1 + (2+al)/4) - 2 = -1/8 has root (sqrt(55)-7)/2
+    alpha = _growth_exponent(0.5)
+    assert alpha == pytest.approx((np.sqrt(55.0) - 7.0) / 2.0, rel=1e-15)
+    assert _growth_lhs(alpha * 1.01, 0.5) > -0.125
+    # the closed form is the bisection's root, feasible to rounding
+    eps = np.finfo(float).eps
+    mus = np.concatenate([np.geomspace(1e-12, 0.5, 1000), np.linspace(0.0, 0.5, 1001)[1:]])
+    for mu in mus.tolist():
+        alpha = _growth_exponent(mu)
+        assert abs(alpha - _bisected_growth_exponent(mu)) <= 1e-8
+        assert _growth_lhs(alpha, mu) <= -mu / 4.0 + 4 * eps * max(1.0, abs(mu))
 
 
 def test_w_sign_scan_positive(recipe, model_ab):
@@ -238,34 +264,34 @@ def test_v_defect_scan_negative(recipe, model_ab):
 
 def test_u_minus_defect_scan_positive(recipe, model_ab):
     a, b = model_ab
-    rep = scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), srlab.model_coefficients(a, b),
+    rep = scan_L2_defect_sign(recipe.u_minus_barrier(), srlab.model_coefficients(a, b),
                               recipe.r2, want="positive")
     assert rep["positive"], rep
 
 
 def test_field_comparison_w_below(model_field, recipe):
     rep = verify_comparison(model_field, recipe.w_barrier(), "below", recipe.r0)
-    assert rep.applicable and rep.boundary_ok
+    assert rep.boundary_ok
     assert rep.violations == 0
     assert rep.worst_margin >= -1e-13
 
 
 def test_deviation_comparisons(model_field, recipe, model_ab):
     a, _ = model_ab
-    wf = model_field.copy()
-    wf.values = model_field.xs[:, None] ** 2 / (2 * a) - model_field.values
+    wf = ScalarField2D(model_field.xs, model_field.ys, model_field.xs[:, None] ** 2 / (2 * a) - model_field.values)
     rep_v = verify_comparison(wf, recipe.v_barrier(), "above", recipe.r1)
-    assert rep_v.applicable and rep_v.violations == 0
-    rep_u = verify_comparison(wf, recipe.u_minus_barrier(beta=0.5), "below", recipe.r2)
-    assert rep_u.applicable and rep_u.violations == 0
+    assert rep_v.boundary_ok and rep_v.violations == 0
+    rep_u = verify_comparison(wf, recipe.u_minus_barrier(), "below", recipe.r2)
+    assert rep_u.boundary_ok and rep_u.violations == 0
 
 
 def test_comparison_inapplicable_when_boundary_fails(model_field, recipe):
     # scale w up until the outer boundary inequality breaks: report says so
-    big = subsolution_w(100.0, recipe.k)
+    big = BarrierFunction(100.0, 2.0, -recipe.k, 1.0)
     rep = verify_comparison(model_field, big, "below", recipe.r0)
-    assert not rep.applicable
+    assert not rep.boundary_ok
     assert not rep.ok()
+    assert "applicable" not in rep.to_dict()
 
 
 def test_comparison_direction_validation(model_field, recipe):
@@ -306,7 +332,7 @@ def _three_scans(recipe, coeffs):
     return (
         scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0),
         scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want="negative"),
-        scan_L2_defect_sign(recipe.u_minus_barrier(beta=0.5), coeffs, recipe.r2, want="positive"),
+        scan_L2_defect_sign(recipe.u_minus_barrier(), coeffs, recipe.r2, want="positive"),
     )
 
 
@@ -331,11 +357,11 @@ def test_half_scan_is_the_full_symmetric_scan(model_ab, weak60, monkeypatch, sig
     # the y <= 0 half holds every value of an even defect at its first
     # C-order occurrence, so each scan reports what the full grid gives
     a, b = model_ab
-    rec = choose_subsolution_params(a, b, N=0.0, rhat=0.5, sigma=sigma)
+    rec = choose_subsolution_params(a, b, N=0.0, rhat=0.5, sigma=lambda r: sigma)
     coeffs = _closure(closure, model_ab, weak60)
     monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
-    w, v, u = rec.w_barrier(), rec.v_barrier(), rec.u_minus_barrier(beta=0.5)
-    L1 = lambda x, y: apply_L1(w, coeffs, x, y)
+    w, v, u = rec.w_barrier(), rec.v_barrier(), rec.u_minus_barrier()
+    L1 = lambda x, y: apply_operator(coeffs, x, y, w.jet(x, y))
     Lv = lambda x, y: apply_L2(v, coeffs, x, y) - l2_rhs(v, coeffs, x, y)
     Lu = lambda x, y: apply_L2(u, coeffs, x, y) - l2_rhs(u, coeffs, x, y)
     cases = [
@@ -351,18 +377,16 @@ def test_half_scan_is_the_full_symmetric_scan(model_ab, weak60, monkeypatch, sig
 @pytest.mark.parametrize("n", [512, 7])
 def test_scan_evaluates_the_half_grid(recipe, model_ab, monkeypatch, n):
     # n * ceil(n/2) grid points, the 96 x 96 refinement and the mirrored guard
-    # row and column (the full grid took n * n)
+    # row and column (the full grid took n * n), one barrier jet for each
     counts = []
+    jet = BarrierFunction.jet
 
-    def counted(f):
-        def g(fn, coeffs, x, y):
-            counts.append(np.broadcast(x, y).size)
-            return f(fn, coeffs, x, y)
-        return g
+    def counted(fn, x, y):
+        counts.append(np.broadcast(x, y).size)
+        return jet(fn, x, y)
 
     monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
-    monkeypatch.setattr(srlab.barriers, "apply_L1", counted(srlab.barriers.apply_L1))
-    monkeypatch.setattr(srlab.barriers, "_l2_defect", counted(srlab.barriers._l2_defect))
+    monkeypatch.setattr(BarrierFunction, "jet", counted)
     _three_scans(recipe, srlab.model_coefficients(*model_ab))
     h = (n + 1) // 2
     assert sum(counts) == 3 * (n * h + 96 * 96 + h + n)
@@ -374,13 +398,13 @@ def test_recipe_barrier_defects_are_even_bit_for_bit(recipe, model_ab, weak60, c
     # exactly mirrored nodes each defect is even to the last bit
     coeffs = _closure(closure, model_ab, weak60)
     barriers = [(recipe.w_barrier(), recipe.r0), (recipe.v_barrier(), recipe.r1),
-                (recipe.u_minus_barrier(beta=0.5), recipe.r2)]
+                (recipe.u_minus_barrier(), recipe.r2)]
     for n in (512, 101):
         ys = _symmetric_nodes(n)[None, :]
         assert np.array_equal(ys, -ys[:, ::-1])
         for fn, r in barriers:
             xs = np.linspace(r / 64, r, 64)[:, None]
-            defects = [apply_L1(fn, coeffs, xs, ys)]
+            defects = [apply_operator(coeffs, xs, ys, fn.jet(xs, ys))]
             if coeffs.a > 0.0:
                 defects.append(apply_L2(fn, coeffs, xs, ys) - l2_rhs(fn, coeffs, xs, ys))
             for vals in defects:

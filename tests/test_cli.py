@@ -106,6 +106,8 @@ def test_verify_barriers(tmp_path):
     assert rc == 0
     rep = read_json(out / "verify_barriers.json")
     assert all(rep["checks"].values())
+    # boundary_ok is the one field that says the comparison principle applies
+    assert all(c["boundary_ok"] and "applicable" not in c for c in rep["comparisons"].values())
 
 
 def test_sweep(tmp_path):
@@ -518,16 +520,19 @@ def test_verify_rh_anchor_is_one_array_call(tmp_path, monkeypatch):
                                         ["--mode", "reflection", "--grid", "81,41"]])
 def test_verify_regularity_takes_one_derivative_pass(tmp_path, monkeypatch, solve_args):
     # the report's sonic limits, jump and parabolic norm, the two-family
-    # probe and the station trace all read one derivative pass
+    # probe and the station trace all read one derivative pass, which the
+    # diagnostics take as an argument and cannot make themselves
     import srlab.cli
     import srlab.diagnostics
 
     out = tmp_path / "m"
     assert run(["solve", *solve_args, "--out", str(out)]) == 0
     calls = []
-    counted = lambda f: (calls.append(1), srlab.solver.derivative_fields(f))[1]
+    real = srlab.solver.derivative_fields
+    counted = lambda f: (calls.append(1), real(f))[1]
     monkeypatch.setattr(srlab.cli, "derivative_fields", counted)
-    monkeypatch.setattr(srlab.diagnostics, "derivative_fields", counted)
+    monkeypatch.setattr(srlab.solver, "derivative_fields", counted)
+    assert not hasattr(srlab.diagnostics, "derivative_fields")
     assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 0
     assert len(calls) == 1
 

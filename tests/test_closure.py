@@ -37,7 +37,7 @@ def chart_jet(psi, x, y, h=1e-5):
 def test_chart_operator_matches_physical_operator(gamma, deg):
     gas = srlab.GasParameters(gamma, 1.0, 2.0)
     cfg = srlab.solve_state2(gas, np.radians(deg))["weak"]
-    coeffs = reflection_coefficients(cfg)
+    coeffs = reflection_coefficients(cfg, cfg.c2 / 2.0)
     psi = synthetic_psi()
 
     def psi_physical(xi, eta):

@@ -81,7 +81,7 @@ def test_richardson_triplet_roundoff_floor():
 def test_sonic_limit_exact_quadratic(model_ab):
     a, _ = model_ab
     f = synth_field(lambda x, y: x**2 / (2 * a) + 0.0 * y)
-    est = dg.sonic_limit_estimate(f, stations=[10, 24, 38])
+    est = dg.sonic_limit_estimate(f, derivative_fields(f), stations=[10, 24, 38])
     assert np.allclose(est["psi_xx"], 1.0 / a, atol=1e-10)
     assert np.allclose(est["psi_xy"], 0.0, atol=1e-10)
     assert np.allclose(est["psi_yy"], 0.0, atol=1e-10)
@@ -92,12 +92,12 @@ def test_sonic_limit_needs_graded_columns(model_ab):
     a, _ = model_ab
     f = synth_field(lambda x, y: x**2 / (2 * a) + 0.0 * y, n=33, q=1.0)
     with pytest.raises(InsufficientResolution):
-        dg.sonic_limit_estimate(f)
+        dg.sonic_limit_estimate(f, derivative_fields(f))
 
 
 def test_sonic_limit_on_perturbed_fixture(model_field, model_ab):
     a, _ = model_ab
-    est = dg.sonic_limit_estimate(model_field)
+    est = dg.sonic_limit_estimate(model_field, derivative_fields(model_field))
     pxx = np.asarray(est["psi_xx"])
     assert np.all(np.abs(pxx - 1.0 / a) <= 0.02 / a)
     assert np.max(np.abs(est["psi_xy"])) <= 0.02 / a
@@ -109,7 +109,7 @@ def test_sonic_limit_on_perturbed_fixture(model_field, model_ab):
 def test_parabolic_norm_quadratic_profile(model_ab):
     a, _ = model_ab
     f = synth_field(lambda x, y: x**2 / (2 * a) + 0.0 * y)
-    total, br = dg.parabolic_norm(f)
+    total, br = dg.parabolic_norm(f, derivative_fields(f))
     # terms: x^-2 psi = 1/(2a), x^-1 psi_x = 1/a, psi_xx = 1/a, rest 0
     assert br["psi"] == pytest.approx(1 / (2 * a), rel=1e-8)
     assert br["px"] == pytest.approx(1 / a, rel=1e-8)
@@ -121,14 +121,14 @@ def test_parabolic_norm_diverges_for_three_halves():
     vals = []
     for n in (49, 97, 193):
         f = synth_field(lambda x, y: x**1.5 + 0.0 * y, n=n)
-        total, br = dg.parabolic_norm(f)
+        total, br = dg.parabolic_norm(f, derivative_fields(f))
         vals.append(br["pxx"])
     assert vals[0] < vals[1] < vals[2]  # grows like x_min^{-1/2} under refinement
 
 
 def test_parabolic_norm_reflection_fixture_finite(reflection_field):
     # every interior column counts: the cut carries the surrogate's slope
-    total, br = dg.parabolic_norm(reflection_field)
+    total, br = dg.parabolic_norm(reflection_field, derivative_fields(reflection_field))
     assert np.isfinite(total)
     assert br["pxx"] < 10.0
 
@@ -141,8 +141,7 @@ def test_decay_bound_zero_field():
 
 def test_decay_bound_model_fixture_stable(model_field, model_ab):
     a, _ = model_ab
-    wf = model_field.copy()
-    wf.values = model_field.xs[:, None] ** 2 / (2 * a) - model_field.values
+    wf = ScalarField2D(model_field.xs, model_field.ys, model_field.xs[:, None] ** 2 / (2 * a) - model_field.values)
     out = decay_bound_check(wf, alpha=0.5)
     assert all(np.isfinite(v) for v in out.values())
 
@@ -162,12 +161,12 @@ def test_jump_estimate_smooth_extension_is_zero():
     # vanishing second derivative there reports a zero jump, up to the
     # nonuniform-stencil truncation of the cubic
     f = synth_field(lambda x, y: x**3 + 0.0 * y)
-    jump, _ = dg.jump_estimate(f)
+    jump, _ = dg.jump_estimate(f, derivative_fields(f))
     assert abs(jump) < 1e-4
 
 
 def test_jump_estimate_reflection(reflection_field):
-    jump, det = dg.jump_estimate(reflection_field)
+    jump, det = dg.jump_estimate(reflection_field, derivative_fields(reflection_field))
     target = 1.0 / 2.4
     assert abs(jump - target) <= 0.02 * target
     assert det["spread"] < 0.15 * target
@@ -175,11 +174,11 @@ def test_jump_estimate_reflection(reflection_field):
 
 def test_two_sequence_probe_requires_strip(model_field):
     with pytest.raises(ValueError):
-        dg.two_sequence_probe(model_field)
+        dg.two_sequence_probe(model_field, derivative_fields(model_field))
 
 
 def test_two_sequence_probe_reflection(reflection_field):
-    probe = dg.two_sequence_probe(reflection_field)
+    probe = dg.two_sequence_probe(reflection_field, derivative_fields(reflection_field))
     target = 1.0 / 2.4
     assert abs(probe["sonic_adjacent_limit"] - target) <= 0.12 * target
     # the shock-adjacent family rides the straight-shock surrogate: reported
@@ -207,7 +206,7 @@ def test_two_sequence_probe_smooth_field(weak60, model_ab):
     }
     vals = xs[:, None] ** 2 / (2 * a) * np.ones_like(ss)[None, :]
     f = ScalarField2D(xs, ss, vals, geo, {})
-    probe = dg.two_sequence_probe(f)
+    probe = dg.two_sequence_probe(f, derivative_fields(f))
     assert probe["sonic_adjacent_limit"] == pytest.approx(1 / a, rel=1e-6)
     assert probe["shock_adjacent_limit"] == pytest.approx(1 / a, rel=1e-4)
     assert abs(probe["gap"]) < 1e-4
@@ -218,7 +217,7 @@ def test_full_report_json_roundtrip(reflection_field, tmp_path):
     reflection_field.save(tmp_path / "grid.srl")
     main(["verify", "--what", "regularity", "--grid", str(tmp_path / "grid.srl"), "--out", str(tmp_path)])
     d = json.loads((tmp_path / "verify_regularity.json").read_text())["report"]
-    assert d == json.loads(json.dumps(dg.full_report(reflection_field).__dict__, default=float))
+    assert d == json.loads(json.dumps(dg.full_report(reflection_field, derivative_fields(reflection_field)).__dict__, default=float))
     assert d["grid"]["kind"] == "sonic_strip"
     assert "sonic_adjacent_limit" in d["two_sequence"]
     assert d["jump"] is not None
@@ -227,11 +226,11 @@ def test_full_report_json_roundtrip(reflection_field, tmp_path):
 def test_sonic_limits_equal_the_per_station_fits(reflection_field, model_field):
     # one least-squares solve over every station gives each station's own
     # scalar fit bit for bit, on the strip and on the rectangle
-    from srlab.solver import _ordinates, derivative_fields
+    from srlab.solver import _ordinates
 
     for f in (reflection_field, model_field):
         d = derivative_fields(f)
-        est = dg.sonic_limit_estimate(f, d=d)
+        est = dg.sonic_limit_estimate(f, d)
         xs = f.xs[1:-1]
         ratio = 2.0 * f.values[1:-1, :] / xs[:, None] ** 2
         for n, j in enumerate(est["stations_index"]):
@@ -247,7 +246,7 @@ def test_sonic_limits_equal_the_per_station_fits(reflection_field, model_field):
 def test_parabolic_norm_is_the_decay_ladder_at_alpha_zero(reflection_field, model_field):
     # both weight the same jet sups; the exponents agree in floating point at alpha = 0
     for f in (reflection_field, model_field):
-        _, breakdown = dg.parabolic_norm(f)
+        _, breakdown = dg.parabolic_norm(f, derivative_fields(f))
         ladder = decay_bound_check(f, 0.0)
         assert list(breakdown.values()) == list(ladder.values())
         assert list(ladder) == ["C00", "C10", "C01", "C20", "C11", "C02"]

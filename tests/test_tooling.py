@@ -230,6 +230,24 @@ def test_no_unused_top_level_imports():
     assert unused == []
 
 
+def test_all_lists_exactly_the_public_names():
+    # a module's __all__ is its public surface: every public top-level
+    # function and class, each once, and nothing else
+    wrong = []
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        listed = [ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in n.targets)]
+        if not listed:
+            continue
+        public = {n.name for n in tree.body
+                  if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
+        if sorted(listed[-1]) != sorted(public):
+            wrong.append(f"{path.name}: missing {sorted(public - set(listed[-1]))}, "
+                         f"extra {sorted(set(listed[-1]) - public)}, listed {len(listed[-1])}")
+    assert wrong == []
+
+
 def _bindings(tree, module):
     """The dotted path each name of a file stands for: its imports, and its own module-level functions and classes."""
     bound = {n.name: f"{module}.{n.name}" for n in tree.body
