@@ -240,7 +240,7 @@ def scan_L2_defect_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: f
 class ComparisonReport:
     boundary_ok: bool
     violations: int
-    worst_margin: float
+    worst_margin: float | None  # None when the window holds too few nodes to compare
     n_nodes: int
     window: tuple
     violation_nodes: tuple = ()  # first few offending (x, y, margin) triples
@@ -268,7 +268,7 @@ def verify_comparison(field: ScalarField2D, barrier: BarrierFunction, direction:
     isel = np.where(xs <= r * (1.0 + 1e-12))[0]
     jsel = np.where(np.abs(ys) <= 1.0 + 1e-12)[0]
     if isel.size < 3 or jsel.size < 3:
-        return ComparisonReport(False, 0, np.nan, 0, (r, 0.0, 1.0))
+        return ComparisonReport(False, 0, None, 0, (r, 0.0, 1.0))
     bvals = barrier.value(xs[isel][:, None], ys[jsel][None, :])
     fvals = field.values[np.ix_(isel, jsel)]
     margin = fvals - bvals if direction == "below" else bvals - fvals

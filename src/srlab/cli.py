@@ -262,21 +262,19 @@ def _verify_rh(cfg, eps, out, record, digest):
 
 def _verify_regularity(field, out, record, digest):
     d = derivative_fields(field)  # one derivative pass serves the report and the station trace
-    rep = diagnostics.full_report(field, d=d)
+    rep = diagnostics.full_report(field, d)
+    fit, ts = rep["power_fits"][0], rep["two_sequence"]
     cm = field.meta.get("coefficients", {})
     a = cm.get("a", _DEFAULT_A)
     checks = {}
     warnings_list = []
     if cm.get("label") == "linear":
-        p = rep.power_fits[0].get("p", np.nan)
-        checks["boundary_exponent_three_halves"] = bool(abs(p - 1.5) <= 0.05)
-    elif rep.power_fits and "p" in rep.power_fits[0]:
-        p = rep.power_fits[0]["p"]
-        checks["boundary_exponent_quadratic"] = bool(abs(p - 2.0) <= 0.05)
-    if rep.jump is not None and a > 0:
-        checks["sonic_second_derivative_limit"] = bool(abs(rep.jump - 1.0 / a) <= 0.02 / a)
-    if field.kind == "sonic_strip" and rep.two_sequence:
-        ts = rep.two_sequence
+        checks["boundary_exponent_three_halves"] = bool(abs(fit.get("p", np.nan) - 1.5) <= 0.05)
+    elif "p" in fit:
+        checks["boundary_exponent_quadratic"] = bool(abs(fit["p"] - 2.0) <= 0.05)
+    if rep["jump"] is not None and a > 0:
+        checks["sonic_second_derivative_limit"] = bool(abs(rep["jump"] - 1.0 / a) <= 0.02 / a)
+    if "sonic_adjacent_limit" in ts:
         ok = abs(ts["sonic_adjacent_limit"] - 1.0 / a) <= 0.05 / a
         warnings_list.append(
             f"two-family probe (informational, {ts['channel_label']}): sonic-adjacent "
@@ -285,12 +283,12 @@ def _verify_regularity(field, out, record, digest):
         )
     payload = {
         "runconfig": record, "runconfig_digest": digest,
-        "report": rep.__dict__,
+        "report": rep,
         "checks": checks,
         "warnings": warnings_list,
     }
     _write_json(out / "verify_regularity.json", payload)
-    diagnostics.write_station_trace_csv(field, out / "station_trace.csv", digest=digest, d=d)
+    diagnostics.write_station_trace_csv(field, out / "station_trace.csv", digest, d, fit)
     return checks
 
 

@@ -5,8 +5,6 @@ the degenerate edge, the parabolic-scaling norm, the sonic jump, and the
 two-family probe at the shock/sonic meeting point.
 """
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .errors import InsufficientResolution, NonpositiveSamples
@@ -20,7 +18,6 @@ __all__ = [
     "parabolic_norm",
     "jump_estimate",
     "two_sequence_probe",
-    "RegularityReport",
     "write_station_trace_csv",
     "full_report",
 ]
@@ -63,47 +60,39 @@ def limit_at_zero(xs, vals, k: int = _EDGE_SAMPLES, skip: int = _EDGE_SKIP):
 
     Uses the k smallest-x samples after dropping `skip` noisiest first
     columns.  vals is (n,) or (n, m); the m columns share one design matrix,
-    so one least-squares solve fits them all.  Returns (limit, slope, rms):
-    floats for 1-D vals, (m,) arrays otherwise.
+    so one least-squares solve fits them all.  Returns the limit: a scalar
+    for 1-D vals, an (m,) array otherwise.
     """
     xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
     if xs.size < skip + k:
         raise InsufficientResolution(f"need {skip + k} near-edge samples, have {xs.size}")
     sl = slice(skip, skip + k)
     A = np.stack([np.ones(k), xs[sl]], axis=1)
-    sol, *_ = np.linalg.lstsq(A, vals[sl], rcond=None)
-    rms = np.sqrt(np.mean((A @ sol - vals[sl]) ** 2, axis=0))
-    if vals.ndim == 1:
-        return float(sol[0]), float(sol[1]), float(rms)
-    return sol[0], sol[1], rms
+    sol, *_ = np.linalg.lstsq(A, np.asarray(vals, dtype=float)[sl], rcond=None)
+    return sol[0]
 
 
-def _resolution_check(field):
+def sonic_limit_estimate(field: ScalarField2D, d) -> dict:
+    """Edge limits of psi_xx, psi_xy, psi_yy per y-station, plus 2*psi/x^2.
+
+    Second differences are taken at decreasing x and extrapolated to x = 0,
+    every interior station in one fit per quantity; station j is entry j - 1
+    of each list.  The direct ratio 2*psi/x^2 is reported as an independent
+    consistency channel.  d is the field's derivative pass (derivative_fields).
+    """
     xs = field.xs
     if np.count_nonzero((xs > 0.0) & (xs < xs[-1] / 100.0)) < 4:
         raise InsufficientResolution(
             "need at least 4 graded columns below rhat/100 for edge extrapolation"
         )
-
-
-def sonic_limit_estimate(field: ScalarField2D, d, stations=None) -> dict:
-    """Edge limits of psi_xx, psi_xy, psi_yy per y-station, plus 2*psi/x^2.
-
-    Second differences are taken at decreasing x and extrapolated to x = 0,
-    every station in one fit per quantity; the direct ratio 2*psi/x^2 is
-    reported as an independent consistency channel.  d is the field's
-    derivative pass (derivative_fields).
-    """
-    _resolution_check(field)
-    stations = np.arange(1, field.ny - 1) if stations is None else np.asarray(stations, dtype=int)
-    xs = field.xs[1:-1]
-    ratio = 2.0 * field.values[1:-1, stations] / xs[:, None] ** 2
+    stations = np.arange(1, field.ny - 1)
+    xs = xs[1:-1]
+    ratio = 2.0 * field.values[1:-1, 1:-1] / xs[:, None] ** 2
     out = {"stations_index": stations.tolist(), "k": _EDGE_SAMPLES, "skip": _EDGE_SKIP,
-           "stations_y": _ordinates(field)[0, stations].tolist()}
-    for name, arr in (("psi_xx", d["pxx"][1:-1, stations]), ("psi_xy", d["pxy"][1:-1, stations]),
-                      ("psi_yy", d["pyy"][1:-1, stations]), ("ratio_2psi_x2", ratio)):
-        out[name] = limit_at_zero(xs, arr)[0].tolist()
+           "stations_y": _ordinates(field)[0, 1:-1].tolist()}
+    for name, arr in (("psi_xx", d["pxx"][1:-1, 1:-1]), ("psi_xy", d["pxy"][1:-1, 1:-1]),
+                      ("psi_yy", d["pyy"][1:-1, 1:-1]), ("ratio_2psi_x2", ratio)):
+        out[name] = limit_at_zero(xs, arr).tolist()
     return out
 
 
@@ -120,51 +109,36 @@ def parabolic_norm(field: ScalarField2D, d):
     return float(sum(breakdown.values())), breakdown
 
 
-def jump_estimate(field: ScalarField2D, d):
+def jump_estimate(field: ScalarField2D, limits: dict):
     """Jump of the radial second derivative across the degenerate edge.
 
     The outer side is the uniform state (radial second derivative exactly -1),
     so the jump equals the extrapolated edge limit of psi_xx, averaged over
-    the stations at 15-85% of ny.  d is the field's derivative pass.
-    Returns (jump, details).
+    the stations at 15-85% of ny.  limits is the field's edge-limit table
+    (sonic_limit_estimate).  Returns (jump, details).
     """
-    lo, hi = int(0.15 * field.ny), int(0.85 * field.ny)
-    est = sonic_limit_estimate(field, d, np.arange(max(1, lo), max(2, hi)))
-    vals = np.asarray(est["psi_xx"])
+    sl = slice(max(1, int(0.15 * field.ny)) - 1, max(2, int(0.85 * field.ny)) - 1)  # station j is entry j - 1
+    vals = np.asarray(limits["psi_xx"][sl])
     return float(np.mean(vals)), {
-        "per_station": est["psi_xx"],
+        "per_station": limits["psi_xx"][sl],
         "spread": float(np.max(vals) - np.min(vals)),
-        "stations_y": est["stations_y"],
-        "consistency_2psi_x2": est["ratio_2psi_x2"],
+        "stations_y": limits["stations_y"][sl],
+        "consistency_2psi_x2": limits["ratio_2psi_x2"][sl],
     }
 
 
-def _bilinear(field_vals, xs, ys, xq, yq):
-    i = np.clip(np.searchsorted(xs, xq) - 1, 0, xs.size - 2)
-    j = np.clip(np.searchsorted(ys, yq) - 1, 0, ys.size - 2)
-    tx = (xq - xs[i]) / (xs[i + 1] - xs[i])
-    ty = (yq - ys[j]) / (ys[j + 1] - ys[j])
-    return (
-        field_vals[i, j] * (1 - tx) * (1 - ty)
-        + field_vals[i + 1, j] * tx * (1 - ty)
-        + field_vals[i, j + 1] * (1 - tx) * ty
-        + field_vals[i + 1, j + 1] * tx * ty
-    )
-
-
-def two_sequence_probe(field: ScalarField2D, d) -> dict:
+def two_sequence_probe(field: ScalarField2D, d, limits: dict) -> dict:
     """Second-derivative limits along two families approaching the shock/sonic corner.
 
-    Family 1 stays near the degenerate edge at stations close to the corner
-    ordinate; family 2 follows the shock image at offset (omega/10)x, omega
-    the least slope of the shock image.  The
-    shock-adjacent channel rides the straight-shock surrogate and is labeled
-    accordingly; it is informational, not a gate.  d is the field's
-    derivative pass.
+    Family 1 stays near the degenerate edge at the stations at 70-93% of ny,
+    read from the field's edge-limit table `limits` (sonic_limit_estimate);
+    family 2 follows the shock image at offset (omega/10)x, omega the least
+    slope of the shock image.  The shock-adjacent channel rides the
+    straight-shock surrogate and is labeled accordingly; it is
+    informational, not a gate.  d is the field's derivative pass.
     """
     if field.kind != "sonic_strip":
         raise ValueError("two-sequence probe requires a shock-fitted strip field")
-    _resolution_check(field)
     fh = np.asarray(field.geometry["fhat"])
     g = np.asarray(field.geometry["g"])
     omega = float(np.min(g * fh))
@@ -172,26 +146,26 @@ def two_sequence_probe(field: ScalarField2D, d) -> dict:
         raise ValueError("measured shock-image slope is not positive")
 
     ny = field.ny
-    corners = np.arange(int(0.70 * ny), int(0.93 * ny))
-    est = sonic_limit_estimate(field, d, corners)
-    sonic_vals = np.asarray(est["psi_xx"])
+    sonic_vals = np.asarray(limits["psi_xx"][int(0.70 * ny) - 1:int(0.93 * ny) - 1])  # station j is entry j - 1
+    if sonic_vals.size == 0:
+        raise InsufficientResolution(f"no station at 70-93% of ny = {ny} for the two-family probe")
     sonic_limit = float(np.mean(sonic_vals))
 
-    # shock-adjacent family (x_m, fhat(x_m) - (omega/10) x_m)
-    xs = field.xs
+    # shock-adjacent family (x_m, fhat(x_m) - (omega/10) x_m), at x-nodes, so
+    # linear in s between the two rows around each sample
+    xs, ss = field.xs, field.ys
     sel = np.arange(2, xs.size - 1, max(1, xs.size // 24))
     xq = xs[sel]
     sq = 1.0 - (omega / 10.0) * xq / fh[sel]
-    pxx_q = _bilinear(d["pxx"], xs, field.ys, xq, sq)
+    j = np.clip(np.searchsorted(ss, sq) - 1, 0, ss.size - 2)
+    ts = (sq - ss[j]) / (ss[j + 1] - ss[j])
+    pxx_q = d["pxx"][sel, j] * (1 - ts) + d["pxx"][sel, j + 1] * ts
     order = np.argsort(xq)
     xq, pxx_q = xq[order], pxx_q[order]
-    kk = min(_EDGE_SAMPLES, xq.size - 1)
-    shock_limit, slope, rms = limit_at_zero(xq, pxx_q, k=kk, skip=0)
+    shock_limit = limit_at_zero(xq, pxx_q, k=min(_EDGE_SAMPLES, xq.size - 1), skip=0)
 
     # psi_x / x along the shock row
-    px_row = d["px"][1:-1, -1]
-    ratio = px_row / xs[1:-1]
-    ratio_limit, _, _ = limit_at_zero(xs[1:-1], ratio)
+    ratio_limit = limit_at_zero(xs[1:-1], d["px"][1:-1, -1] / xs[1:-1])
 
     return {
         "sonic_adjacent_limit": sonic_limit,
@@ -206,57 +180,47 @@ def two_sequence_probe(field: ScalarField2D, d) -> dict:
     }
 
 
-@dataclass
-class RegularityReport:
-    """Aggregate of the diagnostics run on one field; verify writes its fields as JSON."""
+def write_station_trace_csv(field: ScalarField2D, path, digest: str, d, fit: dict) -> None:
+    """Export (x, y, psi, psi_x, psi_xx, fitted) along the middle y-station.
 
-    grid: dict
-    power_fits: list = dc_field(default_factory=list)
-    sonic_limits: dict = dc_field(default_factory=dict)
-    parabolic_norm_value: float | None = None
-    parabolic_breakdown: dict = dc_field(default_factory=dict)
-    jump: float | None = None
-    jump_details: dict = dc_field(default_factory=dict)
-    two_sequence: dict = dc_field(default_factory=dict)
-
-
-def write_station_trace_csv(field: ScalarField2D, path, digest: str, d) -> None:
-    """Export (x, y, psi, psi_x, psi_xx, fitted) along the middle y-station; d is the field's derivative pass."""
+    d is the field's derivative pass and fit the report's power fit at that
+    station (full_report's power_fits[0]); a failed fit writes NaN.
+    """
     j = field.ny // 2
-    try:
-        p, c, _ = fit_power_law(field, field.ys[j])
-        fitted = c * field.xs**p
-    except (NonpositiveSamples, InsufficientResolution):
-        fitted = np.full_like(field.xs, np.nan)
+    fitted = fit["c"] * field.xs ** fit["p"] if "p" in fit else np.full_like(field.xs, np.nan)
     cols = (field.xs, _ordinates(field)[:, j], field.values[:, j], d["px"][:, j], d["pxx"][:, j], fitted)
     _write_csv(path, ("x", "y", "psi", "psi_x", "psi_xx", "fitted"), cols, digest)
 
 
-def full_report(field: ScalarField2D, d) -> RegularityReport:
-    """Every regularity diagnostic of a field, on one derivative pass.
+def full_report(field: ScalarField2D, d) -> dict:
+    """Every regularity diagnostic of a field, as the dict verify writes.
 
-    The power law is fitted at the middle y-station.  d is the field's
-    derivative pass; the edge limits, the jump and the two-family probe each
-    fit their own stations from it.
+    The power law is fitted once, at the middle y-station.  d is the field's
+    derivative pass; one edge-limit table over every interior station serves
+    the sonic limits, the jump and the two-family probe.  A diagnostic the
+    grid cannot resolve records {"error": ...} in place of its result.
     """
-    rep = RegularityReport(
-        grid={"nx": field.nx, "ny": field.ny, "kind": field.kind,
-              "xmax": float(field.xs[-1])}
-    )
+    rep = {
+        "grid": {"nx": field.nx, "ny": field.ny, "kind": field.kind, "xmax": float(field.xs[-1])},
+        "power_fits": [], "sonic_limits": {}, "parabolic_norm_value": None,
+        "parabolic_breakdown": {}, "jump": None, "jump_details": {}, "two_sequence": {},
+    }
     st = float(field.ys[field.ny // 2])
     try:
         p, c, rms = fit_power_law(field, st)
-        rep.power_fits.append({"station": st, "p": p, "c": c, "rms": rms})
+        rep["power_fits"].append({"station": st, "p": p, "c": c, "rms": rms})
     except (NonpositiveSamples, InsufficientResolution) as exc:
-        rep.power_fits.append({"station": st, "error": str(exc)})
+        rep["power_fits"].append({"station": st, "error": str(exc)})
     try:
-        rep.sonic_limits = sonic_limit_estimate(field, d)
-        rep.jump, rep.jump_details = jump_estimate(field, d=d)
+        limits = rep["sonic_limits"] = sonic_limit_estimate(field, d)
     except InsufficientResolution as exc:
-        rep.sonic_limits = {"error": str(exc)}
-    val, br = parabolic_norm(field, d)
-    rep.parabolic_norm_value = val
-    rep.parabolic_breakdown = br
-    if field.kind == "sonic_strip" and "error" not in rep.sonic_limits:  # same resolution check
-        rep.two_sequence = two_sequence_probe(field, d=d)
+        rep["sonic_limits"] = {"error": str(exc)}
+    else:
+        rep["jump"], rep["jump_details"] = jump_estimate(field, limits)
+        if field.kind == "sonic_strip":
+            try:
+                rep["two_sequence"] = two_sequence_probe(field, d, limits)
+            except InsufficientResolution as exc:
+                rep["two_sequence"] = {"error": str(exc)}
+    rep["parabolic_norm_value"], rep["parabolic_breakdown"] = parabolic_norm(field, d)
     return rep

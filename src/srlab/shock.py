@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import complex_step_partials
 from .errors import OutsideDomain, VacuumState
 from .grids import _write_csv
-from .reflection import ReflectionConfiguration
+from .reflection import ReflectionConfiguration, shock_chart_table
 from .states import bernoulli_density
 
 __all__ = [
@@ -232,8 +232,6 @@ def check_g_unique(gamma) -> bool:
 
 def synthetic_quadratic_trace(config: ReflectionConfiguration, eps: float, n: int = 64):
     """Boundary trace of the model profile x^2/(2(gamma+1)) along the shock image."""
-    from .reflection import shock_chart_table
-
     a = config.gas.gamma + 1.0
     x = np.linspace(eps / n, eps, n)
     y, _, _ = shock_chart_table(config, x)

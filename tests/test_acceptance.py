@@ -276,7 +276,7 @@ def test_criterion_6_sonic_jump(gamma, deg):
         cfg, eps=cfg.c2 / 20.0, grid_nx=121, grid_ny=49,
         opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=9000),
     )
-    jump, det = dg.jump_estimate(field, srlab.derivative_fields(field))
+    jump, det = dg.jump_estimate(field, dg.sonic_limit_estimate(field, srlab.derivative_fields(field)))
     target = 1.0 / (gamma + 1.0)
     rel = abs(jump - target) / target
     elapsed = time.perf_counter() - t0
@@ -305,8 +305,11 @@ def test_criterion_7_two_family_probe():
             cfg, eps=cfg.c2 / 20.0, grid_nx=121, grid_ny=49,
             opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=9000),
         )
-    probe_c = dg.two_sequence_probe(coarse, srlab.derivative_fields(coarse))
-    probe = dg.two_sequence_probe(field, srlab.derivative_fields(field))
+    def probe_of(f):
+        d = srlab.derivative_fields(f)
+        return dg.two_sequence_probe(f, d, dg.sonic_limit_estimate(f, d))
+
+    probe_c, probe = probe_of(coarse), probe_of(field)
     target = 1.0 / 2.4
     rel = abs(probe["sonic_adjacent_limit"] - target) / target
     lower = probe["shock_adjacent_limit"] < probe["sonic_adjacent_limit"]

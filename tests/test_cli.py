@@ -537,6 +537,53 @@ def test_verify_regularity_takes_one_derivative_pass(tmp_path, monkeypatch, solv
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "97,49"],
+                                        ["--mode", "reflection", "--grid", "81,41"]])
+def test_verify_regularity_fits_once(tmp_path, monkeypatch, solve_args):
+    # one edge-limit table serves the sonic limits, the jump and the two-family
+    # probe, and one power fit serves the report and the station trace
+    import srlab.diagnostics
+
+    out = tmp_path / "m"
+    assert run(["solve", *solve_args, "--out", str(out)]) == 0
+    calls = {"sonic_limit_estimate": 0, "fit_power_law": 0}
+    for name in calls:
+        real = getattr(srlab.diagnostics, name)
+        monkeypatch.setattr(srlab.diagnostics, name,
+                            lambda *a, _n=name, _f=real: (calls.__setitem__(_n, calls[_n] + 1), _f(*a))[1])
+    assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 0
+    assert calls == {"sonic_limit_estimate": 1, "fit_power_law": 1}
+
+
+def _strict_json(path):
+    def refuse(constant):
+        pytest.fail(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_verify_barriers_writes_null_for_an_empty_window(tmp_path):
+    # on a uniform 25x13 grid the windows x <= r1 and x <= r2 hold fewer than
+    # 3 nodes: their comparisons fail and have no worst margin
+    out = tmp_path / "m"
+    assert run(["solve", "--mode", "model", "--grid", "25,13", "--grade", "1.0", "--out", str(out)]) == 0
+    assert run(["verify", "--what", "barriers", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 4
+    rep = _strict_json(out / "verify_barriers.json")
+    for name in ("v", "u_minus"):
+        assert rep["comparisons"][name]["worst_margin"] is None
+    assert not rep["checks"]["deviation_below_v"] and not rep["checks"]["deviation_above_u_minus"]
+
+
+def test_verify_regularity_on_a_three_row_strip_refuses_the_two_family_probe(tmp_path):
+    # 3 rows leave no station at 70-93% of ny: the probe reports an error
+    # instead of averaging an empty set of stations
+    out = tmp_path / "s"
+    assert run(["solve", "--mode", "reflection", "--grid", "121,3", "--out", str(out)]) == 0
+    assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 0
+    rep = _strict_json(out / "verify_regularity.json")
+    assert "error" in rep["report"]["two_sequence"]
+    assert rep["warnings"] == []  # no two-family line
+
+
 def test_verify_regularity_on_an_unresolved_strip_reports_the_error(tmp_path):
     # too few graded columns for edge extrapolation: the report says so for
     # the sonic limits and skips the two-family probe instead of raising
