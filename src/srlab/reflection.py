@@ -6,6 +6,7 @@ provides the sonic coordinate chart (x, y) = (c2 - r, theta - theta_w) used by
 the near-boundary solver and diagnostics.
 """
 
+import functools
 import json
 import math
 import warnings
@@ -194,62 +195,114 @@ _TAIL = np.logspace(-14, -3, 45)
 # 5.3 ms in blocks of 4, 4.1 ms in blocks of 8 or 16, 4.3 ms in blocks of 32)
 _SCAN_LANES = 8
 
+# grid offsets of a bracket's triple (c, a, b) from a
+_BEFORE_AT_AFTER = np.array([[-1], [0], [1]])
+
+
+@functools.lru_cache(maxsize=2)  # the solve grid and the detachment probes' grid
+def _scan_fractions(n_scan):
+    """The u2 scan grid as fractions of its top point: n_scan linear points and _TAIL, sorted, read-only.
+
+    Sorted, not deduplicated: a repeated point holds no sign change, and a
+    repeated zero collapses with the other near-duplicate roots.  Scaling by
+    a positive top point keeps the order.
+    """
+    frac = np.sort(np.concatenate([np.linspace(1.0 / n_scan, 1.0, n_scan), _TAIL]))
+    frac.flags.writeable = False
+    return frac
+
 
 def _brackets(gas, xi0, u1, tanw, n_scan):
     """Sign-change brackets of the flux residual in u2, for each wedge slope in tanw.
 
     Each slope's u2 grid is n_scan points linear between 0 and u_hi, just
     below the vacuum bound, plus a geometric tail toward 0 that captures the
-    weak root for near-normal wedges.  Returns (u_hi, lane, a, b, fa):
-    bracket k lies on slope lane[k], and the brackets of one slope come in
-    ascending u2.  fa == 0 marks a grid point that is itself a root.  The
-    slopes are scanned _SCAN_LANES at a time; the scan is elementwise per
-    slope, so the blocks change no bracket.
+    weak root for near-normal wedges: one table of fractions per n_scan,
+    scaled by each slope's u_hi.  Returns (u_hi, lane, x, fx): bracket k lies
+    on slope lane[k], and the brackets of one slope come in ascending u2.
+    x[:, k] holds three consecutive grid points (c, a, b), the bracket [a, b]
+    and the point before it (a itself at the grid's first point), and fx the
+    residual there; fb is NaN past the vacuum bound, and fa == 0 marks a grid
+    point that is itself a root.  The slopes are scanned _SCAN_LANES at a
+    time; the scan is elementwise per slope, so the blocks change no bracket.
     """
     u_hi = _u_vacuum(gas, xi0, tanw) * (1.0 - 1e-12)
+    frac = _scan_fractions(n_scan)
     found = []
     for k in range(0, max(len(tanw), 1), _SCAN_LANES):  # no slope still makes one (empty) block
-        top = u_hi[k:k + _SCAN_LANES]
-        # sorted, not deduplicated: a repeated point holds no sign change, and
-        # a repeated zero collapses with the other near-duplicate roots
-        grid = np.sort(np.concatenate([np.linspace(top / n_scan, top, n_scan, axis=-1), top[:, None] * _TAIL],
-                                      axis=1), axis=1)
+        grid = u_hi[k:k + _SCAN_LANES, None] * frac
         # isothermal densities under- or overflow far along the scan at steep
         # wedges; those points lie past the vacuum bound and read NaN
         with np.errstate(over="ignore", under="ignore"):
             vals = _flux_residual(gas, xi0, u1, tanw[k:k + _SCAN_LANES, None], grid)
             va, vb = vals[:, :-1], vals[:, 1:]  # NaN (past the vacuum bound) compares false
             lane, i = np.nonzero(((va == 0.0) & ~np.isnan(vb)) | (va * vb < 0.0))
-        found.append((lane + k, grid[lane, i], grid[lane, i + 1], va[lane, i]))
-    lane, a, b, fa = (np.concatenate(part) for part in zip(*found))
-    return u_hi, lane, a, b, fa
+        cols = np.maximum(i + _BEFORE_AT_AFTER, 0)
+        found.append((lane + k, grid[lane, cols], vals[lane, cols]))
+    lane, x, fx = (np.concatenate(part, axis=-1) for part in zip(*found))
+    return u_hi, lane, x, fx
 
 
-def _bisect_then_newton(f, a, b, fa):
-    """Roots of f in the brackets [a, b] (fa*f(b) < 0, f(b) may be NaN), one per lane.
+_EPS = np.finfo(float).eps
 
-    f is elementwise and broadcasts against the lanes.  Every lane takes the
-    steps of a scalar bisection then Newton polish on its own bracket, in
-    lockstep: a lane freezes at its own exit, and each loop ends once every
-    lane has frozen.  Both exits are fixed points, which is where the fixed
-    90 bisection steps and 6 polish passes would end anyway: the midpoint of
-    adjacent floats is one of them, and a rejected or null Newton step would
-    be repeated exactly.
+
+def _refine(f, x, fx):
+    """Roots of f in the brackets [a, b] of the triples x = (c, a, b), c <= a < b, one per lane.
+
+    fx = f(x).  A point counts as the a side when its value has fa's sign, and
+    as the b side otherwise: the other sign, zero, or NaN past the vacuum
+    bound.  fa == 0 marks an a that is itself a root, and that lane returns a.
+    f is elementwise and broadcasts against the lanes.
+
+    Every lane takes the steps of a scalar refinement on its own bracket, in
+    lockstep, and freezes at its own exit, so a root is bit-equal whether its
+    bracket is refined alone or among others.  Chandrupatla's method (Adv.
+    Eng. Software 28 (1997) 145-149) shrinks the bracket to a few ulps: its
+    next point is the inverse quadratic interpolant of the two ends and the
+    point the newest end replaced (at first the scan point c), where that
+    triple is finite and the interpolant monotone, and the midpoint otherwise,
+    kept at least tol inside the bracket.  Midpoints then take the bracket to
+    adjacent floats, and a Newton polish with a relative finite-difference
+    slope ends where a step is null or leaves the bracket.  The ends keep
+    their sides, so the adjacent floats hold a sign change of the bracket's,
+    and where that is its only one the root is the one plain bisection and
+    the polish would give.  The polish moves a root by at most an ulp, and
+    stays: at steep isothermal wedges (gamma = 1, rho2 above 1e16) one ulp
+    of u2 decides whether the strong branch meets the sonic arc.
     """
-    live = np.ones(np.shape(a), dtype=bool)
+    # x1 is the newest bracket end, x2 the other one, x3 the point x1 replaced
+    x3, a, b = x
+    f3, fa, fb = fx
+    x1, f1, x2, f2 = a, fa, b, fb
+    root_at_a = fa == 0.0
+    live = ~root_at_a
     for _ in range(90):
         m = 0.5 * (a + b)
         live &= (m != a) & (m != b)
         if not live.any():
             break
-        fm = f(m)
-        right = np.isnan(fm) | (fa * fm <= 0.0)
-        b = np.where(live & right, m, b)
-        a = np.where(live & ~right, m, a)
-        fa = np.where(live & ~right, fm, fa)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            monotone = np.isfinite(f1) & np.isfinite(f2) & np.isfinite(f3) & (phi * phi < xi) & \
+                ((1.0 - phi) ** 2 < 1.0 - xi)
+            iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                   - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+            # tol is at least 1.5 ulps of either end, so a step of tol leaves
+            # x1; a bracket within 3 tol takes midpoints
+            tol = 1.5 * _EPS * np.maximum(np.abs(a), np.abs(b))
+            t = np.clip(np.where(monotone, iqi, 0.5), tol / (b - a), 1.0 - tol / (b - a))
+            xt = np.where(b - a > 3.0 * tol, x1 + t * (x2 - x1), m)
+        ft = f(xt)
+        bside = ~(fa * ft > 0.0)
+        # the end xt replaces becomes x3 (a frozen lane's x1, x2, x3 go unused)
+        x3, f3 = np.where(bside, b, a), np.where(bside, fb, fa)
+        x2, f2 = np.where(bside, a, b), np.where(bside, fa, fb)
+        x1, f1 = xt, ft
+        a, fa = np.where(live & ~bside, xt, a), np.where(live & ~bside, ft, fa)
+        b, fb = np.where(live & bside, xt, b), np.where(live & bside, ft, fb)
     root = 0.5 * (a + b)
-    # Newton polish with a relative finite-difference slope
-    live = np.ones(np.shape(a), dtype=bool)
+    live = ~root_at_a
     for _ in range(6):
         if not live.any():
             break
@@ -262,7 +315,7 @@ def _bisect_then_newton(f, a, b, fa):
         live &= np.isfinite(step) & (new != root)
         live &= ((a <= new) & (new <= b)) | (np.abs(new - root) < 0.25 * (b - a))
         root = np.where(live, new, root)
-    return root
+    return np.where(root_at_a, a, root)
 
 
 # linear scan points per wedge angle when solving for state (2)
@@ -275,10 +328,10 @@ def _solve_lanes(gas, theta_ws):
     tanw = np.tan(np.asarray(theta_ws))
     xi0, u1 = incident_shock(gas)
 
-    u_hi, lane, a, b, fa = _brackets(gas, xi0, u1, tanw, _N_SCAN)
+    u_hi, lane, x, fx = _brackets(gas, xi0, u1, tanw, _N_SCAN)
     f = lambda u2: _flux_residual(gas, xi0, u1, tanw[lane], u2)
     with np.errstate(over="ignore", under="ignore"):
-        roots = np.where(fa == 0.0, a, _bisect_then_newton(f, a, b, fa))
+        roots = _refine(f, x, fx)
 
     # collapse near-duplicates from the overlapping grids, per angle in ascending u2
     kept = [[] for _ in theta_ws]
@@ -347,8 +400,9 @@ def solve_state2_many(gas: GasParameters, theta_ws) -> list:
     angle whose weak branch is subsonic at P0.  Input errors (an angle
     outside (0, pi/2), an inadmissible incident shock) raise.  One scan
     evaluates every angle's u2 grid, _SCAN_LANES angles at a time, and one
-    lockstep refinement polishes every bracket; a root is bit-equal to the
-    one its bracket gives when refined alone.
+    lockstep refinement (Chandrupatla's method, bisection to adjacent floats,
+    a Newton polish; see _refine) takes every bracket to its root; a root is
+    bit-equal to the one its bracket gives when refined alone.
     """
     results = _solve_lanes(gas, theta_ws)
     for both in results:
@@ -362,8 +416,9 @@ def solve_state2(gas: GasParameters, theta_w: float) -> dict:
 
     Scans u2 between 0 and the vacuum bound (linear grid plus a geometric
     tail toward 0 that captures the weak root for near-normal wedges), then
-    refines each bracketed root by bisection and Newton, the brackets as
-    lanes of one array.  Branches are labeled weak/strong by ascending rho2.
+    refines each bracketed root by Chandrupatla's method, bisection to
+    adjacent floats and a Newton polish, the brackets as lanes of one array.
+    Branches are labeled weak/strong by ascending rho2.
     The one-angle case of solve_state2_many: raises what that returns, and
     warns NotSupersonicAtP0 when the weak branch is subsonic at P0.
     """

@@ -392,13 +392,14 @@ def test_sweep_rows_equal_the_config_path(tmp_path, gamma):
     assert np.isfinite(rows[:, 1]).sum() >= 28  # gamma = 3 detaches at 61.09 deg
 
 
-@pytest.mark.parametrize("gamma,count", [(1.0, 85), (1.4, 86), (2.0, 85), (3.0, 85)])
+@pytest.mark.parametrize("gamma,count", [(1.0, 42), (1.4, 43), (2.0, 42), (3.0, 41)])
 def test_sweep_makes_few_residual_evaluations(tmp_path, monkeypatch, gamma, count):
     # one scan and one lockstep refinement serve all 40 angles, and the
     # detachment bisection runs on scans alone (5,393 evaluations at gamma 1.4
-    # when each bracket and each detachment probe was refined on its own);
-    # the exact count pins the algorithm: the scan's 5 lane blocks of 8
-    # angles, 58 refinement steps (59 at gamma 1.4) and 22 one-angle
+    # when each bracket and each detachment probe was refined on its own, 86
+    # with a lockstep bisection); the exact count pins the algorithm: the
+    # scan's 5 lane blocks of 8 angles, 9 Chandrupatla-then-bisection steps
+    # (10 at gamma 1.4, 8 at gamma 3), 6 polish passes and 22 one-angle
     # detachment probes
     import srlab.reflection
 
@@ -516,12 +517,13 @@ def test_verify_rh_anchor_is_one_array_call(tmp_path, monkeypatch):
     assert direct == [(20,)]
 
 
-@pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "49,49", "--perturb", "0.2"],
+@pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "97,49"],
                                         ["--mode", "reflection", "--grid", "81,41"]])
 def test_verify_regularity_takes_one_derivative_pass(tmp_path, monkeypatch, solve_args):
     # the report's sonic limits, jump and parabolic norm, the two-family
     # probe and the station trace all read one derivative pass, which the
-    # diagnostics take as an argument and cannot make themselves
+    # diagnostics take as an argument and cannot make themselves; both grids
+    # resolve the edge table, so the report reaches its limits and jump
     import srlab.cli
     import srlab.diagnostics
 
@@ -535,6 +537,8 @@ def test_verify_regularity_takes_one_derivative_pass(tmp_path, monkeypatch, solv
     assert not hasattr(srlab.diagnostics, "derivative_fields")
     assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 0
     assert len(calls) == 1
+    rep = json.loads((out / "verify_regularity.json").read_text())["report"]
+    assert "error" not in rep["sonic_limits"] and rep["jump"] is not None
 
 
 @pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "97,49"],

@@ -330,12 +330,39 @@ def test_flux_residual_scan_matches_pointwise(gamma, theta_deg):
     assert np.allclose(scan[ok], pointwise[ok], rtol=1e-14, atol=1e-15 * np.max(np.abs(scan[ok])))
 
 
+def _bisect_and_polish(f, a, b, fa):
+    """One bracket's root as a fixed 90-step bisection and 6-pass Newton polish give it (scalar f)."""
+    for _ in range(90):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if np.isnan(fm) or fa * fm <= 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    root = 0.5 * (a + b)
+    for _ in range(6):
+        h = 1e-7 * max(abs(root), 1e-8)
+        fp, fmn = f(root + h), f(root - h)
+        if np.isnan(fp) or np.isnan(fmn) or fp == fmn:
+            break
+        val = f(root)
+        step = val / ((fp - fmn) / (2.0 * h))
+        if np.isnan(val) or not np.isfinite(step):
+            break
+        new = root - step
+        if a <= new <= b or abs(new - root) < 0.25 * (b - a):
+            root = new
+    return root
+
+
 def test_bisection_stops_at_its_fixed_point():
-    # a lane leaves the bisection once its bracket is two adjacent floats and
-    # the polish once a step is null or rejected; both are fixed points, so
-    # each root is the one a fixed 90-step bisection and 6-pass polish would
-    # give, for one lane alone and for two lanes in lockstep
-    from srlab.reflection import _bisect_then_newton, _flux_residual, _u_vacuum
+    # the refinement ends in a bisection to adjacent floats and a fixed-point
+    # polish, so where it reaches the float pair a plain bisection reaches,
+    # each root is the one a fixed 90-step bisection and 6-pass polish give:
+    # here for one lane alone and for two lanes in lockstep, in a third of
+    # the bisection's residual evaluations (the weak root's residual changes
+    # sign three times within 4 ulps, and both methods end at the same pair)
+    from srlab.reflection import _flux_residual, _refine, _u_vacuum
     from srlab.states import incident_shock
 
     gas = srlab.GasParameters(1.4, 1.0, 2.0)
@@ -347,69 +374,130 @@ def test_bisection_stops_at_its_fixed_point():
         calls.append(u2)
         return _flux_residual(gas, xi0, u1, tanw, u2)
 
-    def reference(ra, rb, rfa):
-        # one-lane arrays: a 0-d power may round differently from an array one
-        g = lambda u: _flux_residual(gas, xi0, u1, tanw, np.array([u]))[0]
-        for _ in range(90):
-            m = 0.5 * (ra + rb)
-            fm = g(m)
-            if np.isnan(fm) or rfa * fm <= 0.0:
-                rb = m
-            else:
-                ra, rfa = m, fm
-        ref = 0.5 * (ra + rb)
-        for _ in range(6):
-            h = 1e-7 * max(abs(ref), 1e-8)
-            fp, fmn = g(ref + h), g(ref - h)
-            if np.isnan(fp) or np.isnan(fmn) or fp == fmn:
-                break
-            val = g(ref)
-            step = val / ((fp - fmn) / (2.0 * h))
-            if np.isnan(val) or not np.isfinite(step):
-                break
-            new = ref - step
-            if ra <= new <= rb or abs(new - ref) < 0.25 * (rb - ra):
-                ref = new
-        return ref
-
-    grid = np.linspace(1e-3, _u_vacuum(gas, xi0, tanw) * (1.0 - 1e-12), 200)
+    # one-lane arrays: a 0-d power may round differently from an array one
+    g = lambda u: _flux_residual(gas, xi0, u1, tanw, np.array([u]))[0]
+    u_vac = _u_vacuum(gas, xi0, tanw)
+    grid = np.linspace(1e-3, u_vac * (1.0 - 1e-12), 200)
     vals = _flux_residual(gas, xi0, u1, tanw, grid)
     ks = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     assert len(ks) == 2  # the weak and the strong root
 
     for lanes in (ks[:1], ks):
         calls.clear()
-        roots = _bisect_then_newton(f, grid[lanes], grid[lanes + 1], vals[lanes])
-        assert list(roots) == [reference(grid[k], grid[k + 1], vals[k]) for k in lanes]  # bit-equal
+        cols = lanes + np.array([[-1], [0], [1]])
+        roots = _refine(f, grid[cols], vals[cols])
+        assert list(roots) == [_bisect_and_polish(g, grid[k], grid[k + 1], vals[k]) for k in lanes]  # bit-equal
         assert np.all(np.abs(_flux_residual(gas, xi0, u1, tanw, roots)) < 1e-12)
-        assert len(calls) < 90
+        assert len(calls) <= 15
+    # a b end past the vacuum bound (NaN) is the b side, and interpolation
+    # waits for a finite triple: the strong bracket stretched to there
+    k = ks[1]
+    beyond = u_vac * (1.0 + 1e-6)
+    assert np.isnan(g(beyond))
+    calls.clear()
+    (root,) = _refine(f, np.array([[grid[k - 1]], [grid[k]], [beyond]]), np.array([[vals[k - 1]], [vals[k]], [np.nan]]))
+    assert root == _bisect_and_polish(g, grid[k], beyond, vals[k]) == roots[1]
+    assert len(calls) <= 15
+
+    # fa == 0 marks a scan point that is itself a root: the lane returns a and
+    # evaluates nothing
+    calls.clear()
+    x = grid[ks[:1] + np.array([[-1], [0], [1]])]
+    fx = np.array([[vals[ks[0] - 1]], [0.0], [vals[ks[0] + 1]]])
+    assert list(_refine(f, x, fx)) == [grid[ks[0]]] and calls == []
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
 def test_lanes_do_not_interact(gamma):
     # every bracket of a 40-angle scan, refined alone, gives the root it
     # gives among all the others, bit for bit
-    from srlab.reflection import _bisect_then_newton, _brackets, _flux_residual
+    from srlab.reflection import _brackets, _flux_residual, _refine
     from srlab.states import incident_shock
 
     gas = srlab.GasParameters(gamma, 1.0, 2.0)
     xi0, u1 = incident_shock(gas)
     tanw = np.tan(np.radians(np.arange(50.0, 90.0)))
-    _, lane, a, b, fa = _brackets(gas, xi0, u1, tanw, 1000)
+    _, lane, x, fx = _brackets(gas, xi0, u1, tanw, 1000)
     assert len(np.unique(lane)) >= 28  # gamma = 3 detaches at 61.09 deg
     with np.errstate(over="ignore", under="ignore"):
-        together = _bisect_then_newton(lambda u: _flux_residual(gas, xi0, u1, tanw[lane], u), a, b, fa)
+        together = _refine(lambda u: _flux_residual(gas, xi0, u1, tanw[lane], u), x, fx)
         for k, t in enumerate(tanw[lane]):
             one = slice(k, k + 1)
-            alone = _bisect_then_newton(lambda u: _flux_residual(gas, xi0, u1, t, u), a[one], b[one], fa[one])
+            alone = _refine(lambda u: _flux_residual(gas, xi0, u1, t, u), x[:, one], fx[:, one])
             assert alone[0] == together[k]
+
+
+def _bisect_and_polish_lanes(f, x, fx):
+    # the refinement before Chandrupatla's steps, in lockstep: bisection to
+    # adjacent floats, then the same fixed-point Newton polish
+    _, a, b = x
+    _, fa, _ = fx
+    live = fa != 0.0
+    for _ in range(90):
+        m = 0.5 * (a + b)
+        live &= (m != a) & (m != b)
+        if not live.any():
+            break
+        fm = f(m)
+        right = np.isnan(fm) | (fa * fm <= 0.0)
+        b = np.where(live & right, m, b)
+        a = np.where(live & ~right, m, a)
+        fa = np.where(live & ~right, fm, fa)
+    root = 0.5 * (a + b)
+    live = fx[1] != 0.0
+    for _ in range(6):
+        if not live.any():
+            break
+        h = 1e-7 * np.maximum(np.abs(root), 1e-8)
+        fp, fmn, val = f(np.stack([root + h, root - h, root]))
+        deriv = (fp - fmn) / (2.0 * h)
+        live &= ~np.isnan(fp) & ~np.isnan(fmn) & (deriv != 0.0) & ~np.isnan(val)
+        step = np.divide(val, deriv, out=np.full_like(root, np.nan), where=live)
+        new = root - step
+        live &= np.isfinite(step) & (new != root)
+        live &= ((a <= new) & (new <= b)) | (np.abs(new - root) < 0.25 * (b - a))
+        root = np.where(live, new, root)
+    return np.where(fx[1] == 0.0, x[1], root)
+
+
+def _outcomes(gas, thetas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSupersonicAtP0)
+        solved = srlab.solve_state2_many(gas, thetas)
+    return [type(both).__name__ if isinstance(both, Exception) else both for both in solved]
+
+
+@pytest.mark.parametrize("gamma,rho1", [(1.0, 1.1), (1.0, 2.0), (1.4, 1.1), (3.0, 10.0)])
+def test_refinement_agrees_with_bisection_on_a_wide_grid(monkeypatch, gamma, rho1):
+    # 140 angles over 20..89.5 deg: every angle keeps the outcome the
+    # bisection gives (its branches or its refusal), every root lies within
+    # 92 ulps of the bisection's (the largest shift over 7 gammas x 6 rho1,
+    # at rho1 = 1.1, where weak incident shocks make the residual change sign
+    # several times within a few ulps) and satisfies the jump condition; for
+    # gamma = 1 at 81..87.5 deg (rho1 = 2) and 83..88 deg (rho1 = 1.1) one ulp
+    # of the strong root's u2 decides whether the angle is refused, and
+    # without the polish rho1 = 1.1 loses 85, 85.5, 86 and 88 deg
+    import srlab.reflection
+
+    gas = srlab.GasParameters(gamma, 1.0, rho1)
+    thetas = np.radians(np.linspace(20.0, 89.5, 140))
+    got = _outcomes(gas, thetas)
+    monkeypatch.setattr(srlab.reflection, "_refine", _bisect_and_polish_lanes)
+    want = _outcomes(gas, thetas)
+    assert [sorted(o) if isinstance(o, dict) else o for o in got] == \
+        [sorted(o) if isinstance(o, dict) else o for o in want]
+    pairs = [(o[br], w[br]) for o, w in zip(got, want) if isinstance(o, dict) for br in o]
+    assert len(pairs) >= 80  # at least 40 angles with both branches
+    ulps = [abs(int(np.float64(c.u2).view(np.int64)) - int(np.float64(r.u2).view(np.int64))) for c, r in pairs]
+    assert max(ulps) <= 92
+    assert max(c.residuals()["rh"] for c, _ in pairs) <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
 def test_lane_blocks_do_not_change_the_scan(gamma):
     # the scan runs _SCAN_LANES angles at a time and is elementwise per angle,
     # so 79 angles (a partial last block) equal 79 one-angle scans bit for
-    # bit in all five outputs; at gamma 3 the blocks below 61.09 deg hold no
+    # bit in all four outputs; at gamma 3 the blocks below 61.09 deg hold no
     # bracket
     from srlab.reflection import _SCAN_LANES, _brackets
     from srlab.states import incident_shock
@@ -420,7 +508,7 @@ def test_lane_blocks_do_not_change_the_scan(gamma):
     assert len(tanw) == 79 and len(tanw) % _SCAN_LANES
     blocked = _brackets(gas, xi0, u1, tanw, 1000)
     alone = [_brackets(gas, xi0, u1, tanw[k:k + 1], 1000) for k in range(len(tanw))]
-    joined = [np.concatenate(part) for part in zip(*alone)]
+    joined = [np.concatenate(part, axis=-1) for part in zip(*alone)]
     joined[1] = np.concatenate([o[1] + k for k, o in enumerate(alone)])  # each one-angle scan is lane 0
     for got, want in zip(blocked, joined):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -455,7 +543,7 @@ def test_scan_working_set_is_bounded():
     tanw = np.tan(np.radians(np.linspace(50.0, 89.0, 2000)))
     tracemalloc.start()
     try:
-        _, lane, _, _, _ = _brackets(gas, xi0, u1, tanw, 1000)
+        _, lane, _, _ = _brackets(gas, xi0, u1, tanw, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -120,6 +120,22 @@ def test_import_takes_no_polynomial_or_scipy_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_algebra_commands_take_no_scipy_modules(tmp_path):
+    # config, sweep and verify --what rh solve the reflected-state algebra
+    # with numpy alone; a scipy import on their path would cost every such
+    # process its set-up
+    probe = ("import sys; from srlab.cli import main; "
+             "codes = [main(['config', '--theta-w', '60', '--out', 'c']), "
+             "main(['sweep', '--theta-min', '50', '--theta-max', '52', '--out', 's']), "
+             "main(['verify', '--what', 'rh', '--config', 'c/config_weak.json', '--out', 'v'])]; "
+             "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
+
+
 def test_only_cli_main_maps_failures_to_exit_codes():
     # cli.main maps library errors and ValueError to exit codes; elsewhere in
     # the command line a clause that catches one may only re-raise it (the
