@@ -428,8 +428,8 @@ def test_lanes_do_not_interact(gamma):
 
 
 def _bisect_and_polish_lanes(f, x, fx):
-    # the refinement before Chandrupatla's steps, in lockstep: bisection to
-    # adjacent floats, then the same fixed-point Newton polish
+    # the reference refinement, in lockstep: bisection to adjacent floats,
+    # then the same fixed-point Newton polish
     _, a, b = x
     _, fa, _ = fx
     live = fa != 0.0
@@ -474,9 +474,10 @@ def test_refinement_agrees_with_bisection_on_a_wide_grid(monkeypatch, gamma, rho
     # 92 ulps of the bisection's (the largest shift over 7 gammas x 6 rho1,
     # at rho1 = 1.1, where weak incident shocks make the residual change sign
     # several times within a few ulps) and satisfies the jump condition; for
-    # gamma = 1 at 81..87.5 deg (rho1 = 2) and 83..88 deg (rho1 = 1.1) one ulp
-    # of the strong root's u2 decides whether the angle is refused, and
-    # without the polish rho1 = 1.1 loses 85, 85.5, 86 and 88 deg
+    # gamma = 1 at 81..87.5 deg (rho1 = 2) and at most angles of 83..88 deg
+    # (rho1 = 1.1) one ulp of the strong root's u2 decides whether the angle
+    # is refused, and without the polish rho1 = 1.1 loses 85, 85.5, 86 and
+    # 88 deg
     import srlab.reflection
 
     gas = srlab.GasParameters(gamma, 1.0, rho1)
