@@ -36,19 +36,21 @@ class OutsideDomain(SrlabError):
 class NoConvergence(SrlabError):
     """Iteration budget exhausted before the residual target."""
 
-    def __init__(self, iterations, residual):
+    def __init__(self, iterations, residual, shape):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3e})")
+        super().__init__(f"no convergence on the {shape[0]}x{shape[1]} grid after {iterations} iterations "
+                         f"(residual {residual:.3e})")
 
 
 class EllipticityLoss(SrlabError):
     """Ellipticity floor active on too many nodes at convergence."""
 
-    def __init__(self, fraction, field=None):
+    def __init__(self, fraction, field):
         self.fraction = fraction
         self.field = field
-        super().__init__(f"ellipticity clamp active on {100 * fraction:.1f}% of nodes")
+        super().__init__(f"ellipticity clamp active on {100 * fraction:.1f}% of nodes of the "
+                         f"{field.nx}x{field.ny} grid")
 
 
 class ShockConditionDiverged(SrlabError):

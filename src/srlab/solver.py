@@ -25,7 +25,7 @@ jump condition in the same sparse system.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -431,12 +431,40 @@ def solve(
     iteration), carried over by local Lagrange interpolation along x and then
     y (_prolong: cubic, linear below 4 nodes); exact on polynomials up to
     cubic in each variable, it keeps an exact coarse solution exact, and it
-    solves no system.  Otherwise the start is the outer data times a power
-    profile.  Raises ValueError on boundary data that is not finite,
-    NoConvergence past the iteration budget and
+    solves no system.  Without init_field the solve nests itself: while both
+    axes have at least 17 nodes it coarsens, n -> (n + 1)//2 per axis and
+    grade_q -> grade_q**2 (so odd sizes nest exactly), the outer data times
+    a power profile starts the coarsest level, and each finer level starts
+    from the prolonged solution of the one below.  max_iterations is a
+    budget per level; meta["levels"] gives each level's shape, iterations,
+    factorisations and residual history, coarse to fine, and
+    meta["iterations"] is the finest level's.  Raises ValueError on boundary
+    data that is not finite, NoConvergence past a level's budget and
     EllipticityLoss if the cutoff/floor is active on more than
-    _CLAMP_FAIL_FRACTION of the interior nodes of the converged iterate.
+    _CLAMP_FAIL_FRACTION of the interior nodes of a level's converged
+    iterate; either names that level's grid.
     """
+    field, record = init_field, []
+    for level in ([grid] if init_field is not None else _levels(grid)):
+        field = _solve_level(coeffs, bc, level, opts, init_power, field)
+        m = field.meta
+        record.append({"shape": [level.nx, level.ny], "iterations": m["iterations"],
+                       "factorizations": len(m["lu_nnz"]), "residual_history": m["residual_history"]})
+    field.meta["levels"] = record
+    return field
+
+
+def _levels(grid):
+    """grid and its coarsenings, coarse to fine: halved while both axes keep at least 9 nodes."""
+    levels = [grid]
+    while min(levels[0].nx, levels[0].ny) >= 17:
+        g = levels[0]
+        levels.insert(0, replace(g, nx=(g.nx + 1) // 2, ny=(g.ny + 1) // 2, grade_q=g.grade_q**2))
+    return levels
+
+
+def _solve_level(coeffs, bc, grid, opts, init_power, init_field):
+    """One level of solve: its start, from init_field or the power profile, then _newton."""
     xs, ys = grid.axes()
     outer = np.asarray(bc.outer(ys), dtype=float) * np.ones_like(ys)
     if init_field is not None:
@@ -502,12 +530,12 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         if shock_row is not None:
             shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
-        _log.debug("iteration %d: residual %.3e, shock %.3e, krylov %d, rtol %.3e, step max|du| %.3e",
-                   it, res, shock_res, inner, rtol, du)
+        _log.debug("%dx%d grid, iteration %d: residual %.3e, shock %.3e, krylov %d, rtol %.3e, step max|du| %.3e",
+                   field.nx, field.ny, it, res, shock_res, inner, rtol, du)
         if history[-1] <= opts.tolerance:
             break
         if it == opts.max_iterations:
-            raise NoConvergence(opts.max_iterations, history[-1])
+            raise NoConvergence(opts.max_iterations, history[-1], field.values.shape)
         if blocks is None:
             blocks = _stencil_blocks(field, neumann, shock is not None)
         partials = coefficient_partials(coeffs, x, y, *jet[:3])

@@ -5,7 +5,7 @@ import srlab
 from srlab.coefficients import coefficient_partials, o_bound_audit, operator_coefficients, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
-from srlab.solver import _JET, _derivative_pass, _ordinates, _prolong, derivative_fields
+from srlab.solver import _JET, _derivative_pass, _levels, _ordinates, _prolong, derivative_fields
 
 from conftest import residual
 
@@ -141,11 +141,14 @@ def test_monotone_residual(model_ab):
     grid = srlab.GridSpec(rhat=rhat, nx=49, ny=49, y_lo=-1, y_hi=1, grade_q=0.95)
     f = srlab.solve(srlab.model_coefficients(a, b), srlab.BoundaryConditions(outer=outer), grid,
                     srlab.SolverOptions(tolerance=1e-9, max_iterations=6000))
-    # nonincreasing after the startup transient of the artificial profile
-    hist = np.asarray(f.meta["residual_history"])[2:]
-    # the checked stretch spans at least seven decades of residual
-    assert hist[0] >= 1e7 * hist[-1]
-    assert np.all(np.diff(hist) <= 1e-13)
+    # nonincreasing on every level, the 13x13 one that starts from the
+    # artificial profile included, with no startup transient to skip; each
+    # level's history spans at least seven decades of residual
+    assert [lv["shape"] for lv in f.meta["levels"]] == [[13, 13], [25, 25], [49, 49]]
+    for level in f.meta["levels"]:
+        hist = np.asarray(level["residual_history"])
+        assert hist[0] >= 1e7 * hist[-1]
+        assert np.all(np.diff(hist) <= 1e-13)
 
 
 def test_no_convergence_raises(model_ab):
@@ -157,12 +160,15 @@ def test_no_convergence_raises(model_ab):
                     srlab.SolverOptions(tolerance=1e-12, max_iterations=3))
     assert exc.value.iterations == 3
     assert exc.value.residual > 0.0
+    # the budget is per level, so the coarsest level, 13x13, exhausts it first
+    assert "on the 13x13 grid" in str(exc.value)
 
 
 def test_ellipticity_loss_reads_the_converged_iterate(model_ab):
     # u = 2x^2/a has the slope (x/a - psi_x)/x = -3/a, below the cutoff's
     # window -(1 - 0.5)/a on every node; a start that converges at once
-    # must report that, not the fraction of an earlier iterate
+    # must report that, not the fraction of an earlier iterate.  The 33x17
+    # grid nests a 17x9 level, which converges at once and raises
     a, b = model_ab
     rhat = 0.5
     grid = srlab.GridSpec(rhat=rhat, nx=33, ny=17, grade_q=1.0)
@@ -172,6 +178,7 @@ def test_ellipticity_loss_reads_the_converged_iterate(model_ab):
                     srlab.SolverOptions(tolerance=1e3, max_iterations=0), init_power=2.0)
     assert exc.value.fraction == 1.0
     assert exc.value.field.meta["clamp_fraction"] == 1.0
+    assert exc.value.field.values.shape == (17, 9) and "of the 17x9 grid" in str(exc.value)
 
 
 def test_nested_start_exact_on_quadratic(model_ab):
@@ -188,6 +195,37 @@ def test_nested_start_exact_on_quadratic(model_ab):
         f = srlab.solve(srlab.model_coefficients(a, b), bc, grid, opts, init_field=coarse)
         assert f.meta["iterations"] == 1
         assert f.meta["final_residual"] <= 1e-9
+
+
+def test_power_start_steps_do_not_depend_on_the_mesh(model_ab):
+    # the power profile starts only the coarsest level and each finer one
+    # starts from the prolonged solution below it, so on the criterion-1 data
+    # the fine level converges at once on every rung; from the power start on
+    # the fine grid itself, 129^2 ran out of 50 steps at residual 4.5e10
+    a, b = model_ab
+    rhat = 0.5
+    exact = lambda x: x * x / (2 * a)
+    bc = srlab.BoundaryConditions(outer=lambda y: exact(rhat) * np.ones_like(y), y_lo=exact, y_hi=exact)
+    opts = srlab.SolverOptions(tolerance=1e-9, max_iterations=50)
+    for n in (65, 129, 257):
+        f = srlab.solve(srlab.model_coefficients(a, b), bc, srlab.GridSpec(rhat=rhat, nx=n, ny=n), opts,
+                        init_power=1.5)
+        assert f.meta["iterations"] <= 2
+        assert f.meta["levels"][-1]["iterations"] == f.meta["iterations"]
+        assert np.max(np.abs(f.values - exact(f.xs)[:, None])) <= 10 * (rhat / (n - 1)) ** 2
+
+
+@pytest.mark.parametrize("q", [1.0, 0.95])
+def test_levels_nest_exactly(q):
+    # odd sizes halve to (n + 1)//2 nodes at the squared grade, so each
+    # coarse node is every other fine node, to a few ulps of the axis extent
+    for n in (17, 33, 65, 97, 257):
+        levels = _levels(srlab.GridSpec(rhat=0.5, nx=n, ny=n, grade_q=q))
+        assert levels[-1].nx == n and min(levels[0].nx, levels[0].ny) >= 9 > (levels[0].nx + 1) // 2
+        for coarse, fine in zip(levels, levels[1:]):
+            for xc, xf in zip(coarse.axes(), fine.axes()):
+                assert np.max(np.abs(xc - xf[::2])) <= 4 * np.spacing(np.max(np.abs(xf)))
+    assert _levels(srlab.GridSpec(rhat=0.5, nx=97, ny=16)) == [srlab.GridSpec(rhat=0.5, nx=97, ny=16)]
 
 
 def test_prolong_exact_on_cubics_along_each_axis():
@@ -336,7 +374,8 @@ def test_forcing_term_saves_krylov_iterations(weak60, model_ab, monkeypatch):
     # each GMRES cycle stops at the target the last Newton contraction asks
     # for: the same steps on one LU, at most 7 iterations per cycle (a fixed
     # 1e-8 target takes 8-10), and the field of the solve held to 1e-8.
-    # Cases: the gamma=1.4 criterion-6 strip and the CLI's 97x49 model solve
+    # Cases: the gamma=1.4 criterion-6 strip (5 iterations) and the CLI's
+    # 97x49 model solve (3 on its fine level, each of its levels on one LU)
     from srlab import solver
 
     a, b = model_ab
@@ -344,11 +383,13 @@ def test_forcing_term_saves_krylov_iterations(weak60, model_ab, monkeypatch):
     model = (srlab.model_coefficients(a, b), srlab.BoundaryConditions(outer=outer),
              srlab.GridSpec(rhat=0.5, nx=97, ny=49, grade_q=0.95))
     opts = srlab.SolverOptions(tolerance=1e-9, max_iterations=40)
-    runs = (lambda: srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=121, grid_ny=49, opts=opts),
-            lambda: srlab.solve(*model, opts))
-    for run in runs:
+    runs = ((5, lambda: srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=121, grid_ny=49,
+                                                          opts=opts)),
+            (3, lambda: srlab.solve(*model, opts)))
+    for iterations, run in runs:
         f = run()
-        assert f.meta["iterations"] == 5 and len(f.meta["lu_nnz"]) == 1
+        assert f.meta["iterations"] == iterations and len(f.meta["lu_nnz"]) == 1
+        assert all(level["factorizations"] == 1 for level in f.meta.get("levels", []))
         assert f.meta["krylov_iterations"][0] == 0 and 0 < max(f.meta["krylov_iterations"]) <= 7
         with monkeypatch.context() as m:
             m.setattr(solver, "_KRYLOV_CAP", 1e-8)
@@ -357,7 +398,8 @@ def test_forcing_term_saves_krylov_iterations(weak60, model_ab, monkeypatch):
 
 
 def test_debug_log_gives_each_step_norm(model_ab, caplog):
-    # one DEBUG line per iteration, with the norm of the step that led to it
+    # one DEBUG line per iteration on each level, naming the level's grid,
+    # with the norm of the step that led to it
     import logging
 
     from srlab.solver import _FORCING, _KRYLOV_CAP, _KRYLOV_TOL
@@ -368,22 +410,31 @@ def test_debug_log_gives_each_step_norm(model_ab, caplog):
         f = srlab.solve(srlab.model_coefficients(a, b), srlab.BoundaryConditions(outer=outer),
                         srlab.GridSpec(rhat=0.5, nx=33, ny=33, grade_q=0.95), srlab.SolverOptions(tolerance=1e-9))
     lines = [r.getMessage() for r in caplog.records if "step max|du|" in r.getMessage()]
-    steps = [float(m.rsplit(" ", 1)[1]) for m in lines]
-    assert len(steps) == f.meta["iterations"]
-    # and the GMRES iterations of that step, as in the sidecar
-    krylov = [int(m.split("krylov ", 1)[1].split(",", 1)[0]) for m in lines]
-    assert krylov == [0] + f.meta["krylov_iterations"]
-    # and its GMRES target, 0 on a fresh LU, else the forcing term of the
-    # residuals logged before it (to their printed digits)
-    rtol = [float(m.split("rtol ", 1)[1].split(",", 1)[0]) for m in lines]
-    r = [max(float(m.split("residual ", 1)[1].split(",", 1)[0]), float(m.split("shock ", 1)[1].split(",", 1)[0]))
-         for m in lines]
-    assert rtol[:2] == [0.0, 0.0] and len(rtol) > 2
-    for k in range(2, len(lines)):
-        expected = min(_KRYLOV_CAP, max(_KRYLOV_TOL, _FORCING * r[k - 1] / r[k - 2])) if krylov[k] else 0.0
-        assert rtol[k] == pytest.approx(expected, rel=2e-3)
-    assert steps[0] == 0.0 and steps[1] > 0.0
-    assert steps[-1] < 1e-3 * steps[1]
+    levels = f.meta["levels"]
+    assert [lv["shape"] for lv in levels] == [[9, 9], [17, 17], [33, 33]]
+    order = ["{}x{}".format(*lv["shape"]) for lv in levels for _ in range(lv["iterations"])]
+    assert [m.split(" grid,", 1)[0] for m in lines] == order
+    for level in levels:
+        grid = "{}x{} grid,".format(*level["shape"])
+        own = [m for m in lines if m.startswith(grid)]
+        steps = [float(m.rsplit(" ", 1)[1]) for m in own]
+        assert len(steps) == level["iterations"] >= 3
+        # and the GMRES iterations of that step, as in the sidecar on the fine level
+        krylov = [int(m.split("krylov ", 1)[1].split(",", 1)[0]) for m in own]
+        if level is levels[-1]:
+            assert krylov == [0] + f.meta["krylov_iterations"]
+        # and its GMRES target, 0 on a fresh LU, else the forcing term of the
+        # level's residuals logged before it (to their printed digits)
+        rtol = [float(m.split("rtol ", 1)[1].split(",", 1)[0]) for m in own]
+        r = [max(float(m.split("residual ", 1)[1].split(",", 1)[0]), float(m.split("shock ", 1)[1].split(",", 1)[0]))
+             for m in own]
+        assert rtol[:2] == [0.0, 0.0] and len(rtol) > 2
+        for k in range(2, len(own)):
+            expected = min(_KRYLOV_CAP, max(_KRYLOV_TOL, _FORCING * r[k - 1] / r[k - 2])) if krylov[k] else 0.0
+            assert rtol[k] == pytest.approx(expected, rel=2e-3)
+        assert steps[0] == 0.0 and steps[1] > 0.0
+        # the steps from the power start, on the coarsest level, fall by three decades
+        assert level is not levels[0] or steps[-1] < 1e-3 * steps[1]
 
 
 def test_reflection_strip_steps_do_not_depend_on_the_mesh(weak60):
@@ -630,8 +681,9 @@ def test_jacobian_on_the_strip(reflection_field, weak60):
 def test_newton_system_is_square_on_the_unknowns(weak60, tmp_path, monkeypatch):
     # each Newton system is built on the unknowns alone, with no Dirichlet
     # column to slice away: the nine-point pattern less the Dirichlet nodes and
-    # the exact zeros, on the criterion-1 ladder's first rung, the CLI's 97x49
-    # model solve and a criterion-6 strip
+    # the exact zeros, on every level of the criterion-1 ladder's first rung
+    # and of the CLI's 97x49 model solve, and on a criterion-6 strip.  The
+    # rung's 17^2, 33^2 and 65^2 levels start converged and build none
     from srlab import solver
     from srlab.cli import main
 
@@ -651,9 +703,14 @@ def test_newton_system_is_square_on_the_unknowns(weak60, tmp_path, monkeypatch):
     assert main(["solve", "--mode", "model", "--grid", "97,49", "--grade", "0.95", "--perturb", "0.2",
                  "--out", str(tmp_path)]) == 0
     srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=121, grid_ny=49)
-    n = [63 * 63, 95 * 49, 120 * 49]  # interior x; all y on Neumann sides, and the strip's cut column x = eps
-    steps = [7, 4, 4]
-    assert systems == [((k, k), nnz) for k, nnz, m in zip(n, (19_593, 22_987, 51_363), steps) for _ in range(m)]
+    # interior x; all y on Neumann sides, and the strip's cut column x = eps.
+    # The first system of the model solve's 25x13 level has two more exact
+    # zeros: at the power start the first interior column's coupling to the
+    # second cancels exactly at y = +-1/2
+    n = [7 * 7, 23 * 13, 23 * 13, 47 * 25, 95 * 49, 120 * 49]
+    nnz = (217, 1_421, 1_423, 5_731, 22_987, 51_363)
+    steps = [5, 1, 2, 2, 2, 4]
+    assert systems == [((k, k), z) for k, z, m in zip(n, nnz, steps) for _ in range(m)]
 
 
 def test_frozen_lead_takes_the_cutoff_where_it_acts(reflection_field, weak60):
