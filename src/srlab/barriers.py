@@ -26,36 +26,40 @@ __all__ = [
 ]
 
 
-def _term(c, p, x):
-    return c * x**p if c != 0.0 else np.zeros_like(x)
+def _term(c, p, x, k):
+    """The k-th x-derivative of c x^p."""
+    c = math.prod((p - i for i in range(k)), start=c)
+    return c * x ** (p - k) if c != 0.0 else np.zeros_like(x)
 
 
 @dataclass(frozen=True)
 class BarrierFunction:
-    """c1 * x^p1 * (1 - y^2) + c2 * x^p2 * y^2 with exact derivatives."""
+    """c1 * x^p1 * (1 - y^2) + c2 * x^p2 * y^2 with exact derivatives, as A + D y^2: A = c1 x^p1, D = c2 x^p2 - A."""
 
     c1: float
     p1: float
     c2: float
     p2: float
 
+    def _profile(self, x, k):
+        """A and D differentiated k times in x."""
+        A = _term(self.c1, self.p1, x, k)
+        return A, _term(self.c2, self.p2, x, k) - A
+
     def value(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return _term(self.c1, self.p1, x) * (1.0 - y * y) + _term(self.c2, self.p2, x) * y * y
+        """psi at (x, y), bit for bit as jet()[0]."""
+        A, D = self._profile(np.asarray(x, dtype=float), 0)
+        return A + D * np.square(y, dtype=float)
 
     def jet(self, x, y):
-        """The jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy) at (x, y), psi as value() gives it."""
+        """The jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy) at (x, y), as arrays that broadcast to the nodes.
+
+        psi_y = 2 D y and psi_xy = 2 D' y are odd in y, the rest even, bit for bit on mirrored y-values.
+        """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        c1, p1, c2, p2 = self.c1, self.p1, self.c2, self.p2
-        return (
-            self.value(x, y),
-            _term(c1 * p1, p1 - 1.0, x) * (1.0 - y * y) + _term(c2 * p2, p2 - 1.0, x) * y * y,
-            2.0 * y * (_term(c2, p2, x) - _term(c1, p1, x)),
-            _term(c1 * p1 * (p1 - 1.0), p1 - 2.0, x) * (1.0 - y * y)
-            + _term(c2 * p2 * (p2 - 1.0), p2 - 2.0, x) * y * y,
-            2.0 * y * (_term(c2 * p2, p2 - 1.0, x) - _term(c1 * p1, p1 - 1.0, x)),
-            2.0 * (_term(c2, p2, x) - _term(c1, p1, x)),
-        )
+        y2 = y * y
+        (A, D), (A1, D1), (A2, D2) = (self._profile(x, k) for k in range(3))
+        return A + D * y2, A1 + D1 * y2, 2.0 * D * y, A2 + D2 * y2, 2.0 * D1 * y, 2.0 * D
 
 
 def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x, y):

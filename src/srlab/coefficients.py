@@ -40,12 +40,12 @@ class CoefficientModel:
     b: float
     N: float
     label: str
-    o_terms: Optional[Callable] = None  # (x, y, psi, psi_x, psi_y) -> 5 arrays
+    o_terms: Optional[Callable] = None  # (x, y, psi, psi_x, psi_y) -> O1..O5, broadcasting to the nodes
 
     def evaluate(self, x, y, psi, psi_x, psi_y):
+        """O1..O5, arrays or scalars that broadcast to the nodes: the scalar 0.0 each for an O-free closure."""
         if self.o_terms is None:
-            z = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(psi)))
-            return (z, z, z, z, z)
+            return (0.0,) * 5
         return self.o_terms(x, y, psi, psi_x, psi_y)
 
     def describe(self) -> dict:
@@ -171,17 +171,8 @@ def zeta(s, a: float, beta: float, M: float):
 
 
 def o_bound_audit(coeffs: CoefficientModel, x, O) -> dict:
-    """Measured sup of |O1|/x^2 and |Ok|/x over nodes with x > 0, from the O-terms O (coeffs.evaluate) there."""
+    """Measured sup of |O1|/x^2 and |Ok|/x over nodes x > 0; x and the O-terms O (coeffs.evaluate) broadcast to them."""
     x = np.asarray(x, dtype=float)
-    mask = x > 0.0
-    if not np.any(mask):
-        return {"o1_over_x2": 0.0, "ok_over_x": 0.0, "nominal_N": coeffs.N}
-    xm = x[mask]
-    r1 = float(np.max(np.abs(np.broadcast_to(O[0], x.shape)[mask]) / xm**2))
-    rk = float(
-        max(
-            np.max(np.abs(np.broadcast_to(O[k], x.shape)[mask]) / xm)
-            for k in range(1, 5)
-        )
-    )
-    return {"o1_over_x2": r1, "ok_over_x": rk, "nominal_N": coeffs.N}
+    mask, xm = x > 0.0, np.where(x > 0.0, x, 1.0)
+    sup = lambda k, p: float(np.max(np.abs(O[k]) / xm**p, where=mask, initial=0.0))  # no ratio is below 0
+    return {"o1_over_x2": sup(0, 2), "ok_over_x": max(sup(k, 1) for k in range(1, 5)), "nominal_N": coeffs.N}

@@ -210,16 +210,16 @@ def _ordinates(field):
     return s * fh
 
 
-def _derivative_pass(field, reflect):
-    """The physical jet at all nodes, keyed by _JET; the y-table reflects at the ends flagged in reflect = (lo, hi).
+def _derivative_pass(field, tables):
+    """The physical jet at all nodes, keyed by _JET, from the stencil tables (x, y) of its axes.
 
     The stencil tables of each axis are applied along it, psi_xy as the
     x-difference of the y-difference (psi_y is 0 on a reflective end); on a
     sonic strip the chain rule through y = s*fhat(x) follows.
     """
     u = field.values
-    tx = _stencil_table(field.xs)
-    (ux, uxx), (uy, uyy) = _along(tx, u, 0), _along(_stencil_table(field.ys, reflect), u, 1)
+    tx, ty = tables
+    (ux, uxx), (uy, uyy) = _along(tx, u, 0), _along(ty, u, 1)
     (uxy,) = _along(tx, uy, 0, (1,))
     jet = (u, ux, uy, uxx, uxy, uyy)
     return dict(zip(_JET, jet if field.kind == "rect" else _chain(field, jet)))
@@ -227,7 +227,7 @@ def _derivative_pass(field, reflect):
 
 def derivative_fields(field: ScalarField2D) -> dict:
     """Physical-coordinate derivative arrays psi_x..psi_yy at all nodes; edge values are only display-grade."""
-    return _derivative_pass(field, (False, False))
+    return _derivative_pass(field, (_stencil_table(field.xs), _stencil_table(field.ys)))
 
 
 # -- frozen-coefficient assembly ----------------------------------------------
@@ -252,7 +252,7 @@ def _frozen_coefficients(field, a, coefficients, px):
     return coefficients[:2] + (np.maximum(lead, floor),) + coefficients[3:], fraction
 
 
-def _stencil_blocks(field, neumann, coupled):
+def _stencil_blocks(field, tables, neumann, coupled):
     """The unknown block of field.values, the jet weights of each unknown's row and J's CSR skeleton, once per solve.
 
     The unknowns are the interior columns of the interior rows and of each
@@ -268,7 +268,7 @@ def _stencil_blocks(field, neumann, coupled):
     nx, ny = field.values.shape
     j0, ju = (0 if neumann[0] else 1), (ny if neumann[1] else ny - 1) + coupled
     block = (slice(1, nx - 1 + coupled), slice(j0, ju))
-    (cx, wx), (cy, wy) = _stencil_table(field.xs), _stencil_table(field.ys, neumann)
+    (cx, wx), (cy, wy) = tables
     W = tuple(wx[kx][:, None, block[0], None] * wy[ky][None, :, None, block[1]] for kx, ky in _ORDERS)
     W = W if field.kind == "rect" else _chain(field, W, block)
     index = np.full(field.values.shape, -1, dtype=np.int32)  # the index type scipy takes for J
@@ -303,8 +303,9 @@ def _newton_system(blocks, coefficients, partials, jet, shock=None):
     from scipy.sparse import csr_matrix
 
     block, W, (cols, known, indptr) = blocks
-    c, j = [f[block] for f in coefficients], [v[block] for v in jet]
-    dL = apply_coefficients([p[(slice(None),) + block] for p in partials], j)
+    shape = jet[0].shape  # the coefficients and partials broadcast to it (an O-free closure's are scalars)
+    c, j = [np.broadcast_to(f, shape)[block] for f in coefficients], [v[block] for v in jet]
+    dL = apply_coefficients([np.broadcast_to(p, (3,) + shape)[:, block[0], block[1]] for p in partials], j)
     data = sum(r * w for r, w in zip((dL[0], c[0] + dL[1], c[1] + dL[2], *c[2:]), W))
     step_rhs = -apply_coefficients(c, j)
     if shock is not None:
@@ -518,10 +519,11 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     history, lu_nnz, krylov, du, inner, rtol = [], [], [], 0.0, 0, 0.0
     shock_res, shock, blocks, lu = 0.0, None, None, None
     x, y = field.xs[:, None], _ordinates(field)
+    tables = _stencil_table(field.xs), _stencil_table(field.ys, neumann)  # one pair per level
     for it in range(opts.max_iterations + 1):
         # one derivative pass and one evaluation of the O-terms serve the residual
         # of the current iterate, the system and Jacobian of the next step and the audit
-        d = _derivative_pass(field, neumann)
+        d = _derivative_pass(field, tables)
         jet = [d[key] for key in _JET]
         o_terms = coeffs.evaluate(x, y, *jet[:3])
         coefficients = operator_coefficients(coeffs, x, y, *jet[:3], o_terms=o_terms)
@@ -537,7 +539,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         if it == opts.max_iterations:
             raise NoConvergence(opts.max_iterations, history[-1], field.values.shape)
         if blocks is None:
-            blocks = _stencil_blocks(field, neumann, shock is not None)
+            blocks = _stencil_blocks(field, tables, neumann, shock is not None)
         partials = coefficient_partials(coeffs, x, y, *jet[:3])
         J, rhs = _newton_system(blocks, frozen, partials, jet, shock)
         if lu is None:
@@ -571,8 +573,9 @@ def _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fract
     krylov each step's GMRES iterations, 0 for a step solved on a fresh LU.
     """
     inner = np.s_[1:-1, 1:-1]
-    xin = np.broadcast_to(field.xs[:, None], field.values.shape)[inner]
-    audit = o_bound_audit(coeffs, xin, [np.broadcast_to(o, field.values.shape)[inner] for o in o_terms])
+    xin = field.xs[1:-1, None]
+    audit = o_bound_audit(coeffs, xin, [np.broadcast_to(o, field.values.shape)[inner] if np.ndim(o) else o
+                                        for o in o_terms])  # a scalar O-term is audited unbroadcast
     interior = field.values[inner]
     positivity = bool(np.all(interior > 0.0))
     if coeffs.a > 0.0:

@@ -448,3 +448,41 @@ def test_defect_scan_rejects_the_linear_closure(recipe, model_ab, want):
         scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want=want)
     with pytest.raises(ValueError, match="a > 0"):
         srlab.barriers._l2_defect(recipe.v_barrier(), coeffs, 0.1, 0.3)
+
+
+def _recipe_barriers(recipe):
+    return [recipe.w_barrier(), recipe.v_barrier(), recipe.u_minus_barrier(), BarrierFunction(0.0, 2.0, 0.3, 2.5)]
+
+
+def test_separable_jet_is_exact_and_keeps_its_parity(recipe):
+    # psi = A(x) + D(x) y^2 with A = c1 x^p1, D = c2 x^p2 - A: every entry
+    # against the closed form at 40 digits; value() is jet()[0] bit for bit;
+    # on the scan's mirrored y-nodes psi_y and psi_xy are odd, the rest even,
+    # bit for bit
+    import mpmath as mp
+
+    from srlab.barriers import _SCAN_N
+
+    n = _SCAN_N
+    ys = (2.0 * np.arange(n) + 1.0 - n) / (n - 1)
+    xs = np.geomspace(1e-4, recipe.r0, 24)[:, None]
+    rng = np.random.default_rng(5)
+    with mp.workdps(40):
+        for fn in _recipe_barriers(recipe):
+            c1, p1, c2, p2 = map(mp.mpf, (fn.c1, fn.p1, fn.c2, fn.p2))
+            for x, y in zip(rng.uniform(1e-3, 0.5, 40), rng.uniform(-1.0, 1.0, 40)):
+                X, Y = mp.mpf(x), mp.mpf(y)
+                t1 = lambda k: c1 * mp.ff(p1, k) * X ** (p1 - k)  # k-th x-derivative of c1 x^p1
+                t2 = lambda k: c2 * mp.ff(p2, k) * X ** (p2 - k)
+                exact = (t1(0) * (1 - Y * Y) + t2(0) * Y * Y, t1(1) * (1 - Y * Y) + t2(1) * Y * Y,
+                         2 * Y * (t2(0) - t1(0)), t1(2) * (1 - Y * Y) + t2(2) * Y * Y,
+                         2 * Y * (t2(1) - t1(1)), 2 * (t2(0) - t1(0)))
+                scale = [abs(t1(k)) + abs(t2(k)) for k in (0, 1, 0, 2, 1, 0)]
+                for got, want, s in zip(fn.jet(x, y), exact, scale):
+                    assert abs(got - want) <= 8e-16 * s
+            jet = fn.jet(xs, ys[None, :])
+            assert np.array_equal(fn.value(xs, ys[None, :]), jet[0])
+            mirrored = fn.jet(xs, ys[None, ::-1])
+            for k, sign in enumerate((1.0, 1.0, -1.0, 1.0, -1.0, 1.0)):
+                got, want = np.broadcast_arrays(mirrored[k], sign * jet[k])  # ys[::-1] == -ys
+                assert np.array_equal(got, want)

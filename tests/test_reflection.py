@@ -611,3 +611,19 @@ def test_shock_chart_table_closed_form(gamma, theta_deg):
     assert y[0] == cfg.y1
     # the chord midpoint, where dx/dt = 0: finite, and no warning (warnings fail the suite)
     assert np.all(np.isfinite(shock_chart_table(cfg, [shock_depth_max(cfg)])))
+
+
+@pytest.mark.parametrize("gamma,theta_deg", [(1.0, 67.5), (1.0, 88.0), (1.4, 88.75), (1.4, 89.0)])
+def test_p1_matches_the_oracle_at_steep_wedges(gamma, theta_deg):
+    # the sonic point from the configuration's own (theta_w, u2), against the
+    # 40-digit line-circle intersection; at steep wedges |P0 - C|^2 - c2^2 and
+    # b^2 nearly cancel in b^2 - |P0 - C|^2 + c2^2, which cost P1 up to 1.1e-12
+    import mpmath as mp
+
+    theta = np.radians(theta_deg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSupersonicAtP0)
+        cfg = srlab.solve_state2(srlab.GasParameters(gamma, 1.0, 2.0), theta)["weak"]
+    P, _, _, _ = sonic_point_P1(gamma, 1.0, 2.0, mp.mpf(theta) * 180 / mp.pi, mp.mpf(cfg.u2))
+    err = math.hypot(cfg.P1[0] - float(P[0]), cfg.P1[1] - float(P[1]))
+    assert err <= 1e-14 * math.hypot(float(P[0]), float(P[1]))

@@ -413,7 +413,8 @@ def test_chart_on_unbroadcast_rows_is_bit_for_bit(gamma, theta_deg):
 
 def test_strip_grid_payload_is_pinned(tmp_path):
     # the Newton shock row evaluates Psi and psi_gradient; this digest of the
-    # gamma 1.4, 60 degree 121x49 strip's grid file holds them bit for bit
+    # gamma 1.4, 60 degree 121x49 strip's grid file holds them, and the
+    # configuration's P1 they are evaluated on, bit for bit
     import hashlib
 
     from srlab.cli import main
@@ -421,7 +422,7 @@ def test_strip_grid_payload_is_pinned(tmp_path):
     assert main(["solve", "--mode", "reflection", "--gamma", "1.4", "--theta-w", "60", "--grid", "121,49",
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "grid.srl").read_bytes()).hexdigest()
-    assert digest == "9101998062af9377f87c1b714d6de184f7689d3c251195354463ee6ae185572c"
+    assert digest == "810f71d8d5a8e7e0dd56436f667bb71bcd0344e681aa01e56fab9b19ae841f83"
 
 
 def test_bhat_evaluation_shape_is_pinned(fns, weak60, monkeypatch):

@@ -5,7 +5,7 @@ import srlab
 from srlab.coefficients import coefficient_partials, o_bound_audit, operator_coefficients, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
-from srlab.solver import _JET, _derivative_pass, _levels, _ordinates, _prolong, derivative_fields
+from srlab.solver import _JET, _derivative_pass, _levels, _ordinates, _prolong, _stencil_table, derivative_fields
 
 from conftest import residual
 
@@ -548,6 +548,11 @@ def test_audit_takes_the_last_iterations_o_terms(reflection_field, weak60, monke
     assert f.meta["o_bound_audit"] == o_bound_audit(coeffs, x, o_terms) == reflection_field.meta["o_bound_audit"]
 
 
+def _tables(field, neumann):
+    """The stencil tables of field's axes that a solve with these Neumann sides builds."""
+    return _stencil_table(field.xs), _stencil_table(field.ys, neumann)
+
+
 def _frozen(field, coeffs, neumann):
     """The solve's derivative pass on field, the operator's coefficients and the frozen ones, with the clamp fraction.
 
@@ -555,7 +560,7 @@ def _frozen(field, coeffs, neumann):
     """
     from srlab.solver import _frozen_coefficients
 
-    d = _derivative_pass(field, neumann)
+    d = _derivative_pass(field, _tables(field, neumann))
     coefficients = operator_coefficients(coeffs, field.xs[:, None], _ordinates(field), d["psi"], d["px"], d["py"])
     return (d, coefficients) + _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
 
@@ -582,7 +587,7 @@ def _system(field, coeffs, neumann, fns=None):
     jet = [d[key] for key in _JET]
     partials = coefficient_partials(coeffs, field.xs[:, None], _ordinates(field), *jet[:3])
     shock = None if fns is None else _shock_row(field, fns)[1]
-    blocks = _stencil_blocks(field, neumann, shock is not None)
+    blocks = _stencil_blocks(field, _tables(field, neumann), neumann, shock is not None)
     J, r = _newton_system(blocks, frozen, partials, jet, shock)
     return J, r.reshape(field.values[blocks[0]].shape), clamp, blocks[0]
 
@@ -738,3 +743,44 @@ def test_frozen_lead_takes_the_cutoff_where_it_acts(reflection_field, weak60):
     assert np.array_equal(lead[~acts], coefficients[2][inner][~acts])
     for k in (0, 1, 3, 4):
         assert np.array_equal(frozen[k], np.broadcast_to(coefficients[k], f.values.shape))
+
+
+def _zero_o_terms(x, y, psi, px, py):
+    """O1..O5 of the model closure spelled as five zero arrays on the nodes."""
+    z = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(psi)))
+    return z, z, z, z, z
+
+
+def test_o_free_closure_matches_explicit_zero_arrays(model_ab):
+    # the model closure's O-terms are the scalar 0.0, which every consumer
+    # broadcasts; spelled as zero arrays instead, the nested solve, its
+    # sidecar (the O-term audit included) and the barrier scans are the same
+    # bit for bit
+    from srlab.barriers import choose_subsolution_params, scan_L1_sign, scan_L2_defect_sign
+    from srlab.coefficients import CoefficientModel
+
+    a, b = model_ab
+    free = srlab.model_coefficients(a, b)
+    arrays = CoefficientModel(a=a, b=b, N=0.0, label="model", o_terms=_zero_o_terms)
+    x = np.linspace(0.0, 0.5, 5)[:, None]
+    o_terms = free.evaluate(x, np.zeros((1, 3)), x * x, x, 0.0 * x)
+    assert o_terms == (0.0,) * 5 and all(type(o) is float for o in o_terms)
+    assert srlab.linear_coefficients(b).evaluate(x, 0.0, x, x, x) == (0.0,) * 5
+
+    grid = srlab.GridSpec(rhat=0.5, nx=49, ny=25, grade_q=0.95)
+    bc = srlab.BoundaryConditions(outer=lambda y: (0.25 / (2 * a)) * (1.0 + 0.2 * np.cos(np.pi * y)))
+    fields = [srlab.solve(c, bc, grid) for c in (free, arrays)]
+    assert len(fields[0].meta["levels"]) == 2 and fields[0].meta["iterations"] > 1
+    assert np.array_equal(fields[0].values, fields[1].values)
+    assert fields[0].meta == fields[1].meta
+    assert fields[0].meta["o_bound_audit"] == {"o1_over_x2": 0.0, "ok_over_x": 0.0, "nominal_N": 0.0}
+
+    f = fields[0]
+    sigma = lambda r: float(np.min(f.values[f.xs >= r]))
+    recipe = choose_subsolution_params(a, b, 0.0, rhat=0.5, sigma=sigma)
+    scans = [(scan_L1_sign(recipe.w_barrier(), c, recipe.r0),
+              scan_L2_defect_sign(recipe.v_barrier(), c, recipe.r1, want="negative"),
+              scan_L2_defect_sign(recipe.u_minus_barrier(), c, recipe.r2, want="positive"))
+             for c in (free, arrays)]
+    assert scans[0] == scans[1]
+    assert scans[0][0]["positive"] and scans[0][1]["negative"] and scans[0][2]["positive"]

@@ -431,3 +431,38 @@ def test_every_public_function_has_a_caller():
     allowed = _library_api()
     assert sorted(allowed - public) == []
     assert sorted(set(unused) - allowed) == []
+
+
+def test_stencil_tables_are_built_once_per_newton_level(monkeypatch, weak60):
+    # each Newton level builds one x-table and one y-table (reflective on its
+    # Neumann sides) and hands them to every derivative pass and to the
+    # system's weight table: a nested solve of three levels, and a strip solve
+    import numpy as np
+
+    import srlab
+    from srlab import solver
+
+    built, table = [], solver._stencil_table
+
+    def spy(xs, reflect=(False, False)):
+        built.append((xs.copy(), tuple(reflect)))
+        return table(xs, reflect)
+
+    monkeypatch.setattr(solver, "_stencil_table", spy)
+
+    grid = srlab.GridSpec(rhat=0.5, nx=49, ny=33, grade_q=0.95)
+    field = srlab.solve(srlab.model_coefficients(2.4, 0.8), srlab.BoundaryConditions(outer=lambda y: 0.05 + 0 * y),
+                        grid)
+    levels = solver._levels(grid)
+    assert [lv["shape"] for lv in field.meta["levels"]] == [[13, 9], [25, 17], [49, 33]]
+    assert sum(lv["iterations"] for lv in field.meta["levels"]) > 2 * len(levels)
+    want = [(axis, flags) for lv in levels for axis, flags in zip(lv.axes(), ((False, False), (True, True)))]
+    assert len(built) == len(want)
+    assert all(np.array_equal(g, w) and gf == wf for (g, gf), (w, wf) in zip(built, want))
+
+    built.clear()
+    strip = srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=41, grid_ny=17)
+    assert strip.meta["iterations"] > 2
+    assert len(built) == 2
+    assert np.array_equal(built[0][0], strip.xs) and built[0][1] == (False, False)
+    assert np.array_equal(built[1][0], strip.ys) and built[1][1] == (True, False)
