@@ -5,10 +5,16 @@ The operator is
         - (1 + O4) psi_x + O5 psi_y = 0,
 with O1..O5 either identically zero (model/linear closures) or the
 shock-reflection closure obtained by rewriting the potential-flow equation in
-sonic-chart coordinates (a = gamma+1, b = 1/c2).
+sonic-chart coordinates (a = gamma+1, b = 1/c2).  Each coefficient is a
+quadratic polynomial in (psi, psi_x, psi_y) whose coefficients depend on x
+alone, so a closure is spelled once, as those per-monomial columns over x:
+a table (CoefficientModel.table) that gives the O-terms, the operator's
+coefficients and, exactly and in real arithmetic, their partials.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,6 +22,11 @@ import numpy as np
 from .reflection import ReflectionConfiguration
 
 _CS_STEP = 1e-30  # complex step of complex_step_partials
+
+# the monomials in (psi, psi_x, psi_y) that the coefficients combine, by name, with their exponents of the three
+_MONOMIALS = {"1": (0, 0, 0), "psi": (1, 0, 0), "px": (0, 1, 0), "py": (0, 0, 1),
+              "px2": (0, 2, 0), "py2": (0, 0, 2), "pxpy": (0, 1, 1)}
+_NAMES = {e: name for name, e in _MONOMIALS.items()}
 
 __all__ = [
     "CoefficientModel",
@@ -25,7 +36,6 @@ __all__ = [
     "operator_coefficients",
     "apply_coefficients",
     "apply_operator",
-    "coefficient_partials",
     "complex_step_partials",
     "zeta",
     "o_bound_audit",
@@ -34,22 +44,111 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientModel:
-    """Constants (a, b), lower-order evaluators, and their nominal bound N."""
+    """Constants (a, b), the lower-order terms' columns, and their nominal bound N."""
 
     a: float
     b: float
     N: float
     label: str
-    o_terms: Optional[Callable] = None  # (x, y, psi, psi_x, psi_y) -> O1..O5, broadcasting to the nodes
+    # x -> O1..O5, each a row {monomial name: its coefficient, a column over x or a scalar}; None for O = 0
+    o_columns: Optional[Callable] = None
 
-    def evaluate(self, x, y, psi, psi_x, psi_y):
-        """O1..O5, arrays or scalars that broadcast to the nodes: the scalar 0.0 each for an O-free closure."""
-        if self.o_terms is None:
-            return (0.0,) * 5
-        return self.o_terms(x, y, psi, psi_x, psi_y)
+    def table(self, x, companion: bool = False):
+        """The closure's table at nodes x (of L2 if companion): per-monomial columns for any number of evaluations."""
+        return _Table(self, x, companion)
+
+    def evaluate(self, x, y, psi, px, py, table=None):
+        """O1..O5, arrays or scalars that broadcast to the nodes: the scalar 0.0 each for an O-free closure.
+
+        table is this closure's table at x when the caller has built it already.
+        """
+        return (self.table(x) if table is None else table).o_terms(psi, px, py)
 
     def describe(self) -> dict:
         return {"a": self.a, "b": self.b, "N": self.N, "label": self.label}
+
+
+class _Row(dict):
+    """A polynomial in (psi, psi_x, psi_y), {monomial name: its coefficient}; sums and differences of rows are rows."""
+
+    def __add__(self, other):
+        out = _Row(self)
+        for name, c in other.items():
+            out[name] = out[name] + c if name in out else c
+        return out
+
+    def __sub__(self, other):
+        return self + {name: -c for name, c in other.items()}
+
+    def partial(self, v):
+        """The partial in (psi, psi_x, psi_y)[v], again a row: each monomial's exponent of it brought down."""
+        out = _Row()
+        for name, c in self.items():
+            e = _MONOMIALS[name]
+            if e[v]:
+                out += {_NAMES[e[:v] + (e[v] - 1,) + e[v + 1:]]: e[v] * c}
+        return out
+
+
+def _values(rows, psi, px, py):
+    """Each row's value, its columns times their monomials summed in the row's order; 0.0 for an empty row."""
+    mono = {"1": None, "psi": psi, "px": px, "py": py}
+    out = []
+    for row in rows:
+        value = 0.0
+        for i, (name, c) in enumerate(row.items()):
+            if name not in mono:  # a product, formed once per call
+                mono[name] = reduce(mul, [(psi, px, py)[v] for v, k in enumerate(_MONOMIALS[name]) for _ in range(k)])
+            term = c if name == "1" else c * mono[name]
+            value = term if i == 0 else value + term
+        out.append(value)
+    return tuple(out)
+
+
+def _operator(fixed, O):
+    """The operator's coefficients (c_x, c_y, c_xx, c_xy, c_yy) from its fixed part and O1..O5, as rows or values."""
+    O1, O2, O3, O4, O5 = O
+    cx, cy, cxx, cxy, cyy = fixed
+    return cx - O4, cy + O5, cxx + O1, cxy + O2, cyy + O3
+
+
+class _Table:
+    """A closure's rows at nodes x: O1..O5 and the operator's fixed part, and their partials.
+
+    The fixed part is -1 (-2 for L2), 0, the lead 2x - a psi_x (x + a psi_x),
+    0 and b; _operator adds O1..O5 to it, and a model or linear closure is
+    the fixed part alone.  The partial rows are built on first use.
+    """
+
+    def __init__(self, coeffs, x, companion):
+        x = np.asarray(x, dtype=float)
+        if companion:
+            lead, k = {"1": x, "px": coeffs.a}, 2.0
+        else:
+            lead, k = {"1": 2.0 * x, "px": -coeffs.a}, 1.0
+        self.fixed = ({"1": -k}, {}, lead, {}, {"1": coeffs.b})
+        self.o_rows = ({},) * 5 if coeffs.o_columns is None else coeffs.o_columns(x)
+
+    @cached_property
+    def partial_rows(self):
+        """The operator's rows' partials in psi, psi_x and psi_y: three tuples of five rows."""
+        rows = _operator([_Row(row) for row in self.fixed], self.o_rows)
+        return tuple(tuple(row.partial(v) for row in rows) for v in range(3))
+
+    def o_terms(self, psi, px, py):
+        """O1..O5 at the nodes."""
+        return _values(self.o_rows, psi, px, py)
+
+    def coefficients(self, psi, px, py, o_terms):
+        """The operator's five coefficients at the nodes, on the O-terms there (o_terms)."""
+        return _operator(_values(self.fixed, psi, px, py), o_terms)
+
+    def partials(self, psi, px, py):
+        """The five coefficients' partials in psi, psi_x and psi_y at the nodes: three tuples of five, exact.
+
+        An O-free closure's are the scalars 0.0 but the lead's -a (+a for L2) in psi_x.
+        """
+        return tuple(_values(rows, psi, px, py) for rows in self.partial_rows)
 
 
 def model_coefficients(a: float, b: float) -> CoefficientModel:
@@ -75,25 +174,20 @@ def reflection_coefficients(config: ReflectionConfiguration, eps: float) -> Coef
     """
     gam = config.gas.gamma
     c2 = config.c2
+    gm, gp = (gam - 1.0) / c2, (gam + 1.0) / c2
 
-    def o_terms(x, y, psi, px, py):
-        x = np.asarray(x, dtype=float)
-        rm = c2 - x
-        py2 = py * py
-        O1 = -x * x / c2 + (gam + 1.0) / (2.0 * c2) * (2.0 * x - px) * px \
-            - (gam - 1.0) / c2 * (psi + 0.5 * py2 / rm**2)
-        O2 = -2.0 / (c2 * rm**2) * (px + rm) * py
-        O3 = (
-            x * (2.0 * c2 - x)
-            - (gam - 1.0) * (psi + rm * px + 0.5 * px * px)
-            - (gam + 1.0) / (2.0 * rm**2) * py2
-        ) / (c2 * rm**2)
-        O4 = (x - (gam - 1.0) / c2 * (psi + rm * px + 0.5 * px * px + 0.5 * py2 / rm**2)) / rm
-        O5 = -(px + 2.0 * rm) * py / (c2 * rm**3)
+    def o_columns(x):
+        rm = c2 - x  # the polar radius about the sonic center
+        O1 = {"1": -x * x / c2, "psi": -gm, "px": gp * x, "px2": -0.5 * gp, "py2": -0.5 * gm / rm**2}
+        O2 = {"py": -2.0 / (c2 * rm), "pxpy": -2.0 / (c2 * rm**2)}
+        O3 = {"1": x * (2.0 * c2 - x) / (c2 * rm**2), "psi": -gm / rm**2, "px": -gm / rm, "px2": -0.5 * gm / rm**2,
+              "py2": -0.5 * gp / rm**4}
+        O4 = {"1": x / rm, "psi": -gm / rm, "px": -gm, "px2": -0.5 * gm / rm, "py2": -0.5 * gm / rm**3}
+        O5 = {"py": -2.0 / (c2 * rm**2), "pxpy": -1.0 / (c2 * rm**3)}
         return O1, O2, O3, O4, O5
 
     N = _nominal_reflection_bound(gam, c2, eps)
-    return CoefficientModel(a=gam + 1.0, b=1.0 / c2, N=N, label="reflection", o_terms=o_terms)
+    return CoefficientModel(a=gam + 1.0, b=1.0 / c2, N=N, label="reflection", o_columns=o_columns)
 
 
 def _nominal_reflection_bound(gam, c2, eps):
@@ -106,21 +200,14 @@ def _nominal_reflection_bound(gam, c2, eps):
     return float(max(n1, n2, n3, n4, n5))
 
 
-def operator_coefficients(coeffs: CoefficientModel, x, y, psi, px, py, companion: bool = False, o_terms=None):
-    """Coefficients of (psi_x, psi_y, psi_xx, psi_xy, psi_yy) in L1, the one spelling of the operator.
+def operator_coefficients(coeffs: CoefficientModel, x, y, psi, px, py, companion: bool = False):
+    """Coefficients of (psi_x, psi_y, psi_xx, psi_xy, psi_yy) in L1: the closure's fixed part plus its O-terms.
 
     companion=True gives L2, the operator on deviation profiles W, with the
     leading coefficient x + a psi_x and the first-order x coefficient 2 + O4.
-    o_terms are the closure's O1..O5 at these arguments when the caller has
-    evaluated them already (coeffs.evaluate); otherwise they are evaluated here.
     """
-    x = np.asarray(x, dtype=float)
-    O1, O2, O3, O4, O5 = coeffs.evaluate(x, y, psi, px, py) if o_terms is None else o_terms
-    if companion:
-        lead, k = x + coeffs.a * px, 2.0
-    else:
-        lead, k = 2.0 * x - coeffs.a * px, 1.0
-    return (-k - O4, O5, lead + O1, O2, coeffs.b + O3)
+    table = coeffs.table(x, companion)
+    return table.coefficients(psi, px, py, coeffs.evaluate(x, y, psi, px, py, table))
 
 
 def apply_coefficients(coefficients, jet):
@@ -146,16 +233,6 @@ def complex_step_partials(f, *args):
     m = m + 1j * _CS_STEP * np.eye(len(args)).reshape((len(args),) * 2 + (1,) * (m.ndim - 1))
     out = f(*np.swapaxes(m, 0, 1))
     return tuple(np.imag(c) / _CS_STEP for c in out) if isinstance(out, tuple) else np.imag(out) / _CS_STEP
-
-
-def coefficient_partials(coeffs: CoefficientModel, x, y, psi, px, py):
-    """Partials of the operator_coefficients tuple in (psi, psi_x, psi_y), stacked over the three on a leading axis.
-
-    The coefficients are polynomial in (psi, psi_x, psi_y), so their complex
-    step (complex_step_partials) is exact to rounding.  Applied to a jet
-    (apply_coefficients), they give the operator's partials there.
-    """
-    return complex_step_partials(lambda *m: operator_coefficients(coeffs, x, y, *m), psi, px, py)
 
 
 def zeta(s, a: float, beta: float, M: float):

@@ -9,7 +9,9 @@ floor, fixed constants), the rows of the frozen linear problem A(u), one
 sparse 9-point operator on the unknowns alone, whose weight table and CSR
 skeleton are built once per solve.  Each outer step is a Newton step on the
 residual A(u) u - rhs: its Jacobian adds the coefficients' partials in (psi,
-psi_x, psi_y), by complex step, to the same entries.  The first step factors
+psi_x, psi_y), exact in real arithmetic from the closure's per-monomial
+table (built once per level, like the stencil tables), to the same
+entries.  The first step factors
 its Jacobian by one sparse LU (fixed column ordering); every later step
 solves its own Jacobian by one restarted-GMRES cycle preconditioned by that
 factor, solved only as accurately as Newton can use (a forcing term from the
@@ -30,8 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import (CoefficientModel, apply_coefficients, o_bound_audit,
-                           coefficient_partials, operator_coefficients, reflection_coefficients, zeta)
+from .coefficients import CoefficientModel, apply_coefficients, o_bound_audit, reflection_coefficients, zeta
 from .errors import EllipticityLoss, NoConvergence, ShockConditionDiverged, VacuumState
 from .grids import ScalarField2D, geometric_axis, uniform_axis
 from .reflection import ReflectionConfiguration, shock_chart_table, shock_depth_max
@@ -285,10 +286,11 @@ def _newton_system(blocks, coefficients, partials, jet, shock=None):
     A(u) psi = rhs is the frozen linear problem, whose interior and Neumann
     rows apply the frozen coefficients, the operator whose residual the pass
     measures.  J adds the operator's partials in (psi, psi_x, psi_y), the
-    coefficients' partials (coefficient_partials) on the row's own jet, so
-    such a row of J sums its jet weights (_stencil_blocks) in a fixed order
-    times (dL_psi, c_x + dL_px, c_y + dL_py, c_xx, c_xy, c_yy), and J is the
-    Jacobian of A(u) u - rhs wherever the cutoff and floor are inactive.
+    coefficients' partials (the closure table's, three tuples of five) on
+    the row's own jet, so such a row of J sums its jet weights
+    (_stencil_blocks) in a fixed order times (dL_psi, c_x + dL_px,
+    c_y + dL_py, c_xx, c_xy, c_yy), and J is the Jacobian of A(u) u - rhs
+    wherever the cutoff and floor are inactive.
     shock = (L1, L2, L3, rhs, dcut) gives the strip's top row the linearised
     jump condition L1 psi_x + L2 psi_y + L3 psi = rhs, weights (L3, L1, L2,
     0, 0, 0), and the cut column, the shock corner included, the slope rows
@@ -304,8 +306,16 @@ def _newton_system(blocks, coefficients, partials, jet, shock=None):
 
     block, W, (cols, known, indptr) = blocks
     shape = jet[0].shape  # the coefficients and partials broadcast to it (an O-free closure's are scalars)
-    c, j = [np.broadcast_to(f, shape)[block] for f in coefficients], [v[block] for v in jet]
-    dL = apply_coefficients([np.broadcast_to(p, (3,) + shape)[:, block[0], block[1]] for p in partials], j)
+    at = lambda f: np.broadcast_to(f, shape)[block]
+    c, j = [at(f) for f in coefficients], [v[block] for v in jet]
+
+    def partial(dv):
+        # the operator's partial in one of (psi, psi_x, psi_y): the coefficients' on the jet, in the
+        # order apply_coefficients sums them; an exact scalar 0.0 (an O-free closure's) adds nothing
+        terms = [at(p) * q for p, q in zip(dv[2:] + dv[:2], j[3:] + j[1:3]) if np.ndim(p) or p != 0.0]
+        return sum(terms[1:], terms[0]) if terms else 0.0
+
+    dL = [partial(dv) for dv in partials]
     data = sum(r * w for r, w in zip((dL[0], c[0] + dL[1], c[1] + dL[2], *c[2:]), W))
     step_rhs = -apply_coefficients(c, j)
     if shock is not None:
@@ -495,15 +505,16 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     """Newton iteration on field in place; returns field with its metadata.
 
     Each step makes one derivative pass on the current iterate
-    (_derivative_pass, reflective at the Neumann rows) and evaluates the
-    closure's O-terms once on it, for the operator's coefficients (its
-    residual, the frozen problem A(u) psi = rhs, and the converged field's
-    audit) and their partials, for J (_newton_system, on that pass's jet and
-    the weight table and skeleton of the first step), and steps u += du with
-    J du = rhs - A(u) u over the unknowns.  The first step solves it on a
-    sparse LU of its J; each later step by one GMRES cycle preconditioned by
-    that LU (_krylov_step), and a cycle that misses its target factors the
-    current J, which the next steps then reuse.  Each cycle is solved only
+    (_derivative_pass, reflective at the Neumann rows) and evaluates on it,
+    from the closure's table of columns over x (built once per level, like
+    the stencil tables), the O-terms (for the converged field's audit), the
+    operator's coefficients (its residual and the frozen problem
+    A(u) psi = rhs) and their partials, for J (_newton_system, on that
+    pass's jet and the weight table and skeleton of the first step), and
+    steps u += du with J du = rhs - A(u) u over the unknowns.  The first
+    step solves it on a sparse LU of its J; each later step by one GMRES
+    cycle preconditioned by that LU (_krylov_step), and a cycle that misses
+    its target factors the current J, which the next steps then reuse.  Each cycle is solved only
     as accurately as Newton can use: its relative target follows the last
     step's contraction, read from the residual history alone, so a traced
     run takes the same targets.  Every fixed point solves A(u) u = rhs, the
@@ -520,13 +531,14 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     shock_res, shock, blocks, lu = 0.0, None, None, None
     x, y = field.xs[:, None], _ordinates(field)
     tables = _stencil_table(field.xs), _stencil_table(field.ys, neumann)  # one pair per level
+    table = coeffs.table(x)  # and one closure table
     for it in range(opts.max_iterations + 1):
-        # one derivative pass and one evaluation of the O-terms serve the residual
+        # one derivative pass and one evaluation of the table serve the residual
         # of the current iterate, the system and Jacobian of the next step and the audit
         d = _derivative_pass(field, tables)
         jet = [d[key] for key in _JET]
-        o_terms = coeffs.evaluate(x, y, *jet[:3])
-        coefficients = operator_coefficients(coeffs, x, y, *jet[:3], o_terms=o_terms)
+        o_terms = coeffs.evaluate(x, y, *jet[:3], table)
+        coefficients = table.coefficients(*jet[:3], o_terms)
         res = float(np.max(np.abs(apply_coefficients(coefficients, jet)[1:-1, 1:-1])))
         frozen, clamp_fraction = _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
         if shock_row is not None:
@@ -540,8 +552,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
             raise NoConvergence(opts.max_iterations, history[-1], field.values.shape)
         if blocks is None:
             blocks = _stencil_blocks(field, tables, neumann, shock is not None)
-        partials = coefficient_partials(coeffs, x, y, *jet[:3])
-        J, rhs = _newton_system(blocks, frozen, partials, jet, shock)
+        J, rhs = _newton_system(blocks, frozen, table.partials(*jet[:3]), jet, shock)
         if lu is None:
             step, inner = None, 0
         else:

@@ -413,12 +413,8 @@ def test_recipe_barrier_defects_are_even_bit_for_bit(recipe, model_ab, weak60, c
 
 def test_scans_refuse_an_odd_defect(recipe, model_ab):
     # a constant O5 adds O5 * psi_y, odd in y, which a half-grid scan cannot see
-    def odd_terms(x, y, psi, px, py):
-        z = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(psi)))
-        return z, z, z, z, z + 0.5
-
     a, b = model_ab
-    coeffs = srlab.CoefficientModel(a=a, b=b, N=0.0, label="odd", o_terms=odd_terms)
+    coeffs = srlab.CoefficientModel(a=a, b=b, N=0.0, label="odd", o_columns=lambda x: ({}, {}, {}, {}, {"1": 0.5}))
     with pytest.raises(ValueError, match="even in y"):
         scan_L1_sign(recipe.w_barrier(), coeffs, recipe.r0)
     for want in ("negative", "positive"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import srlab
-from srlab.coefficients import apply_operator, reflection_coefficients
+from srlab.coefficients import apply_operator, complex_step_partials, operator_coefficients, reflection_coefficients
 from srlab.reflection import to_sonic_coords
 
 
@@ -74,3 +74,51 @@ def test_chart_operator_matches_physical_operator(gamma, deg):
                     - dphi[0] ** 2 * p_xx - 2 * dphi[0] * dphi[1] * p_xe - dphi[1] ** 2 * p_ee)
 
         assert chart_val == pytest.approx(phys_val / cfg.c2, rel=2e-4, abs=1e-8)
+
+
+CASES = [(1.0, 75.0), (1.4, 60.0), (2.0, 60.0)]
+
+
+def _weak(gamma, deg):
+    return srlab.solve_state2(srlab.GasParameters(gamma, 1.0, 2.0), np.radians(deg))["weak"]
+
+
+@pytest.mark.parametrize("gamma,deg", CASES)
+def test_table_partials_match_the_complex_step(gamma, deg):
+    # the table's partials, its monomials differentiated in real arithmetic,
+    # equal the complex step of the coefficients it evaluates on random
+    # states over the chart, to rounding of each partial's scale, for the
+    # reflection closure and the O-free ones alike
+    cfg = _weak(gamma, deg)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 0.95 * cfg.c2, (40, 1))
+    y = rng.uniform(0.0, np.pi, (1, 40))
+    psi, px, py = (rng.uniform(-1.0, 1.0, (40, 40)) * s for s in (x * x, x, x))
+    for coeffs in (reflection_coefficients(cfg, cfg.c2 / 20.0), srlab.model_coefficients(gamma + 1.0, 1.0 / cfg.c2),
+                   srlab.linear_coefficients(1.0 / cfg.c2)):
+        table = coeffs.table(x).partials(psi, px, py)
+        stepped = complex_step_partials(lambda *m: operator_coefficients(coeffs, x, y, *m), psi, px, py)
+        for k, cs in enumerate(stepped):  # k: the coefficient, cs its partials stacked over psi, psi_x, psi_y
+            for v in range(3):
+                got, want = np.broadcast_to(table[v][k], psi.shape), np.broadcast_to(cs, (3,) + psi.shape)[v]
+                scale = max(np.max(np.abs(got)), np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-15 * scale, (coeffs.label, k, v)
+
+
+@pytest.mark.parametrize("gamma,deg", CASES)
+@pytest.mark.parametrize("offset", [(0.03, -0.02, 0.01), (-0.03, 0.02, 0.0), (0.01, 0.005, -0.01)])
+def test_uniform_states_solve_the_closure_exactly(gamma, deg, offset):
+    # a uniform state phi' = -(xi^2 + eta^2)/2 + u' xi + v' eta + k' solves the
+    # potential-flow equation, and the closure is that equation on the whole
+    # polar chart about the sonic center: psi = phi' - phi2, affine in
+    # (xi, eta), with its exact chart jet gives a residual at rounding level
+    # out to x = 0.95 c2, where the closure's columns grow like 1/(c2 - x)^4
+    cfg = _weak(gamma, deg)
+    du, dv, dk = offset
+    x = np.linspace(0.01, 0.95 * cfg.c2, 40)[:, None]
+    y = np.linspace(0.0, np.pi, 40)[None, :]
+    r, ang = cfg.c2 - x, y + cfg.theta_w  # the chart's inverse
+    c, s = du * np.cos(ang) + dv * np.sin(ang), -du * np.sin(ang) + dv * np.cos(ang)  # the gradient radial, tangential
+    jet = (du * (cfg.u2 + r * np.cos(ang)) + dv * (cfg.v2 + r * np.sin(ang)) + dk, -c, r * s, 0.0 * c, -s, -r * c)
+    res = apply_operator(reflection_coefficients(cfg, cfg.c2 / 20.0), x, y, jet)
+    assert np.max(np.abs(res)) <= 1e-14

@@ -422,7 +422,7 @@ def test_strip_grid_payload_is_pinned(tmp_path):
     assert main(["solve", "--mode", "reflection", "--gamma", "1.4", "--theta-w", "60", "--grid", "121,49",
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "grid.srl").read_bytes()).hexdigest()
-    assert digest == "810f71d8d5a8e7e0dd56436f667bb71bcd0344e681aa01e56fab9b19ae841f83"
+    assert digest == "1a79751e972ad7cefe4d63c036e13fd8537e83106c36d8392739ebcb7db3e9c4"
 
 
 def test_bhat_evaluation_shape_is_pinned(fns, weak60, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import srlab
-from srlab.coefficients import coefficient_partials, o_bound_audit, operator_coefficients, zeta
+from srlab.coefficients import o_bound_audit, operator_coefficients, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
 from srlab.solver import _JET, _derivative_pass, _levels, _ordinates, _prolong, _stencil_table, derivative_fields
@@ -523,18 +523,18 @@ def test_o_bound_audit_model_is_zero(model_field, model_ab):
 
 
 def test_audit_takes_the_last_iterations_o_terms(reflection_field, weak60, monkeypatch):
-    # each Newton iteration evaluates the O-terms once on real data (the
-    # complex-stepped partials aside), and the sidecar's audit reuses the last
-    # iteration's: no evaluation after the loop, and the audit of a fresh
-    # evaluation on the interior nodes of the converged field
+    # each Newton iteration evaluates the O-terms once on real data, and the
+    # sidecar's audit reuses the last iteration's: no evaluation after the
+    # loop, and the audit of a fresh evaluation on the interior nodes of the
+    # converged field
     from srlab.coefficients import CoefficientModel
 
     real, evaluate = [], CoefficientModel.evaluate
 
-    def spy(self, x, y, psi, px, py):
+    def spy(self, x, y, psi, px, py, table=None):
         if not np.iscomplexobj(psi):
             real.append(1)
-        return evaluate(self, x, y, psi, px, py)
+        return evaluate(self, x, y, psi, px, py, table)
 
     monkeypatch.setattr(CoefficientModel, "evaluate", spy)
     f = srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=97, grid_ny=49,
@@ -585,7 +585,7 @@ def _system(field, coeffs, neumann, fns=None):
 
     d, _, frozen, clamp = _frozen(field, coeffs, neumann)
     jet = [d[key] for key in _JET]
-    partials = coefficient_partials(coeffs, field.xs[:, None], _ordinates(field), *jet[:3])
+    partials = coeffs.table(field.xs[:, None]).partials(*jet[:3])
     shock = None if fns is None else _shock_row(field, fns)[1]
     blocks = _stencil_blocks(field, _tables(field, neumann), neumann, shock is not None)
     J, r = _newton_system(blocks, frozen, partials, jet, shock)
@@ -745,23 +745,23 @@ def test_frozen_lead_takes_the_cutoff_where_it_acts(reflection_field, weak60):
         assert np.array_equal(frozen[k], np.broadcast_to(coefficients[k], f.values.shape))
 
 
-def _zero_o_terms(x, y, psi, px, py):
-    """O1..O5 of the model closure spelled as five zero arrays on the nodes."""
-    z = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(psi)))
-    return z, z, z, z, z
+def _zero_o_columns(x):
+    """O1..O5 of the model closure spelled as zero columns over x on every monomial of (psi, psi_x, psi_y)."""
+    z = np.zeros(np.shape(x))
+    return ({name: z for name in ("1", "psi", "px", "py", "px2", "py2", "pxpy")},) * 5
 
 
 def test_o_free_closure_matches_explicit_zero_arrays(model_ab):
     # the model closure's O-terms are the scalar 0.0, which every consumer
-    # broadcasts; spelled as zero arrays instead, the nested solve, its
-    # sidecar (the O-term audit included) and the barrier scans are the same
-    # bit for bit
+    # broadcasts; spelled as zero columns instead, which give zero arrays on
+    # the nodes, the nested solve, its sidecar (the O-term audit included)
+    # and the barrier scans are the same bit for bit
     from srlab.barriers import choose_subsolution_params, scan_L1_sign, scan_L2_defect_sign
     from srlab.coefficients import CoefficientModel
 
     a, b = model_ab
     free = srlab.model_coefficients(a, b)
-    arrays = CoefficientModel(a=a, b=b, N=0.0, label="model", o_terms=_zero_o_terms)
+    arrays = CoefficientModel(a=a, b=b, N=0.0, label="model", o_columns=_zero_o_columns)
     x = np.linspace(0.0, 0.5, 5)[:, None]
     o_terms = free.evaluate(x, np.zeros((1, 3)), x * x, x, 0.0 * x)
     assert o_terms == (0.0,) * 5 and all(type(o) is float for o in o_terms)

@@ -466,3 +466,60 @@ def test_stencil_tables_are_built_once_per_newton_level(monkeypatch, weak60):
     assert len(built) == 2
     assert np.array_equal(built[0][0], strip.xs) and built[0][1] == (False, False)
     assert np.array_equal(built[1][0], strip.ys) and built[1][1] == (True, False)
+
+
+def test_closure_tables_are_built_once_per_newton_level(monkeypatch, weak60):
+    # like the stencil tables, each Newton level builds the closure's table of
+    # columns over x once, and every evaluation of the level reads it: a nested
+    # solve of three levels, and a strip solve
+    import srlab
+    from srlab import solver
+    from srlab.coefficients import CoefficientModel
+
+    built, table = [], CoefficientModel.table
+
+    def spy(self, x, companion=False):
+        built.append(x.shape)
+        return table(self, x, companion)
+
+    monkeypatch.setattr(CoefficientModel, "table", spy)
+    grid = srlab.GridSpec(rhat=0.5, nx=49, ny=33, grade_q=0.95)
+    field = srlab.solve(srlab.model_coefficients(2.4, 0.8), srlab.BoundaryConditions(outer=lambda y: 0.05 + 0 * y),
+                        grid)
+    assert sum(lv["iterations"] for lv in field.meta["levels"]) > 2 * len(solver._levels(grid))
+    assert built == [(lv.nx, 1) for lv in solver._levels(grid)]
+
+    built.clear()
+    strip = srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=41, grid_ny=17)
+    assert strip.meta["iterations"] > 2
+    assert built == [(41, 1)]
+
+
+def test_strip_solve_takes_no_complex_step_of_the_closure(monkeypatch, weak60):
+    # the operator's coefficients and their partials come from the closure's
+    # table in real arithmetic: a 121x49 strip solve passes no complex array
+    # to the closure's evaluation, and the one complex step it takes is the
+    # jump condition's, in the shock row's psi_gradient
+    import numpy as np
+
+    import srlab
+    from srlab import coefficients, shock
+
+    kinds, callers = [], []
+    values, stepped = coefficients._values, coefficients.complex_step_partials
+
+    def spy_values(rows, *m):
+        kinds.extend(np.iscomplexobj(v) for v in m)
+        return values(rows, *m)
+
+    def spy_step(f, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return stepped(f, *args)
+
+    monkeypatch.setattr(coefficients, "_values", spy_values)
+    for module in (coefficients, shock):
+        monkeypatch.setattr(module, "complex_step_partials", spy_step)
+    field = srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=121, grid_ny=49)
+    assert field.meta["iterations"] > 2
+    assert kinds and not any(kinds)
+    assert callers and set(callers) == {"psi_gradient"}
