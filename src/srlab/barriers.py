@@ -5,6 +5,13 @@ exact derivatives.  The recipes reproduce the constructive parameter choices
 of the comparison arguments (quadratic lower bound, growth bound, lower decay
 bound); the sign properties are then verified by dense grid scans with local
 refinement, which is reported as sampling evidence, not proof.
+
+A barrier is A(x) + D(x) y^2 and a closure is quadratic in (psi, psi_x,
+psi_y) with columns over x, so each scanned defect is a polynomial in y
+whose coefficients are columns over x.  A scan runs the closure's own code
+once on the barrier's jet spelled as such polynomials (_YPoly), refuses a
+defect with a nonzero odd coefficient, and evaluates the even one by
+Horner's rule in t = y^2 on its sample grids.
 """
 
 import math
@@ -12,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, apply_operator
+from .coefficients import CoefficientModel, apply_coefficients, apply_operator
 from .grids import ScalarField2D
 
 __all__ = [
@@ -24,6 +31,89 @@ __all__ = [
     "verify_comparison",
     "ComparisonReport",
 ]
+
+
+def _t_sum(p, q, shift=0):
+    """The coefficients of p(t) + t^shift q(t), each from t^0 up."""
+    q = (0.0,) * shift + tuple(q) if q else ()
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(a + b for a, b in zip(p, q)) + tuple(p[len(q):])
+
+
+def _t_product(p, q):
+    """The coefficients of p(t) q(t), each summed in the order of p's."""
+    out = [None] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = a * b if out[i + j] is None else out[i + j] + a * b
+    return tuple(out)
+
+
+def _horner(p, t):
+    """p(t) by Horner's rule; 0.0 for no coefficients."""
+    v = p[-1] if p else 0.0
+    for c in p[-2::-1]:
+        v = v * t + c
+    return v
+
+
+class _YPoly:
+    """A polynomial E(t) + y O(t) in y, t = y^2: its even and odd parts as coefficients of t^0, t^1, ...
+
+    The coefficients are columns over x or scalars; an empty part is zero,
+    so parity is kept by structure.  numpy defers its operators to these
+    (__array_ufunc__ = None), so the closure's code runs on polynomials as
+    it runs on arrays.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, even=(), odd=()):
+        self.even, self.odd = tuple(even), tuple(odd)
+
+    @staticmethod
+    def _of(v):
+        return v if isinstance(v, _YPoly) else _YPoly((v,))
+
+    def __add__(self, other):
+        other = _YPoly._of(other)
+        return _YPoly(_t_sum(self.even, other.even), _t_sum(self.odd, other.odd))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _YPoly([-c for c in self.even], [-c for c in self.odd])
+
+    def __sub__(self, other):
+        return self + -_YPoly._of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        # (e + y o)(f + y g) = e f + t o g + y (e g + o f)
+        other = _YPoly._of(other)
+        (e, o), (f, g) = (self.even, self.odd), (other.even, other.odd)
+        return _YPoly(_t_sum(_t_product(e, f), _t_product(o, g), 1), _t_sum(_t_product(e, g), _t_product(o, f)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, s):
+        return _YPoly([c / s for c in self.even], [c / s for c in self.odd])
+
+    def dy(self):
+        """The y-derivative: e_k y^2k gives 2k e_k y^(2k-1), o_k y^(2k+1) gives (2k+1) o_k y^2k."""
+        return _YPoly([(2 * k + 1) * c for k, c in enumerate(self.odd)],
+                      [2 * k * c for k, c in enumerate(self.even) if k])
+
+    def __call__(self, y):
+        """The value at y: E by Horner's rule in t = y*y, plus y times O's."""
+        t = y * y
+        if not self.odd:
+            return _horner(self.even, t)
+        odd = y * _horner(self.odd, t)
+        return _horner(self.even, t) + odd if self.even else odd
 
 
 def _term(c, p, x, k):
@@ -42,34 +132,35 @@ class BarrierFunction:
     p2: float
 
     def _profile(self, x, k):
-        """A and D differentiated k times in x."""
+        """psi differentiated k times in x, A^(k) + D^(k) y^2, as a polynomial in y."""
         A = _term(self.c1, self.p1, x, k)
-        return A, _term(self.c2, self.p2, x, k) - A
+        return _YPoly((A, _term(self.c2, self.p2, x, k) - A))
+
+    def y_jet(self, x):
+        """The jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy) as polynomials in y with columns over x.
+
+        psi = A + D y^2 and its x-derivatives; psi_y = 2 D y, psi_xy = 2 D' y
+        and psi_yy = 2 D are their y-derivatives.
+        """
+        x = np.asarray(x, dtype=float)
+        psi, px, pxx = (self._profile(x, k) for k in range(3))
+        py = psi.dy()
+        return psi, px, py, pxx, px.dy(), py.dy()
 
     def value(self, x, y):
-        """psi at (x, y), bit for bit as jet()[0]."""
-        A, D = self._profile(np.asarray(x, dtype=float), 0)
-        return A + D * np.square(y, dtype=float)
-
-    def jet(self, x, y):
-        """The jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy) at (x, y), as arrays that broadcast to the nodes.
-
-        psi_y = 2 D y and psi_xy = 2 D' y are odd in y, the rest even, bit for bit on mirrored y-values.
-        """
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        y2 = y * y
-        (A, D), (A1, D1), (A2, D2) = (self._profile(x, k) for k in range(3))
-        return A + D * y2, A1 + D1 * y2, 2.0 * D * y, A2 + D2 * y2, 2.0 * D1 * y, 2.0 * D
+        """psi at (x, y), bit for bit as y_jet(x)[0] at y."""
+        return self._profile(np.asarray(x, dtype=float), 0)(np.asarray(y, dtype=float))
 
 
-def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x, y):
-    """The companion operator L2 on fn less its right side (O1 - x O4)/a, both on one evaluation of the jet."""
+def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x):
+    """The companion operator L2 on fn less its right side (O1 - x O4)/a, as a polynomial in y: one jet, one table."""
     if coeffs.a == 0.0:
         raise ValueError("the deviation operator needs a > 0")
     x = np.asarray(x, dtype=float)
-    jet = fn.jet(x, y)
-    O1, _, _, O4, _ = coeffs.evaluate(x, y, *jet[:3])
-    return apply_operator(coeffs, x, y, jet, companion=True) - (O1 - x * O4) / coeffs.a
+    jet = fn.y_jet(x)
+    table = coeffs.table(x, companion=True)
+    O = coeffs.evaluate(x, *jet[:3], table)
+    return apply_coefficients(table.coefficients(*jet[:3], O), jet) - (O[0] - x * O[3]) / coeffs.a
 
 
 # -- recipes ------------------------------------------------------------------
@@ -147,8 +238,8 @@ def choose_subsolution_params(a: float, b: float, N: float, rhat: float, sigma) 
     r0 = min(1.0 / (4.0 * C0), (b + N) / C0, 1.0 / (8.0 * np.sqrt(C0 * (b + N))), rhat / 2.0, 1.0)
     A0 = 0.5 * (4.0 * C0 * r0**2 + 1.0 / (8.0 * (b + N)))
     sig = float(sigma(r0))
-    if sig <= 0.0:
-        raise ValueError(f"interior lower bound sigma must be positive, got {sig}")
+    if not 0.0 < sig < math.inf:  # NaN fails too
+        raise ValueError(f"interior lower bound sigma must be finite and positive, got {sig}")
     mu0 = min(1.0 / (8.0 * a), sig / r0**2)
     k = mu0 * A0
     mu1 = min(2.0 * a * mu0, 0.5)
@@ -166,42 +257,43 @@ def choose_subsolution_params(a: float, b: float, N: float, rhat: float, sigma) 
 # -- sign scans ---------------------------------------------------------------
 
 
-# x-rows per block of a scan: a 32 x 256 half-grid block keeps each jet
-# entry and operator term at 64 kB, inside a 2 MB L2 cache (16 rows: ~30%
-# slower, 64 rows: ~7%, 128 rows: ~80%)
-_SCAN_ROWS = 32
 # grid points per axis of a scan
 _SCAN_N = 512
 
 
-def _scan(valfun, r, minimize):
-    """Extremum of valfun, an even function of y, over (0, r] x [-1, 1].
+def _sample(defect, x, y):
+    """defect(x), a polynomial in y with columns over the nodes x, at x times y; refused unless it is even in y."""
+    poly = defect(x[:, None])
+    for k, c in enumerate(poly.odd):
+        odd = np.flatnonzero(np.broadcast_to(c, (x.size, 1)) != 0.0)  # NaN is not known to be 0
+        if odd.size:
+            raise ValueError(f"barrier scans need a defect even in y; its y^{2 * k + 1} coefficient "
+                             f"is nonzero at x = {x[odd[0]]:.6g}")
+    vals = np.empty((x.size, y.size))
+    vals[...] = poly.even[-1]
+    t = y * y
+    for c in poly.even[-2::-1]:  # Horner's rule in t, in place
+        vals *= t
+        vals += c
+    return vals
 
-    The y-nodes (2k + 1 - n)/(n - 1) are those of linspace(-1, 1, n) but
-    mirror exactly (ys[n-1-k] == -ys[k]), and negation, squaring and
-    products of two odd factors are exact, so an even defect is even bit
-    for bit on them.  Only the ceil(n/2) columns with y <= 0 are evaluated:
-    they hold each grid value at its first C-order occurrence, so the
-    extremum, its node and the refinement window are those of the full grid.
+
+def _scan(defect, r, minimize):
+    """Extremum of defect(x), a polynomial in y even in it, over (0, r] x [-1, 1].
+
+    The defect is taken once per grid, as coefficient columns over the
+    grid's x-nodes, and refused if an odd coefficient is nonzero at any of
+    them.  The y-nodes (2k + 1 - n)/(n - 1) are those of linspace(-1, 1, n)
+    but mirror exactly, and the value depends on y through y*y alone, so
+    only the ceil(n/2) columns with y <= 0 are evaluated: they hold each grid
+    value at its first C-order occurrence.
     """
     n = _SCAN_N
-    h = (n + 1) // 2
     xs = np.linspace(r / n, r, n)
     ys = (2.0 * np.arange(n) + 1.0 - n) / (n - 1)
-    vals = np.empty((n, h))
-    for k in range(0, n, _SCAN_ROWS):
-        vals[k:k + _SCAN_ROWS] = valfun(xs[k:k + _SCAN_ROWS, None], ys[None, :h])
+    vals = _sample(defect, xs, ys[:(n + 1) // 2])
     pick = np.argmin(vals) if minimize else np.argmax(vals)
     i, j = np.unravel_index(pick, vals.shape)
-    # the half grid stands for the whole only if valfun is even in y: evaluate
-    # the extremum's row and column at their mirrored nodes, in one call (the
-    # row alone can miss an odd term, e.g. on the v barrier's outer row, where
-    # psi_y = 0)
-    gx = np.concatenate([np.full(h, xs[i]), xs])
-    gy = np.concatenate([ys[::-1][:h], np.full(n, ys[n - 1 - j])])
-    if not np.array_equal(valfun(gx, gy), np.concatenate([vals[i], vals[:, j]]), equal_nan=True):
-        raise ValueError(f"barrier scans need a defect even in y; on the row x = {xs[i]:.6g} "
-                         f"or the column y = {ys[j]:.6g} it differs at -y")
     best = float(vals[i, j])
     # local refinement around the detected extremum
     x_lo = max(xs[max(i - 2, 0)], r / (8 * n))
@@ -209,7 +301,7 @@ def _scan(valfun, r, minimize):
     y_lo, y_hi = ys[max(j - 2, 0)], ys[min(j + 2, n - 1)]
     xf = np.linspace(x_lo, x_hi, 96)
     yf = np.linspace(y_lo, y_hi, 96)
-    vf = valfun(xf[:, None], yf[None, :])
+    vf = _sample(defect, xf, yf)
     refined = float(np.min(vf) if minimize else np.max(vf))
     if (refined < best) == minimize:
         best = refined
@@ -218,7 +310,7 @@ def _scan(valfun, r, minimize):
 
 def scan_L1_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: float) -> dict:
     """min of L1(barrier) over (0, r] x [-1, 1]; positive means strict subsolution."""
-    best, arg = _scan(lambda x, y: apply_operator(coeffs, x, y, barrier.jet(x, y)), r, minimize=True)
+    best, arg = _scan(lambda x: apply_operator(coeffs, x, barrier.y_jet(x)), r, minimize=True)
     return {"min": best, "argmin": arg, "n": _SCAN_N, "positive": best > 0.0}
 
 
@@ -229,7 +321,7 @@ def scan_L2_defect_sign(barrier: BarrierFunction, coeffs: CoefficientModel, r: f
     want="negative" checks a supersolution (max < 0), want="positive" a
     subsolution (min > 0).
     """
-    fun = lambda x, y: _l2_defect(barrier, coeffs, x, y)
+    fun = lambda x: _l2_defect(barrier, coeffs, x)
     if want == "negative":
         best, arg = _scan(fun, r, minimize=False)
         return {"max": best, "argmax": arg, "n": _SCAN_N, "negative": best < 0.0}

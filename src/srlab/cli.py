@@ -312,6 +312,8 @@ def _verify_input(what, path):
                                f"eps = c2/20 = {eps:.6g} exceeds the chart depth {depth:.6g}")
             return cfg, eps
         field = ScalarField2D.load(path)
+        if not all(np.isfinite(v).all() for v in (field.xs, field.ys, field.values)):
+            raise ValueError("the grid's axes and values must be finite")
         if what != "barriers":
             return (field,)
         cm = field.meta.get("coefficients", {})

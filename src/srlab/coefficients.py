@@ -57,7 +57,7 @@ class CoefficientModel:
         """The closure's table at nodes x (of L2 if companion): per-monomial columns for any number of evaluations."""
         return _Table(self, x, companion)
 
-    def evaluate(self, x, y, psi, px, py, table=None):
+    def evaluate(self, x, psi, px, py, table=None):
         """O1..O5, arrays or scalars that broadcast to the nodes: the scalar 0.0 each for an O-free closure.
 
         table is this closure's table at x when the caller has built it already.
@@ -200,14 +200,15 @@ def _nominal_reflection_bound(gam, c2, eps):
     return float(max(n1, n2, n3, n4, n5))
 
 
-def operator_coefficients(coeffs: CoefficientModel, x, y, psi, px, py, companion: bool = False):
+def operator_coefficients(coeffs: CoefficientModel, x, psi, px, py):
     """Coefficients of (psi_x, psi_y, psi_xx, psi_xy, psi_yy) in L1: the closure's fixed part plus its O-terms.
 
-    companion=True gives L2, the operator on deviation profiles W, with the
-    leading coefficient x + a psi_x and the first-order x coefficient 2 + O4.
+    L2, the operator on deviation profiles W, with the leading coefficient
+    x + a psi_x and the first-order x coefficient 2 + O4, has its own table,
+    coeffs.table(x, companion=True).
     """
-    table = coeffs.table(x, companion)
-    return table.coefficients(psi, px, py, coeffs.evaluate(x, y, psi, px, py, table))
+    table = coeffs.table(x)
+    return table.coefficients(psi, px, py, coeffs.evaluate(x, psi, px, py, table))
 
 
 def apply_coefficients(coefficients, jet):
@@ -217,9 +218,9 @@ def apply_coefficients(coefficients, jet):
     return cxx * pxx + cxy * pxy + cyy * pyy + cx * px + cy * py
 
 
-def apply_operator(coeffs: CoefficientModel, x, y, jet, companion: bool = False):
-    """The degenerate operator L1 (L2 if companion) on a jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy)."""
-    return apply_coefficients(operator_coefficients(coeffs, x, y, *jet[:3], companion=companion), jet)
+def apply_operator(coeffs: CoefficientModel, x, jet):
+    """The degenerate operator L1 on a jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy)."""
+    return apply_coefficients(operator_coefficients(coeffs, x, *jet[:3]), jet)
 
 
 def complex_step_partials(f, *args):

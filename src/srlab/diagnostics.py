@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InsufficientResolution, NonpositiveSamples
 from .grids import ScalarField2D, _write_csv
-from .solver import _JET, _ORDERS, _ordinates
+from .solver import _JET, _ORDERS, _strip_geometry
 
 __all__ = [
     "fit_power_law",
@@ -21,6 +21,14 @@ __all__ = [
     "write_station_trace_csv",
     "full_report",
 ]
+
+
+def _ordinates(field):
+    """Physical ordinate y at every node (s*fhat on the strip)."""
+    if field.kind == "rect":
+        return np.broadcast_to(field.ys[None, :], field.values.shape)
+    fh, _, _, s = _strip_geometry(field)
+    return s * fh
 
 
 def fit_power_law(field: ScalarField2D, y_station: float):

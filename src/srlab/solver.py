@@ -203,14 +203,6 @@ def _chain(field, jet, block=np.s_[:, :]):
             (uxs - g * us - sg * uss) / fh, uss / fh**2)
 
 
-def _ordinates(field):
-    """Physical ordinate y at every node (s*fhat on the strip)."""
-    if field.kind == "rect":
-        return np.broadcast_to(field.ys[None, :], field.values.shape)
-    fh, _, _, s = _strip_geometry(field)
-    return s * fh
-
-
 def _derivative_pass(field, tables):
     """The physical jet at all nodes, keyed by _JET, from the stencil tables (x, y) of its axes.
 
@@ -529,7 +521,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     """
     history, lu_nnz, krylov, du, inner, rtol = [], [], [], 0.0, 0, 0.0
     shock_res, shock, blocks, lu = 0.0, None, None, None
-    x, y = field.xs[:, None], _ordinates(field)
+    x = field.xs[:, None]
     tables = _stencil_table(field.xs), _stencil_table(field.ys, neumann)  # one pair per level
     table = coeffs.table(x)  # and one closure table
     for it in range(opts.max_iterations + 1):
@@ -537,7 +529,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         # of the current iterate, the system and Jacobian of the next step and the audit
         d = _derivative_pass(field, tables)
         jet = [d[key] for key in _JET]
-        o_terms = coeffs.evaluate(x, y, *jet[:3], table)
+        o_terms = coeffs.evaluate(x, *jet[:3], table)
         coefficients = table.coefficients(*jet[:3], o_terms)
         res = float(np.max(np.abs(apply_coefficients(coefficients, jet)[1:-1, 1:-1])))
         frozen, clamp_fraction = _frozen_coefficients(field, coeffs.a, coefficients, d["px"])

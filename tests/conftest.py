@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import srlab
 from srlab.coefficients import apply_operator
-from srlab.solver import _JET, _ordinates
+from srlab.solver import _JET
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,7 @@ def potential(state, xi, eta):
 def residual(field, coeffs):
     """Max |L1 psi| over interior nodes, and the residual field: the operator on one derivative pass."""
     d = srlab.derivative_fields(field)
-    res = apply_operator(coeffs, field.xs[:, None], _ordinates(field), [d[key] for key in _JET])
+    res = apply_operator(coeffs, field.xs[:, None], [d[key] for key in _JET])
     return float(np.max(np.abs(res[1:-1, 1:-1]))), res
 
 

@@ -7,28 +7,38 @@ from srlab.barriers import (
     BarrierRecipe,
     ComparisonReport,
     _growth_exponent,
+    _l2_defect,
+    _YPoly,
     choose_subsolution_params,
     scan_L1_sign,
     scan_L2_defect_sign,
     verify_comparison,
 )
-from srlab.coefficients import apply_operator
+from srlab.coefficients import CoefficientModel, apply_coefficients, apply_operator
 from srlab.grids import ScalarField2D
 from srlab.solver import derivative_fields
 
 from conftest import residual
 
 
+def jet_at(fn, x, y):
+    # the barrier's jet at the nodes (x, y), each entry of fn.y_jet(x) evaluated at y
+    y = np.asarray(y, dtype=float)
+    return tuple(entry(y) for entry in fn.y_jet(x))
+
+
 # the companion operator L2 and its right side (O1 - x O4)/a, each on its own
-# evaluation of the barrier's jet: the reference for the scans' one-jet defect
+# evaluation of the barrier's jet: the reference for the scans' one-table defect
 
 
 def apply_L2(fn, coeffs, x, y):
-    return apply_operator(coeffs, x, y, fn.jet(x, y), companion=True)
+    jet = jet_at(fn, x, y)
+    table = coeffs.table(x, companion=True)
+    return apply_coefficients(table.coefficients(*jet[:3], table.o_terms(*jet[:3])), jet)
 
 
 def l2_rhs(fn, coeffs, x, y):
-    O1, _, _, O4, _ = coeffs.evaluate(x, y, *fn.jet(x, y)[:3])
+    O1, _, _, O4, _ = coeffs.evaluate(x, *jet_at(fn, x, y)[:3])
     return (O1 - x * O4) / coeffs.a
 
 
@@ -63,7 +73,7 @@ def test_barrier_derivatives_match_finite_differences():
             fd_yy = (fn.value(x, y + h) - 2 * fn.value(x, y) + fn.value(x, y - h)) / h**2
             fd_xy = (fn.value(x + h, y + h) - fn.value(x + h, y - h)
                      - fn.value(x - h, y + h) + fn.value(x - h, y - h)) / (4 * h * h)
-            v, dx, dy, dxx, dxy, dyy = fn.jet(x, y)
+            v, dx, dy, dxx, dxy, dyy = jet_at(fn, x, y)
             assert v == fn.value(x, y)
             assert dx == pytest.approx(fd_x, rel=1e-6, abs=1e-9)
             assert dy == pytest.approx(fd_y, rel=1e-6, abs=1e-9)
@@ -72,7 +82,7 @@ def test_barrier_derivatives_match_finite_differences():
             assert dxy == pytest.approx(fd_xy, rel=1e-4, abs=1e-6)
         # the jet's value is value() bit for bit on the arrays a scan evaluates too
         xs, ys = np.linspace(0.01, 0.8, 32)[:, None], np.linspace(-1.0, 1.0, 64)[None, :]
-        assert np.array_equal(fn.jet(xs, ys)[0], fn.value(xs, ys))
+        assert np.array_equal(jet_at(fn, xs, ys)[0], fn.value(xs, ys))
 
 
 def test_apply_L1_exact_solutions(model_ab):
@@ -80,10 +90,10 @@ def test_apply_L1_exact_solutions(model_ab):
     quad = BarrierFunction(1.0 / (2 * a), 2.0, 1.0 / (2 * a), 2.0)  # x^2/(2a) at every y
     xs = np.linspace(0.01, 0.4, 7)[:, None]
     ys = np.linspace(-0.9, 0.9, 5)[None, :]
-    vals = apply_operator(srlab.model_coefficients(a, b), xs, ys, quad.jet(xs, ys))
+    vals = apply_operator(srlab.model_coefficients(a, b), xs, jet_at(quad, xs, ys))
     assert np.max(np.abs(vals)) < 1e-14
     three_halves = BarrierFunction(1.0, 1.5, 1.0, 1.5)
-    vals = apply_operator(srlab.linear_coefficients(b), xs, ys, three_halves.jet(xs, ys))
+    vals = apply_operator(srlab.linear_coefficients(b), xs, jet_at(three_halves, xs, ys))
     assert np.max(np.abs(vals)) < 1e-13
 
 
@@ -116,7 +126,7 @@ def test_residual_matches_apply_L1_on_quadratic_barrier(closure, q, model_ab, we
     ys = srlab.uniform_axis(-1.0, 1.0, 33)
     field = srlab.ScalarField2D(xs, ys, fn.value(xs[:, None], ys[None, :]))
     _, res = residual(field, coeffs)
-    exact = apply_operator(coeffs, xs[:, None], ys[None, :], fn.jet(xs[:, None], ys[None, :]))
+    exact = apply_operator(coeffs, xs[:, None], jet_at(fn, xs[:, None], ys[None, :]))
     assert np.max(np.abs(exact[1:-1, 1:-1])) > 1e-3
     assert np.max(np.abs(res - exact)[1:-1, 1:-1]) <= 1e-13
 
@@ -193,6 +203,14 @@ def test_recipe_invariants_random_inputs():
         assert rec.r1 <= rec.r0 and rec.r2 <= rec.r0
         # the growth exponent's mu lies where its inequality was solved
         assert 0.0 < rec.mu1 <= 0.5
+
+
+@pytest.mark.parametrize("sig", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_recipe_refuses_a_sigma_not_finite_and_positive(sig):
+    # a grid with NaN gave sigma = NaN, which once passed through to mu0 and
+    # every barrier; 0 and negative lower bounds give no barrier either
+    with pytest.raises(ValueError, match="finite and positive"):
+        choose_subsolution_params(2.4, 0.8, N=0.0, rhat=0.5, sigma=lambda r: sig)
 
 
 def test_recipe_window_never_empty():
@@ -313,8 +331,15 @@ def _closure(kind, model_ab, weak60):
     return srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
 
 
-def _full_scan(valfun, r, n, minimize):
-    # the scan evaluated on the whole symmetric n x n grid at once
+def _magnitude(poly, y):
+    # sum |c_k| |y|^k of a polynomial in y: the scale its evaluation rounds against
+    return _YPoly([np.abs(c) for c in poly.even], [np.abs(c) for c in poly.odd])(np.abs(y))
+
+
+def _full_scan(valfun, r, n, minimize, poly=None):
+    # the scan evaluated pointwise on the whole symmetric n x n grid at once;
+    # with poly, the scan's polynomial, also the largest sum |c_k| |y|^k over
+    # the extremum's node and its refinement window
     xs, ys = np.linspace(r / n, r, n), _symmetric_nodes(n)
     vals = valfun(xs[:, None], ys[None, :])
     i, j = np.unravel_index(np.argmin(vals) if minimize else np.argmax(vals), vals.shape)
@@ -325,7 +350,11 @@ def _full_scan(valfun, r, n, minimize):
     refined = float(np.min(vf) if minimize else np.max(vf))
     if (refined < best) == minimize:
         best = refined
-    return best, (float(xs[i]), float(ys[j]))
+    if poly is None:
+        return best, (float(xs[i]), float(ys[j]))
+    scale = max(float(np.max(_magnitude(poly(xf[:, None]), yf[None, :]))),
+                float(_magnitude(poly(xs[i]), ys[j])))
+    return best, (float(xs[i]), float(ys[j])), scale
 
 
 def _three_scans(recipe, coeffs):
@@ -336,60 +365,64 @@ def _three_scans(recipe, coeffs):
     )
 
 
-@pytest.mark.parametrize("n", [512, 100])
-@pytest.mark.parametrize("closure", ["model", "reflection"])
-def test_scans_do_not_depend_on_the_row_block(recipe, model_ab, weak60, monkeypatch, n, closure):
-    # every value is elementwise, so the scans return the same dicts, bit for
-    # bit, for any number of x-rows per block (512: the whole half grid at once)
-    coeffs = _closure(closure, model_ab, weak60)
-    monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
-    ref = _three_scans(recipe, coeffs)
-    assert all(rep["n"] == n for rep in ref)
-    for rows in (1, 7, 512):
-        monkeypatch.setattr(srlab.barriers, "_SCAN_ROWS", rows)
-        assert _three_scans(recipe, coeffs) == ref
-
-
 @pytest.mark.parametrize("sigma", [0.01, 0.05, 1e-4])
 @pytest.mark.parametrize("n", [512, 100, 9, 7])
 @pytest.mark.parametrize("closure", ["model", "reflection"])
 def test_half_scan_is_the_full_symmetric_scan(model_ab, weak60, monkeypatch, sigma, n, closure):
     # the y <= 0 half holds every value of an even defect at its first
-    # C-order occurrence, so each scan reports what the full grid gives
+    # C-order occurrence, so each scan reports the node that the pointwise
+    # full grid gives, and its extremum to rounding of sum |c_k| |y|^k (the
+    # polynomial and the pointwise operator round in different orders)
     a, b = model_ab
     rec = choose_subsolution_params(a, b, N=0.0, rhat=0.5, sigma=lambda r: sigma)
     coeffs = _closure(closure, model_ab, weak60)
     monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
     w, v, u = rec.w_barrier(), rec.v_barrier(), rec.u_minus_barrier()
-    L1 = lambda x, y: apply_operator(coeffs, x, y, w.jet(x, y))
+    L1 = lambda x, y: apply_operator(coeffs, x, jet_at(w, x, y))
     Lv = lambda x, y: apply_L2(v, coeffs, x, y) - l2_rhs(v, coeffs, x, y)
     Lu = lambda x, y: apply_L2(u, coeffs, x, y) - l2_rhs(u, coeffs, x, y)
+    P1 = lambda x: apply_operator(coeffs, x, w.y_jet(x))
+    Pv, Pu = (lambda x, fn=fn: _l2_defect(fn, coeffs, x) for fn in (v, u))
     cases = [
-        (scan_L1_sign(w, coeffs, rec.r0), "min", _full_scan(L1, rec.r0, n, True)),
-        (scan_L2_defect_sign(v, coeffs, rec.r1, want="negative"), "max", _full_scan(Lv, rec.r1, n, False)),
-        (scan_L2_defect_sign(u, coeffs, rec.r2, want="positive"), "min", _full_scan(Lu, rec.r2, n, True)),
+        (scan_L1_sign(w, coeffs, rec.r0), "min", _full_scan(L1, rec.r0, n, True, P1)),
+        (scan_L2_defect_sign(v, coeffs, rec.r1, want="negative"), "max", _full_scan(Lv, rec.r1, n, False, Pv)),
+        (scan_L2_defect_sign(u, coeffs, rec.r2, want="positive"), "min", _full_scan(Lu, rec.r2, n, True, Pu)),
     ]
-    for rep, key, (best, arg) in cases:
-        assert (rep[key], rep["arg" + key]) == (best, arg)
+    for rep, key, (best, arg, scale) in cases:
+        assert rep["arg" + key] == arg
+        assert abs(rep[key] - best) <= 1e-13 * scale
         assert rep["arg" + key][1] <= 0.0
 
 
 @pytest.mark.parametrize("n", [512, 7])
-def test_scan_evaluates_the_half_grid(recipe, model_ab, monkeypatch, n):
-    # n * ceil(n/2) grid points, the 96 x 96 refinement and the mirrored guard
-    # row and column (the full grid took n * n), one barrier jet for each
-    counts = []
-    jet = BarrierFunction.jet
+def test_scan_evaluates_the_half_grid(recipe, model_ab, weak60, monkeypatch, n):
+    # each scan takes its defect once per grid, on the x-nodes alone: one
+    # closure table and one polynomial jet for the n x ceil(n/2) sample grid
+    # and one each for the 96 x 96 refinement, with no barrier evaluated
+    # pointwise; the scans' cost rests on these counts
+    tables, jets, pointwise = [], [], []
+    table, y_jet, at = CoefficientModel.table, BarrierFunction.y_jet, _YPoly.__call__
 
-    def counted(fn, x, y):
-        counts.append(np.broadcast(x, y).size)
-        return jet(fn, x, y)
+    def spy_table(self, x, companion=False):
+        tables.append((np.shape(x), companion))
+        return table(self, x, companion)
+
+    def spy_y_jet(fn, x):
+        jets.append(np.shape(x))
+        return y_jet(fn, x)
 
     monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
-    monkeypatch.setattr(BarrierFunction, "jet", counted)
-    _three_scans(recipe, srlab.model_coefficients(*model_ab))
-    h = (n + 1) // 2
-    assert sum(counts) == 3 * (n * h + 96 * 96 + h + n)
+    monkeypatch.setattr(CoefficientModel, "table", spy_table)
+    monkeypatch.setattr(BarrierFunction, "y_jet", spy_y_jet)
+    monkeypatch.setattr(BarrierFunction, "value", lambda *args: pointwise.append("value"))
+    monkeypatch.setattr(_YPoly, "__call__", lambda *args: pointwise.append("at") or at(*args))
+    for closure in ("model", "reflection"):
+        tables.clear()
+        jets.clear()
+        assert all(rep["n"] == n for rep in _three_scans(recipe, _closure(closure, model_ab, weak60)))
+        assert tables == [((n, 1), False), ((96, 1), False)] + [((n, 1), True), ((96, 1), True)] * 2
+        assert jets == [(n, 1), (96, 1)] * 3
+    assert pointwise == []
 
 
 @pytest.mark.parametrize("closure", ["model", "linear", "reflection"])
@@ -404,7 +437,7 @@ def test_recipe_barrier_defects_are_even_bit_for_bit(recipe, model_ab, weak60, c
         assert np.array_equal(ys, -ys[:, ::-1])
         for fn, r in barriers:
             xs = np.linspace(r / 64, r, 64)[:, None]
-            defects = [apply_operator(coeffs, xs, ys, fn.jet(xs, ys))]
+            defects = [apply_operator(coeffs, xs, jet_at(fn, xs, ys))]
             if coeffs.a > 0.0:
                 defects.append(apply_L2(fn, coeffs, xs, ys) - l2_rhs(fn, coeffs, xs, ys))
             for vals in defects:
@@ -424,16 +457,19 @@ def test_scans_refuse_an_odd_defect(recipe, model_ab):
 
 @pytest.mark.parametrize("want", ["negative", "positive"])
 def test_defect_scan_is_apply_L2_minus_l2_rhs(recipe, model_ab, weak60, monkeypatch, want):
-    # the scan's one-jet defect gives the extremum of apply_L2 - l2_rhs over
-    # the full symmetric grid and the 96 x 96 refinement around it, exactly
+    # the scan's one-table defect gives the node of the extremum of
+    # apply_L2 - l2_rhs over the full symmetric grid, and the extremum over
+    # it and the 96 x 96 refinement around it to rounding of sum |c_k| |y|^k
     coeffs = srlab.reflection_coefficients(weak60, weak60.c2 / 20.0)
     fn, r, n = recipe.v_barrier(), recipe.r1, 200
     defect = lambda x, y: apply_L2(fn, coeffs, x, y) - l2_rhs(fn, coeffs, x, y)
-    best, arg = _full_scan(defect, r, n, minimize=want == "positive")
+    poly = lambda x: _l2_defect(fn, coeffs, x)
+    best, arg, scale = _full_scan(defect, r, n, want == "positive", poly)
     monkeypatch.setattr(srlab.barriers, "_SCAN_N", n)
     rep = scan_L2_defect_sign(fn, coeffs, r, want=want)
     key = "max" if want == "negative" else "min"
-    assert (rep[key], rep["arg" + key]) == (best, arg)
+    assert rep["arg" + key] == arg
+    assert abs(rep[key] - best) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("want", ["negative", "positive"])
@@ -443,16 +479,77 @@ def test_defect_scan_rejects_the_linear_closure(recipe, model_ab, want):
     with pytest.raises(ValueError, match="a > 0"):
         scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want=want)
     with pytest.raises(ValueError, match="a > 0"):
-        srlab.barriers._l2_defect(recipe.v_barrier(), coeffs, 0.1, 0.3)
+        _l2_defect(recipe.v_barrier(), coeffs, 0.1)
 
 
 def _recipe_barriers(recipe):
     return [recipe.w_barrier(), recipe.v_barrier(), recipe.u_minus_barrier(), BarrierFunction(0.0, 2.0, 0.3, 2.5)]
 
 
+def _exact_jet(fn, X, Y):
+    # psi = c1 x^p1 (1 - y^2) + c2 x^p2 y^2 and its derivatives in closed form at mpmath's precision, with each
+    # entry's scale |c1 x^p1 ...| + |c2 x^p2 ...| of its x-derivative order
+    import mpmath as mp
+
+    c1, p1, c2, p2 = map(mp.mpf, (fn.c1, fn.p1, fn.c2, fn.p2))
+    t1 = lambda k: c1 * mp.ff(p1, k) * X ** (p1 - k)  # k-th x-derivative of c1 x^p1
+    t2 = lambda k: c2 * mp.ff(p2, k) * X ** (p2 - k)
+    exact = (t1(0) * (1 - Y * Y) + t2(0) * Y * Y, t1(1) * (1 - Y * Y) + t2(1) * Y * Y,
+             2 * Y * (t2(0) - t1(0)), t1(2) * (1 - Y * Y) + t2(2) * Y * Y,
+             2 * Y * (t2(1) - t1(1)), 2 * (t2(0) - t1(0)))
+    return exact, [abs(t1(k)) + abs(t2(k)) for k in (0, 1, 0, 2, 1, 0)]
+
+
+def _exact_defect(fn, coeffs, X, Y, companion):
+    # L1 on fn (L2 less its right side (O1 - x O4)/a if companion), written out on the closed-form jet at
+    # mpmath's precision, with the O-terms summed from the closure's columns taken at X
+    import mpmath as mp
+
+    (psi, px, py, pxx, pxy, pyy), _ = _exact_jet(fn, X, Y)
+    mono = {"1": 1, "psi": psi, "px": px, "py": py, "px2": px * px, "py2": py * py, "pxpy": px * py}
+    rows = ({},) * 5 if coeffs.o_columns is None else coeffs.o_columns(X)
+    O1, O2, O3, O4, O5 = (sum(mp.mpf(c) * mono[name] for name, c in row.items()) for row in rows)
+    a, b = mp.mpf(coeffs.a), mp.mpf(coeffs.b)
+    if companion:
+        return (X + a * px + O1) * pxx + O2 * pxy + (b + O3) * pyy - (2 + O4) * px + O5 * py - (O1 - X * O4) / a
+    return (2 * X - a * px + O1) * pxx + O2 * pxy + (b + O3) * pyy - (1 + O4) * px + O5 * py
+
+
+@pytest.mark.parametrize("closure", ["model", "linear", "reflection"])
+def test_scan_polynomial_is_exact(recipe, model_ab, weak60, closure):
+    # each scan's defect, the closure's own code run once on the barrier's jet
+    # as polynomials in y, against the operator on the closed-form jet at 40
+    # digits: to 1e-14 of sum |c_k| |y|^k at 64 random nodes of each window,
+    # with every odd coefficient exactly 0.0; a constant O5 gives an odd one
+    import mpmath as mp
+
+    from srlab.barriers import _SCAN_N
+
+    coeffs = _closure(closure, model_ab, weak60)
+    rng = np.random.default_rng(29)
+    windows = zip(_recipe_barriers(recipe), (recipe.r0, recipe.r1, recipe.r2, recipe.r0))
+    with mp.workdps(40):
+        for fn, r in windows:
+            x = rng.uniform(r / _SCAN_N, r, (64, 1))
+            y = rng.uniform(-1.0, 1.0, (64, 1))
+            polys = [(apply_operator(coeffs, x, fn.y_jet(x)), False)]
+            if coeffs.a > 0.0:
+                polys.append((_l2_defect(fn, coeffs, x), True))
+            for poly, companion in polys:
+                assert all(np.all(c == 0.0) for c in poly.odd)
+                got, scale = np.broadcast_to(poly(y), x.shape), _magnitude(poly, y)
+                for k in range(64):
+                    want = _exact_defect(fn, coeffs, mp.mpf(x[k, 0]), mp.mpf(y[k, 0]), companion)
+                    assert abs(got[k, 0] - want) <= 1e-14 * scale[k, 0], (fn, companion, k)
+    odd = srlab.CoefficientModel(a=coeffs.a, b=coeffs.b, N=0.0, label="odd",
+                                 o_columns=lambda x: ({}, {}, {}, {}, {"1": 0.5}))
+    x = np.linspace(recipe.r0 / 64, recipe.r0, 64)[:, None]
+    assert any(np.any(c != 0.0) for c in apply_operator(odd, x, recipe.w_barrier().y_jet(x)).odd)
+
+
 def test_separable_jet_is_exact_and_keeps_its_parity(recipe):
     # psi = A(x) + D(x) y^2 with A = c1 x^p1, D = c2 x^p2 - A: every entry
-    # against the closed form at 40 digits; value() is jet()[0] bit for bit;
+    # against the closed form at 40 digits; value() is the jet's psi bit for bit;
     # on the scan's mirrored y-nodes psi_y and psi_xy are odd, the rest even,
     # bit for bit
     import mpmath as mp
@@ -465,20 +562,13 @@ def test_separable_jet_is_exact_and_keeps_its_parity(recipe):
     rng = np.random.default_rng(5)
     with mp.workdps(40):
         for fn in _recipe_barriers(recipe):
-            c1, p1, c2, p2 = map(mp.mpf, (fn.c1, fn.p1, fn.c2, fn.p2))
             for x, y in zip(rng.uniform(1e-3, 0.5, 40), rng.uniform(-1.0, 1.0, 40)):
-                X, Y = mp.mpf(x), mp.mpf(y)
-                t1 = lambda k: c1 * mp.ff(p1, k) * X ** (p1 - k)  # k-th x-derivative of c1 x^p1
-                t2 = lambda k: c2 * mp.ff(p2, k) * X ** (p2 - k)
-                exact = (t1(0) * (1 - Y * Y) + t2(0) * Y * Y, t1(1) * (1 - Y * Y) + t2(1) * Y * Y,
-                         2 * Y * (t2(0) - t1(0)), t1(2) * (1 - Y * Y) + t2(2) * Y * Y,
-                         2 * Y * (t2(1) - t1(1)), 2 * (t2(0) - t1(0)))
-                scale = [abs(t1(k)) + abs(t2(k)) for k in (0, 1, 0, 2, 1, 0)]
-                for got, want, s in zip(fn.jet(x, y), exact, scale):
+                exact, scale = _exact_jet(fn, mp.mpf(x), mp.mpf(y))
+                for got, want, s in zip(jet_at(fn, x, y), exact, scale):
                     assert abs(got - want) <= 8e-16 * s
-            jet = fn.jet(xs, ys[None, :])
+            jet = jet_at(fn, xs, ys[None, :])
             assert np.array_equal(fn.value(xs, ys[None, :]), jet[0])
-            mirrored = fn.jet(xs, ys[None, ::-1])
+            mirrored = jet_at(fn, xs, ys[None, ::-1])
             for k, sign in enumerate((1.0, 1.0, -1.0, 1.0, -1.0, 1.0)):
                 got, want = np.broadcast_arrays(mirrored[k], sign * jet[k])  # ys[::-1] == -ys
                 assert np.array_equal(got, want)

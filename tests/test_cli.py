@@ -315,6 +315,29 @@ def test_verify_malformed_input_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("what", ["barriers", "regularity"])
+@pytest.mark.parametrize("where", ["values", "xs", "ys"])
+def test_verify_refuses_a_grid_that_is_not_finite(tmp_path, capsys, what, where):
+    # NaN on two nodes of the 97x49 model grid (or inf on an axis) once passed
+    # all six barrier checks with a NaN sigma_at_r0 and worst_margin, and
+    # exited 4 on regularity with NaN written: an input refusal, nothing written
+    out = tmp_path / "m"
+    assert run(["solve", "--mode", "model", "--grid", "97,49", "--grade", "0.95", "--perturb", "0.2",
+                "--out", str(out)]) == 0
+    grid = out / "grid.srl"
+    field = ScalarField2D.load(grid)
+    if where == "values":
+        field.values[60, 10] = field.values[70, 30] = np.nan
+    else:
+        getattr(field, where)[-1] = np.inf  # increasing still; NaN on an axis is refused as not increasing
+    field.save(grid)
+    capsys.readouterr()
+    assert run(["verify", "--what", what, "--grid", str(grid), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed input {grid}:") and "finite" in err and err.count("\n") == 1
+    assert not (tmp_path / "v").exists()
+
+
 def test_verify_barriers_on_reflection_grid_exit_2(tmp_path, capsys):
     # the barrier recipes are built for the model closure only: an input refusal
     grid = tmp_path / "refl" / "grid.srl"

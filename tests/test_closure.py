@@ -49,7 +49,7 @@ def test_chart_operator_matches_physical_operator(gamma, deg):
         y = rng.uniform(0.05, max(0.1, cfg.y1 * 0.9))
 
         # chart side: the library's operator with the closure's O-terms on the exact jet
-        chart_val = apply_operator(coeffs, x, y, chart_jet(psi, x, y))
+        chart_val = apply_operator(coeffs, x, chart_jet(psi, x, y))
 
         # physical side: c^2 Lap(psi) - Dphi . D2psi . Dphi at the mapped point,
         # phi = phi2 + psi, by plain finite differences in the original plane
@@ -92,12 +92,11 @@ def test_table_partials_match_the_complex_step(gamma, deg):
     cfg = _weak(gamma, deg)
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 0.95 * cfg.c2, (40, 1))
-    y = rng.uniform(0.0, np.pi, (1, 40))
     psi, px, py = (rng.uniform(-1.0, 1.0, (40, 40)) * s for s in (x * x, x, x))
     for coeffs in (reflection_coefficients(cfg, cfg.c2 / 20.0), srlab.model_coefficients(gamma + 1.0, 1.0 / cfg.c2),
                    srlab.linear_coefficients(1.0 / cfg.c2)):
         table = coeffs.table(x).partials(psi, px, py)
-        stepped = complex_step_partials(lambda *m: operator_coefficients(coeffs, x, y, *m), psi, px, py)
+        stepped = complex_step_partials(lambda *m: operator_coefficients(coeffs, x, *m), psi, px, py)
         for k, cs in enumerate(stepped):  # k: the coefficient, cs its partials stacked over psi, psi_x, psi_y
             for v in range(3):
                 got, want = np.broadcast_to(table[v][k], psi.shape), np.broadcast_to(cs, (3,) + psi.shape)[v]
@@ -120,5 +119,5 @@ def test_uniform_states_solve_the_closure_exactly(gamma, deg, offset):
     r, ang = cfg.c2 - x, y + cfg.theta_w  # the chart's inverse
     c, s = du * np.cos(ang) + dv * np.sin(ang), -du * np.sin(ang) + dv * np.cos(ang)  # the gradient radial, tangential
     jet = (du * (cfg.u2 + r * np.cos(ang)) + dv * (cfg.v2 + r * np.sin(ang)) + dk, -c, r * s, 0.0 * c, -s, -r * c)
-    res = apply_operator(reflection_coefficients(cfg, cfg.c2 / 20.0), x, y, jet)
+    res = apply_operator(reflection_coefficients(cfg, cfg.c2 / 20.0), x, jet)
     assert np.max(np.abs(res)) <= 1e-14

@@ -232,7 +232,7 @@ def test_full_report_json_roundtrip(reflection_field, tmp_path):
 def test_sonic_limits_equal_the_per_station_fits(reflection_field, model_field):
     # one least-squares solve over every station gives each station's own
     # scalar fit bit for bit, on the strip and on the rectangle
-    from srlab.solver import _ordinates
+    from srlab.diagnostics import _ordinates
 
     for f in (reflection_field, model_field):
         d = derivative_fields(f)

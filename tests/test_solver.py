@@ -5,7 +5,7 @@ import srlab
 from srlab.coefficients import o_bound_audit, operator_coefficients, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
-from srlab.solver import _JET, _derivative_pass, _levels, _ordinates, _prolong, _stencil_table, derivative_fields
+from srlab.solver import _JET, _derivative_pass, _levels, _prolong, _stencil_table, derivative_fields
 
 from conftest import residual
 
@@ -517,7 +517,7 @@ def test_o_bound_audit_model_is_zero(model_field, model_ab):
     x2d = np.broadcast_to(model_field.xs[:, None], model_field.values.shape)
     coeffs = srlab.model_coefficients(a, b)
     x = x2d[1:-1, 1:-1]
-    audit = o_bound_audit(coeffs, x, coeffs.evaluate(x, 0.0, *(d[key][1:-1, 1:-1] for key in ("psi", "px", "py"))))
+    audit = o_bound_audit(coeffs, x, coeffs.evaluate(x, *(d[key][1:-1, 1:-1] for key in ("psi", "px", "py"))))
     assert audit["o1_over_x2"] == 0.0
     assert audit["ok_over_x"] == 0.0
 
@@ -531,10 +531,10 @@ def test_audit_takes_the_last_iterations_o_terms(reflection_field, weak60, monke
 
     real, evaluate = [], CoefficientModel.evaluate
 
-    def spy(self, x, y, psi, px, py, table=None):
+    def spy(self, x, psi, px, py, table=None):
         if not np.iscomplexobj(psi):
             real.append(1)
-        return evaluate(self, x, y, psi, px, py, table)
+        return evaluate(self, x, psi, px, py, table)
 
     monkeypatch.setattr(CoefficientModel, "evaluate", spy)
     f = srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=97, grid_ny=49,
@@ -544,7 +544,7 @@ def test_audit_takes_the_last_iterations_o_terms(reflection_field, weak60, monke
     coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
     d, inner = derivative_fields(f), np.s_[1:-1, 1:-1]
     x = np.broadcast_to(f.xs[:, None], f.values.shape)[inner]
-    o_terms = coeffs.evaluate(x, _ordinates(f)[inner], *(d[key][inner] for key in ("psi", "px", "py")))
+    o_terms = coeffs.evaluate(x, *(d[key][inner] for key in ("psi", "px", "py")))
     assert f.meta["o_bound_audit"] == o_bound_audit(coeffs, x, o_terms) == reflection_field.meta["o_bound_audit"]
 
 
@@ -561,7 +561,7 @@ def _frozen(field, coeffs, neumann):
     from srlab.solver import _frozen_coefficients
 
     d = _derivative_pass(field, _tables(field, neumann))
-    coefficients = operator_coefficients(coeffs, field.xs[:, None], _ordinates(field), d["psi"], d["px"], d["py"])
+    coefficients = operator_coefficients(coeffs, field.xs[:, None], d["psi"], d["px"], d["py"])
     return (d, coefficients) + _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
 
 
@@ -731,12 +731,12 @@ def test_frozen_lead_takes_the_cutoff_where_it_acts(reflection_field, weak60):
     _, coefficients, frozen, clamp = _frozen(f, coeffs, (True, False))
     inner = np.s_[1:-1, 1:-1]  # x > 0
     d = {key: val[inner] for key, val in derivative_fields(f).items()}
-    x, y = x[1:-1], _ordinates(f)[inner]
+    x = x[1:-1]
     slope = (x / a - d["px"]) / x
     acts = zeta(slope, a, 0.5, 2.0) != slope
     assert 0.3 < np.mean(acts) < 0.7
     assert clamp == np.mean(acts)
-    O1 = coeffs.evaluate(x, y, d["psi"], d["px"], d["py"])[0]
+    O1 = coeffs.evaluate(x, d["psi"], d["px"], d["py"])[0]
     want = np.maximum(x * (1.0 + a * zeta(slope, a, 0.5, 2.0)) + O1, 0.1 * x)
     lead = frozen[2][inner]
     assert np.all(np.abs(lead - want)[acts] <= 1e-13 * np.abs(want[acts]))
@@ -763,9 +763,9 @@ def test_o_free_closure_matches_explicit_zero_arrays(model_ab):
     free = srlab.model_coefficients(a, b)
     arrays = CoefficientModel(a=a, b=b, N=0.0, label="model", o_columns=_zero_o_columns)
     x = np.linspace(0.0, 0.5, 5)[:, None]
-    o_terms = free.evaluate(x, np.zeros((1, 3)), x * x, x, 0.0 * x)
+    o_terms = free.evaluate(x, x * x, x, 0.0 * x)
     assert o_terms == (0.0,) * 5 and all(type(o) is float for o in o_terms)
-    assert srlab.linear_coefficients(b).evaluate(x, 0.0, x, x, x) == (0.0,) * 5
+    assert srlab.linear_coefficients(b).evaluate(x, x, x, x) == (0.0,) * 5
 
     grid = srlab.GridSpec(rhat=0.5, nx=49, ny=25, grade_q=0.95)
     bc = srlab.BoundaryConditions(outer=lambda y: (0.25 / (2 * a)) * (1.0 + 0.2 * np.cos(np.pi * y)))
