@@ -9,9 +9,10 @@ refinement, which is reported as sampling evidence, not proof.
 A barrier is A(x) + D(x) y^2 and a closure is quadratic in (psi, psi_x,
 psi_y) with columns over x, so each scanned defect is a polynomial in y
 whose coefficients are columns over x.  A scan runs the closure's own code
-once on the barrier's jet spelled as such polynomials (_YPoly), refuses a
-defect with a nonzero odd coefficient, and evaluates the even one by
-Horner's rule in t = y^2 on its sample grids.
+once on the barrier's jet spelled as such polynomials (coefficients._Poly,
+the closure's own polynomial type, in the one variable y), refuses a defect
+with a nonzero odd coefficient, and evaluates the even one by Horner's rule
+in t = y^2 on its sample grids.
 """
 
 import math
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, apply_coefficients, apply_operator
+from .coefficients import CoefficientModel, _Poly, _values, apply_coefficients, apply_operator
 from .grids import ScalarField2D
 
 __all__ = [
@@ -31,89 +32,6 @@ __all__ = [
     "verify_comparison",
     "ComparisonReport",
 ]
-
-
-def _t_sum(p, q, shift=0):
-    """The coefficients of p(t) + t^shift q(t), each from t^0 up."""
-    q = (0.0,) * shift + tuple(q) if q else ()
-    if len(p) < len(q):
-        p, q = q, p
-    return tuple(a + b for a, b in zip(p, q)) + tuple(p[len(q):])
-
-
-def _t_product(p, q):
-    """The coefficients of p(t) q(t), each summed in the order of p's."""
-    out = [None] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = a * b if out[i + j] is None else out[i + j] + a * b
-    return tuple(out)
-
-
-def _horner(p, t):
-    """p(t) by Horner's rule; 0.0 for no coefficients."""
-    v = p[-1] if p else 0.0
-    for c in p[-2::-1]:
-        v = v * t + c
-    return v
-
-
-class _YPoly:
-    """A polynomial E(t) + y O(t) in y, t = y^2: its even and odd parts as coefficients of t^0, t^1, ...
-
-    The coefficients are columns over x or scalars; an empty part is zero,
-    so parity is kept by structure.  numpy defers its operators to these
-    (__array_ufunc__ = None), so the closure's code runs on polynomials as
-    it runs on arrays.
-    """
-
-    __array_ufunc__ = None
-
-    def __init__(self, even=(), odd=()):
-        self.even, self.odd = tuple(even), tuple(odd)
-
-    @staticmethod
-    def _of(v):
-        return v if isinstance(v, _YPoly) else _YPoly((v,))
-
-    def __add__(self, other):
-        other = _YPoly._of(other)
-        return _YPoly(_t_sum(self.even, other.even), _t_sum(self.odd, other.odd))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _YPoly([-c for c in self.even], [-c for c in self.odd])
-
-    def __sub__(self, other):
-        return self + -_YPoly._of(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        # (e + y o)(f + y g) = e f + t o g + y (e g + o f)
-        other = _YPoly._of(other)
-        (e, o), (f, g) = (self.even, self.odd), (other.even, other.odd)
-        return _YPoly(_t_sum(_t_product(e, f), _t_product(o, g), 1), _t_sum(_t_product(e, g), _t_product(o, f)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, s):
-        return _YPoly([c / s for c in self.even], [c / s for c in self.odd])
-
-    def dy(self):
-        """The y-derivative: e_k y^2k gives 2k e_k y^(2k-1), o_k y^(2k+1) gives (2k+1) o_k y^2k."""
-        return _YPoly([(2 * k + 1) * c for k, c in enumerate(self.odd)],
-                      [2 * k * c for k, c in enumerate(self.even) if k])
-
-    def __call__(self, y):
-        """The value at y: E by Horner's rule in t = y*y, plus y times O's."""
-        t = y * y
-        if not self.odd:
-            return _horner(self.even, t)
-        odd = y * _horner(self.odd, t)
-        return _horner(self.even, t) + odd if self.even else odd
 
 
 def _term(c, p, x, k):
@@ -134,7 +52,7 @@ class BarrierFunction:
     def _profile(self, x, k):
         """psi differentiated k times in x, A^(k) + D^(k) y^2, as a polynomial in y."""
         A = _term(self.c1, self.p1, x, k)
-        return _YPoly((A, _term(self.c2, self.p2, x, k) - A))
+        return _Poly(1, {(0,): A, (2,): _term(self.c2, self.p2, x, k) - A})
 
     def y_jet(self, x):
         """The jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy) as polynomials in y with columns over x.
@@ -144,19 +62,18 @@ class BarrierFunction:
         """
         x = np.asarray(x, dtype=float)
         psi, px, pxx = (self._profile(x, k) for k in range(3))
-        py = psi.dy()
-        return psi, px, py, pxx, px.dy(), py.dy()
+        py = psi.partial(0)
+        return psi, px, py, pxx, px.partial(0), py.partial(0)
 
     def value(self, x, y):
         """psi at (x, y), bit for bit as y_jet(x)[0] at y."""
-        return self._profile(np.asarray(x, dtype=float), 0)(np.asarray(y, dtype=float))
+        return _values((self._profile(np.asarray(x, dtype=float), 0),), np.asarray(y, dtype=float))[0]
 
 
 def _l2_defect(fn: BarrierFunction, coeffs: CoefficientModel, x):
     """The companion operator L2 on fn less its right side (O1 - x O4)/a, as a polynomial in y: one jet, one table."""
     if coeffs.a == 0.0:
         raise ValueError("the deviation operator needs a > 0")
-    x = np.asarray(x, dtype=float)
     jet = fn.y_jet(x)
     table = coeffs.table(x, companion=True)
     O = coeffs.evaluate(x, *jet[:3], table)
@@ -264,17 +181,18 @@ _SCAN_N = 512
 def _sample(defect, x, y):
     """defect(x), a polynomial in y with columns over the nodes x, at x times y; refused unless it is even in y."""
     poly = defect(x[:, None])
-    for k, c in enumerate(poly.odd):
-        odd = np.flatnonzero(np.broadcast_to(c, (x.size, 1)) != 0.0)  # NaN is not known to be 0
+    for k in sorted(k for (k,) in poly if k % 2):
+        odd = np.flatnonzero(np.broadcast_to(poly[k,], (x.size, 1)) != 0.0)  # NaN is not known to be 0
         if odd.size:
-            raise ValueError(f"barrier scans need a defect even in y; its y^{2 * k + 1} coefficient "
+            raise ValueError(f"barrier scans need a defect even in y; its y^{k} coefficient "
                              f"is nonzero at x = {x[odd[0]]:.6g}")
+    top = max(k for (k,) in poly if k % 2 == 0)
     vals = np.empty((x.size, y.size))
-    vals[...] = poly.even[-1]
+    vals[...] = poly[top,]
     t = y * y
-    for c in poly.even[-2::-1]:  # Horner's rule in t, in place
+    for k in range(top - 2, -1, -2):  # Horner's rule in t, in place
         vals *= t
-        vals += c
+        vals += poly.get((k,), 0.0)
     return vals
 
 

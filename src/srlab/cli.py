@@ -161,7 +161,7 @@ def cmd_solve(args) -> int:
         coeffs = model_coefficients(a, b) if args.mode == "model" else linear_coefficients(b)
         rhat, amp = args.rhat, args.perturb
         if args.mode == "model":
-            outer = lambda y: (rhat**2 / (2 * a)) * (1.0 + amp * np.cos(np.pi * y / args.y_halfwidth))
+            outer = lambda y: (rhat * rhat / (2 * a)) * (1.0 + amp * np.cos(np.pi * y / args.y_halfwidth))
         else:
             outer = lambda y: rhat**1.5 * np.ones_like(y)
         bc = BoundaryConditions(outer=outer)

@@ -9,12 +9,14 @@ sonic-chart coordinates (a = gamma+1, b = 1/c2).  Each coefficient is a
 quadratic polynomial in (psi, psi_x, psi_y) whose coefficients depend on x
 alone, so a closure is spelled once, as those per-monomial columns over x:
 a table (CoefficientModel.table) that gives the O-terms, the operator's
-coefficients and, exactly and in real arithmetic, their partials.
+coefficients and, exactly and in real arithmetic, their partials.  Its rows
+are _Poly, the package's one polynomial type, which the barrier scans also
+use for a barrier's jet as polynomials in y.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import mul
+from operator import add, mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,14 +28,12 @@ _CS_STEP = 1e-30  # complex step of complex_step_partials
 # the monomials in (psi, psi_x, psi_y) that the coefficients combine, by name, with their exponents of the three
 _MONOMIALS = {"1": (0, 0, 0), "psi": (1, 0, 0), "px": (0, 1, 0), "py": (0, 0, 1),
               "px2": (0, 2, 0), "py2": (0, 0, 2), "pxpy": (0, 1, 1)}
-_NAMES = {e: name for name, e in _MONOMIALS.items()}
 
 __all__ = [
     "CoefficientModel",
     "model_coefficients",
     "linear_coefficients",
     "reflection_coefficients",
-    "operator_coefficients",
     "apply_coefficients",
     "apply_operator",
     "complex_step_partials",
@@ -62,44 +62,75 @@ class CoefficientModel:
 
         table is this closure's table at x when the caller has built it already.
         """
-        return (self.table(x) if table is None else table).o_terms(psi, px, py)
+        return _values((self.table(x) if table is None else table).o_rows, psi, px, py)
 
     def describe(self) -> dict:
         return {"a": self.a, "b": self.b, "N": self.N, "label": self.label}
 
 
-class _Row(dict):
-    """A polynomial in (psi, psi_x, psi_y), {monomial name: its coefficient}; sums and differences of rows are rows."""
+class _Poly(dict):
+    """A polynomial {exponent tuple: coefficient}, each coefficient a column over x or a scalar.
+
+    It spells a closure's rows, in (psi, psi_x, psi_y), and a barrier's jet,
+    in y.  A column or scalar operand is a constant of the same arity n;
+    numpy defers its operators to these (__array_ufunc__ = None), so the
+    closure's code runs on polynomials as it runs on arrays.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, n, terms=()):
+        super().__init__(terms)
+        self.n = n
+
+    def _of(self, v):
+        return v if isinstance(v, _Poly) else _Poly(self.n, {(0,) * self.n: v})
 
     def __add__(self, other):
-        out = _Row(self)
-        for name, c in other.items():
-            out[name] = out[name] + c if name in out else c
+        out = _Poly(self.n, self)
+        for e, c in self._of(other).items():
+            out[e] = out[e] + c if e in out else c
         return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly(self.n, {e: -c for e, c in self.items()})
 
     def __sub__(self, other):
-        return self + {name: -c for name, c in other.items()}
+        return self + -self._of(other)
 
-    def partial(self, v):
-        """The partial in (psi, psi_x, psi_y)[v], again a row: each monomial's exponent of it brought down."""
-        out = _Row()
-        for name, c in self.items():
-            e = _MONOMIALS[name]
-            if e[v]:
-                out += {_NAMES[e[:v] + (e[v] - 1,) + e[v + 1:]]: e[v] * c}
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = _Poly(self.n)
+        for e, c in self.items():
+            for f, d in self._of(other).items():
+                k = tuple(map(add, e, f))
+                out[k] = out[k] + c * d if k in out else c * d
         return out
 
+    __rmul__ = __mul__
 
-def _values(rows, psi, px, py):
-    """Each row's value, its columns times their monomials summed in the row's order; 0.0 for an empty row."""
-    mono = {"1": None, "psi": psi, "px": px, "py": py}
+    def __truediv__(self, s):
+        return _Poly(self.n, {e: c / s for e, c in self.items()})
+
+    def partial(self, v):
+        """The partial in the v-th variable: each monomial's exponent of it brought down."""
+        return _Poly(self.n, {e[:v] + (e[v] - 1,) + e[v + 1:]: e[v] * c for e, c in self.items() if e[v]})
+
+
+def _values(rows, *variables):
+    """Each row's value at the variables, its terms summed in the row's order; 0.0 for an empty row."""
+    one, mono = (0,) * len(variables), {}
     out = []
     for row in rows:
         value = 0.0
-        for i, (name, c) in enumerate(row.items()):
-            if name not in mono:  # a product, formed once per call
-                mono[name] = reduce(mul, [(psi, px, py)[v] for v, k in enumerate(_MONOMIALS[name]) for _ in range(k)])
-            term = c if name == "1" else c * mono[name]
+        for i, (e, c) in enumerate(row.items()):
+            if e != one and e not in mono:  # a variable itself, or a product formed once per call
+                mono[e] = reduce(mul, [variables[v] for v, k in enumerate(e) for _ in range(k)])
+            term = c if e == one else c * mono[e]
             value = term if i == 0 else value + term
         out.append(value)
     return tuple(out)
@@ -115,29 +146,25 @@ def _operator(fixed, O):
 class _Table:
     """A closure's rows at nodes x: O1..O5 and the operator's fixed part, and their partials.
 
-    The fixed part is -1 (-2 for L2), 0, the lead 2x - a psi_x (x + a psi_x),
-    0 and b; _operator adds O1..O5 to it, and a model or linear closure is
-    the fixed part alone.  The partial rows are built on first use.
+    Each row is a _Poly in (psi, psi_x, psi_y), converted once from the
+    named monomials of o_columns.  The fixed part is -1 (-2 for L2), 0, the
+    lead 2x - a psi_x (x + a psi_x), 0 and b; _operator adds O1..O5 to it,
+    and a model or linear closure is the fixed part alone.  The partial rows
+    are built on first use.
     """
 
     def __init__(self, coeffs, x, companion):
         x = np.asarray(x, dtype=float)
-        if companion:
-            lead, k = {"1": x, "px": coeffs.a}, 2.0
-        else:
-            lead, k = {"1": 2.0 * x, "px": -coeffs.a}, 1.0
-        self.fixed = ({"1": -k}, {}, lead, {}, {"1": coeffs.b})
-        self.o_rows = ({},) * 5 if coeffs.o_columns is None else coeffs.o_columns(x)
+        lead, k = ({"1": x, "px": coeffs.a}, 2.0) if companion else ({"1": 2.0 * x, "px": -coeffs.a}, 1.0)
+        poly = lambda row: _Poly(3, {_MONOMIALS[name]: c for name, c in row.items()})
+        self.fixed = tuple(map(poly, ({"1": -k}, {}, lead, {}, {"1": coeffs.b})))
+        self.o_rows = tuple(map(poly, ({},) * 5 if coeffs.o_columns is None else coeffs.o_columns(x)))
 
     @cached_property
     def partial_rows(self):
         """The operator's rows' partials in psi, psi_x and psi_y: three tuples of five rows."""
-        rows = _operator([_Row(row) for row in self.fixed], self.o_rows)
+        rows = _operator(self.fixed, self.o_rows)
         return tuple(tuple(row.partial(v) for row in rows) for v in range(3))
-
-    def o_terms(self, psi, px, py):
-        """O1..O5 at the nodes."""
-        return _values(self.o_rows, psi, px, py)
 
     def coefficients(self, psi, px, py, o_terms):
         """The operator's five coefficients at the nodes, on the O-terms there (o_terms)."""
@@ -200,27 +227,22 @@ def _nominal_reflection_bound(gam, c2, eps):
     return float(max(n1, n2, n3, n4, n5))
 
 
-def operator_coefficients(coeffs: CoefficientModel, x, psi, px, py):
-    """Coefficients of (psi_x, psi_y, psi_xx, psi_xy, psi_yy) in L1: the closure's fixed part plus its O-terms.
-
-    L2, the operator on deviation profiles W, with the leading coefficient
-    x + a psi_x and the first-order x coefficient 2 + O4, has its own table,
-    coeffs.table(x, companion=True).
-    """
-    table = coeffs.table(x)
-    return table.coefficients(psi, px, py, coeffs.evaluate(x, psi, px, py, table))
-
-
 def apply_coefficients(coefficients, jet):
-    """The operator of operator_coefficients on a jet, summed in the order the operator is written."""
+    """The operator with coefficients (c_x, c_y, c_xx, c_xy, c_yy) on a jet, summed in the order it is written."""
     cx, cy, cxx, cxy, cyy = coefficients
     _, px, py, pxx, pxy, pyy = jet
     return cxx * pxx + cxy * pxy + cyy * pyy + cx * px + cy * py
 
 
 def apply_operator(coeffs: CoefficientModel, x, jet):
-    """The degenerate operator L1 on a jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy)."""
-    return apply_coefficients(operator_coefficients(coeffs, x, *jet[:3]), jet)
+    """The degenerate operator L1 on a jet (psi, psi_x, psi_y, psi_xx, psi_xy, psi_yy).
+
+    L2, the operator on deviation profiles W, with the leading coefficient
+    x + a psi_x and the first-order x coefficient 2 + O4, has its own table,
+    coeffs.table(x, companion=True).
+    """
+    table = coeffs.table(x)
+    return apply_coefficients(table.coefficients(*jet[:3], coeffs.evaluate(x, *jet[:3], table)), jet)
 
 
 def complex_step_partials(f, *args):

@@ -78,6 +78,8 @@ class GridSpec:
             raise ValueError(f"rhat must be finite and positive, got {self.rhat}")
         if not -np.inf < self.y_lo < self.y_hi < np.inf:
             raise ValueError(f"y_lo and y_hi must be finite with y_lo < y_hi, got {self.y_lo} and {self.y_hi}")
+        if not 0.0 < self.grade_q <= 1.0:  # before solve squares it for each coarser level
+            raise ValueError(f"grade_q must lie in (0, 1], got {self.grade_q}")
 
     def axes(self):
         return geometric_axis(self.rhat, self.nx, self.grade_q), uniform_axis(self.y_lo, self.y_hi, self.ny)
@@ -322,23 +324,23 @@ def _newton_system(blocks, coefficients, partials, jet, shock=None):
     return J, step_rhs.ravel()
 
 
-def _factor(A, coupled):
+def _factor(A, coupled, it, residual, shape):
     """Sparse LU of A, a Newton Jacobian on the unknowns.
 
     The pivot threshold 1e-4 keeps the fill-reducing order's diagonal pivots
     (SuperLU's threshold pivoting, X. S. Li, ACM TOMS 31, 2005) and falls back
     to partial pivoting only on a truly tiny diagonal, such as the shock row's
-    central tangential difference.  An exactly singular coupled system raises
-    ShockConditionDiverged.
+    central tangential difference.  An exactly singular system raises
+    ShockConditionDiverged if coupled, else NoConvergence(it, residual, shape).
     """
     from scipy.sparse.linalg import splu
 
     try:
         return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4)
     except RuntimeError as exc:  # exactly singular
-        if not coupled:
-            raise
-        raise ShockConditionDiverged(f"singular linearized jump-condition system: {exc}") from exc
+        if coupled:
+            raise ShockConditionDiverged(f"singular linearized jump-condition system: {exc}") from exc
+        raise NoConvergence(it, residual, shape) from exc
 
 
 def _dot(u, v):
@@ -354,13 +356,16 @@ def _krylov_step(A, rhs, lu, rtol):
     lu.solve per iteration, modified Gram-Schmidt, Givens rotations on Python
     floats.  The cycle stops once the preconditioned residual, the one GMRES
     minimises, falls to rtol of |lu.solve(rhs)|, or at a breakdown, where the
-    Krylov space holds the solution.  Returns (du, iterations), du None when
-    the cycle took all _RESTART iterations: a miss.  Every inner product is
-    a pairwise sum (_dot) and du sums the basis in a fixed order, so the step
-    is the same for any BLAS thread count.
+    Krylov space holds the solution.  Returns (du, iterations), du None on a
+    miss: the cycle took all _RESTART iterations, or a norm it divides by is
+    zero or not finite.  Every inner product is a pairwise sum (_dot) and du
+    sums the basis in a fixed order, so the step is the same for any BLAS
+    thread count.
     """
     r0 = lu.solve(rhs)
     beta = math.sqrt(_dot(r0, r0))
+    if not 0.0 < beta < math.inf:  # nothing to rotate, or no norm to scale by: a miss
+        return None, 0
     basis, columns, rotations, g = [r0 / beta], [], [], [beta]
     for k in range(1, _RESTART + 1):
         w = lu.solve(A @ basis[-1])
@@ -375,6 +380,8 @@ def _krylov_step(A, rhs, lu, rtol):
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
         r = math.hypot(h[-1], h1)
+        if not 0.0 < r < math.inf:
+            return None, k
         c, s = h[-1] / r, h1 / r
         rotations.append((c, s))
         h[-1] = r
@@ -467,20 +474,11 @@ def _levels(grid):
 
 
 def _solve_level(coeffs, bc, grid, opts, init_power, init_field):
-    """One level of solve: its start, from init_field or the power profile, then _newton."""
+    """One level of solve: boundary data (refused unless finite), start (init_field or power profile), _newton."""
     xs, ys = grid.axes()
-    outer = np.asarray(bc.outer(ys), dtype=float) * np.ones_like(ys)
-    if init_field is not None:
-        points = 4 if min(init_field.nx, init_field.ny) >= 4 else 2
-        u = _prolong(init_field.xs, init_field.values, xs, points)
-        u = np.ascontiguousarray(_prolong(init_field.ys, u.T, ys, points).T)
-    else:
-        if init_power is None:
-            init_power = 2.0 if coeffs.a > 0.0 else 1.5
-        u = outer[None, :] * (xs[:, None] / grid.rhat) ** init_power
-    u[-1, :] = outer
-    y_lo_neumann = bc.y_lo == "neumann"
-    y_hi_neumann = bc.y_hi == "neumann"
+    y_lo_neumann, y_hi_neumann = bc.y_lo == "neumann", bc.y_hi == "neumann"
+    u = np.zeros((xs.size, ys.size))
+    u[-1, :] = np.asarray(bc.outer(ys), dtype=float)
     if not y_lo_neumann:
         u[:, 0] = np.asarray(bc.y_lo(xs), dtype=float)
     if not y_hi_neumann:
@@ -488,6 +486,16 @@ def _solve_level(coeffs, bc, grid, opts, init_power, init_field):
     u[0, :] = 0.0
     if not (np.all(np.isfinite(u[-1])) and np.all(np.isfinite(u[:, [0, -1]]))):
         raise ValueError("boundary data must be finite")
+    if init_field is not None:
+        points = 4 if min(init_field.nx, init_field.ny) >= 4 else 2
+        start = _prolong(init_field.xs, init_field.values, xs, points)
+        start = _prolong(init_field.ys, start.T, ys, points).T
+    else:
+        if init_power is None:
+            init_power = 2.0 if coeffs.a > 0.0 else 1.5
+        start = u[-1] * (xs[:, None] / grid.rhat) ** init_power
+    unknown = np.s_[1:-1, int(not y_lo_neumann):ys.size - int(not y_hi_neumann)]
+    u[unknown] = start[unknown]
 
     field = ScalarField2D(xs, ys, u, {"kind": "rect"}, {})
     return _newton(field, coeffs, opts, (y_lo_neumann, y_hi_neumann), bc)
@@ -551,7 +559,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
             rtol = min(_KRYLOV_CAP, max(_KRYLOV_TOL, _FORCING * history[-1] / history[-2]))
             step, inner = _krylov_step(J, rhs, lu, rtol)
         if step is None:  # the first step, or a cycle that missed its target
-            lu, inner, rtol = _factor(J, shock is not None), 0, 0.0
+            lu, inner, rtol = _factor(J, shock is not None, it, history[-1], field.values.shape), 0, 0.0
             lu_nnz.append(int(lu.nnz))
             step = lu.solve(rhs)
         krylov.append(inner)

@@ -69,6 +69,12 @@ def residual(field, coeffs):
     return float(np.max(np.abs(res[1:-1, 1:-1]))), res
 
 
+def operator_coefficients(coeffs, x, psi, px, py):
+    """L1's coefficients (c_x, c_y, c_xx, c_xy, c_yy) at the nodes: the closure's table on its own O-terms."""
+    table = coeffs.table(x)
+    return table.coefficients(psi, px, py, coeffs.evaluate(x, psi, px, py, table))
+
+
 def richardson_triplet(coarse, mid, fine):
     """Extrapolate a grid triplet refined by a ratio of 2; the order is measured, not assumed.
 

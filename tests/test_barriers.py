@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,23 +10,30 @@ from srlab.barriers import (
     ComparisonReport,
     _growth_exponent,
     _l2_defect,
-    _YPoly,
     choose_subsolution_params,
     scan_L1_sign,
     scan_L2_defect_sign,
     verify_comparison,
 )
-from srlab.coefficients import CoefficientModel, apply_coefficients, apply_operator
+from srlab.coefficients import CoefficientModel, _Poly, _values, apply_coefficients, apply_operator
 from srlab.grids import ScalarField2D
 from srlab.solver import derivative_fields
 
 from conftest import residual
 
 
+def at(poly, y):
+    # a polynomial in y with columns over x at the nodes y
+    return _values((poly,), np.asarray(y, dtype=float))[0]
+
+
+def odd_coefficients(poly):
+    return [c for (k,), c in poly.items() if k % 2]
+
+
 def jet_at(fn, x, y):
     # the barrier's jet at the nodes (x, y), each entry of fn.y_jet(x) evaluated at y
-    y = np.asarray(y, dtype=float)
-    return tuple(entry(y) for entry in fn.y_jet(x))
+    return _values(fn.y_jet(x), np.asarray(y, dtype=float))
 
 
 # the companion operator L2 and its right side (O1 - x O4)/a, each on its own
@@ -34,7 +43,7 @@ def jet_at(fn, x, y):
 def apply_L2(fn, coeffs, x, y):
     jet = jet_at(fn, x, y)
     table = coeffs.table(x, companion=True)
-    return apply_coefficients(table.coefficients(*jet[:3], table.o_terms(*jet[:3])), jet)
+    return apply_coefficients(table.coefficients(*jet[:3], coeffs.evaluate(x, *jet[:3], table)), jet)
 
 
 def l2_rhs(fn, coeffs, x, y):
@@ -333,7 +342,7 @@ def _closure(kind, model_ab, weak60):
 
 def _magnitude(poly, y):
     # sum |c_k| |y|^k of a polynomial in y: the scale its evaluation rounds against
-    return _YPoly([np.abs(c) for c in poly.even], [np.abs(c) for c in poly.odd])(np.abs(y))
+    return at(_Poly(1, {e: np.abs(c) for e, c in poly.items()}), np.abs(y))
 
 
 def _full_scan(valfun, r, n, minimize, poly=None):
@@ -363,6 +372,36 @@ def _three_scans(recipe, coeffs):
         scan_L2_defect_sign(recipe.v_barrier(), coeffs, recipe.r1, want="negative"),
         scan_L2_defect_sign(recipe.u_minus_barrier(), coeffs, recipe.r2, want="positive"),
     )
+
+
+# sha256 of the repr of the recipe scans (both at sigma 0.01 and 1e-4) and of
+# the bytes of v_barrier().value on a fixed grid, as the code gave them when
+# the scans were first spelled as polynomials in y: no bit of them may move
+_SCAN_PINS = {
+    "model": "fafe0bfce824543f00426c846e2a70a9f0777f1090080606d9ec8e122fefccfa",
+    "linear": "43332878cce44ac5f61f555523f90b7faae7c3176e2690b7bbf68bfa53a1ccc2",
+    "reflection": "7b3927ce550a58b434cd779dae6160c0b90b8fb5ad62fdcfece70b9a07d1124b",
+}
+
+
+def _scan_digest(model_ab, weak60, closure):
+    a, b = model_ab
+    coeffs = _closure(closure, model_ab, weak60)
+    digest = hashlib.sha256()
+    for sigma in (0.01, 1e-4):
+        rec = choose_subsolution_params(a, b, N=0.0, rhat=0.5, sigma=lambda r: sigma)
+        scans = _three_scans(rec, coeffs) if coeffs.a > 0.0 else (scan_L1_sign(rec.w_barrier(), coeffs, rec.r0),)
+        digest.update(repr(scans).encode())
+        xs, ys = np.linspace(0.0, rec.r1, 33)[:, None], np.linspace(-1.0, 1.0, 17)[None, :]
+        digest.update(np.ascontiguousarray(rec.v_barrier().value(xs, ys)).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("closure", ["model", "linear", "reflection"])
+def test_scans_are_pinned(model_ab, weak60, closure):
+    # the scans' dicts and the barrier's values to the last bit; the other
+    # scan tests hold them only to rounding of sum |c_k| |y|^k
+    assert _scan_digest(model_ab, weak60, closure) == _SCAN_PINS[closure]
 
 
 @pytest.mark.parametrize("sigma", [0.01, 0.05, 1e-4])
@@ -399,9 +438,10 @@ def test_scan_evaluates_the_half_grid(recipe, model_ab, weak60, monkeypatch, n):
     # each scan takes its defect once per grid, on the x-nodes alone: one
     # closure table and one polynomial jet for the n x ceil(n/2) sample grid
     # and one each for the 96 x 96 refinement, with no barrier evaluated
-    # pointwise; the scans' cost rests on these counts
+    # pointwise (every polynomial evaluation takes polynomials as its
+    # variables); the scans' cost rests on these counts
     tables, jets, pointwise = [], [], []
-    table, y_jet, at = CoefficientModel.table, BarrierFunction.y_jet, _YPoly.__call__
+    table, y_jet, values = CoefficientModel.table, BarrierFunction.y_jet, _values
 
     def spy_table(self, x, companion=False):
         tables.append((np.shape(x), companion))
@@ -415,7 +455,14 @@ def test_scan_evaluates_the_half_grid(recipe, model_ab, weak60, monkeypatch, n):
     monkeypatch.setattr(CoefficientModel, "table", spy_table)
     monkeypatch.setattr(BarrierFunction, "y_jet", spy_y_jet)
     monkeypatch.setattr(BarrierFunction, "value", lambda *args: pointwise.append("value"))
-    monkeypatch.setattr(_YPoly, "__call__", lambda *args: pointwise.append("at") or at(*args))
+
+    def spy_values(rows, *variables):
+        if not all(isinstance(v, _Poly) for v in variables):
+            pointwise.append("at")
+        return values(rows, *variables)
+
+    for module in (srlab.coefficients, srlab.barriers):
+        monkeypatch.setattr(module, "_values", spy_values)
     for closure in ("model", "reflection"):
         tables.clear()
         jets.clear()
@@ -536,15 +583,15 @@ def test_scan_polynomial_is_exact(recipe, model_ab, weak60, closure):
             if coeffs.a > 0.0:
                 polys.append((_l2_defect(fn, coeffs, x), True))
             for poly, companion in polys:
-                assert all(np.all(c == 0.0) for c in poly.odd)
-                got, scale = np.broadcast_to(poly(y), x.shape), _magnitude(poly, y)
+                assert all(np.all(c == 0.0) for c in odd_coefficients(poly))
+                got, scale = np.broadcast_to(at(poly, y), x.shape), _magnitude(poly, y)
                 for k in range(64):
                     want = _exact_defect(fn, coeffs, mp.mpf(x[k, 0]), mp.mpf(y[k, 0]), companion)
                     assert abs(got[k, 0] - want) <= 1e-14 * scale[k, 0], (fn, companion, k)
     odd = srlab.CoefficientModel(a=coeffs.a, b=coeffs.b, N=0.0, label="odd",
                                  o_columns=lambda x: ({}, {}, {}, {}, {"1": 0.5}))
     x = np.linspace(recipe.r0 / 64, recipe.r0, 64)[:, None]
-    assert any(np.any(c != 0.0) for c in apply_operator(odd, x, recipe.w_barrier().y_jet(x)).odd)
+    assert any(np.any(c != 0.0) for c in odd_coefficients(apply_operator(odd, x, recipe.w_barrier().y_jet(x))))
 
 
 def test_separable_jet_is_exact_and_keeps_its_parity(recipe):

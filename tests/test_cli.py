@@ -227,6 +227,27 @@ def test_solve_bad_input_exit_2(tmp_path, capsys, bad):
     assert not (tmp_path / "s").exists()
 
 
+def test_solve_refuses_a_bad_grade_as_given(tmp_path, capsys):
+    # the grade is squared once per coarser level; the refusal names the
+    # grade given (not 1.2^4), before any level is solved
+    assert run(["solve", "--mode", "model", "--grade", "1.2", "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration failed: grade_q") and "got 1.2\n" in err and err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [["--rhat", "1e200"], ["--rhat", "1e150"], ["--rhat", "1e-200"],
+                                 ["--y-halfwidth", "1e-300"], ["--perturb", "1e200"], ["--a", "1e-320"]])
+def test_solve_out_of_range_model_inputs_fail_by_exit_code(tmp_path, capsys, bad):
+    # inputs whose arithmetic overflows or underflows end in an input refusal
+    # (exit 2) or a solver failure (exit 3) on one line, never a traceback;
+    # the warnings on the way are the arithmetic's, not checked here
+    rc = run(["solve", "--mode", "model", *bad, "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc in (2, 3) and err.startswith(("configuration failed:", "solver failed:")) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("eps_frac", ["-0.1", "nan", "0"])
 def test_solve_bad_strip_depth_exit_2(tmp_path, capsys, eps_frac):
     assert run(["solve", "--mode", "reflection", "--eps-frac", eps_frac, "--out", str(tmp_path)]) == 2

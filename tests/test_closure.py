@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import srlab
-from srlab.coefficients import apply_operator, complex_step_partials, operator_coefficients, reflection_coefficients
+from srlab.coefficients import apply_operator, complex_step_partials, reflection_coefficients
 from srlab.reflection import to_sonic_coords
+
+from conftest import operator_coefficients
 
 
 def synthetic_psi():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import srlab
-from srlab.coefficients import o_bound_audit, operator_coefficients, zeta
+from srlab.coefficients import o_bound_audit, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
 from srlab.solver import _JET, _derivative_pass, _levels, _prolong, _stencil_table, derivative_fields
 
-from conftest import residual
+from conftest import operator_coefficients, residual
 
 
 def make_field(fn, rhat=0.5, n=49, q=1.0, ylim=1.0):
@@ -83,6 +83,14 @@ def test_solver_options_validation():
         srlab.SolverOptions(omega_sor=2.5)
     with pytest.raises(ValueError):
         srlab.SolverOptions(max_iterations=-1)
+
+
+@pytest.mark.parametrize("q", [1.2, -0.5, 0.0, np.nan])
+def test_grid_spec_refuses_a_grade_outside_0_1(q):
+    # solve squares the grade once per coarser level, so a bad one is refused
+    # as given, before any level is built or solved
+    with pytest.raises(ValueError, match=f"grade_q must lie in \\(0, 1\\], got {q}"):
+        srlab.GridSpec(rhat=0.5, nx=97, ny=49, grade_q=q)
 
 
 def test_exact_solution_reproduced(model_ab):

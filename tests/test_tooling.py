@@ -96,6 +96,28 @@ def test_one_krylov_path():
     assert naming == []
 
 
+def test_one_polynomial_type():
+    # the closure's rows and the barriers' jets are one polynomial type:
+    # coefficients._Poly is the one class numpy defers its operators to
+    # (__array_ufunc__), and barriers spells no arithmetic of its own
+    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                  "__neg__", "__pow__", "__array_ufunc__"}
+    deferring, spelled = [], []
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = {n.name for n in node.body if isinstance(n, ast.FunctionDef)} | {
+                t.id for n in node.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+                for t in (n.targets if isinstance(n, ast.Assign) else [n.target]) if isinstance(t, ast.Name)}
+            if "__array_ufunc__" in names:
+                deferring.append(f"{path.stem}.{node.name}")
+            if path.stem == "barriers" and names & arithmetic:
+                spelled.append(f"{node.name}: {sorted(names & arithmetic)}")
+    assert deferring == ["coefficients._Poly"]
+    assert spelled == []
+
+
 def test_the_algebra_takes_no_blas_products():
     # the reflected-state algebra, the shock condition and the gas law write
     # every dot product and norm as a two-term sum; `@`, np.dot and np.linalg
