@@ -163,7 +163,11 @@ def cmd_solve(args) -> int:
         if args.mode == "model":
             outer = lambda y: (rhat * rhat / (2 * a)) * (1.0 + amp * np.cos(np.pi * y / args.y_halfwidth))
         else:
-            outer = lambda y: rhat**1.5 * np.ones_like(y)
+            try:
+                top = rhat**1.5
+            except OverflowError:  # inf: the solve refuses boundary data that is not finite
+                top = np.inf
+            outer = lambda y: top * np.ones_like(y)
         bc = BoundaryConditions(outer=outer)
         grid = GridSpec(rhat=rhat, nx=nx, ny=ny, y_lo=-args.y_halfwidth,
                         y_hi=args.y_halfwidth, grade_q=args.grade)
@@ -279,7 +283,8 @@ def _verify_regularity(field, out, record, digest):
         warnings_list.append(
             f"two-family probe (informational, {ts['channel_label']}): sonic-adjacent "
             f"{ts['sonic_adjacent_limit']:.5f} vs {1.0 / a:.5f} (within 5%: {ok}); "
-            f"shock-adjacent {ts['shock_adjacent_limit']:.5f}"
+            f"shock row's own limit {ts['shock_adjacent_limit']:.5f}, "
+            f"psi_x/x on it {ts['psi_x_over_x_at_shock_limit']:.5f}"
         )
     payload = {
         "runconfig": record, "runconfig_digest": digest,

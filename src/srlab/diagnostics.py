@@ -2,7 +2,9 @@
 
 Power-law fits of the boundary layer, extrapolation of second derivatives to
 the degenerate edge, the parabolic-scaling norm, the sonic jump, and the
-two-family probe at the shock/sonic meeting point.
+two-family probe at the shock/sonic meeting point.  One edge table
+(sonic_limit_estimate), one least-squares solve over every station up to the
+shock row, serves the sonic limits, the jump and both families of the probe.
 """
 
 import numpy as np
@@ -63,15 +65,16 @@ def fit_power_law(field: ScalarField2D, y_station: float):
 _EDGE_SAMPLES, _EDGE_SKIP = 6, 1
 
 
-def limit_at_zero(xs, vals, k: int = _EDGE_SAMPLES, skip: int = _EDGE_SKIP):
+def limit_at_zero(xs, vals):
     """Extrapolate column-sampled quantities to x = 0 by a linear fit in x.
 
-    Uses the k smallest-x samples after dropping `skip` noisiest first
-    columns.  vals is (n,) or (n, m); the m columns share one design matrix,
-    so one least-squares solve fits them all.  Returns the limit: a scalar
-    for 1-D vals, an (m,) array otherwise.
+    Uses the _EDGE_SAMPLES smallest-x samples after dropping the _EDGE_SKIP
+    noisiest first columns.  vals is (n,) or (n, m); the m columns share one
+    design matrix, so one least-squares solve fits them all.  Returns the
+    limit: a scalar for 1-D vals, an (m,) array otherwise.
     """
     xs = np.asarray(xs, dtype=float)
+    k, skip = _EDGE_SAMPLES, _EDGE_SKIP
     if xs.size < skip + k:
         raise InsufficientResolution(f"need {skip + k} near-edge samples, have {xs.size}")
     sl = slice(skip, skip + k)
@@ -81,26 +84,28 @@ def limit_at_zero(xs, vals, k: int = _EDGE_SAMPLES, skip: int = _EDGE_SKIP):
 
 
 def sonic_limit_estimate(field: ScalarField2D, d) -> dict:
-    """Edge limits of psi_xx, psi_xy, psi_yy per y-station, plus 2*psi/x^2.
+    """Edge limits of psi_xx, psi_xy, psi_yy, 2*psi/x^2 and psi_x/x per y-station.
 
-    Second differences are taken at decreasing x and extrapolated to x = 0,
-    every interior station in one fit per quantity; station j is entry j - 1
-    of each list.  The direct ratio 2*psi/x^2 is reported as an independent
-    consistency channel.  d is the field's derivative pass (derivative_fields).
+    Second differences are taken at decreasing x and extrapolated to x = 0.
+    The table holds stations 1..ny-1, so on the strip its last entry is the
+    shock row; station j is entry j - 1 of each list.  Every station of
+    every quantity goes through one least-squares solve.  The direct ratio
+    2*psi/x^2 is an independent consistency channel for psi_xx.  d is the
+    field's derivative pass (derivative_fields).
     """
     xs = field.xs
     if np.count_nonzero((xs > 0.0) & (xs < xs[-1] / 100.0)) < 4:
         raise InsufficientResolution(
             "need at least 4 graded columns below rhat/100 for edge extrapolation"
         )
-    stations = np.arange(1, field.ny - 1)
     xs = xs[1:-1]
-    ratio = 2.0 * field.values[1:-1, 1:-1] / xs[:, None] ** 2
-    out = {"stations_index": stations.tolist(), "k": _EDGE_SAMPLES, "skip": _EDGE_SKIP,
-           "stations_y": _ordinates(field)[0, 1:-1].tolist()}
-    for name, arr in (("psi_xx", d["pxx"][1:-1, 1:-1]), ("psi_xy", d["pxy"][1:-1, 1:-1]),
-                      ("psi_yy", d["pyy"][1:-1, 1:-1]), ("ratio_2psi_x2", ratio)):
-        out[name] = limit_at_zero(xs, arr).tolist()
+    x, sl = xs[:, None], np.s_[1:-1, 1:]
+    cols = {"psi_xx": d["pxx"][sl], "psi_xy": d["pxy"][sl], "psi_yy": d["pyy"][sl],
+            "ratio_2psi_x2": 2.0 * field.values[sl] / x ** 2, "psi_x_over_x": d["px"][sl] / x}
+    lims = limit_at_zero(xs, np.concatenate(list(cols.values()), axis=1)).reshape(len(cols), -1)
+    out = {"stations_index": list(range(1, field.ny)), "k": _EDGE_SAMPLES, "skip": _EDGE_SKIP,
+           "stations_y": _ordinates(field)[0, 1:].tolist()}
+    out.update(zip(cols, lims.tolist()))
     return out
 
 
@@ -135,55 +140,30 @@ def jump_estimate(field: ScalarField2D, limits: dict):
     }
 
 
-def two_sequence_probe(field: ScalarField2D, d, limits: dict) -> dict:
+def two_sequence_probe(field: ScalarField2D, limits: dict) -> dict:
     """Second-derivative limits along two families approaching the shock/sonic corner.
 
-    Family 1 stays near the degenerate edge at the stations at 70-93% of ny,
-    read from the field's edge-limit table `limits` (sonic_limit_estimate);
-    family 2 follows the shock image at offset (omega/10)x, omega the least
-    slope of the shock image.  The shock-adjacent channel rides the
-    straight-shock surrogate and is labeled accordingly; it is
-    informational, not a gate.  d is the field's derivative pass.
+    Both families are read from the field's edge-limit table `limits`
+    (sonic_limit_estimate).  Family 1 stays near the degenerate edge at the
+    stations at 70-93% of ny; family 2 is the shock row's own entry, the
+    table's last, and psi_x/x is read from the same entry.  The shock row is
+    the straight-shock surrogate, so that channel is labeled accordingly; it
+    is informational, not a gate.
     """
     if field.kind != "sonic_strip":
         raise ValueError("two-sequence probe requires a shock-fitted strip field")
-    fh = np.asarray(field.geometry["fhat"])
-    g = np.asarray(field.geometry["g"])
-    omega = float(np.min(g * fh))
-    if omega <= 0.0:
-        raise ValueError("measured shock-image slope is not positive")
-
     ny = field.ny
-    sonic_vals = np.asarray(limits["psi_xx"][int(0.70 * ny) - 1:int(0.93 * ny) - 1])  # station j is entry j - 1
-    if sonic_vals.size == 0:
+    sonic_vals = limits["psi_xx"][int(0.70 * ny) - 1:int(0.93 * ny) - 1]  # station j is entry j - 1
+    if not sonic_vals:
         raise InsufficientResolution(f"no station at 70-93% of ny = {ny} for the two-family probe")
     sonic_limit = float(np.mean(sonic_vals))
-
-    # shock-adjacent family (x_m, fhat(x_m) - (omega/10) x_m), at x-nodes, so
-    # linear in s between the two rows around each sample
-    xs, ss = field.xs, field.ys
-    sel = np.arange(2, xs.size - 1, max(1, xs.size // 24))
-    xq = xs[sel]
-    sq = 1.0 - (omega / 10.0) * xq / fh[sel]
-    j = np.clip(np.searchsorted(ss, sq) - 1, 0, ss.size - 2)
-    ts = (sq - ss[j]) / (ss[j + 1] - ss[j])
-    pxx_q = d["pxx"][sel, j] * (1 - ts) + d["pxx"][sel, j + 1] * ts
-    order = np.argsort(xq)
-    xq, pxx_q = xq[order], pxx_q[order]
-    shock_limit = limit_at_zero(xq, pxx_q, k=min(_EDGE_SAMPLES, xq.size - 1), skip=0)
-
-    # psi_x / x along the shock row
-    ratio_limit = limit_at_zero(xs[1:-1], d["px"][1:-1, -1] / xs[1:-1])
-
+    shock_limit = limits["psi_xx"][-1]
     return {
         "sonic_adjacent_limit": sonic_limit,
-        "sonic_adjacent_per_station": sonic_vals.tolist(),
-        "shock_adjacent_limit": float(shock_limit),
-        "shock_adjacent_samples_x": xq.tolist(),
-        "shock_adjacent_samples_pxx": pxx_q.tolist(),
-        "gap": float(sonic_limit - shock_limit),
-        "psi_x_over_x_at_shock_limit": float(ratio_limit),
-        "omega": float(omega),
+        "sonic_adjacent_per_station": sonic_vals,
+        "shock_adjacent_limit": shock_limit,
+        "gap": sonic_limit - shock_limit,
+        "psi_x_over_x_at_shock_limit": limits["psi_x_over_x"][-1],
         "channel_label": "surrogate-boundary",
     }
 
@@ -204,9 +184,10 @@ def full_report(field: ScalarField2D, d) -> dict:
     """Every regularity diagnostic of a field, as the dict verify writes.
 
     The power law is fitted once, at the middle y-station.  d is the field's
-    derivative pass; one edge-limit table over every interior station serves
-    the sonic limits, the jump and the two-family probe.  A diagnostic the
-    grid cannot resolve records {"error": ...} in place of its result.
+    derivative pass; one edge-limit table, stations 1..ny-1 in one fit,
+    serves the sonic limits, the jump and the two-family probe.  A
+    diagnostic the grid cannot resolve records {"error": ...} in place of
+    its result.
     """
     rep = {
         "grid": {"nx": field.nx, "ny": field.ny, "kind": field.kind, "xmax": float(field.xs[-1])},
@@ -227,7 +208,7 @@ def full_report(field: ScalarField2D, d) -> dict:
         rep["jump"], rep["jump_details"] = jump_estimate(field, limits)
         if field.kind == "sonic_strip":
             try:
-                rep["two_sequence"] = two_sequence_probe(field, d, limits)
+                rep["two_sequence"] = two_sequence_probe(field, limits)
             except InsufficientResolution as exc:
                 rep["two_sequence"] = {"error": str(exc)}
     rep["parabolic_norm_value"], rep["parabolic_breakdown"] = parabolic_norm(field, d)

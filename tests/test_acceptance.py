@@ -306,8 +306,7 @@ def test_criterion_7_two_family_probe():
             opts=srlab.SolverOptions(tolerance=1e-9, max_iterations=9000),
         )
     def probe_of(f):
-        d = srlab.derivative_fields(f)
-        return dg.two_sequence_probe(f, d, dg.sonic_limit_estimate(f, d))
+        return dg.two_sequence_probe(f, dg.sonic_limit_estimate(f, srlab.derivative_fields(f)))
 
     probe_c, probe = probe_of(coarse), probe_of(field)
     target = 1.0 / 2.4

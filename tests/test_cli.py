@@ -238,11 +238,13 @@ def test_solve_refuses_a_bad_grade_as_given(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [["--rhat", "1e200"], ["--rhat", "1e150"], ["--rhat", "1e-200"],
-                                 ["--y-halfwidth", "1e-300"], ["--perturb", "1e200"], ["--a", "1e-320"]])
+                                 ["--y-halfwidth", "1e-300"], ["--perturb", "1e200"], ["--a", "1e-320"],
+                                 ["--mode", "linear", "--rhat", "1e250"]])
 def test_solve_out_of_range_model_inputs_fail_by_exit_code(tmp_path, capsys, bad):
     # inputs whose arithmetic overflows or underflows end in an input refusal
     # (exit 2) or a solver failure (exit 3) on one line, never a traceback;
-    # the warnings on the way are the arithmetic's, not checked here
+    # the warnings on the way are the arithmetic's, not checked here.  A
+    # later --mode wins, so the last input is the linear mode's rhat**1.5
     rc = run(["solve", "--mode", "model", *bad, "--out", str(tmp_path / "s")])
     err = capsys.readouterr().err
     assert rc in (2, 3) and err.startswith(("configuration failed:", "solver failed:")) and err.count("\n") == 1
@@ -586,21 +588,22 @@ def test_verify_regularity_takes_one_derivative_pass(tmp_path, monkeypatch, solv
 
 
 @pytest.mark.parametrize("solve_args", [["--mode", "model", "--grid", "97,49"],
-                                        ["--mode", "reflection", "--grid", "81,41"]])
+                                        ["--mode", "reflection", "--grid", "121,49"]])
 def test_verify_regularity_fits_once(tmp_path, monkeypatch, solve_args):
-    # one edge-limit table serves the sonic limits, the jump and the two-family
-    # probe, and one power fit serves the report and the station trace
+    # one edge-limit table, one least-squares solve, serves the sonic limits,
+    # the jump and both families of the two-family probe, and one power fit
+    # serves the report and the station trace
     import srlab.diagnostics
 
     out = tmp_path / "m"
     assert run(["solve", *solve_args, "--out", str(out)]) == 0
-    calls = {"sonic_limit_estimate": 0, "fit_power_law": 0}
+    calls = {"sonic_limit_estimate": 0, "fit_power_law": 0, "limit_at_zero": 0}
     for name in calls:
         real = getattr(srlab.diagnostics, name)
         monkeypatch.setattr(srlab.diagnostics, name,
-                            lambda *a, _n=name, _f=real: (calls.__setitem__(_n, calls[_n] + 1), _f(*a))[1])
+                            lambda *a, _n=name, _f=real, **kw: (calls.__setitem__(_n, calls[_n] + 1), _f(*a, **kw))[1])
     assert run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)]) == 0
-    assert calls == {"sonic_limit_estimate": 1, "fit_power_law": 1}
+    assert calls == {"sonic_limit_estimate": 1, "fit_power_law": 1, "limit_at_zero": 1}
 
 
 def _strict_json(path):

@@ -175,15 +175,14 @@ def test_jump_estimate_reflection(reflection_field):
 
 
 def test_two_sequence_probe_requires_strip(model_field):
-    d = derivative_fields(model_field)
-    limits = dg.sonic_limit_estimate(model_field, d)
+    limits = dg.sonic_limit_estimate(model_field, derivative_fields(model_field))
     with pytest.raises(ValueError):
-        dg.two_sequence_probe(model_field, d, limits)
+        dg.two_sequence_probe(model_field, limits)
 
 
 def test_two_sequence_probe_reflection(reflection_field):
-    d = derivative_fields(reflection_field)
-    probe = dg.two_sequence_probe(reflection_field, d, dg.sonic_limit_estimate(reflection_field, d))
+    limits = dg.sonic_limit_estimate(reflection_field, derivative_fields(reflection_field))
+    probe = dg.two_sequence_probe(reflection_field, limits)
     target = 1.0 / 2.4
     assert abs(probe["sonic_adjacent_limit"] - target) <= 0.12 * target
     # the shock-adjacent family rides the straight-shock surrogate: reported
@@ -192,7 +191,10 @@ def test_two_sequence_probe_reflection(reflection_field):
     assert probe["shock_adjacent_limit"] < 0.5 * target
     assert probe["gap"] > 0.3 * target
     assert abs(probe["psi_x_over_x_at_shock_limit"]) < 0.05
-    assert probe["omega"] > 0.0
+    # family 2 and psi_x/x are the edge table's own shock-row entry
+    assert limits["stations_index"][-1] == reflection_field.ny - 1
+    assert probe["shock_adjacent_limit"] == limits["psi_xx"][-1]
+    assert probe["psi_x_over_x_at_shock_limit"] == limits["psi_x_over_x"][-1]
 
 
 def test_two_sequence_probe_smooth_field(weak60, model_ab):
@@ -211,11 +213,11 @@ def test_two_sequence_probe_smooth_field(weak60, model_ab):
     }
     vals = xs[:, None] ** 2 / (2 * a) * np.ones_like(ss)[None, :]
     f = ScalarField2D(xs, ss, vals, geo, {})
-    d = derivative_fields(f)
-    probe = dg.two_sequence_probe(f, d, dg.sonic_limit_estimate(f, d))
+    probe = dg.two_sequence_probe(f, dg.sonic_limit_estimate(f, derivative_fields(f)))
     assert probe["sonic_adjacent_limit"] == pytest.approx(1 / a, rel=1e-6)
-    assert probe["shock_adjacent_limit"] == pytest.approx(1 / a, rel=1e-4)
-    assert abs(probe["gap"]) < 1e-4
+    # the shock row is the quadratic itself, fitted exactly up to rounding
+    assert probe["shock_adjacent_limit"] == pytest.approx(1 / a, rel=1e-12)
+    assert abs(probe["gap"]) < 1e-12
 
 
 def test_full_report_json_roundtrip(reflection_field, tmp_path):
@@ -230,8 +232,8 @@ def test_full_report_json_roundtrip(reflection_field, tmp_path):
 
 
 def test_sonic_limits_equal_the_per_station_fits(reflection_field, model_field):
-    # one least-squares solve over every station gives each station's own
-    # scalar fit bit for bit, on the strip and on the rectangle
+    # one least-squares solve over every station, the last row included, gives
+    # each station's own scalar fit bit for bit, on the strip and on the rectangle
     from srlab.diagnostics import _ordinates
 
     for f in (reflection_field, model_field):
@@ -242,6 +244,7 @@ def test_sonic_limits_equal_the_per_station_fits(reflection_field, model_field):
         for n, j in enumerate(est["stations_index"]):
             for name, arr in (("psi_xx", d["pxx"]), ("psi_xy", d["pxy"]), ("psi_yy", d["pyy"])):
                 assert est[name][n] == dg.limit_at_zero(xs, arr[1:-1, j])
+            assert est["psi_x_over_x"][n] == dg.limit_at_zero(xs, d["px"][1:-1, j] / xs)
             assert est["ratio_2psi_x2"][n] == dg.limit_at_zero(xs, ratio[:, j])
             assert est["stations_y"][n] == _ordinates(f)[0, j]
     assert dg.limit_at_zero(xs, ratio[:, :3]).shape == (3,)
