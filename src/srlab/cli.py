@@ -234,13 +234,16 @@ def _verify_barriers(field, coeffs, out, record, digest):
 
 def _verify_rh(cfg, eps, out, record, digest):
     fns = ShockBoundaryFns(cfg)
-    xi_samples = np.linspace(cfg.xi1 - 1.0, cfg.xi1 + 1.0, 20)
-    scale = cfg.gas.rho1 * (1.0 + abs(cfg.u1)) + cfg.rho2 * (1.0 + abs(cfg.u2) + cfg.c2 + abs(cfg.xi1))
+    # F is a density times a squared speed: the anchor divides it by
+    # (rho1 + rho2) U^2 and samples xi1 +- c2, so it reads the same in any unit
+    xi_samples = np.linspace(cfg.xi1 - cfg.c2, cfg.xi1 + cfg.c2, 20)
+    speed = max(abs(cfg.u1), abs(cfg.u2), abs(cfg.v2), cfg.c2, abs(cfg.xi1))
+    scale = (cfg.gas.rho1 + cfg.rho2) * speed * speed
     anchor = float(np.max(np.abs(fns.F(0.0, 0.0, 0.0, xi_samples)))) / scale
     p1a, p1b = fns.psi_p1_at_P1(), fns.psi_p1_tau_form()
     eps_grid = [cfg.c2 * fr for fr in (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)]
     eps_ok = largest_valid_eps(cfg, eps_grid)
-    trace = synthetic_quadratic_trace(cfg, eps, 48)
+    trace = synthetic_quadratic_trace(cfg, eps)
     b1, b2, b3 = fns.bhat(*trace)
     write_trace_csv(out / "shock_trace.csv", *trace, b1, b2, b3, digest=digest)
     summary = fns.bhat_report(b1, b2, b3)

@@ -263,10 +263,8 @@ def zeta(s, a: float, beta: float, M: float):
 
     The window (-(1-beta)/a, M + 1/a) is where the ratio W_x/x of admissible
     solutions lives; clamping keeps the frozen diffusion coefficient within
-    [beta*x, (2+aM)*x] without altering admissible iterates.
+    [beta*x, (2+aM)*x] without altering admissible iterates.  Defined for a > 0.
     """
-    if a == 0.0:
-        return np.asarray(s, dtype=float)
     return np.clip(s, -(1.0 - beta) / a, M + 1.0 / a)
 
 

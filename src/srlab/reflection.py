@@ -6,7 +6,6 @@ provides the sonic coordinate chart (x, y) = (c2 - r, theta - theta_w) used by
 the near-boundary solver and diagnostics.
 """
 
-import functools
 import json
 import math
 import warnings
@@ -186,8 +185,13 @@ def _flux_residual(gas, xi0, u1, tanw, u2):
     return (gas.rho1 * dot1 - rho2 * dot2) / np.hypot(w0, w1)
 
 
-# the geometric tail of every u2 scan, as fractions of its u_hi
-_TAIL = np.logspace(-14, -3, 45)
+# the u2 scan of every wedge angle, for solve_state2 and detachment_angle
+# alike, as fractions of its top point u_hi: 1000 linear points and a 45-point
+# geometric tail, sorted, read-only.  Sorted, not deduplicated: a repeated
+# point holds no sign change, and a repeated zero collapses with the other
+# near-duplicate roots.  Scaling by a positive u_hi keeps the order.
+_SCAN = np.sort(np.concatenate([np.linspace(1.0 / 1000, 1.0, 1000), np.logspace(-14, -3, 45)]))
+_SCAN.flags.writeable = False
 
 # wedge angles per block of a u2 scan: an 8 x 1045 block keeps each of the
 # scan's ~20 temporaries at 67 kB, inside a 2 MB L2 cache, where 79 angles
@@ -199,27 +203,14 @@ _SCAN_LANES = 8
 _BEFORE_AT_AFTER = np.array([[-1], [0], [1]])
 
 
-@functools.lru_cache(maxsize=2)  # the solve grid and the detachment probes' grid
-def _scan_fractions(n_scan):
-    """The u2 scan grid as fractions of its top point: n_scan linear points and _TAIL, sorted, read-only.
-
-    Sorted, not deduplicated: a repeated point holds no sign change, and a
-    repeated zero collapses with the other near-duplicate roots.  Scaling by
-    a positive top point keeps the order.
-    """
-    frac = np.sort(np.concatenate([np.linspace(1.0 / n_scan, 1.0, n_scan), _TAIL]))
-    frac.flags.writeable = False
-    return frac
-
-
-def _brackets(gas, xi0, u1, tanw, n_scan):
+def _brackets(gas, xi0, u1, tanw):
     """Sign-change brackets of the flux residual in u2, for each wedge slope in tanw.
 
-    Each slope's u2 grid is n_scan points linear between 0 and u_hi, just
-    below the vacuum bound, plus a geometric tail toward 0 that captures the
-    weak root for near-normal wedges: one table of fractions per n_scan,
-    scaled by each slope's u_hi.  Returns (u_hi, lane, x, fx): bracket k lies
-    on slope lane[k], and the brackets of one slope come in ascending u2.
+    Each slope's u2 grid is _SCAN scaled by its u_hi, just below the vacuum
+    bound: points linear between 0 and u_hi plus a geometric tail toward 0
+    that captures the weak root for near-normal wedges.  Returns
+    (u_hi, lane, x, fx): bracket k lies on slope lane[k], and the brackets of
+    one slope come in ascending u2.
     x[:, k] holds three consecutive grid points (c, a, b), the bracket [a, b]
     and the point before it (a itself at the grid's first point), and fx the
     residual there; fb is NaN past the vacuum bound, and fa == 0 marks a grid
@@ -227,10 +218,9 @@ def _brackets(gas, xi0, u1, tanw, n_scan):
     time; the scan is elementwise per slope, so the blocks change no bracket.
     """
     u_hi = _u_vacuum(gas, xi0, tanw) * (1.0 - 1e-12)
-    frac = _scan_fractions(n_scan)
     found = []
     for k in range(0, max(len(tanw), 1), _SCAN_LANES):  # no slope still makes one (empty) block
-        grid = u_hi[k:k + _SCAN_LANES, None] * frac
+        grid = u_hi[k:k + _SCAN_LANES, None] * _SCAN
         # isothermal densities under- or overflow far along the scan at steep
         # wedges; those points lie past the vacuum bound and read NaN
         with np.errstate(over="ignore", under="ignore"):
@@ -318,17 +308,13 @@ def _refine(f, x, fx):
     return np.where(root_at_a, a, root)
 
 
-# linear scan points per wedge angle when solving for state (2)
-_N_SCAN = 1000
-
-
 def _solve_lanes(gas, theta_ws):
     """solve_state2 for each angle, as its {"weak", "strong"} dict or its SrlabError."""
     theta_ws = [WedgeGeometry(float(t)).theta_w for t in np.atleast_1d(theta_ws)]
     tanw = np.tan(np.asarray(theta_ws))
     xi0, u1 = incident_shock(gas)
 
-    u_hi, lane, x, fx = _brackets(gas, xi0, u1, tanw, _N_SCAN)
+    u_hi, lane, x, fx = _brackets(gas, xi0, u1, tanw)
     f = lambda u2: _flux_residual(gas, xi0, u1, tanw[lane], u2)
     with np.errstate(over="ignore", under="ignore"):
         roots = _refine(f, x, fx)
@@ -619,13 +605,13 @@ def detachment_angle(gas: GasParameters):
     Purely empirical bisection on root existence over 5 to 89.9 degrees, to a
     bracket of 1e-4 degrees; reported, not asserted against any closed form.
     An angle has a root exactly when solve_state2's u2 scan brackets one, so
-    each test is that scan alone, at 400 linear points: no refinement, no
+    each test is that scan alone (_brackets on _SCAN): no refinement, no
     configuration.
     """
     xi0, u1 = incident_shock(gas)
 
     def exists(deg):
-        return _brackets(gas, xi0, u1, np.tan(np.radians([deg])), 400)[1].size > 0
+        return _brackets(gas, xi0, u1, np.tan(np.radians([deg])))[1].size > 0
 
     lo, hi = _DETACH_LO_DEG, _DETACH_HI_DEG
     if exists(lo):

@@ -98,6 +98,53 @@ def test_verify_rh(tmp_path):
     assert (out / "shock_trace.csv").exists()
 
 
+# the truncation depths, as fractions of c2, that verify --what rh tries
+RH_EPS_FRACS = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0])
+def test_verify_rh_verdicts_do_not_depend_on_the_density_unit(tmp_path, gamma):
+    # rho0 = kappa, rho1 = 2 kappa is one flow in another density unit, so the
+    # exit code, every check and the eps fraction agree at every kappa (an
+    # anchor divided by a rho * speed scale read 8.7e-11 at gamma 2,
+    # kappa 1e12, and exited 4)
+    verdicts = set()
+    for kappa in (1e-4, 1.0, 1e4, 1e12):
+        out = tmp_path / f"k{kappa:g}"
+        assert run(["config", "--gamma", repr(gamma), "--rho0", repr(kappa), "--rho1", repr(2.0 * kappa),
+                    "--theta-w", "60", "--out", str(out)]) == 0
+        rc = run(["verify", "--what", "rh", "--config", str(out / "config_weak.json"), "--out", str(out)])
+        rep = read_json(out / "verify_rh.json")
+        frac = rep["largest_eps_with_b1_margin"] / read_json(out / "config_weak.json")["c2"]
+        candidate = min(RH_EPS_FRACS, key=lambda f: abs(f - frac))
+        assert frac == pytest.approx(candidate, rel=1e-12)
+        verdicts.add((rc, tuple(sorted(rep["checks"].items())), candidate))
+    assert len(verdicts) == 1
+    assert verdicts.pop()[0] == 0
+
+
+@pytest.mark.parametrize("gamma,rho0,rho1,theta_w", [
+    (1.4, 1e-4, 2e-4, 60), (1.4, 1e12, 2e12, 60), (2.0, 1e-4, 2e-4, 60), (2.0, 1e12, 2e12, 60),
+    (3.0, 1.0, 1e10, 80),
+])
+def test_verify_rh_anchor_refuses_a_moved_state2(tmp_path, gamma, rho0, rho1, theta_w):
+    # the solved state (2) meets the anchor gate 1e-12 (at gamma 3, rho1 1e10,
+    # 80 deg a rho * speed scale and xi1 +- 1 read 9.95e-7); u2 moved by 1e-9
+    # relative reads 1.4e-10 (gamma 1.4) and 8.8e-11 (gamma 2) at any rho0,
+    # and 1.9e-11 at gamma 3, so the check still refuses a wrong state
+    out = tmp_path / "cfg"
+    assert run(["config", "--gamma", repr(gamma), "--rho0", repr(rho0), "--rho1", repr(rho1),
+                "--theta-w", str(theta_w), "--out", str(out)]) == 0
+    good = out / "config_weak.json"
+    moved = json.loads(good.read_text())
+    moved["u2"] *= 1.0 + 1e-9
+    bad = tmp_path / "moved.json"
+    bad.write_text(json.dumps(moved))
+    for path, rc, passes in ((good, 0, True), (bad, 4, False)):
+        assert run(["verify", "--what", "rh", "--config", str(path), "--out", str(tmp_path / path.stem)]) == rc
+        assert read_json(tmp_path / path.stem / "verify_rh.json")["checks"]["shock_condition_anchor_zero"] is passes
+
+
 def test_verify_barriers(tmp_path):
     out = tmp_path / "bar"
     run(["solve", "--mode", "model", "--grid", "65,65", "--grade", "0.95",

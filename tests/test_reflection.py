@@ -417,7 +417,7 @@ def test_lanes_do_not_interact(gamma):
     gas = srlab.GasParameters(gamma, 1.0, 2.0)
     xi0, u1 = incident_shock(gas)
     tanw = np.tan(np.radians(np.arange(50.0, 90.0)))
-    _, lane, x, fx = _brackets(gas, xi0, u1, tanw, 1000)
+    _, lane, x, fx = _brackets(gas, xi0, u1, tanw)
     assert len(np.unique(lane)) >= 28  # gamma = 3 detaches at 61.09 deg
     with np.errstate(over="ignore", under="ignore"):
         together = _refine(lambda u: _flux_residual(gas, xi0, u1, tanw[lane], u), x, fx)
@@ -507,8 +507,8 @@ def test_lane_blocks_do_not_change_the_scan(gamma):
     xi0, u1 = incident_shock(gas)
     tanw = np.tan(np.radians(np.arange(50.0, 89.01, 0.5)))
     assert len(tanw) == 79 and len(tanw) % _SCAN_LANES
-    blocked = _brackets(gas, xi0, u1, tanw, 1000)
-    alone = [_brackets(gas, xi0, u1, tanw[k:k + 1], 1000) for k in range(len(tanw))]
+    blocked = _brackets(gas, xi0, u1, tanw)
+    alone = [_brackets(gas, xi0, u1, tanw[k:k + 1]) for k in range(len(tanw))]
     joined = [np.concatenate(part, axis=-1) for part in zip(*alone)]
     joined[1] = np.concatenate([o[1] + k for k, o in enumerate(alone)])  # each one-angle scan is lane 0
     for got, want in zip(blocked, joined):
@@ -518,16 +518,31 @@ def test_lane_blocks_do_not_change_the_scan(gamma):
 
 
 @pytest.mark.parametrize("gamma,lo,hi", [
-    (1.0, "0x1.8d42afd439e8bp-1", "0x1.8d42df3f014f6p-1"),
+    (1.0, "0x1.8d41f2291c4e2p-1", "0x1.8d422193e3b4cp-1"),
     (1.4, "0x1.b53b26625824bp-1", "0x1.b53b55cd1f8b6p-1"),
-    (2.0, "0x1.e63a74be25919p-1", "0x1.e63aa428ecf83p-1"),
-    (3.0, "0x1.10f63c3575469p+0", "0x1.10f653ead8f9ep+0"),
+    (2.0, "0x1.e639583d79298p-1", "0x1.e63987a840903p-1"),
+    (3.0, "0x1.10f5adf51f129p+0", "0x1.10f5c5aa82c5ep+0"),
 ])
 def test_detachment_bracket_is_pinned(gamma, lo, hi):
-    # the default bracket bit for bit, as the whole-array scan gave it: each
-    # probe is a one-angle scan, so the lane blocks move no probe's verdict
+    # the default bracket bit for bit: each probe is a one-angle scan on
+    # solve_state2's own grid, so the lane blocks move no probe's verdict
     got = srlab.detachment_angle(srlab.GasParameters(gamma, 1.0, 2.0))
     assert [float(v).hex() for v in got] == [lo, hi]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_detachment_bracket_is_solve_state2s_verdict(gamma):
+    # the bisection probes solve_state2's own u2 scan, so the bracket's ends
+    # are the solve's verdicts: no root at lo, both branches at hi (a coarser
+    # probe scan put lo on an angle that solve_state2 solves at gamma 1, 2, 3)
+    gas = srlab.GasParameters(gamma, 1.0, 2.0)
+    lo, hi = srlab.detachment_angle(gas)
+    with pytest.raises(NoRegularReflection):
+        srlab.solve_state2(gas, lo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSupersonicAtP0)
+        both = srlab.solve_state2(gas, hi)
+    assert sorted(both) == ["strong", "weak"]
 
 
 def test_scan_working_set_is_bounded():
@@ -544,7 +559,7 @@ def test_scan_working_set_is_bounded():
     tanw = np.tan(np.radians(np.linspace(50.0, 89.0, 2000)))
     tracemalloc.start()
     try:
-        _, lane, _, _ = _brackets(gas, xi0, u1, tanw, 1000)
+        _, lane, _, _ = _brackets(gas, xi0, u1, tanw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -161,7 +161,7 @@ def test_bhat_on_zero_trace_equals_partials(fns, weak60):
 
 def test_bhat_expansion_identity(fns, weak60):
     # b1 psi_x + b2 psi_y + b3 psi = Psi exactly (line integral of the gradient)
-    x, y, psi, px, py = synthetic_quadratic_trace(weak60, weak60.c2 / 20.0, 24)
+    x, y, psi, px, py = synthetic_quadratic_trace(weak60, weak60.c2 / 20.0)
     py = py + 0.1 * px  # exercise the second slot too
     b1, b2, b3 = fns.bhat(x, y, psi, px, py)
     lhs = b1 * px + b2 * py + b3 * psi
@@ -170,7 +170,7 @@ def test_bhat_expansion_identity(fns, weak60):
 
 
 def test_bhat_margin_on_quadratic_trace(fns, weak60):
-    rep = fns.bhat_report(*fns.bhat(*synthetic_quadratic_trace(weak60, weak60.c2 / 20.0, 48)))
+    rep = fns.bhat_report(*fns.bhat(*synthetic_quadratic_trace(weak60, weak60.c2 / 20.0)))
     assert rep["min_b1"] >= rep["lambda"] > 0.0
     assert np.isfinite(rep["max_abs_b2"]) and np.isfinite(rep["max_abs_b3"])
 
@@ -245,7 +245,7 @@ def test_g_prime_sign_pattern():
 
 
 def test_trace_csv_roundtrip(tmp_path, fns, weak60):
-    x, y, psi, px, py = synthetic_quadratic_trace(weak60, weak60.c2 / 20.0, 16)
+    x, y, psi, px, py = synthetic_quadratic_trace(weak60, weak60.c2 / 20.0)
     b1, b2, b3 = fns.bhat(x, y, psi, px, py)
     path = tmp_path / "trace.csv"
     write_trace_csv(path, x, y, psi, px, py, b1, b2, b3, digest="deadbeef")
@@ -317,9 +317,9 @@ def test_in_domain_endpoint_test_matches_the_ray_scan(gamma, theta_w):
 
 
 def test_bhat_names_the_first_inadmissible_sample(fns, weak60):
-    x, y, psi, px, py = synthetic_quadratic_trace(weak60, weak60.c2 / 20.0, 16)
+    x, y, psi, px, py = synthetic_quadratic_trace(weak60, weak60.c2 / 20.0)
     px[[5, 9]] = 50.0
-    assert fns.in_domain(px, py, psi, x, y).tolist() == [i not in (5, 9) for i in range(16)]
+    assert fns.in_domain(px, py, psi, x, y).tolist() == [i not in (5, 9) for i in range(x.size)]
     with pytest.raises(OutsideDomain, match=r"trace sample 5 \(x="):
         fns.bhat(x, y, psi, px, py)
 
@@ -370,7 +370,7 @@ def test_bhat_matches_a_40_node_rule(gamma, theta_deg):
     fns = ShockBoundaryFns(cfg)
     t, w = (a[:, None] for a in _leggauss01(40))
     best = largest_valid_eps(cfg, [cfg.c2 * f for f in RH_EPS_FRACS])
-    traces = [synthetic_quadratic_trace(cfg, cfg.c2 / 20.0, 48)]
+    traces = [synthetic_quadratic_trace(cfg, cfg.c2 / 20.0)]
     traces += [synthetic_quadratic_trace(cfg, cfg.c2 * f) for f in RH_EPS_FRACS if cfg.c2 * f <= best]
     assert len(traces) >= 3
     for x, y, psi, px, py in traces:
@@ -386,7 +386,7 @@ def test_bhat_expansion_identity_to_rounding(gamma, theta_deg, frac):
     # most 6.7e-14 here, 33-point Simpson 1.7e-11 to 5.0e-11 at 0.2 c2 (gamma != 2)
     cfg = _weak(gamma, theta_deg)
     fns = ShockBoundaryFns(cfg)
-    x, y, psi, px, py = synthetic_quadratic_trace(cfg, frac * cfg.c2, 24)
+    x, y, psi, px, py = synthetic_quadratic_trace(cfg, frac * cfg.c2)
     py = py + 0.1 * px
     b1, b2, b3 = fns.bhat(x, y, psi, px, py)
     rhs = fns.Psi(px, py, psi, x, y)
@@ -443,6 +443,6 @@ def test_bhat_evaluation_shape_is_pinned(fns, weak60, monkeypatch):
 
     monkeypatch.setattr(ShockBoundaryFns, "F", f)
     monkeypatch.setattr(srlab.shock, "_chart", counted_chart)
-    fns.bhat(*synthetic_quadratic_trace(weak60, weak60.c2 / 20.0, 48))
+    fns.bhat(*synthetic_quadratic_trace(weak60, weak60.c2 / 20.0))
     assert f_shapes == [(3, 8, 48)]
     assert angles and set(angles) == {48}
