@@ -234,12 +234,14 @@ def _verify_barriers(field, coeffs, out, record, digest):
 
 def _verify_rh(cfg, eps, out, record, digest):
     fns = ShockBoundaryFns(cfg)
-    # F is a density times a squared speed: the anchor divides it by
-    # (rho1 + rho2) U^2 and samples xi1 +- c2, so it reads the same in any unit
+    # F is a density times a squared speed and psi_p1 a density times a speed:
+    # the anchor divides F by (rho1 + rho2) U^2 and samples xi1 +- c2, and the
+    # two forms of psi_p1 are compared on (rho1 + rho2) U, so both read the
+    # same in any unit
     xi_samples = np.linspace(cfg.xi1 - cfg.c2, cfg.xi1 + cfg.c2, 20)
     speed = max(abs(cfg.u1), abs(cfg.u2), abs(cfg.v2), cfg.c2, abs(cfg.xi1))
-    scale = (cfg.gas.rho1 + cfg.rho2) * speed * speed
-    anchor = float(np.max(np.abs(fns.F(0.0, 0.0, 0.0, xi_samples)))) / scale
+    flux = (cfg.gas.rho1 + cfg.rho2) * speed
+    anchor = float(np.max(np.abs(fns.F(0.0, 0.0, 0.0, xi_samples)))) / (flux * speed)
     p1a, p1b = fns.psi_p1_at_P1(), fns.psi_p1_tau_form()
     eps_grid = [cfg.c2 * fr for fr in (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)]
     eps_ok = largest_valid_eps(cfg, eps_grid)
@@ -250,7 +252,7 @@ def _verify_rh(cfg, eps, out, record, digest):
     checks = {
         "shock_condition_anchor_zero": bool(anchor < 1e-12),
         "gradient_coefficient_positive": bool(p1a > 0.0),
-        "gradient_coefficient_forms_agree": bool(abs(p1a - p1b) < 1e-10 * max(1.0, abs(p1a))),
+        "gradient_coefficient_forms_agree": bool(abs(p1a - p1b) < 1e-10 * flux),
         "b1_above_lambda_on_quadratic_trace": summary["min_b1"] >= summary["lambda"],
     }
     if cfg.gas.gamma > 1.0:

@@ -262,8 +262,9 @@ def zeta(s, a: float, beta: float, M: float):
     """Gradient cutoff: identity on the trusted slope window, clamped outside.
 
     The window (-(1-beta)/a, M + 1/a) is where the ratio W_x/x of admissible
-    solutions lives; clamping keeps the frozen diffusion coefficient within
-    [beta*x, (2+aM)*x] without altering admissible iterates.  Defined for a > 0.
+    solutions lives; inside it the lead 2x - a psi_x lies in [beta*x,
+    (2+aM)*x].  The solver does not clamp: it measures the share of a
+    converged iterate's nodes outside the window.  Defined for a > 0.
     """
     return np.clip(s, -(1.0 - beta) / a, M + 1.0 / a)
 

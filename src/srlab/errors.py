@@ -44,12 +44,12 @@ class NoConvergence(SrlabError):
 
 
 class EllipticityLoss(SrlabError):
-    """Ellipticity floor active on too many nodes at convergence."""
+    """Too many nodes of a converged iterate leave the slope window or the ellipticity floor."""
 
     def __init__(self, fraction, field):
         self.fraction = fraction
         self.field = field
-        super().__init__(f"ellipticity clamp active on {100 * fraction:.1f}% of nodes of the "
+        super().__init__(f"slope window or ellipticity floor left on {100 * fraction:.1f}% of nodes of the "
                          f"{field.nx}x{field.ny} grid")
 
 

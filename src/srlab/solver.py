@@ -3,21 +3,19 @@
 The finite differences are defined once, as per-node 3-point stencil
 tables along each axis, and the strip's chain rule once, as a linear map on
 a jet; the derivative pass applies both to values.  Each outer iteration
-evaluates the operator's coefficients once: they give the residual, and,
-with the leading one frozen (slope cutoff and x-proportional ellipticity
-floor, fixed constants), the rows of the frozen linear problem A(u), one
-sparse 9-point operator on the unknowns alone, whose weight table and CSR
-skeleton are built once per solve.  Each outer step is a Newton step on the
-residual A(u) u - rhs: its Jacobian adds the coefficients' partials in (psi,
-psi_x, psi_y), exact in real arithmetic from the closure's per-monomial
-table (built once per level, like the stencil tables), to the same
-entries.  The first step factors
-its Jacobian by one sparse LU (fixed column ordering); every later step
-solves its own Jacobian by one restarted-GMRES cycle preconditioned by that
-factor, solved only as accurately as Newton can use (a forcing term from the
-last step's contraction), and only a cycle that misses its target factors
-again (an inexact Newton method), so a solve usually factors once and every
-run is deterministic.
+evaluates the operator's coefficients once, and they give both the residual
+L(u) and the rows of its Newton step, one sparse 9-point system on the
+unknowns alone, whose weight table and CSR skeleton are built once per
+solve.  The step's Jacobian adds the coefficients' partials in (psi, psi_x,
+psi_y), exact in real arithmetic from the closure's per-monomial table
+(built once per level, like the stencil tables), to the same entries, so
+it is the exact Jacobian of the residual that convergence is judged on.
+The first step factors its Jacobian by one sparse LU (fixed column
+ordering); every later step solves its own Jacobian by one restarted-GMRES
+cycle preconditioned by that factor, solved only as accurately as Newton can
+use (a forcing term from the last step's contraction), and only a cycle that
+misses its target factors again (an inexact Newton method), so a solve
+usually factors once and every run is deterministic.
 
 Two domains share that one outer loop: a rectangle (0, rhat) x (y_lo, y_hi),
 and the shock-fitted strip {0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s)
@@ -50,7 +48,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 # slope window (-(1 - beta)/a, M + 1/a), floor eps_ell * x, and the share of
-# interior nodes they may act on at convergence before EllipticityLoss
+# interior nodes of a converged iterate that may leave them before EllipticityLoss
 _BETA, _M, _EPS_ELL, _CLAMP_FAIL_FRACTION = 0.5, 2.0, 0.1, 0.2
 # a Newton step on an earlier factor is one GMRES cycle of at most _RESTART
 # iterations, accepted once its preconditioned residual falls to the step's
@@ -104,7 +102,7 @@ class BoundaryConditions:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The outer iteration's stopping rule; cutoff, floor and loss share are module constants."""
+    """The outer iteration's stopping rule; the slope window, floor and loss share are module constants."""
 
     tolerance: float = 1e-9
     max_iterations: int = 50
@@ -225,26 +223,7 @@ def derivative_fields(field: ScalarField2D) -> dict:
     return _derivative_pass(field, (_stencil_table(field.xs), _stencil_table(field.ys)))
 
 
-# -- frozen-coefficient assembly ----------------------------------------------
-
-
-def _frozen_coefficients(field, a, coefficients, px):
-    """The operator's coefficients with the leading one frozen, and the share of interior nodes it is altered on.
-
-    The lead 2x - a psi_x + O1 = x(1 + a*slope) + O1, slope = (x/a - psi_x)/x,
-    gets the slope cutoff as a*x*(zeta(slope) - slope), exactly 0 where the
-    cutoff is inactive, and the floor _EPS_ELL * x.
-    """
-    x = field.xs[:, None]
-    lead, clamped = coefficients[2], False
-    if a > 0.0:
-        slope = (x / a - px) / np.where(x > 0.0, x, 1.0)  # the x = 0 column is Dirichlet data
-        cut = zeta(slope, a, _BETA, _M) - slope
-        clamped = cut != 0.0
-        lead = lead + a * x * cut
-    floor = _EPS_ELL * x
-    fraction = float(np.mean((clamped | (lead < floor))[1:-1, 1:-1]))
-    return coefficients[:2] + (np.maximum(lead, floor),) + coefficients[3:], fraction
+# -- Newton system assembly ----------------------------------------------------
 
 
 def _stencil_blocks(field, tables, neumann, coupled):
@@ -275,16 +254,14 @@ def _stencil_blocks(field, tables, neumann, coupled):
 
 
 def _newton_system(blocks, coefficients, partials, jet, shock=None):
-    """Assemble the Newton step J du = rhs - A(u) u on the iterate whose derivative pass is jet.
+    """Assemble the Newton step J du = -R(u) on the iterate whose derivative pass is jet.
 
-    A(u) psi = rhs is the frozen linear problem, whose interior and Neumann
-    rows apply the frozen coefficients, the operator whose residual the pass
-    measures.  J adds the operator's partials in (psi, psi_x, psi_y), the
-    coefficients' partials (the closure table's, three tuples of five) on
-    the row's own jet, so such a row of J sums its jet weights
-    (_stencil_blocks) in a fixed order times (dL_psi, c_x + dL_px,
-    c_y + dL_py, c_xx, c_xy, c_yy), and J is the Jacobian of A(u) u - rhs
-    wherever the cutoff and floor are inactive.
+    The interior and Neumann rows of R are L(u), the operator with the
+    coefficients whose residual the pass measures.  J adds the operator's
+    partials in (psi, psi_x, psi_y), the coefficients' partials (the closure
+    table's, three tuples of five) on the row's own jet, so such a row of J
+    sums its jet weights (_stencil_blocks) in a fixed order times (dL_psi,
+    c_x + dL_px, c_y + dL_py, c_xx, c_xy, c_yy): the Jacobian of R.
     shock = (L1, L2, L3, rhs, dcut) gives the strip's top row the linearised
     jump condition L1 psi_x + L2 psi_y + L3 psi = rhs, weights (L3, L1, L2,
     0, 0, 0), and the cut column, the shock corner included, the slope rows
@@ -292,9 +269,9 @@ def _newton_system(blocks, coefficients, partials, jet, shock=None):
     the solve's Neumann flags, whose rows then read psi_y = 0 as their
     reflective stencil does.
 
-    Returns J as square CSR over the unknowns in C order, and rhs - A(u) u
-    from the pass: -L_frozen(u), rhs - (L3 psi + L1 psi_x + L2 psi_y) = -G(u)
-    on the shock rows and dcut - (psi[nx-1, j] - psi[nx-2, j]) on the cut rows.
+    Returns J as square CSR over the unknowns in C order, and -R(u) from the
+    pass: -L(u), rhs - (L3 psi + L1 psi_x + L2 psi_y) = -G(u) on the shock
+    rows and dcut - (psi[nx-1, j] - psi[nx-2, j]) on the cut rows.
     """
     from scipy.sparse import csr_matrix
 
@@ -435,7 +412,7 @@ def solve(
 
     Dirichlet psi = 0 on x = 0; bc.outer on x = rhat; each y-side either
     reflective (psi_y = 0) or Dirichlet.  Each outer step is a Newton step
-    (_newton) on the residual A(u) u - rhs; the Jacobian of a linear closure
+    (_newton) on the operator's residual; the Jacobian of a linear closure
     is its own operator, so it converges in one step.
     init_field seeds the iteration from a coarser converged solve (nested
     iteration), carried over by local Lagrange interpolation along x and then
@@ -450,9 +427,9 @@ def solve(
     factorisations and residual history, coarse to fine, and
     meta["iterations"] is the finest level's.  Raises ValueError on boundary
     data that is not finite, NoConvergence past a level's budget and
-    EllipticityLoss if the cutoff/floor is active on more than
-    _CLAMP_FAIL_FRACTION of the interior nodes of a level's converged
-    iterate; either names that level's grid.
+    EllipticityLoss if more than _CLAMP_FAIL_FRACTION of the interior nodes
+    of a level's converged iterate leave the slope window or the floor
+    (_clamp_fraction); either names that level's grid.
     """
     field, record = init_field, []
     for level in ([grid] if init_field is not None else _levels(grid)):
@@ -508,17 +485,18 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     (_derivative_pass, reflective at the Neumann rows) and evaluates on it,
     from the closure's table of columns over x (built once per level, like
     the stencil tables), the O-terms (for the converged field's audit), the
-    operator's coefficients (its residual and the frozen problem
-    A(u) psi = rhs) and their partials, for J (_newton_system, on that
-    pass's jet and the weight table and skeleton of the first step), and
-    steps u += du with J du = rhs - A(u) u over the unknowns.  The first
+    operator's coefficients (its residual and the step's rows) and their
+    partials, for J (_newton_system, on that pass's jet and the weight table
+    and skeleton of the first step), and steps u += du with J du = -R(u)
+    over the unknowns, J the exact Jacobian of the residual R.  The first
     step solves it on a sparse LU of its J; each later step by one GMRES
     cycle preconditioned by that LU (_krylov_step), and a cycle that misses
     its target factors the current J, which the next steps then reuse.  Each cycle is solved only
     as accurately as Newton can use: its relative target follows the last
     step's contraction, read from the residual history alone, so a traced
-    run takes the same targets.  Every fixed point solves A(u) u = rhs, the
-    equation with the cutoff and floor applied.
+    run takes the same targets.  Every fixed point solves the equation that
+    is reported.  The converged iterate's clamp fraction (_clamp_fraction)
+    is measured once, after the loop, and decides EllipticityLoss.
     Convergence is judged on the operator residual max |L psi| over all
     interior nodes and, on the strip, on the scaled jump-condition residual
     that shock_row(d) returns from the step's derivative pass d, together
@@ -540,7 +518,6 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         o_terms = coeffs.evaluate(x, *jet[:3], table)
         coefficients = table.coefficients(*jet[:3], o_terms)
         res = float(np.max(np.abs(apply_coefficients(coefficients, jet)[1:-1, 1:-1])))
-        frozen, clamp_fraction = _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
         if shock_row is not None:
             shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
@@ -552,7 +529,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
             raise NoConvergence(opts.max_iterations, history[-1], field.values.shape)
         if blocks is None:
             blocks = _stencil_blocks(field, tables, neumann, shock is not None)
-        J, rhs = _newton_system(blocks, frozen, table.partials(*jet[:3]), jet, shock)
+        J, rhs = _newton_system(blocks, coefficients, table.partials(*jet[:3]), jet, shock)
         if lu is None:
             step, inner = None, 0
         else:
@@ -567,6 +544,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         # written through the 2-D view: field.values need not be C-contiguous
         field.values[blocks[0]] += step.reshape(field.values[blocks[0]].shape)
 
+    clamp_fraction = _clamp_fraction(x, coeffs.a, coefficients[2], d["px"])
     _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, o_terms)
     if shock_row is not None:
         field.meta["outer_data"] = "synthetic slope surrogate psi_x = x/a at x=eps"
@@ -574,6 +552,20 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     if clamp_fraction > _CLAMP_FAIL_FRACTION:
         raise EllipticityLoss(clamp_fraction, field)
     return field
+
+
+def _clamp_fraction(x, a, lead, px):
+    """The share of interior nodes whose slope leaves zeta's window or whose lead is below the floor.
+
+    x is the column of node abscissae.  The lead 2x - a psi_x + O1 =
+    x(1 + a*slope) + O1, slope = (x/a - psi_x)/x; the floor is _EPS_ELL * x.
+    A measurement of an iterate: nothing alters the operator with it.
+    """
+    outside = False
+    if a > 0.0:
+        slope = (x / a - px) / np.where(x > 0.0, x, 1.0)  # the x = 0 column is Dirichlet data
+        outside = zeta(slope, a, _BETA, _M) != slope
+    return float(np.mean((outside | (lead < _EPS_ELL * x))[1:-1, 1:-1]))
 
 
 def _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, o_terms):

@@ -68,6 +68,21 @@ def test_solve_model_and_verify_regularity(tmp_path):
     assert rep["checks"]["boundary_exponent_quadratic"] is True
 
 
+@pytest.mark.parametrize("args", [["--perturb", "0.2", "--y-halfwidth", "0.5"], ["--perturb", "0.3"],
+                                  ["--perturb", "0.3", "--grid", "193,97"]])
+def test_solve_model_where_slopes_leave_the_window(tmp_path, args):
+    # each solution's slope leaves the cutoff's window on a few nodes (about
+    # 0.1-1%): Newton on the operator itself converges there, and the
+    # barrier and regularity checks pass on it
+    out = tmp_path / "m"
+    assert run(["solve", "--mode", "model", *args, "--out", str(out)]) == 0
+    meta = ScalarField2D.load(out / "grid.srl").meta
+    assert 0.0 < meta["clamp_fraction"] < 0.2
+    assert all(level["iterations"] <= 6 for level in meta["levels"])
+    for what in ("barriers", "regularity"):
+        assert run(["verify", "--what", what, "--grid", str(out / "grid.srl"), "--out", str(out)]) == 0
+
+
 def test_solve_linear_mode(tmp_path):
     out = tmp_path / "lin"
     rc = run(["solve", "--mode", "linear", "--grid", "65,65", "--grade", "0.95",
@@ -107,8 +122,11 @@ def test_verify_rh_verdicts_do_not_depend_on_the_density_unit(tmp_path, gamma):
     # rho0 = kappa, rho1 = 2 kappa is one flow in another density unit, so the
     # exit code, every check and the eps fraction agree at every kappa (an
     # anchor divided by a rho * speed scale read 8.7e-11 at gamma 2,
-    # kappa 1e12, and exited 4)
-    verdicts = set()
+    # kappa 1e12, and exited 4).  So does the verdict on a state (2) with u2
+    # moved by 1e-9 relative: its two gradient-coefficient forms differ by
+    # 1.8e-10 (gamma 1.4) and 1.3e-10 (gamma 2) of (rho1 + rho2) U at every
+    # kappa, which a gate of 1e-10 max(1, |psi_p1|) passed at kappa 1e-4
+    verdicts, moved_verdicts = set(), set()
     for kappa in (1e-4, 1.0, 1e4, 1e12):
         out = tmp_path / f"k{kappa:g}"
         assert run(["config", "--gamma", repr(gamma), "--rho0", repr(kappa), "--rho1", repr(2.0 * kappa),
@@ -119,8 +137,14 @@ def test_verify_rh_verdicts_do_not_depend_on_the_density_unit(tmp_path, gamma):
         candidate = min(RH_EPS_FRACS, key=lambda f: abs(f - frac))
         assert frac == pytest.approx(candidate, rel=1e-12)
         verdicts.add((rc, tuple(sorted(rep["checks"].items())), candidate))
+        moved = read_json(out / "config_weak.json")
+        moved["u2"] *= 1.0 + 1e-9
+        (out / "moved.json").write_text(json.dumps(moved))
+        assert run(["verify", "--what", "rh", "--config", str(out / "moved.json"), "--out", str(out / "m")]) == 4
+        moved_verdicts.add(read_json(out / "m" / "verify_rh.json")["checks"]["gradient_coefficient_forms_agree"])
     assert len(verdicts) == 1
     assert verdicts.pop()[0] == 0
+    assert moved_verdicts == {False}
 
 
 @pytest.mark.parametrize("gamma,rho0,rho1,theta_w", [

@@ -5,9 +5,9 @@ import srlab
 from srlab.coefficients import o_bound_audit, zeta
 from srlab.errors import EllipticityLoss, NoConvergence, ShockConditionDiverged
 from srlab.grids import ScalarField2D, geometric_axis, uniform_axis
-from srlab.solver import _JET, _derivative_pass, _levels, _prolong, _stencil_table, derivative_fields
+from srlab.solver import _levels, _prolong, derivative_fields
 
-from conftest import operator_coefficients, residual
+from conftest import residual
 
 
 def make_field(fn, rhat=0.5, n=49, q=1.0, ylim=1.0):
@@ -117,8 +117,8 @@ def test_linear_mode_three_halves(model_ab):
     bc = srlab.BoundaryConditions(outer=lambda y: rhat**1.5 * np.ones_like(y))
     f = srlab.solve(srlab.linear_coefficients(b), bc, grid,
                     srlab.SolverOptions(tolerance=1e-10, max_iterations=6000))
-    # the linear closure's frozen operator is the operator itself, so one
-    # exact frozen solve converges
+    # the linear closure's Jacobian is the operator itself, so one Newton
+    # step converges
     assert f.meta["iterations"] == 2
     assert len(f.meta["lu_nnz"]) == f.meta["iterations"] - 1
     err = np.max(np.abs(f.values - (f.xs**1.5)[:, None]))
@@ -131,7 +131,7 @@ def test_perturbed_fixture_properties(model_field, model_ab):
     assert model_field.meta["final_residual"] <= 1e-10
     assert model_field.meta["positivity_ok"]
     assert model_field.meta["quadratic_bound_ok"]
-    assert model_field.meta["clamp_fraction"] == 0.0  # cutoff acts as identity
+    assert model_field.meta["clamp_fraction"] == 0.0  # every slope inside the window
     # stored boundary conditions hold on the converged field; the one-sided
     # probe of the mirrored Neumann rows carries its own O(h^2) truncation
     d = derivative_fields(model_field)
@@ -173,7 +173,7 @@ def test_no_convergence_raises(model_ab):
 
 
 def test_ellipticity_loss_reads_the_converged_iterate(model_ab):
-    # u = 2x^2/a has the slope (x/a - psi_x)/x = -3/a, below the cutoff's
+    # u = 2x^2/a has the slope (x/a - psi_x)/x = -3/a, below the slope
     # window -(1 - 0.5)/a on every node; a start that converges at once
     # must report that, not the fraction of an earlier iterate.  The 33x17
     # grid nests a 17x9 level, which converges at once and raises
@@ -556,23 +556,6 @@ def test_audit_takes_the_last_iterations_o_terms(reflection_field, weak60, monke
     assert f.meta["o_bound_audit"] == o_bound_audit(coeffs, x, o_terms) == reflection_field.meta["o_bound_audit"]
 
 
-def _tables(field, neumann):
-    """The stencil tables of field's axes that a solve with these Neumann sides builds."""
-    return _stencil_table(field.xs), _stencil_table(field.ys, neumann)
-
-
-def _frozen(field, coeffs, neumann):
-    """The solve's derivative pass on field, the operator's coefficients and the frozen ones, with the clamp fraction.
-
-    neumann gives the pass its reflective y-sides, as a solve with those sides takes it.
-    """
-    from srlab.solver import _frozen_coefficients
-
-    d = _derivative_pass(field, _tables(field, neumann))
-    coefficients = operator_coefficients(coeffs, field.xs[:, None], d["psi"], d["px"], d["py"])
-    return (d, coefficients) + _frozen_coefficients(field, coeffs.a, coefficients, d["px"])
-
-
 def _shock_row(field, fns):
     """The jump residual G on the strip's shock row and its linearisation (L1, L2, L3, rhs, dcut = 0)."""
     d = derivative_fields(field)
@@ -584,32 +567,45 @@ def _shock_row(field, fns):
     return G, (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G, 0.0)
 
 
+class _Built(Exception):
+    """Stops a solve once it has built its first Newton system."""
+
+
 def _system(field, coeffs, neumann, fns=None):
-    """The solver's Newton system on field: J and rhs - A(u) u over the unknown block, the clamp fraction and the block.
+    """The solver's Newton system on field: J and -R(u) over the unknown block, the clamp fraction and the block.
 
-    fns gives the strip its shock row.
+    The solver's own loop (_newton) takes field as its iterate and stops
+    once it has built the system, before any step; neumann gives the solve
+    its reflective y-sides, and fns the strip its shock row.  The clamp
+    fraction is the solver's measurement on field's derivative pass.
     """
-    from srlab.solver import _newton_system, _stencil_blocks
+    from srlab import solver
 
-    d, _, frozen, clamp = _frozen(field, coeffs, neumann)
-    jet = [d[key] for key in _JET]
-    partials = coeffs.table(field.xs[:, None]).partials(*jet[:3])
+    newton_system = solver._newton_system
+
+    def build(blocks, coefficients, partials, jet, shock):
+        J, r = newton_system(blocks, coefficients, partials, jet, shock)
+        clamp = solver._clamp_fraction(field.xs[:, None], coeffs.a, coefficients[2], jet[1])
+        raise _Built(J, r.reshape(field.values[blocks[0]].shape), clamp, blocks[0])
+
     shock = None if fns is None else _shock_row(field, fns)[1]
-    blocks = _stencil_blocks(field, _tables(field, neumann), neumann, shock is not None)
-    J, r = _newton_system(blocks, frozen, partials, jet, shock)
-    return J, r.reshape(field.values[blocks[0]].shape), clamp, blocks[0]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_newton_system", build)
+        with pytest.raises(_Built) as built:
+            solver._newton(field, coeffs, srlab.SolverOptions(tolerance=1e-300, max_iterations=1), neumann, None,
+                           None if shock is None else lambda d: (0.0, shock))
+    return built.value.args
 
 
 def _perturbed(field):
-    """A non-converged iterate near a converged field, on which the cutoff and floor stay inactive."""
+    """A non-converged iterate near a converged field, whose slopes stay in the window."""
     x, y = field.xs[:, None], field.ys[None, :]
     return ScalarField2D(field.xs, field.ys, field.values + 1e-3 * x**2 * np.cos(2.0 * y + 0.3), field.geometry)
 
 
-def test_frozen_system_is_the_residual_operator_on_a_rectangle(model_field, model_ab):
+def test_newton_system_is_the_residual_operator_on_a_rectangle(model_field, model_ab):
     # the matrix the solver inverts applies the operator whose residual is
-    # measured: on a perturbed iterate with the cutoff and floor inactive,
-    # rhs - A(u) u = -L(u) on every interior row
+    # measured: on a perturbed iterate, -R(u) = -L(u) on every interior row
     f = _perturbed(model_field)
     coeffs = srlab.model_coefficients(*model_ab)
     _, r, clamp, _ = _system(f, coeffs, (True, True))
@@ -620,7 +616,7 @@ def test_frozen_system_is_the_residual_operator_on_a_rectangle(model_field, mode
     assert np.max(np.abs(r[:, 1:-1] + L[1:-1, 1:-1])) <= 1e-10 * scale
 
 
-def test_frozen_system_is_the_residual_operator_on_the_strip(reflection_field, weak60):
+def test_newton_system_is_the_residual_operator_on_the_strip(reflection_field, weak60):
     # on the strip the same holds through the chain rule, and the shock rows
     # give -G(u), the jump condition on the stencils of the derivative pass
     from srlab.shock import ShockBoundaryFns
@@ -639,14 +635,14 @@ def test_frozen_system_is_the_residual_operator_on_the_strip(reflection_field, w
 
 
 def _check_jacobian(field, coeffs, neumann, rows, fns=None):
-    """J v against the central difference of A(u) u - rhs along v, on each group of rows.
+    """J v against the central difference of R(u) along v, on each group of rows; returns field's clamp fraction.
 
     rows maps a group's name to its rows and its bound, relative to the group's max |J v|.
     """
     J, r, clamp, block = _system(field, coeffs, neumann, fns)
     assert J.shape == (r.size, r.size)
-    # a direction that scales like the field at the degenerate edge keeps the
-    # slope in its window; it moves only the unknowns, the columns of J
+    # a direction that scales like the field at the degenerate edge; it moves
+    # only the unknowns, the columns of J
     v = np.zeros(field.values.shape)
     v[block] = (field.xs[:, None] ** 2 * np.random.default_rng(7).standard_normal(field.values.shape))[block]
     t = 1e-5
@@ -654,22 +650,20 @@ def _check_jacobian(field, coeffs, neumann, rows, fns=None):
     sides = []
     for sign in (1.0, -1.0):
         g = ScalarField2D(field.xs, field.ys, field.values + sign * t * v, field.geometry)
-        _, r_g, clamp_g, _ = _system(g, coeffs, neumann, fns)
-        sides.append(-r_g)
-        assert clamp_g == 0.0
+        sides.append(-_system(g, coeffs, neumann, fns)[1])
     fd = (sides[0] - sides[1]) / (2.0 * t)
-    assert clamp == 0.0
     for name, (row, bound) in rows.items():
         scale = np.max(np.abs(Jv[row]))
         assert scale > 0.0, name
         assert np.max(np.abs(Jv[row] - fd[row])) <= bound * scale, name
+    return clamp
 
 
 def test_jacobian_on_a_rectangle(model_field, model_ab):
     # the Newton rows are the exact derivative of the step residual, Neumann rows included
     coeffs = srlab.model_coefficients(*model_ab)
-    _check_jacobian(_perturbed(model_field), coeffs, (True, True),
-                    {"interior": (np.s_[:, 1:-1], 1e-6), "neumann": (np.s_[:, [0, -1]], 1e-6)})
+    assert _check_jacobian(_perturbed(model_field), coeffs, (True, True),
+                           {"interior": (np.s_[:, 1:-1], 1e-6), "neumann": (np.s_[:, [0, -1]], 1e-6)}) == 0.0
 
 
 def test_jacobian_on_the_strip(reflection_field, weak60):
@@ -679,9 +673,9 @@ def test_jacobian_on_the_strip(reflection_field, weak60):
     f = _perturbed(reflection_field)
     coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
     fns = ShockBoundaryFns(weak60)
-    _check_jacobian(f, coeffs, (True, False),
-                    {"interior": (np.s_[:-1, 1:-1], 1e-6), "neumann": (np.s_[:-1, 0], 1e-6),
-                     "shock": (np.s_[:-1, -1], 1e-6), "cut": (np.s_[-1, :], 1e-6)}, fns)
+    assert _check_jacobian(f, coeffs, (True, False),
+                           {"interior": (np.s_[:-1, 1:-1], 1e-6), "neumann": (np.s_[:-1, 0], 1e-6),
+                            "shock": (np.s_[:-1, -1], 1e-6), "cut": (np.s_[-1, :], 1e-6)}, fns) == 0.0
     # an iterate with a slope at the wedge, psi_s = 0.03 x^2 at s = 0: the wedge
     # rows' coefficients read psi_y = 0 from the reflective pass, as their
     # stencil does, so J is exact there too (a one-sided psi_y, which the
@@ -722,35 +716,66 @@ def test_newton_system_is_square_on_the_unknowns(weak60, tmp_path, monkeypatch):
     # second cancels exactly at y = +-1/2
     n = [7 * 7, 23 * 13, 23 * 13, 47 * 25, 95 * 49, 120 * 49]
     nnz = (217, 1_421, 1_423, 5_731, 22_987, 51_363)
-    steps = [5, 1, 2, 2, 2, 4]
+    steps = [4, 1, 2, 2, 2, 4]
     assert systems == [((k, k), z) for k, z, m in zip(n, nnz, steps) for _ in range(m)]
 
 
-def test_frozen_lead_takes_the_cutoff_where_it_acts(reflection_field, weak60):
-    # psi = (1 + s) x^2/(2a) has the slope (x/a - psi_x)/x ~ -s/a, so the
-    # cutoff's lower end -(1 - 0.5)/a acts on the half of the strip s > 1/2.
-    # There the frozen lead is x(1 + a zeta(slope)) + O1 (floored at 0.1x);
-    # elsewhere it is the operator's own lead, bit for bit
+def test_newton_system_is_exact_where_the_slope_leaves_its_window(reflection_field, weak60):
+    # psi = (1 + s) x^2/(2a) has the slope (x/a - psi_x)/x ~ -s/a, which
+    # leaves the window's lower end -(1 - 0.5)/a on the half of the strip
+    # s > 1/2, and the lead x(1 - s) + O1 falls below 0.1x near s = 1.  The
+    # Newton system is the operator's there too: -R(u) = -L(u) on every
+    # interior row, and J is the exact Jacobian of R on every group of rows.
+    # The clamp fraction measures the window and alters nothing
+    from srlab.shock import ShockBoundaryFns
+
     f = reflection_field
     coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
+    fns = ShockBoundaryFns(weak60)
     a = coeffs.a
     x, s = f.xs[:, None], f.ys[None, :]
     f = ScalarField2D(f.xs, f.ys, (1.0 + s) * x**2 / (2.0 * a), f.geometry)
-    _, coefficients, frozen, clamp = _frozen(f, coeffs, (True, False))
+    _, r, _, _ = _system(f, coeffs, (True, False), fns)
+    _, L = residual(f, coeffs)
+    scale = np.max(np.abs(L[1:-1, 1:-1]))
+    assert scale > 1e-6
+    assert np.max(np.abs(r[:-1, 1:-1] + L[1:-1, 1:-1])) <= 1e-10 * scale
+    clamp = _check_jacobian(f, coeffs, (True, False),
+                            {"interior": (np.s_[:-1, 1:-1], 1e-6), "neumann": (np.s_[:-1, 0], 1e-6),
+                             "shock": (np.s_[:-1, -1], 1e-6), "cut": (np.s_[-1, :], 1e-6)}, fns)
     inner = np.s_[1:-1, 1:-1]  # x > 0
-    d = {key: val[inner] for key, val in derivative_fields(f).items()}
     x = x[1:-1]
-    slope = (x / a - d["px"]) / x
+    slope = (x / a - derivative_fields(f)["px"][inner]) / x
     acts = zeta(slope, a, 0.5, 2.0) != slope
     assert 0.3 < np.mean(acts) < 0.7
     assert clamp == np.mean(acts)
-    O1 = coeffs.evaluate(x, d["psi"], d["px"], d["py"])[0]
-    want = np.maximum(x * (1.0 + a * zeta(slope, a, 0.5, 2.0)) + O1, 0.1 * x)
-    lead = frozen[2][inner]
-    assert np.all(np.abs(lead - want)[acts] <= 1e-13 * np.abs(want[acts]))
-    assert np.array_equal(lead[~acts], coefficients[2][inner][~acts])
-    for k in (0, 1, 3, 4):
-        assert np.array_equal(frozen[k], np.broadcast_to(coefficients[k], f.values.shape))
+
+
+def test_cut_slope_probes_converge_or_fail_typed(weak60, monkeypatch):
+    # the cut increment dcut scaled x2 at 121x49 gives a solution whose slope
+    # leaves the window on about 1% of the nodes: Newton on the operator
+    # converges in a few steps.  Scaled x3, the shock row leaves its
+    # admissible ball within a few steps: a typed failure, not a budget spent
+    from srlab import solver
+
+    newton_system, systems = solver._newton_system, []
+
+    def run(k):
+        def scaled(blocks, coefficients, partials, jet, shock):
+            systems.append(1)
+            return newton_system(blocks, coefficients, partials, jet, shock[:4] + (k * shock[4],))
+
+        systems.clear()
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_newton_system", scaled)
+            return srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=121, grid_ny=49)
+
+    f = run(2.0)
+    assert f.meta["iterations"] <= 10
+    assert 0.0 < f.meta["clamp_fraction"] < 0.2
+    with pytest.raises(ShockConditionDiverged):
+        run(3.0)
+    assert len(systems) <= 10
 
 
 def _zero_o_columns(x):

@@ -517,6 +517,41 @@ def test_closure_tables_are_built_once_per_newton_level(monkeypatch, weak60):
     assert built == [(41, 1)]
 
 
+def test_slope_window_is_measured_once_per_newton_level(monkeypatch, weak60):
+    # the Newton steps never read the slope window: zeta is called once per
+    # level, on the slope of the level's converged iterate, for the clamp
+    # fraction alone.  A nested solve of three levels, and a strip solve
+    import numpy as np
+
+    import srlab
+    from srlab import solver
+
+    slopes, zeta = [], solver.zeta
+
+    def spy(s, a, beta, M):
+        slopes.append(np.array(s))
+        return zeta(s, a, beta, M)
+
+    def converged_slope(field, a, neumann):
+        d = solver._derivative_pass(field, (solver._stencil_table(field.xs), solver._stencil_table(field.ys, neumann)))
+        x = field.xs[:, None]
+        return (x / a - d["px"]) / np.where(x > 0.0, x, 1.0)
+
+    monkeypatch.setattr(solver, "zeta", spy)
+    grid = srlab.GridSpec(rhat=0.5, nx=49, ny=33, grade_q=0.95)
+    field = srlab.solve(srlab.model_coefficients(2.4, 0.8), srlab.BoundaryConditions(outer=lambda y: 0.05 + 0 * y),
+                        grid)
+    assert all(lv["iterations"] > 1 for lv in field.meta["levels"])  # each level takes a Newton step
+    assert [s.shape for s in slopes] == [(lv.nx, lv.ny) for lv in solver._levels(grid)]
+    assert np.array_equal(slopes[-1], converged_slope(field, 2.4, (True, True)))
+
+    slopes.clear()
+    strip = srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=41, grid_ny=17)
+    assert strip.meta["iterations"] > 2
+    assert len(slopes) == 1
+    assert np.array_equal(slopes[0], converged_slope(strip, weak60.gas.gamma + 1.0, (True, False)))
+
+
 def test_strip_solve_takes_no_complex_step_of_the_closure(monkeypatch, weak60):
     # the operator's coefficients and their partials come from the closure's
     # table in real arithmetic: a 121x49 strip solve passes no complex array
