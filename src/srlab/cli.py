@@ -33,7 +33,7 @@ from .errors import (
     ShockConditionDiverged,
     SrlabError,
 )
-from .grids import ScalarField2D, _write_csv
+from .grids import ScalarField2D, _write_csv, _write_json
 from .reflection import (ReflectionConfiguration, _shock_line_residuals, detachment_angle, shock_depth_max,
                          solve_state2, solve_state2_many)
 from .shock import ShockBoundaryFns, check_g_unique, largest_valid_eps, synthetic_quadratic_trace, write_trace_csv
@@ -54,12 +54,6 @@ def _digest(record: dict) -> str:
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=float)
-        fh.write("\n")
-
-
 def _gas(args) -> GasParameters:
     return GasParameters(args.gamma, args.rho0, args.rho1)
 
@@ -69,7 +63,7 @@ def _record(args, keys) -> dict:
 
 
 def cmd_config(args) -> int:
-    record = _record(args, ("gamma", "rho0", "rho1", "theta_w", "branch"))
+    record = _record(args, ("gamma", "rho0", "rho1", "theta_w"))
     digest = _digest(record)
     both = solve_state2(_gas(args), np.radians(args.theta_w))
     out = Path(args.out)
@@ -80,7 +74,6 @@ def cmd_config(args) -> int:
         payload[name]["residuals"] = cfg.residuals()
         payload[name]["y1"] = cfg.y1
         (out / f"config_{name}.json").write_text(cfg.to_json() + "\n", encoding="ascii")
-    (out / "config.json").write_text(both[args.branch].to_json() + "\n", encoding="ascii")
     _write_json(out / "config_summary.json", payload)
     print(f"wrote {out}/config_summary.json (digest {digest})")
     return 0
@@ -147,7 +140,7 @@ def _parse_grid(text: str):
 
 def cmd_solve(args) -> int:
     keys = ("mode", "grid", "grade", "tol", "max_iter", "rhat", "y_halfwidth",
-            "perturb", "a", "b", "gamma", "rho0", "rho1", "theta_w", "eps_frac", "out_name")
+            "perturb", "a", "b", "gamma", "rho0", "rho1", "theta_w", "eps_frac")
     record = _record(args, keys)
     digest = _digest(record)
     nx, ny = _parse_grid(args.grid)
@@ -176,7 +169,7 @@ def cmd_solve(args) -> int:
     field.meta["runconfig_digest"] = digest
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = out / args.out_name
+    stem = out / "grid.srl"
     field.save(stem)
     if args.format == "csv":
         field.export_csv(stem.with_suffix(".csv"), digest=digest)
@@ -372,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("config", help="solve the reflected-state algebra for one wedge angle")
     add_gas(q)
     q.add_argument("--theta-w", dest="theta_w", type=float, required=True, help="wedge angle in degrees")
-    q.add_argument("--branch", choices=("weak", "strong"), default="weak")
     q.add_argument("--out", default="out")
 
     q = sub.add_parser("sweep", help="sweep wedge angles and bracket the detachment angle")
@@ -397,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b", type=float, default=_DEFAULT_B)
     q.add_argument("--eps-frac", dest="eps_frac", type=float, default=0.05, help="eps as fraction of c2 (reflection mode)")
     q.add_argument("--out", default="out")
-    q.add_argument("--out-name", dest="out_name", default="grid.srl")
     q.add_argument("--format", choices=("bin", "csv", "json"), default="bin")
 
     q = sub.add_parser("verify", help="run verification checks against grids/configs")

@@ -28,6 +28,13 @@ def _write_csv(path, names, columns, digest: str, notes=()) -> None:
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+def _write_json(path, payload: dict) -> None:
+    """srlab's one JSON format: keys sorted, one-space indent, a closing newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
     if n < 3:
         raise ValueError("need at least 3 nodes per axis")
@@ -127,9 +134,7 @@ class ScalarField2D:
             "geometry": self.geometry,
             "meta": self.meta,
         }
-        with open(path.with_suffix(path.suffix + ".json"), "w", encoding="ascii") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(path.with_suffix(path.suffix + ".json"), sidecar)
 
     @classmethod
     def load(cls, path) -> "ScalarField2D":

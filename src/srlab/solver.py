@@ -3,13 +3,13 @@
 The finite differences are defined once, as per-node 3-point stencil
 tables along each axis, and the strip's chain rule once, as a linear map on
 a jet; the derivative pass applies both to values.  Each outer iteration
-evaluates the operator's coefficients once, and they give both the residual
-L(u) and the rows of its Newton step, one sparse 9-point system on the
-unknowns alone, whose weight table and CSR skeleton are built once per
-solve.  The step's Jacobian adds the coefficients' partials in (psi, psi_x,
-psi_y), exact in real arithmetic from the closure's per-monomial table
-(built once per level, like the stencil tables), to the same entries, so
-it is the exact Jacobian of the residual that convergence is judged on.
+evaluates the operator's coefficients and its residual L(u) once; -L(u) is
+the right side of its Newton step, one sparse 9-point system on the unknowns
+alone, whose weight table and CSR skeleton are built once per solve.  Its
+Jacobian adds the operator's one sum (apply_coefficients) on the
+coefficients' partials in (psi, psi_x, psi_y), exact in real arithmetic from
+the closure's per-monomial table (built once per level, like the stencil
+tables), so it is the exact Jacobian of the residual judged.
 The first step factors its Jacobian by one sparse LU (fixed column
 ordering); every later step solves its own Jacobian by one restarted-GMRES
 cycle preconditioned by that factor, solved only as accurately as Newton can
@@ -19,8 +19,8 @@ usually factors once and every run is deterministic.
 
 Two domains share that one outer loop: a rectangle (0, rhat) x (y_lo, y_hi),
 and the shock-fitted strip {0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s)
-with s = y/fhat(x), whose shock row carries the Newton linearisation of the
-jump condition in the same sparse system.
+with s = y/fhat(x), whose shock rows are ordinary rows of the same system,
+the jump condition G's gradient as jet coefficients and -G on the right.
 """
 
 import logging
@@ -253,48 +253,40 @@ def _stencil_blocks(field, tables, neumann, coupled):
     return block, tuple(w.reshape((9,) + w.shape[2:]) for w in W), (cols[known], known, indptr)
 
 
-def _newton_system(blocks, coefficients, partials, jet, shock=None):
+def _newton_system(blocks, coefficients, partials, jet, residual, shock=None):
     """Assemble the Newton step J du = -R(u) on the iterate whose derivative pass is jet.
 
-    The interior and Neumann rows of R are L(u), the operator with the
-    coefficients whose residual the pass measures.  J adds the operator's
-    partials in (psi, psi_x, psi_y), the coefficients' partials (the closure
-    table's, three tuples of five) on the row's own jet, so such a row of J
-    sums its jet weights (_stencil_blocks) in a fixed order times (dL_psi,
-    c_x + dL_px, c_y + dL_py, c_xx, c_xy, c_yy): the Jacobian of R.
-    shock = (L1, L2, L3, rhs, dcut) gives the strip's top row the linearised
-    jump condition L1 psi_x + L2 psi_y + L3 psi = rhs, weights (L3, L1, L2,
-    0, 0, 0), and the cut column, the shock corner included, the slope rows
-    psi[nx-1, j] - psi[nx-2, j] = dcut.  The jet must come from the pass with
-    the solve's Neumann flags, whose rows then read psi_y = 0 as their
+    residual is L(u), the operator with the coefficients on the pass, as
+    _newton judged it; its interior and Neumann rows are R's.  Every row of J
+    sums its jet weights (_stencil_blocks) in one fixed order times the row's
+    jet coefficients.  Those of an operator row are (dL_psi, c_x + dL_px,
+    c_y + dL_py, c_xx, c_xy, c_yy), where dL_v is the operator with the
+    coefficients' partials in v (the closure table's, three tuples of five)
+    on the row's own jet: the Jacobian of L.  shock = (L1, L2, L3, G, dcut)
+    gives the strip's top row the jump condition's, (L3, L1, L2, 0, 0, 0),
+    and the cut column, the shock corner included, its own two-node rows
+    psi[nx-1, j] - psi[nx-2, j] = dcut.  The jet must come from the pass
+    with the solve's Neumann flags, whose rows then read psi_y = 0 as their
     reflective stencil does.
 
-    Returns J as square CSR over the unknowns in C order, and -R(u) from the
-    pass: -L(u), rhs - (L3 psi + L1 psi_x + L2 psi_y) = -G(u) on the shock
-    rows and dcut - (psi[nx-1, j] - psi[nx-2, j]) on the cut rows.
+    Returns J as square CSR over the unknowns in C order, and -R(u): -L(u),
+    -G(u) on the shock rows and dcut - (psi[nx-1, j] - psi[nx-2, j]) on the
+    cut rows.
     """
     from scipy.sparse import csr_matrix
 
     block, W, (cols, known, indptr) = blocks
-    shape = jet[0].shape  # the coefficients and partials broadcast to it (an O-free closure's are scalars)
-    at = lambda f: np.broadcast_to(f, shape)[block]
-    c, j = [at(f) for f in coefficients], [v[block] for v in jet]
-
-    def partial(dv):
-        # the operator's partial in one of (psi, psi_x, psi_y): the coefficients' on the jet, in the
-        # order apply_coefficients sums them; an exact scalar 0.0 (an O-free closure's) adds nothing
-        terms = [at(p) * q for p, q in zip(dv[2:] + dv[:2], j[3:] + j[1:3]) if np.ndim(p) or p != 0.0]
-        return sum(terms[1:], terms[0]) if terms else 0.0
-
-    dL = [partial(dv) for dv in partials]
-    data = sum(r * w for r, w in zip((dL[0], c[0] + dL[1], c[1] + dL[2], *c[2:]), W))
-    step_rhs = -apply_coefficients(c, j)
+    dL = [apply_coefficients(dv, jet) for dv in partials]
+    c_x, c_y, *second = coefficients  # they broadcast to the nodes (an O-free closure's are partly scalars)
+    r = np.array([np.broadcast_to(f, jet[0].shape)[block] for f in (dL[0], c_x + dL[1], c_y + dL[2], *second)])
+    step_rhs = -residual[block]
     if shock is not None:
-        L1, L2, L3, rhs, dcut = shock
-        data[:, :-1, -1] = sum(L * w[:, :-1, -1] for L, w in zip((L3, L1, L2), W))
-        data[:, -1] = W[0][:, -1] - W[0][:, -2]  # nodes nx-1 and nx-2 share their x-block
-        step_rhs[:-1, -1] = rhs - (L3 * j[0][:-1, -1] + L1 * j[1][:-1, -1] + L2 * j[2][:-1, -1])
-        step_rhs[-1] = dcut - (j[0][-1] - j[0][-2])
+        L1, L2, L3, G, dcut = shock
+        r[:3, :-1, -1], r[3:, :-1, -1], step_rhs[:-1, -1] = (L3, L1, L2), 0.0, -G
+    data = sum(rk * w for rk, w in zip(r, W))
+    if shock is not None:  # the cut rows' two-node form: nodes nx-1 and nx-2 share their x-block
+        psi = jet[0][block]
+        data[:, -1], step_rhs[-1] = W[0][:, -1] - W[0][:, -2], dcut - (psi[-1] - psi[-2])
     # eliminate_zeros compacts the skeleton in place, so it gets a copy of the cached one
     J = csr_matrix((data.reshape(9, -1).T[known], cols.copy(), indptr.copy()), shape=(indptr.size - 1,) * 2)
     J.eliminate_zeros()  # reflective rows, closures without mixed or first-order y terms
@@ -485,10 +477,11 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     (_derivative_pass, reflective at the Neumann rows) and evaluates on it,
     from the closure's table of columns over x (built once per level, like
     the stencil tables), the O-terms (for the converged field's audit), the
-    operator's coefficients (its residual and the step's rows) and their
-    partials, for J (_newton_system, on that pass's jet and the weight table
-    and skeleton of the first step), and steps u += du with J du = -R(u)
-    over the unknowns, J the exact Jacobian of the residual R.  The first
+    operator's coefficients, the residual L(u) (judged, and negated for the
+    step's right side) and the coefficients' partials, for J (_newton_system,
+    on that pass's jet and the weight table and skeleton of the first step),
+    and steps u += du with J du = -R(u) over the unknowns, J the exact
+    Jacobian of the residual R.  The first
     step solves it on a sparse LU of its J; each later step by one GMRES
     cycle preconditioned by that LU (_krylov_step), and a cycle that misses
     its target factors the current J, which the next steps then reuse.  Each cycle is solved only
@@ -500,10 +493,10 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     Convergence is judged on the operator residual max |L psi| over all
     interior nodes and, on the strip, on the scaled jump-condition residual
     that shock_row(d) returns from the step's derivative pass d, together
-    with the Newton and cut rows of the next step; the larger of the two is
-    the history entry r_k.  Each iteration logs its residuals, and the GMRES
-    iterations and target (both 0 on a fresh LU) and norm max |du| of the
-    step that led to it, at DEBUG.
+    with the shock rows' (L1, L2, L3, G) and the cut increment of the next
+    step; the larger of the two is the history entry r_k.  Each iteration
+    logs its residuals, and the GMRES iterations and target (both 0 on a
+    fresh LU) and norm max |du| of the step that led to it, at DEBUG.
     """
     history, lu_nnz, krylov, du, inner, rtol = [], [], [], 0.0, 0, 0.0
     shock_res, shock, blocks, lu = 0.0, None, None, None
@@ -517,7 +510,8 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         jet = [d[key] for key in _JET]
         o_terms = coeffs.evaluate(x, *jet[:3], table)
         coefficients = table.coefficients(*jet[:3], o_terms)
-        res = float(np.max(np.abs(apply_coefficients(coefficients, jet)[1:-1, 1:-1])))
+        residual = apply_coefficients(coefficients, jet)
+        res = float(np.max(np.abs(residual[1:-1, 1:-1])))
         if shock_row is not None:
             shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
@@ -529,7 +523,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
             raise NoConvergence(opts.max_iterations, history[-1], field.values.shape)
         if blocks is None:
             blocks = _stencil_blocks(field, tables, neumann, shock is not None)
-        J, rhs = _newton_system(blocks, coefficients, table.partials(*jet[:3]), jet, shock)
+        J, rhs = _newton_system(blocks, coefficients, table.partials(*jet[:3]), jet, residual, shock)
         if lu is None:
             step, inner = None, 0
         else:
@@ -623,8 +617,9 @@ def solve_reflection_near_sonic(
     in metadata), taken in increment form u[nx-1] - u[nx-2] = (x_{nx-1}^2 -
     x_{nx-2}^2)/(2a).  The shock-row and cut values are unknowns of the same
     sparse system as the interior: each outer step is one Newton step on the
-    interior operator and the jump condition together, whose tangential
-    derivative couples neighbouring row values
+    interior operator and the jump condition G together (shock rows with jet
+    coefficients (L3, L1, L2, 0, 0, 0), its gradient, and right side -G),
+    whose tangential derivative couples neighbouring row values
     (a column-by-column explicit Newton amplifies row roughness through the
     1/h tangential weights and diverges).  The shock corner (eps, fhat(eps))
     takes the cut row, so no boundary datum contradicts the jump condition
@@ -653,7 +648,7 @@ def solve_reflection_near_sonic(
     x_i, fh_i = xs[i], fh[i]  # fh_i is also the shock ordinate y
 
     def shock_row(d):
-        """Scaled jump-condition residual, the Newton rows (L1, L2, L3, rhs) and the cut increment."""
+        """Scaled jump-condition residual, and the shock rows' (L1, L2, L3, G) and the cut increment."""
         uJ, px, py = (d[key][i, -1] for key in ("psi", "px", "py"))
         try:
             G = fns.Psi(px, py, uJ, x_i, fh_i)
@@ -668,6 +663,6 @@ def solve_reflection_near_sonic(
             # stay below 0.03); the isothermal closure has no vacuum bound to
             # stop a divergence, and the LU fill of its iterates grows without bound
             raise ShockConditionDiverged(f"jump-condition residual {res:.3g} exceeds its gradient scale")
-        return res, (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G, dcut)
+        return res, (L1, L2, L3, G, dcut)
 
     return _newton(field, coeffs, opts, (True, False), None, shock_row)

@@ -225,7 +225,7 @@ def test_full_report_json_roundtrip(reflection_field, tmp_path):
     reflection_field.save(tmp_path / "grid.srl")
     main(["verify", "--what", "regularity", "--grid", str(tmp_path / "grid.srl"), "--out", str(tmp_path)])
     d = json.loads((tmp_path / "verify_regularity.json").read_text())["report"]
-    assert d == json.loads(json.dumps(dg.full_report(reflection_field, derivative_fields(reflection_field)), default=float))
+    assert d == json.loads(json.dumps(dg.full_report(reflection_field, derivative_fields(reflection_field))))
     assert d["grid"]["kind"] == "sonic_strip"
     assert "sonic_adjacent_limit" in d["two_sequence"]
     assert d["jump"] is not None

@@ -412,9 +412,10 @@ def test_chart_on_unbroadcast_rows_is_bit_for_bit(gamma, theta_deg):
 
 
 def test_strip_grid_payload_is_pinned(tmp_path):
-    # the Newton shock row evaluates Psi and psi_gradient; this digest of the
-    # gamma 1.4, 60 degree 121x49 strip's grid file holds them, and the
-    # configuration's P1 they are evaluated on, bit for bit
+    # the Newton shock row evaluates Psi and psi_gradient, and takes -Psi as
+    # its right side; this digest of the gamma 1.4, 60 degree 121x49 strip's
+    # grid file holds them, and the configuration's P1 they are evaluated on,
+    # bit for bit
     import hashlib
 
     from srlab.cli import main
@@ -422,7 +423,7 @@ def test_strip_grid_payload_is_pinned(tmp_path):
     assert main(["solve", "--mode", "reflection", "--gamma", "1.4", "--theta-w", "60", "--grid", "121,49",
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "grid.srl").read_bytes()).hexdigest()
-    assert digest == "1a79751e972ad7cefe4d63c036e13fd8537e83106c36d8392739ebcb7db3e9c4"
+    assert digest == "d725ced148eae7229f5c61dd89a2899955b273c5c1407ca66c0b46a1b5831184"
 
 
 def test_bhat_evaluation_shape_is_pinned(fns, weak60, monkeypatch):

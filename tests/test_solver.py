@@ -557,14 +557,14 @@ def test_audit_takes_the_last_iterations_o_terms(reflection_field, weak60, monke
 
 
 def _shock_row(field, fns):
-    """The jump residual G on the strip's shock row and its linearisation (L1, L2, L3, rhs, dcut = 0)."""
+    """The jump residual G on the strip's shock row and its Newton row (L1, L2, L3, G, dcut = 0)."""
     d = derivative_fields(field)
     i = np.arange(1, field.nx - 1)
     uJ, px, py = (d[key][i, -1] for key in ("psi", "px", "py"))
     y = np.asarray(field.geometry["fhat"])[i]
     G = fns.Psi(px, py, uJ, field.xs[i], y)
     L1, L2, L3 = fns.psi_gradient(px, py, uJ, field.xs[i], y)
-    return G, (L1, L2, L3, L1 * px + L2 * py + L3 * uJ - G, 0.0)
+    return G, (L1, L2, L3, G, 0.0)
 
 
 class _Built(Exception):
@@ -583,8 +583,8 @@ def _system(field, coeffs, neumann, fns=None):
 
     newton_system = solver._newton_system
 
-    def build(blocks, coefficients, partials, jet, shock):
-        J, r = newton_system(blocks, coefficients, partials, jet, shock)
+    def build(blocks, coefficients, partials, jet, residual, shock):
+        J, r = newton_system(blocks, coefficients, partials, jet, residual, shock)
         clamp = solver._clamp_fraction(field.xs[:, None], coeffs.a, coefficients[2], jet[1])
         raise _Built(J, r.reshape(field.values[blocks[0]].shape), clamp, blocks[0])
 
@@ -613,12 +613,12 @@ def test_newton_system_is_the_residual_operator_on_a_rectangle(model_field, mode
     assert clamp == 0.0
     scale = np.max(np.abs(L[1:-1, 1:-1]))
     assert scale > 1e-6
-    assert np.max(np.abs(r[:, 1:-1] + L[1:-1, 1:-1])) <= 1e-10 * scale
+    assert np.array_equal(r[:, 1:-1], -L[1:-1, 1:-1])
 
 
 def test_newton_system_is_the_residual_operator_on_the_strip(reflection_field, weak60):
     # on the strip the same holds through the chain rule, and the shock rows
-    # give -G(u), the jump condition on the stencils of the derivative pass
+    # give exactly -G(u), the jump condition on the stencils of the derivative pass
     from srlab.shock import ShockBoundaryFns
 
     f = _perturbed(reflection_field)
@@ -630,8 +630,8 @@ def test_newton_system_is_the_residual_operator_on_the_strip(reflection_field, w
     assert clamp == 0.0
     scale, gscale = np.max(np.abs(L[1:-1, 1:-1])), np.max(np.abs(G))
     assert scale > 1e-6 and gscale > 1e-6
-    assert np.max(np.abs(r[:-1, 1:-1] + L[1:-1, 1:-1])) <= 1e-10 * scale
-    assert np.max(np.abs(r[:-1, -1] + G)) <= 1e-10 * gscale
+    assert np.array_equal(r[:-1, 1:-1], -L[1:-1, 1:-1])
+    assert np.array_equal(r[:-1, -1], -G)
 
 
 def _check_jacobian(field, coeffs, neumann, rows, fns=None):
@@ -683,6 +683,47 @@ def test_jacobian_on_the_strip(reflection_field, weak60):
     x, s = f.xs[:, None], f.ys[None, :]
     f = ScalarField2D(f.xs, f.ys, reflection_field.values + 0.03 * x**2 * np.sin(s), f.geometry)
     _check_jacobian(f, coeffs, (True, False), {"neumann": (np.s_[:-1, 0], 1e-8)}, fns)
+
+
+def test_newton_step_takes_the_residual_it_judged(weak60, monkeypatch):
+    # _newton evaluates the operator residual once per iteration, judges
+    # convergence on it and hands that very array to _newton_system, whose
+    # right side is its negation on the operator rows bit for bit, and -G on
+    # the strip's shock rows
+    import sys
+
+    from srlab import solver
+
+    judged, systems = [], []
+    apply, newton_system = solver.apply_coefficients, solver._newton_system
+
+    def spy_apply(coefficients, jet):
+        out = apply(coefficients, jet)
+        if sys._getframe(1).f_code.co_name == "_newton":  # not the partial terms of _newton_system
+            judged.append(out)
+        return out
+
+    def spy_system(blocks, coefficients, partials, jet, residual, shock=None):
+        J, rhs = newton_system(blocks, coefficients, partials, jet, residual, shock)
+        systems.append((residual is judged[-1], -residual[blocks[0]], rhs.reshape(jet[0][blocks[0]].shape), shock))
+        return J, rhs
+
+    monkeypatch.setattr(solver, "apply_coefficients", spy_apply)
+    monkeypatch.setattr(solver, "_newton_system", spy_system)
+    a = 2.4
+    bc = srlab.BoundaryConditions(outer=lambda y: (0.125 / a) * (1.0 + 0.2 * np.cos(np.pi * y)))
+    f = srlab.solve(srlab.model_coefficients(a, 0.7765781059372254), bc, srlab.GridSpec(rhat=0.5, nx=49, ny=25))
+    history = [r for level in f.meta["levels"] for r in level["residual_history"]]
+    assert [float(np.max(np.abs(r[1:-1, 1:-1]))) for r in judged] == history
+    assert len(systems) == len(history) - len(f.meta["levels"]) > 0
+    assert all(same and np.array_equal(rhs, minus) for same, minus, rhs, _ in systems)
+    judged.clear()
+    systems.clear()
+    f = srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=49, grid_ny=25)
+    assert len(judged) == f.meta["iterations"] == len(systems) + 1
+    for same, minus, rhs, shock in systems:
+        assert same and np.array_equal(rhs[:-1, :-1], minus[:-1, :-1])
+        assert np.array_equal(rhs[:-1, -1], -shock[3])
 
 
 def test_newton_system_is_square_on_the_unknowns(weak60, tmp_path, monkeypatch):
@@ -761,9 +802,9 @@ def test_cut_slope_probes_converge_or_fail_typed(weak60, monkeypatch):
     newton_system, systems = solver._newton_system, []
 
     def run(k):
-        def scaled(blocks, coefficients, partials, jet, shock):
+        def scaled(blocks, coefficients, partials, jet, residual, shock):
             systems.append(1)
-            return newton_system(blocks, coefficients, partials, jet, shock[:4] + (k * shock[4],))
+            return newton_system(blocks, coefficients, partials, jet, residual, shock[:4] + (k * shock[4],))
 
         systems.clear()
         with monkeypatch.context() as m:

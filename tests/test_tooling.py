@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -248,6 +249,34 @@ def test_every_optional_parameter_is_passed_somewhere():
                 unused += [f"{path.name}:{fn.lineno} {name}({arg})" for index, arg in optional
                            if not any(_passes(c, index, arg) for c in calls.get(name, []))]
     assert unused == []
+
+
+def _option_strings(parser):
+    """Every option string of parser and its subcommands, help aside."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            yield from action.option_strings
+
+
+def test_every_cli_option_is_passed_somewhere():
+    # an option that no test, benchmark argv or README example passes is a
+    # knob nothing turns; a string literal in tests/ or bench/ counts as
+    # passing it, as does a token of a README line that runs srlab
+    passed = set()
+    for path in sorted((ROOT / "tests").glob("*.py")) + sorted(BENCH.glob("*.py")):
+        passed |= {node.value.partition("=")[0] for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("srlab "):
+            passed |= set(line.split())
+    from srlab.cli import build_parser
+
+    options = set(_option_strings(build_parser()))
+    assert "--out" in options
+    assert sorted(options - passed) == []
 
 
 def test_no_unused_top_level_imports():
