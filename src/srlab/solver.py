@@ -11,7 +11,9 @@ coefficients' partials in (psi, psi_x, psi_y), exact in real arithmetic from
 the closure's per-monomial table (built once per level, like the stencil
 tables), so it is the exact Jacobian of the residual judged.
 The first step factors its Jacobian by one sparse LU (fixed column
-ordering); every later step solves its own Jacobian by one restarted-GMRES
+ordering, supernodes one column wide for the narrow fronts of a 2-D
+stencil: Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J. Matrix Anal. Appl.
+20, 1999); every later step solves its own Jacobian by one restarted-GMRES
 cycle preconditioned by that factor, solved only as accurately as Newton can
 use (a forcing term from the last step's contraction), and only a cycle that
 misses its target factors again (an inexact Newton method), so a solve
@@ -58,6 +60,11 @@ _BETA, _M, _EPS_ELL, _CLAMP_FAIL_FRACTION = 0.5, 2.0, 0.1, 0.2
 # capped at _KRYLOV_CAP while the residual falls slowly or rises, and never
 # below the floor _KRYLOV_TOL
 _RESTART, _KRYLOV_TOL, _KRYLOV_CAP, _FORCING = 25, 1e-8, 1e-4, 1e-3
+# SuperLU's supernode sizes (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J.
+# Matrix Anal. Appl. 20, 1999): the largest relaxed supernode and the columns
+# per panel update, both 1 for the narrow fronts that a minimum-degree order
+# leaves on a 2-D 9-point Jacobian (see _factor)
+_RELAX, _PANEL_SIZE = 1, 1
 
 
 @dataclass(frozen=True)
@@ -226,28 +233,33 @@ def derivative_fields(field: ScalarField2D) -> dict:
 # -- Newton system assembly ----------------------------------------------------
 
 
+def _operator_rows(shape, neumann):
+    """The nodes whose Newton rows are the operator's: interior x-columns on the interior and Neumann y-rows."""
+    nx, ny = shape
+    return np.s_[1:nx - 1, (0 if neumann[0] else 1):(ny if neumann[1] else ny - 1)]
+
+
 def _stencil_blocks(field, tables, neumann, coupled):
     """The unknown block of field.values, the jet weights of each unknown's row and J's CSR skeleton, once per solve.
 
-    The unknowns are the interior columns of the interior rows and of each
-    row flagged in neumann = (y_lo, y_hi) and, when coupled, the strip's
-    shock row and its cut column x = eps.  A row sits on its node's 3x3
-    block, the outer product of the two axes' stencil tables (the y-table
-    reflective at the Neumann rows), mapped by the chain rule on the strip.
+    The unknowns are the operator rows (_operator_rows: the interior columns
+    of the interior rows and of each row flagged in neumann = (y_lo, y_hi))
+    and, when coupled, the strip's shock row and its cut column x = eps.  A
+    row sits on its node's 3x3 block, the outer product of the two axes'
+    stencil tables (the y-table reflective at the Neumann rows), mapped by
+    the chain rule on the strip.
     The weights are one table, six (9,) + block-shaped arrays, one per jet
     entry, on the block's nine nodes ascending in C order.  The skeleton is
     J's pattern over the unknowns in C order: the column of each entry whose
     node is an unknown, that mask over (rows, 9), and indptr.
     """
-    nx, ny = field.values.shape
-    j0, ju = (0 if neumann[0] else 1), (ny if neumann[1] else ny - 1) + coupled
-    block = (slice(1, nx - 1 + coupled), slice(j0, ju))
+    block = tuple(slice(s.start, s.stop + coupled) for s in _operator_rows(field.values.shape, neumann))
     (cx, wx), (cy, wy) = tables
     W = tuple(wx[kx][:, None, block[0], None] * wy[ky][None, :, None, block[1]] for kx, ky in _ORDERS)
     W = W if field.kind == "rect" else _chain(field, W, block)
     index = np.full(field.values.shape, -1, dtype=np.int32)  # the index type scipy takes for J
     index[block] = np.arange(index[block].size).reshape(index[block].shape)
-    cols = index.ravel()[cx[block[0], None, :, None] * ny + cy[None, block[1], None, :]].reshape(-1, 9)
+    cols = index.ravel()[cx[block[0], None, :, None] * field.ny + cy[None, block[1], None, :]].reshape(-1, 9)
     known = cols >= 0
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(known, axis=1)))).astype(np.int32)
     return block, tuple(w.reshape((9,) + w.shape[2:]) for w in W), (cols[known], known, indptr)
@@ -299,13 +311,20 @@ def _factor(A, coupled, it, residual, shape):
     The pivot threshold 1e-4 keeps the fill-reducing order's diagonal pivots
     (SuperLU's threshold pivoting, X. S. Li, ACM TOMS 31, 2005) and falls back
     to partial pivoting only on a truly tiny diagonal, such as the shock row's
-    central tangential difference.  An exactly singular system raises
+    central tangential difference.  Supernodes are taken column by column
+    (_RELAX, _PANEL_SIZE; SuperLU's defaults suit the wide fronts of 3-D
+    problems, Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999): on these
+    Jacobians relaxed amalgamation only stores explicit zeros, and panel
+    blocking costs more in its symbolic pass than its dense updates save, so
+    both the fill and the factor time drop.  This is srlab's one
+    factorisation.  An exactly singular system raises
     ShockConditionDiverged if coupled, else NoConvergence(it, residual, shape).
     """
     from scipy.sparse.linalg import splu
 
     try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4)
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4, relax=_RELAX,
+                    panel_size=_PANEL_SIZE)
     except RuntimeError as exc:  # exactly singular
         if coupled:
             raise ShockConditionDiverged(f"singular linearized jump-condition system: {exc}") from exc
@@ -490,8 +509,9 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     run takes the same targets.  Every fixed point solves the equation that
     is reported.  The converged iterate's clamp fraction (_clamp_fraction)
     is measured once, after the loop, and decides EllipticityLoss.
-    Convergence is judged on the operator residual max |L psi| over all
-    interior nodes and, on the strip, on the scaled jump-condition residual
+    Convergence is judged on the operator residual max |L psi| over every
+    operator row the step solves (_operator_rows: the Neumann rows with the
+    interior) and, on the strip, on the scaled jump-condition residual
     that shock_row(d) returns from the step's derivative pass d, together
     with the shock rows' (L1, L2, L3, G) and the cut increment of the next
     step; the larger of the two is the history entry r_k.  Each iteration
@@ -502,6 +522,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     shock_res, shock, blocks, lu = 0.0, None, None, None
     x = field.xs[:, None]
     tables = _stencil_table(field.xs), _stencil_table(field.ys, neumann)  # one pair per level
+    judged = _operator_rows(field.values.shape, neumann)
     table = coeffs.table(x)  # and one closure table
     for it in range(opts.max_iterations + 1):
         # one derivative pass and one evaluation of the table serve the residual
@@ -511,7 +532,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         o_terms = coeffs.evaluate(x, *jet[:3], table)
         coefficients = table.coefficients(*jet[:3], o_terms)
         residual = apply_coefficients(coefficients, jet)
-        res = float(np.max(np.abs(residual[1:-1, 1:-1])))
+        res = float(np.max(np.abs(residual[judged])))
         if shock_row is not None:
             shock_res, shock = shock_row(d)
         history.append(max(res, shock_res))
@@ -623,7 +644,8 @@ def solve_reflection_near_sonic(
     (a column-by-column explicit Newton amplifies row roughness through the
     1/h tangential weights and diverges).  The shock corner (eps, fhat(eps))
     takes the cut row, so no boundary datum contradicts the jump condition
-    there and convergence is judged on every interior node.
+    there and convergence is judged on every operator row the step solves,
+    the wedge row's included.
     """
     xmax = shock_depth_max(config)
     if not 0.0 < eps < xmax:  # NaN fails too

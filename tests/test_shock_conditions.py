@@ -423,7 +423,7 @@ def test_strip_grid_payload_is_pinned(tmp_path):
     assert main(["solve", "--mode", "reflection", "--gamma", "1.4", "--theta-w", "60", "--grid", "121,49",
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "grid.srl").read_bytes()).hexdigest()
-    assert digest == "d725ced148eae7229f5c61dd89a2899955b273c5c1407ca66c0b46a1b5831184"
+    assert digest == "6babf988ebb87178baa492781b5d433d1e0255dff881a1680fff6d20eee3d96b"
 
 
 def test_bhat_evaluation_shape_is_pinned(fns, weak60, monkeypatch):

@@ -312,6 +312,35 @@ def test_near_supersonic_strip_factors_once(weak60):
     assert f.meta["lu_nnz"][0] <= 1.1 * f60.meta["lu_nnz"][0]
 
 
+def test_factor_keeps_diagonal_pivots_with_column_supernodes(weak60, monkeypatch):
+    # every factor of the 60 and 50.5 deg strips and of the CLI model solve's
+    # levels keeps the fill-reducing order's diagonal pivots, and supernodes
+    # one column wide fill less than SuperLU's defaults did (310,111 on the
+    # 121x49 strip, 144,912 on the 97x49 model level)
+    from srlab import solver
+
+    factors, factor = [], solver._factor
+
+    def spy(A, *args):
+        lu = factor(A, *args)
+        factors.append((A.shape[0], lu))
+        return lu
+
+    monkeypatch.setattr(solver, "_factor", spy)
+    opts = srlab.SolverOptions(tolerance=1e-9, max_iterations=40)
+    cfg = srlab.solve_state2(srlab.GasParameters(1.4, 1.0, 2.0), np.radians(50.5))["weak"]
+    for c in (weak60, cfg):
+        srlab.solve_reflection_near_sonic(c, c.c2 / 20.0, grid_nx=121, grid_ny=49, grade_q=0.95, opts=opts)
+    strips = [lu.nnz for _, lu in factors]
+    a = 2.4
+    bc = srlab.BoundaryConditions(outer=lambda y: (0.125 / a) * (1.0 + 0.2 * np.cos(np.pi * y)))
+    f = srlab.solve(srlab.model_coefficients(a, 0.7765781059372254), bc, srlab.GridSpec(0.5, 97, 49, grade_q=0.95))
+    model = factors[len(strips):]
+    assert [n for n, _ in model] == [(nx - 2) * ny for nx, ny in (lv["shape"] for lv in f.meta["levels"])]
+    assert len(strips) == 2 and max(strips) < 310_111 and model[-1][1].nnz < 144_912
+    assert all(np.array_equal(lu.perm_r, lu.perm_c) for _, lu in factors)
+
+
 def _nonsymmetric_system():
     # a convection-diffusion tridiagonal B plus a sparse random part; the LU
     # of B preconditions A = B + R, which GMRES then needs 10-20 iterations for
@@ -687,9 +716,9 @@ def test_jacobian_on_the_strip(reflection_field, weak60):
 
 def test_newton_step_takes_the_residual_it_judged(weak60, monkeypatch):
     # _newton evaluates the operator residual once per iteration, judges
-    # convergence on it and hands that very array to _newton_system, whose
-    # right side is its negation on the operator rows bit for bit, and -G on
-    # the strip's shock rows
+    # convergence on it over every operator row the step solves and hands
+    # that very array to _newton_system, whose right side is its negation on
+    # the operator rows bit for bit, and -G on the strip's shock rows
     import sys
 
     from srlab import solver
@@ -714,7 +743,7 @@ def test_newton_step_takes_the_residual_it_judged(weak60, monkeypatch):
     bc = srlab.BoundaryConditions(outer=lambda y: (0.125 / a) * (1.0 + 0.2 * np.cos(np.pi * y)))
     f = srlab.solve(srlab.model_coefficients(a, 0.7765781059372254), bc, srlab.GridSpec(rhat=0.5, nx=49, ny=25))
     history = [r for level in f.meta["levels"] for r in level["residual_history"]]
-    assert [float(np.max(np.abs(r[1:-1, 1:-1]))) for r in judged] == history
+    assert [float(np.max(np.abs(r[1:-1, :]))) for r in judged] == history  # both y-sides are Neumann rows
     assert len(systems) == len(history) - len(f.meta["levels"]) > 0
     assert all(same and np.array_equal(rhs, minus) for same, minus, rhs, _ in systems)
     judged.clear()
@@ -724,6 +753,25 @@ def test_newton_step_takes_the_residual_it_judged(weak60, monkeypatch):
     for same, minus, rhs, shock in systems:
         assert same and np.array_equal(rhs[:-1, :-1], minus[:-1, :-1])
         assert np.array_equal(rhs[:-1, -1], -shock[3])
+
+
+def test_convergence_is_judged_on_every_solved_row():
+    # the step solves the reflective Neumann rows with the interior, and the
+    # judged residual covers them: on the CLI model solve's coarsest level
+    # (25x13, grade 0.95^4) a Neumann row leads at the converged iterate, and
+    # the reported final residual bounds L psi there too
+    from srlab import solver
+    from srlab.coefficients import apply_operator
+
+    a = 2.4
+    coeffs = srlab.model_coefficients(a, 0.7765781059372254)
+    bc = srlab.BoundaryConditions(outer=lambda y: (0.125 / a) * (1.0 + 0.2 * np.cos(np.pi * y)))
+    f = srlab.solve(coeffs, bc, srlab.GridSpec(rhat=0.5, nx=25, ny=13, grade_q=0.95**4))
+    assert len(f.meta["levels"]) == 1
+    d = solver._derivative_pass(f, (solver._stencil_table(f.xs), solver._stencil_table(f.ys, (True, True))))
+    L = np.abs(apply_operator(coeffs, f.xs[:, None], [d[key] for key in solver._JET]))
+    assert np.max(L[1:-1, [0, -1]]) > np.max(L[1:-1, 1:-1])
+    assert np.max(L[1:-1, :]) <= f.meta["final_residual"] <= 1e-9
 
 
 def test_newton_system_is_square_on_the_unknowns(weak60, tmp_path, monkeypatch):

@@ -97,6 +97,23 @@ def test_one_krylov_path():
     assert naming == []
 
 
+def test_one_factorisation_path():
+    # the solver's sparse LU is its one factorisation (solver._factor, with its
+    # supernode settings); no other code in src/srlab names scipy's direct solvers
+    direct = {"splu", "spilu", "spsolve", "spsolve_triangular", "factorized"}
+    naming = []
+    for path in sorted((ROOT / "src" / "srlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        factor = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_factor"]
+        inside = {id(node) for f in factor for node in ast.walk(f)} if path.name == "solver.py" else set()
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)} | {
+                a.name for a in getattr(node, "names", ()) if isinstance(a, ast.alias)}
+            if names & direct:
+                naming.append("solver._factor" if id(node) in inside else f"{path.name}:{node.lineno}")
+    assert set(naming) == {"solver._factor"}
+
+
 def test_one_polynomial_type():
     # the closure's rows and the barriers' jets are one polynomial type:
     # coefficients._Poly is the one class numpy defers its operators to
