@@ -128,14 +128,15 @@ class ReflectionConfiguration:
         """The configuration of a to_json text, rebuilt from its gas, theta_w, state (2) and branch.
 
         The other keys (u1, xi0, c2, the points, ...) are derived, written for
-        readers of the file; they are recomputed here, not read.
+        readers of the file; they are recomputed here, not read.  The branch
+        is weak or strong, the two labels solve_state2 writes.
         """
         d = json.loads(text)
         gas = GasParameters(d["gamma"], d["rho0"], d["rho1"])
         theta_w = WedgeGeometry(d["theta_w"]).theta_w
         st2 = UniformState(d["u2"], d["v2"], d["k2"], d["rho2"])
-        if d["branch"] not in ("weak", "strong", "unlabeled"):
-            raise ValueError(f"branch must be weak, strong or unlabeled, got {d['branch']!r}")
+        if d["branch"] not in ("weak", "strong"):
+            raise ValueError(f"branch must be weak or strong, got {d['branch']!r}")
         (cfg,) = _configurations(gas, *np.array([[theta_w], [st2.u], [st2.v], [st2.k], [st2.rho]]), [d["branch"]])
         if isinstance(cfg, SrlabError):
             raise cfg
@@ -258,7 +259,8 @@ def _refine(f, x, fx):
     and where that is its only one the root is the one plain bisection and
     the polish would give.  The polish moves a root by at most an ulp, and
     stays: at steep isothermal wedges (gamma = 1, rho2 above 1e16) one ulp
-    of u2 decides whether the strong branch meets the sonic arc.
+    of u2 decides whether the strong branch meets the sonic arc, and so
+    whether solve_state2 returns that branch; the weak one it does not touch.
     """
     # x1 is the newest bracket end, x2 the other one, x3 the point x1 replaced
     x3, a, b = x
@@ -309,7 +311,7 @@ def _refine(f, x, fx):
 
 
 def _solve_lanes(gas, theta_ws):
-    """solve_state2 for each angle, as its {"weak", "strong"} dict or its SrlabError."""
+    """solve_state2 for each angle, as its dict or its SrlabError; the weak and strong lanes are judged apart."""
     theta_ws = [WedgeGeometry(float(t)).theta_w for t in np.atleast_1d(theta_ws)]
     tanw = np.tan(np.asarray(theta_ws))
     xi0, u1 = incident_shock(gas)
@@ -331,39 +333,29 @@ def _solve_lanes(gas, theta_ws):
     v2, k2, rho2 = _state2_of_u2(gas, xi0, tanw[at], u2)
 
     # branches by ascending rho2, ties in u2 order: weak is the first least,
-    # strong the last largest; a lone root is both, so it takes two lanes,
-    # and a middle root is built only for its refusal
+    # strong the last largest, and a lone root is both
     rhos = rho2.tolist()
-    lanes, labels, widths, start = [], [], [], 0
+    lanes, start = [], 0
     for rs in kept:
         group = range(start, start + len(rs))
         start += len(rs)
-        weak = min(group, key=rhos.__getitem__, default=None)
-        strong = max(reversed(group), key=rhos.__getitem__, default=None)
-        width = len(lanes)
-        for j in group:
-            tags = [t for t, hit in (("weak", j == weak), ("strong", j == strong)) if hit] or ["unlabeled"]
-            lanes += [j] * len(tags)
-            labels += tags
-        widths.append(len(lanes) - width)
+        if rs:
+            lanes += [min(group, key=rhos.__getitem__), max(reversed(group), key=rhos.__getitem__)]
     built = iter(_configurations(gas, np.asarray(theta_ws)[at][lanes], u2[lanes], v2[lanes], k2[lanes],
-                                 rho2[lanes], labels))
+                                 rho2[lanes], ["weak", "strong"] * (len(lanes) // 2)))
 
     results = []
-    for theta_w, width in zip(theta_ws, widths):
-        if not width:
+    for theta_w, rs in zip(theta_ws, kept):
+        if not rs:
             results.append(NoRegularReflection(
                 f"no reflected-state root for theta_w={np.degrees(theta_w):.4f} deg "
                 f"(below the detachment angle for gamma={gas.gamma}, "
                 f"rho0={gas.rho0}, rho1={gas.rho1})"
             ))
-            continue
-        # the angle's lanes run in ascending u2, so its first refusal is the one
-        # a root-by-root build would meet
-        mine = [next(built) for _ in range(width)]
-        refusal = next((c for c in mine if isinstance(c, SrlabError)), None)
-        results.append(refusal if refusal is not None else
-                       {c.branch: c for c in mine if c.branch != "unlabeled"})
+        else:
+            weak, strong = next(built), next(built)
+            results.append(weak if isinstance(weak, SrlabError) else
+                           {c.branch: c for c in (weak, strong) if not isinstance(c, SrlabError)})
     return results
 
 
@@ -381,9 +373,10 @@ def _warn_if_subsonic(weak, stacklevel):
 def solve_state2_many(gas: GasParameters, theta_ws) -> list:
     """solve_state2 at every wedge angle in theta_ws, in one pass.
 
-    Returns, per angle, the {"weak", "strong"} dict or the SrlabError that
-    solve_state2 would raise there, and warns NotSupersonicAtP0 for each
-    angle whose weak branch is subsonic at P0.  Input errors (an angle
+    Returns, per angle, the dict that solve_state2 would return there (with
+    "strong" only where that branch builds) or the SrlabError it would raise,
+    and warns NotSupersonicAtP0 for each angle whose weak branch is subsonic
+    at P0.  Input errors (an angle
     outside (0, pi/2), an inadmissible incident shock) raise.  One scan
     evaluates every angle's u2 grid, _SCAN_LANES angles at a time, and one
     lockstep refinement (Chandrupatla's method, bisection to adjacent floats,
@@ -404,9 +397,12 @@ def solve_state2(gas: GasParameters, theta_w: float) -> dict:
     tail toward 0 that captures the weak root for near-normal wedges), then
     refines each bracketed root by Chandrupatla's method, bisection to
     adjacent floats and a Newton polish, the brackets as lanes of one array.
-    Branches are labeled weak/strong by ascending rho2.
-    The one-angle case of solve_state2_many: raises what that returns, and
-    warns NotSupersonicAtP0 when the weak branch is subsonic at P0.
+    Branches are labeled weak/strong by ascending rho2, and each is judged
+    on its own: returns {"weak": ..., "strong": ...}, without "strong" when
+    that configuration is refused (its shock misses the sonic arc, say), and
+    raises the weak configuration's refusal, or NoRegularReflection when
+    there is no root.  The one-angle case of solve_state2_many; warns
+    NotSupersonicAtP0 when the weak branch is subsonic at P0.
     """
     (both,) = _solve_lanes(gas, [theta_w])
     if isinstance(both, SrlabError):

@@ -341,10 +341,11 @@ _BAD_MODEL = {"model_a_negative": {"a": -1.0}, "model_b_zero": {"b": 0.0}, "mode
               "model_a_string": {"a": "2.4"}}
 
 # one key of a weak 60-degree configuration file, edited: an angle that is NaN
-# or in radians past pi/2, an unknown branch, a non-numeric gas, a state (2)
-# that is not finite
+# or in radians past pi/2, an unknown branch (a middle root's old label among
+# them), a non-numeric gas, a state (2) that is not finite
 _BAD_CONFIG = {"config_theta_w_nan": {"theta_w": float("nan")}, "config_theta_w_3": {"theta_w": 3.0},
-               "config_branch_3": {"branch": 3}, "config_gamma_string": {"gamma": "x"},
+               "config_branch_3": {"branch": 3}, "config_branch_unlabeled": {"branch": "unlabeled"},
+               "config_gamma_string": {"gamma": "x"},
                "config_k2_nan": {"k2": float("nan")}, "config_rho2_nan": {"rho2": float("nan")}}
 
 
@@ -585,6 +586,41 @@ def test_sweep_builds_and_checks_every_root_in_one_call(tmp_path, monkeypatch):
     monkeypatch.setattr(srlab.cli, "_shock_line_residuals", residual)
     assert run(["sweep", "--out", str(tmp_path / "sw")]) == 0
     assert calls == {"build": 1, "residual": 1}
+
+
+def test_a_refused_strong_branch_keeps_the_weak_one(tmp_path):
+    # at gamma 1.2, rho1 1.1, 89.5 degrees the strong shock (rho2 6.6e15)
+    # misses the sonic arc above the wedge: config writes the weak branch
+    # alone, and the sweep keeps the angle's row
+    gas = ["--gamma", "1.2", "--rho1", "1.1"]
+    out = tmp_path / "cfg"
+    assert run(["config", *gas, "--theta-w", "89.5", "--out", str(out)]) == 0
+    assert float.fromhex("0x1.d5374fce61a26p-17") == read_json(out / "config_weak.json")["u2"]
+    assert not (out / "config_strong.json").exists()
+    assert "strong" not in read_json(out / "config_summary.json")
+    assert run(["sweep", *gas, "--theta-min", "89", "--theta-max", "89.5", "--theta-step", "0.5",
+                "--out", str(tmp_path / "sw")]) == 0
+    rows = np.genfromtxt(tmp_path / "sw" / "sweep.csv", delimiter=",", comments="#", skip_header=3)
+    assert rows[-1, 0] == 89.5 and np.isfinite(rows[-1]).all() and rows[-1, 6] <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", ["1.0", "1.4", "2.0", "3.0"])
+def test_sweep_builds_a_weak_and_a_strong_lane_per_angle(tmp_path, monkeypatch, gamma):
+    # each angle with a root builds its weak and its strong configuration,
+    # nothing else, in the one lane-builder call of its solve
+    import srlab.reflection
+    from srlab.errors import NoRegularReflection
+
+    build, solve = srlab.reflection._configurations, srlab.reflection._solve_lanes
+    labels, solved = [], []
+    monkeypatch.setattr(srlab.reflection, "_configurations", lambda *a: (labels.append(list(a[-1])), build(*a))[1])
+    monkeypatch.setattr(srlab.reflection, "_solve_lanes", lambda *a: (solved.append(solve(*a)), solved[-1])[1])
+    assert run(["sweep", "--gamma", gamma, "--theta-min", "50", "--theta-max", "89", "--theta-step", "0.5",
+                "--out", str(tmp_path / "sw")]) == 0
+    assert len(solved) == 1
+    k = sum(not isinstance(o, NoRegularReflection) for o in solved[0])
+    assert k >= 56  # gamma = 3 detaches at 61.09 deg
+    assert labels == [["weak", "strong"] * k]
 
 
 @pytest.mark.parametrize("case", ["config_gamma", "config_rho1", "sweep", "solve", "verify_rh"])

@@ -253,6 +253,9 @@ def test_config_json_roundtrip(weak60):
                     assert srlab.ReflectionConfiguration.from_json(text).to_json() == text
                     count += 1
     assert count == 1130
+    # only the two labels solve_state2 writes load
+    with pytest.raises(ValueError, match="branch must be weak or strong"):
+        srlab.ReflectionConfiguration.from_json(json.dumps({**d, "branch": "unlabeled"}))
 
 
 def test_wedge_geometry_rejects_angles_outside_the_open_quadrant():
@@ -475,9 +478,9 @@ def test_refinement_agrees_with_bisection_on_a_wide_grid(monkeypatch, gamma, rho
     # at rho1 = 1.1, where weak incident shocks make the residual change sign
     # several times within a few ulps) and satisfies the jump condition; for
     # gamma = 1 at 81..87.5 deg (rho1 = 2) and at most angles of 83..88 deg
-    # (rho1 = 1.1) one ulp of the strong root's u2 decides whether the angle
-    # is refused, and without the polish rho1 = 1.1 loses 85, 85.5, 86 and
-    # 88 deg
+    # (rho1 = 1.1) one ulp of the strong root's u2 decides whether its strong
+    # branch is refused, and without the polish rho1 = 1.1 loses that branch
+    # at 85, 85.5, 86 and 88 deg
     import srlab.reflection
 
     gas = srlab.GasParameters(gamma, 1.0, rho1)
@@ -492,6 +495,45 @@ def test_refinement_agrees_with_bisection_on_a_wide_grid(monkeypatch, gamma, rho
     ulps = [abs(int(np.float64(c.u2).view(np.int64)) - int(np.float64(r.u2).view(np.int64))) for c, r in pairs]
     assert max(ulps) <= 92
     assert max(c.residuals()["rh"] for c, _ in pairs) <= 1e-12
+
+
+def test_a_strong_roots_last_ulp_moves_no_weak_outcome(monkeypatch):
+    # at steep isothermal wedges (strong rho2 above 1e16) one ulp of the
+    # strong root's u2 decides whether that branch meets the sonic arc; each
+    # branch is judged on its own, so moving every strong root one ulp up or
+    # down moves no angle's weak root or refusal (a whole-angle verdict moved
+    # 24 of these 76 outcomes to NoSonicIntersection)
+    import srlab.reflection
+    from srlab.states import incident_shock
+
+    build = srlab.reflection._configurations
+
+    def nudged(direction):
+        def wrapped(gas, theta_w, u2, v2, k2, rho2, branch):
+            strong = np.asarray(branch) == "strong"
+            moved = np.where(strong, np.nextafter(u2, direction), u2)
+            with np.errstate(over="ignore", under="ignore"):
+                state = srlab.reflection._state2_of_u2(gas, incident_shock(gas)[0], np.tan(theta_w), moved)
+            v2, k2, rho2 = (np.where(strong, new, old) for new, old in zip(state, (v2, k2, rho2)))
+            return build(gas, theta_w, moved, v2, k2, rho2, branch)
+        return wrapped
+
+    def weak(outcome):
+        return float(outcome["weak"].u2).hex() if isinstance(outcome, dict) else outcome
+
+    thetas = np.radians(np.arange(80.0, 89.0 + 1e-9, 0.5))
+    strong_moved = 0
+    for rho1 in (1.1, 2.0):
+        gas = srlab.GasParameters(1.0, 1.0, rho1)
+        base = _outcomes(gas, thetas)
+        assert sum(isinstance(o, dict) for o in base) >= 15
+        for direction in (np.inf, -np.inf):
+            monkeypatch.setattr(srlab.reflection, "_configurations", nudged(direction))
+            got = _outcomes(gas, thetas)
+            monkeypatch.setattr(srlab.reflection, "_configurations", build)
+            assert [weak(o) for o in got] == [weak(o) for o in base]
+            strong_moved += sum(("strong" in o) != ("strong" in b) for o, b in zip(got, base) if isinstance(b, dict))
+    assert strong_moved > 0  # the nudge does decide some strong branches
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
