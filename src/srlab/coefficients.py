@@ -246,16 +246,18 @@ def apply_operator(coeffs: CoefficientModel, x, jet):
 
 
 def complex_step_partials(f, *args):
-    """Partials of f in each of its arguments, stacked over them on a leading axis, by one evaluation.
+    """Values and partials of f in each of its arguments, stacked over them on a leading axis, by one evaluation.
 
     Im f(m + ih e_k)/h with the perturbations stacked takes no difference, so
     for f analytic in its arguments the partials are exact to rounding
-    (Squire & Trapp, SIAM Review 40, 1998).  f returns an array or a tuple of them.
+    (Squire & Trapp, SIAM Review 40, 1998), and Re f(m + ih e_k) is f(m) to
+    rounding.  f returns an array or a tuple of them, as do (Re f, partials).
     """
     m = np.asarray(np.broadcast_arrays(*args), dtype=complex)
     m = m + 1j * _CS_STEP * np.eye(len(args)).reshape((len(args),) * 2 + (1,) * (m.ndim - 1))
     out = f(*np.swapaxes(m, 0, 1))
-    return tuple(np.imag(c) / _CS_STEP for c in out) if isinstance(out, tuple) else np.imag(out) / _CS_STEP
+    each = lambda g: tuple(map(g, out)) if isinstance(out, tuple) else g(out)
+    return each(np.real), each(lambda c: np.imag(c) / _CS_STEP)
 
 
 def zeta(s, a: float, beta: float, M: float):

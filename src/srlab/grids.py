@@ -30,9 +30,7 @@ def _write_csv(path, names, columns, digest: str, notes=()) -> None:
 
 def _write_json(path, payload: dict) -> None:
     """srlab's one JSON format: keys sorted, one-space indent, a closing newline."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="ascii")  # in one write
 
 
 def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:

@@ -155,9 +155,10 @@ class ShockBoundaryFns:
     # -- first-order expansion coefficients -----------------------------------
 
     def psi_gradient(self, p1, p2, p3, x, y):
-        """Partials of Psi in its three slots, analytic in them, by complex step (complex_step_partials)."""
+        """(Psi, its partials in its three slots), analytic in them, from one complex step (complex_step_partials)."""
         p = np.broadcast_arrays(p1, p2, p3, x, y)[:3]  # the stacked slots broadcast against x and y
-        return tuple(complex_step_partials(lambda *q: self.Psi(*q, x, y), *p))
+        value, partials = complex_step_partials(lambda *q: self.Psi(*q, x, y), *p)
+        return value[0], tuple(partials)
 
     def bhat(self, x, y, psi, psi_x, psi_y):
         """Expansion coefficients (b1, b2, b3) along a boundary trace.
@@ -175,7 +176,7 @@ class ShockBoundaryFns:
             i = int(np.argmax(bad))
             raise OutsideDomain(f"trace sample {i} (x={x[i]:.6g}) leaves the admissible ball")
         t, w = _GL_NODES[:, None], _GL_WEIGHTS[:, None]
-        partials = self.psi_gradient(t * psi_x, t * psi_y, t * psi, x[None, :], y[None, :])
+        _, partials = self.psi_gradient(t * psi_x, t * psi_y, t * psi, x[None, :], y[None, :])
         return tuple(np.sum(w * vals, axis=0) for vals in partials)
 
     def bhat_report(self, b1, b2, b3) -> dict:

@@ -21,8 +21,8 @@ usually factors once and every run is deterministic.
 
 Two domains share that one outer loop: a rectangle (0, rhat) x (y_lo, y_hi),
 and the shock-fitted strip {0 < x < eps, 0 < y < fhat(x)} mapped onto (x, s)
-with s = y/fhat(x), whose shock rows are ordinary rows of the same system,
-the jump condition G's gradient as jet coefficients and -G on the right.
+with s = y/fhat(x), whose shock and cut rows are jet rows of the same system:
+the jump condition G's gradient and -G, and the slope psi_x = x/a.
 """
 
 import logging
@@ -265,7 +265,7 @@ def _stencil_blocks(field, tables, neumann, coupled):
     return block, tuple(w.reshape((9,) + w.shape[2:]) for w in W), (cols[known], known, indptr)
 
 
-def _newton_system(blocks, coefficients, partials, jet, residual, shock=None):
+def _newton_system(blocks, coefficients, partials, jet, residual, edge=None):
     """Assemble the Newton step J du = -R(u) on the iterate whose derivative pass is jet.
 
     residual is L(u), the operator with the coefficients on the pass, as
@@ -274,16 +274,16 @@ def _newton_system(blocks, coefficients, partials, jet, residual, shock=None):
     jet coefficients.  Those of an operator row are (dL_psi, c_x + dL_px,
     c_y + dL_py, c_xx, c_xy, c_yy), where dL_v is the operator with the
     coefficients' partials in v (the closure table's, three tuples of five)
-    on the row's own jet: the Jacobian of L.  shock = (L1, L2, L3, G, dcut)
-    gives the strip's top row the jump condition's, (L3, L1, L2, 0, 0, 0),
-    and the cut column, the shock corner included, its own two-node rows
-    psi[nx-1, j] - psi[nx-2, j] = dcut.  The jet must come from the pass
-    with the solve's Neumann flags, whose rows then read psi_y = 0 as their
-    reflective stencil does.
+    on the row's own jet: the Jacobian of L.  edge = (at, rows, rhs) gives
+    the boundary rows, at the nodes of the mask at in C order, jet
+    coefficients rows (6, n) and right sides rhs: on the strip the shock
+    rows (L3, L1, L2, 0, 0, 0) with -G(u), the cut rows (0, 1, 0, 0, 0, 0)
+    with x/a - psi_x.  The jet must come from the pass with the solve's
+    Neumann flags, whose rows then read psi_y = 0 as their reflective
+    stencil does.
 
-    Returns J as square CSR over the unknowns in C order, and -R(u): -L(u),
-    -G(u) on the shock rows and dcut - (psi[nx-1, j] - psi[nx-2, j]) on the
-    cut rows.
+    Returns J as square CSR over the unknowns in C order, and -R(u): -L(u)
+    on the operator rows and rhs on the boundary rows.
     """
     from scipy.sparse import csr_matrix
 
@@ -292,13 +292,10 @@ def _newton_system(blocks, coefficients, partials, jet, residual, shock=None):
     c_x, c_y, *second = coefficients  # they broadcast to the nodes (an O-free closure's are partly scalars)
     r = np.array([np.broadcast_to(f, jet[0].shape)[block] for f in (dL[0], c_x + dL[1], c_y + dL[2], *second)])
     step_rhs = -residual[block]
-    if shock is not None:
-        L1, L2, L3, G, dcut = shock
-        r[:3, :-1, -1], r[3:, :-1, -1], step_rhs[:-1, -1] = (L3, L1, L2), 0.0, -G
+    if edge is not None:
+        at, rows, rhs = edge
+        r[:, at[block]], step_rhs[at[block]] = rows, rhs
     data = sum(rk * w for rk, w in zip(r, W))
-    if shock is not None:  # the cut rows' two-node form: nodes nx-1 and nx-2 share their x-block
-        psi = jet[0][block]
-        data[:, -1], step_rhs[-1] = W[0][:, -1] - W[0][:, -2], dcut - (psi[-1] - psi[-2])
     # eliminate_zeros compacts the skeleton in place, so it gets a copy of the cached one
     J = csr_matrix((data.reshape(9, -1).T[known], cols.copy(), indptr.copy()), shape=(indptr.size - 1,) * 2)
     J.eliminate_zeros()  # reflective rows, closures without mixed or first-order y terms
@@ -489,7 +486,7 @@ def _solve_level(coeffs, bc, grid, opts, init_power, init_field):
     return _newton(field, coeffs, opts, (y_lo_neumann, y_hi_neumann), bc)
 
 
-def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
+def _newton(field, coeffs, opts, neumann, bc, edge_rows=None, unit=1.0):
     """Newton iteration on field in place; returns field with its metadata.
 
     Each step makes one derivative pass on the current iterate
@@ -511,15 +508,15 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
     is measured once, after the loop, and decides EllipticityLoss.
     Convergence is judged on the operator residual max |L psi| over every
     operator row the step solves (_operator_rows: the Neumann rows with the
-    interior) and, on the strip, on the scaled jump-condition residual
-    that shock_row(d) returns from the step's derivative pass d, together
-    with the shock rows' (L1, L2, L3, G) and the cut increment of the next
-    step; the larger of the two is the history entry r_k.  Each iteration
-    logs its residuals, and the GMRES iterations and target (both 0 on a
-    fresh LU) and norm max |du| of the step that led to it, at DEBUG.
+    interior), divided by unit, and, on the strip, on the scaled jump
+    residual that edge_rows(d) returns from the step's derivative pass d
+    with the next step's boundary rows (_newton_system's edge); the larger
+    of the two is the history entry r_k.  Each iteration logs its residuals,
+    and the GMRES iterations and target (both 0 on a fresh LU) and norm
+    max |du| of the step that led to it, at DEBUG.
     """
     history, lu_nnz, krylov, du, inner, rtol = [], [], [], 0.0, 0, 0.0
-    shock_res, shock, blocks, lu = 0.0, None, None, None
+    shock_res, edge, blocks, lu = 0.0, None, None, None
     x = field.xs[:, None]
     tables = _stencil_table(field.xs), _stencil_table(field.ys, neumann)  # one pair per level
     judged = _operator_rows(field.values.shape, neumann)
@@ -532,9 +529,9 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         o_terms = coeffs.evaluate(x, *jet[:3], table)
         coefficients = table.coefficients(*jet[:3], o_terms)
         residual = apply_coefficients(coefficients, jet)
-        res = float(np.max(np.abs(residual[judged])))
-        if shock_row is not None:
-            shock_res, shock = shock_row(d)
+        res = float(np.max(np.abs(residual[judged]))) / unit
+        if edge_rows is not None:
+            shock_res, edge = edge_rows(d)
         history.append(max(res, shock_res))
         _log.debug("%dx%d grid, iteration %d: residual %.3e, shock %.3e, krylov %d, rtol %.3e, step max|du| %.3e",
                    field.nx, field.ny, it, res, shock_res, inner, rtol, du)
@@ -543,15 +540,15 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
         if it == opts.max_iterations:
             raise NoConvergence(opts.max_iterations, history[-1], field.values.shape)
         if blocks is None:
-            blocks = _stencil_blocks(field, tables, neumann, shock is not None)
-        J, rhs = _newton_system(blocks, coefficients, table.partials(*jet[:3]), jet, residual, shock)
+            blocks = _stencil_blocks(field, tables, neumann, edge is not None)
+        J, rhs = _newton_system(blocks, coefficients, table.partials(*jet[:3]), jet, residual, edge)
         if lu is None:
             step, inner = None, 0
         else:
             rtol = min(_KRYLOV_CAP, max(_KRYLOV_TOL, _FORCING * history[-1] / history[-2]))
             step, inner = _krylov_step(J, rhs, lu, rtol)
         if step is None:  # the first step, or a cycle that missed its target
-            lu, inner, rtol = _factor(J, shock is not None, it, history[-1], field.values.shape), 0, 0.0
+            lu, inner, rtol = _factor(J, edge is not None, it, history[-1], field.values.shape), 0, 0.0
             lu_nnz.append(int(lu.nnz))
             step = lu.solve(rhs)
         krylov.append(inner)
@@ -561,7 +558,7 @@ def _newton(field, coeffs, opts, neumann, bc, shock_row=None):
 
     clamp_fraction = _clamp_fraction(x, coeffs.a, coefficients[2], d["px"])
     _finalize_meta(field, coeffs, opts, bc, history, lu_nnz, krylov, clamp_fraction, o_terms)
-    if shock_row is not None:
+    if edge_rows is not None:
         field.meta["outer_data"] = "synthetic slope surrogate psi_x = x/a at x=eps"
         field.meta["shock_residual"] = shock_res
     if clamp_fraction > _CLAMP_FAIL_FRACTION:
@@ -633,19 +630,19 @@ def solve_reflection_near_sonic(
     """Solve the reflection closure on the strip between wedge, shock, and cut.
 
     Boundary data: psi = 0 on the sonic segment x = 0, reflective wedge side,
-    the combined jump condition enforced pointwise on the shock image, and
-    the slope of the synthetic surrogate x^2/(2a) on the outer cut (flagged
-    in metadata), taken in increment form u[nx-1] - u[nx-2] = (x_{nx-1}^2 -
-    x_{nx-2}^2)/(2a).  The shock-row and cut values are unknowns of the same
-    sparse system as the interior: each outer step is one Newton step on the
-    interior operator and the jump condition G together (shock rows with jet
-    coefficients (L3, L1, L2, 0, 0, 0), its gradient, and right side -G),
-    whose tangential derivative couples neighbouring row values
-    (a column-by-column explicit Newton amplifies row roughness through the
-    1/h tangential weights and diverges).  The shock corner (eps, fhat(eps))
-    takes the cut row, so no boundary datum contradicts the jump condition
-    there and convergence is judged on every operator row the step solves,
-    the wedge row's included.
+    the combined jump condition G enforced pointwise on the shock image, and
+    the slope psi_x = x/a of the synthetic surrogate x^2/(2a) on the outer
+    cut (flagged in metadata).  The shock-row and cut values are unknowns of
+    the same sparse system as the interior, with jet rows built once per
+    step (edge_rows): (L3, L1, L2, 0, 0, 0), G's gradient from the one
+    complex step that gives G, and -G on the shock; (0, 1, 0, 0, 0, 0) and
+    x/a - psi_x on the cut.  Each outer step is one Newton step on the
+    operator and G together (a column-by-column explicit Newton amplifies
+    row roughness through G's 1/h tangential weights and diverges).  The
+    shock corner takes the cut row, so no datum contradicts G there.  Both
+    judged residuals, the operator's on every row the step solves (the wedge
+    row's included) and G's, are per c2, which scales like every length and
+    speed with the density unit, so no verdict or step depends on that unit.
     """
     xmax = shock_depth_max(config)
     if not 0.0 < eps < xmax:  # NaN fails too
@@ -660,24 +657,23 @@ def solve_reflection_near_sonic(
     geometry = {"kind": "sonic_strip", "eps": eps, "fhat": fh.tolist(), "g": g.tolist(), "gp": gp.tolist(),
                 "config_json": config.to_json()}
 
-    u = (xs[:, None] ** 2 / (2.0 * a)) * np.ones_like(ss)[None, :]
-    u[0, :] = 0.0
+    u = (xs[:, None] ** 2 / (2.0 * a)) * np.ones_like(ss)[None, :]  # 0 on the sonic segment, xs[0] = 0
     field = ScalarField2D(xs, ss, u, geometry, {})
     fns = ShockBoundaryFns(config)
-    lam_scale = abs(fns.psi_p1_at_P1())
+    lam_scale = abs(fns.psi_p1_at_P1()) * config.c2
     i = np.arange(1, grid_nx - 1)
-    dcut = (xs[-1] ** 2 - xs[-2] ** 2) / (2.0 * a)
     x_i, fh_i = xs[i], fh[i]  # fh_i is also the shock ordinate y
+    at = np.zeros(u.shape, dtype=bool)
+    at[i, -1] = at[-1, :] = True  # in C order the shock rows, then the cut column with the shock corner
 
-    def shock_row(d):
-        """Scaled jump-condition residual, and the shock rows' (L1, L2, L3, G) and the cut increment."""
+    def edge_rows(d):
+        """Scaled jump-condition residual, and the boundary's jet rows (at, coefficients, right sides)."""
         uJ, px, py = (d[key][i, -1] for key in ("psi", "px", "py"))
         try:
-            G = fns.Psi(px, py, uJ, x_i, fh_i)
-            L1, L2, L3 = fns.psi_gradient(px, py, uJ, x_i, fh_i)
+            G, (L1, L2, L3) = fns.psi_gradient(px, py, uJ, x_i, fh_i)
         except VacuumState as exc:
             raise ShockConditionDiverged(f"shock-row iterate left the admissible ball: {exc}") from exc
-        if not (np.all(np.isfinite(G)) and all(np.all(np.isfinite(L)) for L in (L1, L2, L3))):
+        if not np.isfinite((G, L1, L2, L3)).all():
             raise ShockConditionDiverged("nonfinite linearized jump condition on the shock row")
         res = float(np.max(np.abs(G))) / lam_scale
         if res > 1.0:
@@ -685,6 +681,8 @@ def solve_reflection_near_sonic(
             # stay below 0.03); the isothermal closure has no vacuum bound to
             # stop a divergence, and the LU fill of its iterates grows without bound
             raise ShockConditionDiverged(f"jump-condition residual {res:.3g} exceeds its gradient scale")
-        return res, (L1, L2, L3, G, dcut)
+        rows = np.zeros((6, i.size + grid_ny))
+        rows[:3, :i.size], rows[1, i.size:] = (L3, L1, L2), 1.0  # the cut's psi_x
+        return res, (at, rows, np.concatenate((-G, xs[-1] / a - d["px"][-1])))
 
-    return _newton(field, coeffs, opts, (True, False), None, shock_row)
+    return _newton(field, coeffs, opts, (True, False), None, edge_rows, config.c2)

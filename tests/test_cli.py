@@ -147,6 +147,38 @@ def test_verify_rh_verdicts_do_not_depend_on_the_density_unit(tmp_path, gamma):
     assert moved_verdicts == {False}
 
 
+@pytest.mark.parametrize("gamma", [1.4, 2.0])
+def test_strip_solve_and_regularity_do_not_depend_on_the_density_unit(tmp_path, gamma):
+    # rho0 = kappa, rho1 = 2 kappa is one flow in a density unit in which
+    # every length and speed, c2 among them, scales by kappa^((gamma-1)/2):
+    # the strip judges its residuals per c2, so the exit codes, verdicts,
+    # Newton steps, GMRES iterations and factorisations agree at every kappa,
+    # the first residual to 1e-12 relative and psi/c2^2, the jump and the
+    # fitted exponent to 1e-10 (measured: 2.3e-13, 2.7e-13, 1.1e-11 and
+    # 2.2e-13).  Per unit length the guard refused gamma 1.4 from kappa 1e10
+    # and gamma 2 from kappa 1e4
+    runs = []
+    for kappa in (1e-4, 1.0, 1e4, 1e12):
+        out = tmp_path / f"k{kappa:g}"
+        rc = run(["solve", "--mode", "reflection", "--gamma", repr(gamma), "--rho0", repr(kappa),
+                  "--rho1", repr(2.0 * kappa), "--out", str(out)])
+        assert rc == 0, kappa
+        rv = run(["verify", "--what", "regularity", "--grid", str(out / "grid.srl"), "--out", str(out)])
+        f = ScalarField2D.load(out / "grid.srl")
+        rep = read_json(out / "verify_regularity.json")
+        m = f.meta
+        runs.append(((rv, rep["checks"], m["iterations"], m["krylov_iterations"], len(m["lu_nnz"])),
+                     m["residual_history"][0], f.values / json.loads(f.geometry["config_json"])["c2"] ** 2,
+                     rep["report"]["jump"], rep["report"]["power_fits"][0]["p"]))
+    (verdict, r0, v, jump, p), rest = runs[0], runs[1:]
+    assert verdict[2] == 5
+    for other, r0k, vk, jumpk, pk in rest:
+        assert other == verdict
+        assert r0k == pytest.approx(r0, rel=1e-12)
+        assert np.max(np.abs(vk - v)) <= 1e-10 * np.max(np.abs(v))
+        assert jumpk == pytest.approx(jump, rel=1e-10) and pk == pytest.approx(p, rel=1e-10)
+
+
 @pytest.mark.parametrize("gamma,rho0,rho1,theta_w", [
     (1.4, 1e-4, 2e-4, 60), (1.4, 1e12, 2e12, 60), (2.0, 1e-4, 2e-4, 60), (2.0, 1e12, 2e12, 60),
     (3.0, 1.0, 1e10, 80),

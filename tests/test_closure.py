@@ -98,7 +98,7 @@ def test_table_partials_match_the_complex_step(gamma, deg):
     for coeffs in (reflection_coefficients(cfg, cfg.c2 / 20.0), srlab.model_coefficients(gamma + 1.0, 1.0 / cfg.c2),
                    srlab.linear_coefficients(1.0 / cfg.c2)):
         table = coeffs.table(x).partials(psi, px, py)
-        stepped = complex_step_partials(lambda *m: operator_coefficients(coeffs, x, *m), psi, px, py)
+        _, stepped = complex_step_partials(lambda *m: operator_coefficients(coeffs, x, *m), psi, px, py)
         for k, cs in enumerate(stepped):  # k: the coefficient, cs its partials stacked over psi, psi_x, psi_y
             for v in range(3):
                 got, want = np.broadcast_to(table[v][k], psi.shape), np.broadcast_to(cs, (3,) + psi.shape)[v]

@@ -101,6 +101,20 @@ def test_sidecar_is_sorted_json(tmp_path):
     assert text.index('"alpha"') < text.index('"zeta"')
 
 
+def test_json_text_is_pinned(tmp_path):
+    # srlab's one JSON format, written in one piece: sorted keys, one-space
+    # indent, ASCII escapes, json's spellings of null, booleans and NaN, and a
+    # closing newline
+    from srlab.grids import _write_json
+
+    payload = {"b": [1.5, {"d": None, "c": True}], "a": "caf\u00e9", "e": [], "f": {}, "g": 1e-300,
+               "h": float("nan")}
+    _write_json(tmp_path / "p.json", payload)
+    assert (tmp_path / "p.json").read_bytes() == (
+        b'{\n "a": "caf\\u00e9",\n "b": [\n  1.5,\n  {\n   "c": true,\n   "d": null\n  }\n ],\n'
+        b' "e": [],\n "f": {},\n "g": 1e-300,\n "h": NaN\n}\n')
+
+
 def test_csv_export(tmp_path):
     xs = np.linspace(0, 1, 3)
     f = ScalarField2D(xs, xs, np.arange(9.0).reshape(3, 3))

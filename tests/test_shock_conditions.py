@@ -116,17 +116,21 @@ def test_psi_gradient_exact_at_P1(gamma, theta_deg):
     # corner matches the closed form to rounding (gamma = 3 detaches at 61 deg)
     cfg = srlab.solve_state2(srlab.GasParameters(gamma, 1.0, 2.0), np.radians(theta_deg))["weak"]
     fns = ShockBoundaryFns(cfg)
-    assert fns.psi_gradient(0.0, 0.0, 0.0, 0.0, cfg.y1)[0] == pytest.approx(fns.psi_p1_at_P1(), rel=1e-13)
+    assert fns.psi_gradient(0.0, 0.0, 0.0, 0.0, cfg.y1)[1][0] == pytest.approx(fns.psi_p1_at_P1(), rel=1e-13)
 
 
 def test_psi_gradient_matches_per_slot_complex_steps(fns, weak60):
-    # the stacked evaluation gives each slot's own complex step, Im Psi(p + ih e_k)/h
+    # the stacked evaluation gives each slot's own complex step, Im Psi(p + ih e_k)/h,
+    # and its real part gives Psi's real evaluation to rounding of its scale
+    # (1.6e-14 of it at gamma 1.4: complex powers round apart from real ones)
     rng = np.random.default_rng(3)
     x = np.linspace(1e-4, weak60.c2 / 20.0, 40)
     y, _, _ = shock_chart_table(weak60, x)
     p = [0.1 * x * rng.standard_normal(x.size) for _ in range(3)]
     h = 1e-30
-    grad = fns.psi_gradient(*p, x, y)
+    value, grad = fns.psi_gradient(*p, x, y)
+    real = fns.Psi(*p, x, y)
+    assert np.max(np.abs(value - real)) <= 5e-14 * np.max(np.abs(real))
     for k in range(3):
         z = list(p)
         z[k] = p[k] + 1j * h
@@ -152,7 +156,7 @@ def test_bhat_on_zero_trace_equals_partials(fns, weak60):
     b1, b2, b3 = fns.bhat(xs, ys, z, z, z)
     # constant-in-t integrand: b_k = Psi_pk(0,0,0,x,y)
     for arr, k in ((b1, 1), (b2, 2), (b3, 3)):
-        direct = fns.psi_gradient(z, z, z, xs, ys)[k - 1]
+        direct = fns.psi_gradient(z, z, z, xs, ys)[1][k - 1]
         assert np.allclose(arr, direct, rtol=1e-10, atol=1e-12)
     # at the corner, b1 equals the explicit gradient coefficient
     b1c, _, _ = fns.bhat([0.0], [weak60.y1], [0.0], [0.0], [0.0])
@@ -374,7 +378,7 @@ def test_bhat_matches_a_40_node_rule(gamma, theta_deg):
     traces += [synthetic_quadratic_trace(cfg, cfg.c2 * f) for f in RH_EPS_FRACS if cfg.c2 * f <= best]
     assert len(traces) >= 3
     for x, y, psi, px, py in traces:
-        ref = [np.sum(w * v, axis=0) for v in fns.psi_gradient(t * px, t * py, t * psi, x[None, :], y[None, :])]
+        ref = [np.sum(w * v, axis=0) for v in fns.psi_gradient(t * px, t * py, t * psi, x[None, :], y[None, :])[1]]
         for b, r in zip(fns.bhat(x, y, psi, px, py), ref):
             assert np.max(np.abs(b - r)) <= 1e-14 * np.max(np.abs(r))
 
@@ -406,14 +410,15 @@ def test_chart_on_unbroadcast_rows_is_bit_for_bit(gamma, theta_deg):
     slots = [rng.normal(0.0, 1e-2, (3, m, n)) + 1j * rng.normal(0.0, 1e-20, (3, m, n)) for _ in range(3)]
     assert np.array_equal(fns.Psi(*slots, x, y), fns.Psi(*np.broadcast_arrays(*slots, x, y)))
     real = [s.real for s in slots]
-    rows = fns.psi_gradient(*real, x, y)
-    full = fns.psi_gradient(*np.broadcast_arrays(*real, x, y))
-    assert all(np.array_equal(a, b) for a, b in zip(rows, full))
+    value, rows = fns.psi_gradient(*real, x, y)
+    full_value, full = fns.psi_gradient(*np.broadcast_arrays(*real, x, y))
+    assert np.array_equal(value, full_value) and all(np.array_equal(a, b) for a, b in zip(rows, full))
 
 
 def test_strip_grid_payload_is_pinned(tmp_path):
-    # the Newton shock row evaluates Psi and psi_gradient, and takes -Psi as
-    # its right side; this digest of the gamma 1.4, 60 degree 121x49 strip's
+    # the Newton shock row takes Psi and its gradient from one complex step
+    # (psi_gradient) and -Psi as its right side, and the cut rows impose
+    # psi_x = x/a; this digest of the gamma 1.4, 60 degree 121x49 strip's
     # grid file holds them, and the configuration's P1 they are evaluated on,
     # bit for bit
     import hashlib
@@ -423,7 +428,7 @@ def test_strip_grid_payload_is_pinned(tmp_path):
     assert main(["solve", "--mode", "reflection", "--gamma", "1.4", "--theta-w", "60", "--grid", "121,49",
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "grid.srl").read_bytes()).hexdigest()
-    assert digest == "6babf988ebb87178baa492781b5d433d1e0255dff881a1680fff6d20eee3d96b"
+    assert digest == "08fd986180602f8cb114be241adcdfc2d5a1732a667c2b8f76fc46b83c63e681"
 
 
 def test_bhat_evaluation_shape_is_pinned(fns, weak60, monkeypatch):

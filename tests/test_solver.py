@@ -585,15 +585,24 @@ def test_audit_takes_the_last_iterations_o_terms(reflection_field, weak60, monke
     assert f.meta["o_bound_audit"] == o_bound_audit(coeffs, x, o_terms) == reflection_field.meta["o_bound_audit"]
 
 
-def _shock_row(field, fns):
-    """The jump residual G on the strip's shock row and its Newton row (L1, L2, L3, G, dcut = 0)."""
+def _edge_rows(field, fns):
+    """The jump residual G on the strip's shock row, and the strip's boundary rows (at, jet rows, right sides).
+
+    In C order over the mask at: the shock rows (L3, L1, L2, 0, 0, 0) with
+    -G, then the cut column's (0, 1, 0, 0, 0, 0) with x/a - psi_x.
+    """
     d = derivative_fields(field)
     i = np.arange(1, field.nx - 1)
     uJ, px, py = (d[key][i, -1] for key in ("psi", "px", "py"))
     y = np.asarray(field.geometry["fhat"])[i]
     G = fns.Psi(px, py, uJ, field.xs[i], y)
-    L1, L2, L3 = fns.psi_gradient(px, py, uJ, field.xs[i], y)
-    return G, (L1, L2, L3, G, 0.0)
+    _, (L1, L2, L3) = fns.psi_gradient(px, py, uJ, field.xs[i], y)
+    at = np.zeros(field.values.shape, dtype=bool)
+    at[i, -1] = at[-1, :] = True
+    z, cut = np.zeros(i.size), np.zeros((6, field.ny))
+    cut[1] = 1.0
+    rhs = np.concatenate((-G, field.xs[-1] / (fns.config.gas.gamma + 1.0) - d["px"][-1]))
+    return G, (at, np.concatenate(([L3, L1, L2, z, z, z], cut), axis=1), rhs)
 
 
 class _Built(Exception):
@@ -612,17 +621,17 @@ def _system(field, coeffs, neumann, fns=None):
 
     newton_system = solver._newton_system
 
-    def build(blocks, coefficients, partials, jet, residual, shock):
-        J, r = newton_system(blocks, coefficients, partials, jet, residual, shock)
+    def build(blocks, coefficients, partials, jet, residual, edge):
+        J, r = newton_system(blocks, coefficients, partials, jet, residual, edge)
         clamp = solver._clamp_fraction(field.xs[:, None], coeffs.a, coefficients[2], jet[1])
         raise _Built(J, r.reshape(field.values[blocks[0]].shape), clamp, blocks[0])
 
-    shock = None if fns is None else _shock_row(field, fns)[1]
+    edge = None if fns is None else _edge_rows(field, fns)[1]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver, "_newton_system", build)
         with pytest.raises(_Built) as built:
             solver._newton(field, coeffs, srlab.SolverOptions(tolerance=1e-300, max_iterations=1), neumann, None,
-                           None if shock is None else lambda d: (0.0, shock))
+                           None if edge is None else lambda d: (0.0, edge))
     return built.value.args
 
 
@@ -646,14 +655,15 @@ def test_newton_system_is_the_residual_operator_on_a_rectangle(model_field, mode
 
 
 def test_newton_system_is_the_residual_operator_on_the_strip(reflection_field, weak60):
-    # on the strip the same holds through the chain rule, and the shock rows
-    # give exactly -G(u), the jump condition on the stencils of the derivative pass
+    # on the strip the same holds through the chain rule, the shock rows
+    # give exactly -G(u), the jump condition on the stencils of the derivative
+    # pass, and the cut rows x/a - psi_x on the physical slope of that pass
     from srlab.shock import ShockBoundaryFns
 
     f = _perturbed(reflection_field)
     coeffs = srlab.reflection_coefficients(weak60, f.geometry["eps"])
     fns = ShockBoundaryFns(weak60)
-    G, _ = _shock_row(f, fns)
+    G, _ = _edge_rows(f, fns)
     _, r, clamp, _ = _system(f, coeffs, (True, False), fns)
     _, L = residual(f, coeffs)
     assert clamp == 0.0
@@ -661,6 +671,8 @@ def test_newton_system_is_the_residual_operator_on_the_strip(reflection_field, w
     assert scale > 1e-6 and gscale > 1e-6
     assert np.array_equal(r[:-1, 1:-1], -L[1:-1, 1:-1])
     assert np.array_equal(r[:-1, -1], -G)
+    cut = f.xs[-1] / coeffs.a - derivative_fields(f)["px"][-1]
+    assert np.max(np.abs(cut)) > 1e-6 and np.array_equal(r[-1], cut)
 
 
 def _check_jacobian(field, coeffs, neumann, rows, fns=None):
@@ -718,7 +730,7 @@ def test_newton_step_takes_the_residual_it_judged(weak60, monkeypatch):
     # _newton evaluates the operator residual once per iteration, judges
     # convergence on it over every operator row the step solves and hands
     # that very array to _newton_system, whose right side is its negation on
-    # the operator rows bit for bit, and -G on the strip's shock rows
+    # the operator rows bit for bit, and the strip's own on its boundary rows
     import sys
 
     from srlab import solver
@@ -732,9 +744,11 @@ def test_newton_step_takes_the_residual_it_judged(weak60, monkeypatch):
             judged.append(out)
         return out
 
-    def spy_system(blocks, coefficients, partials, jet, residual, shock=None):
-        J, rhs = newton_system(blocks, coefficients, partials, jet, residual, shock)
-        systems.append((residual is judged[-1], -residual[blocks[0]], rhs.reshape(jet[0][blocks[0]].shape), shock))
+    def spy_system(blocks, coefficients, partials, jet, residual, edge=None):
+        J, rhs = newton_system(blocks, coefficients, partials, jet, residual, edge)
+        on_edge = None if edge is None else edge[0][blocks[0]]
+        systems.append((residual is judged[-1], -residual[blocks[0]], rhs.reshape(jet[0][blocks[0]].shape), edge,
+                        on_edge))
         return J, rhs
 
     monkeypatch.setattr(solver, "apply_coefficients", spy_apply)
@@ -745,14 +759,15 @@ def test_newton_step_takes_the_residual_it_judged(weak60, monkeypatch):
     history = [r for level in f.meta["levels"] for r in level["residual_history"]]
     assert [float(np.max(np.abs(r[1:-1, :]))) for r in judged] == history  # both y-sides are Neumann rows
     assert len(systems) == len(history) - len(f.meta["levels"]) > 0
-    assert all(same and np.array_equal(rhs, minus) for same, minus, rhs, _ in systems)
+    assert all(same and np.array_equal(rhs, minus) for same, minus, rhs, _, _ in systems)
     judged.clear()
     systems.clear()
     f = srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=49, grid_ny=25)
     assert len(judged) == f.meta["iterations"] == len(systems) + 1
-    for same, minus, rhs, shock in systems:
+    for same, minus, rhs, edge, on_edge in systems:
         assert same and np.array_equal(rhs[:-1, :-1], minus[:-1, :-1])
-        assert np.array_equal(rhs[:-1, -1], -shock[3])
+        assert on_edge[:-1, -1].all() and on_edge[-1].all() and not on_edge[:-1, :-1].any()  # shock rows, cut
+        assert np.array_equal(rhs[on_edge], edge[2])
 
 
 def test_convergence_is_judged_on_every_solved_row():
@@ -799,12 +814,13 @@ def test_newton_system_is_square_on_the_unknowns(weak60, tmp_path, monkeypatch):
     assert main(["solve", "--mode", "model", "--grid", "97,49", "--grade", "0.95", "--perturb", "0.2",
                  "--out", str(tmp_path)]) == 0
     srlab.solve_reflection_near_sonic(weak60, eps=weak60.c2 / 20.0, grid_nx=121, grid_ny=49)
-    # interior x; all y on Neumann sides, and the strip's cut column x = eps.
+    # interior x; all y on Neumann sides, and the strip's cut column x = eps,
+    # whose rows weigh the physical psi_x of the chain rule.
     # The first system of the model solve's 25x13 level has two more exact
     # zeros: at the power start the first interior column's coupling to the
     # second cancels exactly at y = +-1/2
     n = [7 * 7, 23 * 13, 23 * 13, 47 * 25, 95 * 49, 120 * 49]
-    nnz = (217, 1_421, 1_423, 5_731, 22_987, 51_363)
+    nnz = (217, 1_421, 1_423, 5_731, 22_987, 51_508)
     steps = [4, 1, 2, 2, 2, 4]
     assert systems == [((k, k), z) for k, z, m in zip(n, nnz, steps) for _ in range(m)]
 
@@ -841,23 +857,28 @@ def test_newton_system_is_exact_where_the_slope_leaves_its_window(reflection_fie
 
 
 def test_cut_slope_probes_converge_or_fail_typed(weak60, monkeypatch):
-    # the cut increment dcut scaled x2 at 121x49 gives a solution whose slope
+    # the cut slope x/a scaled x2 at 121x49 gives a solution whose slope
     # leaves the window on about 1% of the nodes: Newton on the operator
-    # converges in a few steps.  Scaled x3, the shock row leaves its
-    # admissible ball within a few steps: a typed failure, not a budget spent
+    # converges in a few steps.  Scaled x3, the jump residual passes its
+    # guard within a few steps: a typed failure, not a budget spent
     from srlab import solver
 
     newton_system, systems = solver._newton_system, []
+    eps = weak60.c2 / 20.0
+    a = weak60.gas.gamma + 1.0
 
     def run(k):
-        def scaled(blocks, coefficients, partials, jet, residual, shock):
+        def scaled(blocks, coefficients, partials, jet, residual, edge):
             systems.append(1)
-            return newton_system(blocks, coefficients, partials, jet, residual, shock[:4] + (k * shock[4],))
+            at, rows, rhs = edge
+            rhs = rhs.copy()
+            rhs[-49:] += (k - 1.0) * eps / a  # the cut column's rows come last: k x/a - psi_x
+            return newton_system(blocks, coefficients, partials, jet, residual, (at, rows, rhs))
 
         systems.clear()
         with monkeypatch.context() as m:
             m.setattr(solver, "_newton_system", scaled)
-            return srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=121, grid_ny=49)
+            return srlab.solve_reflection_near_sonic(weak60, eps, grid_nx=121, grid_ny=49)
 
     f = run(2.0)
     assert f.meta["iterations"] <= 10
@@ -865,6 +886,37 @@ def test_cut_slope_probes_converge_or_fail_typed(weak60, monkeypatch):
     with pytest.raises(ShockConditionDiverged):
         run(3.0)
     assert len(systems) <= 10
+
+
+def test_cut_column_has_the_stated_slope(reflection_field, weak60):
+    # the cut rows impose the slope the sidecar states, psi_x = x/a at x = eps,
+    # on the physical psi_x of the derivative pass (the chain rule's
+    # u_x - s g u_s): a step on a fresh factor meets it to rounding, and a
+    # GMRES step to within its relative target of the slope
+    f = reflection_field
+    assert f.meta["outer_data"] == "synthetic slope surrogate psi_x = x/a at x=eps"
+    h = f.meta["residual_history"]
+    assert f.meta["krylov_iterations"][-1] > 0
+    rtol = min(1e-4, max(1e-8, 1e-3 * h[-2] / h[-3]))  # the last step's target, as _newton sets it
+    slope = f.xs[-1] / (weak60.gas.gamma + 1.0)
+    assert np.max(np.abs(derivative_fields(f)["px"][-1] - slope)) <= rtol * slope
+
+
+def test_jump_condition_is_evaluated_once_per_iteration(weak60, monkeypatch):
+    # each strip Newton iteration evaluates Psi once: the shock rows' -G is
+    # the real part of the complex step that gives their gradient
+    from srlab.shock import ShockBoundaryFns
+
+    calls, psi = [], ShockBoundaryFns.Psi
+
+    def spy(self, *args):
+        calls.append(np.shape(args[0]))
+        return psi(self, *args)
+
+    monkeypatch.setattr(ShockBoundaryFns, "Psi", spy)
+    f = srlab.solve_reflection_near_sonic(weak60, weak60.c2 / 20.0, grid_nx=49, grid_ny=25)
+    assert f.meta["iterations"] > 2
+    assert calls == [(3, 47)] * f.meta["iterations"]  # the three stepped slots on the 47 shock rows
 
 
 def _zero_o_columns(x):
